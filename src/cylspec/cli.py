@@ -758,7 +758,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="INI or JSON job configuration")
     common.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
     common.add_argument("--seed", type=int, help="random seed recorded in the manifest")
-    common.add_argument("--threads", type=int, help="thread cap recorded in the manifest")
+    common.add_argument(
+        "--threads",
+        type=int,
+        help="recorded in the manifest only; BLAS threads follow the environment "
+        "(e.g. OMP_NUM_THREADS) set before cylspec starts",
+    )
     common.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
@@ -873,8 +878,6 @@ def main(argv=None) -> int:
         }
         overrides["task_name"] = args.command
         cfg = resolve_config(raw, overrides)
-        if cfg.run["threads"] > 1:
-            os.environ.setdefault("OMP_NUM_THREADS", str(cfg.run["threads"]))
         envelope = run_job(cfg)
         path = write_envelope(envelope, cfg)
         failed = [c for c in envelope["certificates"] if not c["passed"]]

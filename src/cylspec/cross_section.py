@@ -13,6 +13,7 @@ entry positive) so the cos/sin pairs at +-k are not double counted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -214,11 +215,14 @@ def _phases(freq) -> tuple:
     return ("cos",) if not any(freq) else ("cos", "sin")
 
 
+@functools.lru_cache(maxsize=64)
 def build_spectrum(cs: TorusCrossSection, rank: str) -> Spectrum:
     """Enumerate every mode of the requested kind up to the frequency cutoff.
 
     ``rank`` accepts a kind name from KINDS or one of the short aliases
-    scalar / coclosed / harmonic / tt / trace.
+    scalar / coclosed / harmonic / tt / trace.  Spectra are immutable (a
+    tuple of modes with read-only polarizations), so results are memoized
+    per (cross section, selector).
     """
     kind = _RANK_ALIASES.get(rank, rank)
     if kind not in KINDS:

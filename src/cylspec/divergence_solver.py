@@ -4,8 +4,8 @@ Given a symmetric 2-tensor source h, the task is a one-form X whose
 metric Lie derivative has the same (possibly tau-perturbed) divergence
 as h.  The cross-section splits the problem into a finite sector carried
 by the harmonic data (eigenvalue zero, second-order scalar ODEs solved
-by quadrature) and an infinite sector of positive-eigenvalue modes
-(handled by the closed-form mode solvers).
+in closed form by ``_solve_damped``) and an infinite sector of
+positive-eigenvalue modes (handled by the closed-form mode solvers).
 
 The tau term damps the parallel radial directions dr(x)dr and
 dr(x)eta + eta(x)dr: without it those directions are generated only by

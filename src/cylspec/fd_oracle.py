@@ -35,10 +35,6 @@ MAX_SCALAR_ENTRIES = int(2e8)
 # wide enough for any composed order-4 stencil to be fully centered
 INTERIOR_TRIM = 5
 
-_OPS = ("divergence", "sym_grad", "rough_laplacian", "trace_hessian",
-        "linearized_ricci", "lichnerowicz")
-
-
 @dataclass(frozen=True)
 class StencilConfig:
     """order is the centered-difference accuracy (2 or 4).  boundary picks
@@ -181,9 +177,10 @@ def sample(field: TensorField, r_range, n_r, n_x, r_periodic: bool = False) -> G
     entries = n_r * math.prod(n_x) * (d + 1) ** field.rank
     if entries > MAX_SCALAR_ENTRIES:
         raise MemoryGuard(f"requested grid would hold {entries} scalar entries")
+    # a zero-stride view: the probe only validates the grid and yields nodes
+    shape = (int(n_r), *n_x) + (d + 1,) * field.rank
     probe = GridField(tuple(r_range), int(n_r), field.cs.side_lengths, n_x,
-                      field.rank, np.zeros((int(n_r), *n_x) + (d + 1,) * field.rank),
-                      r_periodic)
+                      field.rank, np.broadcast_to(0.0, shape), r_periodic)
     mesh = np.stack(np.meshgrid(*probe.x_nodes(), indexing="ij"), axis=-1)
     return probe.with_components(field.evaluate(probe.r_nodes(), mesh))
 
@@ -328,7 +325,7 @@ _DISPATCH = {
 
 def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
     if op not in _DISPATCH:
-        raise InvalidInput(f"unknown operator {op!r}; expected one of {_OPS}")
+        raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_DISPATCH)}")
     return _DISPATCH[op](f, cfg)
 
 

@@ -158,22 +158,39 @@ class TensorField:
         """Sample on a product grid: r shape (nr,), xs shape (..., d).
 
         Returns shape (nr, ..., (d+1)^rank tensor axes).
+
+        The sum separates into two small tables over the M sorted modes: a
+        trig table T[s, m] = trig_m(omega_m . x_s) over the points and a
+        radial table R[r, m, c] = sum over the mode's profile terms of
+        r^p e^{lam r} C_c.  One batched GEMM T @ R writes the result.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         xs = np.asarray(xs, dtype=float)
-        if xs.shape[-1] != self.cs.dim:
+        d = self.cs.dim
+        if xs.shape[-1] != d:
             raise InvalidInput("xs last axis must have length dim")
         space_shape = xs.shape[:-1]
-        out = np.zeros(r.shape + space_shape + self._shape())
-        for (freq, phase), profs in sorted(self.data.items()):
-            omega = self.cs.omega(freq)
-            arg = np.tensordot(xs, omega, axes=(-1, 0))
-            trig = np.cos(arg) if phase == "cos" else np.sin(arg)
-            for (p, lam), C in sorted(profs.items()):
-                rad = r**p * np.exp(lam * r)
-                radx = rad.reshape(r.shape + (1,) * len(space_shape)) * trig
-                out += radx.reshape(radx.shape + (1,) * self.rank) * C
-        return out
+        ncomp = (d + 1) ** self.rank
+        keys = sorted(self.data)
+
+        # trig table: one column per (freq, phase)
+        omegas = np.array([self.cs.omega(freq) for freq, _ in keys]).reshape(-1, d)
+        trig = xs.reshape(-1, d) @ omegas.T
+        is_cos = np.array([phase == "cos" for _, phase in keys], dtype=bool)
+        trig[:, is_cos] = np.cos(trig[:, is_cos])
+        trig[:, ~is_cos] = np.sin(trig[:, ~is_cos])
+
+        # radial table: profile values times coefficients, summed per mode
+        rr = r.reshape(-1, 1)
+        radial = np.empty((r.size, len(keys), ncomp))
+        for m, key in enumerate(keys):
+            profs = sorted(self.data[key].items())
+            powers = np.array([p for (p, _), _ in profs])
+            rates = np.array([lam for (_, lam), _ in profs])
+            coeffs = np.array([np.ravel(C) for _, C in profs])
+            radial[:, m] = (rr**powers * np.exp(rr * rates)) @ coeffs
+
+        return (trig @ radial).reshape(r.shape + space_shape + self._shape())
 
     def __repr__(self):
         nmodes = len(self.data)

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .errors import InvalidInput, NonInvertibleSector
 from .mode_ode import (
@@ -212,6 +211,8 @@ def _quad_window(integrand, t, spec, mu, support):
         lo, hi = max(lo, 0.0), min(hi, support[1])
     if hi <= lo:
         return 0.0
+    import scipy.integrate  # deferred: the import dominates `import cylspec`
+
     kink = [t] if lo < t < hi else []
     val, _ = scipy.integrate.quad(
         integrand, lo, hi, points=kink, epsabs=1e-13, epsrel=spec.tol, limit=200

@@ -60,6 +60,20 @@ def test_memory_guard_trips_before_allocating():
         O.sample(h, (0.0, 6.0), 512, 512)
 
 
+def test_sample_validates_the_grid_before_evaluating(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("evaluate ran on an invalid grid")
+
+    monkeypatch.setattr(F.TensorField, "evaluate", refuse)
+    h = F.metric_field(CS)
+    with pytest.raises(InvalidInput):
+        O.sample(h, (0.0, 6.0), 4, 8)
+    with pytest.raises(InvalidInput):
+        O.sample(h, (6.0, 0.0), 8, 8)
+    with pytest.raises(MemoryGuard):
+        O.sample(h, (0.0, 6.0), 4096, 1024)
+
+
 def test_stencil_config_validation():
     with pytest.raises(InvalidInput):
         O.StencilConfig(order=3)
@@ -73,6 +87,7 @@ def test_sample_zero_field():
     gf = O.sample(F.TensorField.zero(CS, 2), (0.0, 6.0), 16, 8)
     assert gf.components.shape == (16, 8, 8, 3, 3)
     assert np.all(gf.components == 0.0)
+    assert gf.components.flags.writeable
 
 
 def test_sample_matches_direct_evaluation():

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylspec import cross_section as cx, fields as F
 from cylspec.mode_ode import RadialProfile
@@ -195,6 +197,83 @@ def test_evaluate_matches_pointwise_sum():
             assert np.allclose(
                 vals[i, j, 1:], kv * amp * (-omega) * math.sin(omega @ x), atol=1e-12
             )
+
+
+def _pointwise_sum(field, r, xs):
+    """Reference values: an explicit loop over field.terms() at every point."""
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    pts = np.asarray(xs, dtype=float).reshape(-1, field.cs.dim)
+    out = np.zeros((rr.size, len(pts)) + (field.cs.dim + 1,) * field.rank)
+    for (freq, phase), (p, lam), C in field.terms():
+        omega = field.cs.omega(freq)
+        trig = math.cos if phase == "cos" else math.sin
+        for i, rv in enumerate(rr):
+            rad = rv**p * math.exp(lam * rv)
+            for s, x in enumerate(pts):
+                out[i, s] += rad * trig(float(omega @ x)) * C
+    return out
+
+
+@st.composite
+def _sampled_fields(draw):
+    d = draw(st.sampled_from((2, 3)))
+    rank = draw(st.sampled_from((0, 1, 2)))
+    sides = tuple(draw(st.sampled_from((1.0, 2.0, 2 * math.pi))) for _ in range(d))
+    cs = cx.TorusCrossSection(d, sides, 2)
+    key = st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * d),
+        st.sampled_from(("cos", "sin")),
+        st.integers(0, 2),
+        st.floats(-2.0, 1.0, allow_nan=False).map(lambda v: round(v, 3)),
+    )
+    keys = draw(st.lists(key, max_size=8, unique=True))
+    coeff = st.floats(-3.0, 3.0, allow_nan=False)
+    terms = [
+        (k, np.array(draw(st.lists(coeff, min_size=(d + 1) ** rank, max_size=(d + 1) ** rank)))
+         .reshape((d + 1,) * rank))
+        for k in keys
+    ]
+    order = draw(st.permutations(range(len(terms))))
+    if draw(st.booleans()):
+        r = draw(st.floats(0.0, 3.0))
+    else:
+        r = np.linspace(0.0, 3.0, draw(st.integers(1, 5)))
+    shape = draw(st.sampled_from(("flat", "mesh", "point")))
+    if shape == "flat":
+        point = st.tuples(*[st.floats(0.0, 2 * math.pi)] * d)
+        xs = np.array(draw(st.lists(point, min_size=1, max_size=6)))
+    elif shape == "mesh":
+        axes = [L / 3 * np.arange(3) for L in sides]
+        xs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    else:
+        xs = np.full(d, 0.7)
+    return cs, rank, terms, order, r, xs
+
+
+def _field_from_terms(cs, rank, terms):
+    out = F.TensorField.zero(cs, rank)
+    for (freq, phase, p, lam), C in terms:
+        out = out + F.TensorField(cs, rank, {(freq, phase): {(p, lam): C}})
+    return out
+
+
+@given(_sampled_fields())
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_term_sum_in_any_layout(case):
+    cs, rank, terms, order, r, xs = case
+    field = _field_from_terms(cs, rank, terms)
+    vals = field.evaluate(r, xs)
+    tensor_shape = (cs.dim + 1,) * rank
+    assert vals.shape == np.atleast_1d(r).shape + xs.shape[:-1] + tensor_shape
+    want = _pointwise_sum(field, r, xs)
+    # r^p e^{lam r} is at most 9 e^3 for r <= 3, p <= 2, lam <= 1
+    scale = 1.0 + sum(float(np.max(np.abs(C), initial=0.0)) for _, C in terms) * 9 * math.exp(3.0)
+    got = vals.reshape(want.shape)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+    # deterministic, and blind to the order in which terms were added
+    assert field.evaluate(r, xs).tobytes() == vals.tobytes()
+    shuffled = _field_from_terms(cs, rank, [terms[i] for i in order])
+    assert shuffled.evaluate(r, xs).tobytes() == vals.tobytes()
 
 
 def test_field_scaling_and_pruning():

@@ -6,10 +6,14 @@ That pins every coefficient in the table independently of its derivation.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cylspec
 from cylspec import green_kernel as gk
 from cylspec.errors import InvalidInput, NonInvertibleSector
 from cylspec.mode_ode import (
@@ -231,3 +235,12 @@ def test_small_rho_ratio_matches_direct_computation():
     mu1 = 4 * math.pi**2
     ratio = gk._norm_ratio(mu1, 1e-9, "one_form")
     assert ratio == pytest.approx(1.0 / mu1, rel=1e-6)
+
+
+def test_package_import_defers_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(cylspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, cylspec; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
