@@ -626,7 +626,9 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
         "fd_tolerance": fd_tol,
     }
     if task["remainder"]:
-        scan = quadratic_remainder_scan(grid_probe, task["eps_list"])
+        # a probe above unit size is scaled down to it, so eps measures the
+        # relative size of the perturbation and stays in the quadratic regime
+        scan = quadratic_remainder_scan(grid_probe.scale(1.0 / scale), task["eps_list"])
         payload["remainder_scan"] = {
             "epsilons": list(scan.epsilons),
             "remainders": list(scan.remainders),
@@ -808,7 +810,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(2, 4))
     p.add_argument("--report", help="write a JSON residual report here")
     p.add_argument("--remainder", action="store_const", const=True, default=None,
-                   help="include the quadratic remainder scan")
+                   help="include the quadratic remainder scan "
+                        "(eps relative to the probe's size)")
     p.add_argument("--dim", type=int)
     p.add_argument("--side-lengths", dest="side_lengths")
     p.add_argument("--freq-cutoff", dest="freq_cutoff", type=int)

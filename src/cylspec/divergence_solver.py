@@ -51,20 +51,16 @@ _GROWTH_ORDER = {"decaying": 0, "bounded": 1, "polynomial": 2, "exponential": 3}
 
 @dataclass(frozen=True)
 class DivergenceConfig:
-    """tau perturbs the divergence on the parallel radial directions; rho
-    is the weight rate used when reporting residual norms.  The finite
-    (eigenvalue-zero) sector can be switched off for callers that handle
-    harmonic data separately."""
+    """tau perturbs the divergence on the parallel radial directions.  The
+    finite (eigenvalue-zero) sector can be switched off for callers that
+    handle harmonic data separately."""
 
     tau: float = DEFAULT_TAU
-    rho: float = 0.0
     solve_finite_sector: bool = True
 
     def __post_init__(self):
         if self.tau < 0.0:
             raise InvalidInput("tau must be nonnegative")
-        if self.rho < 0.0:
-            raise InvalidInput("rho must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .cross_section import Mode, TorusCrossSection
@@ -47,6 +45,7 @@ __all__ = [
     "rough_laplacian",
     "linearized_ricci",
     "gauge_one_form_operator",
+    "tube_integrand",
     "tube_inner_product",
     "tube_norm_sq",
     "project_onto_mode",
@@ -184,10 +183,7 @@ class TensorField:
         rr = r.reshape(-1, 1)
         radial = np.empty((r.size, len(keys), ncomp))
         for m, key in enumerate(keys):
-            profs = sorted(self.data[key].items())
-            powers = np.array([p for (p, _), _ in profs])
-            rates = np.array([lam for (_, lam), _ in profs])
-            coeffs = np.array([np.ravel(C) for _, C in profs])
+            powers, rates, coeffs = _term_table(self.data[key])
             radial[:, m] = (rr**powers * np.exp(rr * rates)) @ coeffs
 
         return (trig @ radial).reshape(r.shape + space_shape + self._shape())
@@ -420,27 +416,43 @@ def _trig_factor(cs: TorusCrossSection, freq) -> float:
     return cs.volume if not any(freq) else cs.volume / 2.0
 
 
-def tube_inner_product(a: TensorField, b: TensorField, r_lo: float, r_hi: float) -> float:
-    """Exact integral of <a, b> over the tube (r_lo, r_hi) x N.
+def _term_table(profiles):
+    """One mode's (power, rate) -> C entries as sorted arrays: powers (n,),
+    rates (n,) and the flattened coefficients (n, (d+1)^rank)."""
+    items = sorted(profiles.items())
+    powers = np.array([p for (p, _), _ in items])
+    rates = np.array([lam for (_, lam), _ in items])
+    coeffs = np.array([np.ravel(C) for _, C in items])
+    return powers, rates, coeffs
 
-    Cross-section integrals reduce to Fourier orthogonality; radial factors
-    integrate in closed form through the profile layer.
+
+def tube_integrand(a: TensorField, b: TensorField) -> RadialProfile:
+    """The cross-section inner product r -> <a(r, .), b(r, .)>_{L2(N)}.
+
+    Fourier orthogonality pairs only equal (freq, phase) keys.  On each
+    shared key one (n_a x n_b) table holds the coefficient dots, and entry
+    (i, j) lands on r^{p_i + p_j} e^{(lam_i + lam_j) r}; all keys merge into
+    one profile.  Keys and terms are visited in sorted order, so the merged
+    coefficients do not depend on the per-process hash seed.
     """
     if a.rank != b.rank:
         raise InvalidInput("tube inner product needs equal ranks")
-    total = 0.0
-    # sorted so the accumulation order (and hence the result, to the ulp) does
-    # not depend on the per-process hash seed
+    terms = []
     for mode_key in sorted(a.data.keys() & b.data.keys()):
-        factor = _trig_factor(a.cs, mode_key[0])
-        for (p1, l1), C1 in a.data[mode_key].items():
-            for (p2, l2), C2 in b.data[mode_key].items():
-                dot = float(np.sum(C1 * C2))
-                if dot == 0.0:
-                    continue
-                rad = RadialProfile(((1.0, p1 + p2, l1 + l2),)).definite_integral(r_lo, r_hi)
-                total += factor * dot * rad
-    return total
+        pa, la, ca = _term_table(a.data[mode_key])
+        pb, lb, cb = _term_table(b.data[mode_key])
+        dots = _trig_factor(a.cs, mode_key[0]) * (ca @ cb.T)
+        powers = pa[:, None] + pb[None, :]
+        rates = la[:, None] + lb[None, :]
+        terms.extend(zip(dots.ravel().tolist(), powers.ravel().tolist(),
+                         rates.ravel().tolist()))
+    return RadialProfile(terms)
+
+
+def tube_inner_product(a: TensorField, b: TensorField, r_lo: float, r_hi: float) -> float:
+    """Exact integral of <a, b> over the tube (r_lo, r_hi) x N; r_hi may be
+    math.inf if the integrand decays."""
+    return tube_integrand(a, b).definite_integral(r_lo, r_hi)
 
 
 def tube_norm_sq(a: TensorField, r_lo: float, r_hi: float) -> float:

@@ -89,7 +89,7 @@ def eval_type2(mu: float, t: float, s: float) -> dict:
 
 @dataclass(frozen=True)
 class GreenKernelSpec:
-    """Kernel table plus the quadrature policy used when applying it.
+    """Quadrature policy for applying the kernels eval_type1 / eval_type2.
 
     ``tol`` is the relative quadrature target; the s-integration window is
     |t - s| <= (40 + |log tol|) / sqrt(mu), inside which the dropped tail is
@@ -97,12 +97,6 @@ class GreenKernelSpec:
     """
 
     tol: float = 1e-10
-
-    def type1(self, mu, t, s):
-        return eval_type1(mu, t, s)
-
-    def type2(self, mu, t, s):
-        return eval_type2(mu, t, s)
 
     def window(self, mu: float) -> float:
         return (40.0 + abs(math.log(self.tol))) / math.sqrt(mu)
@@ -169,7 +163,7 @@ def apply_green(
         vals = np.array(
             [
                 -_quad_window(
-                    lambda s, t=t: spec.type1(mu, t, s) * float(alpha.evaluate(s)),
+                    lambda s, t=t: eval_type1(mu, t, s) * float(alpha.evaluate(s)),
                     t,
                     spec,
                     mu,
@@ -188,11 +182,11 @@ def apply_green(
         k_vals, l_vals = [], []
         for t in r_grid:
             def k_igd(s, t=t):
-                K = spec.type2(mu, t, s)
+                K = eval_type2(mu, t, s)
                 return mu * K["dN_dN"] * float(b.evaluate(s)) + K["dN_dr"] * float(c.evaluate(s))
 
             def l_igd(s, t=t):
-                K = spec.type2(mu, t, s)
+                K = eval_type2(mu, t, s)
                 return mu * K["dr_dN"] * float(b.evaluate(s)) + K["dr_dr"] * float(c.evaluate(s))
 
             k_vals.append(_quad_window(k_igd, t, spec, mu, support))
@@ -244,12 +238,6 @@ class WeightedNormSpec:
     order: int
     rho: float
     r_grid: np.ndarray
-
-    def weight(self) -> np.ndarray:
-        # direct form; fine for moderate rho * r, see weighted_sup_norm for
-        # the overflow-safe evaluation path
-        psi = _ramp(self.r_grid)
-        return (1.0 - psi) + psi * np.exp(self.rho * self.r_grid)
 
 
 def weighted_sup_norm(profile, norm_spec: WeightedNormSpec) -> float:

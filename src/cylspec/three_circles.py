@@ -68,6 +68,17 @@ def tube_norm(h: TensorField, a: float, b: float) -> float:
     return max(0.0, fields_mod.tube_norm_sq(h, a, b))
 
 
+def _tube_values(h: TensorField, L: float, offsets) -> tuple:
+    """tube_norm(h, t L, (t+1) L) for every offset t, from one antiderivative
+    of the tube integrand evaluated at all tube edges at once."""
+    if not L > 0.0:
+        raise InvalidInput("tube needs a < b")
+    t = np.asarray(offsets, dtype=float)
+    F = fields_mod.tube_integrand(h, h).antiderivative()
+    lo, hi = np.split(F.evaluate(np.concatenate((t * L, (t + 1) * L))), 2)
+    return tuple(max(0.0, v) for v in (hi - lo).tolist())
+
+
 def _p_weight(t: float) -> float:
     # integral of r^2 over [tL, (t+1)L] is L^3 * P(t); the common L^3 cancels
     # from every ratio this module takes
@@ -103,8 +114,7 @@ class TubeNormSeries:
 
     @classmethod
     def from_field(cls, h: TensorField, L: float, offsets) -> "TubeNormSeries":
-        vals = tuple(tube_norm(h, t * L, (t + 1) * L) for t in offsets)
-        return cls(L=L, offsets=tuple(offsets), values=vals)
+        return cls(L=L, offsets=tuple(offsets), values=_tube_values(h, L, offsets))
 
 
 @dataclass(frozen=True)
@@ -260,9 +270,7 @@ def three_circles_check(
     has_r_linear = _require_reduced_form(h_bar)
     if enforce:
         params.validate(h_bar.cs.smallest_positive_eigenvalue(), has_r_linear)
-    values = tuple(
-        tube_norm(h_bar, t * params.L, (t + 1) * params.L) for t in params.triple
-    )
+    values = _tube_values(h_bar, params.L, params.triple)
     return _evaluate_triple(values, params.beta_prime, params.L)
 
 
@@ -409,11 +417,11 @@ def sharpness_probe(
     """
     b0 = _tt_modes(cs)[0]
     h = fields_mod.from_mode_profile(cs, b0, RadialProfile.monomial(1.0, 1, 0.0))
+    values = _tube_values(h, L, range(t_limit + 1))
     failing = []
     for t3 in range(2, t_limit + 1):
         beta_prime = excess * rate_cap(L, 1, t3)
-        values = tuple(tube_norm(h, t * L, (t + 1) * L) for t in (0, 1, t3))
-        result = _evaluate_triple(values, beta_prime, L)
+        result = _evaluate_triple((values[0], values[1], values[t3]), beta_prime, L)
         if not result.holds:
             failing.append((0, 1, t3))
     return tuple(failing)

@@ -232,6 +232,17 @@ def test_validate_writes_report_and_passes(tmp_path):
     assert all(c["passed"] for c in stored["checks"])
 
 
+def test_validate_remainder_slope_on_a_large_probe(tmp_path):
+    # seed 1 draws a probe well above unit size; unscaled, eps = 0.1 left
+    # the quadratic regime and the slope came out near 2.9 (exit 3)
+    code = cli.main(
+        ["validate", "--remainder", "--seed", "1", "--grid", "48x8", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    envelope = json.loads((tmp_path / "validate-envelope.json").read_text())
+    assert 1.9 <= envelope["payload"]["remainder_scan"]["exponent"] <= 2.1
+
+
 def test_export_tube_norm_series(tmp_path):
     mode_file = write_field(tmp_path / "h.json")
     assert cli.main(

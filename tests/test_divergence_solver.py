@@ -241,8 +241,6 @@ def test_config_validation():
     with pytest.raises(InvalidInput):
         dv.DivergenceConfig(tau=-0.1)
     with pytest.raises(InvalidInput):
-        dv.DivergenceConfig(rho=-1.0)
-    with pytest.raises(InvalidInput):
         dv.solve_gauge(F.radial_one_form(CS, PHI0, EXP_DECAY))
 
 

@@ -5,6 +5,9 @@ that must hold to round-off, checked coefficient-wise rather than on grids.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylspec import cross_section as cx, fields as F
+from cylspec.errors import InvalidInput
 from cylspec.mode_ode import RadialProfile
 
 CS = cx.TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
@@ -165,6 +169,117 @@ def test_tube_inner_product_cross_mode_orthogonality():
     )
     b = F.from_mode_profile(CS, other, RadialProfile.constant(1.0))
     assert F.tube_inner_product(a, b, 0.0, 2.0) == 0.0
+
+
+def _pairwise_tube_reference(a, b, r_lo, r_hi):
+    """The former tube_inner_product: one profile and one definite integral
+    per pair of terms.  Returns the total and the sum of the pair
+    magnitudes, the scale any cancellation is measured against."""
+    total, scale = 0.0, 0.0
+    for mode_key in sorted(a.data.keys() & b.data.keys()):
+        factor = a.cs.volume if not any(mode_key[0]) else a.cs.volume / 2.0
+        for (p1, l1), C1 in a.data[mode_key].items():
+            for (p2, l2), C2 in b.data[mode_key].items():
+                dot = float(np.sum(C1 * C2))
+                if dot == 0.0:
+                    continue
+                rad = RadialProfile(((1.0, p1 + p2, l1 + l2),)).definite_integral(r_lo, r_hi)
+                total += factor * dot * rad
+                scale += abs(factor * dot * rad)
+    return total, scale
+
+
+_TUBE_KEYS = (((0, 0, 0), "cos"), ((1, 0, 0), "cos"), ((1, 0, 0), "sin"), ((0, 1, -1), "cos"))
+
+
+@st.composite
+def _tube_pairs(draw):
+    rank = draw(st.sampled_from((0, 1, 2)))
+    to_inf = draw(st.booleans())
+    # +-s pairs give rate sums of exactly 0; a tail to infinity needs decay
+    rates = (-1.5, -0.5) if to_inf else (-1.5, -0.5, 0.0, 0.5, 1.5)
+    term = st.tuples(st.sampled_from(_TUBE_KEYS), st.integers(0, 1), st.sampled_from(rates))
+    coeff = st.floats(-3.0, 3.0, allow_nan=False)
+    shape = (CS.dim + 1,) * rank
+    n = (CS.dim + 1) ** rank
+
+    def terms():
+        keys = draw(st.lists(term, max_size=6, unique=True))
+        return [((freq, phase, p, lam),
+                 np.array(draw(st.lists(coeff, min_size=n, max_size=n))).reshape(shape))
+                for (freq, phase), p, lam in keys]
+
+    a_terms = terms()
+    b_terms = a_terms if draw(st.booleans()) else terms()
+    r_lo = draw(st.floats(0.0, 2.0))
+    r_hi = math.inf if to_inf else r_lo + draw(st.floats(0.05, 3.0))
+    order = draw(st.permutations(range(len(a_terms))))
+    return rank, a_terms, b_terms, r_lo, r_hi, order
+
+
+@given(_tube_pairs())
+@settings(max_examples=80, deadline=None)
+def test_tube_integrand_matches_pairwise_integrals(case):
+    rank, a_terms, b_terms, r_lo, r_hi, order = case
+    a = _field_from_terms(CS, rank, a_terms)
+    b = _field_from_terms(CS, rank, b_terms)
+    want, scale = _pairwise_tube_reference(a, b, r_lo, r_hi)
+    got = F.tube_inner_product(a, b, r_lo, r_hi)
+    assert abs(got - want) <= 1e-12 * scale
+    # the integrand itself, pointwise, against the pair sum
+    integrand = F.tube_integrand(a, b)
+    for r in (r_lo, r_lo + 0.37):
+        pairs = [
+            (a.cs.volume if not any(k[0]) else a.cs.volume / 2.0)
+            * float(np.sum(C1 * C2)) * r ** (p1 + p2) * math.exp((l1 + l2) * r)
+            for k in a.data.keys() & b.data.keys()
+            for (p1, l1), C1 in a.data[k].items()
+            for (p2, l2), C2 in b.data[k].items()
+        ]
+        assert abs(float(integrand.evaluate(r)) - sum(pairs)) <= 1e-12 * (
+            1.0 + sum(abs(v) for v in pairs)
+        )
+    # sorted keys and terms: the order terms were added changes nothing
+    shuffled = _field_from_terms(CS, rank, [a_terms[i] for i in order])
+    assert F.tube_integrand(shuffled, b).terms == integrand.terms
+
+
+# Three contributions to the r^0 e^{0 r} term, 1e16, -1e16 and 1, sum to 1
+# only in that (sorted) order.  The fields list them in reverse, so summing
+# in insertion order gives 0, and summing in set order gives 0 under some
+# hash seeds.
+_SUM_ORDER_SCRIPT = """
+import numpy as np
+from cylspec import cross_section as cx, fields as F
+cs = cx.TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
+k0, k1, k2 = ((0, 0, 1), "cos"), ((0, 1, 0), "cos"), ((1, 0, 0), "cos")
+# one contribution per key (the trig factor 1/2 times b = 2 is exactly 1)
+a = F.TensorField(cs, 0, {k2: {(0, 0.0): np.array(1.0)}, k1: {(0, 0.0): np.array(-1e16)},
+                          k0: {(0, 0.0): np.array(1e16)}})
+b = F.TensorField(cs, 0, {k: {(0, 0.0): np.array(2.0)} for k in (k2, k1, k0)})
+by_key = dict(((p, lam), c) for c, p, lam in F.tube_integrand(a, b).terms)
+# three contributions inside one key, from rates (-1, 1), (0, 0), (1, -1)
+a = F.TensorField(cs, 0, {k0: {(0, 1.0): np.array(1.0), (0, 0.0): np.array(-1e16),
+                               (0, -1.0): np.array(1e16)}})
+b = F.TensorField(cs, 0, {k0: {(0, lam): np.array(2.0) for lam in (1.0, 0.0, -1.0)}})
+by_term = dict(((p, lam), c) for c, p, lam in F.tube_integrand(a, b).terms)
+print(by_key.get((0, 0.0)), by_term.get((0, 0.0)))
+"""
+
+
+def test_tube_integrand_sums_in_sorted_order_under_any_hash_seed():
+    src = os.path.dirname(os.path.dirname(F.__file__))
+    for seed in range(5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _SUM_ORDER_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["1.0", "1.0"], f"PYTHONHASHSEED={seed}"
+
+
+def test_tube_integrand_rejects_unequal_ranks():
+    with pytest.raises(InvalidInput, match="equal ranks"):
+        F.tube_integrand(F.TensorField.zero(CS, 1), F.TensorField.zero(CS, 2))
 
 
 def test_projection_roundtrip():

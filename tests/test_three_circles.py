@@ -131,6 +131,31 @@ def test_series_from_field_and_validation():
         tc.TubeNormSeries(L=0.0, offsets=(0,), values=(1.0,))
 
 
+@given(seed=st.integers(0, 2**32 - 1), r_linear=st.booleans(), L=st.floats(0.2, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_series_and_check_values_are_the_tube_norms(seed, r_linear, L):
+    # one antiderivative for all tubes gives exactly the per-tube values
+    rng = np.random.default_rng(seed)
+    h = tc.random_reduced_form(CS, rng, include_r_linear=r_linear)
+    offsets = (0, 1, 2, 4, 7)
+    series = tc.TubeNormSeries.from_field(h, L, offsets)
+    assert series.values == tuple(tc.tube_norm(h, t * L, (t + 1) * L) for t in offsets)
+    params = tc.random_valid_params(MU1, rng, has_r_linear=r_linear)
+    result = tc.three_circles_check(h, params)
+    assert result.values == tuple(
+        tc.tube_norm(h, t * params.L, (t + 1) * params.L) for t in params.triple
+    )
+
+
+def test_series_and_check_reject_nonpositive_tube_length():
+    h = r_linear_tt()
+    with pytest.raises(InvalidInput, match="a < b"):
+        tc.TubeNormSeries.from_field(h, 0.0, (0, 1))
+    params = tc.ThreeCirclesParams(beta=1.0, beta_prime=0.1, L=-1.0, triple=(0, 1, 2))
+    with pytest.raises(InvalidInput, match="a < b"):
+        tc.three_circles_check(h, params, enforce=False)
+
+
 # ---------------------------------------------------------------------------
 # parameter hypotheses
 # ---------------------------------------------------------------------------
