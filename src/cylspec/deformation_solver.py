@@ -387,12 +387,9 @@ def parallel_space_dimension(cs: TorusCrossSection, tau: float) -> int:
 class YField:
     """Radially parallel gauge content: radial is the coefficient of
     dr (x) dr, shear maps the coordinate axis a to the coefficient of
-    eta_a (x) dr + dr (x) eta_a.  killing is the coefficient of the pure
-    translation dr, which no Lie derivative can see; it is carried for
-    interface fidelity and always stored as 0."""
+    eta_a (x) dr + dr (x) eta_a."""
 
     radial: float = 0.0
-    killing: float = 0.0
     shear: dict = dc_field(default_factory=dict)
 
     def is_zero(self) -> bool:
@@ -405,12 +402,11 @@ class KernelDecomposition:
 
     pure_trace holds (a, a~) of (a + a~ r) g_N; parallel_tt / linear_tt
     map the parallel TT basis index to the constant / r-linear
-    coefficient; exp_modes maps (freq, phase, tt_index) to (a+, a-);
-    osc_modes is always empty over flat tori.  gauge_X collects the
-    infinite-sector gauge content as a GaugeField (its Lie derivative is
-    the gauge part of the tensor); gauge_Y the radially parallel gauge
-    coefficients.  condition_numbers reports the per-frequency fit
-    conditioning.
+    coefficient; exp_modes maps (freq, phase, tt_index) to (a+, a-).
+    gauge_X collects the infinite-sector gauge content as a GaugeField
+    (its Lie derivative is the gauge part of the tensor); gauge_Y the
+    radially parallel gauge coefficients.  condition_numbers reports the
+    per-frequency fit conditioning.
     """
 
     cs: TorusCrossSection
@@ -418,7 +414,6 @@ class KernelDecomposition:
     parallel_tt: dict
     linear_tt: dict
     exp_modes: dict
-    osc_modes: dict
     gauge_X: GaugeField
     gauge_Y: YField
     condition_numbers: dict
@@ -628,9 +623,7 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
         growth[("coclosed",) + key] = _growth_class(prof)
 
     gauge_X = GaugeField(cs, pairs, coclosed, {}, RadialProfile.zero(), sectors, growth)
-    gauge_Y = YField(
-        radial=zero_out["y_radial"], killing=0.0, shear=zero_out["y_shear"]
-    )
+    gauge_Y = YField(radial=zero_out["y_radial"], shear=zero_out["y_shear"])
     if tau > 0.0 and not gauge_Y.is_zero():
         raise NotInKernel(
             "radially parallel gauge content survived a tau > 0 classification"
@@ -641,7 +634,6 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
         parallel_tt=zero_out["parallel_tt"],
         linear_tt=zero_out["linear_tt"],
         exp_modes=exp_modes,
-        osc_modes={},
         gauge_X=gauge_X,
         gauge_Y=gauge_Y,
         condition_numbers=cond,

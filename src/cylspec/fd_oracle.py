@@ -146,6 +146,9 @@ class GridField:
         """Component view away from the radial boundary layers."""
         if self.r_periodic:
             return self.components
+        if self.n_r <= 2 * INTERIOR_TRIM:
+            raise InvalidInput(f"n_r = {self.n_r} leaves no interior band: INTERIOR_TRIM = "
+                               f"{INTERIOR_TRIM} nodes are trimmed at each radial end")
         return self.components[INTERIOR_TRIM:-INTERIOR_TRIM]
 
 
@@ -216,7 +219,8 @@ def _d1_bounded(vals, h, order, boundary):
 
 
 def _partial(arr, direction, grid: GridField, cfg: StencilConfig, second=False):
-    """d/dx_direction of a component array laid out like grid.components.
+    """d/dx_direction of a component array laid out like grid.components,
+    or cut from it to length 1 along periodic axes it is constant on.
 
     second=True composes the first-derivative stencil with itself, which
     keeps this routine the exact building block of nonlinear_ricci.
@@ -293,9 +297,11 @@ def _op_linearized_ricci(f: GridField, cfg: StencilConfig) -> GridField:
 
 def _background_curvature(f: GridField, cfg: StencilConfig):
     """Ricci and Riemann of the product metric, computed (not assumed)
-    from FD Christoffel symbols of the constant identity components."""
+    from FD Christoffel symbols of the constant identity components.
+    Every periodic axis is collapsed to length 1, so both arrays broadcast
+    against f.components."""
     g0 = flat_metric_grid(f)
-    gamma = _christoffel(g0, cfg)
+    gamma = _christoffel(_collapse_invariant_axes(g0), g0, cfg)
     riem = _riemann_from_christoffel(gamma, g0, cfg)
     ric = np.einsum("...kikj->...ij", riem)
     return ric, riem
@@ -307,9 +313,11 @@ def _op_lichnerowicz(f: GridField, cfg: StencilConfig) -> GridField:
     ric, riem = _background_curvature(f, cfg)
     rough = _op_rough_laplacian(f, cfg)
     h = f.components
-    coupling = (np.einsum("...ik,...kj->...ij", ric, h)
-                + np.einsum("...jk,...ik->...ij", ric, h)
-                - 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h))
+    # the curvature arrays carry length-1 axes; unoptimized einsum is about
+    # ten times slower on such broadcast operands
+    coupling = (np.einsum("...ik,...kj->...ij", ric, h, optimize=True)
+                + np.einsum("...jk,...ik->...ij", ric, h, optimize=True)
+                - 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h, optimize=True))
     return rough + f.with_components(coupling)
 
 
@@ -334,13 +342,28 @@ def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> 
 # ---------------------------------------------------------------------------
 
 
-def _christoffel(g: GridField, cfg: StencilConfig) -> np.ndarray:
-    """Gamma^k_{ij} with component axes ordered (k, i, j)."""
-    D = g.dim + 1
-    dg = np.stack([_partial(g.components, a, g, cfg) for a in range(D)], axis=-3)
+def _collapse_invariant_axes(g: GridField) -> np.ndarray:
+    """g.components with every periodic axis they are constant along cut to
+    length 1.  Every stencil along such an axis rolls a constant, and
+    np.roll on a length-1 axis is the identity, so curvature computed from
+    the cut array with g's spacings equals the full-grid values bit for bit
+    and broadcasts back to them."""
+    comps = g.components
+    for axis in range(0 if g.r_periodic else 1, g.grid_ndim):
+        head = comps[(slice(None),) * axis + (slice(0, 1),)]
+        if (comps == head).all():
+            comps = head
+    return comps
+
+
+def _christoffel(comps: np.ndarray, grid: GridField, cfg: StencilConfig) -> np.ndarray:
+    """Gamma^k_{ij} with component axes ordered (k, i, j), from metric
+    components laid out like grid.components or collapsed from them."""
+    D = grid.dim + 1
+    dg = np.stack([_partial(comps, a, grid, cfg) for a in range(D)], axis=-3)
     # dg[..., l, i, j] = d_l g_{ij}
     low = 0.5 * (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
-    ginv = np.linalg.inv(g.components)
+    ginv = np.linalg.inv(comps)
     return np.einsum("...kl,...lij->...kij", ginv, low)
 
 
@@ -369,7 +392,7 @@ def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridF
     except np.linalg.LinAlgError:
         raise InvalidInput("metric is not positive definite at every node") from None
     D = g.dim + 1
-    gamma = _christoffel(g, cfg)
+    gamma = _christoffel(_collapse_invariant_axes(g), g, cfg)
     # Ric_{ij} = d_k Gamma^k_{ij} - d_i Gamma^k_{kj} + Gamma^k_{kl} Gamma^l_{ij}
     #           - Gamma^k_{il} Gamma^l_{kj}
     axis = g.grid_ndim
@@ -381,7 +404,8 @@ def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridF
     term2 = np.stack([_partial(tr, i, g, cfg) for i in range(D)], axis=-2)
     term3 = np.einsum("...l,...lij->...ij", tr, gamma)
     term4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
-    return g.with_components(term1 - term2 + term3 - term4)
+    ric = term1 - term2 + term3 - term4
+    return g.with_components(np.broadcast_to(ric, comps.shape).copy())
 
 
 def flat_metric_grid(template: GridField) -> GridField:

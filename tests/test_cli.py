@@ -243,6 +243,13 @@ def test_validate_remainder_slope_on_a_large_probe(tmp_path):
     assert 1.9 <= envelope["payload"]["remainder_scan"]["exponent"] <= 2.1
 
 
+def test_validate_on_a_grid_without_an_interior_band_exits_two(tmp_path, capsys):
+    code = cli.main(["validate", "--grid", "10x8", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_r = 10" in err and "INTERIOR_TRIM" in err
+
+
 def test_export_tube_norm_series(tmp_path):
     mode_file = write_field(tmp_path / "h.json")
     assert cli.main(

@@ -275,7 +275,6 @@ def test_classify_round_trip_tau_zero(seed):
     h = random_kernel_element(CS, rng, tau=0.0)
     dec = classify_kernel(h, 0.0)
     field_close(dec.reconstruct(), h, 1e-12)
-    assert dec.osc_modes == {}
 
 
 @pytest.mark.parametrize("seed", [5, 23])
@@ -322,7 +321,6 @@ def test_classify_radial_block_at_tau_zero_is_gauge():
     h = F.constant_tensor_field(CS, rr)
     dec = classify_kernel(h, 0.0)
     assert dec.gauge_Y.radial == pytest.approx(1.0, abs=1e-15)
-    assert dec.gauge_Y.killing == 0.0
     field_close(dec.reconstruct(), h, 1e-15)
 
 

@@ -3,6 +3,7 @@ order, exactness properties, and the adjointness identity that pins the
 sign conventions, before the oracle is trusted anywhere else."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,132 @@ def test_nonlinear_ricci_matches_linearization_at_small_eps():
     rem = O.interior_sup(ric - lin.scale(eps))
     # the linear FD terms cancel exactly, so only the eps^2 piece survives
     assert rem < 0.1 * eps ** 2
+
+
+def warped_product_error(n_r, d=2):
+    """Interior sup of FD Ricci minus the closed form for the warped product
+    dr^2 + e^{2f(r)} g_flat, f = 0.3 sin r on [0.5, 2], at order 4:
+    Ric_rr = -d (f'' + f'^2), Ric_ij = -(f'' + d f'^2) e^{2f} delta_ij."""
+    shape = (n_r,) + (8,) * d + (d + 1, d + 1)
+    base = O.GridField((0.5, 2.0), n_r, (1.0,) * d, (8,) * d, 2, np.zeros(shape))
+    r = base.r_nodes()
+    f, f1, f2 = 0.3 * np.sin(r), 0.3 * np.cos(r), -0.3 * np.sin(r)
+    g = np.zeros((n_r, d + 1, d + 1))
+    want = np.zeros((n_r, d + 1, d + 1))
+    g[:, 0, 0] = 1.0
+    want[:, 0, 0] = -d * (f2 + f1 ** 2)
+    for i in range(1, d + 1):
+        g[:, i, i] = np.exp(2 * f)
+        want[:, i, i] = -(f2 + d * f1 ** 2) * np.exp(2 * f)
+    along_x = (slice(None),) + (None,) * d
+    ric = O.nonlinear_ricci(base.with_components(np.broadcast_to(g[along_x], shape).copy()),
+                            O.StencilConfig(order=4))
+    return O.interior_sup(ric - base.with_components(np.broadcast_to(want[along_x], shape)))
+
+
+def test_nonlinear_ricci_of_a_warped_product_converges_at_order_four():
+    # a curved reference that can fail: the metric is invariant along the
+    # torus, so this runs the collapsed path with non-zero curvature
+    coarse, fine = warped_product_error(48), warped_product_error(95)
+    assert coarse < 1e-6
+    assert 14.0 < coarse / fine < 18.0
+
+
+# -- collapsed invariant axes -----------------------------------------------
+
+
+def full_grid_christoffel(g, cfg):
+    """The Christoffel formula applied to the whole component array."""
+    D = g.dim + 1
+    dg = np.stack([O._partial(g.components, a, g, cfg) for a in range(D)], axis=-3)
+    low = 0.5 * (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
+    return np.einsum("...kl,...lij->...kij", np.linalg.inv(g.components), low)
+
+
+def full_grid_ricci(g, cfg):
+    D = g.dim + 1
+    gamma = full_grid_christoffel(g, cfg)
+    term1 = sum(O._partial(np.take(gamma, k, axis=g.grid_ndim), k, g, cfg) for k in range(D))
+    tr = np.einsum("...kkj->...j", gamma)
+    term2 = np.stack([O._partial(tr, i, g, cfg) for i in range(D)], axis=-2)
+    term3 = np.einsum("...l,...lij->...ij", tr, gamma)
+    term4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    return term1 - term2 + term3 - term4
+
+
+def wavy_metric(depends_on, r_periodic, seed):
+    """Identity plus symmetric products of cosines of the grid axes listed
+    in depends_on, on a grid whose four spacings all differ."""
+    rng = np.random.default_rng(seed)
+    base = O.GridField((0.5, 2.0), 12, (1.0, 1.7, 2.3), (8, 9, 10), 2,
+                       np.zeros((12, 8, 9, 10, 4, 4)), r_periodic)
+    mesh = np.meshgrid(base.r_nodes(), *base.x_nodes(), indexing="ij")
+    periods = (1.5,) + base.lengths
+    g = np.broadcast_to(np.eye(4), base.components.shape).copy()
+    for i in range(4):
+        for j in range(i, 4):
+            val = 0.1 * rng.standard_normal()
+            for axis in depends_on:
+                val = val * np.cos(2 * np.pi * mesh[axis] / periods[axis] + rng.uniform(0, 6))
+            g[..., i, j] += val
+            if i != j:
+                g[..., j, i] += val
+    return base.with_components(g)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("depends_on, r_periodic, collapsed", [
+    ((0,), False, (12, 1, 1, 1)),           # invariant along every x-axis
+    ((0, 2), False, (12, 1, 9, 1)),         # along some x-axes
+    ((0, 1, 2, 3), False, (12, 8, 9, 10)),  # along none
+    ((1,), True, (1, 8, 1, 1)),             # periodic r collapses too
+    ((0, 3), True, (12, 1, 1, 10)),
+], ids=["all-x", "some-x", "no-x", "periodic-r", "periodic-r-some-x"])
+def test_collapsed_curvature_equals_the_full_grid_bit_for_bit(depends_on, r_periodic,
+                                                              collapsed, order):
+    cfg = O.StencilConfig(order=order)
+    g = wavy_metric(depends_on, r_periodic, seed=len(depends_on) + 10 * r_periodic)
+    assert O._collapse_invariant_axes(g).shape[:4] == collapsed
+    got = O.nonlinear_ricci(g, cfg).components
+    assert got.shape == g.components.shape
+    assert np.array_equal(got, full_grid_ricci(g, cfg))
+    assert np.max(np.abs(got)) > 0.1
+
+    g0 = O.flat_metric_grid(g)
+    gamma = full_grid_christoffel(g0, cfg)
+    want_riem = O._riemann_from_christoffel(gamma, g0, cfg)
+    want_ric = np.einsum("...kikj->...ij", want_riem)
+    ric, riem = O._background_curvature(g, cfg)
+    assert np.array_equal(np.broadcast_to(ric, want_ric.shape), want_ric)
+    assert np.array_equal(np.broadcast_to(riem, want_riem.shape), want_riem)
+
+
+def test_curvature_memory_stays_near_the_input_size():
+    # full-grid curvature of the flat background peaked at 53x (lichnerowicz)
+    # and 14x (nonlinear_ricci) the input bytes; collapsed, 5x and 3x
+    comps = np.random.default_rng(0).standard_normal((64, 8, 8, 8, 4, 4))
+    f = O.GridField((0.0, 6.0), 64, (1.0, 1.0, 1.0), (8, 8, 8), 2, comps)
+    cfg = O.StencilConfig(order=4)
+    flat = O.flat_metric_grid(f)
+
+    def peak_ratio(run):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            return (tracemalloc.get_traced_memory()[1] - before) / comps.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak_ratio(lambda: O.fd_operator("lichnerowicz", f, cfg)) <= 8.0
+    assert peak_ratio(lambda: O.nonlinear_ricci(flat, cfg)) <= 6.0
+
+
+def test_interior_of_a_grid_without_a_band_is_rejected():
+    n_r = 2 * O.INTERIOR_TRIM
+    with pytest.raises(InvalidInput, match="INTERIOR_TRIM"):
+        O.interior_sup(O.sample(smooth_rank2(), (0.0, 6.0), n_r, 8))
+    assert O.sample(smooth_rank2(), (0.0, 6.0), n_r + 1, 8).interior().shape[0] == 1
 
 
 # -- quadratic remainder ----------------------------------------------------
