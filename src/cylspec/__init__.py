@@ -45,6 +45,7 @@ from .fd_oracle import (
     GridField,
     StencilConfig,
     fd_operator,
+    fd_operators,
     nonlinear_ricci,
     quadratic_remainder_scan,
     sample,
@@ -102,6 +103,7 @@ __all__ = [
     "GridField",
     "StencilConfig",
     "fd_operator",
+    "fd_operators",
     "nonlinear_ricci",
     "quadratic_remainder_scan",
     "sample",

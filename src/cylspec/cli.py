@@ -44,6 +44,7 @@ from .errors import CertificateFailure, CylspecError, InvalidInput
 from .fd_oracle import (
     StencilConfig,
     fd_operator,
+    fd_operators,
     flat_metric_grid,
     interior_sup,
     nonlinear_ricci,
@@ -589,8 +590,9 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     probe = random_reduced_form(cs, rng, include_growing=False)
     grid_probe = sample(probe, r_range, n_r, n_x)
     scale = max(1.0, interior_sup(grid_probe))
-    lich = fd_operator("lichnerowicz", grid_probe, stencil)
-    rough = fd_operator("rough_laplacian", grid_probe, stencil)
+    probe_ops = fd_operators(("lichnerowicz", "rough_laplacian", "linearized_ricci"),
+                             grid_probe, stencil)
+    lich, rough = probe_ops["lichnerowicz"], probe_ops["rough_laplacian"]
     certs.append(
         _cert(
             "lichnerowicz-rough-identity",
@@ -616,7 +618,7 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
         )
     )
 
-    ricci_res = fd_operator("linearized_ricci", grid_probe, stencil)
+    ricci_res = probe_ops["linearized_ricci"]
     certs.append(_cert("kernel-ricci-fd", interior_sup(ricci_res) / scale, "<=", fd_tol))
 
     payload = {

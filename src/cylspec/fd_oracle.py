@@ -193,51 +193,65 @@ def sample(field: TensorField, r_range, n_r, n_x, r_periodic: bool = False) -> G
 # ---------------------------------------------------------------------------
 
 
-def _d1_periodic(vals, h, axis, order):
-    if order == 2:
-        return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2 * h)
-    return (-np.roll(vals, -2, axis) + 8 * np.roll(vals, -1, axis)
-            - 8 * np.roll(vals, 1, axis) + np.roll(vals, 2, axis)) / (12 * h)
+def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work=None):
+    """d/dx_direction of a component array laid out like grid.components,
+    or cut from it to length 1 along periodic axes it is constant on, into
+    out when given; work, when given, holds 8 * arr at order 4.
 
-
-def _d1_bounded(vals, h, order, boundary):
-    """First derivative along axis 0 on a non-periodic axis."""
-    out = np.zeros_like(vals)
-    if order == 2:
-        out[1:-1] = (vals[2:] - vals[:-2]) / (2 * h)
-    else:
-        out[2:-2] = (-vals[4:] + 8 * vals[3:-1] - 8 * vals[1:-3] + vals[:-4]) / (12 * h)
+    (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h, or (f[i+1] - f[i-1]) / 2h,
+    is summed in that order, each shifted term as two slice writes: the body
+    and the wrapped band (a length-1 axis wraps onto itself).  A bounded
+    radial axis then gets its edge rows.  Second derivatives compose this
+    routine with itself, the exact building block of nonlinear_ricci."""
+    h = grid.spacings[direction]
+    # a strided view (one component of a tensor) is read into one contiguous
+    # copy: strided reads in every stencil term are about twice as slow
+    vals = np.ascontiguousarray(arr)
+    out = np.empty(vals.shape) if out is None else out
+    acc = out if out.flags.c_contiguous else np.empty(vals.shape)
+    eight = np.multiply(vals, 8, out=work) if cfg.order == 4 else None
+    terms = (((np.positive, vals, 1), (np.subtract, vals, -1)) if cfg.order == 2 else
+             ((np.negative, vals, 2), (np.add, eight, 1), (np.subtract, eight, -1),
+              (np.add, vals, -2)))
+    n = vals.shape[direction]
+    for term, (ufunc, src, shift) in enumerate(terms):
+        k = shift % n
+        for lo, hi, src_lo, src_hi in ((0, n - k, k, n), (n - k, n, 0, k)):
+            o = acc[(slice(None),) * direction + (slice(lo, hi),)]
+            s = src[(slice(None),) * direction + (slice(src_lo, src_hi),)]
+            ufunc(*((s,) if term == 0 else (o, s)), out=o)
+    np.divide(acc, (2 if cfg.order == 2 else 12) * h, out=out)
+    if direction > 0 or grid.r_periodic:
+        return out
+    if cfg.boundary == "interior-restricted":  # zero every row off the centered stencil
+        out[:cfg.order // 2] = out[-(cfg.order // 2):] = 0.0
+        return out
+    if cfg.order == 4:
         out[1] = (vals[2] - vals[0]) / (2 * h)
         out[-2] = (vals[-1] - vals[-3]) / (2 * h)
-    if boundary == "one-sided":
-        out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h)
-        out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * h)
-    elif order == 4:  # interior-restricted: zero the skewed band too
-        out[1] = 0.0
-        out[-2] = 0.0
+    out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h)
+    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * h)
     return out
 
 
-def _partial(arr, direction, grid: GridField, cfg: StencilConfig, second=False):
-    """d/dx_direction of a component array laid out like grid.components,
-    or cut from it to length 1 along periodic axes it is constant on.
+def _gradient(arr, grid: GridField, cfg: StencilConfig, axis: int) -> np.ndarray:
+    """Every partial of arr, stacked as a new axis at the (negative) position
+    axis of the result, each written straight into its slot."""
+    cut = arr.ndim + 1 + axis
+    out = np.empty(arr.shape[:cut] + (grid.dim + 1,) + arr.shape[cut:])
+    for a in range(grid.dim + 1):
+        _partial(arr, a, grid, cfg, out=np.moveaxis(out, axis, 0)[a])
+    return out
 
-    second=True composes the first-derivative stencil with itself, which
-    keeps this routine the exact building block of nonlinear_ricci.
-    """
-    h = grid.spacings[direction]
-    periodic = direction > 0 or grid.r_periodic
-    if periodic:
-        axis = direction
-        d1 = _d1_periodic(arr, h, axis, cfg.order)
-        if not second:
-            return d1
-        return _d1_periodic(d1, h, axis, cfg.order)
-    # radial, bounded: axis 0 by construction
-    d1 = _d1_bounded(arr, h, cfg.order, cfg.boundary)
-    if not second:
-        return d1
-    return _d1_bounded(d1, h, cfg.order, cfg.boundary)
+
+def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) -> np.ndarray:
+    """sum_a d_a arr[..., a, ...], with a running over the given axis, in
+    order; each component goes to _partial as a view, not a copy."""
+    total = _partial(arr[(slice(None),) * axis + (0,)], 0, grid, cfg)
+    term = np.empty_like(total)
+    for a in range(1, grid.dim + 1):
+        total += _partial(arr[(slice(None),) * axis + (a,)], a, grid, cfg, out=term)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -246,53 +260,38 @@ def _partial(arr, direction, grid: GridField, cfg: StencilConfig, second=False):
 
 
 def _op_divergence(f: GridField, cfg: StencilConfig) -> GridField:
-    if f.rank < 1:
-        raise InvalidInput("divergence needs rank >= 1")
-    D = f.dim + 1
-    axis = f.grid_ndim  # first component axis
-    total = None
-    for a in range(D):
-        term = _partial(np.take(f.components, a, axis=axis), a, f, cfg)
-        total = term if total is None else total + term
-    return f.with_components(-total, rank=f.rank - 1)
+    total = _contracted_partials(f.components, f.grid_ndim, f, cfg)
+    return f.with_components(np.negative(total, out=total), rank=f.rank - 1)
 
 
 def _op_sym_grad(f: GridField, cfg: StencilConfig) -> GridField:
-    if f.rank != 1:
-        raise InvalidInput("sym_grad needs a 1-form")
-    D = f.dim + 1
-    grad = np.stack([_partial(f.components, i, f, cfg) for i in range(D)],
-                    axis=f.grid_ndim)
+    grad = _gradient(f.components, f, cfg, -2)
     return f.with_components(grad + np.swapaxes(grad, -1, -2), rank=2)
 
 
 def _op_rough_laplacian(f: GridField, cfg: StencilConfig) -> GridField:
-    D = f.dim + 1
-    total = None
-    for a in range(D):
-        term = _partial(f.components, a, f, cfg, second=True)
-        total = term if total is None else total + term
-    return f.with_components(-total)
+    total = np.empty(f.components.shape)
+    term, d1, work = np.empty_like(total), np.empty_like(total), np.empty_like(total)
+    for a in range(f.dim + 1):
+        _partial(f.components, a, f, cfg, out=d1, work=work)
+        _partial(d1, a, f, cfg, out=term if a else total, work=work)
+        if a:
+            total += term
+    return f.with_components(np.negative(total, out=total))
 
 
 def _op_trace_hessian(f: GridField, cfg: StencilConfig) -> GridField:
-    if f.rank != 2:
-        raise InvalidInput("trace_hessian needs a rank-2 field")
-    D = f.dim + 1
     tr = np.trace(f.components, axis1=-2, axis2=-1)
-    rows = []
-    for i in range(D):
-        di = _partial(tr, i, f, cfg)
-        rows.append(np.stack([_partial(di, j, f, cfg) for j in range(D)], axis=-1))
-    return f.with_components(np.stack(rows, axis=-2), rank=2)
+    # [..., i, j] = d_j d_i tr
+    return f.with_components(_gradient(_gradient(tr, f, cfg, -1), f, cfg, -1), rank=2)
 
 
-def _op_linearized_ricci(f: GridField, cfg: StencilConfig) -> GridField:
-    if f.rank != 2:
-        raise InvalidInput("linearized_ricci needs a rank-2 field")
-    rough = _op_rough_laplacian(f, cfg)
-    gauge = _op_sym_grad(_op_divergence(f, cfg), cfg)
-    return (rough - gauge - _op_trace_hessian(f, cfg)).scale(0.5)
+def _op_linearized_ricci(f: GridField, cfg: StencilConfig, rough: GridField) -> GridField:
+    out = _op_sym_grad(_op_divergence(f, cfg), cfg).components
+    np.subtract(rough.components, out, out=out)
+    out -= _op_trace_hessian(f, cfg).components
+    out *= 0.5
+    return f.with_components(out)
 
 
 def _background_curvature(f: GridField, cfg: StencilConfig):
@@ -300,41 +299,54 @@ def _background_curvature(f: GridField, cfg: StencilConfig):
     from FD Christoffel symbols of the constant identity components.
     Every periodic axis is collapsed to length 1, so both arrays broadcast
     against f.components."""
-    g0 = flat_metric_grid(f)
-    gamma = _christoffel(_collapse_invariant_axes(g0), g0, cfg)
-    riem = _riemann_from_christoffel(gamma, g0, cfg)
-    ric = np.einsum("...kikj->...ij", riem)
-    return ric, riem
+    D = f.dim + 1
+    column = (1 if f.r_periodic else f.n_r,) + (1,) * f.dim
+    gamma = _christoffel(np.broadcast_to(np.eye(D), column + (D, D)), f, cfg)
+    riem = _riemann_from_christoffel(gamma, f, cfg)
+    return np.einsum("...kikj->...ij", riem), riem
 
 
-def _op_lichnerowicz(f: GridField, cfg: StencilConfig) -> GridField:
-    if f.rank != 2:
-        raise InvalidInput("lichnerowicz needs a rank-2 field")
+def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: GridField) -> GridField:
     ric, riem = _background_curvature(f, cfg)
-    rough = _op_rough_laplacian(f, cfg)
     h = f.components
     # the curvature arrays carry length-1 axes; unoptimized einsum is about
     # ten times slower on such broadcast operands
-    coupling = (np.einsum("...ik,...kj->...ij", ric, h, optimize=True)
-                + np.einsum("...jk,...ik->...ij", ric, h, optimize=True)
-                - 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h, optimize=True))
-    return rough + f.with_components(coupling)
+    coupling = np.einsum("...ik,...kj->...ij", ric, h, optimize=True)
+    coupling += np.einsum("...jk,...ik->...ij", ric, h, optimize=True)
+    coupling -= 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h, optimize=True)
+    coupling += rough.components
+    return f.with_components(coupling)
 
 
-_DISPATCH = {
-    "divergence": _op_divergence,
-    "sym_grad": _op_sym_grad,
-    "rough_laplacian": _op_rough_laplacian,
-    "trace_hessian": _op_trace_hessian,
-    "linearized_ricci": _op_linearized_ricci,
-    "lichnerowicz": _op_lichnerowicz,
+# operator -> (test of the input rank, function of (f, cfg, rough)), where
+# rough is the rough Laplacian of f, computed once per batch that uses it
+_OPERATORS = {
+    "divergence": (lambda rank: rank >= 1, lambda f, cfg, _: _op_divergence(f, cfg)),
+    "sym_grad": (lambda rank: rank == 1, lambda f, cfg, _: _op_sym_grad(f, cfg)),
+    "rough_laplacian": (lambda rank: True, lambda f, cfg, rough: rough),
+    "trace_hessian": (lambda rank: rank == 2, lambda f, cfg, _: _op_trace_hessian(f, cfg)),
+    "linearized_ricci": (lambda rank: rank == 2, _op_linearized_ricci),
+    "lichnerowicz": (lambda rank: rank == 2, _op_lichnerowicz),
 }
 
 
+def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> dict:
+    """The named operators of one field, keyed by name in the order first
+    named; a repeated name is computed once, and no names give {}.  Every
+    name and the field's rank are checked before any stencil runs."""
+    names = tuple(dict.fromkeys(names))
+    for op in names:
+        if op not in _OPERATORS:
+            raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_OPERATORS)}")
+        if not _OPERATORS[op][0](f.rank):
+            raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
+    uses_rough = {"rough_laplacian", "linearized_ricci", "lichnerowicz"}.intersection(names)
+    rough = _op_rough_laplacian(f, cfg) if uses_rough else None
+    return {op: _OPERATORS[op][1](f, cfg, rough) for op in names}
+
+
 def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
-    if op not in _DISPATCH:
-        raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_DISPATCH)}")
-    return _DISPATCH[op](f, cfg)
+    return fd_operators((op,), f, cfg)[op]
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +356,8 @@ def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> 
 
 def _collapse_invariant_axes(g: GridField) -> np.ndarray:
     """g.components with every periodic axis they are constant along cut to
-    length 1.  Every stencil along such an axis rolls a constant, and
-    np.roll on a length-1 axis is the identity, so curvature computed from
+    length 1.  Every stencil along such an axis shifts a constant, and a
+    length-1 axis wraps onto itself, so curvature computed from
     the cut array with g's spacings equals the full-grid values bit for bit
     and broadcasts back to them."""
     comps = g.components
@@ -359,31 +371,29 @@ def _collapse_invariant_axes(g: GridField) -> np.ndarray:
 def _christoffel(comps: np.ndarray, grid: GridField, cfg: StencilConfig) -> np.ndarray:
     """Gamma^k_{ij} with component axes ordered (k, i, j), from metric
     components laid out like grid.components or collapsed from them."""
-    D = grid.dim + 1
-    dg = np.stack([_partial(comps, a, grid, cfg) for a in range(D)], axis=-3)
+    dg = _gradient(comps, grid, cfg, -3)
     # dg[..., l, i, j] = d_l g_{ij}
     low = 0.5 * (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
-    ginv = np.linalg.inv(comps)
-    return np.einsum("...kl,...lij->...kij", ginv, low)
+    return np.einsum("...kl,...lij->...kij", np.linalg.inv(comps), low)
 
 
 def _riemann_from_christoffel(gamma: np.ndarray, g: GridField, cfg: StencilConfig) -> np.ndarray:
     """R^k_{lij} with component axes ordered (k, l, i, j)."""
-    D = g.dim + 1
-    dgamma = np.stack([_partial(gamma, a, g, cfg) for a in range(D)], axis=-4)
+    dgamma = _gradient(gamma, g, cfg, -4)
     # dgamma[..., a, k, i, j] = d_a Gamma^k_{ij}
-    term = (np.einsum("...iklj->...klij", dgamma)
+    return (np.einsum("...iklj->...klij", dgamma)
             - np.einsum("...jkli->...klij", dgamma)
             + np.einsum("...kim,...mjl->...klij", gamma, gamma)
             - np.einsum("...kjm,...mil->...klij", gamma, gamma))
-    return term
 
 
 def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
-    """Full Ricci tensor of a perturbed metric via FD Christoffel symbols."""
+    """Full Ricci tensor of a perturbed metric via FD Christoffel symbols.
+    The input checks run on the collapsed components: their nodes are the
+    full grid's nodes, so the verdict is the same."""
     if g.rank != 2:
         raise InvalidInput("nonlinear_ricci needs a rank-2 metric field")
-    comps = g.components
+    comps = _collapse_invariant_axes(g)
     scale = float(np.max(np.abs(comps)))
     if float(np.max(np.abs(comps - np.swapaxes(comps, -1, -2)))) > 1e-12 * max(scale, 1.0):
         raise InvalidInput("metric components are not symmetric")
@@ -391,30 +401,23 @@ def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridF
         np.linalg.cholesky(comps)
     except np.linalg.LinAlgError:
         raise InvalidInput("metric is not positive definite at every node") from None
-    D = g.dim + 1
-    gamma = _christoffel(_collapse_invariant_axes(g), g, cfg)
+    gamma = _christoffel(comps, g, cfg)
     # Ric_{ij} = d_k Gamma^k_{ij} - d_i Gamma^k_{kj} + Gamma^k_{kl} Gamma^l_{ij}
     #           - Gamma^k_{il} Gamma^l_{kj}
-    axis = g.grid_ndim
-    term1 = None
-    for k in range(D):
-        piece = _partial(np.take(gamma, k, axis=axis), k, g, cfg)
-        term1 = piece if term1 is None else term1 + piece
+    term1 = _contracted_partials(gamma, g.grid_ndim, g, cfg)
     tr = np.einsum("...kkj->...j", gamma)
-    term2 = np.stack([_partial(tr, i, g, cfg) for i in range(D)], axis=-2)
+    term2 = _gradient(tr, g, cfg, -2)
     term3 = np.einsum("...l,...lij->...ij", tr, gamma)
     term4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
     ric = term1 - term2 + term3 - term4
-    return g.with_components(np.broadcast_to(ric, comps.shape).copy())
+    return g.with_components(np.broadcast_to(ric, g.components.shape).copy())
 
 
 def flat_metric_grid(template: GridField) -> GridField:
     """Product-metric components on the same lattice as the template."""
     D = template.dim + 1
     shape = (template.n_r, *template.n_x, D, D)
-    return GridField(template.r_range, template.n_r, template.lengths,
-                     template.n_x, 2, np.broadcast_to(np.eye(D), shape).copy(),
-                     template.r_periodic)
+    return template.with_components(np.broadcast_to(np.eye(D), shape).copy(), rank=2)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +450,7 @@ def quadratic_remainder_scan(h: GridField, eps_list,
     for eps in eps_list:
         ric = nonlinear_ricci(g0 + h.scale(eps), cfg)
         remainders.append(interior_sup(ric - linear.scale(eps)))
-    top = max(remainders)
-    if top == 0.0:
-        exponent = float("nan")
-    else:
-        exponent = float(np.polyfit(np.log(eps_list), np.log(remainders), 1)[0])
+    exponent = (float("nan") if max(remainders) == 0.0
+                else float(np.polyfit(np.log(eps_list), np.log(remainders), 1)[0]))
     return RemainderScan(exponent, tuple(eps_list), tuple(remainders),
                          interior_sup(linear))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,50 @@ def _falling(p: int, j: int) -> int:
     for i in range(j):
         out *= p - i
     return out
+
+
+# Gauss-Legendre nodes for curved terms on a short interval: with
+# n = _QUAD_NODES + p // 2 nodes and |lam| (b - a) <= 1 the rule's error on
+# r^p e^{lam r} is below 1e-20 relative, far under rounding.
+_QUAD_NODES = 12
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _power_integrals(powers, lo, hi) -> np.ndarray:
+    """(k, m) table of int_lo^hi r^p dr = (hi - lo) S_p / (p + 1), where
+    S_p = sum_i hi^i lo^{p-i} = hi S_{p-1} + lo^p adds like-signed terms
+    when lo and hi are."""
+    sums = [np.ones(len(lo))]
+    for q in range(1, int(powers.max()) + 1):
+        sums.append(hi * sums[-1] + lo**q)
+    return (hi - lo) * np.array(sums)[powers] / (powers[:, None] + 1.0)
+
+
+def _quadrature_integrals(powers, rates, n_nodes: int, lo, hi) -> np.ndarray:
+    """(k, m) table of int_lo^hi r^p e^{lam r} dr by n-node Gauss-Legendre."""
+    x, w = _gauss_legendre(n_nodes)
+    half = 0.5 * (hi - lo)
+    r = lo[:, None] + half[:, None] * (x + 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        values = r ** powers[:, None, None] * np.exp(rates[:, None, None] * r)
+    return half * (values * w).sum(axis=-1)
+
+
+def _antiderivative_values(powers, rates, r) -> np.ndarray:
+    """(k, m) table of the antiderivative of r^p e^{lam r} at r, lam != 0:
+    e^{lam r} sum_j (-1)^j (p)_j r^{p-j} / lam^{j+1}, (p)_j falling."""
+    poly = np.zeros((len(powers), len(r)))
+    falling = np.ones(len(powers))
+    for j in range(int(powers.max()) + 1):
+        exponent = np.maximum(powers - j, 0)[:, None]
+        poly = poly + ((-1) ** j * falling / rates ** (j + 1))[:, None] * r ** exponent
+        falling = falling * (powers - j)
+    with np.errstate(over="ignore", under="ignore"):
+        return poly * np.exp(rates[:, None] * r)
 
 
 class RadialProfile:
@@ -176,10 +221,51 @@ class RadialProfile:
         return 0.0
 
     def definite_integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b]; b may be math.inf if the tail decays."""
-        F = self.antiderivative()
-        upper = F.limit_at_plus_infinity() if b == math.inf else float(F.evaluate(b))
-        return upper - float(F.evaluate(a))
+        """Integral over [a, b]; b may be math.inf if the tail decays."""
+        if b == math.inf:
+            F = self.antiderivative()
+            return F.limit_at_plus_infinity() - float(F.evaluate(a))
+        return float(self.interval_integrals([a], [b])[0])
+
+    def interval_integrals(self, lo, hi) -> np.ndarray:
+        """Integrals over the finite intervals [lo[i], hi[i]].
+
+        The closed-form antiderivative difference F(hi) - F(lo) subtracts
+        two values of size ~ r^{p+1} / (p + 1) (lam == 0) or ~ r^p / |lam|
+        to leave an O(hi - lo) result, and loses that ratio to
+        cancellation on short intervals.  So lam == 0 terms use the
+        factored power difference, and a curved term that varies slowly on
+        an interval, |lam| (hi - lo) <= 1, uses Gauss-Legendre quadrature
+        there; every other pair uses F(hi) - F(lo).  Each step is
+        elementwise in the interval and the term sum runs per interval, so
+        an interval's value does not depend on which others come with it.
+        """
+        lo = np.atleast_1d(np.asarray(lo, dtype=float))
+        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        if not self.terms:
+            return np.zeros(lo.shape)
+        coeffs, powers, rates = (np.array(col) for col in zip(*self.terms))
+        flat = rates == 0.0
+        if flat.all():
+            per_term = _power_integrals(powers, lo, hi)
+        else:
+            p, lam = powers[~flat], rates[~flat]
+            edges = _antiderivative_values(p, lam, np.concatenate((lo, hi)))
+            curved = edges[:, len(lo):] - edges[:, :len(lo)]
+            near = np.abs(lam)[:, None] * np.abs(hi - lo) <= 1.0
+            rows = near.any(axis=1)
+            if rows.any():
+                n_nodes = _QUAD_NODES + self.max_power // 2
+                quad = _quadrature_integrals(p[rows], lam[rows], n_nodes, lo, hi)
+                curved[rows] = np.where(near[rows], quad, curved[rows])
+            if flat.any():
+                per_term = np.empty((len(coeffs), len(lo)))
+                per_term[flat] = _power_integrals(powers[flat], lo, hi)
+                per_term[~flat] = curved
+            else:
+                per_term = curved
+        # one contiguous row per interval: every row sums in the same order
+        return np.ascontiguousarray((coeffs[:, None] * per_term).T).sum(axis=1)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c, _, _ in self.terms), default=0.0)

@@ -69,14 +69,13 @@ def tube_norm(h: TensorField, a: float, b: float) -> float:
 
 
 def _tube_values(h: TensorField, L: float, offsets) -> tuple:
-    """tube_norm(h, t L, (t+1) L) for every offset t, from one antiderivative
-    of the tube integrand evaluated at all tube edges at once."""
+    """tube_norm(h, t L, (t+1) L) for every offset t, from one tube
+    integrand integrated over all tubes at once."""
     if not L > 0.0:
         raise InvalidInput("tube needs a < b")
     t = np.asarray(offsets, dtype=float)
-    F = fields_mod.tube_integrand(h, h).antiderivative()
-    lo, hi = np.split(F.evaluate(np.concatenate((t * L, (t + 1) * L))), 2)
-    return tuple(max(0.0, v) for v in (hi - lo).tolist())
+    values = fields_mod.tube_integrand(h, h).interval_integrals(t * L, (t + 1) * L)
+    return tuple(max(0.0, v) for v in values.tolist())
 
 
 def _p_weight(t: float) -> float:

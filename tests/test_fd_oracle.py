@@ -2,11 +2,15 @@
 order, exactness properties, and the adjointness identity that pins the
 sign conventions, before the oracle is trusted anywhere else."""
 
+import functools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cylspec import fd_oracle as O
 from cylspec import fields as F
@@ -82,6 +86,48 @@ def test_stencil_config_validation():
         O.StencilConfig(boundary="reflect")
     with pytest.raises(InvalidInput):
         O.fd_operator("curl", O.sample(F.metric_field(CS), (0, 6), 8, 8))
+
+
+# -- the operator batch -----------------------------------------------------
+
+
+def test_batch_rejects_an_unknown_name_like_fd_operator():
+    gf = O.sample(F.metric_field(CS), (0, 6), 8, 8)
+    with pytest.raises(InvalidInput) as single:
+        O.fd_operator("curl", gf)
+    with pytest.raises(InvalidInput) as batch:
+        O.fd_operators(("rough_laplacian", "curl"), gf)
+    assert str(batch.value) == str(single.value)
+
+
+def test_batch_checks_every_rank_before_any_stencil_runs(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a stencil ran before the rank check")
+
+    monkeypatch.setattr(O, "_partial", refuse)
+    rank2 = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
+    for names in (("rough_laplacian", "sym_grad"), ("divergence", "lichnerowicz", "sym_grad")):
+        with pytest.raises(InvalidInput, match="sym_grad"):
+            O.fd_operators(names, rank2)
+    scalar = O.sample(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)), (0, 6), 16, 8)
+    with pytest.raises(InvalidInput, match="divergence"):
+        O.fd_operators(("rough_laplacian", "divergence"), scalar)
+
+
+def test_batch_of_no_names_is_empty_and_repeats_are_computed_once(monkeypatch):
+    gf = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
+    assert O.fd_operators((), gf) == {}
+    calls = []
+    rough = O._op_rough_laplacian
+    monkeypatch.setattr(O, "_op_rough_laplacian", lambda *a: calls.append(1) or rough(*a))
+    names = ("linearized_ricci", "rough_laplacian", "lichnerowicz", "rough_laplacian")
+    out = O.fd_operators(names, gf)
+    assert list(out) == ["linearized_ricci", "rough_laplacian", "lichnerowicz"]
+    assert len(calls) == 1
+    for op in out:
+        assert np.array_equal(out[op].components, O.fd_operator(op, gf).components)
+    assert list(O.fd_operators(("divergence",), gf)) == ["divergence"]
+    assert len(calls) == 4  # three single calls above, none for the divergence
 
 
 def test_sample_zero_field():
@@ -260,6 +306,25 @@ def test_nonlinear_ricci_input_checks():
         O.nonlinear_ricci(O.sample(smooth_one_form(), (0, 6), 16, 8))
 
 
+def test_nonlinear_ricci_checks_run_on_the_collapsed_metric_and_still_fail():
+    g0 = O.flat_metric_grid(O.sample(smooth_rank2(), (0.0, 6.0), 16, 8))
+    sad = g0.components.copy()
+    sad[..., 1, 1] = -0.5  # invariant, not positive definite
+    skew = g0.components.copy()
+    skew[..., 1, 2] = 0.3  # invariant, not symmetric
+    for comps, message in ((sad, "positive definite"), (skew, "symmetric")):
+        assert O._collapse_invariant_axes(g0.with_components(comps)).shape[:3] == (16, 1, 1)
+        with pytest.raises(InvalidInput, match=message):
+            O.nonlinear_ricci(g0.with_components(comps))
+    # one bad node keeps its axes from collapsing, so the checks still see it
+    for entry, message in (((0, 0), "positive definite"), ((0, 2), "symmetric")):
+        one = g0.components.copy()
+        one[(9, 3, 5) + entry] = -2.0
+        assert O._collapse_invariant_axes(g0.with_components(one)).shape[:3] == (16, 8, 8)
+        with pytest.raises(InvalidInput, match=message):
+            O.nonlinear_ricci(g0.with_components(one))
+
+
 def test_nonlinear_ricci_matches_linearization_at_small_eps():
     cfg = O.StencilConfig(order=4)
     gf = O.sample(smooth_rank2(), (0.0, 6.0), 48, 16)
@@ -301,23 +366,150 @@ def test_nonlinear_ricci_of_a_warped_product_converges_at_order_four():
     assert 14.0 < coarse / fine < 18.0
 
 
+# -- bit identity with the np.roll stencils ---------------------------------
+#
+# An inline copy of the stencils and operators as they were first written,
+# with np.roll and np.stack; every routine of the oracle must equal it bit
+# for bit.
+
+
+def roll_d1_periodic(vals, h, axis, order):
+    if order == 2:
+        return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2 * h)
+    return (-np.roll(vals, -2, axis) + 8 * np.roll(vals, -1, axis)
+            - 8 * np.roll(vals, 1, axis) + np.roll(vals, 2, axis)) / (12 * h)
+
+
+def roll_d1_bounded(vals, h, order, boundary):
+    out = np.zeros_like(vals)
+    if order == 2:
+        out[1:-1] = (vals[2:] - vals[:-2]) / (2 * h)
+    else:
+        out[2:-2] = (-vals[4:] + 8 * vals[3:-1] - 8 * vals[1:-3] + vals[:-4]) / (12 * h)
+        out[1] = (vals[2] - vals[0]) / (2 * h)
+        out[-2] = (vals[-1] - vals[-3]) / (2 * h)
+    if boundary == "one-sided":
+        out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h)
+        out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * h)
+    elif order == 4:
+        out[1] = 0.0
+        out[-2] = 0.0
+    return out
+
+
+def roll_partial(arr, a, grid, cfg, second=False):
+    h = grid.spacings[a]
+    if a > 0 or grid.r_periodic:
+        d1 = functools.partial(roll_d1_periodic, h=h, axis=a, order=cfg.order)
+    else:
+        d1 = functools.partial(roll_d1_bounded, h=h, order=cfg.order, boundary=cfg.boundary)
+    return d1(d1(arr)) if second else d1(arr)
+
+
+def in_order(terms):
+    """terms[0] + terms[1] + ..., summed left to right."""
+    return functools.reduce(operator.add, terms)
+
+
+def roll_operators(f, cfg):
+    """Every operator the field's rank admits, by name."""
+    D, c = f.dim + 1, f.components
+    part = functools.partial(roll_partial, grid=f, cfg=cfg)
+    ops = {"rough_laplacian": -in_order([part(c, a, second=True) for a in range(D)])}
+    if f.rank >= 1:
+        ops["divergence"] = -in_order([part(np.take(c, a, axis=f.grid_ndim), a)
+                                       for a in range(D)])
+    if f.rank == 1:
+        grad = np.stack([part(c, i) for i in range(D)], axis=f.grid_ndim)
+        ops["sym_grad"] = grad + np.swapaxes(grad, -1, -2)
+    if f.rank != 2:
+        return ops
+    tr = np.trace(c, axis1=-2, axis2=-1)
+    ops["trace_hessian"] = np.stack([np.stack([part(part(tr, i), j) for j in range(D)], axis=-1)
+                                     for i in range(D)], axis=-2)
+    div = f.with_components(ops["divergence"], rank=1)
+    gauge = roll_operators(div, cfg)["sym_grad"]
+    ops["linearized_ricci"] = (ops["rough_laplacian"] - gauge - ops["trace_hessian"]) * 0.5
+    # the product metric, cut to length 1 along every periodic axis
+    lead = 0 if f.r_periodic else 1
+    g0 = np.broadcast_to(np.eye(D), c.shape).copy()
+    g0 = g0[(slice(None),) * lead + (slice(0, 1),) * (f.grid_ndim - lead)]
+    riem = roll_riemann(roll_christoffel(g0, f, cfg), f, cfg)
+    ric = np.einsum("...kikj->...ij", riem)
+    coupling = (np.einsum("...ik,...kj->...ij", ric, c, optimize=True)
+                + np.einsum("...jk,...ik->...ij", ric, c, optimize=True)
+                - 2.0 * np.einsum("...ikjl,...kl->...ij", riem, c, optimize=True))
+    ops["lichnerowicz"] = ops["rough_laplacian"] + coupling
+    return ops
+
+
+def roll_christoffel(comps, g, cfg):
+    D = g.dim + 1
+    dg = np.stack([roll_partial(comps, a, g, cfg) for a in range(D)], axis=-3)
+    low = 0.5 * (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
+    return np.einsum("...kl,...lij->...kij", np.linalg.inv(comps), low)
+
+
+def roll_riemann(gamma, g, cfg):
+    D = g.dim + 1
+    dgamma = np.stack([roll_partial(gamma, a, g, cfg) for a in range(D)], axis=-4)
+    return (np.einsum("...iklj->...klij", dgamma)
+            - np.einsum("...jkli->...klij", dgamma)
+            + np.einsum("...kim,...mjl->...klij", gamma, gamma)
+            - np.einsum("...kjm,...mil->...klij", gamma, gamma))
+
+
+@st.composite
+def roll_cases(draw):
+    """A random field on a grid whose spacings all differ, a stencil, and
+    a batch of operator names (possibly empty or repeated)."""
+    dim = draw(st.integers(1, 3))
+    rank = draw(st.integers(0, 2))
+    r_periodic = draw(st.booleans())
+    n_r = draw(st.integers(8, 12))
+    n_x = tuple(draw(st.integers(8, 10)) for _ in range(dim))
+    lengths = tuple(draw(st.floats(0.5, 3.0)) for _ in range(dim))
+    r_range = (0.0, draw(st.floats(0.5, 3.0)))
+    base = O.GridField(r_range, n_r, lengths, n_x, rank,
+                       np.zeros((n_r, *n_x) + (dim + 1,) * rank), r_periodic)
+    assume(len(set(base.spacings)) == dim + 1)
+    seed = draw(st.integers(0, 2**32 - 1))
+    f = base.with_components(np.random.default_rng(seed).standard_normal(base.components.shape))
+    cfg = O.StencilConfig(draw(st.sampled_from((2, 4))),
+                          draw(st.sampled_from(("one-sided", "interior-restricted"))))
+    names = draw(st.lists(st.sampled_from(sorted(roll_operators(f, cfg))), max_size=4))
+    collapse = draw(st.lists(st.booleans(), min_size=dim + 1, max_size=dim + 1))
+    return f, cfg, names, collapse
+
+
+@given(roll_cases())
+@settings(max_examples=80, deadline=None)
+def test_batch_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
+    f, cfg, names, collapse = case
+    want = roll_operators(f, cfg)
+    for op in want:
+        assert np.array_equal(O.fd_operators((op,), f, cfg)[op].components, want[op]), op
+    for op, got in O.fd_operators(names, f, cfg).items():
+        assert np.array_equal(got.components, want[op]), (names, op)
+    # a component array cut to length 1 along some periodic axes
+    cut = f.components[tuple(slice(0, 1) if c and (a > 0 or f.r_periodic) else slice(None)
+                             for a, c in enumerate(collapse))]
+    for a in range(f.grid_ndim):
+        assert np.array_equal(O._partial(cut, a, f, cfg), roll_partial(cut, a, f, cfg)), a
+
+
 # -- collapsed invariant axes -----------------------------------------------
 
 
-def full_grid_christoffel(g, cfg):
-    """The Christoffel formula applied to the whole component array."""
-    D = g.dim + 1
-    dg = np.stack([O._partial(g.components, a, g, cfg) for a in range(D)], axis=-3)
-    low = 0.5 * (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
-    return np.einsum("...kl,...lij->...kij", np.linalg.inv(g.components), low)
-
-
 def full_grid_ricci(g, cfg):
+    """The Ricci formula on the whole component array, with the np.roll
+    stencils."""
     D = g.dim + 1
-    gamma = full_grid_christoffel(g, cfg)
-    term1 = sum(O._partial(np.take(gamma, k, axis=g.grid_ndim), k, g, cfg) for k in range(D))
+    gamma = roll_christoffel(g.components, g, cfg)
+    term1 = in_order([roll_partial(np.take(gamma, k, axis=g.grid_ndim), k, g, cfg)
+                      for k in range(D)])
     tr = np.einsum("...kkj->...j", gamma)
-    term2 = np.stack([O._partial(tr, i, g, cfg) for i in range(D)], axis=-2)
+    term2 = np.stack([roll_partial(tr, i, g, cfg) for i in range(D)], axis=-2)
     term3 = np.einsum("...l,...lij->...ij", tr, gamma)
     term4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
     return term1 - term2 + term3 - term4
@@ -362,8 +554,8 @@ def test_collapsed_curvature_equals_the_full_grid_bit_for_bit(depends_on, r_peri
     assert np.max(np.abs(got)) > 0.1
 
     g0 = O.flat_metric_grid(g)
-    gamma = full_grid_christoffel(g0, cfg)
-    want_riem = O._riemann_from_christoffel(gamma, g0, cfg)
+    gamma = roll_christoffel(g0.components, g0, cfg)
+    want_riem = roll_riemann(gamma, g0, cfg)
     want_ric = np.einsum("...kikj->...ij", want_riem)
     ric, riem = O._background_curvature(g, cfg)
     assert np.array_equal(np.broadcast_to(ric, want_ric.shape), want_ric)
@@ -372,7 +564,9 @@ def test_collapsed_curvature_equals_the_full_grid_bit_for_bit(depends_on, r_peri
 
 def test_curvature_memory_stays_near_the_input_size():
     # full-grid curvature of the flat background peaked at 53x (lichnerowicz)
-    # and 14x (nonlinear_ricci) the input bytes; collapsed, 5x and 3x
+    # and 14x (nonlinear_ricci) the input bytes; collapsed, 5x and 3x.  With
+    # np.roll stencils rough_laplacian and linearized_ricci peaked at 5.0x and
+    # 5.1x; in place, 4.05x each, and 4.9x for the batch of three results
     comps = np.random.default_rng(0).standard_normal((64, 8, 8, 8, 4, 4))
     f = O.GridField((0.0, 6.0), 64, (1.0, 1.0, 1.0), (8, 8, 8), 2, comps)
     cfg = O.StencilConfig(order=4)
@@ -389,6 +583,10 @@ def test_curvature_memory_stays_near_the_input_size():
 
     assert peak_ratio(lambda: O.fd_operator("lichnerowicz", f, cfg)) <= 8.0
     assert peak_ratio(lambda: O.nonlinear_ricci(flat, cfg)) <= 6.0
+    assert peak_ratio(lambda: O.fd_operator("rough_laplacian", f, cfg)) <= 4.5
+    assert peak_ratio(lambda: O.fd_operator("linearized_ricci", f, cfg)) <= 4.5
+    three = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
+    assert peak_ratio(lambda: O.fd_operators(three, f, cfg)) <= 5.5
 
 
 def test_interior_of_a_grid_without_a_band_is_rejected():

@@ -134,7 +134,7 @@ def test_series_from_field_and_validation():
 @given(seed=st.integers(0, 2**32 - 1), r_linear=st.booleans(), L=st.floats(0.2, 2.0))
 @settings(max_examples=40, deadline=None)
 def test_series_and_check_values_are_the_tube_norms(seed, r_linear, L):
-    # one antiderivative for all tubes gives exactly the per-tube values
+    # integrating over all tubes at once gives exactly the per-tube values
     rng = np.random.default_rng(seed)
     h = tc.random_reduced_form(CS, rng, include_r_linear=r_linear)
     offsets = (0, 1, 2, 4, 7)
