@@ -28,11 +28,7 @@ import numpy as np
 from . import __version__
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
-from .deformation_solver import (
-    classify_kernel,
-    parallel_space_dimension,
-    solve_reduced_system,
-)
+from .deformation_solver import classify_kernel, solve_reduced_system
 from .divergence_solver import (
     DivergenceConfig,
     gauge_residual,
@@ -134,6 +130,32 @@ def field_to_dict(h: TensorField) -> dict:
     }
 
 
+def _mode_key(cs: TorusCrossSection, i: int, freq, phase) -> tuple:
+    """The (freq, phase) of term i, checked against the cross section's
+    mode set: dim integer entries, canonical half-space, |k_j| <=
+    freq_cutoff, and phase cos or sin (cos only at frequency zero)."""
+    given = tuple(freq)
+    freq = tuple(int(k) for k in given)
+    where = f"term {i}: frequency {list(given)}"
+    if freq != given:
+        raise InvalidInput(f"{where} needs integer entries")
+    if len(freq) != cs.dim:
+        raise InvalidInput(f"{where} needs {cs.dim} entries")
+    nonzero = [k for k in freq if k != 0]
+    if nonzero and nonzero[0] < 0:
+        raise InvalidInput(
+            f"{where} is outside the canonical half-space (first nonzero entry "
+            "must be positive)"
+        )
+    if any(abs(k) > cs.freq_cutoff for k in freq):
+        raise InvalidInput(f"{where} exceeds freq_cutoff {cs.freq_cutoff}")
+    if phase not in ("cos", "sin"):
+        raise InvalidInput(f"{where}: phase must be cos or sin, got {phase!r}")
+    if phase == "sin" and not nonzero:
+        raise InvalidInput(f"{where}: frequency zero carries no sin phase")
+    return freq, phase
+
+
 def field_from_dict(data: dict) -> TensorField:
     try:
         cs_block = data["cross_section"]
@@ -144,14 +166,14 @@ def field_from_dict(data: dict) -> TensorField:
         )
         rank = int(data["rank"])
         h = TensorField.zero(cs, rank)
-        for term in data["terms"]:
+        for i, term in enumerate(data["terms"]):
             coeff = np.asarray(term["coeff"], dtype=float)
             if coeff.shape != (cs.dim + 1,) * rank:
                 raise InvalidInput(
                     f"coefficient shape {coeff.shape} does not match rank {rank}"
                 )
             h._accumulate(
-                (tuple(int(k) for k in term["freq"]), str(term["phase"])),
+                _mode_key(cs, i, term["freq"], term["phase"]),
                 (int(term["power"]), float(term["rate"])),
                 coeff,
             )
@@ -495,7 +517,7 @@ def _task_solve_deform(cfg: JobConfig, rng) -> tuple:
     payload = {
         "tau": tau,
         "basis_size": len(basis),
-        "parallel_dimension": parallel_space_dimension(cs, tau),
+        "parallel_dimension": sum(1 for elem in basis if elem.radially_parallel),
         "labels": sorted({elem.label for elem in basis}),
         "worst_ricci_residual": worst_ricci,
         "worst_divergence_residual": worst_div,

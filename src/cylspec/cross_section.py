@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "Spectrum",
     "KINDS",
     "build_spectrum",
+    "modes_at",
     "evaluate_mode",
     "pointwise_operators",
     "mode_inner_product",
@@ -52,7 +54,8 @@ class TorusCrossSection:
     """Flat torus with side lengths ``side_lengths``, dimension ``dim``.
 
     ``freq_cutoff`` bounds the largest |k_j| of generated frequency vectors.
-    Immutable; all derived data is recomputed on demand.
+    Immutable; derived data is computed on demand, and spectra and mode
+    slices are memoized per cross section.
     """
 
     dim: int
@@ -100,14 +103,9 @@ class TorusCrossSection:
         return out
 
     def smallest_positive_eigenvalue(self) -> float:
-        """Brute-force min of |omega|^2 over nonzero canonical frequencies."""
-        best = math.inf
-        for k in self.canonical_freqs():
-            if any(k):
-                best = min(best, self.eigenvalue(k))
-        if not math.isfinite(best):
-            raise InvalidParams("cutoff produced no nonzero frequency")
-        return best
+        """mu_1, the min of |omega|^2 over nonzero canonical frequencies,
+        read from the memoized scalar spectrum."""
+        return build_spectrum(self, "Scalar").mu1
 
 
 @dataclass(frozen=True)
@@ -159,11 +157,21 @@ class ModeImage(NamedTuple):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All modes of one rank selector, sorted by eigenvalue."""
+    """All modes of one rank selector, sorted by eigenvalue.
+
+    ``slices`` maps (freq, phase) to that slice's modes in spectrum order,
+    read-only because spectra are memoized and shared; ``at`` reads it.
+    """
 
     cross_section: TorusCrossSection
     modes: tuple
     mu1: float
+    slices: MappingProxyType
+
+    def at(self, freq, phase: str = "cos") -> tuple:
+        """The modes at one (freq, phase) in spectrum order, or () if the
+        spectrum has none there."""
+        return self.slices.get((tuple(freq), phase), ())
 
 
 def tangent_complement(omega: np.ndarray) -> list:
@@ -215,6 +223,51 @@ def _phases(freq) -> tuple:
     return ("cos",) if not any(freq) else ("cos", "sin")
 
 
+def _kind(rank: str) -> str:
+    kind = _RANK_ALIASES.get(rank, rank)
+    if kind not in KINDS:
+        raise InvalidParams(f"unknown rank selector {rank!r}")
+    return kind
+
+
+@functools.lru_cache(maxsize=4096)
+def modes_at(cs: TorusCrossSection, kind: str, freq: tuple, phase: str) -> tuple:
+    """The modes of one kind at one (freq, phase), in construction order.
+
+    This is the one place modes are built; ``build_spectrum`` sorts what it
+    returns.  The construction order is the index convention of the
+    callers that key modes by position: harmonic 1-forms by coordinate
+    axis, coclosed 1-forms by position in ``tangent_complement``.  Any
+    frequency is accepted, also one above the cutoff; a (freq, phase) that
+    carries no mode of the kind (sin at frequency zero, a harmonic 1-form
+    at a nonzero frequency) gives ().
+    """
+    kind = _kind(kind)
+    freq = tuple(freq)
+    if phase not in _phases(freq):
+        return ()
+    mu = cs.eigenvalue(freq)
+    omega = tuple(float(w) for w in cs.omega(freq))
+    nonzero = any(freq)
+    amp = math.sqrt(2.0 / cs.volume) if nonzero else 1.0 / math.sqrt(cs.volume)
+
+    if kind == "Scalar":
+        pols = [np.array(amp)]
+    elif kind == "CoclosedOneForm":
+        pols = [amp * pol for pol in tangent_complement(np.array(omega))] if nonzero else []
+    elif kind == "HarmonicOneForm":
+        pols = [] if nonzero else [amp * np.eye(cs.dim)[i] for i in range(cs.dim)]
+    elif kind == "TTTensor":
+        if nonzero:
+            tangent = tangent_complement(np.array(omega))
+        else:
+            tangent = [np.eye(cs.dim)[i] for i in range(cs.dim)]
+        pols = [amp * pol for pol in _traceless_sym_basis(tangent)]
+    else:
+        pols = [amp * (np.eye(cs.dim) / math.sqrt(cs.dim))]
+    return tuple(Mode(kind, freq, mu, pol, phase, omega) for pol in pols)
+
+
 @functools.lru_cache(maxsize=64)
 def build_spectrum(cs: TorusCrossSection, rank: str) -> Spectrum:
     """Enumerate every mode of the requested kind up to the frequency cutoff.
@@ -224,60 +277,19 @@ def build_spectrum(cs: TorusCrossSection, rank: str) -> Spectrum:
     tuple of modes with read-only polarizations), so results are memoized
     per (cross section, selector).
     """
-    kind = _RANK_ALIASES.get(rank, rank)
-    if kind not in KINDS:
-        raise InvalidParams(f"unknown rank selector {rank!r}")
-
-    vol = cs.volume
-    amp0 = 1.0 / math.sqrt(vol)
-    amp1 = math.sqrt(2.0 / vol)
-    modes = []
-
-    for freq in cs.canonical_freqs():
-        mu = cs.eigenvalue(freq)
-        omega = tuple(float(w) for w in cs.omega(freq))
-        nonzero = any(freq)
-        amp = amp1 if nonzero else amp0
-
-        if kind == "Scalar":
-            for phase in _phases(freq):
-                modes.append(
-                    Mode("Scalar", freq, mu, np.array(amp), phase, omega)
-                )
-
-        elif kind == "CoclosedOneForm":
-            if not nonzero:
-                continue
-            for pol in tangent_complement(np.array(omega)):
-                for phase in _phases(freq):
-                    modes.append(
-                        Mode("CoclosedOneForm", freq, mu, amp * pol, phase, omega)
-                    )
-
-        elif kind == "HarmonicOneForm":
-            if nonzero:
-                continue
-            for i in range(cs.dim):
-                modes.append(
-                    Mode("HarmonicOneForm", freq, 0.0, amp0 * np.eye(cs.dim)[i], "cos", omega)
-                )
-
-        elif kind == "TTTensor":
-            if nonzero:
-                tangent = tangent_complement(np.array(omega))
-            else:
-                tangent = [np.eye(cs.dim)[i] for i in range(cs.dim)]
-            for pol in _traceless_sym_basis(tangent):
-                for phase in _phases(freq):
-                    modes.append(Mode("TTTensor", freq, mu, amp * pol, phase, omega))
-
-        elif kind == "PureTrace":
-            pol = np.eye(cs.dim) / math.sqrt(cs.dim)
-            for phase in _phases(freq):
-                modes.append(Mode("PureTrace", freq, mu, amp * pol, phase, omega))
-
+    kind = _kind(rank)
+    freqs = cs.canonical_freqs()
+    modes = [
+        m for freq in freqs for phase in _phases(freq)
+        for m in modes_at(cs, kind, freq, phase)
+    ]
     modes.sort(key=Mode.sort_key)
-    return Spectrum(cs, tuple(modes), cs.smallest_positive_eigenvalue())
+    slices: dict = {}
+    for m in modes:
+        slices.setdefault((m.freq, m.phase), []).append(m)
+    mu1 = min(cs.eigenvalue(freq) for freq in freqs if any(freq))
+    slices = MappingProxyType({key: tuple(ms) for key, ms in slices.items()})
+    return Spectrum(cs, tuple(modes), mu1, slices)
 
 
 def evaluate_mode(m: Mode, x) -> np.ndarray:

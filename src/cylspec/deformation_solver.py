@@ -21,8 +21,13 @@ removes exactly those last two families, which is the point of the
 perturbation.
 
 Oscillatory kernel branches would require a negative cross-section
-eigenvalue; on flat tori none exist and the classifier carries the slot
-only as an always-empty map behind a loud guard.
+eigenvalue; on flat tori none exist, and ``solve_reduced_system`` guards
+against one.
+
+Indices in basis metadata and decompositions follow the mode lookups of
+``cross_section``: coclosed and harmonic legs index ``modes_at`` slices
+(tangent-complement position, coordinate axis), TT modes index
+``build_spectrum(cs, "TTTensor").at(freq, phase)``, the spectrum's order.
 """
 
 from __future__ import annotations
@@ -33,18 +38,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as fields_mod
-from .cross_section import Mode, TorusCrossSection, build_spectrum
-from .divergence_solver import (
-    GaugeField,
-    _coclosed_mode,
-    _growth_class,
-    _harmonic_mode,
-    _scalar_mode,
-    lie_derivative_metric,
-    modified_divergence,
-)
+from .cross_section import TorusCrossSection, build_spectrum, modes_at
+from .divergence_solver import GaugeField, lie_derivative_metric, modified_divergence
 from .errors import InvalidInput, InvalidParams, NotInKernel, ResonantTau
-from .fields import TensorField, linearized_ricci
+from .fields import TensorField, linearized_ricci, tangential_metric
 from .mode_ode import RadialProfile, v_matrix
 
 __all__ = [
@@ -192,8 +189,6 @@ def trace_absorption_field(cs: TorusCrossSection, coefficients: dict) -> GaugeFi
     and must be split off first.
     """
     pairs: dict = {}
-    sectors: dict = {}
-    growth: dict = {}
     for (freq, phase), (c_plus, c_minus) in coefficients.items():
         mu = cs.eigenvalue(freq)
         if mu <= 0.0:
@@ -204,9 +199,7 @@ def trace_absorption_field(cs: TorusCrossSection, coefficients: dict) -> GaugeFi
             continue
         k, l = _absorption_profiles(mu, float(c_plus), float(c_minus))
         pairs[(tuple(freq), phase)] = (k, l)
-        sectors[("pair", tuple(freq), phase)] = "infinite"
-        growth[("pair", tuple(freq), phase)] = _growth_class(k, l)
-    return GaugeField(cs, pairs, {}, {}, RadialProfile.zero(), sectors, growth)
+    return GaugeField(cs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +225,6 @@ class KernelBasisElement:
     generator: TensorField | None = None
 
 
-def _tt_modes(cs: TorusCrossSection, freq=None, phase=None):
-    modes = build_spectrum(cs, "TTTensor").modes
-    if freq is None:
-        return [m for m in modes if not any(m.freq)]
-    return [m for m in modes if m.freq == tuple(freq) and m.phase == phase]
-
-
 def _homogeneous_pair_profiles(mu: float):
     """The four (k, l) solutions of the homogeneous mixed-pair system,
     read off the columns of the fundamental matrix V e^{J r}."""
@@ -258,7 +244,7 @@ def _homogeneous_pair_profiles(mu: float):
     return out
 
 
-def _gauge_element(cs, label, one_form, parallel, survives, meta):
+def _gauge_element(label, one_form, parallel, survives, meta):
     return KernelBasisElement(
         label=label,
         field=lie_derivative_metric(one_form),
@@ -269,10 +255,46 @@ def _gauge_element(cs, label, one_form, parallel, survives, meta):
     )
 
 
-def _metric_tangential(cs: TorusCrossSection) -> TensorField:
-    g = np.eye(cs.dim + 1)
-    g[0, 0] = 0.0
-    return fields_mod.constant_tensor_field(cs, g)
+def _frequency_basis(cs: TorusCrossSection, freq) -> list:
+    """The kernel basis columns of one positive frequency, cos then sin:
+    the four homogeneous pair gauges, two exponential gauges per coclosed
+    mode and two exponential TT tensors per TT mode.
+
+    ``meta`` holds (freq, phase, j) for a pair gauge, where j indexes
+    ``_homogeneous_pair_profiles``, and (freq, phase, index, branch) for
+    the others, with branch "plus" or "minus" for e^{+-sqrt(mu) r}.
+    """
+    mu = cs.eigenvalue(freq)
+    s = math.sqrt(mu)
+    branches = ((RadialProfile.monomial(1.0, 0, s), "plus"),
+                (RadialProfile.monomial(1.0, 0, -s), "minus"))
+    tt_spectrum = build_spectrum(cs, "TTTensor")
+    out = []
+    for phase in ("cos", "sin"):
+        phi = modes_at(cs, "Scalar", freq, phase)[0]
+        for j, (k, l) in enumerate(_homogeneous_pair_profiles(mu)):
+            X = fields_mod.pair_one_form(cs, phi, k, l)
+            out.append(_gauge_element("scalar_gauge", X, False, True, (freq, phase, j)))
+        for idx, eta in enumerate(modes_at(cs, "CoclosedOneForm", freq, phase)):
+            for prof, branch in branches:
+                X = fields_mod.from_mode_profile(cs, eta, prof)
+                out.append(
+                    _gauge_element(
+                        "coclosed_gauge", X, False, True, (freq, phase, idx, branch)
+                    )
+                )
+        for i, tt in enumerate(tt_spectrum.at(freq, phase)):
+            for prof, branch in branches:
+                out.append(
+                    KernelBasisElement(
+                        "tt_exp",
+                        fields_mod.from_mode_profile(cs, tt, prof),
+                        False,
+                        True,
+                        (freq, phase, i, branch),
+                    )
+                )
+    return out
 
 
 def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
@@ -296,13 +318,13 @@ def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
     one = RadialProfile.constant(1.0)
     ramp = RadialProfile.monomial(1.0, 1, 0.0)
 
-    g_tan = _metric_tangential(cs)
+    g_tan = tangential_metric(cs)
     basis.append(KernelBasisElement("trace", g_tan, True, True))
     basis.append(
         KernelBasisElement("trace_linear", g_tan.multiply_profile(ramp), False, True)
     )
 
-    for i, tt in enumerate(_tt_modes(cs)):
+    for i, tt in enumerate(build_spectrum(cs, "TTTensor").at((0,) * cs.dim)):
         basis.append(
             KernelBasisElement(
                 "tt_parallel", fields_mod.from_mode_profile(cs, tt, one), True, True, (i,)
@@ -319,57 +341,27 @@ def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
         )
 
     if tau == 0.0:
-        for a in range(cs.dim):
-            eta = _harmonic_mode(cs, a)
+        zero = (0,) * cs.dim
+        for a, eta in enumerate(modes_at(cs, "HarmonicOneForm", zero, "cos")):
             basis.append(
                 _gauge_element(
-                    cs, "shear_gauge",
+                    "shear_gauge",
                     fields_mod.from_mode_profile(cs, eta, ramp),
                     True, False, (a,),
                 )
             )
         basis.append(
             _gauge_element(
-                cs, "radial_gauge",
-                fields_mod.radial_one_form(cs, _scalar_mode(cs, (0,) * cs.dim, "cos"),
+                "radial_gauge",
+                fields_mod.radial_one_form(cs, modes_at(cs, "Scalar", zero, "cos")[0],
                                            ramp.scale(0.5 * math.sqrt(cs.volume))),
                 True, False, (),
             )
         )
 
     for freq in cs.canonical_freqs():
-        mu = cs.eigenvalue(freq)
-        if mu <= 0.0:
-            continue
-        s = math.sqrt(mu)
-        branches = ((RadialProfile.monomial(1.0, 0, s), "plus"),
-                    (RadialProfile.monomial(1.0, 0, -s), "minus"))
-        for phase in ("cos", "sin"):
-            for j, (k, l) in enumerate(_homogeneous_pair_profiles(mu)):
-                X = fields_mod.pair_one_form(cs, _scalar_mode(cs, freq, phase), k, l)
-                basis.append(
-                    _gauge_element(cs, "scalar_gauge", X, False, True, (freq, phase, j))
-                )
-            for idx in range(cs.dim - 1):
-                eta = _coclosed_mode(cs, freq, phase, idx)
-                for prof, branch in branches:
-                    X = fields_mod.from_mode_profile(cs, eta, prof)
-                    basis.append(
-                        _gauge_element(
-                            cs, "coclosed_gauge", X, False, True, (freq, phase, idx, branch)
-                        )
-                    )
-            for i, tt in enumerate(_tt_modes(cs, freq, phase)):
-                for prof, branch in branches:
-                    basis.append(
-                        KernelBasisElement(
-                            "tt_exp",
-                            fields_mod.from_mode_profile(cs, tt, prof),
-                            False,
-                            True,
-                            (freq, phase, i, branch),
-                        )
-                    )
+        if cs.eigenvalue(freq) > 0.0:
+            basis.extend(_frequency_basis(cs, freq))
     return basis
 
 
@@ -421,10 +413,11 @@ class KernelDecomposition:
     def reconstruct(self) -> TensorField:
         cs = self.cs
         a, a_tilde = self.pure_trace
-        out = _metric_tangential(cs).multiply_profile(
+        out = tangential_metric(cs).multiply_profile(
             RadialProfile(((a, 0, 0.0), (a_tilde, 1, 0.0)))
         )
-        parallel = _tt_modes(cs)
+        tt_spectrum = build_spectrum(cs, "TTTensor")
+        parallel = tt_spectrum.at((0,) * cs.dim)
         for i, coeff in self.parallel_tt.items():
             out = out + fields_mod.from_mode_profile(
                 cs, parallel[i], RadialProfile.constant(coeff)
@@ -434,7 +427,7 @@ class KernelDecomposition:
                 cs, parallel[i], RadialProfile.monomial(coeff, 1, 0.0)
             )
         for (freq, phase, i), (a_plus, a_minus) in self.exp_modes.items():
-            tt = _tt_modes(cs, freq, phase)[i]
+            tt = tt_spectrum.at(freq, phase)[i]
             s = math.sqrt(tt.eigenvalue)
             prof = RadialProfile(((a_plus, 0, s), (a_minus, 0, -s)))
             out = out + fields_mod.from_mode_profile(cs, tt, prof)
@@ -445,9 +438,8 @@ class KernelDecomposition:
             rr[0, 0] = 1.0
             out = out + fields_mod.constant_tensor_field(cs, rr).scale(self.gauge_Y.radial)
         for axis, q in self.gauge_Y.shear.items():
-            out = out + fields_mod.mixed_pair_tensor(
-                cs, _harmonic_mode(cs, axis), RadialProfile.constant(q)
-            )
+            eta = modes_at(cs, "HarmonicOneForm", (0,) * cs.dim, "cos")[axis]
+            out = out + fields_mod.mixed_pair_tensor(cs, eta, RadialProfile.constant(q))
         return out
 
 
@@ -477,7 +469,7 @@ def _classify_zero_frequency(h: TensorField, out: dict, tol: float, scale: float
     amp0 = 1.0 / math.sqrt(cs.volume)
     zero_key = ((0,) * d, "cos")
     profs = h.data.get(zero_key, {})
-    parallel = _tt_modes(cs)
+    parallel = build_spectrum(cs, "TTTensor").at((0,) * d)
     for (p, lam), C in profs.items():
         C = np.asarray(C)
         if lam != 0.0 or p > 1:
@@ -544,8 +536,6 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
 
     pairs: dict = {}
     coclosed: dict = {}
-    sectors: dict = {}
-    growth: dict = {}
     exp_modes: dict = {}
     cond: dict = {}
 
@@ -555,28 +545,9 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
         s = math.sqrt(mu)
         keys = [(freq, "cos"), (freq, "sin")]
         nodes = _chebyshev_nodes(0.0, 4.0 / s, FIT_NODES)
+        columns = _frequency_basis(cs, freq)
 
-        columns = []
-        labels = []
-        for phase in ("cos", "sin"):
-            for j, (k, l) in enumerate(_homogeneous_pair_profiles(mu)):
-                X = fields_mod.pair_one_form(cs, _scalar_mode(cs, freq, phase), k, l)
-                columns.append(lie_derivative_metric(X))
-                labels.append(("pair", phase, j, (k, l)))
-            for idx in range(cs.dim - 1):
-                eta = _coclosed_mode(cs, freq, phase, idx)
-                for sign in (+1.0, -1.0):
-                    prof = RadialProfile.monomial(1.0, 0, sign * s)
-                    X = fields_mod.from_mode_profile(cs, eta, prof)
-                    columns.append(lie_derivative_metric(X))
-                    labels.append(("coclosed", phase, idx, sign))
-            for i, tt in enumerate(_tt_modes(cs, freq, phase)):
-                for sign in (+1.0, -1.0):
-                    prof = RadialProfile.monomial(1.0, 0, sign * s)
-                    columns.append(fields_mod.from_mode_profile(cs, tt, prof))
-                    labels.append(("tt", phase, i, sign))
-
-        A = np.stack([_eval_key_block(col, keys, nodes) for col in columns], axis=1)
+        A = np.stack([_eval_key_block(col.field, keys, nodes) for col in columns], axis=1)
         b = _eval_key_block(hf, keys, nodes)
         coeffs, _res, _rank, _sv = np.linalg.lstsq(A, b, rcond=None)
         cond[freq] = float(np.linalg.cond(A))
@@ -587,27 +558,27 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
                 f"{fit_err:.3e})"
             )
 
+        pair_profiles = _homogeneous_pair_profiles(mu)
         pair_acc: dict = {}
-        for c, label in zip(coeffs, labels):
+        for c, col in zip(coeffs, columns):
             if abs(c) < 1e-13 * max(1.0, scale):
                 continue
-            kind = label[0]
-            if kind == "pair":
-                _, phase, _j, (k, l) = label
+            if col.label == "scalar_gauge":
+                _, phase, j = col.meta
+                k, l = pair_profiles[j]
                 k_acc, l_acc = pair_acc.get(phase, (RadialProfile.zero(), RadialProfile.zero()))
                 pair_acc[phase] = (k_acc + k.scale(float(c)), l_acc + l.scale(float(c)))
-            elif kind == "coclosed":
-                _, phase, idx, sign = label
+            elif col.label == "coclosed_gauge":
+                _, phase, idx, branch = col.meta
                 key = (freq, phase, idx)
                 prof = coclosed.get(key, RadialProfile.zero())
-                coclosed[key] = prof + RadialProfile.monomial(
-                    float(c), 0, sign * s
-                )
+                rate = s if branch == "plus" else -s
+                coclosed[key] = prof + RadialProfile.monomial(float(c), 0, rate)
             else:
-                _, phase, i, sign = label
+                _, phase, i, branch = col.meta
                 key = (freq, phase, i)
                 a_plus, a_minus = exp_modes.get(key, (0.0, 0.0))
-                if sign > 0:
+                if branch == "plus":
                     a_plus += float(c)
                 else:
                     a_minus += float(c)
@@ -615,14 +586,8 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
         for phase, (k, l) in pair_acc.items():
             if not (k.is_zero() and l.is_zero()):
                 pairs[(freq, phase)] = (k, l)
-                sectors[("pair", freq, phase)] = "infinite"
-                growth[("pair", freq, phase)] = _growth_class(k, l)
 
-    for key, prof in coclosed.items():
-        sectors[("coclosed",) + key] = "infinite"
-        growth[("coclosed",) + key] = _growth_class(prof)
-
-    gauge_X = GaugeField(cs, pairs, coclosed, {}, RadialProfile.zero(), sectors, growth)
+    gauge_X = GaugeField(cs, pairs, coclosed)
     gauge_Y = YField(radial=zero_out["y_radial"], shear=zero_out["y_shear"])
     if tau > 0.0 and not gauge_Y.is_zero():
         raise NotInKernel(

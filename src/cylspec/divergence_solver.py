@@ -4,7 +4,7 @@ Given a symmetric 2-tensor source h, the task is a one-form X whose
 metric Lie derivative has the same (possibly tau-perturbed) divergence
 as h.  The cross-section splits the problem into a finite sector carried
 by the harmonic data (eigenvalue zero, second-order scalar ODEs solved
-in closed form by ``_solve_damped``) and an infinite sector of
+in closed form by ``solve_damped_mode``) and an infinite sector of
 positive-eigenvalue modes (handled by the closed-form mode solvers).
 
 The tau term damps the parallel radial directions dr(x)dr and
@@ -21,7 +21,9 @@ the equation.
 Component dictionaries are keyed by plain tuples rather than Mode
 objects (whose polarization array is unhashable): scalar pairs by
 (freq, phase), coclosed legs by (freq, phase, index into the tangent
-complement), harmonic legs by the coordinate index.
+complement), harmonic legs by the coordinate index.  Those indices are
+positions in ``cross_section.modes_at`` slices, which is where the
+modes behind the keys come from.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as fields_mod
-from .cross_section import Mode, TorusCrossSection, tangent_complement
+from .cross_section import TorusCrossSection, modes_at, tangent_complement
 from .errors import InvalidInput, NonInvertibleSector, ResonantTau
 from .fields import TensorField
 from .mode_ode import (
     PiecewiseProfile,
     RadialProfile,
-    _restore_rates,
+    solve_damped_mode,
     solve_mixed_mode,
     solve_scalar_mode,
 )
@@ -51,50 +53,13 @@ _GROWTH_ORDER = {"decaying": 0, "bounded": 1, "polynomial": 2, "exponential": 3}
 
 @dataclass(frozen=True)
 class DivergenceConfig:
-    """tau perturbs the divergence on the parallel radial directions.  The
-    finite (eigenvalue-zero) sector can be switched off for callers that
-    handle harmonic data separately."""
+    """tau perturbs the divergence on the parallel radial directions."""
 
     tau: float = DEFAULT_TAU
-    solve_finite_sector: bool = True
 
     def __post_init__(self):
         if self.tau < 0.0:
             raise InvalidInput("tau must be nonnegative")
-
-
-# ---------------------------------------------------------------------------
-# rebuilding modes from dictionary keys
-# ---------------------------------------------------------------------------
-
-
-def _scalar_mode(cs: TorusCrossSection, freq, phase: str) -> Mode:
-    amp = math.sqrt(2.0 / cs.volume) if any(freq) else 1.0 / math.sqrt(cs.volume)
-    omega = tuple(float(w) for w in cs.omega(freq))
-    return Mode("Scalar", tuple(freq), cs.eigenvalue(freq), np.array(amp), phase, omega)
-
-
-def _coclosed_mode(cs: TorusCrossSection, freq, phase: str, idx: int) -> Mode:
-    amp = math.sqrt(2.0 / cs.volume)
-    omega = cs.omega(freq)
-    pol = tangent_complement(omega)[idx]
-    return Mode(
-        "CoclosedOneForm", tuple(freq), cs.eigenvalue(freq), amp * pol, phase,
-        tuple(float(w) for w in omega),
-    )
-
-
-def _harmonic_mode(cs: TorusCrossSection, idx: int) -> Mode:
-    amp0 = 1.0 / math.sqrt(cs.volume)
-    zero = (0,) * cs.dim
-    return Mode(
-        "HarmonicOneForm", zero, 0.0, amp0 * np.eye(cs.dim)[idx], "cos",
-        (0.0,) * cs.dim,
-    )
-
-
-def _constant_mode(cs: TorusCrossSection) -> Mode:
-    return _scalar_mode(cs, (0,) * cs.dim, "cos")
 
 
 # ---------------------------------------------------------------------------
@@ -220,31 +185,53 @@ class GaugeField:
     ``coclosed`` and ``harmonic`` hold the 1-form-mode coefficients and
     ``radial`` the coefficient of phi0 dr.  ``sectors`` and ``growth``
     classify every component under namespaced keys such as
-    ("pair", freq, phase) or ("harmonic", i).
+    ("pair", freq, phase) or ("harmonic", i), and are derived from the
+    components: pair and coclosed components lie in the infinite sector,
+    harmonic and radial ones in the finite sector.
     """
 
     cs: TorusCrossSection
     pairs: dict
-    coclosed: dict
-    harmonic: dict
-    radial: RadialProfile
-    sectors: dict
-    growth: dict
+    coclosed: dict = dc_field(default_factory=dict)
+    harmonic: dict = dc_field(default_factory=dict)
+    radial: RadialProfile = dc_field(default_factory=RadialProfile.zero)
+
+    def _components(self):
+        """(namespaced key, sector, profiles) for every component."""
+        for (freq, phase), (k, l) in self.pairs.items():
+            yield ("pair", freq, phase), "infinite", (k, l)
+        for key, f in self.coclosed.items():
+            yield ("coclosed",) + key, "infinite", (f,)
+        for idx, f in self.harmonic.items():
+            yield ("harmonic", idx), "finite", (f,)
+        if not self.radial.is_zero():
+            yield ("radial",), "finite", (self.radial,)
+
+    @property
+    def sectors(self) -> dict:
+        return {key: sector for key, sector, _ in self._components()}
+
+    @property
+    def growth(self) -> dict:
+        return {key: _growth_class(*profs) for key, _, profs in self._components()}
 
     @property
     def one_form(self) -> TensorField:
-        X = TensorField.zero(self.cs, 1)
+        cs = self.cs
+        zero = (0,) * cs.dim
+        X = TensorField.zero(cs, 1)
         for (freq, phase), (k, l) in self.pairs.items():
-            mode = _scalar_mode(self.cs, freq, phase)
-            X = X + fields_mod.pair_one_form(self.cs, mode, _plain(k), _plain(l))
+            mode = modes_at(cs, "Scalar", freq, phase)[0]
+            X = X + fields_mod.pair_one_form(cs, mode, _plain(k), _plain(l))
         for (freq, phase, idx), f in self.coclosed.items():
-            mode = _coclosed_mode(self.cs, freq, phase, idx)
-            X = X + fields_mod.from_mode_profile(self.cs, mode, _plain(f))
+            mode = modes_at(cs, "CoclosedOneForm", freq, phase)[idx]
+            X = X + fields_mod.from_mode_profile(cs, mode, _plain(f))
         for idx, f in self.harmonic.items():
-            mode = _harmonic_mode(self.cs, idx)
-            X = X + fields_mod.from_mode_profile(self.cs, mode, _plain(f))
+            mode = modes_at(cs, "HarmonicOneForm", zero, "cos")[idx]
+            X = X + fields_mod.from_mode_profile(cs, mode, _plain(f))
         if not self.radial.is_zero():
-            X = X + fields_mod.radial_one_form(self.cs, _constant_mode(self.cs), self.radial)
+            constant = modes_at(cs, "Scalar", zero, "cos")[0]
+            X = X + fields_mod.radial_one_form(cs, constant, self.radial)
         return X
 
     def is_zero(self) -> bool:
@@ -297,20 +284,6 @@ def modified_divergence(h: TensorField, tau: float = 0.0) -> TensorField:
     return out
 
 
-def _solve_damped(tau: float, s: RadialProfile) -> RadialProfile:
-    """y'' + tau y' = s with y(0) = y'(0) = 0, in closed form."""
-    if tau == 0.0:
-        dy = s.antiderivative()
-        dy = dy - RadialProfile.constant(dy.value_at_zero())
-    else:
-        grow = s.mul_monomial(0, tau).antiderivative()
-        grow = grow - RadialProfile.constant(grow.value_at_zero())
-        anchors = [0.0, -tau] + [lam for _, _, lam in s.terms]
-        dy = _restore_rates(grow.mul_monomial(0, -tau), anchors)
-    y = dy.antiderivative()
-    return y - RadialProfile.constant(y.value_at_zero())
-
-
 def solve_gauge(source: TensorField, cfg: DivergenceConfig = DivergenceConfig()) -> GaugeField:
     """Produce X with delta_tau(L_X g0) = delta_tau(source), sector by sector."""
     if not isinstance(source, TensorField) or source.rank != 2:
@@ -334,38 +307,18 @@ def solve_gauge(source: TensorField, cfg: DivergenceConfig = DivergenceConfig())
     parts = decompose_one_form(w)
 
     pairs: dict = {}
-    coclosed: dict = {}
-    harmonic: dict = {}
-    radial = RadialProfile.zero()
-    sectors: dict = {}
-    growth: dict = {}
-
     for (freq, phase), (b, c) in parts.pair.items():
-        mu = cs.eigenvalue(freq)
-        sol = solve_mixed_mode(mu, b.scale(-1.0), c.scale(-0.5))
-        k, l = sol.k.single_profile(), sol.l.single_profile()
-        pairs[(freq, phase)] = (k, l)
-        sectors[("pair", freq, phase)] = "infinite"
-        growth[("pair", freq, phase)] = _growth_class(k, l)
-
-    for (freq, phase, idx), a in parts.coclosed.items():
-        f = solve_scalar_mode(cs.eigenvalue(freq), a.scale(-1.0)).single_profile()
-        coclosed[(freq, phase, idx)] = f
-        sectors[("coclosed", freq, phase, idx)] = "infinite"
-        growth[("coclosed", freq, phase, idx)] = _growth_class(f)
-
-    if cfg.solve_finite_sector:
-        for idx, a in parts.harmonic.items():
-            f = _solve_damped(tau, a.scale(-1.0))
-            harmonic[idx] = f
-            sectors[("harmonic", idx)] = "finite"
-            growth[("harmonic", idx)] = _growth_class(f)
-        if not parts.radial.is_zero():
-            radial = _solve_damped(tau, parts.radial.scale(-0.5))
-            sectors[("radial",)] = "finite"
-            growth[("radial",)] = _growth_class(radial)
-
-    return GaugeField(cs, pairs, coclosed, harmonic, radial, sectors, growth)
+        sol = solve_mixed_mode(cs.eigenvalue(freq), b.scale(-1.0), c.scale(-0.5))
+        pairs[(freq, phase)] = (sol.k.single_profile(), sol.l.single_profile())
+    coclosed = {
+        key: solve_scalar_mode(cs.eigenvalue(key[0]), a.scale(-1.0)).single_profile()
+        for key, a in parts.coclosed.items()
+    }
+    harmonic = {idx: solve_damped_mode(tau, a.scale(-1.0)) for idx, a in parts.harmonic.items()}
+    radial = RadialProfile.zero()
+    if not parts.radial.is_zero():
+        radial = solve_damped_mode(tau, parts.radial.scale(-0.5))
+    return GaugeField(cs, pairs, coclosed, harmonic, radial)
 
 
 def gauge_residual(source: TensorField, gauge: GaugeField, tau: float) -> TensorField:

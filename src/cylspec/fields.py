@@ -37,6 +37,7 @@ __all__ = [
     "mixed_pair_tensor",
     "rr_tensor",
     "metric_field",
+    "tangential_metric",
     "gradient",
     "divergence",
     "sym_grad",
@@ -211,6 +212,13 @@ def constant_tensor_field(cs: TorusCrossSection, tensor) -> TensorField:
 def metric_field(cs: TorusCrossSection) -> TensorField:
     """The product metric dr^2 + flat torus metric, as a rank-2 field."""
     return constant_tensor_field(cs, np.eye(cs.dim + 1))
+
+
+def tangential_metric(cs: TorusCrossSection) -> TensorField:
+    """The flat torus metric g_N, zero in the radial slot, as a rank-2 field."""
+    g = np.eye(cs.dim + 1)
+    g[0, 0] = 0.0
+    return constant_tensor_field(cs, g)
 
 
 def _embed_tangential(cs: TorusCrossSection, pol: np.ndarray) -> np.ndarray:

@@ -7,10 +7,12 @@ the solvers need (derivative, product, definite integral, variation of
 parameters), so the whole radial pipeline runs in closed form.  A sampled
 fallback exists for sources that do not fit the closed-form class.
 
-Two constant-coefficient systems appear:
+Three constant-coefficient systems appear:
 
 * the scalar second-order equation  f'' - mu f = alpha  for coclosed
-  one-form components, and
+  one-form components,
+* the damped equation  y'' + tau y' = s  for the eigenvalue-zero gauge
+  components, and
 * the coupled 4x4 first-order system in the state (k, k', l, l') for the
   mixed scalar pair, whose coefficient matrix has the double characteristic
   roots +-sqrt(mu), each with a single Jordan block.
@@ -50,6 +52,7 @@ __all__ = [
     "check_characteristic",
     "solve_scalar_mode",
     "solve_mixed_mode",
+    "solve_damped_mode",
 ]
 
 # Coefficients whose magnitude is exactly zero are dropped on construction;
@@ -683,6 +686,24 @@ def solve_scalar_mode(mu: float, alpha, support=None):
     c_decay = alpha.mul_monomial(0, s).definite_integral(0.0, hi)
     tail = RadialProfile(((-c_decay / (2.0 * s), 0, -s),))
     return PiecewiseProfile([(0.0, hi, body), (hi, math.inf, tail)])
+
+
+def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
+    """y'' + tau y' = s with y(0) = y'(0) = 0, in closed form.
+
+    This is the eigenvalue-zero (finite-sector) equation of the
+    tau-modified gauge problem.
+    """
+    if tau == 0.0:
+        dy = s.antiderivative()
+        dy = dy - RadialProfile.constant(dy.value_at_zero())
+    else:
+        grow = s.mul_monomial(0, tau).antiderivative()
+        grow = grow - RadialProfile.constant(grow.value_at_zero())
+        anchors = [0.0, -tau] + [lam for _, _, lam in s.terms]
+        dy = _restore_rates(grow.mul_monomial(0, -tau), anchors)
+    y = dy.antiderivative()
+    return y - RadialProfile.constant(y.value_at_zero())
 
 
 @dataclass

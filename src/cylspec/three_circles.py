@@ -30,15 +30,16 @@ up (growing side) or down (decaying side) the tube sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
-from .deformation_solver import _metric_tangential, _tt_modes, classify_kernel
+from .deformation_solver import YField, classify_kernel
+from .divergence_solver import GaugeField
 from .errors import InvalidInput, InvalidParams
-from .fields import TensorField
+from .fields import TensorField, tangential_metric
 from .mode_ode import RadialProfile
 
 __all__ = [
@@ -217,22 +218,14 @@ def project_out_parallel(h: TensorField, tau: float = 0.0) -> TensorField:
     Idempotent, and NotInKernel passes through from classification.
     """
     dec = classify_kernel(h, tau)
-    cs = dec.cs
-    out = _metric_tangential(cs).multiply_profile(
-        RadialProfile.monomial(dec.pure_trace[1], 1, 0.0)
+    reduced = replace(
+        dec,
+        pure_trace=(0.0, dec.pure_trace[1]),
+        parallel_tt={},
+        gauge_X=GaugeField(dec.cs, {}),
+        gauge_Y=YField(),
     )
-    parallel = _tt_modes(cs)
-    for i, coeff in dec.linear_tt.items():
-        out = out + fields_mod.from_mode_profile(
-            cs, parallel[i], RadialProfile.monomial(coeff, 1, 0.0)
-        )
-    for (freq, phase, i), (a_plus, a_minus) in dec.exp_modes.items():
-        tt = _tt_modes(cs, freq, phase)[i]
-        s = math.sqrt(tt.eigenvalue)
-        out = out + fields_mod.from_mode_profile(
-            cs, tt, RadialProfile(((a_plus, 0, s), (a_minus, 0, -s)))
-        )
-    return out.prune(0.0)
+    return reduced.reconstruct().prune(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +331,6 @@ def monotonicity_classify(
 # ---------------------------------------------------------------------------
 
 
-def _oscillating_tt_modes(cs: TorusCrossSection):
-    return [m for m in build_spectrum(cs, "TTTensor").modes if any(m.freq)]
-
-
 def random_reduced_form(
     cs: TorusCrossSection,
     rng,
@@ -353,7 +342,8 @@ def random_reduced_form(
     """A random reduced kernel element (exponential TT modes, optional
     r-linear trace and parallel TT legs).  include_growing=False zeroes
     the e^{+sqrt(mu) r} branches, for callers sampling on long windows."""
-    pool = _oscillating_tt_modes(cs)
+    tt_spectrum = build_spectrum(cs, "TTTensor")
+    pool = [m for m in tt_spectrum.modes if any(m.freq)]
     if not pool:
         raise InvalidInput("cross section carries no oscillating TT modes")
     h = TensorField.zero(cs, 2)
@@ -369,10 +359,10 @@ def random_reduced_form(
         )
     if include_r_linear:
         a_tilde = float(rng.uniform(-coeff_scale, coeff_scale))
-        h = h + _metric_tangential(cs).multiply_profile(
+        h = h + tangential_metric(cs).multiply_profile(
             RadialProfile.monomial(a_tilde, 1, 0.0)
         )
-        parallel = _tt_modes(cs)
+        parallel = tt_spectrum.at((0,) * cs.dim)
         m = int(rng.integers(0, len(parallel)))
         h = h + fields_mod.from_mode_profile(
             cs,
@@ -414,7 +404,7 @@ def sharpness_probe(
     A nonempty result certifies the cap is active rather than slack: at
     2 percent over it the long triples (0, 1, t3) already fail.
     """
-    b0 = _tt_modes(cs)[0]
+    b0 = build_spectrum(cs, "TTTensor").at((0,) * cs.dim)[0]
     h = fields_mod.from_mode_profile(cs, b0, RadialProfile.monomial(1.0, 1, 0.0))
     values = _tube_values(h, L, range(t_limit + 1))
     failing = []

@@ -8,14 +8,14 @@ parsed values.
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from cylspec import cli
 from cylspec import fields as F
-from cylspec.cross_section import TorusCrossSection, build_spectrum
-from cylspec.deformation_solver import _metric_tangential
+from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.errors import InvalidInput
 from cylspec.mode_ode import RadialProfile
 
@@ -25,7 +25,7 @@ CS = TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
 def reduced_field():
     tt = next(m for m in build_spectrum(CS, "TTTensor").modes if any(m.freq))
     s = math.sqrt(tt.eigenvalue)
-    h = _metric_tangential(CS).multiply_profile(RadialProfile.monomial(0.5, 1, 0.0))
+    h = F.tangential_metric(CS).multiply_profile(RadialProfile.monomial(0.5, 1, 0.0))
     return h + F.from_mode_profile(CS, tt, RadialProfile.monomial(1.0, 0, -s))
 
 
@@ -206,6 +206,47 @@ def test_main_missing_mode_file_exits_two(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "freq, phase, message",
+    [
+        ((2, 0, 0), "cos", r"term 0: frequency \[2, 0, 0\] exceeds freq_cutoff 1"),
+        ((-1, 0, 0), "cos", r"term 0: frequency \[-1, 0, 0\] is outside the canonical"),
+    ],
+)
+def test_kernel_classify_rejects_mode_file_keys_outside_the_spectrum(
+    tmp_path, capsys, freq, phase, message
+):
+    # a decaying TT mode, built where the spectrum has no slot for it
+    tt = modes_at(CS, "TTTensor", freq, phase)[0]
+    s = math.sqrt(tt.eigenvalue)
+    h = F.from_mode_profile(CS, tt, RadialProfile.monomial(1.0, 0, -s))
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(cli.field_to_dict(h)))
+    code = cli.main(["kernel-classify", "--mode-file", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ")
+    assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "freq, phase, message",
+    [
+        ([1, 0], "cos", r"term 1: frequency \[1, 0\] needs 3 entries"),
+        ([1.5, 0, 0], "cos", r"term 1: frequency \[1.5, 0, 0\] needs integer entries"),
+        ([0, -1, 1], "sin", "outside the canonical half-space"),
+        ([1, 1, -2], "cos", "exceeds freq_cutoff 1"),
+        ([1, 0, 0], "tan", "phase must be cos or sin, got 'tan'"),
+        ([0, 0, 0], "sin", "frequency zero carries no sin phase"),
+    ],
+)
+def test_field_dict_rejects_keys_outside_the_mode_set(freq, phase, message):
+    data = cli.field_to_dict(reduced_field())
+    data["terms"][1].update(freq=freq, phase=phase)
+    with pytest.raises(InvalidInput, match=message):
+        cli.field_from_dict(data)
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):

@@ -137,6 +137,7 @@ def test_mu1_matches_brute_force():
     )
     assert sp.mu1 == pytest.approx(brute, rel=1e-14)
     assert sp.mu1 == pytest.approx((2 * math.pi / 2.5) ** 2, rel=1e-14)
+    assert cs.smallest_positive_eigenvalue() == sp.mu1 == brute
 
 
 def test_pointwise_operators_examples():
@@ -171,3 +172,88 @@ def test_degenerate_torus_keeps_modes_distinct():
     keys = [(m.freq, m.phase) for m in sp.modes]
     assert len(keys) == len(set(keys))
     assert len(sp.modes) == (2 * 2 + 1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the mode lookups and their index conventions
+# ---------------------------------------------------------------------------
+
+
+def _slices(cs):
+    return [
+        (freq, phase)
+        for freq in cs.canonical_freqs()
+        for phase in (("cos", "sin") if any(freq) else ("cos",))
+    ]
+
+
+def _pols(modes):
+    return [m.polarization.tolist() for m in modes]
+
+
+def test_spectrum_is_the_sorted_union_of_modes_at_slices():
+    cs = cx.TorusCrossSection(2, (1.0, 2.5), 2)
+    for kind in cx.KINDS:
+        built = [m for key in _slices(cs) for m in cx.modes_at(cs, kind, *key)]
+        built.sort(key=cx.Mode.sort_key)
+        sp = cx.build_spectrum(cs, kind)
+        assert [(m.freq, m.phase, m.eigenvalue) for m in built] == [
+            (m.freq, m.phase, m.eigenvalue) for m in sp.modes
+        ]
+        assert _pols(built) == _pols(sp.modes)
+        for freq, phase in _slices(cs):
+            expected = [m for m in sp.modes if m.freq == freq and m.phase == phase]
+            assert _pols(sp.at(freq, phase)) == _pols(expected)
+
+
+def test_modes_at_builds_any_frequency():
+    above = cx.modes_at(UNIT_T3, "TTTensor", (2, 0, 0), "cos")
+    assert len(above) == 2 and all(m.freq == (2, 0, 0) for m in above)
+    assert above[0].eigenvalue == pytest.approx(16 * math.pi**2, rel=1e-14)
+    assert cx.build_spectrum(UNIT_T3, "TTTensor").at((2, 0, 0)) == ()
+    assert cx.modes_at(UNIT_T3, "Scalar", (0, 0, 0), "sin") == ()
+    assert cx.modes_at(UNIT_T3, "HarmonicOneForm", (1, 0, 0), "cos") == ()
+    assert cx.modes_at(UNIT_T3, "CoclosedOneForm", (0, 0, 0), "cos") == ()
+    assert _pols(cx.modes_at(UNIT_T3, "tt", (1, 1, 0), "sin")) == _pols(
+        cx.modes_at(UNIT_T3, "TTTensor", (1, 1, 0), "sin")
+    )
+    with pytest.raises(InvalidParams):
+        cx.modes_at(UNIT_T3, "NotARank", (1, 0, 0), "cos")
+
+
+def test_index_conventions_of_the_keyed_kinds():
+    # Harmonic 1-forms are keyed by coordinate axis, coclosed 1-forms by
+    # position in tangent_complement, TT modes by position in the sorted
+    # spectrum.  On the unit 3-torus each differs from the other order.
+    cs = UNIT_T3
+    zero = (0, 0, 0)
+
+    def axes(modes):
+        return [int(np.argmax(np.abs(m.polarization))) for m in modes]
+
+    assert axes(cx.modes_at(cs, "HarmonicOneForm", zero, "cos")) == [0, 1, 2]
+    assert axes(cx.build_spectrum(cs, "HarmonicOneForm").modes) == [2, 1, 0]
+
+    amp = math.sqrt(2.0 / cs.volume)
+    coclosed = cx.build_spectrum(cs, "CoclosedOneForm")
+    reordered = 0
+    for freq, phase in _slices(cs)[1:]:
+        built = cx.modes_at(cs, "CoclosedOneForm", freq, phase)
+        perp = cx.tangent_complement(cs.omega(freq))
+        assert _pols(built) == [(amp * u).tolist() for u in perp]
+        reordered += _pols(coclosed.at(freq, phase)) != _pols(built)
+    assert reordered == 18
+
+    tt = cx.build_spectrum(cs, "TTTensor")
+    reordered = 0
+    for freq, phase in _slices(cs):
+        in_spectrum = tt.at(freq, phase)
+        assert _pols(in_spectrum) == _pols(
+            [m for m in tt.modes if m.freq == freq and m.phase == phase]
+        )
+        built = _pols(cx.modes_at(cs, "TTTensor", freq, phase))
+        order = [built.index(pol) for pol in _pols(in_spectrum)]
+        reordered += order != sorted(order)
+        if freq == zero:
+            assert order == [2, 1, 0, 4, 3]
+    assert reordered == 9

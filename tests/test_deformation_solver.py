@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cylspec import fields as F
-from cylspec.cross_section import TorusCrossSection, build_spectrum
+from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.deformation_solver import (
     DeformationTensor,
     classify_kernel,
@@ -24,7 +24,11 @@ from cylspec.deformation_solver import (
     trace_absorption_field,
     _absorption_profiles,
 )
-from cylspec.divergence_solver import lie_derivative_metric, modified_divergence
+from cylspec.divergence_solver import (
+    decompose_one_form,
+    lie_derivative_metric,
+    modified_divergence,
+)
 from cylspec.errors import InvalidInput, NotInKernel, ResonantTau
 from cylspec.fd_oracle import fd_operator, interior_sup, sample
 from cylspec.mode_ode import RadialProfile
@@ -251,6 +255,43 @@ def test_tt_exp_elements_come_in_rate_pairs():
     for freq, phase, i, branch in exp_meta:
         branches.setdefault((freq, phase, i), set()).add(branch)
     assert branches and all(v == {"plus", "minus"} for v in branches.values())
+
+
+def test_basis_and_decomposition_keys_follow_the_mode_lookups():
+    # harmonic legs are keyed by axis, coclosed legs by modes_at position,
+    # TT modes by position in the sorted spectrum; a slice returned in the
+    # other order would send each coefficient to the wrong key
+    decay = RadialProfile.monomial(1.0, 0, -1.0)
+    for a, eta in enumerate(modes_at(CS, "HarmonicOneForm", (0, 0, 0), "cos")):
+        parts = decompose_one_form(F.from_mode_profile(CS, eta, decay))
+        assert list(parts.harmonic) == [a]
+        dec = classify_kernel(F.mixed_pair_tensor(CS, eta, RadialProfile.constant(0.7)))
+        assert dec.gauge_Y.shear == pytest.approx({a: 0.7}, rel=1e-14)
+
+    freq, phase = (0, 0, 1), "cos"
+    eta_slice = modes_at(CS, "CoclosedOneForm", freq, phase)
+    assert [m.polarization.tolist() for m in eta_slice] != [
+        m.polarization.tolist() for m in build_spectrum(CS, "CoclosedOneForm").at(freq, phase)
+    ]
+    for i, eta in enumerate(eta_slice):
+        parts = decompose_one_form(F.from_mode_profile(CS, eta, decay))
+        assert list(parts.coclosed) == [(freq, phase, i)]
+
+    freq, phase = (1, 1, 0), "sin"
+    tt_slice = build_spectrum(CS, "TTTensor").at(freq, phase)
+    assert [m.polarization.tolist() for m in tt_slice] != [
+        m.polarization.tolist() for m in modes_at(CS, "TTTensor", freq, phase)
+    ]
+    s = math.sqrt(CS.eigenvalue(freq))
+    for i, tt in enumerate(tt_slice):
+        h = F.from_mode_profile(CS, tt, RadialProfile.monomial(1.0, 0, -s))
+        dec = classify_kernel(h)
+        assert list(dec.exp_modes) == [(freq, phase, i)]
+        assert dec.exp_modes[(freq, phase, i)] == pytest.approx((0.0, 1.0), abs=1e-12)
+    basis_meta = [e.meta for e in solve_reduced_system(CS, 0.0) if e.label == "tt_exp"]
+    assert [m for m in basis_meta if m[:2] == (freq, phase)] == [
+        (freq, phase, i, branch) for i in range(len(tt_slice)) for branch in ("plus", "minus")
+    ]
 
 
 def test_resonant_tau_is_rejected():

@@ -186,7 +186,7 @@ def test_decompose_reassemble_round_trip(seed):
     w = random_one_form(CS, rng, n_terms=int(rng.integers(1, 6)))
     parts = dv.decompose_one_form(w)
     back = dv.GaugeField(
-        CS, parts.pair, parts.coclosed, parts.harmonic, parts.radial, {}, {}
+        CS, parts.pair, parts.coclosed, parts.harmonic, parts.radial
     ).one_form
     assert field_close(back, w, tol=1e-12)
 
@@ -250,13 +250,6 @@ def test_zero_source_gives_zero_gauge():
     assert gauge.worst_growth() == "decaying"
 
 
-def test_finite_sector_can_be_disabled():
-    h = F.rr_tensor(CS, PHI0, EXP_DECAY) + F.rr_tensor(CS, PHI, EXP_DECAY)
-    gauge = dv.solve_gauge(h, dv.DivergenceConfig(tau=0.01, solve_finite_sector=False))
-    assert gauge.radial.is_zero() and not gauge.harmonic
-    assert set(gauge.sectors.values()) == {"infinite"}
-
-
 def test_finite_sector_frozen_value_and_ode_oracle():
     # source e^{-r} phi0 dr(x)dr at tau = 0.1 reduces to
     # u'' + tau u' = -0.45 e^{-r} with zero data at the origin
@@ -285,6 +278,16 @@ def test_growth_classifier():
         dv._growth_class(RadialProfile.monomial(1.0, 0, -1.0), RadialProfile.constant(1.0))
         == "bounded"
     )
+
+
+def test_gauge_field_derives_sectors_and_growth():
+    key = (PHI.freq, PHI.phase)
+    k = RadialProfile.monomial(1.0, 0, -2.0)
+    l = RadialProfile.monomial(1.0, 1, 0.0)
+    gauge = dv.GaugeField(CS, {key: (k, l)}, harmonic={1: RadialProfile.constant(3.0)})
+    assert gauge.sectors == {("pair",) + key: "infinite", ("harmonic", 1): "finite"}
+    assert gauge.growth == {("pair",) + key: "polynomial", ("harmonic", 1): "bounded"}
+    assert gauge.worst_growth() == "polynomial"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,42 @@
+"""Module boundaries inside the package: no private name is imported
+from one cylspec module into another."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cylspec"
+
+
+def _private_imports(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "cylspec":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield node.lineno, node.module, name
+
+
+def test_no_module_imports_a_private_name_from_another():
+    assert (SRC / "__init__.py").exists()
+    found = [
+        f"{path.name}:{line}: from {'.' if module is None else module} import {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, module, name in _private_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_check_sees_relative_and_absolute_private_imports():
+    tree = ast.parse(
+        "from .mode_ode import _restore_rates, solve_scalar_mode\n"
+        "from cylspec.fields import _term_table\n"
+        "from . import __version__\n"
+        "from numpy import _globals\n"
+    )
+    assert [(m, n) for _, m, n in _private_imports(tree)] == [
+        ("mode_ode", "_restore_rates"),
+        ("cylspec.fields", "_term_table"),
+    ]

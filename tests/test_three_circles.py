@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from conftest import random_kernel_element
 from cylspec import cross_section as cx, fields as F
 from cylspec import three_circles as tc
-from cylspec.deformation_solver import _metric_tangential, _tt_modes
 from cylspec.errors import InvalidInput, InvalidParams, NotInKernel
 from cylspec.mode_ode import RadialProfile
 
@@ -30,7 +29,7 @@ MU1 = CS.smallest_positive_eigenvalue()
 # keeps the decay-rate arithmetic in the examples legible
 WIDE = cx.TorusCrossSection(3, (2.0 * math.pi,) * 3, 1)
 
-B_PAR = _tt_modes(CS)[0]
+B_PAR = cx.build_spectrum(CS, "TTTensor").at((0, 0, 0))[0]
 B_OSC = next(m for m in cx.build_spectrum(WIDE, "TTTensor").modes if any(m.freq))
 B_OSC_CS = next(m for m in cx.build_spectrum(CS, "TTTensor").modes if any(m.freq))
 
@@ -43,7 +42,8 @@ def field_close(a, b, tol=1e-12):
 
 def r_linear_tt(cs=CS, coeff=1.0, which=0):
     return F.from_mode_profile(
-        cs, _tt_modes(cs)[which], RadialProfile.monomial(coeff, 1, 0.0)
+        cs, cx.build_spectrum(cs, "TTTensor").at((0,) * cs.dim)[which],
+        RadialProfile.monomial(coeff, 1, 0.0),
     )
 
 
@@ -222,7 +222,7 @@ def test_gate_rejects_non_reduced_content():
 
 def _oscillating_metric():
     phi = next(m for m in cx.build_spectrum(CS, "Scalar").modes if any(m.freq))
-    g_tan = _metric_tangential(CS)
+    g_tan = F.tangential_metric(CS)
     out = F.TensorField.zero(CS, 2)
     s = math.sqrt(phi.eigenvalue)
     for _, _, C in g_tan.terms():
@@ -245,7 +245,7 @@ def test_project_out_parallel_drops_constants():
     assert tc.project_out_parallel(
         F.from_mode_profile(CS, B_PAR, RadialProfile.monomial(7.0, 0, 0.0))
     ).is_zero()
-    g_tan = _metric_tangential(CS)
+    g_tan = F.tangential_metric(CS)
     h = g_tan.multiply_profile(RadialProfile.monomial(2.0, 0, 0.0)) + g_tan.multiply_profile(
         RadialProfile.monomial(1.0, 1, 0.0)
     )
