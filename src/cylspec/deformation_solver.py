@@ -53,12 +53,13 @@ __all__ = [
     "trace_absorption_field",
     "solve_reduced_system",
     "classify_kernel",
+    "match_rate",
     "parallel_space_dimension",
 ]
 
 RESONANCE_TOL = 1e-6
 KERNEL_TOL = 1e-8
-FIT_NODES = 12
+RATE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,58 @@ def _frequency_basis(cs: TorusCrossSection, freq) -> list:
     return out
 
 
+def _zero_frequency_basis(cs: TorusCrossSection, tau: float) -> list:
+    """The kernel basis columns of frequency zero: the affine trace, the
+    affine parallel TT blocks and, only at tau = 0, the radially parallel
+    shear and radial gauges.
+
+    ``meta`` holds (i,) for a parallel TT block, where i indexes
+    ``build_spectrum(cs, "TTTensor").at(zero)``, and (a,) for the shear
+    gauge of coordinate axis a.
+    """
+    one = RadialProfile.constant(1.0)
+    ramp = RadialProfile.monomial(1.0, 1, 0.0)
+    zero = (0,) * cs.dim
+    g_tan = tangential_metric(cs)
+    out = [
+        KernelBasisElement("trace", g_tan, True, True),
+        KernelBasisElement("trace_linear", g_tan.multiply_profile(ramp), False, True),
+    ]
+    for i, tt in enumerate(build_spectrum(cs, "TTTensor").at(zero)):
+        out.append(
+            KernelBasisElement(
+                "tt_parallel", fields_mod.from_mode_profile(cs, tt, one), True, True, (i,)
+            )
+        )
+        out.append(
+            KernelBasisElement(
+                "tt_parallel_linear",
+                fields_mod.from_mode_profile(cs, tt, ramp),
+                False,
+                True,
+                (i,),
+            )
+        )
+    if tau == 0.0:
+        for a, eta in enumerate(modes_at(cs, "HarmonicOneForm", zero, "cos")):
+            out.append(
+                _gauge_element(
+                    "shear_gauge",
+                    fields_mod.from_mode_profile(cs, eta, ramp),
+                    True, False, (a,),
+                )
+            )
+        out.append(
+            _gauge_element(
+                "radial_gauge",
+                fields_mod.radial_one_form(cs, modes_at(cs, "Scalar", zero, "cos")[0],
+                                           ramp.scale(0.5 * math.sqrt(cs.volume))),
+                True, False, (),
+            )
+        )
+    return out
+
+
 def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
     """Enumerate the kernel basis of the reduced systems at the given tau.
 
@@ -314,51 +367,7 @@ def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
                 f"4 tau^2 = {4.0 * tau * tau:.6g} collides with eigenvalue {mu:.6g}"
             )
 
-    basis = []
-    one = RadialProfile.constant(1.0)
-    ramp = RadialProfile.monomial(1.0, 1, 0.0)
-
-    g_tan = tangential_metric(cs)
-    basis.append(KernelBasisElement("trace", g_tan, True, True))
-    basis.append(
-        KernelBasisElement("trace_linear", g_tan.multiply_profile(ramp), False, True)
-    )
-
-    for i, tt in enumerate(build_spectrum(cs, "TTTensor").at((0,) * cs.dim)):
-        basis.append(
-            KernelBasisElement(
-                "tt_parallel", fields_mod.from_mode_profile(cs, tt, one), True, True, (i,)
-            )
-        )
-        basis.append(
-            KernelBasisElement(
-                "tt_parallel_linear",
-                fields_mod.from_mode_profile(cs, tt, ramp),
-                False,
-                True,
-                (i,),
-            )
-        )
-
-    if tau == 0.0:
-        zero = (0,) * cs.dim
-        for a, eta in enumerate(modes_at(cs, "HarmonicOneForm", zero, "cos")):
-            basis.append(
-                _gauge_element(
-                    "shear_gauge",
-                    fields_mod.from_mode_profile(cs, eta, ramp),
-                    True, False, (a,),
-                )
-            )
-        basis.append(
-            _gauge_element(
-                "radial_gauge",
-                fields_mod.radial_one_form(cs, modes_at(cs, "Scalar", zero, "cos")[0],
-                                           ramp.scale(0.5 * math.sqrt(cs.volume))),
-                True, False, (),
-            )
-        )
-
+    basis = _zero_frequency_basis(cs, tau)
     for freq in cs.canonical_freqs():
         if cs.eigenvalue(freq) > 0.0:
             basis.extend(_frequency_basis(cs, freq))
@@ -397,8 +406,9 @@ class KernelDecomposition:
     coefficient; exp_modes maps (freq, phase, tt_index) to (a+, a-).
     gauge_X collects the infinite-sector gauge content as a GaugeField
     (its Lie derivative is the gauge part of the tensor); gauge_Y the
-    radially parallel gauge coefficients.  condition_numbers reports the
-    per-frequency fit conditioning.
+    radially parallel gauge coefficients.  condition_numbers maps each
+    positive frequency of the element to the condition number of its
+    coefficient-matching system.
     """
 
     cs: TorusCrossSection
@@ -443,70 +453,27 @@ class KernelDecomposition:
         return out
 
 
-def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    j = np.arange(n)
-    x = np.cos((2 * j + 1) * math.pi / (2 * n))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+def match_rate(lam: float, s: float) -> float | None:
+    """The kernel rate that lam stands for at a frequency with s = sqrt(mu):
+    s or -s when lam lies within RATE_TOL * max(1, s) of it, else None.
+    At frequency zero (s = 0) the only kernel rate is 0."""
+    for anchor in (s, -s):
+        if abs(lam - anchor) <= RATE_TOL * max(1.0, s):
+            return anchor
+    return None
 
 
-def _eval_key_block(field: TensorField, keys, nodes: np.ndarray) -> np.ndarray:
-    """Stack the coefficient functions of the given data keys over the
-    nodes into one flat vector."""
-    cs = field.cs
-    shape = (cs.dim + 1, cs.dim + 1)
-    blocks = []
-    for key in keys:
-        vals = np.zeros((len(nodes),) + shape)
-        for (p, lam), C in field.data.get(key, {}).items():
-            vals += (nodes**p * np.exp(lam * nodes))[:, None, None] * C
-        blocks.append(vals.ravel())
-    return np.concatenate(blocks)
-
-
-def _classify_zero_frequency(h: TensorField, out: dict, tol: float, scale: float):
-    cs = h.cs
-    d = cs.dim
-    amp0 = 1.0 / math.sqrt(cs.volume)
-    zero_key = ((0,) * d, "cos")
-    profs = h.data.get(zero_key, {})
-    parallel = build_spectrum(cs, "TTTensor").at((0,) * d)
-    for (p, lam), C in profs.items():
-        C = np.asarray(C)
-        if lam != 0.0 or p > 1:
-            if np.max(np.abs(C)) > tol * scale:
-                raise NotInKernel(
-                    f"frequency-zero block carries a non-affine profile (power {p}, "
-                    f"rate {lam:.3g})"
-                )
-            continue
-        tang = C[1:, 1:]
-        trace_part = float(np.trace(tang)) / d
-        rest = tang - trace_part * np.eye(d)
-        coeffs = {}
-        for i, tt in enumerate(parallel):
-            pol = np.asarray(tt.polarization)
-            w = float(np.tensordot(rest, pol)) / float(np.tensordot(pol, pol))
-            if w != 0.0:
-                coeffs[i] = w
-            rest = rest - w * pol
-        if np.max(np.abs(rest)) > tol * scale:
-            raise NotInKernel("tangential parallel block outside trace + TT span")
-        if p == 0:
-            out["trace_a"] = trace_part
-            out["parallel_tt"] = coeffs
-            out["y_radial"] = float(C[0, 0])
-            shear = {}
-            for a in range(d):
-                q = 0.5 * (float(C[0, 1 + a]) + float(C[1 + a, 0])) / amp0
-                if q != 0.0:
-                    shear[a] = q
-            out["y_shear"] = shear
-        else:
-            out["trace_a_tilde"] = trace_part
-            out["linear_tt"] = coeffs
-            row = np.concatenate(([C[0, 0]], C[0, 1:], C[1:, 0]))
-            if np.max(np.abs(row)) > tol * scale:
-                raise NotInKernel("r-linear radial block cannot sit in the kernel")
+def _coefficient_blocks(field: TensorField, freq, s: float) -> dict:
+    """The coefficient tensors of one frequency of a field, keyed by
+    (phase, power, rate) with each rate replaced by its ``match_rate``
+    anchor; a rate that matches none keeps its own value."""
+    blocks: dict = {}
+    for phase in ("cos", "sin"):
+        for (p, lam), C in field.data.get((freq, phase), {}).items():
+            rate = match_rate(lam, s)
+            key = (phase, p, lam if rate is None else rate)
+            blocks[key] = blocks.get(key, 0.0) + C
+    return blocks
 
 
 def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecomposition:
@@ -514,9 +481,11 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
 
     Preconditions (checked, NotInKernel on failure): the linearized Ricci
     operator annihilates h, and the tau-modified divergence of h
-    vanishes.  The fit per positive frequency solves a least-squares
-    system against the basis solutions sampled at Chebyshev nodes;
-    condition numbers are recorded per frequency.
+    vanishes.  Each frequency of h, zero included, is matched against the
+    columns of its kernel basis coefficient by coefficient: one block of
+    tensor entries per (phase, power, rate) key gives a small linear
+    system, whose condition number is recorded per positive frequency.  A
+    term at a key that no column carries is not in the kernel.
     """
     hf = _as_field(h)
     cs = hf.cs
@@ -528,78 +497,71 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     if div > tol * scale:
         raise NotInKernel(f"tau-modified divergence residual {div:.3e} exceeds {tol:.1e}")
 
-    zero_out = {
-        "trace_a": 0.0, "trace_a_tilde": 0.0, "parallel_tt": {}, "linear_tt": {},
-        "y_radial": 0.0, "y_shear": {},
-    }
-    _classify_zero_frequency(hf, zero_out, tol, scale)
+    found: dict = {}  # label -> {meta: coefficient}
+    cond: dict = {}
+    zero_block = np.zeros((cs.dim + 1, cs.dim + 1))
+    for freq in sorted({freq for (freq, _phase) in hf.data}):
+        s = math.sqrt(cs.eigenvalue(freq))
+        columns = _frequency_basis(cs, freq) if any(freq) else _zero_frequency_basis(cs, tau)
+        column_blocks = [_coefficient_blocks(col.field, freq, s) for col in columns]
+        keys = sorted(set().union(*column_blocks))
+        h_blocks = _coefficient_blocks(hf, freq, s)
+        for (phase, p, lam), C in h_blocks.items():
+            if (phase, p, lam) not in keys and np.max(np.abs(C)) > tol * scale:
+                raise NotInKernel(
+                    f"frequency {freq}: {phase} term of power {p} and rate {lam:.6g} "
+                    "matches no kernel column"
+                )
+
+        A = np.stack(
+            [np.concatenate([blocks.get(k, zero_block).ravel() for k in keys])
+             for blocks in column_blocks],
+            axis=1,
+        )
+        b = np.concatenate([h_blocks.get(k, zero_block).ravel() for k in keys])
+        coeffs, _res, _rank, _sv = np.linalg.lstsq(A, b, rcond=None)
+        if any(freq):
+            cond[freq] = float(np.linalg.cond(A))
+        residual = float(np.max(np.abs(A @ coeffs - b)))
+        if residual > max(tol, 1e-9) * max(scale, float(np.max(np.abs(b))), 1.0):
+            raise NotInKernel(
+                f"frequency {freq} block outside the kernel span (coefficient "
+                f"residual {residual:.3e})"
+            )
+        for c, col in zip(coeffs, columns):
+            if abs(c) >= 1e-13 * scale:
+                found.setdefault(col.label, {})[col.meta] = float(c)
+
+    def part(label):
+        return found.get(label, {})
 
     pairs: dict = {}
+    for (freq, phase, j), c in part("scalar_gauge").items():
+        k, l = _homogeneous_pair_profiles(cs.eigenvalue(freq))[j]
+        k_acc, l_acc = pairs.get((freq, phase), (RadialProfile.zero(), RadialProfile.zero()))
+        pairs[(freq, phase)] = (k_acc + k.scale(c), l_acc + l.scale(c))
     coclosed: dict = {}
+    for (freq, phase, idx, branch), c in part("coclosed_gauge").items():
+        rate = math.sqrt(cs.eigenvalue(freq)) * (1.0 if branch == "plus" else -1.0)
+        prof = coclosed.get((freq, phase, idx), RadialProfile.zero())
+        coclosed[(freq, phase, idx)] = prof + RadialProfile.monomial(c, 0, rate)
     exp_modes: dict = {}
-    cond: dict = {}
-
-    freqs = sorted({freq for (freq, _phase) in hf.data if any(freq)})
-    for freq in freqs:
-        mu = cs.eigenvalue(freq)
-        s = math.sqrt(mu)
-        keys = [(freq, "cos"), (freq, "sin")]
-        nodes = _chebyshev_nodes(0.0, 4.0 / s, FIT_NODES)
-        columns = _frequency_basis(cs, freq)
-
-        A = np.stack([_eval_key_block(col.field, keys, nodes) for col in columns], axis=1)
-        b = _eval_key_block(hf, keys, nodes)
-        coeffs, _res, _rank, _sv = np.linalg.lstsq(A, b, rcond=None)
-        cond[freq] = float(np.linalg.cond(A))
-        fit_err = float(np.max(np.abs(A @ coeffs - b)))
-        if fit_err > max(tol, 1e-9) * max(scale, float(np.max(np.abs(b))), 1.0):
-            raise NotInKernel(
-                f"frequency {freq} block outside the kernel span (fit residual "
-                f"{fit_err:.3e})"
-            )
-
-        pair_profiles = _homogeneous_pair_profiles(mu)
-        pair_acc: dict = {}
-        for c, col in zip(coeffs, columns):
-            if abs(c) < 1e-13 * max(1.0, scale):
-                continue
-            if col.label == "scalar_gauge":
-                _, phase, j = col.meta
-                k, l = pair_profiles[j]
-                k_acc, l_acc = pair_acc.get(phase, (RadialProfile.zero(), RadialProfile.zero()))
-                pair_acc[phase] = (k_acc + k.scale(float(c)), l_acc + l.scale(float(c)))
-            elif col.label == "coclosed_gauge":
-                _, phase, idx, branch = col.meta
-                key = (freq, phase, idx)
-                prof = coclosed.get(key, RadialProfile.zero())
-                rate = s if branch == "plus" else -s
-                coclosed[key] = prof + RadialProfile.monomial(float(c), 0, rate)
-            else:
-                _, phase, i, branch = col.meta
-                key = (freq, phase, i)
-                a_plus, a_minus = exp_modes.get(key, (0.0, 0.0))
-                if branch == "plus":
-                    a_plus += float(c)
-                else:
-                    a_minus += float(c)
-                exp_modes[key] = (a_plus, a_minus)
-        for phase, (k, l) in pair_acc.items():
-            if not (k.is_zero() and l.is_zero()):
-                pairs[(freq, phase)] = (k, l)
-
-    gauge_X = GaugeField(cs, pairs, coclosed)
-    gauge_Y = YField(radial=zero_out["y_radial"], shear=zero_out["y_shear"])
-    if tau > 0.0 and not gauge_Y.is_zero():
-        raise NotInKernel(
-            "radially parallel gauge content survived a tau > 0 classification"
+    for (freq, phase, i, branch), c in part("tt_exp").items():
+        a_plus, a_minus = exp_modes.get((freq, phase, i), (0.0, 0.0))
+        exp_modes[(freq, phase, i)] = (
+            (a_plus + c, a_minus) if branch == "plus" else (a_plus, a_minus + c)
         )
+
     return KernelDecomposition(
         cs=cs,
-        pure_trace=(zero_out["trace_a"], zero_out["trace_a_tilde"]),
-        parallel_tt=zero_out["parallel_tt"],
-        linear_tt=zero_out["linear_tt"],
+        pure_trace=(part("trace").get((), 0.0), part("trace_linear").get((), 0.0)),
+        parallel_tt={i: c for (i,), c in part("tt_parallel").items()},
+        linear_tt={i: c for (i,), c in part("tt_parallel_linear").items()},
         exp_modes=exp_modes,
-        gauge_X=gauge_X,
-        gauge_Y=gauge_Y,
+        gauge_X=GaugeField(cs, pairs, coclosed),
+        gauge_Y=YField(
+            radial=part("radial_gauge").get((), 0.0),
+            shear={a: c for (a,), c in part("shear_gauge").items()},
+        ),
         condition_numbers=cond,
     )

@@ -308,6 +308,10 @@ def _background_curvature(f: GridField, cfg: StencilConfig):
 
 def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: GridField) -> GridField:
     ric, riem = _background_curvature(f, cfg)
+    if not riem.any():
+        # flat background: the coupling vanishes; copy, since a batch may
+        # also return the rough Laplacian itself
+        return f.with_components(rough.components.copy())
     h = f.components
     # the curvature arrays carry length-1 axes; unoptimized einsum is about
     # ten times slower on such broadcast operands

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
-from .deformation_solver import YField, classify_kernel
+from .deformation_solver import YField, classify_kernel, match_rate
 from .divergence_solver import GaugeField
 from .errors import InvalidInput, InvalidParams
 from .fields import TensorField, tangential_metric
@@ -172,7 +172,7 @@ def _require_reduced_form(h: TensorField) -> bool:
                 C = np.asarray(C)
                 if np.max(np.abs(C)) <= 0.0:
                     continue
-                if lam != 0.0 or p != 1:
+                if p != 1 or match_rate(lam, 0.0) is None:
                     raise InvalidInput(
                         "parallel sector must be purely r-linear; classify and "
                         "project the field first"
@@ -190,7 +190,7 @@ def _require_reduced_form(h: TensorField) -> bool:
             C = np.asarray(C)
             if np.max(np.abs(C)) <= 0.0:
                 continue
-            if p != 0 or abs(abs(lam) - s) > 1e-9 * max(1.0, s):
+            if p != 0 or match_rate(lam, s) is None:
                 raise InvalidInput(
                     f"oscillating-mode profiles must be pure e^{{+-sqrt(mu) r}}; "
                     f"found power {p}, rate {lam:.6g} at frequency {freq}"

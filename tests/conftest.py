@@ -66,13 +66,18 @@ def random_rank2_source(cs, rng, n_terms=6, rate_lo=-2.0, rate_hi=-0.3,
     kinds = ["rr", "mixed", "tt", "trace"]
     if include_parallel_radial:
         kinds += ["rr0", "mixed0"]
+    # a kind whose pool is empty is never drawn: a circle has no coclosed
+    # and no TT modes
+    pool_of = {"rr": "scalar", "mixed": "coclosed", "tt": "tt", "trace": "trace",
+               "rr0": "constant", "mixed0": "harmonic"}
+    kinds = [kind for kind in kinds if pools[pool_of[kind]]]
     h = F.TensorField.zero(cs, 2)
     for _ in range(n_terms):
         kind = kinds[int(rng.integers(0, len(kinds)))]
         prof = random_profile(rng, rate_lo, rate_hi)
         if kind == "rr":
             h = h + F.rr_tensor(cs, _pick(rng, pools["scalar"]), prof)
-        elif kind == "mixed" and pools["coclosed"]:
+        elif kind == "mixed":
             h = h + F.mixed_pair_tensor(cs, _pick(rng, pools["coclosed"]), prof)
         elif kind == "tt":
             h = h + F.from_mode_profile(cs, _pick(rng, pools["tt"]), prof)

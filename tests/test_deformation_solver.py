@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from cylspec import fields as F
+from cylspec import deformation_solver as ds, fields as F
+from cylspec import three_circles as tc
 from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.deformation_solver import (
     DeformationTensor,
@@ -410,6 +411,81 @@ def test_classify_reports_fit_conditioning():
     assert set(dec.condition_numbers) == present
     for value in dec.condition_numbers.values():
         assert np.isfinite(value) and value < 1e8
+
+
+def test_classify_conditioning_does_not_depend_on_a_window():
+    # every basis element of an uneven torus at cutoff 2, so every positive
+    # frequency gets a coefficient system; the sampled fit reached 6.4e4 here
+    cs = TorusCrossSection(3, (1.0, 1.3, 2.1), 2)
+    rng = np.random.default_rng(9)
+    h = F.TensorField(cs, 2)
+    for e in solve_reduced_system(cs, 0.0):
+        h = h + e.field.scale(float(rng.uniform(0.3, 2.0)))
+    dec = classify_kernel(h, 0.0)
+    assert set(dec.condition_numbers) == {f for f in cs.canonical_freqs() if any(f)}
+    assert max(dec.condition_numbers.values()) < 1e4
+    field_close(dec.reconstruct(), h, 1e-12)
+
+
+def _moved_rates(h, rel):
+    out = F.TensorField(h.cs, 2)
+    for key, (p, lam), C in h.terms():
+        out._accumulate(key, (p, lam * (1.0 + rel)), C)
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_classify_reads_rates_moved_by_round_off(seed):
+    h0 = random_kernel_element(CS, np.random.default_rng(seed), tau=0.0)
+    h = _moved_rates(h0, 1e-12)
+    assert (h - h0).max_abs_coeff() > 0.1  # the moved terms sit at keys of their own
+    # reconstruct puts every term back at its exact rate
+    field_close(classify_kernel(h, 0.0).reconstruct(), h0, 1e-10)
+
+
+def _pass_the_gates(monkeypatch):
+    monkeypatch.setattr(ds, "linearized_ricci", lambda h: F.TensorField(h.cs, 2))
+    monkeypatch.setattr(ds, "modified_divergence", lambda h, tau: F.TensorField(h.cs, 1))
+
+
+@pytest.mark.parametrize(
+    "freq, power, rate, message",
+    [
+        ((1, 0, 0), 2, None, r"frequency \(1, 0, 0\): cos term of power 2 and rate -6\.28319"),
+        ((1, 0, 0), 0, -1.0, r"frequency \(1, 0, 0\): cos term of power 0 and rate -1 "),
+        ((0, 0, 0), 0, -1.0, r"frequency \(0, 0, 0\): cos term of power 0 and rate -1 "),
+    ],
+    ids=["power", "rate", "zero-frequency"],
+)
+def test_classify_names_a_term_that_matches_no_column(monkeypatch, freq, power, rate, message):
+    tt = build_spectrum(CS, "TTTensor").at(freq)[0]
+    rate = -math.sqrt(tt.eigenvalue) if rate is None else rate
+    h = F.from_mode_profile(CS, tt, RadialProfile.monomial(1.0, power, rate))
+    _pass_the_gates(monkeypatch)
+    with pytest.raises(NotInKernel, match=message):
+        classify_kernel(h, 0.0)
+
+
+def test_classify_and_reduced_form_gate_share_the_rate_rule(monkeypatch):
+    cs = TorusCrossSection(3, (2.0 * math.pi,) * 3, 1)
+    freq, phase = (1, 1, 0), "cos"
+    tt = build_spectrum(cs, "TTTensor").at(freq, phase)[0]
+    s = math.sqrt(tt.eigenvalue)
+
+    def moved(rel):
+        return F.from_mode_profile(cs, tt, RadialProfile.monomial(1.0, 0, -s * (1.0 + rel)))
+
+    dec = classify_kernel(moved(1e-10), 0.0)
+    assert dec.exp_modes == {(freq, phase, 0): (0.0, pytest.approx(1.0, abs=1e-12))}
+    assert tc._require_reduced_form(moved(1e-10)) is False
+    assert ds.match_rate(-s * (1.0 + 1e-10), s) == -s
+    assert ds.match_rate(-s * (1.0 + 1e-8), s) is None
+
+    with pytest.raises(InvalidInput, match="pure e"):
+        tc._require_reduced_form(moved(1e-8))
+    _pass_the_gates(monkeypatch)
+    with pytest.raises(NotInKernel, match="matches no kernel column"):
+        classify_kernel(moved(1e-8), 0.0)
 
 
 def test_classified_basis_certified_by_fd_oracle():

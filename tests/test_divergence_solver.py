@@ -224,6 +224,18 @@ def test_parallel_tt_source_is_divergence_free():
     assert dv.gauge_residual(h, gauge, 0.0).is_zero()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_sources_on_a_circle_solve_at_tau_zero(seed):
+    # a circle has no coclosed and no TT modes; the source builder must
+    # neither pick from those empty pools nor fall back to the parallel
+    # radial blocks it was asked to leave out
+    circle = cx.TorusCrossSection(1, (2.0 * math.pi,), 2)
+    h = random_rank2_source(circle, np.random.default_rng(seed),
+                            include_parallel_radial=False)
+    gauge = dv.solve_gauge(h, dv.DivergenceConfig(tau=0.0))
+    assert dv.gauge_residual(h, gauge, 0.0).max_abs_coeff() < 1e-10 * residual_scale(h)
+
+
 def test_resonant_tau_rejected():
     cs = cx.TorusCrossSection(2, (2.0 * math.pi, 2.0 * math.pi), 1)
     phi = next(

@@ -226,6 +226,23 @@ def test_lichnerowicz_equals_rough_on_flat_background(order):
     assert np.max(np.abs(lich.components - rough.components)) == 0.0
 
 
+def test_lichnerowicz_skips_the_coupling_only_on_a_flat_background(monkeypatch):
+    gf = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
+    out = O.fd_operators(("rough_laplacian", "lichnerowicz"), gf)
+    lich, rough = out["lichnerowicz"].components, out["rough_laplacian"].components
+    assert np.array_equal(lich, rough) and not np.shares_memory(lich, rough)
+    # a curved background still runs the contraction
+    riem = np.random.default_rng(2).standard_normal((1,) * gf.grid_ndim + (3,) * 4)
+    ric = np.einsum("...kikj->...ij", riem)
+    monkeypatch.setattr(O, "_background_curvature", lambda f, cfg: (ric, riem))
+    c = gf.components
+    want = (rough + np.einsum("...ik,...kj->...ij", ric, c)
+            + np.einsum("...jk,...ik->...ij", ric, c)
+            - 2.0 * np.einsum("...ikjl,...kl->...ij", riem, c))
+    got = O.fd_operator("lichnerowicz", gf).components
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_interior_restricted_policy_zeroes_radial_edge_stencils():
     # a field depending on r alone isolates the radial stencil: under the
     # restricted policy its derivative vanishes on the skewed edge rows
