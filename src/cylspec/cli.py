@@ -21,7 +21,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -197,51 +198,6 @@ def load_field(path: str) -> TensorField:
 # configuration
 # ---------------------------------------------------------------------------
 
-TASK_NAMES = (
-    "spectrum",
-    "solve-div",
-    "solve-deform",
-    "kernel-classify",
-    "three-circles",
-    "validate",
-    "bound-fit",
-)
-
-_TASK_DEFAULTS = {
-    "spectrum": {"kinds": list(MODE_KINDS)},
-    "solve-div": {"tau": 0.01, "mode_file": None, "n_modes": 6, "residual_tol": 1e-9},
-    "solve-deform": {"tau": 0.0, "residual_tol": 1e-12},
-    "kernel-classify": {"tau": 0.0, "mode_file": None, "roundtrip_tol": 1e-12},
-    "three-circles": {
-        "mode_file": None,
-        "L": None,
-        "beta": None,
-        "beta_prime": None,
-        "triples": None,
-    },
-    # order 4 by default: on the unit torus the order-2 Ricci stencil error
-    # is ~10.8 grid^2, just over the certified 10 grid^2, at any resolution
-    "validate": {
-        "grid": [96, 12],
-        "order": 4,
-        "r_max": 6.0,
-        "report": None,
-        "remainder": False,
-        "eps_list": [0.1, 0.03, 0.01],
-    },
-    "bound-fit": {
-        "source_types": ["one_form", "pair"],
-        "rho_fractions": [0.5, 0.8, 0.9, 0.95, 0.99],
-        "caps": {"one_form": 1.15, "pair": 2.15},
-    },
-}
-
-_REQUIRED = {
-    "kernel-classify": ("mode_file",),
-    "three-circles": ("mode_file", "L", "beta", "beta_prime", "triples"),
-}
-
-
 @dataclass(frozen=True)
 class JobConfig:
     """Fully resolved run description; every default appears explicitly."""
@@ -252,32 +208,124 @@ class JobConfig:
     run: dict
 
     def as_dict(self) -> dict:
-        return {
-            "cross_section": dict(self.cross_section),
-            "task": dict(self.task),
-            "output": dict(self.output),
-            "run": dict(self.run),
-        }
+        return asdict(self)
 
     def build_cross_section(self) -> TorusCrossSection:
         blk = self.cross_section
         return TorusCrossSection(blk["dim"], tuple(blk["side_lengths"]), blk["freq_cutoff"])
 
 
-def _parse_floats(text: str) -> list:
-    return [float(part) for part in str(text).replace(";", ",").split(",") if part.strip()]
+# Value parsers.  Each takes INI text, a flag string or a JSON value and
+# raises ValueError or TypeError on anything it cannot read exactly.
+
+
+def _int(value) -> int:
+    number = int(value) if isinstance(value, str) else value
+    if number != int(number):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+def _bool(value) -> bool:
+    text = str(value).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"{value!r} is not a boolean (true/false, yes/no, on/off, 1/0)")
+
+
+def _choice(parse, allowed):
+    def parse_choice(value):
+        value = parse(value)
+        if value not in allowed:
+            raise ValueError(f"must be one of {', '.join(map(str, allowed))}; got {value!r}")
+        return value
+    return parse_choice
+
+
+def _list(item):
+    """A list of item values: a JSON list, or text separated by , or ;."""
+    def parse_list(value):
+        if isinstance(value, str):
+            value = [part for part in value.replace(";", ",").split(",") if part.strip()]
+        return [item(v.strip() if isinstance(v, str) else v) for v in value]
+    return parse_list
+
+
+def _positive_int(value) -> int:
+    value = _int(value)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+def _grid(value) -> list:
+    if isinstance(value, str):
+        value = value.lower().replace("x", ",")
+    sizes = _list(_int)(value)
+    if len(sizes) != 2:
+        raise ValueError(f"needs two sizes n_r x n_x, got {len(sizes)}")
+    return sizes
 
 
 def _parse_triples(value) -> list:
     if isinstance(value, str):
-        groups = [g for g in value.split(";") if g.strip()]
-        triples = [[int(t) for t in g.split(",")] for g in groups]
-    else:
-        triples = [list(t) for t in value]
+        value = [g.split(",") for g in value.split(";") if g.strip()]
+    triples = [[_int(t) for t in triple] for triple in value]
     for t in triples:
         if len(t) != 3:
             raise InvalidInput(f"each triple needs exactly three offsets, got {t}")
-    return [[int(x) for x in t] for t in triples]
+    return triples
+
+
+def _caps(value) -> dict:
+    """Source type -> exponent cap, from a JSON object."""
+    if not isinstance(value, dict):
+        raise TypeError(f"needs a mapping of source type to cap, got {value!r}")
+    return {str(k): float(v) for k, v in value.items()}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default, the parser every given value goes
+    through, its flag (None: config file only) and whether it is required."""
+
+    default: object
+    parse: Callable
+    flag: str | None = None
+    help: str | None = None
+    required: bool = False
+
+
+@dataclass(frozen=True)
+class Task:
+    """One subcommand: its runner, help line and task keys; the cross
+    section keys get flags unless the task reads its field from a file."""
+
+    run: Callable
+    help: str
+    keys: dict
+    cross_section_flags: bool = True
+
+
+# side_lengths None: one unit length per dimension
+_CROSS_SECTION = {
+    "dim": Key(3, _int, "--dim"),
+    "side_lengths": Key(None, _list(float), "--side-lengths"),
+    "freq_cutoff": Key(1, _int, "--freq-cutoff"),
+}
+
+_RUN = {
+    "seed": Key(0, _int, "--seed", "random seed recorded in the manifest"),
+    "threads": Key(
+        1, _positive_int, "--threads",
+        "recorded in the manifest only; BLAS threads follow the environment "
+        "(e.g. OMP_NUM_THREADS) set before cylspec starts",
+    ),
+    "log_level": Key("warning", _choice(str, ("debug", "info", "warning", "error")),
+                     "--log-level", "logging verbosity: debug, info, warning or error"),
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -291,6 +339,8 @@ def _read_config_file(path: str) -> dict:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"config {path}: invalid JSON ({exc})") from exc
+        if not all(isinstance(v, dict) for v in data.values()):
+            raise InvalidInput(f"config {path}: every section must be a JSON object")
         return {str(k).replace("-", "_"): dict(v) for k, v in data.items()}
     parser = configparser.ConfigParser()
     try:
@@ -303,6 +353,32 @@ def _read_config_file(path: str) -> dict:
     }
 
 
+def _resolve_block(section: str, keys: dict, given: dict, overrides: dict,
+                   task: str = "") -> dict:
+    """Every key of one block: the flag value, else the file's, else the
+    default.  A given value goes through its key's parser, and a value the
+    parser cannot read is an InvalidInput naming section.key."""
+    for_task = f" for task {task}" if task else ""
+    for key in given:
+        if key not in keys:
+            raise InvalidInput(f"unknown key {section}.{key}{for_task}")
+    block = {}
+    for key, spec in keys.items():
+        value = overrides.get(key)
+        if value is None:
+            value = given.get(key)
+        if value is None:
+            if spec.required:
+                raise InvalidInput(f"{section}.{key} is required{for_task}")
+            block[key] = spec.default
+            continue
+        try:
+            block[key] = spec.parse(value)
+        except (ValueError, TypeError, OverflowError, InvalidInput) as exc:
+            raise InvalidInput(f"{section}.{key}: {exc}") from exc
+    return block
+
+
 def resolve_config(raw: dict | None, overrides: dict | None = None) -> JobConfig:
     """Merge file content and CLI overrides onto the documented defaults.
 
@@ -311,98 +387,30 @@ def resolve_config(raw: dict | None, overrides: dict | None = None) -> JobConfig
     """
     raw = {k: dict(v) for k, v in (raw or {}).items()}
     overrides = dict(overrides or {})
+    for section in raw:
+        if section not in ("cross_section", "task", "output", "run"):
+            raise InvalidInput(f"unknown config section {section}")
 
-    cs_raw = raw.get("cross_section", {})
-    for key in cs_raw:
-        if key not in ("dim", "side_lengths", "freq_cutoff"):
-            raise InvalidInput(f"unknown key cross-section.{key}")
-    dim = int(overrides.get("dim", cs_raw.get("dim", 3)))
-    lengths = overrides.get("side_lengths", cs_raw.get("side_lengths", [1.0] * dim))
-    if isinstance(lengths, str):
-        lengths = _parse_floats(lengths)
-    cutoff = int(overrides.get("freq_cutoff", cs_raw.get("freq_cutoff", 1)))
-    cross_section = {
-        "dim": dim,
-        "side_lengths": [float(s) for s in lengths],
-        "freq_cutoff": cutoff,
-    }
-    if len(cross_section["side_lengths"]) != dim:
+    cross_section = _resolve_block(
+        "cross-section", _CROSS_SECTION, raw.get("cross_section", {}), overrides
+    )
+    if cross_section["side_lengths"] is None:
+        cross_section["side_lengths"] = [1.0] * cross_section["dim"]
+    if len(cross_section["side_lengths"]) != cross_section["dim"]:
         raise InvalidInput("cross-section.side_lengths must list one length per dimension")
 
     task_raw = raw.get("task", {})
-    name = str(overrides.get("task_name", task_raw.get("name", ""))).strip()
-    if name not in TASK_NAMES:
-        raise InvalidInput(
-            f"task.name must be one of {', '.join(TASK_NAMES)}; got {name!r}"
-        )
-    task = {"name": name, **_TASK_DEFAULTS[name]}
-    for key, value in task_raw.items():
-        if key == "name":
-            continue
-        if key not in task:
-            raise InvalidInput(f"unknown key task.{key} for task {name}")
-        task[key] = value
-    for key, value in overrides.items():
-        if key in task and value is not None:
-            task[key] = value
-    task = _coerce_task(task)
-    for key in _REQUIRED.get(name, ()):
-        if task[key] is None:
-            raise InvalidInput(f"task.{key} is required for task {name}")
+    name = str(overrides.get("task_name", task_raw.pop("name", ""))).strip()
+    if name not in _TASKS:
+        raise InvalidInput(f"task.name must be one of {', '.join(_TASKS)}; got {name!r}")
+    task = {"name": name, **_resolve_block("task", _TASKS[name].keys, task_raw, overrides, name)}
 
-    out_raw = raw.get("output", {})
-    out_dir = overrides.get("out") or out_raw.get("dir") or os.environ.get(
-        OUTPUT_DIR_ENV, "."
-    )
-    output = {
-        "dir": str(out_dir),
-        "envelope": str(out_raw.get("envelope", f"{name}-envelope.json")),
-    }
-
-    run_raw = raw.get("run", {})
-    run = {
-        "seed": int(overrides.get("seed", run_raw.get("seed", 0))),
-        "threads": int(overrides.get("threads", run_raw.get("threads", 1))),
-        "log_level": str(overrides.get("log_level", run_raw.get("log_level", "warning"))),
-    }
-    if run["threads"] < 1:
-        raise InvalidInput("run.threads must be at least 1")
+    output = _resolve_block("output", {
+        "dir": Key(os.environ.get(OUTPUT_DIR_ENV, "."), str),
+        "envelope": Key(f"{name}-envelope.json", str),
+    }, raw.get("output", {}), {"dir": overrides.get("out")})
+    run = _resolve_block("run", _RUN, raw.get("run", {}), overrides)
     return JobConfig(cross_section=cross_section, task=task, output=output, run=run)
-
-
-def _coerce_task(task: dict) -> dict:
-    """Normalize string-valued task parameters from INI or flag input."""
-    out = dict(task)
-    for key in ("tau", "L", "beta", "beta_prime", "residual_tol", "roundtrip_tol", "r_max"):
-        if key in out and out[key] is not None:
-            out[key] = float(out[key])
-    for key in ("n_modes", "order"):
-        if key in out:
-            out[key] = int(out[key])
-    if "kinds" in out:
-        kinds = out["kinds"]
-        if isinstance(kinds, str):
-            kinds = [k.strip() for k in kinds.split(",") if k.strip()]
-        for kind in kinds:
-            if kind not in MODE_KINDS:
-                raise InvalidInput(f"task.kinds: unknown mode kind {kind!r}")
-        out["kinds"] = list(kinds)
-    if out.get("triples") is not None:
-        out["triples"] = _parse_triples(out["triples"])
-    if "grid" in out:
-        grid = out["grid"]
-        if isinstance(grid, str):
-            grid = [int(g) for g in grid.lower().replace("x", ",").split(",")]
-        out["grid"] = [int(grid[0]), int(grid[1])]
-    if "eps_list" in out and isinstance(out["eps_list"], str):
-        out["eps_list"] = _parse_floats(out["eps_list"])
-    if "rho_fractions" in out and isinstance(out["rho_fractions"], str):
-        out["rho_fractions"] = _parse_floats(out["rho_fractions"])
-    if "source_types" in out and isinstance(out["source_types"], str):
-        out["source_types"] = [s.strip() for s in out["source_types"].split(",") if s.strip()]
-    if "remainder" in out and isinstance(out["remainder"], str):
-        out["remainder"] = out["remainder"].strip().lower() in ("1", "true", "yes", "on")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -690,20 +698,59 @@ def _task_bound_fit(cfg: JobConfig, rng) -> tuple:
         series[source_type] = [
             [rho, ratio, math.log(s1 - rho)] for rho, ratio in fit.samples
         ]
-        cap = float(task["caps"][source_type])
+        cap = task["caps"].get(source_type)
+        if cap is None:
+            raise InvalidInput(f"task.caps has no cap for source type {source_type!r}")
         certs.append(_cert(f"blow-up-exponent({source_type})", fit.exponent, "<=", cap))
     payload = {"mu1": mu1, "fits": fits, "bound_fit_series": series}
     return payload, certs
 
 
-_TASK_RUNNERS = {
-    "spectrum": _task_spectrum,
-    "solve-div": _task_solve_div,
-    "solve-deform": _task_solve_deform,
-    "kernel-classify": _task_kernel_classify,
-    "three-circles": _task_three_circles,
-    "validate": _task_validate,
-    "bound-fit": _task_bound_fit,
+_TASKS = {
+    "spectrum": Task(_task_spectrum, "list cross-section modes", {
+        "kinds": Key(list(MODE_KINDS), _list(_choice(str, MODE_KINDS)), "--kinds",
+                     "comma-separated mode kinds"),
+    }),
+    "solve-div": Task(_task_solve_div, "solve the gauge equation", {
+        "tau": Key(0.01, float, "--tau"),
+        "mode_file": Key(None, str, "--mode-file"),
+        "n_modes": Key(6, _int, "--modes", "random source size"),
+        "residual_tol": Key(1e-9, float),
+    }),
+    "solve-deform": Task(_task_solve_deform, "solve the kernel system", {
+        "tau": Key(0.0, float, "--tau"),
+        "residual_tol": Key(1e-12, float),
+    }),
+    "kernel-classify": Task(_task_kernel_classify, "classify a kernel element", {
+        "tau": Key(0.0, float, "--tau"),
+        "mode_file": Key(None, str, "--mode-file", required=True),
+        "roundtrip_tol": Key(1e-12, float),
+    }, cross_section_flags=False),
+    "three-circles": Task(_task_three_circles, "certify tube decay", {
+        "mode_file": Key(None, str, "--mode-file", required=True),
+        "L": Key(None, float, "--L", required=True),
+        "beta": Key(None, float, "--beta", required=True),
+        "beta_prime": Key(None, float, "--beta-prime", required=True),
+        "triples": Key(None, _parse_triples, "--triples", "t1,t2,t3[;t1,t2,t3...]",
+                       required=True),
+    }, cross_section_flags=False),
+    # order 4 by default: on the unit torus the order-2 Ricci stencil error
+    # is ~10.8 grid^2, just over the certified 10 grid^2, at any resolution
+    "validate": Task(_task_validate, "run the FD oracle suite", {
+        "grid": Key([96, 12], _grid, "--grid", "n_r x n_x, e.g. 96x12"),
+        "order": Key(4, _choice(_int, (2, 4)), "--order", "stencil order, 2 or 4"),
+        "r_max": Key(6.0, float),
+        "report": Key(None, str, "--report", "write a JSON residual report here"),
+        "remainder": Key(False, _bool, "--remainder",
+                         "include the quadratic remainder scan "
+                         "(eps relative to the probe's size)"),
+        "eps_list": Key([0.1, 0.03, 0.01], _list(float)),
+    }),
+    "bound-fit": Task(_task_bound_fit, "fit the weighted-bound exponent", {
+        "source_types": Key(["one_form", "pair"], _list(str), "--types", "one_form,pair"),
+        "rho_fractions": Key([0.5, 0.8, 0.9, 0.95, 0.99], _list(float), "--rho-fractions"),
+        "caps": Key({"one_form": 1.15, "pair": 2.15}, _caps),
+    }),
 }
 
 
@@ -717,7 +764,7 @@ def run_job(cfg: JobConfig) -> dict:
     rng = np.random.default_rng(cfg.run["seed"])
     resolved = cfg.as_dict()
     started = time.perf_counter()
-    payload, certificates = _TASK_RUNNERS[cfg.task["name"]](cfg, rng)
+    payload, certificates = _TASKS[cfg.task["name"]].run(cfg, rng)
     elapsed = time.perf_counter() - started
     return {
         "task": cfg.task["name"],
@@ -773,6 +820,19 @@ def export_plot_data(envelope: dict, kind: str, path: str, series: str = "one_fo
 # ---------------------------------------------------------------------------
 
 
+def _add_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
+    """One flag per key that has one; the value stays a string for the
+    key's parser, and a boolean key's flag takes no value."""
+    for key, spec in keys.items():
+        if spec.flag is None:
+            continue
+        if spec.parse is _bool:
+            parser.add_argument(spec.flag, dest=key, action="store_const", const=True,
+                                help=spec.help)
+        else:
+            parser.add_argument(spec.flag, dest=key, help=spec.help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylspec",
@@ -783,69 +843,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI or JSON job configuration")
     common.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-    common.add_argument("--seed", type=int, help="random seed recorded in the manifest")
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="recorded in the manifest only; BLAS threads follow the environment "
-        "(e.g. OMP_NUM_THREADS) set before cylspec starts",
-    )
-    common.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        help="logging verbosity",
-    )
+    _add_flags(common, _RUN)
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", parents=[common], help="list cross-section modes")
-    p.add_argument("--kinds", help="comma-separated mode kinds")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--side-lengths", dest="side_lengths")
-    p.add_argument("--freq-cutoff", dest="freq_cutoff", type=int)
-
-    p = sub.add_parser("solve-div", parents=[common], help="solve the gauge equation")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--mode-file", dest="mode_file")
-    p.add_argument("--modes", dest="n_modes", type=int, help="random source size")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--side-lengths", dest="side_lengths")
-    p.add_argument("--freq-cutoff", dest="freq_cutoff", type=int)
-
-    p = sub.add_parser("solve-deform", parents=[common], help="solve the kernel system")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--side-lengths", dest="side_lengths")
-    p.add_argument("--freq-cutoff", dest="freq_cutoff", type=int)
-
-    p = sub.add_parser("kernel-classify", parents=[common], help="classify a kernel element")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--mode-file", dest="mode_file")
-
-    p = sub.add_parser("three-circles", parents=[common], help="certify tube decay")
-    p.add_argument("--mode-file", dest="mode_file")
-    p.add_argument("--L", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--beta-prime", dest="beta_prime", type=float)
-    p.add_argument("--triples", help="t1,t2,t3[;t1,t2,t3...]")
-
-    p = sub.add_parser("validate", parents=[common], help="run the FD oracle suite")
-    p.add_argument("--grid", help="n_r x n_x, e.g. 96x12")
-    p.add_argument("--order", type=int, choices=(2, 4))
-    p.add_argument("--report", help="write a JSON residual report here")
-    p.add_argument("--remainder", action="store_const", const=True, default=None,
-                   help="include the quadratic remainder scan "
-                        "(eps relative to the probe's size)")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--side-lengths", dest="side_lengths")
-    p.add_argument("--freq-cutoff", dest="freq_cutoff", type=int)
-
-    p = sub.add_parser("bound-fit", parents=[common], help="fit the weighted-bound exponent")
-    p.add_argument("--types", dest="source_types", help="one_form,pair")
-    p.add_argument("--rho-fractions", dest="rho_fractions")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--side-lengths", dest="side_lengths")
-    p.add_argument("--freq-cutoff", dest="freq_cutoff", type=int)
+    for name, task in _TASKS.items():
+        p = sub.add_parser(name, parents=[common], help=task.help)
+        _add_flags(p, task.keys)
+        if task.cross_section_flags:
+            _add_flags(p, _CROSS_SECTION)
 
     p = sub.add_parser("export", parents=[common], help="write plot CSV from an envelope")
     p.add_argument("--envelope", required=True)
@@ -856,38 +861,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "dim",
-    "side_lengths",
-    "freq_cutoff",
-    "tau",
-    "mode_file",
-    "n_modes",
-    "L",
-    "beta",
-    "beta_prime",
-    "triples",
-    "grid",
-    "order",
-    "report",
-    "remainder",
-    "kinds",
-    "source_types",
-    "rho_fractions",
-    "out",
-    "seed",
-    "threads",
-    "log_level",
-)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    level = (args.log_level or "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    overrides = {key: value for key, value in vars(args).items() if value is not None}
+    logging.basicConfig()
 
     try:
         if args.command == "export":
+            log.setLevel(_resolve_block("run", _RUN, {}, overrides)["log_level"].upper())
             try:
                 with open(args.envelope) as fh:
                     envelope = json.load(fh)
@@ -898,13 +879,8 @@ def main(argv=None) -> int:
             return 0
 
         raw = _read_config_file(args.config) if args.config else {}
-        overrides = {
-            key: getattr(args, key)
-            for key in _OVERRIDE_KEYS
-            if getattr(args, key, None) is not None
-        }
-        overrides["task_name"] = args.command
-        cfg = resolve_config(raw, overrides)
+        cfg = resolve_config(raw, {**overrides, "task_name": args.command})
+        log.setLevel(cfg.run["log_level"].upper())
         envelope = run_job(cfg)
         path = write_envelope(envelope, cfg)
         failed = [c for c in envelope["certificates"] if not c["passed"]]

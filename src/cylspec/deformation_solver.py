@@ -39,8 +39,13 @@ import numpy as np
 
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum, modes_at
-from .divergence_solver import GaugeField, lie_derivative_metric, modified_divergence
-from .errors import InvalidInput, InvalidParams, NotInKernel, ResonantTau
+from .divergence_solver import (
+    GaugeField,
+    check_resonance,
+    lie_derivative_metric,
+    modified_divergence,
+)
+from .errors import InvalidInput, InvalidParams, NotInKernel
 from .fields import TensorField, linearized_ricci, tangential_metric
 from .mode_ode import RadialProfile, v_matrix
 
@@ -57,7 +62,6 @@ __all__ = [
     "parallel_space_dimension",
 ]
 
-RESONANCE_TOL = 1e-6
 KERNEL_TOL = 1e-8
 RATE_TOL = 1e-9
 
@@ -358,14 +362,10 @@ def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
     """
     if tau < 0.0:
         raise InvalidInput("tau must be nonnegative")
-    for freq in cs.canonical_freqs():
-        mu = cs.eigenvalue(freq)
-        if mu < 0.0:
-            raise InvalidParams("negative cross-section eigenvalue; oscillatory branch")
-        if tau > 0.0 and mu > 0.0 and abs(4.0 * tau * tau - mu) <= RESONANCE_TOL:
-            raise ResonantTau(
-                f"4 tau^2 = {4.0 * tau * tau:.6g} collides with eigenvalue {mu:.6g}"
-            )
+    eigenvalues = [cs.eigenvalue(freq) for freq in cs.canonical_freqs()]
+    if any(mu < 0.0 for mu in eigenvalues):
+        raise InvalidParams("negative cross-section eigenvalue; oscillatory branch")
+    check_resonance(tau, eigenvalues)
 
     basis = _zero_frequency_basis(cs, tau)
     for freq in cs.canonical_freqs():

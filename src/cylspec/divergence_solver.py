@@ -284,6 +284,16 @@ def modified_divergence(h: TensorField, tau: float = 0.0) -> TensorField:
     return out
 
 
+def check_resonance(tau: float, eigenvalues) -> None:
+    """Raise ResonantTau when 4 tau^2 lies within RESONANCE_TOL of a positive
+    eigenvalue, where the damped radial systems at that tau are singular."""
+    for mu in eigenvalues:
+        if tau > 0.0 and mu > 0.0 and abs(4.0 * tau * tau - mu) <= RESONANCE_TOL:
+            raise ResonantTau(
+                f"4 tau^2 = {4.0 * tau * tau:.6g} collides with eigenvalue {mu:.6g}"
+            )
+
+
 def solve_gauge(source: TensorField, cfg: DivergenceConfig = DivergenceConfig()) -> GaugeField:
     """Produce X with delta_tau(L_X g0) = delta_tau(source), sector by sector."""
     if not isinstance(source, TensorField) or source.rank != 2:
@@ -291,12 +301,7 @@ def solve_gauge(source: TensorField, cfg: DivergenceConfig = DivergenceConfig())
     cs = source.cs
     tau = cfg.tau
     if tau > 0.0:
-        for freq, _phase in source.data:
-            mu = cs.eigenvalue(freq)
-            if mu > 0.0 and abs(4.0 * tau * tau - mu) <= RESONANCE_TOL:
-                raise ResonantTau(
-                    f"4 tau^2 = {4.0 * tau * tau:.6g} collides with eigenvalue {mu:.6g}"
-                )
+        check_resonance(tau, (cs.eigenvalue(freq) for freq, _phase in source.data))
     elif not _parallel_radial_row(source).is_zero():
         raise NonInvertibleSector(
             "source meets the parallel radial span whose preimages r dr and "

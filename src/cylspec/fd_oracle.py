@@ -434,7 +434,6 @@ class RemainderScan:
     exponent: float
     epsilons: tuple
     remainders: tuple
-    linear_scale: float
 
 
 def quadratic_remainder_scan(h: GridField, eps_list,
@@ -456,5 +455,4 @@ def quadratic_remainder_scan(h: GridField, eps_list,
         remainders.append(interior_sup(ric - linear.scale(eps)))
     exponent = (float("nan") if max(remainders) == 0.0
                 else float(np.polyfit(np.log(eps_list), np.log(remainders), 1)[0]))
-    return RemainderScan(exponent, tuple(eps_list), tuple(remainders),
-                         interior_sup(linear))
+    return RemainderScan(exponent, tuple(eps_list), tuple(remainders))

@@ -147,13 +147,6 @@ class TensorField:
                 out._accumulate(mode_key, prof_key, C)
         return out
 
-    def mode_keys(self):
-        return sorted(self.data)
-
-    def radial_profile_lookup(self, mode_key):
-        """All (power, rate) -> coefficient entries for one (freq, phase)."""
-        return dict(self.data.get(mode_key, {}))
-
     def evaluate(self, r, xs) -> np.ndarray:
         """Sample on a product grid: r shape (nr,), xs shape (..., d).
 

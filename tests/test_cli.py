@@ -6,6 +6,7 @@ parsed values.
 """
 
 import json
+import logging
 import math
 import os
 import re
@@ -88,17 +89,79 @@ def test_ini_and_json_configs_resolve_identically(tmp_path):
     assert a.task["kinds"] == ["Scalar", "TTTensor"]
 
 
-def test_resolved_config_spells_out_every_default():
-    cfg = cli.resolve_config({"task": {"name": "solve-div"}}, {})
-    assert cfg.task == {
-        "name": "solve-div",
-        "tau": 0.01,
-        "mode_file": None,
-        "n_modes": 6,
-        "residual_tol": 1e-9,
-    }
-    assert cfg.cross_section == {"dim": 3, "side_lengths": [1.0, 1.0, 1.0], "freq_cutoff": 1}
-    assert cfg.run == {"seed": 0, "threads": 1, "log_level": "warning"}
+# every task's resolved defaults, as the config block echoes them; the
+# required keys of kernel-classify and three-circles are given
+RESOLVED_DEFAULTS = {
+    "spectrum": {
+        "kinds": ["Scalar", "CoclosedOneForm", "HarmonicOneForm", "TTTensor"],
+    },
+    "solve-div": {"tau": 0.01, "mode_file": None, "n_modes": 6, "residual_tol": 1e-9},
+    "solve-deform": {"tau": 0.0, "residual_tol": 1e-12},
+    "kernel-classify": {"tau": 0.0, "mode_file": "h.json", "roundtrip_tol": 1e-12},
+    "three-circles": {
+        "mode_file": "h.json",
+        "L": 1.0,
+        "beta": 5.0,
+        "beta_prime": 0.3,
+        "triples": [[0, 1, 3]],
+    },
+    "validate": {
+        "grid": [96, 12],
+        "order": 4,
+        "r_max": 6.0,
+        "report": None,
+        "remainder": False,
+        "eps_list": [0.1, 0.03, 0.01],
+    },
+    "bound-fit": {
+        "source_types": ["one_form", "pair"],
+        "rho_fractions": [0.5, 0.8, 0.9, 0.95, 0.99],
+        "caps": {"one_form": 1.15, "pair": 2.15},
+    },
+}
+
+REQUIRED_GIVEN = {
+    "kernel-classify": {"mode_file": "h.json"},
+    "three-circles": {
+        "mode_file": "h.json", "L": "1.0", "beta": "5.0", "beta_prime": "0.3",
+        "triples": "0,1,3",
+    },
+}
+
+
+def test_resolved_config_spells_out_every_default(monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    for name, task in RESOLVED_DEFAULTS.items():
+        cfg = cli.resolve_config({"task": {"name": name, **REQUIRED_GIVEN.get(name, {})}}, {})
+        assert cfg.task == {"name": name, **task}
+        assert cfg.cross_section == {
+            "dim": 3, "side_lengths": [1.0, 1.0, 1.0], "freq_cutoff": 1,
+        }
+        assert cfg.output == {"dir": ".", "envelope": f"{name}-envelope.json"}
+        assert cfg.run == {"seed": 0, "threads": 1, "log_level": "warning"}
+
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--seed", "--threads", "--log-level"}
+CROSS_SECTION_FLAGS = {"--dim", "--side-lengths", "--freq-cutoff"}
+SUBCOMMAND_FLAGS = {
+    "spectrum": {"--kinds"} | CROSS_SECTION_FLAGS,
+    "solve-div": {"--tau", "--mode-file", "--modes"} | CROSS_SECTION_FLAGS,
+    "solve-deform": {"--tau"} | CROSS_SECTION_FLAGS,
+    "kernel-classify": {"--tau", "--mode-file"},
+    "three-circles": {"--mode-file", "--L", "--beta", "--beta-prime", "--triples"},
+    "validate": {"--grid", "--order", "--report", "--remainder"} | CROSS_SECTION_FLAGS,
+    "bound-fit": {"--types", "--rho-fractions"} | CROSS_SECTION_FLAGS,
+    "export": {"--envelope", "--kind", "--csv", "--series"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(subparsers.choices) == list(SUBCOMMAND_FLAGS)
+    for name, sub in subparsers.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert flags == COMMON_FLAGS | SUBCOMMAND_FLAGS[name], name
 
 
 def test_config_schema_violations_name_the_key():
@@ -247,6 +310,53 @@ def test_field_dict_rejects_keys_outside_the_mode_set(freq, phase, message):
     data["terms"][1].update(freq=freq, phase=phase)
     with pytest.raises(InvalidInput, match=message):
         cli.field_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "argv, ini, key",
+    [
+        (["solve-div"], "[task]\ntau = abc\n", "task.tau"),
+        (["spectrum"], "[run]\nseed = x\n", "run.seed"),
+        (["spectrum", "--side-lengths", "1,a,1"], None, "cross-section.side_lengths"),
+        (["validate", "--grid", "96"], None, "task.grid"),
+        (["validate", "--grid", "48x8x2"], None, "task.grid"),
+        (["three-circles", "--mode-file", "h.json", "--L", "1.0", "--beta", "5.0",
+          "--beta-prime", "0.3", "--triples", "0,1,x"], None, "task.triples"),
+        (["bound-fit"], "[task]\ncaps = 1.0\n", "task.caps"),
+        (["validate"], "[task]\nremainder = maybe\n", "task.remainder"),
+        (["spectrum"], "[run]\nlog_level = loud\n", "run.log_level"),
+        (["spectrum", "--log-level", "loud"], None, "run.log_level"),
+    ],
+    ids=["tau-abc", "seed-x", "side-lengths-1-a-1", "grid-96", "grid-48x8x2",
+         "triples-0-1-x", "caps-scalar", "remainder-maybe", "log-level-loud-ini",
+         "log-level-loud-flag"],
+)
+def test_bad_values_exit_two_naming_the_key(tmp_path, capsys, argv, ini, key):
+    if ini is not None:
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{argv[0]}-envelope.json").exists()
+
+
+def test_config_log_level_applies_unless_a_flag_overrides_it(tmp_path, caplog):
+    cfg = tmp_path / "job.ini"
+    cfg.write_text("[run]\nlog_level = info\n")
+    argv = ["validate", "--config", str(cfg), "--grid", "48x8",
+            "--report", str(tmp_path / "report.json"), "--out", str(tmp_path)]
+    try:
+        assert cli.main(argv) == 0
+        assert any("wrote residual report" in r.getMessage() for r in caplog.records)
+        caplog.clear()
+        assert cli.main(argv + ["--log-level", "warning"]) == 0
+        assert not caplog.records
+    finally:
+        logging.getLogger("cylspec").setLevel(logging.NOTSET)
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):
