@@ -347,10 +347,16 @@ def _read_config_file(path: str) -> dict:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise InvalidInput(f"config {path}: {exc}") from exc
-    return {
+    blocks = {
         section.replace("-", "_"): dict(parser.items(section))
         for section in parser.sections()
     }
+    # configparser lowercases option names; match them to the task keys
+    # case-insensitively, so that `L = 1.0` sets three-circles' L
+    if "task" in blocks:
+        names = {key.lower(): key for task in _TASKS.values() for key in task.keys}
+        blocks["task"] = {names.get(key, key): value for key, value in blocks["task"].items()}
+    return blocks
 
 
 def _resolve_block(section: str, keys: dict, given: dict, overrides: dict,

@@ -24,6 +24,14 @@ Oscillatory kernel branches would require a negative cross-section
 eigenvalue; on flat tori none exist, and ``solve_reduced_system`` guards
 against one.
 
+The columns of each frequency are built once per cross section: one
+frozen kernel block per (cross section, frequency), memoized, holds the
+basis elements, their sorted (phase, power, rate) keys, the stacked
+coefficient matrix and, at a positive frequency, its condition number.
+Only the frequency-zero block is also keyed on tau.  Every coefficient
+array in a block is read-only, the columns' fields and generators
+included; field algebra on them returns new, writeable arrays.
+
 Indices in basis metadata and decompositions follow the mode lookups of
 ``cross_section``: coclosed and harmonic legs index ``modes_at`` slices
 (tangent-complement position, coordinate axis), TT modes index
@@ -32,6 +40,7 @@ Indices in basis metadata and decompositions follow the mode lookups of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -354,11 +363,56 @@ def _zero_frequency_basis(cs: TorusCrossSection, tau: float) -> list:
     return out
 
 
+@dataclass(frozen=True)
+class _KernelBlock:
+    """The frozen kernel basis of one frequency: its columns, the sorted
+    (phase, power, rate) keys they carry, the read-only coefficient matrix
+    with one column per element and one row per tensor entry of each key,
+    and, at a positive frequency, the matrix's condition number."""
+
+    columns: tuple
+    keys: tuple
+    matrix: np.ndarray
+    cond: float | None
+
+
+def _freeze(field: TensorField) -> None:
+    for per_mode in field.data.values():
+        for C in per_mode.values():
+            C.setflags(write=False)
+
+
+def _key_vector(blocks: dict, keys, zero: np.ndarray) -> np.ndarray:
+    """The entries of blocks at keys, in key order, zero where a key is missing."""
+    return np.concatenate([blocks.get(k, zero).ravel() for k in keys])
+
+
+@functools.lru_cache(maxsize=1024)
+def _kernel_block(cs: TorusCrossSection, freq: tuple, tau: float) -> _KernelBlock:
+    """The memoized kernel block of one frequency.  tau is read only at
+    frequency zero; callers pass 0.0 for every other frequency."""
+    positive = any(freq)
+    columns = tuple(_frequency_basis(cs, freq) if positive else _zero_frequency_basis(cs, tau))
+    for col in columns:
+        _freeze(col.field)
+        if col.generator is not None:
+            _freeze(col.generator)
+    s = math.sqrt(cs.eigenvalue(freq))
+    column_blocks = [_coefficient_blocks(col.field, freq, s) for col in columns]
+    keys = tuple(sorted(set().union(*column_blocks)))
+    zero = np.zeros((cs.dim + 1, cs.dim + 1))
+    A = np.stack([_key_vector(blocks, keys, zero) for blocks in column_blocks], axis=1)
+    A.setflags(write=False)
+    return _KernelBlock(columns, keys, A, float(np.linalg.cond(A)) if positive else None)
+
+
 def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
     """Enumerate the kernel basis of the reduced systems at the given tau.
 
     Elements with survives_tau=False appear only when tau == 0; they are
     the radially parallel gauge tensors eliminated by the perturbation.
+    The list is new on every call, its elements are the memoized, read-only
+    columns of the per-frequency kernel blocks.
     """
     if tau < 0.0:
         raise InvalidInput("tau must be nonnegative")
@@ -367,10 +421,10 @@ def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
         raise InvalidParams("negative cross-section eigenvalue; oscillatory branch")
     check_resonance(tau, eigenvalues)
 
-    basis = _zero_frequency_basis(cs, tau)
+    basis = list(_kernel_block(cs, (0,) * cs.dim, tau).columns)
     for freq in cs.canonical_freqs():
         if cs.eigenvalue(freq) > 0.0:
-            basis.extend(_frequency_basis(cs, freq))
+            basis.extend(_kernel_block(cs, freq, 0.0).columns)
     return basis
 
 
@@ -486,6 +540,11 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     tensor entries per (phase, power, rate) key gives a small linear
     system, whose condition number is recorded per positive frequency.  A
     term at a key that no column carries is not in the kernel.
+
+    The columns, keys, matrix and condition number of each frequency come
+    from its memoized kernel block, built on the first call for a cross
+    section (and, at frequency zero, a tau) and read-only afterwards; a
+    call builds only h's right-hand side per frequency.
     """
     hf = _as_field(h)
     cs = hf.cs
@@ -502,33 +561,27 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     zero_block = np.zeros((cs.dim + 1, cs.dim + 1))
     for freq in sorted({freq for (freq, _phase) in hf.data}):
         s = math.sqrt(cs.eigenvalue(freq))
-        columns = _frequency_basis(cs, freq) if any(freq) else _zero_frequency_basis(cs, tau)
-        column_blocks = [_coefficient_blocks(col.field, freq, s) for col in columns]
-        keys = sorted(set().union(*column_blocks))
+        block = _kernel_block(cs, freq, 0.0 if any(freq) else tau)
         h_blocks = _coefficient_blocks(hf, freq, s)
         for (phase, p, lam), C in h_blocks.items():
-            if (phase, p, lam) not in keys and np.max(np.abs(C)) > tol * scale:
+            if (phase, p, lam) not in block.keys and np.max(np.abs(C)) > tol * scale:
                 raise NotInKernel(
                     f"frequency {freq}: {phase} term of power {p} and rate {lam:.6g} "
                     "matches no kernel column"
                 )
 
-        A = np.stack(
-            [np.concatenate([blocks.get(k, zero_block).ravel() for k in keys])
-             for blocks in column_blocks],
-            axis=1,
-        )
-        b = np.concatenate([h_blocks.get(k, zero_block).ravel() for k in keys])
+        A = block.matrix
+        b = _key_vector(h_blocks, block.keys, zero_block)
         coeffs, _res, _rank, _sv = np.linalg.lstsq(A, b, rcond=None)
-        if any(freq):
-            cond[freq] = float(np.linalg.cond(A))
+        if block.cond is not None:
+            cond[freq] = block.cond
         residual = float(np.max(np.abs(A @ coeffs - b)))
         if residual > max(tol, 1e-9) * max(scale, float(np.max(np.abs(b))), 1.0):
             raise NotInKernel(
                 f"frequency {freq} block outside the kernel span (coefficient "
                 f"residual {residual:.3e})"
             )
-        for c, col in zip(coeffs, columns):
+        for c, col in zip(coeffs, block.columns):
             if abs(c) >= 1e-13 * scale:
                 found.setdefault(col.label, {})[col.meta] = float(c)
 

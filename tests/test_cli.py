@@ -67,26 +67,40 @@ def test_field_dict_rejects_bad_shape():
 # ---------------------------------------------------------------------------
 
 
-def test_ini_and_json_configs_resolve_identically(tmp_path):
-    ini = tmp_path / "job.ini"
-    ini.write_text(
+INI_JSON_PAIRS = {
+    "spectrum": (
         "[cross-section]\ndim = 3\nside_lengths = 1.0, 1.0, 1.0\nfreq_cutoff = 1\n"
-        "\n[task]\nname = spectrum\nkinds = Scalar, TTTensor\n\n[run]\nseed = 9\n"
-    )
-    js = tmp_path / "job.json"
-    js.write_text(
-        json.dumps(
-            {
-                "cross_section": {"dim": 3, "side_lengths": [1.0, 1.0, 1.0], "freq_cutoff": 1},
-                "task": {"name": "spectrum", "kinds": "Scalar, TTTensor"},
-                "run": {"seed": 9},
-            }
-        )
-    )
-    a = cli.resolve_config(cli._read_config_file(str(ini)), {})
-    b = cli.resolve_config(cli._read_config_file(str(js)), {})
-    assert a == b
-    assert a.task["kinds"] == ["Scalar", "TTTensor"]
+        "\n[task]\nname = spectrum\nkinds = Scalar, TTTensor\n\n[run]\nseed = 9\n",
+        {
+            "cross_section": {"dim": 3, "side_lengths": [1.0, 1.0, 1.0], "freq_cutoff": 1},
+            "task": {"name": "spectrum", "kinds": "Scalar, TTTensor"},
+            "run": {"seed": 9},
+        },
+        ("kinds", ["Scalar", "TTTensor"]),
+    ),
+    # configparser lowercases option names; L must still reach task.L
+    "three-circles": (
+        "[task]\nname = three-circles\nmode_file = h.json\nL = 2.5\nbeta = 5.0\n"
+        "beta_prime = 0.3\ntriples = 0,1,3\n",
+        {
+            "task": {"name": "three-circles", "mode_file": "h.json", "L": 2.5,
+                     "beta": 5.0, "beta_prime": 0.3, "triples": "0,1,3"},
+        },
+        ("L", 2.5),
+    ),
+}
+
+
+def test_ini_and_json_configs_resolve_identically(tmp_path):
+    for name, (ini_text, js_data, (key, value)) in INI_JSON_PAIRS.items():
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(ini_text)
+        js = tmp_path / f"{name}.json"
+        js.write_text(json.dumps(js_data))
+        a = cli.resolve_config(cli._read_config_file(str(ini)), {})
+        b = cli.resolve_config(cli._read_config_file(str(js)), {})
+        assert a == b, name
+        assert a.task[key] == value, name
 
 
 # every task's resolved defaults, as the config block echoes them; the

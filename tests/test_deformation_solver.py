@@ -258,6 +258,92 @@ def test_tt_exp_elements_come_in_rate_pairs():
     assert branches and all(v == {"plus", "minus"} for v in branches.values())
 
 
+# ---------------------------------------------------------------------------
+# memoized per-frequency kernel blocks
+# ---------------------------------------------------------------------------
+
+TORUS2 = TorusCrossSection(2, (2.0 * math.pi, 2.0 * math.pi), 2)
+TORUS3 = TorusCrossSection(3, (1.0, 1.3, 2.1), 1)
+
+
+def test_warm_kernel_blocks_skip_the_lie_derivatives(monkeypatch):
+    calls = []
+    original = ds.lie_derivative_metric
+
+    def counting(one_form):
+        calls.append(one_form)
+        return original(one_form)
+
+    monkeypatch.setattr(ds, "lie_derivative_metric", counting)
+    ds._kernel_block.cache_clear()
+    h = random_kernel_element(CS, np.random.default_rng(5))
+    assert calls  # the cold build takes one Lie derivative per gauge column
+    calls.clear()
+    solve_reduced_system(CS, 0.0)
+    classify_kernel(h)
+    assert calls == []
+
+
+def test_kernel_block_values_are_shared_and_read_only():
+    basis = solve_reduced_system(CS, 0.0)
+    again = solve_reduced_system(CS, 0.0)
+    assert again is not basis
+    assert len(again) == len(basis) and all(a is b for a, b in zip(again, basis))
+
+    def frozen(fld):
+        return all(not C.flags.writeable for _, _, C in fld.terms())
+
+    assert all(frozen(e.field) for e in basis)
+    assert all(frozen(e.generator) for e in basis if e.generator is not None)
+    gauge = next(e for e in basis if e.label == "scalar_gauge")
+    for fld in (gauge.field, gauge.generator):
+        _, _, C = next(fld.terms())
+        with pytest.raises(ValueError):
+            C[...] = 0.0
+        for out in (fld.scale(2.0), fld + fld, fld.multiply_profile(RadialProfile.constant(1.0))):
+            assert all(C.flags.writeable for _, _, C in out.terms())
+    A = ds._kernel_block(CS, gauge.meta[0], 0.0).matrix
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
+
+    modes = modes_at(CS, "TTTensor", (0, 1, 1), "cos") + build_spectrum(CS, "TTTensor").modes
+    for m in modes:
+        assert not m.polarization.flags.writeable
+        with pytest.raises(ValueError):
+            m.polarization[...] = 0.0
+
+
+def _same_terms(a, b):
+    ta, tb = list(a.terms()), list(b.terms())
+    assert [t[:2] for t in ta] == [t[:2] for t in tb]
+    assert all(np.array_equal(x[2], y[2]) for x, y in zip(ta, tb))
+
+
+@pytest.mark.parametrize("cs, tau", [(TORUS2, 0.0), (TORUS2, 0.02), (TORUS3, 0.0)])
+def test_warm_kernel_blocks_classify_like_cold_ones(cs, tau):
+    h = random_kernel_element(cs, np.random.default_rng(17), tau=tau)
+    classify_kernel(h, tau)
+    warm = classify_kernel(h, tau)
+    ds._kernel_block.cache_clear()
+    cold = classify_kernel(h, tau)
+    for name in ("pure_trace", "parallel_tt", "linear_tt", "exp_modes", "gauge_Y"):
+        assert getattr(warm, name) == getattr(cold, name), name
+    assert warm.condition_numbers.keys() == cold.condition_numbers.keys()
+    assert all(
+        np.array_equal(warm.condition_numbers[k], cold.condition_numbers[k])
+        for k in cold.condition_numbers
+    )
+    _same_terms(warm.reconstruct(), cold.reconstruct())
+
+
+def test_zero_frequency_block_is_keyed_on_tau():
+    solve_reduced_system(CS, 0.0)
+    dropped = {"shear_gauge", "radial_gauge"}
+    assert dropped <= {e.label for e in ds._kernel_block(CS, (0, 0, 0), 0.0).columns}
+    assert not dropped & {e.label for e in ds._kernel_block(CS, (0, 0, 0), 0.02).columns}
+    assert not dropped & {e.label for e in solve_reduced_system(CS, 0.02)}
+
+
 def test_basis_and_decomposition_keys_follow_the_mode_lookups():
     # harmonic legs are keyed by axis, coclosed legs by modes_at position,
     # TT modes by position in the sorted spectrum; a slice returned in the
