@@ -666,7 +666,7 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     if task["remainder"]:
         # a probe above unit size is scaled down to it, so eps measures the
         # relative size of the perturbation and stays in the quadratic regime
-        scan = quadratic_remainder_scan(grid_probe.scale(1.0 / scale), task["eps_list"])
+        scan = quadratic_remainder_scan(grid_probe.scale(1.0 / scale), task["eps_list"], stencil)
         payload["remainder_scan"] = {
             "epsilons": list(scan.epsilons),
             "remainders": list(scan.remainders),

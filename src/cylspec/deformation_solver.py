@@ -26,9 +26,10 @@ against one.
 
 The columns of each frequency are built once per cross section: one
 frozen kernel block per (cross section, frequency), memoized, holds the
-basis elements, their sorted (phase, power, rate) keys, the stacked
-coefficient matrix and, at a positive frequency, its condition number.
-Only the frequency-zero block is also keyed on tau.  Every coefficient
+basis elements and, from the first ``classify_kernel`` that reads them
+on, their sorted (phase, power, rate) keys, the stacked coefficient
+matrix and, at a positive frequency, its condition number.  Only the
+frequency-zero block is also keyed on tau.  Every coefficient
 array in a block is read-only, the columns' fields and generators
 included; field algebra on them returns new, writeable arrays.
 
@@ -365,15 +366,30 @@ def _zero_frequency_basis(cs: TorusCrossSection, tau: float) -> list:
 
 @dataclass(frozen=True)
 class _KernelBlock:
-    """The frozen kernel basis of one frequency: its columns, the sorted
-    (phase, power, rate) keys they carry, the read-only coefficient matrix
-    with one column per element and one row per tensor entry of each key,
-    and, at a positive frequency, the matrix's condition number."""
+    """The frozen kernel basis of one frequency: its columns and, built on
+    first use, the sorted (phase, power, rate) keys they carry, the
+    read-only coefficient matrix with one column per element and one row
+    per tensor entry of each key, and, at a positive frequency, the
+    matrix's condition number.  Enumeration reads only the columns, so
+    solve_reduced_system stacks no matrix and takes no SVD."""
 
+    cs: TorusCrossSection
+    freq: tuple
     columns: tuple
-    keys: tuple
-    matrix: np.ndarray
-    cond: float | None
+
+    @functools.cached_property
+    def _system(self) -> tuple:
+        s = math.sqrt(self.cs.eigenvalue(self.freq))
+        column_blocks = [_coefficient_blocks(col.field, self.freq, s) for col in self.columns]
+        keys = tuple(sorted(set().union(*column_blocks)))
+        zero = np.zeros((self.cs.dim + 1, self.cs.dim + 1))
+        A = np.stack([_key_vector(blocks, keys, zero) for blocks in column_blocks], axis=1)
+        A.setflags(write=False)
+        return keys, A, float(np.linalg.cond(A)) if any(self.freq) else None
+
+    keys = property(lambda self: self._system[0])
+    matrix = property(lambda self: self._system[1])
+    cond = property(lambda self: self._system[2])
 
 
 def _freeze(field: TensorField) -> None:
@@ -391,19 +407,12 @@ def _key_vector(blocks: dict, keys, zero: np.ndarray) -> np.ndarray:
 def _kernel_block(cs: TorusCrossSection, freq: tuple, tau: float) -> _KernelBlock:
     """The memoized kernel block of one frequency.  tau is read only at
     frequency zero; callers pass 0.0 for every other frequency."""
-    positive = any(freq)
-    columns = tuple(_frequency_basis(cs, freq) if positive else _zero_frequency_basis(cs, tau))
+    columns = tuple(_frequency_basis(cs, freq) if any(freq) else _zero_frequency_basis(cs, tau))
     for col in columns:
         _freeze(col.field)
         if col.generator is not None:
             _freeze(col.generator)
-    s = math.sqrt(cs.eigenvalue(freq))
-    column_blocks = [_coefficient_blocks(col.field, freq, s) for col in columns]
-    keys = tuple(sorted(set().union(*column_blocks)))
-    zero = np.zeros((cs.dim + 1, cs.dim + 1))
-    A = np.stack([_key_vector(blocks, keys, zero) for blocks in column_blocks], axis=1)
-    A.setflags(write=False)
-    return _KernelBlock(columns, keys, A, float(np.linalg.cond(A)) if positive else None)
+    return _KernelBlock(cs, freq, columns)
 
 
 def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
@@ -542,9 +551,11 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     term at a key that no column carries is not in the kernel.
 
     The columns, keys, matrix and condition number of each frequency come
-    from its memoized kernel block, built on the first call for a cross
-    section (and, at frequency zero, a tau) and read-only afterwards; a
-    call builds only h's right-hand side per frequency.
+    from its memoized kernel block: the columns are built on the first
+    call for a cross section (and, at frequency zero, a tau) that reads
+    the block, the keys, matrix and condition number on the first
+    classification against it, and all are read-only afterwards; a call
+    builds only h's right-hand side per frequency.
     """
     hf = _as_field(h)
     cs = hf.cs

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,33 +194,51 @@ def sample(field: TensorField, r_range, n_r, n_x, r_periodic: bool = False) -> G
 # ---------------------------------------------------------------------------
 
 
+def _runs(n: int, shifts) -> list:
+    """The maximal index ranges [lo, hi) of an axis of length n on which no
+    shift i -> (i + s) mod n wraps, each with the start of every shifted
+    source range."""
+    cuts = sorted({0, n} | {n - s % n for s in shifts})
+    return [(lo, hi, [(lo + s) % n for s in shifts]) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work=None):
     """d/dx_direction of a component array laid out like grid.components,
     or cut from it to length 1 along periodic axes it is constant on, into
     out when given; work, when given, holds 8 * arr at order 4.
 
-    (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h, or (f[i+1] - f[i-1]) / 2h,
-    is summed in that order, each shifted term as two slice writes: the body
-    and the wrapped band (a length-1 axis wraps onto itself).  A bounded
-    radial axis then gets its edge rows.  Second derivatives compose this
-    routine with itself, the exact building block of nonlinear_ricci."""
+    The sum is cut along the axis into runs, maximal index ranges on which no
+    shift wraps (a length-1 axis wraps onto itself).  f[i+1] - f[i-1] at
+    order 2, or 8 f[i+1] - f[i+2] at order 4, is one subtraction per run;
+    order 4 then subtracts 8 f[i-1] and adds f[i-2]; the division by 2h or
+    12h comes last.  As b - a == -a + b exactly, every value equals
+    (f[i+1] - f[i-1]) / 2h, or (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h,
+    summed left to right, bit for bit.  A bounded radial axis then gets its
+    edge rows.  Second derivatives compose this routine with itself, the
+    exact building block of nonlinear_ricci."""
     h = grid.spacings[direction]
     # a strided view (one component of a tensor) is read into one contiguous
     # copy: strided reads in every stencil term are about twice as slow
     vals = np.ascontiguousarray(arr)
     out = np.empty(vals.shape) if out is None else out
     acc = out if out.flags.c_contiguous else np.empty(vals.shape)
-    eight = np.multiply(vals, 8, out=work) if cfg.order == 4 else None
-    terms = (((np.positive, vals, 1), (np.subtract, vals, -1)) if cfg.order == 2 else
-             ((np.negative, vals, 2), (np.add, eight, 1), (np.subtract, eight, -1),
-              (np.add, vals, -2)))
+    if cfg.order == 2:
+        first, rest = ((vals, 1), (vals, -1)), ()
+    else:
+        eight = np.multiply(vals, 8, out=work)
+        first, rest = ((eight, 1), (vals, 2)), ((np.subtract, eight, -1), (np.add, vals, -2))
+    (ahead, s), (behind, t) = first
+
+    def cut(x, lo, hi):
+        return x[(slice(None),) * direction + (slice(lo, hi),)]
+
     n = vals.shape[direction]
-    for term, (ufunc, src, shift) in enumerate(terms):
-        k = shift % n
-        for lo, hi, src_lo, src_hi in ((0, n - k, k, n), (n - k, n, 0, k)):
-            o = acc[(slice(None),) * direction + (slice(lo, hi),)]
-            s = src[(slice(None),) * direction + (slice(src_lo, src_hi),)]
-            ufunc(*((s,) if term == 0 else (o, s)), out=o)
+    for lo, hi, (i, j) in _runs(n, (s, t)):
+        np.subtract(cut(ahead, i, i + hi - lo), cut(behind, j, j + hi - lo), out=cut(acc, lo, hi))
+    for ufunc, src, shift in rest:
+        for lo, hi, (i,) in _runs(n, (shift,)):
+            o = cut(acc, lo, hi)
+            ufunc(o, cut(src, i, i + hi - lo), out=o)
     np.divide(acc, (2 if cfg.order == 2 else 12) * h, out=out)
     if direction > 0 or grid.r_periodic:
         return out
@@ -234,11 +253,12 @@ def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work
     return out
 
 
-def _gradient(arr, grid: GridField, cfg: StencilConfig, axis: int) -> np.ndarray:
+def _gradient(arr, grid: GridField, cfg: StencilConfig, axis: int, out=None) -> np.ndarray:
     """Every partial of arr, stacked as a new axis at the (negative) position
-    axis of the result, each written straight into its slot."""
+    axis of the result (out when given), each written straight into its slot."""
     cut = arr.ndim + 1 + axis
-    out = np.empty(arr.shape[:cut] + (grid.dim + 1,) + arr.shape[cut:])
+    if out is None:
+        out = np.empty(arr.shape[:cut] + (grid.dim + 1,) + arr.shape[cut:])
     for a in range(grid.dim + 1):
         _partial(arr, a, grid, cfg, out=np.moveaxis(out, axis, 0)[a])
     return out
@@ -269,27 +289,60 @@ def _op_sym_grad(f: GridField, cfg: StencilConfig) -> GridField:
     return f.with_components(grad + np.swapaxes(grad, -1, -2), rank=2)
 
 
-def _op_rough_laplacian(f: GridField, cfg: StencilConfig) -> GridField:
+class _Sweep(NamedTuple):
+    """The rough Laplacian of a field, computed once per batch that uses it;
+    when the batch names linearized_ricci, also the field's divergence and
+    the two full-size buffers the sweep has finished with."""
+
+    rough: GridField
+    divergence: np.ndarray | None = None
+    spare: tuple = ()
+
+
+def _op_rough_laplacian(f: GridField, cfg: StencilConfig, divergence: bool = False) -> _Sweep:
+    """-sum_a d_a d_a f, one axis at a time.  With divergence set, also
+    -sum_a d_a f[..., a, :], summed in order from row a of each first
+    partial d_a f: the stencil acts entry by entry, so that row equals the
+    partial of row a bit for bit, and no partial is taken twice."""
     total = np.empty(f.components.shape)
-    term, d1, work = np.empty_like(total), np.empty_like(total), np.empty_like(total)
+    term, d1 = np.empty_like(total), np.empty_like(total)
+    work = np.empty_like(total) if cfg.order == 4 else None
+    div = None
     for a in range(f.dim + 1):
         _partial(f.components, a, f, cfg, out=d1, work=work)
+        if divergence:
+            row = d1[(slice(None),) * f.grid_ndim + (a,)]
+            div = row.copy() if div is None else np.add(div, row, out=div)
         _partial(d1, a, f, cfg, out=term if a else total, work=work)
         if a:
             total += term
-    return f.with_components(np.negative(total, out=total))
+    rough = f.with_components(np.negative(total, out=total))
+    if not divergence:
+        return _Sweep(rough)
+    return _Sweep(rough, np.negative(div, out=div), (term, d1))
 
 
-def _op_trace_hessian(f: GridField, cfg: StencilConfig) -> GridField:
-    tr = np.trace(f.components, axis1=-2, axis2=-1)
-    # [..., i, j] = d_j d_i tr
-    return f.with_components(_gradient(_gradient(tr, f, cfg, -1), f, cfg, -1), rank=2)
+def _op_trace_hessian(f: GridField, cfg: StencilConfig, out=None) -> GridField:
+    """[..., i, j] = d_j d_i tr f, into out when given.  The trace is summed
+    as (h00 + h11) + h22 + ..., the order of np.trace, which starts from
+    +0.0: the final + 0.0 gives its +0.0 on a diagonal of negative zeros."""
+    c = f.components
+    tr = np.add(c[..., 0, 0], c[..., 1, 1])
+    for i in range(2, f.dim + 1):
+        tr += c[..., i, i]
+    tr += 0.0
+    return f.with_components(_gradient(_gradient(tr, f, cfg, -1), f, cfg, -1, out=out), rank=2)
 
 
-def _op_linearized_ricci(f: GridField, cfg: StencilConfig, rough: GridField) -> GridField:
-    out = _op_sym_grad(_op_divergence(f, cfg), cfg).components
-    np.subtract(rough.components, out, out=out)
-    out -= _op_trace_hessian(f, cfg).components
+def _op_linearized_ricci(f: GridField, cfg: StencilConfig, sweep: _Sweep) -> GridField:
+    """(rough - (grad w + grad w^T) - Hess tr) / 2, with w the sweep's
+    divergence.  The gradient and then the Hessian go into one of the
+    sweep's spare buffers, the result into the other."""
+    out, scratch = sweep.spare
+    grad = _gradient(sweep.divergence, f, cfg, -2, out=scratch)
+    np.add(grad, np.swapaxes(grad, -1, -2), out=out)
+    np.subtract(sweep.rough.components, out, out=out)
+    out -= _op_trace_hessian(f, cfg, out=scratch).components
     out *= 0.5
     return f.with_components(out)
 
@@ -322,22 +375,31 @@ def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: GridField) -> Grid
     return f.with_components(coupling)
 
 
-# operator -> (test of the input rank, function of (f, cfg, rough)), where
-# rough is the rough Laplacian of f, computed once per batch that uses it
+# operator -> (test of the input rank, function of (f, cfg, sweep)), where
+# sweep is the _Sweep of f, computed once per batch that uses it
 _OPERATORS = {
     "divergence": (lambda rank: rank >= 1, lambda f, cfg, _: _op_divergence(f, cfg)),
     "sym_grad": (lambda rank: rank == 1, lambda f, cfg, _: _op_sym_grad(f, cfg)),
-    "rough_laplacian": (lambda rank: True, lambda f, cfg, rough: rough),
+    "rough_laplacian": (lambda rank: True, lambda f, cfg, sweep: sweep.rough),
     "trace_hessian": (lambda rank: rank == 2, lambda f, cfg, _: _op_trace_hessian(f, cfg)),
     "linearized_ricci": (lambda rank: rank == 2, _op_linearized_ricci),
-    "lichnerowicz": (lambda rank: rank == 2, _op_lichnerowicz),
+    "lichnerowicz": (lambda rank: rank == 2,
+                     lambda f, cfg, sweep: _op_lichnerowicz(f, cfg, sweep.rough)),
 }
 
 
 def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> dict:
     """The named operators of one field, keyed by name in the order first
     named; a repeated name is computed once, and no names give {}.  Every
-    name and the field's rank are checked before any stencil runs."""
+    name and the field's rank are checked before any stencil runs.
+
+    rough_laplacian, lichnerowicz and linearized_ricci share one sweep of
+    second partials.  linearized_ricci reads the divergence from the
+    sweep's first partials and writes its tail into the sweep's spare
+    buffers: it takes 5 (d + 1) partials.  Every value equals the np.roll
+    stencils summed left to right, bit for bit, except that lichnerowicz's
+    copy of the rough Laplacian on a flat background may differ from them
+    in the sign of a zero."""
     names = tuple(dict.fromkeys(names))
     for op in names:
         if op not in _OPERATORS:
@@ -345,8 +407,8 @@ def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> d
         if not _OPERATORS[op][0](f.rank):
             raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
     uses_rough = {"rough_laplacian", "linearized_ricci", "lichnerowicz"}.intersection(names)
-    rough = _op_rough_laplacian(f, cfg) if uses_rough else None
-    return {op: _OPERATORS[op][1](f, cfg, rough) for op in names}
+    sweep = _op_rough_laplacian(f, cfg, "linearized_ricci" in names) if uses_rough else None
+    return {op: _OPERATORS[op][1](f, cfg, sweep) for op in names}
 
 
 def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cylspec import cli
+from cylspec import fd_oracle as O
 from cylspec import fields as F
 from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.errors import InvalidInput
@@ -406,6 +407,24 @@ def test_validate_remainder_slope_on_a_large_probe(tmp_path):
     assert code == 0
     envelope = json.loads((tmp_path / "validate-envelope.json").read_text())
     assert 1.9 <= envelope["payload"]["remainder_scan"]["exponent"] <= 2.1
+
+
+def test_validate_remainder_scan_runs_at_the_stencil_order(tmp_path, monkeypatch):
+    probes = []
+    scan = cli.quadratic_remainder_scan
+    monkeypatch.setattr(cli, "quadratic_remainder_scan",
+                        lambda h, *a: probes.append(h) or scan(h, *a))
+    code = cli.main(["validate", "--order", "2", "--remainder", "--seed", "1",
+                     "--grid", "48x8", "--out", str(tmp_path)])
+    assert code == 0 and len(probes) == 1
+    payload = json.loads((tmp_path / "validate-envelope.json").read_text())["payload"]
+    assert payload["order"] == 2
+    eps = payload["remainder_scan"]["epsilons"]
+    want = O.quadratic_remainder_scan(probes[0], eps, O.StencilConfig(order=2))
+    assert payload["remainder_scan"]["remainders"] == list(want.remainders)
+    # the order-4 scan of the same probe differs, so the order is not ignored
+    other = O.quadratic_remainder_scan(probes[0], eps, O.StencilConfig(order=4))
+    assert other.remainders != want.remainders
 
 
 def test_validate_on_a_grid_without_an_interior_band_exits_two(tmp_path, capsys):

@@ -284,6 +284,18 @@ def test_warm_kernel_blocks_skip_the_lie_derivatives(monkeypatch):
     assert calls == []
 
 
+def test_cold_enumeration_takes_no_condition_number(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda A: calls.append(A.shape) or cond(A))
+    ds._kernel_block.cache_clear()
+    basis = solve_reduced_system(TORUS2, 0.0)
+    assert basis and calls == []
+    h = random_kernel_element(TORUS2, np.random.default_rng(3))
+    dec = classify_kernel(h)
+    assert dec.condition_numbers and len(calls) == len(dec.condition_numbers)
+
+
 def test_kernel_block_values_are_shared_and_read_only():
     basis = solve_reduced_system(CS, 0.0)
     again = solve_reduced_system(CS, 0.0)

@@ -515,6 +515,66 @@ def test_batch_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
         assert np.array_equal(O._partial(cut, a, f, cfg), roll_partial(cut, a, f, cfg)), a
 
 
+@pytest.mark.parametrize("n_r, lengths, n_x, order", [
+    (64, (1.0, 1.0, 1.0), 8, 4),                 # validate-cli's grid, d = 3
+    (128, (2 * math.pi, 2 * math.pi), 24, 2),    # kernel-roundtrip's grid, d = 2
+], ids=["64x8^3-order4", "128x24^2-order2"])
+def test_workload_grids_equal_the_roll_stencils_bit_for_bit(n_r, lengths, n_x, order):
+    shape = (n_r,) + (n_x,) * len(lengths) + (len(lengths) + 1,) * 2
+    comps = np.random.default_rng(n_r + order).standard_normal(shape)
+    f = O.GridField((0.0, 6.0), n_r, lengths, (n_x,) * len(lengths), 2, comps)
+    cfg = O.StencilConfig(order=order)
+    want = roll_operators(f, cfg)
+    for op in want:
+        assert np.array_equal(O.fd_operator(op, f, cfg).components, want[op]), op
+    three = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
+    for op, got in O.fd_operators(three, f, cfg).items():
+        assert np.array_equal(got.components, want[op]), op
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_zero_signs_match_the_roll_stencils(order):
+    # nodes whose every component is -0.0: np.trace sums such a diagonal to
+    # +0.0, and the sign of each zero the stencils produce follows from it
+    comps = np.zeros((12, 8, 9, 3, 3))
+    comps[np.random.default_rng(4).random((12, 8, 9)) < 0.5] = -0.0
+    f = O.GridField((0.0, 6.0), 12, (1.0, 1.7), (8, 9), 2, comps)
+    cfg = O.StencilConfig(order=order)
+    want = roll_operators(f, cfg)
+    # lichnerowicz returns a copy of the rough Laplacian on a flat background,
+    # without the reference's + 0.0 coupling, so its zeros may differ in sign
+    for op in want.keys() - {"lichnerowicz"}:
+        got = O.fd_operator(op, f, cfg).components
+        assert np.array_equal(np.signbit(got), np.signbit(want[op])), op
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
+    """linearized_ricci takes 2 (d + 1) partials in the rough Laplacian's
+    sweep, d + 1 for the gradient of the divergence read from that sweep
+    and 2 (d + 1) for the trace Hessian.  lichnerowicz adds 2 (d + 1) on
+    the product metric, whose periodic axes are cut to length 1."""
+    shape = (12,) + (8,) * dim + (dim + 1,) * 2
+    f = O.GridField((0.0, 6.0), 12, (1.0,) * dim, (8,) * dim, 2,
+                    np.random.default_rng(dim).standard_normal(shape))
+    calls = []
+    partial = O._partial
+    monkeypatch.setattr(O, "_partial", lambda arr, *a, **k: calls.append(arr.shape)
+                        or partial(arr, *a, **k))
+
+    def count(names):
+        calls.clear()
+        O.fd_operators(names, f, O.StencilConfig(order=4))
+        lattice = sum(s[:f.grid_ndim] == shape[:f.grid_ndim] for s in calls)
+        return lattice, len(calls) - lattice
+
+    D = dim + 1
+    assert count(("linearized_ricci",)) == (5 * D, 0)
+    assert count(("lichnerowicz", "rough_laplacian", "linearized_ricci")) == (5 * D, 2 * D)
+    assert count(("divergence",)) == (D, 0)
+    assert count(("rough_laplacian",)) == (2 * D, 0)
+
+
 # -- collapsed invariant axes -----------------------------------------------
 
 
@@ -583,7 +643,9 @@ def test_curvature_memory_stays_near_the_input_size():
     # full-grid curvature of the flat background peaked at 53x (lichnerowicz)
     # and 14x (nonlinear_ricci) the input bytes; collapsed, 5x and 3x.  With
     # np.roll stencils rough_laplacian and linearized_ricci peaked at 5.0x and
-    # 5.1x; in place, 4.05x each, and 4.9x for the batch of three results
+    # 5.1x; in place, 4.05x each, and 4.9x for the batch of three results.
+    # Reading the divergence from the sweep keeps one extra quarter-size
+    # array alive through it: linearized_ricci 4.3x, the batch of three 5.1x
     comps = np.random.default_rng(0).standard_normal((64, 8, 8, 8, 4, 4))
     f = O.GridField((0.0, 6.0), 64, (1.0, 1.0, 1.0), (8, 8, 8), 2, comps)
     cfg = O.StencilConfig(order=4)
