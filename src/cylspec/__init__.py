@@ -2,8 +2,9 @@
 
 The package separates variables over a flat torus cross section N: the
 cross_section module enumerates the spectrum, mode_ode solves the radial
-systems, green_kernel builds the decaying inverses, divergence_solver
-and deformation_solver handle the gauge and kernel structure of the
+systems in closed form, green_kernel measures the weighted-norm blow-up
+of their decaying inverses near the spectral gap, divergence_solver and
+deformation_solver handle the gauge and kernel structure of the
 deformation operator, three_circles certifies tube-decay inequalities,
 and fd_oracle cross-checks everything on finite-difference grids.  The
 cli module drives all of it from job configs.
@@ -51,13 +52,7 @@ from .fd_oracle import (
     sample,
 )
 from .fields import TensorField, linearized_ricci
-from .green_kernel import (
-    BoundFit,
-    GreenKernelSpec,
-    apply_green,
-    estimate_weighted_bound,
-    weighted_sup_norm,
-)
+from .green_kernel import BoundFit, estimate_weighted_bound, weighted_sup_norm
 from .mode_ode import RadialProfile, fundamental_matrix, solve_mixed_mode, solve_scalar_mode
 from .three_circles import (
     MonotonicityReport,
@@ -110,8 +105,6 @@ __all__ = [
     "TensorField",
     "linearized_ricci",
     "BoundFit",
-    "GreenKernelSpec",
-    "apply_green",
     "estimate_weighted_bound",
     "weighted_sup_norm",
     "RadialProfile",

@@ -4,8 +4,7 @@ After separating variables, every field component reduces to radial profiles
 multiplying a fixed cross-section mode.  Profiles are finite sums of
 ``coeff * r**p * exp(rate * r)`` terms, which is closed under every operation
 the solvers need (derivative, product, definite integral, variation of
-parameters), so the whole radial pipeline runs in closed form.  A sampled
-fallback exists for sources that do not fit the closed-form class.
+parameters), so the whole radial pipeline runs in closed form.
 
 Three constant-coefficient systems appear:
 
@@ -34,8 +33,6 @@ from .errors import InvalidInput
 __all__ = [
     "RadialProfile",
     "PiecewiseProfile",
-    "SampledProfile",
-    "SourceExpansion",
     "FundamentalMatrixSet",
     "MixedModeSolution",
     "system_matrix",
@@ -369,39 +366,6 @@ class PiecewiseProfile:
         return total
 
 
-@dataclass
-class SourceExpansion:
-    """Per-mode radial source profiles for a separated right-hand side.
-
-    ``scalar`` maps coclosed / harmonic modes to their alpha profile;
-    ``mixed`` maps scalar-eigenfunction modes to the (beta, gamma) pair of
-    the coupled system.  Keys are Mode objects from the active spectrum.
-    """
-
-    scalar: dict
-    mixed: dict
-
-    def eigenvalues(self):
-        mus = {m.eigenvalue for m in self.scalar}
-        mus |= {m.eigenvalue for m in self.mixed}
-        return sorted(mus)
-
-
-@dataclass(frozen=True)
-class SampledProfile:
-    """Grid samples (r_i, value_i) for sources outside the closed-form class."""
-
-    r: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.r.shape != self.values.shape or self.r.ndim != 1:
-            raise InvalidInput("sampled profile needs matching 1-d grids")
-
-    def evaluate(self, r) -> np.ndarray:
-        return np.interp(np.asarray(r, dtype=float), self.r, self.values)
-
-
 # ---------------------------------------------------------------------------
 # fundamental matrices
 # ---------------------------------------------------------------------------
@@ -533,14 +497,6 @@ class FundamentalMatrixSet:
 
     def mixed_inverse(self, r: float) -> np.ndarray:
         return phi0_4x4_inverse(r) if self.mu == 0 else psi_mu_4x4_inverse(self.mu, r)
-
-    @property
-    def v(self) -> np.ndarray:
-        return v_matrix(self.mu)
-
-    @property
-    def v_inv(self) -> np.ndarray:
-        return v_inverse(self.mu)
 
 
 def fundamental_matrix_set(mu: float) -> FundamentalMatrixSet:

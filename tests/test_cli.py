@@ -359,6 +359,15 @@ def test_bad_values_exit_two_naming_the_key(tmp_path, capsys, argv, ini, key):
     assert not (tmp_path / f"{argv[0]}-envelope.json").exists()
 
 
+def test_bound_fit_rejects_a_nan_rho_fraction(tmp_path, capsys):
+    code = cli.main(["bound-fit", "--rho-fractions", "0.5,nan,0.9", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "bound-fit-envelope.json").exists()
+
+
 def test_config_log_level_applies_unless_a_flag_overrides_it(tmp_path, caplog):
     cfg = tmp_path / "job.ini"
     cfg.write_text("[run]\nlog_level = info\n")

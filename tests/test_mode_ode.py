@@ -254,18 +254,3 @@ def test_windowed_solve_interior_residual():
     g = m.RadialProfile.zero()
     sol = m.solve_mixed_mode(mu, b, g, support=(0.0, 10.0))
     assert sol.residual(b, g, np.linspace(0.01, 9.99, 300)) < 1e-8
-
-
-def test_source_expansion_collects_eigenvalues():
-    class FakeMode:
-        def __init__(self, mu):
-            self.eigenvalue = mu
-
-        def __hash__(self):
-            return id(self)
-
-    exp = m.SourceExpansion(
-        scalar={FakeMode(1.0): m.RadialProfile.zero()},
-        mixed={FakeMode(4.0): (m.RadialProfile.zero(), m.RadialProfile.zero())},
-    )
-    assert exp.eigenvalues() == [1.0, 4.0]

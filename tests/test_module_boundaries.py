@@ -1,5 +1,6 @@
 """Module boundaries inside the package: no private name is imported
-from one cylspec module into another."""
+from one cylspec module into another, and no module imports scipy, which
+only the tests need."""
 
 import ast
 import pathlib
@@ -40,3 +41,36 @@ def test_the_check_sees_relative_and_absolute_private_imports():
         ("mode_ode", "_restore_rates"),
         ("cylspec.fields", "_term_table"),
     ]
+
+
+def _scipy_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield node.lineno, name
+
+
+def test_no_module_imports_scipy():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _scipy_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_check_sees_deferred_and_from_scipy_imports():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def solve():\n"
+        "    import scipy.integrate\n"
+        "from scipy import integrate\n"
+        "from .scipy_free import quad\n"
+    )
+    assert sorted(_scipy_imports(tree)) == [(3, "scipy.integrate"), (4, "scipy")]

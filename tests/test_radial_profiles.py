@@ -8,7 +8,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylspec.mode_ode import PiecewiseProfile, RadialProfile, SampledProfile
+from cylspec.mode_ode import PiecewiseProfile, RadialProfile
 from cylspec.errors import InvalidInput
 
 
@@ -132,9 +132,3 @@ def test_piece_on_rejects_straddling():
     assert p.piece_on(1.2, 1.8).terms == ((2.0, 0, 0.0),)
     with pytest.raises(InvalidInput):
         p.piece_on(0.5, 1.5)
-
-
-def test_sampled_profile_interpolates():
-    r = np.linspace(0, 1, 11)
-    s = SampledProfile(r, r**2)
-    assert s.evaluate(0.35) == pytest.approx(0.35**2, abs=5e-3)
