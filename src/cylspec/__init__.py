@@ -40,6 +40,7 @@ from .errors import (
     MemoryGuard,
     NonInvertibleSector,
     NotInKernel,
+    ResonantRate,
     ResonantTau,
 )
 from .fd_oracle import (
@@ -53,7 +54,7 @@ from .fd_oracle import (
 )
 from .fields import TensorField, linearized_ricci
 from .green_kernel import BoundFit, estimate_weighted_bound, weighted_sup_norm
-from .mode_ode import RadialProfile, fundamental_matrix, solve_mixed_mode, solve_scalar_mode
+from .mode_ode import RadialProfile, solve_mixed_mode, solve_scalar_mode
 from .three_circles import (
     MonotonicityReport,
     ThreeCirclesParams,
@@ -94,6 +95,7 @@ __all__ = [
     "MemoryGuard",
     "NonInvertibleSector",
     "NotInKernel",
+    "ResonantRate",
     "ResonantTau",
     "GridField",
     "StencilConfig",
@@ -108,7 +110,6 @@ __all__ = [
     "estimate_weighted_bound",
     "weighted_sup_norm",
     "RadialProfile",
-    "fundamental_matrix",
     "solve_mixed_mode",
     "solve_scalar_mode",
     "MonotonicityReport",

@@ -244,20 +244,19 @@ def _choice(parse, allowed):
     return parse_choice
 
 
-def _list(item):
-    """A list of item values: a JSON list, or text separated by , or ;."""
+def _list(item, distinct=False):
+    """A nonempty list of item values: a JSON list, or text separated by ,
+    or ;.  With ``distinct`` a repeated value is rejected too."""
     def parse_list(value):
         if isinstance(value, str):
             value = [part for part in value.replace(";", ",").split(",") if part.strip()]
-        return [item(v.strip() if isinstance(v, str) else v) for v in value]
+        values = [item(v.strip() if isinstance(v, str) else v) for v in value]
+        if not values:
+            raise ValueError("needs at least one value")
+        if distinct and len(set(values)) != len(values):
+            raise ValueError(f"lists a value twice: {values}")
+        return values
     return parse_list
-
-
-def _positive_int(value) -> int:
-    value = _int(value)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
 
 
 def _grid(value) -> list:
@@ -273,6 +272,8 @@ def _parse_triples(value) -> list:
     if isinstance(value, str):
         value = [g.split(",") for g in value.split(";") if g.strip()]
     triples = [[_int(t) for t in triple] for triple in value]
+    if not triples:
+        raise ValueError("needs at least one triple")
     for t in triples:
         if len(t) != 3:
             raise InvalidInput(f"each triple needs exactly three offsets, got {t}")
@@ -318,11 +319,6 @@ _CROSS_SECTION = {
 
 _RUN = {
     "seed": Key(0, _int, "--seed", "random seed recorded in the manifest"),
-    "threads": Key(
-        1, _positive_int, "--threads",
-        "recorded in the manifest only; BLAS threads follow the environment "
-        "(e.g. OMP_NUM_THREADS) set before cylspec starts",
-    ),
     "log_level": Key("warning", _choice(str, ("debug", "info", "warning", "error")),
                      "--log-level", "logging verbosity: debug, info, warning or error"),
 }
@@ -753,7 +749,8 @@ _TASKS = {
         "eps_list": Key([0.1, 0.03, 0.01], _list(float)),
     }),
     "bound-fit": Task(_task_bound_fit, "fit the weighted-bound exponent", {
-        "source_types": Key(["one_form", "pair"], _list(str), "--types", "one_form,pair"),
+        "source_types": Key(["one_form", "pair"], _list(str, distinct=True), "--types",
+                            "one_form,pair"),
         "rho_fractions": Key([0.5, 0.8, 0.9, 0.95, 0.99], _list(float), "--rho-fractions"),
         "caps": Key({"one_form": 1.15, "pair": 2.15}, _caps),
     }),

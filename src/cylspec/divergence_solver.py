@@ -67,28 +67,9 @@ class DivergenceConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OneFormModes:
-    """A one-form resolved into per-mode radial profiles.
-
-    ``pair`` maps (freq, phase) of a scalar mode phi to the profiles
-    (b, c) in b d_N phi + c phi dr; ``coclosed`` maps (freq, phase, i) to
-    the coefficient of the i-th perpendicular polarization; ``harmonic``
-    maps the coordinate index to the coefficient of the constant 1-form;
-    ``radial`` is the coefficient of phi0 dr over the constant scalar.
-    """
-
-    pair: dict = dc_field(default_factory=dict)
-    coclosed: dict = dc_field(default_factory=dict)
-    harmonic: dict = dc_field(default_factory=dict)
-    radial: RadialProfile = dc_field(default_factory=RadialProfile.zero)
-
-    def is_zero(self) -> bool:
-        return not (self.pair or self.coclosed or self.harmonic) and self.radial.is_zero()
-
-
-def decompose_one_form(w: TensorField) -> OneFormModes:
-    """Resolve a rank-1 field into per-mode radial source profiles."""
+def decompose_one_form(w: TensorField) -> GaugeField:
+    """Resolve a rank-1 field into per-mode radial profiles, carried by a
+    GaugeField whose ``one_form`` gives w back."""
     if w.rank != 1:
         raise InvalidInput("decompose_one_form needs a rank-1 field")
     cs = w.cs
@@ -132,20 +113,17 @@ def decompose_one_form(w: TensorField) -> OneFormModes:
                     float(tang @ u) / amp1, p, lam,
                 )
 
-    out = OneFormModes(radial=RadialProfile(tuple(radial_terms)))
+    pairs, coclosed, harmonic = {}, {}, {}
     for key, (b_terms, c_terms) in pair_terms.items():
         b, c = RadialProfile(tuple(b_terms)), RadialProfile(tuple(c_terms))
         if not (b.is_zero() and c.is_zero()):
-            out.pair[key] = (b, c)
-    for key, terms in coclosed_terms.items():
-        prof = RadialProfile(tuple(terms))
-        if not prof.is_zero():
-            out.coclosed[key] = prof
-    for key, terms in harmonic_terms.items():
-        prof = RadialProfile(tuple(terms))
-        if not prof.is_zero():
-            out.harmonic[key] = prof
-    return out
+            pairs[key] = (b, c)
+    for store, terms_by_key in ((coclosed, coclosed_terms), (harmonic, harmonic_terms)):
+        for key, terms in terms_by_key.items():
+            prof = RadialProfile(tuple(terms))
+            if not prof.is_zero():
+                store[key] = prof
+    return GaugeField(cs, pairs, coclosed, harmonic, RadialProfile(tuple(radial_terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +140,12 @@ def _plain(profile) -> RadialProfile:
 
 
 def _growth_class(*profiles) -> str:
-    rate_tol = 1e-12
     worst = "decaying"
     for prof in profiles:
         for _c, p, lam in _plain(prof).terms:
-            if lam > rate_tol:
+            if lam > 0.0:
                 cls = "exponential"
-            elif abs(lam) <= rate_tol:
+            elif lam == 0.0:
                 cls = "polynomial" if p > 0 else "bounded"
             else:
                 cls = "decaying"
@@ -187,7 +164,8 @@ class GaugeField:
     classify every component under namespaced keys such as
     ("pair", freq, phase) or ("harmonic", i), and are derived from the
     components: pair and coclosed components lie in the infinite sector,
-    harmonic and radial ones in the finite sector.
+    harmonic and radial ones in the finite sector.  ``decompose_one_form``
+    returns one too, holding the per-mode profiles of a given one-form.
     """
 
     cs: TorusCrossSection
@@ -312,7 +290,7 @@ def solve_gauge(source: TensorField, cfg: DivergenceConfig = DivergenceConfig())
     parts = decompose_one_form(w)
 
     pairs: dict = {}
-    for (freq, phase), (b, c) in parts.pair.items():
+    for (freq, phase), (b, c) in parts.pairs.items():
         sol = solve_mixed_mode(cs.eigenvalue(freq), b.scale(-1.0), c.scale(-0.5))
         pairs[(freq, phase)] = (sol.k.single_profile(), sol.l.single_profile())
     coclosed = {

@@ -32,6 +32,12 @@ class ResonantTau(CylspecError):
     radial systems would be singular."""
 
 
+class ResonantRate(InvalidInput):
+    """A source rate lies within the near-resonance window of a homogeneous
+    rate of a radial solve, but not on it; the closed form would divide by
+    the tiny gap.  The message names both rates."""
+
+
 class NotInKernel(CylspecError):
     """A tensor handed to the kernel classifier fails the kernel residual
     checks.  Carries the offending residual value."""

@@ -18,6 +18,11 @@ Three constant-coefficient systems appear:
 
 Solves select decay at both ends of the line (integral split at the origin),
 which is what kills secular growth beyond a compactly supported source.
+
+Every solve runs through one integrator, ``_exp_integral``, which keeps each
+term's rate, so a solution carries exactly (``==``) the source rates and the
+homogeneous rates (+-sqrt(mu), or 0 and -tau) and no others.  A source rate
+within RATE_WINDOW of a homogeneous rate, but not on it, raises ResonantRate.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ResonantRate
 
 __all__ = [
     "RadialProfile",
@@ -45,12 +50,15 @@ __all__ = [
     "v_inverse",
     "psi_mu_4x4",
     "psi_mu_4x4_inverse",
-    "fundamental_matrix",
     "check_characteristic",
     "solve_scalar_mode",
     "solve_mixed_mode",
     "solve_damped_mode",
 ]
+
+# A rate lam with 0 < |lam - sigma| <= RATE_WINDOW * max(1, |sigma|) against
+# a homogeneous rate sigma raises ResonantRate instead of dividing by the gap.
+RATE_WINDOW = 1e-10
 
 # Coefficients whose magnitude is exactly zero are dropped on construction;
 # everything else is kept (pruning with a tolerance is always explicit).
@@ -63,6 +71,15 @@ def _falling(p: int, j: int) -> int:
     for i in range(j):
         out *= p - i
     return out
+
+
+def _antiderivative_terms(c: float, p: int, lam: float) -> list:
+    """(coeff, power) pairs of the antiderivative of c r^p e^{lam r} at rate
+    lam, integration constant 0: c r^{p+1} / (p + 1) for lam == 0, else
+    e^{lam r} sum_j (-1)^j (p)_j c r^{p-j} / lam^{j+1}, (p)_j falling."""
+    if lam == 0.0:
+        return [(c / (p + 1), p + 1)]
+    return [(c * (-1) ** j * _falling(p, j) / lam ** (j + 1), p - j) for j in range(p + 1)]
 
 
 # Gauss-Legendre nodes for curved terms on a short interval: with
@@ -183,19 +200,11 @@ class RadialProfile:
         return RadialProfile(tuple(out))
 
     def antiderivative(self) -> "RadialProfile":
-        """Termwise antiderivative (integration constant 0).
-
-        For ``lam != 0`` uses the closed form
-        ``int r^p e^{lam r} dr = e^{lam r} sum_j (-1)^j (p)_j r^{p-j} / lam^{j+1}``.
-        """
-        out = []
-        for c, p, lam in self.terms:
-            if lam == 0.0:
-                out.append((c / (p + 1), p + 1, 0.0))
-            else:
-                for j in range(p + 1):
-                    out.append((c * (-1) ** j * _falling(p, j) / lam ** (j + 1), p - j, lam))
-        return RadialProfile(tuple(out))
+        """Termwise antiderivative (integration constant 0), in the closed
+        form of ``_antiderivative_terms``."""
+        return RadialProfile(tuple(
+            (a, q, lam) for c, p, lam in self.terms for a, q in _antiderivative_terms(c, p, lam)
+        ))
 
     # -- queries ------------------------------------------------------------
 
@@ -506,20 +515,6 @@ def fundamental_matrix_set(mu: float) -> FundamentalMatrixSet:
     return FundamentalMatrixSet(mu=float(mu))
 
 
-def fundamental_matrix(system: str, mu: float, r: float) -> np.ndarray:
-    """Evaluate the fundamental matrix of the chosen system at radius r.
-
-    ``system`` is "scalar2x2" or "mixed4x4"; mu = 0 selects the polynomial
-    forms, mu > 0 the exponential ones.
-    """
-    fm = fundamental_matrix_set(mu)
-    if system == "scalar2x2":
-        return fm.scalar(r)
-    if system == "mixed4x4":
-        return fm.mixed(r)
-    raise InvalidInput(f"unknown system {system!r}")
-
-
 def check_characteristic(mu: float) -> dict:
     """Root structure of (lambda^2 - mu)^2 together with Jordan rank data.
 
@@ -556,42 +551,36 @@ def _as_source(profile, support):
     return profile, support
 
 
-def _integral_zero_to_r(profile: RadialProfile) -> RadialProfile:
-    """int_0^r profile(s) ds as a profile in r."""
-    F = profile.antiderivative()
-    return F - RadialProfile.constant(F.value_at_zero())
+def _exp_integral(profile: RadialProfile, sigma: float, upper=None) -> RadialProfile:
+    """e^{sigma r} int e^{-sigma t} profile(t) dt as a profile in r, over
+    [0, r] when ``upper`` is None and over [r, upper] otherwise (upper may
+    be inf).
 
-
-def _integral_r_to_upper(profile: RadialProfile, upper: float) -> RadialProfile:
-    """int_r_upper profile(s) ds as a profile in r (upper may be inf)."""
-    F = profile.antiderivative()
-    if upper == math.inf:
-        top = F.limit_at_plus_infinity()
-    else:
-        top = float(F.evaluate(upper))
-    return RadialProfile.constant(top) - F
-
-
-def _restore_rates(profile: RadialProfile, anchors, tol=1e-10) -> RadialProfile:
-    """Snap term rates back onto the exact anchor set.
-
-    Variation of parameters multiplies by e^{sigma r}, integrates, and
-    multiplies back; in floats the round trip lam -> (lam - sigma) + sigma
-    can land one ulp off the source rate.  Mathematically the solution's
-    rate support is exactly the source rates plus the homogeneous rates,
-    so drifting terms are snapped to the nearest anchor, letting equal-rate
-    terms merge (and cancel) instead of surviving as near-duplicates.
+    Term by term with d = lam - sigma, each term keeps its rate lam and
+    takes the closed-form antiderivative's coefficients, with divisors
+    d^{j+1} (d == 0: the secular r^{p+1} / (p + 1)); the integration
+    constant sits at rate sigma.  A nonzero d inside RATE_WINDOW (relative
+    to max(1, |sigma|)) would divide by a near-zero gap and cancel, so it
+    raises ResonantRate.  At a finite ``upper`` the constant is the
+    antiderivative at the shifted rates d, evaluated there.
     """
-    anchors = sorted(set(anchors))
-    if not anchors:
-        return profile
-    out = []
+    window = RATE_WINDOW * max(1.0, abs(sigma))
+    shifted, out = [], []
     for c, p, lam in profile.terms:
-        best = min(anchors, key=lambda a: abs(lam - a))
-        if abs(lam - best) <= tol * max(1.0, abs(best)):
-            lam = best
-        out.append((c, p, lam))
-    return RadialProfile(tuple(out))
+        d = lam - sigma
+        if 0.0 < abs(d) <= window:
+            raise ResonantRate(
+                f"source rate {lam!r} lies within {abs(d):.3g} of the homogeneous "
+                f"rate {sigma + 0.0!r}"
+            )
+        parts = _antiderivative_terms(c, p, d)
+        shifted.extend((a, q, d) for a, q in parts)
+        out.extend((a, q, lam) for a, q in parts)
+    F = RadialProfile(shifted)
+    if upper is None:
+        return RadialProfile(out + [(-F.value_at_zero(), 0, sigma)])
+    top = F.limit_at_plus_infinity() if upper == math.inf else float(F.evaluate(upper))
+    return RadialProfile([(top, 0, sigma)] + [(-a, q, lam) for a, q, lam in out])
 
 
 def solve_scalar_mode(mu: float, alpha, support=None):
@@ -613,8 +602,8 @@ def solve_scalar_mode(mu: float, alpha, support=None):
 
     if mu == 0.0:
         # f = r * int_0^r alpha - int_0^r s alpha  (zero data at r = 0)
-        body = _integral_zero_to_r(alpha).mul_monomial(1, 0.0) - _integral_zero_to_r(
-            alpha.mul_monomial(1, 0.0)
+        body = _exp_integral(alpha, 0.0).mul_monomial(1, 0.0) - _exp_integral(
+            alpha.mul_monomial(1, 0.0), 0.0
         )
         if support is None:
             return PiecewiseProfile.single(body, lo=0.0)
@@ -625,20 +614,14 @@ def solve_scalar_mode(mu: float, alpha, support=None):
         return PiecewiseProfile([(0.0, hi, body), (hi, math.inf, tail)])
 
     s = math.sqrt(mu)
-    anchors = [0.0, s, -s] + [lam for _, _, lam in alpha.terms]
     if support is None:
         for _, p, lam in alpha.terms:
             if lam >= s:
                 raise InvalidInput("global source must decay strictly below rate sqrt(mu)")
-        down = _integral_zero_to_r(alpha.mul_monomial(0, s)).mul_monomial(0, -s)
-        up = _integral_r_to_upper(alpha.mul_monomial(0, -s), math.inf).mul_monomial(0, s)
-        f = _restore_rates((down + up).scale(-1.0 / (2.0 * s)), anchors)
-        return PiecewiseProfile.single(f, lo=0.0)
-
-    _, hi = support
-    down_body = _integral_zero_to_r(alpha.mul_monomial(0, s)).mul_monomial(0, -s)
-    up_body = _integral_r_to_upper(alpha.mul_monomial(0, -s), hi).mul_monomial(0, s)
-    body = _restore_rates((down_body + up_body).scale(-1.0 / (2.0 * s)), anchors)
+    hi = math.inf if support is None else support[1]
+    body = (_exp_integral(alpha, -s) + _exp_integral(alpha, s, hi)).scale(-1.0 / (2.0 * s))
+    if support is None:
+        return PiecewiseProfile.single(body, lo=0.0)
     c_decay = alpha.mul_monomial(0, s).definite_integral(0.0, hi)
     tail = RadialProfile(((-c_decay / (2.0 * s), 0, -s),))
     return PiecewiseProfile([(0.0, hi, body), (hi, math.inf, tail)])
@@ -650,16 +633,7 @@ def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
     This is the eigenvalue-zero (finite-sector) equation of the
     tau-modified gauge problem.
     """
-    if tau == 0.0:
-        dy = s.antiderivative()
-        dy = dy - RadialProfile.constant(dy.value_at_zero())
-    else:
-        grow = s.mul_monomial(0, tau).antiderivative()
-        grow = grow - RadialProfile.constant(grow.value_at_zero())
-        anchors = [0.0, -tau] + [lam for _, _, lam in s.terms]
-        dy = _restore_rates(grow.mul_monomial(0, -tau), anchors)
-    y = dy.antiderivative()
-    return y - RadialProfile.constant(y.value_at_zero())
+    return _exp_integral(_exp_integral(s, -tau), 0.0)
 
 
 @dataclass
@@ -704,21 +678,10 @@ def _vop_block(q_tilde_1, q_tilde_2, sigma, upper=None):
     and over [t, upper] otherwise, returning the pair (y1, y2) as profiles
     in t.
     """
-
-    def integ(prof):
-        shifted = prof.mul_monomial(0, -sigma)
-        if upper is None:
-            return _integral_zero_to_r(shifted)
-        return _integral_r_to_upper(shifted, upper)
-
-    i1 = integ(q_tilde_1)
-    i2 = integ(q_tilde_2)
-    i2s = integ(q_tilde_2.mul_monomial(1, 0.0))
-
-    # y1 = e^{sigma t} [ i1 + t i2 - int s e^{-sigma s} q2 ]
-    y1 = (i1 + i2.mul_monomial(1, 0.0) - i2s).mul_monomial(0, sigma)
-    y2 = i2.mul_monomial(0, sigma)
-    return y1, y2
+    i1 = _exp_integral(q_tilde_1, sigma, upper)
+    y2 = _exp_integral(q_tilde_2, sigma, upper)
+    i2s = _exp_integral(q_tilde_2.mul_monomial(1, 0.0), sigma, upper)
+    return i1 + y2.mul_monomial(1, 0.0) - i2s, y2
 
 
 def _mixed_solution_profiles(mu, beta, gamma, upper):
@@ -742,21 +705,10 @@ def _mixed_solution_profiles(mu, beta, gamma, upper):
 
     y1m, y2m = _vop_block(qt[2], qt[3], -s)
     y1p, y2p = _vop_block(qt[0], qt[1], +s, upper=upper)
-
-    anchors = (
-        [0.0, s, -s]
-        + [lam for _, _, lam in beta.terms]
-        + [lam for _, _, lam in gamma.terms]
-    )
-    x = []
-    for i in range(4):
-        xi = (
-            y1m.scale(V[i, 2])
-            + y2m.scale(V[i, 3])
-            - (y1p.scale(V[i, 0]) + y2p.scale(V[i, 1]))
-        )
-        x.append(_restore_rates(xi, anchors))
-    return x
+    return [
+        y1m.scale(V[i, 2]) + y2m.scale(V[i, 3]) - (y1p.scale(V[i, 0]) + y2p.scale(V[i, 1]))
+        for i in range(4)
+    ]
 
 
 def _tail_profiles(mu, beta, gamma, hi):

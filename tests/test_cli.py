@@ -153,10 +153,10 @@ def test_resolved_config_spells_out_every_default(monkeypatch):
             "dim": 3, "side_lengths": [1.0, 1.0, 1.0], "freq_cutoff": 1,
         }
         assert cfg.output == {"dir": ".", "envelope": f"{name}-envelope.json"}
-        assert cfg.run == {"seed": 0, "threads": 1, "log_level": "warning"}
+        assert cfg.run == {"seed": 0, "log_level": "warning"}
 
 
-COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--seed", "--threads", "--log-level"}
+COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--seed", "--log-level"}
 CROSS_SECTION_FLAGS = {"--dim", "--side-lengths", "--freq-cutoff"}
 SUBCOMMAND_FLAGS = {
     "spectrum": {"--kinds"} | CROSS_SECTION_FLAGS,
@@ -341,10 +341,17 @@ def test_field_dict_rejects_keys_outside_the_mode_set(freq, phase, message):
         (["validate"], "[task]\nremainder = maybe\n", "task.remainder"),
         (["spectrum"], "[run]\nlog_level = loud\n", "run.log_level"),
         (["spectrum", "--log-level", "loud"], None, "run.log_level"),
+        (["spectrum", "--kinds="], None, "task.kinds"),
+        (["bound-fit", "--types="], None, "task.source_types"),
+        (["bound-fit", "--types=one_form,one_form"], None, "task.source_types"),
+        (["three-circles", "--mode-file", "h.json", "--L", "1.0", "--beta", "5.0",
+          "--beta-prime", "0.3", "--triples="], None, "task.triples"),
+        (["spectrum"], "[run]\nthreads = 2\n", "run.threads"),
     ],
     ids=["tau-abc", "seed-x", "side-lengths-1-a-1", "grid-96", "grid-48x8x2",
          "triples-0-1-x", "caps-scalar", "remainder-maybe", "log-level-loud-ini",
-         "log-level-loud-flag"],
+         "log-level-loud-flag", "kinds-empty", "types-empty", "types-repeated",
+         "triples-empty", "threads-ini"],
 )
 def test_bad_values_exit_two_naming_the_key(tmp_path, capsys, argv, ini, key):
     if ini is not None:

@@ -151,7 +151,7 @@ def test_decompose_recovers_pair_profiles_exactly():
     k = RadialProfile.monomial(0.8, 1, -0.5)
     l = RadialProfile.monomial(-1.1, 0, -0.9)
     parts = dv.decompose_one_form(F.pair_one_form(CS, PHI, k, l))
-    got_k, got_l = parts.pair[(PHI.freq, "cos")]
+    got_k, got_l = parts.pairs[(PHI.freq, "cos")]
     assert profiles_close(got_k, k)
     assert profiles_close(got_l, l)
     assert not parts.coclosed and not parts.harmonic and parts.radial.is_zero()
@@ -160,7 +160,7 @@ def test_decompose_recovers_pair_profiles_exactly():
 def test_decompose_handles_sin_phase_gradient_sign():
     k = RadialProfile.monomial(1.0, 0, -1.0)
     parts = dv.decompose_one_form(F.pair_one_form(CS, PHI_SIN, k, RadialProfile.zero()))
-    got_k, got_l = parts.pair[(PHI_SIN.freq, "sin")]
+    got_k, got_l = parts.pairs[(PHI_SIN.freq, "sin")]
     assert profiles_close(got_k, k)
     assert got_l.is_zero()
 
@@ -184,11 +184,7 @@ def test_decompose_finite_sector_normalization():
 def test_decompose_reassemble_round_trip(seed):
     rng = np.random.default_rng(seed)
     w = random_one_form(CS, rng, n_terms=int(rng.integers(1, 6)))
-    parts = dv.decompose_one_form(w)
-    back = dv.GaugeField(
-        CS, parts.pair, parts.coclosed, parts.harmonic, parts.radial
-    ).one_form
-    assert field_close(back, w, tol=1e-12)
+    assert field_close(dv.decompose_one_form(w).one_form, w, tol=1e-12)
 
 
 def test_decompose_rejects_rank2():
@@ -286,6 +282,8 @@ def test_growth_classifier():
     assert dv._growth_class(RadialProfile.constant(3.0)) == "bounded"
     assert dv._growth_class(RadialProfile.monomial(1.0, 1, 0.0)) == "polynomial"
     assert dv._growth_class(RadialProfile.monomial(1.0, 0, 0.5)) == "exponential"
+    # rates are exact, so any positive rate grows
+    assert dv._growth_class(RadialProfile.monomial(1.0, 0, 1e-13)) == "exponential"
     assert (
         dv._growth_class(RadialProfile.monomial(1.0, 0, -1.0), RadialProfile.constant(1.0))
         == "bounded"

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cylspec import mode_ode as m
-from cylspec.errors import InvalidInput
+from cylspec.errors import InvalidInput, ResonantRate
 
 MUS = (0.0, 0.5, 1.0, 4.0, 4.0 * math.pi**2)
 
@@ -28,8 +30,8 @@ def richardson_derivative(f, r, h=1e-3):
 
 
 def test_scalar_matrix_entries_frozen():
-    assert np.array_equal(m.fundamental_matrix("scalar2x2", 0.0, 2.0), [[1, 2], [0, 1]])
-    assert np.allclose(m.fundamental_matrix("scalar2x2", 1.0, 0.0), [[1, 1], [1, -1]])
+    assert np.array_equal(m.fundamental_matrix_set(0.0).scalar(2.0), [[1, 2], [0, 1]])
+    assert np.allclose(m.fundamental_matrix_set(1.0).scalar(0.0), [[1, 1], [1, -1]])
 
 
 def test_mixed_matrix_at_zero_is_v():
@@ -42,7 +44,7 @@ def test_mixed_matrix_at_zero_is_v():
         ],
         dtype=float,
     )
-    assert np.allclose(m.fundamental_matrix("mixed4x4", 1.0, 0.0), V1, atol=1e-14)
+    assert np.allclose(m.fundamental_matrix_set(1.0).mixed(0.0), V1, atol=1e-14)
     assert np.allclose(m.v_matrix(1.0), V1, atol=1e-14)
 
 
@@ -83,9 +85,7 @@ def test_scalar_fundamental_matrix_solves_ode():
 
 def test_negative_mu_rejected():
     with pytest.raises(InvalidInput):
-        m.fundamental_matrix("mixed4x4", -1.0, 0.0)
-    with pytest.raises(InvalidInput):
-        m.fundamental_matrix("nope", 1.0, 0.0)
+        m.fundamental_matrix_set(-1.0)
 
 
 def test_characteristic_structure():
@@ -254,3 +254,85 @@ def test_windowed_solve_interior_residual():
     g = m.RadialProfile.zero()
     sol = m.solve_mixed_mode(mu, b, g, support=(0.0, 10.0))
     assert sol.residual(b, g, np.linspace(0.01, 9.99, 300)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# exact rates and the near-resonance window
+# ---------------------------------------------------------------------------
+
+
+def _rates(solution):
+    pieces = solution.pieces if isinstance(solution, m.PiecewiseProfile) else [
+        (0.0, math.inf, solution)
+    ]
+    return {lam for _, _, prof in pieces for _, _, lam in prof.terms}
+
+
+def _near(lam, sigma):
+    return 0.0 < abs(lam - sigma) <= m.RATE_WINDOW * max(1.0, abs(sigma))
+
+
+@st.composite
+def rate_problems(draw):
+    """(mu, tau, hi, sources): three sources with rates at -s, -s/2 or in
+    (-3s, s), s = sqrt(mu), with no rate inside the resonance window."""
+    mu = draw(st.sampled_from((0.5, 1.0, 4.0, 4.0 * math.pi**2)))
+    s = math.sqrt(mu)
+    rate = st.one_of(
+        st.just(-s), st.just(-0.5 * s),
+        st.floats(-3.0 * s, s, exclude_max=True, allow_subnormal=False),
+    )
+    term = st.tuples(st.floats(-2.0, 2.0), st.integers(0, 2), rate)
+    sources = [m.RadialProfile(draw(st.lists(term, min_size=1, max_size=4))) for _ in range(3)]
+    tau = draw(st.sampled_from((0.0, 0.01, 0.05, 0.5)))
+    rates = [lam for src in sources for _, _, lam in src.terms]
+    assume(not any(_near(lam, h) for lam in rates for h in (s, -s, 0.0, -tau)))
+    return mu, tau, draw(st.floats(0.5, 4.0)), sources
+
+
+@given(rate_problems())
+@settings(max_examples=60, deadline=None)
+def test_solutions_carry_only_source_and_homogeneous_rates(problem):
+    mu, tau, hi, (a, b, c) = problem
+    s = math.sqrt(mu)
+    source_rates = {lam for src in (a, b, c) for _, _, lam in src.terms}
+    for support in (None, (0.0, hi)):
+        sol = m.solve_mixed_mode(mu, a, b, support)
+        for prof in (m.solve_scalar_mode(mu, a, support), sol.k, sol.kp, sol.l, sol.lp):
+            assert _rates(prof) <= source_rates | {s, -s}
+        assert _rates(m.solve_scalar_mode(0.0, c, support)) <= source_rates | {0.0}
+    assert _rates(m.solve_damped_mode(tau, c)) <= source_rates | {0.0, -tau}
+
+
+def test_a_tiny_source_rate_is_kept_exactly():
+    src = m.RadialProfile.monomial(1.0, 0, -1e-20)
+    assert _rates(m.solve_scalar_mode(1.0, src)) == {-1e-20, -1.0}
+    zero = m.RadialProfile.zero()
+    k_sol, l_sol = m.solve_mixed_mode(4.0, src, zero), m.solve_mixed_mode(4.0, zero, src)
+    assert -1e-20 in _rates(k_sol.k) and -1e-20 in _rates(l_sol.l)
+    for sol in (k_sol, l_sol):
+        for prof in (sol.k, sol.kp, sol.l, sol.lp):
+            assert 0.0 not in _rates(prof)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-11])
+def test_near_resonant_source_raises(eps):
+    # e^{(-2 + eps) r} at mu = 4 sits eps away from the homogeneous rate -2
+    src = m.RadialProfile.monomial(1.0, 0, -2.0 + eps)
+    with pytest.raises(ResonantRate, match="-2.0"):
+        m.solve_scalar_mode(4.0, src)
+    with pytest.raises(ResonantRate, match="-2.0"):
+        m.solve_mixed_mode(4.0, src, m.RadialProfile.zero())
+    with pytest.raises(ResonantRate):
+        m.solve_mixed_mode(4.0, m.RadialProfile.zero(), src, support=(0.0, 3.0))
+
+
+def test_near_resonant_damped_solves_raise():
+    with pytest.raises(ResonantRate):
+        m.solve_damped_mode(1e-11, m.RadialProfile.constant(1.0))
+    with pytest.raises(ResonantRate):
+        m.solve_damped_mode(0.0, m.RadialProfile.monomial(1.0, 0, -1e-20))
+    # on the homogeneous rate itself the secular branch is exact
+    y = m.solve_damped_mode(0.5, m.RadialProfile.monomial(1.0, 0, -0.5))
+    r = np.linspace(0.0, 6.0, 50)
+    assert np.max(np.abs(y.evaluate(r) - (4.0 - (4.0 + 2.0 * r) * np.exp(-0.5 * r)))) < 1e-13

@@ -32,13 +32,13 @@ def test_no_module_imports_a_private_name_from_another():
 
 def test_the_check_sees_relative_and_absolute_private_imports():
     tree = ast.parse(
-        "from .mode_ode import _restore_rates, solve_scalar_mode\n"
+        "from .mode_ode import _exp_integral, solve_scalar_mode\n"
         "from cylspec.fields import _term_table\n"
         "from . import __version__\n"
         "from numpy import _globals\n"
     )
     assert [(m, n) for _, m, n in _private_imports(tree)] == [
-        ("mode_ode", "_restore_rates"),
+        ("mode_ode", "_exp_integral"),
         ("cylspec.fields", "_term_table"),
     ]
 
