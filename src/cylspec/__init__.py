@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .cross_section import Mode, Spectrum, TorusCrossSection, build_spectrum
 from .deformation_solver import (
-    DeformationTensor,
     KernelBasisElement,
     KernelDecomposition,
     classify_kernel,
@@ -73,7 +72,6 @@ __all__ = [
     "Spectrum",
     "TorusCrossSection",
     "build_spectrum",
-    "DeformationTensor",
     "KernelBasisElement",
     "KernelDecomposition",
     "classify_kernel",

@@ -226,6 +226,13 @@ def _int(value) -> int:
     return int(number)
 
 
+def _positive_int(value) -> int:
+    number = _int(value)
+    if number < 1:
+        raise ValueError(f"must be at least 1, got {number}")
+    return number
+
+
 def _bool(value) -> bool:
     text = str(value).strip().lower()
     if text in ("1", "true", "yes", "on"):
@@ -716,7 +723,7 @@ _TASKS = {
     "solve-div": Task(_task_solve_div, "solve the gauge equation", {
         "tau": Key(0.01, float, "--tau"),
         "mode_file": Key(None, str, "--mode-file"),
-        "n_modes": Key(6, _int, "--modes", "random source size"),
+        "n_modes": Key(6, _positive_int, "--modes", "random source size"),
         "residual_tol": Key(1e-9, float),
     }),
     "solve-deform": Task(_task_solve_deform, "solve the kernel system", {

@@ -9,6 +9,11 @@ angular frequencies omega_j = 2 pi k_j / l_j, eigenvalue mu = |omega|^2.
 
 Frequency vectors are restricted to a canonical half-space (first nonzero
 entry positive) so the cos/sin pairs at +-k are not double counted.
+
+Modes are only built here.  Evaluating them, differentiating them and
+pairing them in L2 is the business of ``fields``: a mode times a radial
+profile is a ``TensorField``, and the trig derivative signs and the
+Fourier pairing factor are fixed there once.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +30,10 @@ from .errors import InvalidParams
 __all__ = [
     "TorusCrossSection",
     "Mode",
-    "ModeImage",
     "Spectrum",
     "KINDS",
     "build_spectrum",
     "modes_at",
-    "evaluate_mode",
-    "pointwise_operators",
-    "mode_inner_product",
     "tangent_complement",
 ]
 
@@ -141,18 +141,6 @@ class Mode:
             0 if self.phase == "cos" else 1,
             tuple(np.round(self.polarization, 12).ravel()),
         )
-
-
-class ModeImage(NamedTuple):
-    """Unnormalized image of a mode under a pointwise operator.
-
-    Value at x is ``coefficient * trig(omega . x)``; ``coefficient`` may be
-    any tensor rank, and a zero coefficient encodes the zero field.
-    """
-
-    coefficient: np.ndarray
-    freq: tuple
-    phase: str
 
 
 @dataclass(frozen=True)
@@ -291,65 +279,3 @@ def build_spectrum(cs: TorusCrossSection, rank: str) -> Spectrum:
     slices = MappingProxyType({key: tuple(ms) for key, ms in slices.items()})
     return Spectrum(cs, tuple(modes), mu1, slices)
 
-
-def evaluate_mode(m: Mode, x) -> np.ndarray:
-    """Pointwise value of the mode at x (reduced modulo the periods).
-
-    x may be a single point of length d or an array whose last axis has
-    length d; the tensor axes of the result come first.
-    """
-    x = np.asarray(x, dtype=float)
-    phase = np.tensordot(np.asarray(m.omega), np.moveaxis(np.atleast_2d(x), -1, 0), axes=1)
-    trig = np.cos(phase) if m.phase == "cos" else np.sin(phase)
-    val = np.multiply.outer(m.polarization, trig)
-    if x.ndim == 1:
-        val = val[..., 0]
-    return val
-
-
-def pointwise_operators(m: Mode) -> dict:
-    """Eigenvalue, divergence image, and trace image of a mode, symbolically.
-
-    The divergence convention is delta = -sum_a partial_a (.)_{a ...}; images
-    come back as ModeImage carriers (coefficient times bare trig).  Ranks
-    without the corresponding operation report None.
-    """
-    omega = np.asarray(m.omega)
-    d = omega.size
-
-    # derivative flips the trig branch: d/dx cos = -omega sin, d/dx sin = +omega cos
-    if m.phase == "cos":
-        div_phase, div_sign = "sin", +1.0
-    else:
-        div_phase, div_sign = "cos", -1.0
-
-    divergence = None
-    trace = None
-    if m.rank == 1:
-        coeff = div_sign * float(m.polarization @ omega)
-        divergence = ModeImage(np.array(coeff), m.freq, div_phase)
-    elif m.rank == 2:
-        coeff = div_sign * (m.polarization @ omega)
-        divergence = ModeImage(coeff, m.freq, div_phase)
-        trace = ModeImage(np.array(float(np.trace(m.polarization))), m.freq, m.phase)
-
-    return {
-        "laplacian_eigenvalue": m.eigenvalue,
-        "divergence_image": divergence,
-        "trace_image": trace,
-    }
-
-
-def mode_inner_product(a: Mode, b: Mode, volume: float) -> float:
-    """Exact L2 inner product over N of two modes of equal rank.
-
-    Uses orthogonality of the real Fourier basis: distinct (freq, phase)
-    pairs integrate to zero, cos^2 and sin^2 integrate to vol/2 (vol at
-    freq 0, where only the cos branch exists).
-    """
-    if a.rank != b.rank:
-        raise InvalidParams("inner product needs equal ranks")
-    if a.freq != b.freq or a.phase != b.phase:
-        return 0.0
-    trig = volume if not any(a.freq) else volume / 2.0
-    return float(np.sum(a.polarization * b.polarization)) * trig

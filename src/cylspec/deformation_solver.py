@@ -60,7 +60,6 @@ from .fields import TensorField, linearized_ricci, tangential_metric
 from .mode_ode import RadialProfile, v_matrix
 
 __all__ = [
-    "DeformationTensor",
     "KernelBasisElement",
     "KernelDecomposition",
     "linearized_ricci",
@@ -76,68 +75,10 @@ KERNEL_TOL = 1e-8
 RATE_TOL = 1e-9
 
 
-# ---------------------------------------------------------------------------
-# structural view of a rank-2 expansion
-# ---------------------------------------------------------------------------
-
-
-def _as_field(h) -> TensorField:
-    if isinstance(h, DeformationTensor):
-        return h.field
-    if isinstance(h, TensorField):
-        return h
-    raise InvalidInput("expected a rank-2 tensor field")
-
-
-@dataclass(frozen=True)
-class DeformationTensor:
-    """A rank-2 expansion with its three structural blocks exposed.
-
-    Every separated term falls into exactly one block: the tangential
-    block f(r) eta1 (x) eta2, the mixed block k(r) eta (x) dr, and the
-    radial block l(r) phi dr (x) dr.  The split is a pointwise partition
-    of the coefficient tensor, so the three parts always sum back to the
-    original field.
-    """
-
-    field: TensorField
-
-    def __post_init__(self):
-        if not isinstance(self.field, TensorField) or self.field.rank != 2:
-            raise InvalidInput("DeformationTensor wraps a rank-2 field")
-
-    def _block(self, which: str) -> TensorField:
-        out = TensorField(self.field.cs, 2)
-        for key, prof_key, C in self.field.terms():
-            M = np.zeros_like(C)
-            if which == "tangential":
-                M[1:, 1:] = C[1:, 1:]
-            elif which == "mixed":
-                M[0, 1:] = C[0, 1:]
-                M[1:, 0] = C[1:, 0]
-            else:
-                M[0, 0] = C[0, 0]
-            if np.any(M != 0.0):
-                out._accumulate(key, prof_key, M)
-        return out
-
-    @property
-    def tangential(self) -> TensorField:
-        return self._block("tangential")
-
-    @property
-    def mixed(self) -> TensorField:
-        return self._block("mixed")
-
-    @property
-    def radial(self) -> TensorField:
-        return self._block("radial")
-
-    def trace(self) -> TensorField:
-        return fields_mod.trace(self.field)
-
-    def divergence(self) -> TensorField:
-        return fields_mod.divergence(self.field)
+def _rank2(h) -> TensorField:
+    if not isinstance(h, TensorField) or h.rank != 2:
+        raise InvalidInput("expected a rank-2 tensor field")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +94,7 @@ def harmonic_trace_split(h, tol: float = 1e-10):
     metric, so tr(remainder) expands purely in positive-eigenvalue modes.
     Rejects fields whose trace is not harmonic on the cylinder.
     """
-    hf = _as_field(h)
+    hf = _rank2(h)
     t = fields_mod.trace(hf)
     scale = max(1.0, t.max_abs_coeff())
     lap = fields_mod.rough_laplacian(t)
@@ -557,7 +498,7 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     classification against it, and all are read-only afterwards; a call
     builds only h's right-hand side per frequency.
     """
-    hf = _as_field(h)
+    hf = _rank2(h)
     cs = hf.cs
     scale = max(1.0, hf.max_abs_coeff())
     ric = linearized_ricci(hf).max_abs_coeff()

@@ -37,13 +37,7 @@ from . import fields as fields_mod
 from .cross_section import TorusCrossSection, modes_at, tangent_complement
 from .errors import InvalidInput, NonInvertibleSector, ResonantTau
 from .fields import TensorField
-from .mode_ode import (
-    PiecewiseProfile,
-    RadialProfile,
-    solve_damped_mode,
-    solve_mixed_mode,
-    solve_scalar_mode,
-)
+from .mode_ode import RadialProfile, solve_damped_mode, solve_mixed_mode, solve_scalar_mode
 
 RESONANCE_TOL = 1e-6
 DEFAULT_TAU = 0.01
@@ -131,18 +125,10 @@ def decompose_one_form(w: TensorField) -> GaugeField:
 # ---------------------------------------------------------------------------
 
 
-def _plain(profile) -> RadialProfile:
-    if isinstance(profile, RadialProfile):
-        return profile
-    if isinstance(profile, PiecewiseProfile):
-        return profile.single_profile()
-    raise InvalidInput(f"cannot use {type(profile).__name__} as a radial profile")
-
-
 def _growth_class(*profiles) -> str:
     worst = "decaying"
     for prof in profiles:
-        for _c, p, lam in _plain(prof).terms:
+        for _c, p, lam in prof.terms:
             if lam > 0.0:
                 cls = "exponential"
             elif lam == 0.0:
@@ -160,8 +146,9 @@ class GaugeField:
 
     ``pairs`` maps (freq, phase) to (k, l) in k d_N phi + l phi dr;
     ``coclosed`` and ``harmonic`` hold the 1-form-mode coefficients and
-    ``radial`` the coefficient of phi0 dr.  ``sectors`` and ``growth``
-    classify every component under namespaced keys such as
+    ``radial`` the coefficient of phi0 dr; every component is a
+    ``RadialProfile``.  ``sectors`` and ``growth`` classify every
+    component under namespaced keys such as
     ("pair", freq, phase) or ("harmonic", i), and are derived from the
     components: pair and coclosed components lie in the infinite sector,
     harmonic and radial ones in the finite sector.  ``decompose_one_form``
@@ -200,13 +187,13 @@ class GaugeField:
         X = TensorField.zero(cs, 1)
         for (freq, phase), (k, l) in self.pairs.items():
             mode = modes_at(cs, "Scalar", freq, phase)[0]
-            X = X + fields_mod.pair_one_form(cs, mode, _plain(k), _plain(l))
+            X = X + fields_mod.pair_one_form(cs, mode, k, l)
         for (freq, phase, idx), f in self.coclosed.items():
             mode = modes_at(cs, "CoclosedOneForm", freq, phase)[idx]
-            X = X + fields_mod.from_mode_profile(cs, mode, _plain(f))
+            X = X + fields_mod.from_mode_profile(cs, mode, f)
         for idx, f in self.harmonic.items():
             mode = modes_at(cs, "HarmonicOneForm", zero, "cos")[idx]
-            X = X + fields_mod.from_mode_profile(cs, mode, _plain(f))
+            X = X + fields_mod.from_mode_profile(cs, mode, f)
         if not self.radial.is_zero():
             constant = modes_at(cs, "Scalar", zero, "cos")[0]
             X = X + fields_mod.radial_one_form(cs, constant, self.radial)

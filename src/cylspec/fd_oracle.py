@@ -38,19 +38,15 @@ INTERIOR_TRIM = 5
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """order is the centered-difference accuracy (2 or 4).  boundary picks
-    what happens at the radial ends: "one-sided" fills them with skewed
-    stencils of reduced order, "interior-restricted" zeroes them out.
-    Periodic radial grids ignore the policy."""
+    """order is the centered-difference accuracy (2 or 4).  A bounded
+    radial axis gets skewed stencils of reduced order at its ends; every
+    reported residual is read on ``GridField.interior()``, past them."""
 
     order: int = 2
-    boundary: str = "one-sided"
 
     def __post_init__(self):
         if self.order not in (2, 4):
             raise InvalidInput("stencil order must be 2 or 4")
-        if self.boundary not in ("one-sided", "interior-restricted"):
-            raise InvalidInput("boundary policy must be 'one-sided' or 'interior-restricted'")
 
 
 @dataclass(frozen=True)
@@ -241,9 +237,6 @@ def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work
             ufunc(o, cut(src, i, i + hi - lo), out=o)
     np.divide(acc, (2 if cfg.order == 2 else 12) * h, out=out)
     if direction > 0 or grid.r_periodic:
-        return out
-    if cfg.boundary == "interior-restricted":  # zero every row off the centered stencil
-        out[:cfg.order // 2] = out[-(cfg.order // 2):] = 0.0
         return out
     if cfg.order == 4:
         out[1] = (vals[2] - vals[0]) / (2 * h)

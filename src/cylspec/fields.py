@@ -45,7 +45,6 @@ __all__ = [
     "hessian",
     "rough_laplacian",
     "linearized_ricci",
-    "gauge_one_form_operator",
     "tube_integrand",
     "tube_inner_product",
     "tube_norm_sq",
@@ -395,17 +394,6 @@ def linearized_ricci(h: TensorField) -> TensorField:
         raise InvalidInput("linearized_ricci needs a rank-2 field")
     full = rough_laplacian(h) - sym_grad(divergence(h)) - hessian(trace(h))
     return full.scale(0.5)
-
-
-def gauge_one_form_operator(w: TensorField) -> TensorField:
-    """The operator (d*d + 2 d d*) on 1-forms, computed as delta(sym_grad w).
-
-    This composite form is the identity that links the gauge equation to the
-    divergence constraint; the FD oracle checks the same composite on grids.
-    """
-    if w.rank != 1:
-        raise InvalidInput("gauge_one_form_operator needs a 1-form")
-    return divergence(sym_grad(w))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .mode_ode import PiecewiseProfile, RadialProfile, solve_mixed_mode, solve_scalar_mode
+from .mode_ode import RadialProfile, solve_mixed_mode, solve_scalar_mode
 
 __all__ = [
     "WeightedNormSpec",
@@ -88,7 +88,7 @@ def _norm_ratio(mu1: float, rho: float, source_type: str) -> float:
     grid = np.linspace(0.0, r_max, 4000)
     spec = WeightedNormSpec(order=0, rho=rho, r_grid=grid)
     src = RadialProfile.monomial(1.0, 0, -rho)
-    src_norm = weighted_sup_norm(PiecewiseProfile.single(src, lo=0.0), spec)
+    src_norm = weighted_sup_norm(src, spec)
 
     if source_type == "one_form":
         f = solve_scalar_mode(mu1, src)

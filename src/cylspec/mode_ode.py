@@ -592,8 +592,10 @@ def solve_scalar_mode(mu: float, alpha, support=None):
 
     ``support=(lo, hi)`` restricts the source to a window; the result is then
     piecewise, with a purely decaying (mu > 0) or affine (mu = 0) tail.
-    Global sources must decay strictly faster than e^{-0 r} is not enough:
-    every rate has to satisfy lam < sqrt(mu) for the upper tail to converge.
+    For mu > 0 a global source needs every rate lam < sqrt(mu), or the
+    upper tail of the convolution diverges; any other rate raises
+    InvalidInput.  At mu = 0 nothing is integrated out to infinity, so any
+    rate is accepted.
     Returns a PiecewiseProfile.
     """
     alpha, support = _as_source(alpha, support)

@@ -347,11 +347,13 @@ def test_field_dict_rejects_keys_outside_the_mode_set(freq, phase, message):
         (["three-circles", "--mode-file", "h.json", "--L", "1.0", "--beta", "5.0",
           "--beta-prime", "0.3", "--triples="], None, "task.triples"),
         (["spectrum"], "[run]\nthreads = 2\n", "run.threads"),
+        (["solve-div", "--modes", "0"], None, "task.n_modes"),
+        (["solve-div", "--modes", "-1"], None, "task.n_modes"),
     ],
     ids=["tau-abc", "seed-x", "side-lengths-1-a-1", "grid-96", "grid-48x8x2",
          "triples-0-1-x", "caps-scalar", "remainder-maybe", "log-level-loud-ini",
          "log-level-loud-flag", "kinds-empty", "types-empty", "types-repeated",
-         "triples-empty", "threads-ini"],
+         "triples-empty", "threads-ini", "modes-0", "modes-minus-1"],
 )
 def test_bad_values_exit_two_naming_the_key(tmp_path, capsys, argv, ini, key):
     if ini is not None:

@@ -1,14 +1,31 @@
-"""Torus spectral data: counts, normalization, and pointwise operators."""
+"""Torus spectral data: counts, index conventions and normalization.
+
+The modes are built by ``cross_section``; their values, divergences,
+traces and L2 pairings are read through ``fields``, on the field
+profile(r) * mode with the constant profile 1.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from cylspec import cross_section as cx
-from cylspec.errors import InvalidParams
+from cylspec import cross_section as cx, fields as F
+from cylspec.errors import InvalidInput, InvalidParams
+from cylspec.mode_ode import RadialProfile
 
 UNIT_T3 = cx.TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
+
+
+def _field(m):
+    return F.from_mode_profile(UNIT_T3, m, RadialProfile.constant(1.0))
+
+
+def _value(m, x):
+    """The mode's value at x (a point or an array of points), read off the
+    torus slots of its field at r = 0."""
+    val = _field(m).evaluate([0.0], x)[0]
+    return val[(Ellipsis,) + (slice(1, None),) * m.rank]
 
 
 def test_validation_errors():
@@ -53,13 +70,13 @@ def test_evaluate_constant_mode():
     sp = cx.build_spectrum(UNIT_T3, "Scalar")
     m0 = next(m for m in sp.modes if not any(m.freq))
     for x in (np.zeros(3), np.array([0.3, 0.7, 0.1])):
-        assert cx.evaluate_mode(m0, x) == pytest.approx(1.0)
+        assert _value(m0, x) == pytest.approx(1.0)
 
 
 def test_evaluate_cosine_amplitude():
     sp = cx.build_spectrum(UNIT_T3, "Scalar")
     m100 = next(m for m in sp.modes if m.freq == (1, 0, 0) and m.phase == "cos")
-    assert cx.evaluate_mode(m100, np.zeros(3)) == pytest.approx(math.sqrt(2.0))
+    assert _value(m100, np.zeros(3)) == pytest.approx(math.sqrt(2.0))
 
 
 def test_parallel_tt_constant_value():
@@ -67,8 +84,8 @@ def test_parallel_tt_constant_value():
     par = [m for m in sp.modes if not any(m.freq)]
     assert len(par) == 5  # d(d+1)/2 - 1
     m0 = par[0]
-    v1 = cx.evaluate_mode(m0, np.zeros(3))
-    v2 = cx.evaluate_mode(m0, np.array([0.9, 0.2, 0.4]))
+    v1 = _value(m0, np.zeros(3))
+    v2 = _value(m0, np.array([0.9, 0.2, 0.4]))
     assert np.allclose(v1, v2)
     # the diagonal ladder polarization diag(1,-1,0)/sqrt(2 vol) is in the list
     target = np.diag([1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -108,12 +125,15 @@ def test_tangent_complement_orthonormal():
 @pytest.mark.parametrize("rank", cx.KINDS)
 def test_orthonormality_symbolic(rank):
     sp = cx.build_spectrum(UNIT_T3, rank)
-    modes = sp.modes
-    vol = UNIT_T3.volume
-    for i, a in enumerate(modes):
-        assert cx.mode_inner_product(a, a, vol) == pytest.approx(1.0, abs=1e-12)
-        for b in modes[i + 1 :]:
-            assert abs(cx.mode_inner_product(a, b, vol)) < 1e-12
+    mode_fields = [_field(m) for m in sp.modes]
+
+    def pairing(a, b):
+        return F.tube_integrand(a, b).value_at_zero()
+
+    for i, a in enumerate(mode_fields):
+        assert pairing(a, a) == pytest.approx(1.0, abs=1e-12)
+        for b in mode_fields[i + 1 :]:
+            assert abs(pairing(a, b)) < 1e-12
 
 
 def test_l2_norm_by_quadrature():
@@ -124,7 +144,7 @@ def test_l2_norm_by_quadrature():
         np.meshgrid(*[np.linspace(0, 1, n, endpoint=False)] * 3, indexing="ij"), axis=-1
     ).reshape(-1, 3)
     for m in sp.modes[:6]:
-        vals = cx.evaluate_mode(m, grid)
+        vals = _value(m, grid)
         norm_sq = np.sum(vals**2) / n**3 * UNIT_T3.volume
         assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
@@ -143,27 +163,25 @@ def test_mu1_matches_brute_force():
 def test_pointwise_operators_examples():
     sp = cx.build_spectrum(UNIT_T3, "Scalar")
     m100 = next(m for m in sp.modes if m.freq == (1, 0, 0) and m.phase == "cos")
-    ops = cx.pointwise_operators(m100)
-    assert ops["laplacian_eigenvalue"] == pytest.approx(4 * math.pi**2)
-    assert ops["divergence_image"] is None  # scalars have no divergence
+    lap = F.rough_laplacian(_field(m100))
+    assert F.project_onto_mode(lap, m100).value_at_zero() == pytest.approx(4 * math.pi**2)
+    with pytest.raises(InvalidInput):  # scalars have no divergence
+        F.divergence(_field(m100))
 
     tts = cx.build_spectrum(UNIT_T3, "TTTensor")
     for m in tts.modes[:8]:
-        out = cx.pointwise_operators(m)
-        assert np.max(np.abs(out["divergence_image"].coefficient)) < 1e-12
-        assert float(out["trace_image"].coefficient) == pytest.approx(0.0, abs=1e-13)
+        assert F.divergence(_field(m)).max_abs_coeff() < 1e-12
+        assert F.trace(_field(m)).max_abs_coeff() == pytest.approx(0.0, abs=1e-13)
 
     ccs = cx.build_spectrum(UNIT_T3, "CoclosedOneForm")
     for m in ccs.modes[:8]:
-        out = cx.pointwise_operators(m)
-        assert abs(float(out["divergence_image"].coefficient)) < 1e-12
+        assert F.divergence(_field(m)).max_abs_coeff() < 1e-12
 
 
 def test_divergence_image_nonzero_for_pure_trace():
     sp = cx.build_spectrum(UNIT_T3, "PureTrace")
     m = next(mm for mm in sp.modes if any(mm.freq))
-    img = cx.pointwise_operators(m)["divergence_image"]
-    assert np.max(np.abs(img.coefficient)) > 0.1
+    assert F.divergence(_field(m)).max_abs_coeff() > 0.1
 
 
 def test_degenerate_torus_keeps_modes_distinct():

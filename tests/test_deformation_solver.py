@@ -17,7 +17,6 @@ from cylspec import deformation_solver as ds, fields as F
 from cylspec import three_circles as tc
 from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.deformation_solver import (
-    DeformationTensor,
     classify_kernel,
     harmonic_trace_split,
     parallel_space_dimension,
@@ -34,7 +33,7 @@ from cylspec.errors import InvalidInput, NotInKernel, ResonantTau
 from cylspec.fd_oracle import fd_operator, interior_sup, sample
 from cylspec.mode_ode import RadialProfile
 
-from conftest import random_kernel_element, random_rank2_source
+from conftest import random_kernel_element
 
 CS = TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
 CIRCLE = TorusCrossSection(1, (2.0 * math.pi,), 1)  # mu_1 = 1
@@ -55,30 +54,6 @@ def profiles_close(p, q, tol=1e-12):
     qv = np.array([q(r) for r in rs])
     scale = max(1.0, np.max(np.abs(qv)))
     assert np.max(np.abs(pv - qv)) <= tol * scale
-
-
-# ---------------------------------------------------------------------------
-# structural blocks
-# ---------------------------------------------------------------------------
-
-
-def test_structural_blocks_partition_the_field():
-    rng = np.random.default_rng(11)
-    h = random_rank2_source(CS, rng)
-    dt = DeformationTensor(h)
-    field_close(dt.tangential + dt.mixed + dt.radial, h, 0.0)
-    for _key, _pk, C in dt.tangential.terms():
-        assert np.all(C[0, :] == 0.0) and np.all(C[:, 0] == 0.0)
-    for _key, _pk, C in dt.mixed.terms():
-        assert C[0, 0] == 0.0 and np.all(C[1:, 1:] == 0.0)
-    for _key, _pk, C in dt.radial.terms():
-        assert np.all(C.ravel()[1:] == 0.0)
-
-
-def test_structural_blocks_reject_one_forms():
-    w = F.radial_one_form(CS, build_spectrum(CS, "Scalar").modes[0], RadialProfile.constant(1.0))
-    with pytest.raises(InvalidInput):
-        DeformationTensor(w)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +88,14 @@ def test_trace_split_affine_plus_single_mode():
     field_close(remainder, osc)
     t = F.trace(remainder)
     assert list(t.data.keys()) == [(mode.freq, "cos")]
+
+
+@pytest.mark.parametrize("entry", [harmonic_trace_split, classify_kernel])
+def test_kernel_entry_points_take_only_rank_two_fields(entry):
+    w = F.radial_one_form(CS, build_spectrum(CS, "Scalar").modes[0], RadialProfile.constant(1.0))
+    for h in (w, F.trace(F.metric_field(CS)), "h"):
+        with pytest.raises(InvalidInput, match="rank-2 tensor field"):
+            entry(h)
 
 
 def test_trace_split_rejects_non_harmonic_trace():

@@ -83,8 +83,6 @@ def test_stencil_config_validation():
     with pytest.raises(InvalidInput):
         O.StencilConfig(order=3)
     with pytest.raises(InvalidInput):
-        O.StencilConfig(boundary="reflect")
-    with pytest.raises(InvalidInput):
         O.fd_operator("curl", O.sample(F.metric_field(CS), (0, 6), 8, 8))
 
 
@@ -243,22 +241,6 @@ def test_lichnerowicz_skips_the_coupling_only_on_a_flat_background(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_interior_restricted_policy_zeroes_radial_edge_stencils():
-    # a field depending on r alone isolates the radial stencil: under the
-    # restricted policy its derivative vanishes on the skewed edge rows
-    h = F.rr_tensor(CS, next(m for m in build_spectrum(CS, "scalar").modes
-                             if m.eigenvalue == 0),
-                    RadialProfile.monomial(1.0, 0, -1.0))
-    gf = O.sample(h, (0.0, 6.0), 32, 12)
-    restricted = O.fd_operator("divergence", gf,
-                               O.StencilConfig(order=4, boundary="interior-restricted"))
-    assert np.all(restricted.components[:2] == 0.0)
-    assert np.all(restricted.components[-2:] == 0.0)
-    assert np.any(restricted.components[2] != 0.0)
-    onesided = O.fd_operator("divergence", gf, O.StencilConfig(order=4))
-    assert np.all(onesided.components[0] != 0.0) or np.any(onesided.components[0] != 0.0)
-
-
 # -- adjointness pins the sign conventions ----------------------------------
 
 
@@ -397,7 +379,7 @@ def roll_d1_periodic(vals, h, axis, order):
             - 8 * np.roll(vals, 1, axis) + np.roll(vals, 2, axis)) / (12 * h)
 
 
-def roll_d1_bounded(vals, h, order, boundary):
+def roll_d1_bounded(vals, h, order):
     out = np.zeros_like(vals)
     if order == 2:
         out[1:-1] = (vals[2:] - vals[:-2]) / (2 * h)
@@ -405,12 +387,8 @@ def roll_d1_bounded(vals, h, order, boundary):
         out[2:-2] = (-vals[4:] + 8 * vals[3:-1] - 8 * vals[1:-3] + vals[:-4]) / (12 * h)
         out[1] = (vals[2] - vals[0]) / (2 * h)
         out[-2] = (vals[-1] - vals[-3]) / (2 * h)
-    if boundary == "one-sided":
-        out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h)
-        out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * h)
-    elif order == 4:
-        out[1] = 0.0
-        out[-2] = 0.0
+    out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h)
+    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * h)
     return out
 
 
@@ -419,7 +397,7 @@ def roll_partial(arr, a, grid, cfg, second=False):
     if a > 0 or grid.r_periodic:
         d1 = functools.partial(roll_d1_periodic, h=h, axis=a, order=cfg.order)
     else:
-        d1 = functools.partial(roll_d1_bounded, h=h, order=cfg.order, boundary=cfg.boundary)
+        d1 = functools.partial(roll_d1_bounded, h=h, order=cfg.order)
     return d1(d1(arr)) if second else d1(arr)
 
 
@@ -492,8 +470,7 @@ def roll_cases(draw):
     assume(len(set(base.spacings)) == dim + 1)
     seed = draw(st.integers(0, 2**32 - 1))
     f = base.with_components(np.random.default_rng(seed).standard_normal(base.components.shape))
-    cfg = O.StencilConfig(draw(st.sampled_from((2, 4))),
-                          draw(st.sampled_from(("one-sided", "interior-restricted"))))
+    cfg = O.StencilConfig(draw(st.sampled_from((2, 4))))
     names = draw(st.lists(st.sampled_from(sorted(roll_operators(f, cfg))), max_size=4))
     collapse = draw(st.lists(st.booleans(), min_size=dim + 1, max_size=dim + 1))
     return f, cfg, names, collapse

@@ -74,3 +74,46 @@ def test_the_check_sees_deferred_and_from_scipy_imports():
         "from .scipy_free import quad\n"
     )
     assert sorted(_scipy_imports(tree)) == [(3, "scipy.integrate"), (4, "scipy")]
+
+
+_TRIG = {"cos", "sin"}
+
+
+def _trig_uses(tree):
+    """Every np.cos / np.sin (also through numpy or math), called or passed
+    on, and every cos or sin imported from those modules by name."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _TRIG
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy", "math")):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "math"):
+            for alias in node.names:
+                if alias.name in _TRIG:
+                    yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_only_fields_evaluates_trig():
+    # modes are built in cross_section; their values, derivatives and
+    # pairings are computed once, in fields
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fields.py"
+        for line, name in _trig_uses(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_trig_uses(ast.parse((SRC / "fields.py").read_text())))
+
+
+def test_the_check_sees_called_passed_and_imported_trig():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "v = np.cos(x)\n"
+        "trig = np.sin if odd else numpy.cos\n"
+        "from math import sin, tau\n"
+        "w = np.cosh(x) + xs.cos + math.sinh(x)\n"
+    )
+    assert sorted(_trig_uses(tree)) == [
+        (2, "np.cos"), (3, "np.sin"), (3, "numpy.cos"), (4, "math.sin"),
+    ]
