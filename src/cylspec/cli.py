@@ -622,12 +622,11 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     n_r, n_x = task["grid"]
     stencil = StencilConfig(order=task["order"])
     r_range = (0.0, task["r_max"])
-    spacing = max(task["r_max"] / (n_r - 1), max(cs.side_lengths) / n_x)
-    fd_tol = 10.0 * spacing**2
     certs = []
 
     probe = random_reduced_form(cs, rng, include_growing=False)
     grid_probe = sample(probe, r_range, n_r, n_x)
+    fd_tol = 10.0 * grid_probe.max_spacing**2
     scale = max(1.0, interior_sup(grid_probe))
     probe_ops = fd_operators(("lichnerowicz", "rough_laplacian", "linearized_ricci"),
                              grid_probe, stencil)

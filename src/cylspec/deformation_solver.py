@@ -169,14 +169,12 @@ class KernelBasisElement:
 
     ``generator`` is the gauge 1-form X with field = L_X g0 for gauge
     elements, None otherwise.  ``radially_parallel`` marks r-independent
-    tensors; ``survives_tau`` is False exactly for the two families that
-    the tau perturbation eliminates.
+    tensors.
     """
 
     label: str
     field: TensorField
     radially_parallel: bool
-    survives_tau: bool
     meta: tuple = ()
     generator: TensorField | None = None
 
@@ -200,12 +198,11 @@ def _homogeneous_pair_profiles(mu: float):
     return out
 
 
-def _gauge_element(label, one_form, parallel, survives, meta):
+def _gauge_element(label, one_form, parallel, meta):
     return KernelBasisElement(
         label=label,
         field=lie_derivative_metric(one_form),
         radially_parallel=parallel,
-        survives_tau=survives,
         meta=meta,
         generator=one_form,
     )
@@ -230,26 +227,15 @@ def _frequency_basis(cs: TorusCrossSection, freq) -> list:
         phi = modes_at(cs, "Scalar", freq, phase)[0]
         for j, (k, l) in enumerate(_homogeneous_pair_profiles(mu)):
             X = fields_mod.pair_one_form(cs, phi, k, l)
-            out.append(_gauge_element("scalar_gauge", X, False, True, (freq, phase, j)))
+            out.append(_gauge_element("scalar_gauge", X, False, (freq, phase, j)))
         for idx, eta in enumerate(modes_at(cs, "CoclosedOneForm", freq, phase)):
             for prof, branch in branches:
                 X = fields_mod.from_mode_profile(cs, eta, prof)
-                out.append(
-                    _gauge_element(
-                        "coclosed_gauge", X, False, True, (freq, phase, idx, branch)
-                    )
-                )
+                out.append(_gauge_element("coclosed_gauge", X, False, (freq, phase, idx, branch)))
         for i, tt in enumerate(tt_spectrum.at(freq, phase)):
             for prof, branch in branches:
-                out.append(
-                    KernelBasisElement(
-                        "tt_exp",
-                        fields_mod.from_mode_profile(cs, tt, prof),
-                        False,
-                        True,
-                        (freq, phase, i, branch),
-                    )
-                )
+                field = fields_mod.from_mode_profile(cs, tt, prof)
+                out.append(KernelBasisElement("tt_exp", field, False, (freq, phase, i, branch)))
     return out
 
 
@@ -267,39 +253,24 @@ def _zero_frequency_basis(cs: TorusCrossSection, tau: float) -> list:
     zero = (0,) * cs.dim
     g_tan = tangential_metric(cs)
     out = [
-        KernelBasisElement("trace", g_tan, True, True),
-        KernelBasisElement("trace_linear", g_tan.multiply_profile(ramp), False, True),
+        KernelBasisElement("trace", g_tan, True),
+        KernelBasisElement("trace_linear", g_tan.multiply_profile(ramp), False),
     ]
     for i, tt in enumerate(build_spectrum(cs, "TTTensor").at(zero)):
-        out.append(
-            KernelBasisElement(
-                "tt_parallel", fields_mod.from_mode_profile(cs, tt, one), True, True, (i,)
-            )
-        )
-        out.append(
-            KernelBasisElement(
-                "tt_parallel_linear",
-                fields_mod.from_mode_profile(cs, tt, ramp),
-                False,
-                True,
-                (i,),
-            )
-        )
+        out.append(KernelBasisElement(
+            "tt_parallel", fields_mod.from_mode_profile(cs, tt, one), True, (i,)))
+        out.append(KernelBasisElement(
+            "tt_parallel_linear", fields_mod.from_mode_profile(cs, tt, ramp), False, (i,)))
     if tau == 0.0:
         for a, eta in enumerate(modes_at(cs, "HarmonicOneForm", zero, "cos")):
-            out.append(
-                _gauge_element(
-                    "shear_gauge",
-                    fields_mod.from_mode_profile(cs, eta, ramp),
-                    True, False, (a,),
-                )
-            )
+            out.append(_gauge_element(
+                "shear_gauge", fields_mod.from_mode_profile(cs, eta, ramp), True, (a,)))
         out.append(
             _gauge_element(
                 "radial_gauge",
                 fields_mod.radial_one_form(cs, modes_at(cs, "Scalar", zero, "cos")[0],
                                            ramp.scale(0.5 * math.sqrt(cs.volume))),
-                True, False, (),
+                True, (),
             )
         )
     return out
@@ -359,13 +330,11 @@ def _kernel_block(cs: TorusCrossSection, freq: tuple, tau: float) -> _KernelBloc
 def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
     """Enumerate the kernel basis of the reduced systems at the given tau.
 
-    Elements with survives_tau=False appear only when tau == 0; they are
-    the radially parallel gauge tensors eliminated by the perturbation.
+    The shear and radial gauge elements appear only when tau == 0; they
+    are the radially parallel gauge tensors eliminated by the perturbation.
     The list is new on every call, its elements are the memoized, read-only
     columns of the per-frequency kernel blocks.
     """
-    if tau < 0.0:
-        raise InvalidInput("tau must be nonnegative")
     eigenvalues = [cs.eigenvalue(freq) for freq in cs.canonical_freqs()]
     if any(mu < 0.0 for mu in eigenvalues):
         raise InvalidParams("negative cross-section eigenvalue; oscillatory branch")
@@ -405,56 +374,65 @@ class YField:
 class KernelDecomposition:
     """Unique coefficient set of a kernel element.
 
-    pure_trace holds (a, a~) of (a + a~ r) g_N; parallel_tt / linear_tt
-    map the parallel TT basis index to the constant / r-linear
-    coefficient; exp_modes maps (freq, phase, tt_index) to (a+, a-).
-    gauge_X collects the infinite-sector gauge content as a GaugeField
-    (its Lie derivative is the gauge part of the tensor); gauge_Y the
-    radially parallel gauge coefficients.  condition_numbers maps each
-    positive frequency of the element to the condition number of its
+    ``parts`` holds one (column, coefficient) pair per kernel basis column
+    that the element carries, in column order: frequencies ascending, then
+    the order of the frequency's memoized block.  condition_numbers maps
+    each positive frequency of the element to the condition number of its
     coefficient-matching system.
+
+    The named views read parts by label and meta: pure_trace holds (a, a~)
+    of (a + a~ r) g_N; parallel_tt / linear_tt map the parallel TT basis
+    index to the constant / r-linear coefficient; exp_modes maps
+    (freq, phase, tt_index) to (a+, a-); gauge_X is the infinite-sector
+    gauge one-form (its Lie derivative is the gauge part of the tensor);
+    gauge_Y the radially parallel gauge coefficients.
     """
 
     cs: TorusCrossSection
-    pure_trace: tuple
-    parallel_tt: dict
-    linear_tt: dict
-    exp_modes: dict
-    gauge_X: GaugeField
-    gauge_Y: YField
+    parts: tuple
     condition_numbers: dict
 
-    def reconstruct(self) -> TensorField:
-        cs = self.cs
-        a, a_tilde = self.pure_trace
-        out = tangential_metric(cs).multiply_profile(
-            RadialProfile(((a, 0, 0.0), (a_tilde, 1, 0.0)))
-        )
-        tt_spectrum = build_spectrum(cs, "TTTensor")
-        parallel = tt_spectrum.at((0,) * cs.dim)
-        for i, coeff in self.parallel_tt.items():
-            out = out + fields_mod.from_mode_profile(
-                cs, parallel[i], RadialProfile.constant(coeff)
+    def _coefficients(self, label: str) -> dict:
+        return {col.meta: c for col, c in self.parts if col.label == label}
+
+    @property
+    def pure_trace(self) -> tuple:
+        return (self._coefficients("trace").get((), 0.0),
+                self._coefficients("trace_linear").get((), 0.0))
+
+    @property
+    def parallel_tt(self) -> dict:
+        return {i: c for (i,), c in self._coefficients("tt_parallel").items()}
+
+    @property
+    def linear_tt(self) -> dict:
+        return {i: c for (i,), c in self._coefficients("tt_parallel_linear").items()}
+
+    @property
+    def exp_modes(self) -> dict:
+        out: dict = {}
+        for (freq, phase, i, branch), c in self._coefficients("tt_exp").items():
+            a_plus, a_minus = out.get((freq, phase, i), (0.0, 0.0))
+            out[(freq, phase, i)] = (
+                (a_plus + c, a_minus) if branch == "plus" else (a_plus, a_minus + c)
             )
-        for i, coeff in self.linear_tt.items():
-            out = out + fields_mod.from_mode_profile(
-                cs, parallel[i], RadialProfile.monomial(coeff, 1, 0.0)
-            )
-        for (freq, phase, i), (a_plus, a_minus) in self.exp_modes.items():
-            tt = tt_spectrum.at(freq, phase)[i]
-            s = math.sqrt(tt.eigenvalue)
-            prof = RadialProfile(((a_plus, 0, s), (a_minus, 0, -s)))
-            out = out + fields_mod.from_mode_profile(cs, tt, prof)
-        if not self.gauge_X.is_zero():
-            out = out + lie_derivative_metric(self.gauge_X)
-        if self.gauge_Y.radial != 0.0:
-            rr = np.zeros((cs.dim + 1, cs.dim + 1))
-            rr[0, 0] = 1.0
-            out = out + fields_mod.constant_tensor_field(cs, rr).scale(self.gauge_Y.radial)
-        for axis, q in self.gauge_Y.shear.items():
-            eta = modes_at(cs, "HarmonicOneForm", (0,) * cs.dim, "cos")[axis]
-            out = out + fields_mod.mixed_pair_tensor(cs, eta, RadialProfile.constant(q))
         return out
+
+    @property
+    def gauge_X(self) -> TensorField:
+        gauges = (col.generator.scale(c) for col, c in self.parts
+                  if col.label in ("scalar_gauge", "coclosed_gauge"))
+        return sum(gauges, TensorField.zero(self.cs, 1))
+
+    @property
+    def gauge_Y(self) -> YField:
+        return YField(
+            radial=self._coefficients("radial_gauge").get((), 0.0),
+            shear={a: c for (a,), c in self._coefficients("shear_gauge").items()},
+        )
+
+    def reconstruct(self) -> TensorField:
+        return sum((col.field.scale(c) for col, c in self.parts), TensorField.zero(self.cs, 2))
 
 
 def match_rate(lam: float, s: float) -> float | None:
@@ -489,7 +467,10 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     columns of its kernel basis coefficient by coefficient: one block of
     tensor entries per (phase, power, rate) key gives a small linear
     system, whose condition number is recorded per positive frequency.  A
-    term at a key that no column carries is not in the kernel.
+    term at a key that no column carries is not in the kernel.  The result
+    keeps each column whose coefficient is not round-off, with that
+    coefficient.  tau goes through ``check_resonance`` against every
+    eigenvalue of the cross section, as in ``solve_reduced_system``.
 
     The columns, keys, matrix and condition number of each frequency come
     from its memoized kernel block: the columns are built on the first
@@ -500,6 +481,7 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     """
     hf = _rank2(h)
     cs = hf.cs
+    check_resonance(tau, (cs.eigenvalue(freq) for freq in cs.canonical_freqs()))
     scale = max(1.0, hf.max_abs_coeff())
     ric = linearized_ricci(hf).max_abs_coeff()
     if ric > tol * scale:
@@ -508,7 +490,7 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     if div > tol * scale:
         raise NotInKernel(f"tau-modified divergence residual {div:.3e} exceeds {tol:.1e}")
 
-    found: dict = {}  # label -> {meta: coefficient}
+    parts: list = []
     cond: dict = {}
     zero_block = np.zeros((cs.dim + 1, cs.dim + 1))
     for freq in sorted({freq for (freq, _phase) in hf.data}):
@@ -533,40 +515,6 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
                 f"frequency {freq} block outside the kernel span (coefficient "
                 f"residual {residual:.3e})"
             )
-        for c, col in zip(coeffs, block.columns):
-            if abs(c) >= 1e-13 * scale:
-                found.setdefault(col.label, {})[col.meta] = float(c)
-
-    def part(label):
-        return found.get(label, {})
-
-    pairs: dict = {}
-    for (freq, phase, j), c in part("scalar_gauge").items():
-        k, l = _homogeneous_pair_profiles(cs.eigenvalue(freq))[j]
-        k_acc, l_acc = pairs.get((freq, phase), (RadialProfile.zero(), RadialProfile.zero()))
-        pairs[(freq, phase)] = (k_acc + k.scale(c), l_acc + l.scale(c))
-    coclosed: dict = {}
-    for (freq, phase, idx, branch), c in part("coclosed_gauge").items():
-        rate = math.sqrt(cs.eigenvalue(freq)) * (1.0 if branch == "plus" else -1.0)
-        prof = coclosed.get((freq, phase, idx), RadialProfile.zero())
-        coclosed[(freq, phase, idx)] = prof + RadialProfile.monomial(c, 0, rate)
-    exp_modes: dict = {}
-    for (freq, phase, i, branch), c in part("tt_exp").items():
-        a_plus, a_minus = exp_modes.get((freq, phase, i), (0.0, 0.0))
-        exp_modes[(freq, phase, i)] = (
-            (a_plus + c, a_minus) if branch == "plus" else (a_plus, a_minus + c)
-        )
-
-    return KernelDecomposition(
-        cs=cs,
-        pure_trace=(part("trace").get((), 0.0), part("trace_linear").get((), 0.0)),
-        parallel_tt={i: c for (i,), c in part("tt_parallel").items()},
-        linear_tt={i: c for (i,), c in part("tt_parallel_linear").items()},
-        exp_modes=exp_modes,
-        gauge_X=GaugeField(cs, pairs, coclosed),
-        gauge_Y=YField(
-            radial=part("radial_gauge").get((), 0.0),
-            shear={a: c for (a,), c in part("shear_gauge").items()},
-        ),
-        condition_numbers=cond,
-    )
+        parts.extend((col, float(c)) for c, col in zip(coeffs, block.columns)
+                     if abs(c) >= 1e-13 * scale)
+    return KernelDecomposition(cs, tuple(parts), cond)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as fields_mod
-from .cross_section import TorusCrossSection, modes_at, tangent_complement
+from .cross_section import TorusCrossSection, modes_at
 from .errors import InvalidInput, NonInvertibleSector, ResonantTau
 from .fields import TensorField
 from .mode_ode import RadialProfile, solve_damped_mode, solve_mixed_mode, solve_scalar_mode
@@ -52,8 +52,7 @@ class DivergenceConfig:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise InvalidInput("tau must be nonnegative")
+        check_resonance(self.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +62,16 @@ class DivergenceConfig:
 
 def decompose_one_form(w: TensorField) -> GaugeField:
     """Resolve a rank-1 field into per-mode radial profiles, carried by a
-    GaugeField whose ``one_form`` gives w back."""
+    GaugeField whose ``one_form`` gives w back.
+
+    The modes come from ``modes_at``.  Every mode at a (freq, phase) has
+    the scalar mode's amplitude, so each leg divides by it: the radial leg
+    directly, the tangential-gradient leg after projecting onto omega, and
+    each coclosed or harmonic leg after projecting onto the mode's unit
+    polarization (its polarization over the amplitude)."""
     if w.rank != 1:
         raise InvalidInput("decompose_one_form needs a rank-1 field")
     cs = w.cs
-    amp0 = 1.0 / math.sqrt(cs.volume)
-    amp1 = math.sqrt(2.0 / cs.volume)
 
     pair_terms: dict = {}
     coclosed_terms: dict = {}
@@ -80,32 +83,30 @@ def decompose_one_form(w: TensorField) -> GaugeField:
             store.append((coeff, p, lam))
 
     for (freq, phase), profs in w.data.items():
-        if not any(freq):
-            for (p, lam), C in profs.items():
-                push(radial_terms, float(C[0]) / amp0, p, lam)
-                for i in range(cs.dim):
-                    push(harmonic_terms.setdefault(i, []), float(C[1 + i]) / amp0, p, lam)
-            continue
-        omega = cs.omega(freq)
-        wnorm = float(np.linalg.norm(omega))
-        what = omega / wnorm
-        perp = tangent_complement(omega)
-        # inverting the tangential-gradient leg: d_N of a sin mode lands on
-        # cos with +omega, of a cos mode on sin with -omega
-        grad_phase = "sin" if phase == "cos" else "cos"
-        grad_sign = +1.0 if phase == "cos" else -1.0
+        amp = float(modes_at(cs, "Scalar", freq, phase)[0].polarization)
+        if any(freq):
+            l_store = pair_terms.setdefault((freq, phase), ([], []))[1]
+            # inverting the tangential-gradient leg: d_N of a sin mode lands on
+            # cos with +omega, of a cos mode on sin with -omega
+            grad_phase = "sin" if phase == "cos" else "cos"
+            grad_sign = +1.0 if phase == "cos" else -1.0
+            k_store = pair_terms.setdefault((freq, grad_phase), ([], []))[0]
+            omega = cs.omega(freq)
+            wnorm = float(np.linalg.norm(omega))
+            what = omega / wnorm
+            legs = [(coclosed_terms.setdefault((freq, phase, i), []), eta.polarization / amp)
+                    for i, eta in enumerate(modes_at(cs, "CoclosedOneForm", freq, phase))]
+        else:
+            l_store, k_store = radial_terms, None
+            legs = [(harmonic_terms.setdefault(i, []), eta.polarization / amp)
+                    for i, eta in enumerate(modes_at(cs, "HarmonicOneForm", freq, phase))]
         for (p, lam), C in profs.items():
             tang = np.asarray(C[1:], dtype=float)
-            push(pair_terms.setdefault((freq, phase), ([], []))[1], float(C[0]) / amp1, p, lam)
-            push(
-                pair_terms.setdefault((freq, grad_phase), ([], []))[0],
-                grad_sign * float(tang @ what) / (amp1 * wnorm), p, lam,
-            )
-            for i, u in enumerate(perp):
-                push(
-                    coclosed_terms.setdefault((freq, phase, i), []),
-                    float(tang @ u) / amp1, p, lam,
-                )
+            push(l_store, float(C[0]) / amp, p, lam)
+            if k_store is not None:
+                push(k_store, grad_sign * float(tang @ what) / (amp * wnorm), p, lam)
+            for store, unit in legs:
+                push(store, float(tang @ unit) / amp, p, lam)
 
     pairs, coclosed, harmonic = {}, {}, {}
     for key, (b_terms, c_terms) in pair_terms.items():
@@ -249,9 +250,12 @@ def modified_divergence(h: TensorField, tau: float = 0.0) -> TensorField:
     return out
 
 
-def check_resonance(tau: float, eigenvalues) -> None:
-    """Raise ResonantTau when 4 tau^2 lies within RESONANCE_TOL of a positive
+def check_resonance(tau: float, eigenvalues=()) -> None:
+    """The one tau check: InvalidInput unless 0 <= tau < inf (NaN fails),
+    and ResonantTau when 4 tau^2 lies within RESONANCE_TOL of a positive
     eigenvalue, where the damped radial systems at that tau are singular."""
+    if not 0.0 <= tau < math.inf:
+        raise InvalidInput(f"tau must be finite and nonnegative, got {tau!r}")
     for mu in eigenvalues:
         if tau > 0.0 and mu > 0.0 and abs(4.0 * tau * tau - mu) <= RESONANCE_TOL:
             raise ResonantTau(

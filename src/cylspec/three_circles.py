@@ -36,8 +36,7 @@ import numpy as np
 
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
-from .deformation_solver import YField, classify_kernel, match_rate
-from .divergence_solver import GaugeField
+from .deformation_solver import classify_kernel, match_rate
 from .errors import InvalidInput, InvalidParams
 from .fields import TensorField, tangential_metric
 from .mode_ode import RadialProfile
@@ -218,14 +217,9 @@ def project_out_parallel(h: TensorField, tau: float = 0.0) -> TensorField:
     Idempotent, and NotInKernel passes through from classification.
     """
     dec = classify_kernel(h, tau)
-    reduced = replace(
-        dec,
-        pure_trace=(0.0, dec.pure_trace[1]),
-        parallel_tt={},
-        gauge_X=GaugeField(dec.cs, {}),
-        gauge_Y=YField(),
-    )
-    return reduced.reconstruct().prune(0.0)
+    reduced = ("trace_linear", "tt_parallel_linear", "tt_exp")
+    kept = tuple((col, c) for col, c in dec.parts if col.label in reduced)
+    return replace(dec, parts=kept).reconstruct().prune(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,39 @@ def test_bad_values_exit_two_naming_the_key(tmp_path, capsys, argv, ini, key):
     assert not (tmp_path / f"{argv[0]}-envelope.json").exists()
 
 
+T2_ARGS = ["--dim", "2", "--side-lengths", f"{2 * math.pi!r},{2 * math.pi!r}",
+           "--freq-cutoff", "2"]  # T^2(2 pi): mu_1 = 1 = 4 (0.5)^2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kernel-classify", "--tau", "-1"], "tau must be finite and nonnegative"),
+        (["kernel-classify", "--tau", "nan"], "tau must be finite and nonnegative"),
+        (["kernel-classify", "--tau", "0.5"], "ResonantTau"),
+        (["solve-div", "--tau", "nan"], "tau must be finite and nonnegative"),
+        (["solve-div", "--tau", "inf"], "tau must be finite and nonnegative"),
+        (["solve-deform", "--tau", "nan"], "tau must be finite and nonnegative"),
+        (["solve-deform", "--tau", "inf"], "tau must be finite and nonnegative"),
+        (["solve-deform", "--tau", "0.5", *T2_ARGS], "ResonantTau"),
+    ],
+    ids=["classify-minus-1", "classify-nan", "classify-resonant", "div-nan", "div-inf",
+         "deform-nan", "deform-inf", "deform-resonant"],
+)
+def test_bad_or_resonant_tau_exits_two(tmp_path, capsys, argv, message):
+    if argv[0] == "kernel-classify":
+        cs = TorusCrossSection(2, (2 * math.pi, 2 * math.pi), 2)
+        h = F.tangential_metric(cs).multiply_profile(RadialProfile.monomial(0.5, 1, 0.0))
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(cli.field_to_dict(h)))
+        argv = argv + ["--mode-file", str(path)]
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / f"{argv[0]}-envelope.json").exists()
+
+
 def test_bound_fit_rejects_a_nan_rho_fraction(tmp_path, capsys):
     code = cli.main(["bound-fit", "--rho-fractions", "0.5,nan,0.9", "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -450,6 +483,20 @@ def test_validate_on_a_grid_without_an_interior_band_exits_two(tmp_path, capsys)
     assert code == 2
     err = capsys.readouterr().err
     assert "n_r = 10" in err and "INTERIOR_TRIM" in err
+
+
+def test_validate_on_a_grid_below_eight_samples_exits_two(tmp_path, capsys):
+    code = cli.main(["validate", "--grid", "1x12", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input: ") and "at least 8 samples" in err
+
+
+@pytest.mark.parametrize("n_r, n_x", [(96, 12), (64, 8)])
+def test_validate_fd_tolerance_is_ten_grid_spacings_squared(tmp_path, n_r, n_x):
+    assert cli.main(["validate", "--grid", f"{n_r}x{n_x}", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "validate-envelope.json").read_text())["payload"]
+    assert payload["fd_tolerance"] == 10.0 * max(6.0 / (n_r - 1), 1.0 / n_x) ** 2
 
 
 def test_export_tube_norm_series(tmp_path):

@@ -25,6 +25,7 @@ from cylspec.deformation_solver import (
     _absorption_profiles,
 )
 from cylspec.divergence_solver import (
+    DivergenceConfig,
     decompose_one_form,
     lie_derivative_metric,
     modified_divergence,
@@ -209,7 +210,8 @@ def test_tau_eliminates_exactly_the_parallel_gauge_families():
     at_zero = {e.label for e in solve_reduced_system(CS, 0.0)}
     at_tau = {e.label for e in solve_reduced_system(CS, 0.02)}
     assert at_zero - at_tau == {"shear_gauge", "radial_gauge"}
-    dropped = [e for e in solve_reduced_system(CS, 0.0) if not e.survives_tau]
+    dropped = [e for e in solve_reduced_system(CS, 0.0)
+               if e.label in ("shear_gauge", "radial_gauge")]
     assert len(dropped) == CS.dim + 1
 
 
@@ -379,12 +381,24 @@ def test_basis_and_decomposition_keys_follow_the_mode_lookups():
 def test_resonant_tau_is_rejected():
     with pytest.raises(ResonantTau):
         solve_reduced_system(CIRCLE, 0.5)  # 4 tau^2 = 1 = mu_1
+    with pytest.raises(ResonantTau):
+        classify_kernel(F.tangential_metric(CIRCLE), 0.5)
     solve_reduced_system(CIRCLE, 0.37)
+    classify_kernel(F.tangential_metric(CIRCLE), 0.37)
 
 
 def test_negative_tau_is_rejected():
     with pytest.raises(InvalidInput):
         solve_reduced_system(CS, -0.1)
+
+
+@pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf, -math.inf])
+def test_tau_outside_zero_to_infinity_is_rejected_everywhere(tau):
+    h = F.tangential_metric(CS)
+    for call in (lambda: solve_reduced_system(CS, tau), lambda: classify_kernel(h, tau),
+                 lambda: DivergenceConfig(tau=tau)):
+        with pytest.raises(InvalidInput, match="finite and nonnegative"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +481,36 @@ def test_classify_zero_field():
     assert not dec.parallel_tt and not dec.exp_modes
     assert dec.gauge_X.is_zero() and dec.gauge_Y.is_zero()
     assert dec.reconstruct().max_abs_coeff() == 0.0
+
+
+@pytest.mark.parametrize("cs, tau", [(CS, 0.0), (CS, 0.02), (TORUS2, 0.0)])
+def test_decomposition_is_coefficients_on_the_memoized_columns(cs, tau):
+    h = random_kernel_element(cs, np.random.default_rng(29), tau=tau, n_parts=12)
+    dec = classify_kernel(h, tau)
+    basis = solve_reduced_system(cs, tau)
+    positions = [next(i for i, e in enumerate(basis) if e is col) for col, _c in dec.parts]
+    assert positions == sorted(positions)
+    expected = F.TensorField.zero(cs, 2)
+    for col, c in dec.parts:
+        expected = expected + col.field.scale(c)
+    assert (dec.reconstruct() - expected).max_abs_coeff() == 0.0
+
+
+@pytest.mark.parametrize("seed", [2, 13, 31])
+def test_gauge_X_generates_the_gauge_part(seed):
+    rng = np.random.default_rng(seed)
+    basis = solve_reduced_system(CS, 0.0)
+    gauges = [e for e in basis if e.label in ("scalar_gauge", "coclosed_gauge")]
+    others = [e for e in basis if e.label in ("trace_linear", "tt_parallel", "tt_exp")]
+    gauge_part = F.TensorField.zero(CS, 2)
+    for i in rng.choice(len(gauges), size=6, replace=False):
+        gauge_part = gauge_part + gauges[i].field.scale(float(rng.uniform(0.3, 2.0)))
+    h = gauge_part
+    for i in rng.choice(len(others), size=4, replace=False):
+        h = h + others[i].field.scale(float(rng.uniform(-2.0, 2.0)))
+    dec = classify_kernel(h, 0.0)
+    assert dec.gauge_X.rank == 1 and not dec.gauge_X.is_zero()
+    field_close(lie_derivative_metric(dec.gauge_X), gauge_part, 1e-12)
 
 
 def test_classify_recovers_known_coefficients():

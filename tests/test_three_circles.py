@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import random_kernel_element
 from cylspec import cross_section as cx, fields as F
 from cylspec import three_circles as tc
+from cylspec.deformation_solver import classify_kernel
 from cylspec.errors import InvalidInput, InvalidParams, NotInKernel
 from cylspec.mode_ode import RadialProfile
 
@@ -265,6 +266,16 @@ def test_project_out_parallel_fixes_reduced_forms():
     rng = np.random.default_rng(8)
     h = tc.random_reduced_form(CS, rng)
     assert field_close(tc.project_out_parallel(h), h)
+
+
+@pytest.mark.parametrize("seed", [41, 57])
+def test_project_out_parallel_keeps_only_the_reduced_labels(seed):
+    h = random_kernel_element(CS, np.random.default_rng(seed), n_parts=16)
+    reduced = ("trace_linear", "tt_parallel_linear", "tt_exp")
+    labels = {col.label for col, _c in classify_kernel(h).parts}
+    assert labels - set(reduced) and labels & set(reduced)
+    kept = classify_kernel(tc.project_out_parallel(h)).parts
+    assert {col.label for col, _c in kept} == labels & set(reduced)
 
 
 def test_project_out_parallel_rejects_non_kernel():
