@@ -20,10 +20,6 @@ gauge tensors eta (x) dr + dr (x) eta and dr (x) dr.  The tau term
 removes exactly those last two families, which is the point of the
 perturbation.
 
-Oscillatory kernel branches would require a negative cross-section
-eigenvalue; on flat tori none exist, and ``solve_reduced_system`` guards
-against one.
-
 The columns of each frequency are built once per cross section: one
 frozen kernel block per (cross section, frequency), memoized, holds the
 basis elements and, from the first ``classify_kernel`` that reads them
@@ -55,7 +51,7 @@ from .divergence_solver import (
     lie_derivative_metric,
     modified_divergence,
 )
-from .errors import InvalidInput, InvalidParams, NotInKernel
+from .errors import InvalidInput, NotInKernel
 from .fields import TensorField, linearized_ricci, tangential_metric
 from .mode_ode import RadialProfile, v_matrix
 
@@ -73,6 +69,7 @@ __all__ = [
 
 KERNEL_TOL = 1e-8
 RATE_TOL = 1e-9
+TRACE_TOL = 1e-10
 
 
 def _rank2(h) -> TensorField:
@@ -86,7 +83,7 @@ def _rank2(h) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def harmonic_trace_split(h, tol: float = 1e-10):
+def harmonic_trace_split(h):
     """Split the trace of h into its affine part and the oscillating rest.
 
     Returns (affine, remainder): affine is the frequency-zero profile
@@ -98,7 +95,7 @@ def harmonic_trace_split(h, tol: float = 1e-10):
     t = fields_mod.trace(hf)
     scale = max(1.0, t.max_abs_coeff())
     lap = fields_mod.rough_laplacian(t)
-    if lap.max_abs_coeff() > tol * scale:
+    if lap.max_abs_coeff() > TRACE_TOL * scale:
         raise InvalidInput(
             f"trace is not harmonic: Laplacian residual {lap.max_abs_coeff():.3e}"
         )
@@ -108,7 +105,7 @@ def harmonic_trace_split(h, tol: float = 1e-10):
     for (p, lam), C in t.data.get(zero_key, {}).items():
         if lam == 0.0 and p <= 1:
             terms.append((float(C), p, lam))
-        elif abs(float(C)) > tol * scale:
+        elif abs(float(C)) > TRACE_TOL * scale:
             raise InvalidInput("frequency-zero trace part is not affine")
     affine = RadialProfile(tuple(terms))
     remainder = hf - fields_mod.metric_field(cs).multiply_profile(
@@ -336,8 +333,6 @@ def solve_reduced_system(cs: TorusCrossSection, tau: float = 0.0):
     columns of the per-frequency kernel blocks.
     """
     eigenvalues = [cs.eigenvalue(freq) for freq in cs.canonical_freqs()]
-    if any(mu < 0.0 for mu in eigenvalues):
-        raise InvalidParams("negative cross-section eigenvalue; oscillatory branch")
     check_resonance(tau, eigenvalues)
 
     basis = list(_kernel_block(cs, (0,) * cs.dim, tau).columns)
@@ -458,7 +453,7 @@ def _coefficient_blocks(field: TensorField, freq, s: float) -> dict:
     return blocks
 
 
-def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecomposition:
+def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
     """Resolve a kernel element into its unique coefficient set.
 
     Preconditions (checked, NotInKernel on failure): the linearized Ricci
@@ -484,11 +479,13 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
     check_resonance(tau, (cs.eigenvalue(freq) for freq in cs.canonical_freqs()))
     scale = max(1.0, hf.max_abs_coeff())
     ric = linearized_ricci(hf).max_abs_coeff()
-    if ric > tol * scale:
-        raise NotInKernel(f"linearized Ricci residual {ric:.3e} exceeds {tol:.1e}")
+    if ric > KERNEL_TOL * scale:
+        raise NotInKernel(f"linearized Ricci residual {ric:.3e} exceeds {KERNEL_TOL:.1e}")
     div = modified_divergence(hf, tau).max_abs_coeff()
-    if div > tol * scale:
-        raise NotInKernel(f"tau-modified divergence residual {div:.3e} exceeds {tol:.1e}")
+    if div > KERNEL_TOL * scale:
+        raise NotInKernel(
+            f"tau-modified divergence residual {div:.3e} exceeds {KERNEL_TOL:.1e}"
+        )
 
     parts: list = []
     cond: dict = {}
@@ -498,7 +495,7 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
         block = _kernel_block(cs, freq, 0.0 if any(freq) else tau)
         h_blocks = _coefficient_blocks(hf, freq, s)
         for (phase, p, lam), C in h_blocks.items():
-            if (phase, p, lam) not in block.keys and np.max(np.abs(C)) > tol * scale:
+            if (phase, p, lam) not in block.keys and np.max(np.abs(C)) > KERNEL_TOL * scale:
                 raise NotInKernel(
                     f"frequency {freq}: {phase} term of power {p} and rate {lam:.6g} "
                     "matches no kernel column"
@@ -510,7 +507,7 @@ def classify_kernel(h, tau: float = 0.0, tol: float = KERNEL_TOL) -> KernelDecom
         if block.cond is not None:
             cond[freq] = block.cond
         residual = float(np.max(np.abs(A @ coeffs - b)))
-        if residual > max(tol, 1e-9) * max(scale, float(np.max(np.abs(b))), 1.0):
+        if residual > KERNEL_TOL * max(scale, float(np.max(np.abs(b))), 1.0):
             raise NotInKernel(
                 f"frequency {freq} block outside the kernel span (coefficient "
                 f"residual {residual:.3e})"

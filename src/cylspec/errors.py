@@ -40,11 +40,7 @@ class ResonantRate(InvalidInput):
 
 class NotInKernel(CylspecError):
     """A tensor handed to the kernel classifier fails the kernel residual
-    checks.  Carries the offending residual value."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    checks; the message names the offending value."""
 
 
 class CertificateFailure(CylspecError):

@@ -133,8 +133,8 @@ class TensorField:
                 out = max(out, float(np.max(np.abs(C))))
         return out
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs_coeff() <= tol
+    def is_zero(self) -> bool:
+        return self.max_abs_coeff() == 0.0
 
     def prune(self, tol: float) -> "TensorField":
         """Drop terms with max |C| <= tol * (global max).  Explicit only;

@@ -23,13 +23,17 @@ Every solve runs through one integrator, ``_exp_integral``, which keeps each
 term's rate, so a solution carries exactly (``==``) the source rates and the
 homogeneous rates (+-sqrt(mu), or 0 and -tau) and no others.  A source rate
 within RATE_WINDOW of a homogeneous rate, but not on it, raises ResonantRate.
+
+Integrals over finite intervals [lo, hi], lo >= 0, have one closed form in
+the confluent kernels psi_q(z) = int_0^1 t^q e^{z t} dt (``_psi``), a sum of
+nonnegative terms for every rate, zero included; only integrals out to
+infinity take the antiderivative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,48 +86,38 @@ def _antiderivative_terms(c: float, p: int, lam: float) -> list:
     return [(c * (-1) ** j * _falling(p, j) / lam ** (j + 1), p - j) for j in range(p + 1)]
 
 
-# Gauss-Legendre nodes for curved terms on a short interval: with
-# n = _QUAD_NODES + p // 2 nodes and |lam| (b - a) <= 1 the rule's error on
-# r^p e^{lam r} is below 1e-20 relative, far under rounding.
-_QUAD_NODES = 12
+# Taylor terms of psi_q on |z| <= 1: the tail after n = 18 is below e / 19!,
+# under 2^-53 relative, since psi_q(z) >= e^{-1} / (q + 1) there.
+_PSI_TERMS = 19
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _psi(z, qmax: int) -> list:
+    """[psi_0(z), ..., psi_qmax(z)] elementwise in the array z, where
+    psi_q(z) = int_0^1 t^q e^{z t} dt > 0.
 
-
-def _power_integrals(powers, lo, hi) -> np.ndarray:
-    """(k, m) table of int_lo^hi r^p dr = (hi - lo) S_p / (p + 1), where
-    S_p = sum_i hi^i lo^{p-i} = hi S_{p-1} + lo^p adds like-signed terms
-    when lo and hi are."""
-    sums = [np.ones(len(lo))]
-    for q in range(1, int(powers.max()) + 1):
-        sums.append(hi * sums[-1] + lo**q)
-    return (hi - lo) * np.array(sums)[powers] / (powers[:, None] + 1.0)
-
-
-def _quadrature_integrals(powers, rates, n_nodes: int, lo, hi) -> np.ndarray:
-    """(k, m) table of int_lo^hi r^p e^{lam r} dr by n-node Gauss-Legendre."""
-    x, w = _gauss_legendre(n_nodes)
-    half = 0.5 * (hi - lo)
-    r = lo[:, None] + half[:, None] * (x + 1.0)
-    with np.errstate(over="ignore", under="ignore"):
-        values = r ** powers[:, None, None] * np.exp(rates[:, None, None] * r)
-    return half * (values * w).sum(axis=-1)
-
-
-def _antiderivative_values(powers, rates, r) -> np.ndarray:
-    """(k, m) table of the antiderivative of r^p e^{lam r} at r, lam != 0:
-    e^{lam r} sum_j (-1)^j (p)_j r^{p-j} / lam^{j+1}, (p)_j falling."""
-    poly = np.zeros((len(powers), len(r)))
-    falling = np.ones(len(powers))
-    for j in range(int(powers.max()) + 1):
-        exponent = np.maximum(powers - j, 0)[:, None]
-        poly = poly + ((-1) ** j * falling / rates ** (j + 1))[:, None] * r ** exponent
-        falling = falling * (powers - j)
-    with np.errstate(over="ignore", under="ignore"):
-        return poly * np.exp(rates[:, None] * r)
+    Each recurrence runs only in its stable direction.  For |z| > 1,
+    upward from psi_0 = expm1(z) / z by psi_q = (e^z - q psi_{q-1}) / z;
+    for |z| <= 1, the Taylor series sum_n z^n / (n! (qmax + n + 1)) for
+    psi_qmax, then downward by psi_{q-1} = (e^z - z psi_q) / q.  Where
+    every |z| <= 1 entry is 0 both are skipped: there psi_q = 1 / (q + 1),
+    which is what they give bit for bit.
+    """
+    near = np.abs(z) <= 1.0
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        ez = np.exp(z)
+        psi = [np.expm1(z) / z]
+        for q in range(1, qmax + 1):
+            psi.append((ez - q * psi[-1]) / z)
+        if not (near & (z != 0.0)).any():
+            return [np.where(near, 1.0 / (q + 1), v) for q, v in enumerate(psi)]
+        top = 0.0
+        for n in range(_PSI_TERMS - 1, -1, -1):
+            top = 1.0 / (math.factorial(n) * (qmax + n + 1)) + z * top
+        psi[qmax] = np.where(near, top, psi[qmax])
+        for q in range(qmax, 0, -1):
+            top = (ez - z * top) / q
+            psi[q - 1] = np.where(near, top, psi[q - 1])
+    return psi
 
 
 class RadialProfile:
@@ -237,15 +231,14 @@ class RadialProfile:
         return float(self.interval_integrals([a], [b])[0])
 
     def interval_integrals(self, lo, hi) -> np.ndarray:
-        """Integrals over the finite intervals [lo[i], hi[i]].
+        """Integrals over the finite intervals [lo[i], hi[i]], lo[i] >= 0.
 
-        The closed-form antiderivative difference F(hi) - F(lo) subtracts
-        two values of size ~ r^{p+1} / (p + 1) (lam == 0) or ~ r^p / |lam|
-        to leave an O(hi - lo) result, and loses that ratio to
-        cancellation on short intervals.  So lam == 0 terms use the
-        factored power difference, and a curved term that varies slowly on
-        an interval, |lam| (hi - lo) <= 1, uses Gauss-Legendre quadrature
-        there; every other pair uses F(hi) - F(lo).  Each step is
+        With h = hi - lo and r = lo + h t, each term integrates to
+        int_lo^hi r^p e^{lam r} dr
+            = e^{lam lo} sum_q C(p, q) lo^{p-q} h^{q+1} psi_q(lam h),
+        psi_q(z) = int_0^1 t^q e^{z t} dt (``_psi``).  For lo >= 0 every
+        summand is nonnegative, so nothing cancels: not on short intervals,
+        not at small |lam|, and lam == 0 is no special case.  Each step is
         elementwise in the interval and the term sum runs per interval, so
         an interval's value does not depend on which others come with it.
         """
@@ -254,25 +247,15 @@ class RadialProfile:
         if not self.terms:
             return np.zeros(lo.shape)
         coeffs, powers, rates = (np.array(col) for col in zip(*self.terms))
-        flat = rates == 0.0
-        if flat.all():
-            per_term = _power_integrals(powers, lo, hi)
-        else:
-            p, lam = powers[~flat], rates[~flat]
-            edges = _antiderivative_values(p, lam, np.concatenate((lo, hi)))
-            curved = edges[:, len(lo):] - edges[:, :len(lo)]
-            near = np.abs(lam)[:, None] * np.abs(hi - lo) <= 1.0
-            rows = near.any(axis=1)
-            if rows.any():
-                n_nodes = _QUAD_NODES + self.max_power // 2
-                quad = _quadrature_integrals(p[rows], lam[rows], n_nodes, lo, hi)
-                curved[rows] = np.where(near[rows], quad, curved[rows])
-            if flat.any():
-                per_term = np.empty((len(coeffs), len(lo)))
-                per_term[flat] = _power_integrals(powers[flat], lo, hi)
-                per_term[~flat] = curved
-            else:
-                per_term = curved
+        h = hi - lo
+        p = powers[:, None]
+        binom = np.ones(p.shape)  # C(p, q), exact in floats
+        per_term = np.zeros((len(coeffs), len(lo)))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for q, psi_q in enumerate(_psi(rates[:, None] * h, self.max_power)):
+                per_term += binom * lo ** np.maximum(p - q, 0) * h ** (q + 1) * psi_q
+                binom = binom * (p - q) / (q + 1)
+            per_term *= np.exp(rates[:, None] * lo)
         # one contiguous row per interval: every row sums in the same order
         return np.ascontiguousarray((coeffs[:, None] * per_term).T).sum(axis=1)
 
@@ -603,10 +586,8 @@ def solve_scalar_mode(mu: float, alpha, support=None):
         raise InvalidInput("mu must be >= 0")
 
     if mu == 0.0:
-        # f = r * int_0^r alpha - int_0^r s alpha  (zero data at r = 0)
-        body = _exp_integral(alpha, 0.0).mul_monomial(1, 0.0) - _exp_integral(
-            alpha.mul_monomial(1, 0.0), 0.0
-        )
+        # f'' = alpha with zero data at r = 0 is the damped equation at tau = 0
+        body = solve_damped_mode(0.0, alpha)
         if support is None:
             return PiecewiseProfile.single(body, lo=0.0)
         _, hi = support
@@ -678,12 +659,13 @@ def _vop_block(q_tilde_1, q_tilde_2, sigma, upper=None):
     Computes ``int e^{sigma (t - s)} [q1(s) + (t - s) q2(s)] ds`` and
     ``int e^{sigma (t - s)} q2(s) ds``, over [0, t] when ``upper`` is None
     and over [t, upper] otherwise, returning the pair (y1, y2) as profiles
-    in t.
+    in t.  The block's equations y2' = sigma y2 + q2 and
+    y1' = sigma y1 + y2 + q1 chain: y1 integrates q1 + y2 over [0, t], or
+    q1 - y2 over [t, upper] (that y2 carries the opposite sign).
     """
-    i1 = _exp_integral(q_tilde_1, sigma, upper)
     y2 = _exp_integral(q_tilde_2, sigma, upper)
-    i2s = _exp_integral(q_tilde_2.mul_monomial(1, 0.0), sigma, upper)
-    return i1 + y2.mul_monomial(1, 0.0) - i2s, y2
+    y1 = _exp_integral(q_tilde_1 + y2 if upper is None else q_tilde_1 - y2, sigma, upper)
+    return y1, y2
 
 
 def _mixed_solution_profiles(mu, beta, gamma, upper):

@@ -278,9 +278,7 @@ class MonotonicityReport:
         return not (self.violations or self.growth_violations or self.decay_violations)
 
 
-def monotonicity_classify(
-    series: TubeNormSeries, beta_prime: float, L: float | None = None
-) -> MonotonicityReport:
+def monotonicity_classify(series: TubeNormSeries, beta_prime: float) -> MonotonicityReport:
     """Check the step dichotomy and both propagation laws along a series.
 
     At each interior offset one neighbour must dominate by e^{2 beta' L};
@@ -288,8 +286,7 @@ def monotonicity_classify(
     propagate rightward, domination over the right neighbour must
     propagate leftward; indices breaking either law are reported.
     """
-    L = series.L if L is None else L
-    F = math.exp(2.0 * beta_prime * L)
+    F = math.exp(2.0 * beta_prime * series.L)
     V = series.values
     tol = REL_TOL * max([1.0, *V])
     labels = []
@@ -328,12 +325,11 @@ def monotonicity_classify(
 def random_reduced_form(
     cs: TorusCrossSection,
     rng,
-    n_exp_modes: int = 3,
     include_r_linear: bool = True,
     include_growing: bool = True,
     coeff_scale: float = 1.0,
 ) -> TensorField:
-    """A random reduced kernel element (exponential TT modes, optional
+    """A random reduced kernel element (up to three exponential TT modes, optional
     r-linear trace and parallel TT legs).  include_growing=False zeroes
     the e^{+sqrt(mu) r} branches, for callers sampling on long windows."""
     tt_spectrum = build_spectrum(cs, "TTTensor")
@@ -341,7 +337,7 @@ def random_reduced_form(
     if not pool:
         raise InvalidInput("cross section carries no oscillating TT modes")
     h = TensorField.zero(cs, 2)
-    picks = rng.choice(len(pool), size=min(n_exp_modes, len(pool)), replace=False)
+    picks = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
     for i in picks:
         tt = pool[i]
         s = math.sqrt(tt.eigenvalue)
@@ -461,10 +457,10 @@ def perturbed_three_circles_trial(
     return PerturbationReport(chi=chi, trials=trials, passes=passes, failures=tuple(failures))
 
 
-def _sup_on_tube(h: TensorField, lo: float, hi: float, n_r: int = 33, n_x: int = 5) -> float:
+def _sup_on_tube(h: TensorField, lo: float, hi: float) -> float:
     cs = h.cs
-    axes = [np.linspace(0.0, side, n_x, endpoint=False) for side in cs.side_lengths]
+    axes = [np.linspace(0.0, side, 5, endpoint=False) for side in cs.side_lengths]
     grids = np.meshgrid(*axes, indexing="ij")
     xs = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = h.evaluate(np.linspace(lo, hi, n_r), xs)
+    vals = h.evaluate(np.linspace(lo, hi, 33), xs)
     return float(np.max(np.abs(vals)))

@@ -1,6 +1,7 @@
 """Profile algebra: closed-form calculus on sums of c * r^p * e^{lam r}."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -82,6 +83,52 @@ def test_integral_additive_over_intervals(terms, a, b, c):
     lhs = p.definite_integral(a, b) + p.definite_integral(b, c)
     rhs = p.definite_integral(a, c)
     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
+
+
+def _exact_interval_integral(p, lam, lo, hi):
+    """int_lo^hi r^p e^{lam r} dr in 160-digit decimals, as F(hi) - F(lo) of
+    the antiderivative.  At lam = 1e-12 the difference cancels about 80
+    digits, so some 80 remain, far beyond double precision."""
+    with localcontext() as ctx:
+        ctx.prec = 160
+        lam, lo, hi = Decimal(lam), Decimal(lo), Decimal(hi)
+        if lam == 0:
+            return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+
+        def F(r):
+            poly = sum((-1) ** j * math.perm(p, j) * (r ** (p - j) if j < p else 1)
+                       / lam ** (j + 1) for j in range(p + 1))
+            return (lam * r).exp() * poly
+
+        return F(hi) - F(lo)
+
+
+def test_interval_integrals_match_a_decimal_reference():
+    # tiny rates, lam = 0 and |lam| up to 30, on intervals from 1e-4 to 20
+    # long and pairs with |lam| h on either side of 1
+    tiny = (1e-12, 1e-9, 1e-6, 1e-3)
+    moderate = (0.05, 0.7, 1.3, 4.0, 30.0)
+    failures = []
+    for lam in (0.0, *tiny, *(-x for x in tiny), *moderate, *(-x for x in moderate)):
+        pairs = [(lo, h) for lo in (0.0, 0.5, 3.7, 20.0) for h in (1e-4, 0.01, 0.3, 2.5, 20.0)]
+        if abs(lam) >= 0.05:
+            pairs += [(lo, f / abs(lam)) for lo in (0.0, 3.7) for f in (1 - 1e-6, 1.0, 1 + 1e-6)]
+        # a value past the double range has no float to compare with
+        pairs = [(lo, h) for lo, h in pairs if lam * (lo + h) <= 700.0]
+        lo = np.array([lo for lo, _ in pairs])
+        hi = lo + np.array([h for _, h in pairs])
+        refs = [[_exact_interval_integral(p, lam, a, b) for a, b in zip(lo, hi)]
+                for p in range(5)]
+        # each power alone, then all five in one profile (every term positive)
+        cases = [(RadialProfile.monomial(1.0, p, lam), refs[p]) for p in range(5)]
+        cases.append((RadialProfile([(1.0, p, lam) for p in range(5)]),
+                      [sum(col) for col in zip(*refs)]))
+        for profile, expected in cases:
+            got = profile.interval_integrals(lo, hi)
+            for a, b, g, e in zip(lo, hi, got, expected):
+                if abs(Decimal(float(g)) - e) > Decimal("1e-12") * abs(e):
+                    failures.append((profile, a, b, float(g), float(e)))
+    assert not failures, failures[:5]
 
 
 def test_integral_to_infinity_requires_decay():
