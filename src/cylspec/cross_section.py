@@ -54,8 +54,8 @@ class TorusCrossSection:
     """Flat torus with side lengths ``side_lengths``, dimension ``dim``.
 
     ``freq_cutoff`` bounds the largest |k_j| of generated frequency vectors.
-    Immutable; derived data is computed on demand, and spectra and mode
-    slices are memoized per cross section.
+    Immutable; derived data is computed on demand, and spectra, mode
+    slices and the volume are memoized per cross section.
     """
 
     dim: int
@@ -78,7 +78,7 @@ class TorusCrossSection:
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "freq_cutoff", int(self.freq_cutoff))
 
-    @property
+    @functools.cached_property
     def volume(self) -> float:
         return float(np.prod(self.side_lengths))
 
@@ -160,6 +160,11 @@ class Spectrum:
         """The modes at one (freq, phase) in spectrum order, or () if the
         spectrum has none there."""
         return self.slices.get((tuple(freq), phase), ())
+
+    @functools.cached_property
+    def oscillating(self) -> tuple:
+        """The modes at nonzero frequency, in spectrum order."""
+        return tuple(m for m in self.modes if any(m.freq))
 
 
 def tangent_complement(omega: np.ndarray) -> list:

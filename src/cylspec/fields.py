@@ -29,6 +29,7 @@ from .mode_ode import RadialProfile
 
 __all__ = [
     "TensorField",
+    "sum_fields",
     "constant_tensor_field",
     "from_mode_profile",
     "scalar_field",
@@ -96,13 +97,7 @@ class TensorField:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "TensorField") -> "TensorField":
-        if other.rank != self.rank or other.cs is not self.cs and other.cs != self.cs:
-            raise InvalidInput("can only add fields of equal rank on the same cross section")
-        out = TensorField(self.cs, self.rank)
-        for fld in (self, other):
-            for mode_key, prof_key, C in fld.terms():
-                out._accumulate(mode_key, prof_key, C)
-        return out
+        return sum_fields(self.cs, self.rank, (self, other))
 
     def __sub__(self, other: "TensorField") -> "TensorField":
         return self + other.scale(-1.0)
@@ -185,6 +180,19 @@ class TensorField:
         nmodes = len(self.data)
         nterms = sum(len(v) for v in self.data.values())
         return f"TensorField(rank={self.rank}, modes={nmodes}, terms={nterms})"
+
+
+def sum_fields(cs: TorusCrossSection, rank: int, fields) -> TensorField:
+    """The sum of the fields in one pass.  Each coefficient is summed left
+    to right, so it equals the one of the chain f_1 + f_2 + ... bit for
+    bit, without copying every partial sum."""
+    out = TensorField(cs, rank)
+    for fld in fields:
+        if fld.rank != rank or fld.cs is not cs and fld.cs != cs:
+            raise InvalidInput("can only add fields of equal rank on the same cross section")
+        for mode_key, prof_key, C in fld.terms():
+            out._accumulate(mode_key, prof_key, C)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +430,15 @@ def tube_integrand(a: TensorField, b: TensorField) -> RadialProfile:
     shared key one (n_a x n_b) table holds the coefficient dots, and entry
     (i, j) lands on r^{p_i + p_j} e^{(lam_i + lam_j) r}; all keys merge into
     one profile.  Keys and terms are visited in sorted order, so the merged
-    coefficients do not depend on the per-process hash seed.
+    coefficients do not depend on the per-process hash seed.  For a tube
+    norm (a is b) each key's table is built once.
     """
     if a.rank != b.rank:
         raise InvalidInput("tube inner product needs equal ranks")
     terms = []
     for mode_key in sorted(a.data.keys() & b.data.keys()):
         pa, la, ca = _term_table(a.data[mode_key])
-        pb, lb, cb = _term_table(b.data[mode_key])
+        pb, lb, cb = (pa, la, ca) if a is b else _term_table(b.data[mode_key])
         dots = _trig_factor(a.cs, mode_key[0]) * (ca @ cb.T)
         powers = pa[:, None] + pb[None, :]
         rates = la[:, None] + lb[None, :]

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
-from .deformation_solver import classify_kernel, match_rate
+from .deformation_solver import RATE_TOL, classify_kernel
 from .errors import InvalidInput, InvalidParams
 from .fields import TensorField, tangential_metric
 from .mode_ode import RadialProfile
@@ -61,11 +61,21 @@ __all__ = [
 REL_TOL = 1e-12
 
 
+def _finite_tube_value(v: float, a: float, b: float) -> float:
+    """A tube value as a nonnegative float; a value past the double range
+    (inf, or NaN where an overflow met a zero factor) is an error, never an
+    empty tube."""
+    if not math.isfinite(v):
+        raise InvalidInput(f"tube ({a:.6g}, {b:.6g}) has no finite value ({v}): the field "
+                           "overflows the double range there or has non-finite coefficients")
+    return max(0.0, v)
+
+
 def tube_norm(h: TensorField, a: float, b: float) -> float:
     """Squared L2 mass of h over the tube (a, b) x N, in closed form."""
     if not a < b:
         raise InvalidInput("tube needs a < b")
-    return max(0.0, fields_mod.tube_norm_sq(h, a, b))
+    return _finite_tube_value(fields_mod.tube_norm_sq(h, a, b), a, b)
 
 
 def _tube_values(h: TensorField, L: float, offsets) -> tuple:
@@ -74,8 +84,9 @@ def _tube_values(h: TensorField, L: float, offsets) -> tuple:
     if not L > 0.0:
         raise InvalidInput("tube needs a < b")
     t = np.asarray(offsets, dtype=float)
-    values = fields_mod.tube_integrand(h, h).interval_integrals(t * L, (t + 1) * L)
-    return tuple(max(0.0, v) for v in values.tolist())
+    lo, hi = t * L, (t + 1) * L
+    values = fields_mod.tube_integrand(h, h).interval_integrals(lo, hi)
+    return tuple(map(_finite_tube_value, values.tolist(), lo.tolist(), hi.tolist()))
 
 
 def _p_weight(t: float) -> float:
@@ -101,19 +112,29 @@ class TubeNormSeries:
     values: tuple
 
     def __post_init__(self):
-        if self.L <= 0.0:
+        if not self.L > 0.0:
             raise InvalidInput("tube length must be positive")
-        off = tuple(int(t) for t in self.offsets)
-        if list(off) != sorted(set(off)) or (off and off[0] < 0):
-            raise InvalidInput("offsets must be strictly increasing and nonnegative")
-        if len(off) != len(self.values) or any(v < 0.0 for v in self.values):
-            raise InvalidInput("values must be nonnegative, one per offset")
+        off = _series_offsets(self.offsets)
+        values = tuple(float(v) for v in self.values)
+        if len(off) != len(values) or not all(0.0 <= v < math.inf for v in values):
+            raise InvalidInput("values must be finite and nonnegative, one per offset")
         object.__setattr__(self, "offsets", off)
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_field(cls, h: TensorField, L: float, offsets) -> "TubeNormSeries":
-        return cls(L=L, offsets=tuple(offsets), values=_tube_values(h, L, offsets))
+        """The series of h; the offsets (here) and L (in _tube_values) are
+        checked before any tube is integrated."""
+        offsets = _series_offsets(offsets)
+        return cls(L=L, offsets=offsets, values=_tube_values(h, L, offsets))
+
+
+def _series_offsets(offsets) -> tuple:
+    given = tuple(offsets)
+    off = tuple(int(t) for t in given)
+    if off != given or list(off) != sorted(set(off)) or (off and off[0] < 0):
+        raise InvalidInput("offsets must be strictly increasing nonnegative integers")
+    return off
 
 
 @dataclass(frozen=True)
@@ -161,51 +182,68 @@ class ThreeCirclesParams:
 def _require_reduced_form(h: TensorField) -> bool:
     """Gate: h must be a reduced kernel element (r-linear trace and
     parallel TT legs plus exponential TT modes, nothing else).  Returns
-    whether an r-linear leg is present."""
+    whether an r-linear leg is present.
+
+    All coefficient tensors are tested at once.  The first failing term in
+    ``h.data`` order is reported; within a term the power and rate come
+    first, then the radial and mixed legs, then trace and transversality.
+    All-zero tensors are skipped.
+    """
     cs = h.cs
-    scale = max(1.0, h.max_abs_coeff())
-    has_r_linear = False
-    for (freq, phase), profs in h.data.items():
-        if not any(freq):
-            for (p, lam), C in profs.items():
-                C = np.asarray(C)
-                if np.max(np.abs(C)) <= 0.0:
-                    continue
-                if p != 1 or match_rate(lam, 0.0) is None:
-                    raise InvalidInput(
-                        "parallel sector must be purely r-linear; classify and "
-                        "project the field first"
-                    )
-                edge = np.concatenate(([C[0, 0]], C[0, 1:], C[1:, 0]))
-                if np.max(np.abs(edge)) > REL_TOL * scale:
-                    raise InvalidInput("radial and mixed parallel legs are not reduced")
-                has_r_linear = True
-            continue
-        mu = cs.eigenvalue(freq)
-        s = math.sqrt(mu)
-        what = cs.omega(freq)
-        what = what / np.linalg.norm(what)
-        for (p, lam), C in profs.items():
-            C = np.asarray(C)
-            if np.max(np.abs(C)) <= 0.0:
-                continue
-            if p != 0 or match_rate(lam, s) is None:
-                raise InvalidInput(
-                    f"oscillating-mode profiles must be pure e^{{+-sqrt(mu) r}}; "
-                    f"found power {p}, rate {lam:.6g} at frequency {freq}"
-                )
-            edge = np.concatenate(([C[0, 0]], C[0, 1:], C[1:, 0]))
-            tang = C[1:, 1:]
-            if (
-                np.max(np.abs(edge)) > REL_TOL * scale
-                or abs(np.trace(tang)) > REL_TOL * scale
-                or np.max(np.abs(tang @ what)) > REL_TOL * scale
-            ):
-                raise InvalidInput(
-                    f"oscillating content at frequency {freq} is not transverse "
-                    "traceless"
-                )
-    return has_r_linear
+    keys = [(freq, p, lam) for (freq, _), profs in h.data.items() for p, lam in profs]
+    if not keys:
+        return False
+    C = np.array([C for profs in h.data.values() for C in profs.values()], dtype=float)
+    # s = sqrt(mu) and the unit normal w^ = omega / |omega|, once per frequency
+    normals = {}
+    for freq, _, _ in keys:
+        if freq not in normals:
+            if any(freq):
+                w = cs.omega(freq)
+                normals[freq] = (math.sqrt(cs.eigenvalue(freq)), w / np.linalg.norm(w))
+            else:
+                normals[freq] = (0.0, np.zeros(cs.dim))
+    parallel = np.array([not any(freq) for freq, _, _ in keys])
+    s = np.array([normals[freq][0] for freq, _, _ in keys])
+    what = np.array([normals[freq][1] for freq, _, _ in keys])
+    powers = np.array([p for _, p, _ in keys])
+    rates = np.array([lam for _, _, lam in keys])
+
+    A = np.abs(C)
+    term_max = A.max(axis=(1, 2))
+    live = ~(term_max <= 0.0)
+    # max(1, max |C|), skipping NaN as TensorField.max_abs_coeff does
+    tol = REL_TOL * float(np.fmax.reduce(term_max, initial=1.0))
+    rate_tol = RATE_TOL * np.maximum(1.0, s)  # the window of match_rate
+    bad_rate = (powers != np.where(parallel, 1, 0)) | ~(
+        (np.abs(rates - s) <= rate_tol) | (np.abs(rates + s) <= rate_tol)
+    )
+    bad_edge = np.maximum(A[:, 0, :].max(axis=1), A[:, 1:, 0].max(axis=1)) > tol
+    tang = C[:, 1:, 1:]
+    bad_tt = ~parallel & (
+        (np.abs(np.trace(tang, axis1=1, axis2=2)) > tol)
+        | (np.abs(tang @ what[:, :, None]).max(axis=(1, 2)) > tol)
+    )
+    bad = live & (bad_rate | bad_edge | bad_tt)
+    if bad.any():
+        i = int(bad.argmax())
+        freq, p, rate = keys[i]
+        if parallel[i] and bad_rate[i]:
+            raise InvalidInput(
+                "parallel sector must be purely r-linear; classify and "
+                "project the field first"
+            )
+        if parallel[i]:
+            raise InvalidInput("radial and mixed parallel legs are not reduced")
+        if bad_rate[i]:
+            raise InvalidInput(
+                f"oscillating-mode profiles must be pure e^{{+-sqrt(mu) r}}; "
+                f"found power {p}, rate {rate:.6g} at frequency {freq}"
+            )
+        raise InvalidInput(
+            f"oscillating content at frequency {freq} is not transverse traceless"
+        )
+    return bool((live & parallel).any())
 
 
 def project_out_parallel(h: TensorField, tau: float = 0.0) -> TensorField:
@@ -333,10 +371,10 @@ def random_reduced_form(
     r-linear trace and parallel TT legs).  include_growing=False zeroes
     the e^{+sqrt(mu) r} branches, for callers sampling on long windows."""
     tt_spectrum = build_spectrum(cs, "TTTensor")
-    pool = [m for m in tt_spectrum.modes if any(m.freq)]
+    pool = tt_spectrum.oscillating
     if not pool:
         raise InvalidInput("cross section carries no oscillating TT modes")
-    h = TensorField.zero(cs, 2)
+    parts = []
     picks = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
     for i in picks:
         tt = pool[i]
@@ -344,22 +382,22 @@ def random_reduced_form(
         a_plus, a_minus = rng.uniform(-coeff_scale, coeff_scale, size=2)
         if not include_growing:
             a_plus = 0.0
-        h = h + fields_mod.from_mode_profile(
+        parts.append(fields_mod.from_mode_profile(
             cs, tt, RadialProfile(((a_plus, 0, s), (a_minus, 0, -s)))
-        )
+        ))
     if include_r_linear:
         a_tilde = float(rng.uniform(-coeff_scale, coeff_scale))
-        h = h + tangential_metric(cs).multiply_profile(
+        parts.append(tangential_metric(cs).multiply_profile(
             RadialProfile.monomial(a_tilde, 1, 0.0)
-        )
+        ))
         parallel = tt_spectrum.at((0,) * cs.dim)
         m = int(rng.integers(0, len(parallel)))
-        h = h + fields_mod.from_mode_profile(
+        parts.append(fields_mod.from_mode_profile(
             cs,
             parallel[m],
             RadialProfile.monomial(float(rng.uniform(-coeff_scale, coeff_scale)), 1, 0.0),
-        )
-    return h
+        ))
+    return fields_mod.sum_fields(cs, 2, parts)
 
 
 def random_valid_params(

@@ -271,6 +271,29 @@ def test_main_rejects_beta_prime_above_rate_cap(tmp_path, capsys):
     assert "rate cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "power, rate, L, message",
+    [
+        # e^{+sqrt(mu_1) r} B: every tube of length 60 overflows
+        (0, None, "60", "has no finite value"),
+        # r e^{15 r} B is no reduced form; the gate stops it before any tube
+        (1, 15.0, "25", "pure e^{+-sqrt(mu) r}"),
+    ],
+)
+def test_main_three_circles_rejects_overflowing_fields(tmp_path, capsys, power, rate, L, message):
+    tt = next(m for m in build_spectrum(CS, "TTTensor").modes if any(m.freq))
+    rate = math.sqrt(tt.eigenvalue) if rate is None else rate
+    h = F.from_mode_profile(CS, tt, RadialProfile.monomial(1.0, power, rate))
+    mode_file = tmp_path / "h.json"
+    mode_file.write_text(json.dumps(cli.field_to_dict(h)))
+    code = cli.main(
+        ["three-circles", "--mode-file", str(mode_file), "--L", L, "--beta", "0.5",
+         "--beta-prime", "0.25", "--triples", "0,1,2", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_main_certificate_failure_exits_three(tmp_path, capsys):
     cfg = tmp_path / "job.ini"
     cfg.write_text("[task]\nname = solve-div\nresidual_tol = 1e-20\n")

@@ -242,6 +242,8 @@ def test_tube_integrand_matches_pairwise_integrals(case):
     # sorted keys and terms: the order terms were added changes nothing
     shuffled = _field_from_terms(CS, rank, [a_terms[i] for i in order])
     assert F.tube_integrand(shuffled, b).terms == integrand.terms
+    # a tube norm builds each table once; a copy of a (two tables) agrees
+    assert F.tube_integrand(a, a).terms == F.tube_integrand(a, a.scale(1.0)).terms
 
 
 # Three contributions to the r^0 e^{0 r} term, 1e16, -1e16 and 1, sum to 1

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import random_kernel_element
 from cylspec import cross_section as cx, fields as F
 from cylspec import three_circles as tc
-from cylspec.deformation_solver import classify_kernel
+from cylspec.deformation_solver import RATE_TOL, classify_kernel, match_rate
 from cylspec.errors import InvalidInput, InvalidParams, NotInKernel
 from cylspec.mode_ode import RadialProfile
 
@@ -81,6 +81,47 @@ def test_tube_norm_rejects_empty_interval():
     h = r_linear_tt()
     with pytest.raises(InvalidInput, match="a < b"):
         tc.tube_norm(h, 2.0, 2.0)
+
+
+def _growing_mode_cases():
+    # r e^{15 r} B over (0, 25): a zero factor meets an overflowed psi_q (NaN);
+    # e^{+sqrt(mu_1) r} B over (0, 60): inf - inf at the parent, inf here
+    yield F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 1, 15.0)), 25.0
+    yield F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, math.sqrt(MU1))), 60.0
+
+
+def test_non_finite_tube_values_are_errors():
+    for h, L in _growing_mode_cases():
+        with pytest.raises(InvalidInput, match=rf"tube \(0, {L:g}\) has no finite value"):
+            tc.tube_norm(h, 0.0, L)
+        with pytest.raises(InvalidInput, match=rf"tube \(0, {L:g}\) has no finite value"):
+            tc.TubeNormSeries.from_field(h, L, (0, 1, 2))
+    h, L = list(_growing_mode_cases())[1]
+    params = tc.ThreeCirclesParams(beta=0.5, beta_prime=0.25, L=L, triple=(0, 1, 2))
+    with pytest.raises(InvalidInput, match="no finite value"):
+        tc.three_circles_check(h, params)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="finite and nonnegative"):
+            tc.TubeNormSeries(L=1.0, offsets=(0,), values=(bad,))
+    with pytest.raises(InvalidInput, match="positive"):
+        tc.TubeNormSeries(L=math.nan, offsets=(0,), values=(1.0,))
+
+
+def test_series_checks_its_tubes_before_integrating(monkeypatch):
+    def no_integral(*args):
+        raise AssertionError("integrated before the tubes were checked")
+
+    monkeypatch.setattr(RadialProfile, "interval_integrals", no_integral)
+    h = r_linear_tt()
+    # a fractional offset is refused, not truncated under values taken at it
+    for offsets in ((-1, 0), (1, 1), (2, 0), (0.5, 1.5), (0, 1.25)):
+        with pytest.raises(InvalidInput, match="increasing nonnegative integers"):
+            tc.TubeNormSeries.from_field(h, 1.0, offsets)
+    with pytest.raises(InvalidInput, match="integers"):
+        tc.TubeNormSeries(L=1.0, offsets=(0.5,), values=(1.0,))
+    for L in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidInput, match="a < b"):
+            tc.TubeNormSeries.from_field(h, L, (0, 1))
 
 
 @pytest.mark.parametrize("L", [1.0, 0.7, 2.5])
@@ -219,6 +260,153 @@ def test_gate_rejects_non_reduced_content():
         tc.three_circles_check(secular, _valid_params())
     with pytest.raises(InvalidInput, match="transverse"):
         tc.three_circles_check(_oscillating_metric(), _valid_params())
+
+
+# The per-term gate, as it was before all terms were tested at once; the
+# vectorized gate must give the same verdict, flag, exception and message.
+def _reference_gate(h):
+    cs = h.cs
+    scale = max(1.0, h.max_abs_coeff())
+    has_r_linear = False
+    for (freq, phase), profs in h.data.items():
+        if not any(freq):
+            for (p, lam), C in profs.items():
+                C = np.asarray(C)
+                if np.max(np.abs(C)) <= 0.0:
+                    continue
+                if p != 1 or match_rate(lam, 0.0) is None:
+                    raise InvalidInput(
+                        "parallel sector must be purely r-linear; classify and "
+                        "project the field first"
+                    )
+                edge = np.concatenate(([C[0, 0]], C[0, 1:], C[1:, 0]))
+                if np.max(np.abs(edge)) > tc.REL_TOL * scale:
+                    raise InvalidInput("radial and mixed parallel legs are not reduced")
+                has_r_linear = True
+            continue
+        mu = cs.eigenvalue(freq)
+        s = math.sqrt(mu)
+        what = cs.omega(freq)
+        what = what / np.linalg.norm(what)
+        for (p, lam), C in profs.items():
+            C = np.asarray(C)
+            if np.max(np.abs(C)) <= 0.0:
+                continue
+            if p != 0 or match_rate(lam, s) is None:
+                raise InvalidInput(
+                    f"oscillating-mode profiles must be pure e^{{+-sqrt(mu) r}}; "
+                    f"found power {p}, rate {lam:.6g} at frequency {freq}"
+                )
+            edge = np.concatenate(([C[0, 0]], C[0, 1:], C[1:, 0]))
+            tang = C[1:, 1:]
+            if (
+                np.max(np.abs(edge)) > tc.REL_TOL * scale
+                or abs(np.trace(tang)) > tc.REL_TOL * scale
+                or np.max(np.abs(tang @ what)) > tc.REL_TOL * scale
+            ):
+                raise InvalidInput(
+                    f"oscillating content at frequency {freq} is not transverse "
+                    "traceless"
+                )
+    return has_r_linear
+
+
+# unequal sides and d = 4: several TT modes and rates per frequency
+T4 = cx.TorusCrossSection(4, (1.0, 1.3, 0.7, 2.0), 1)
+DEFECTS = ("power", "rate", "radial", "mixed", "trace", "normal", "zero")
+COEFF_DEFECTS = (1.0, 1e-6, 2e-12, 5e-13)  # the last two straddle REL_TOL * scale
+
+
+def _rate_defects(s):
+    # inside and outside the match_rate window, and on its edge
+    window = RATE_TOL * max(1.0, s)
+    return (1e-10, 1e-8, window, 0.5)
+
+
+def _inject(h, defects, rng):
+    """A copy of h with the defects added; each lands on a random term."""
+    cs, d = h.cs, h.cs.dim
+    data = {mk: dict(profs) for mk, profs in h.data.items()}
+    for kind, level in defects:
+        terms = [(mk, pk) for mk in data for pk in data[mk]]
+        mk, (p, lam) = terms[int(rng.integers(len(terms)))]
+        freq = mk[0]
+        C = np.array(data[mk][(p, lam)])
+        eps = COEFF_DEFECTS[level] * rng.choice((-1.0, 1.0))
+        if kind == "power":
+            data[mk][(p + 1, lam)] = C
+        elif kind == "rate":
+            s = math.sqrt(cs.eigenvalue(freq))
+            shift = _rate_defects(s)[level] * rng.choice((-1.0, 1.0))
+            data[mk][(p, lam + shift)] = C
+        elif kind == "zero":
+            data[mk][(p + 2, lam + 0.375)] = np.zeros_like(C)
+        else:
+            if kind == "radial":
+                C[0, 0] += eps
+            elif kind == "mixed":
+                j = int(rng.integers(1, d + 1))
+                C[0, j] += eps
+                C[j, 0] += eps
+            elif kind == "trace":
+                C[1:, 1:] += eps * np.eye(d)
+            elif any(freq):  # normal: traceless, but not transverse
+                what = cs.omega(freq) / np.linalg.norm(cs.omega(freq))
+                u = cx.tangent_complement(cs.omega(freq))[0]
+                C[1:, 1:] += eps * (np.outer(what, u) + np.outer(u, what))
+            data[mk][(p, lam)] = C
+    if rng.integers(2):  # the first failing term depends on the key order
+        mks = list(data)
+        data = {mks[i]: data[mks[i]] for i in rng.permutation(len(mks))}
+        for mk, profs in data.items():
+            pks = list(profs)
+            data[mk] = {pks[i]: profs[pks[i]] for i in rng.permutation(len(pks))}
+    return F.TensorField(cs, 2, data)
+
+
+def _gate_outcome(gate, h):
+    try:
+        flag = gate(h)
+    except InvalidInput as exc:
+        return type(exc), str(exc)
+    return type(flag), flag
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    four_torus=st.booleans(),
+    r_linear=st.booleans(),
+    coeff_scale=st.sampled_from((1.0, 1e-3, 50.0)),  # below and above scale's floor of 1
+    defects=st.lists(
+        st.tuples(st.sampled_from(DEFECTS), st.integers(0, len(COEFF_DEFECTS) - 1)),
+        max_size=3,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_gate_matches_the_per_term_reference(seed, four_torus, r_linear, coeff_scale, defects):
+    rng = np.random.default_rng(seed)
+    cs = T4 if four_torus else CS
+    h = tc.random_reduced_form(cs, rng, include_r_linear=r_linear, coeff_scale=coeff_scale)
+    h = _inject(h, defects, rng)
+    assert _gate_outcome(tc._require_reduced_form, h) == _gate_outcome(_reference_gate, h)
+
+
+def test_gate_rate_window_and_zero_tensors():
+    s = math.sqrt(MU1)
+    for shift, passes in ((1e-10, True), (-1e-10, True), (1e-8, False), (-1e-8, False)):
+        h = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -s + shift))
+        assert _gate_outcome(tc._require_reduced_form, h) == _gate_outcome(_reference_gate, h)
+        assert (_gate_outcome(tc._require_reduced_form, h)[0] is bool) == passes
+    # the window is closed: at frequency zero its edge RATE_TOL is exact
+    for rate in (RATE_TOL, -RATE_TOL):
+        h = F.from_mode_profile(CS, B_PAR, RadialProfile.monomial(1.0, 1, rate))
+        assert tc._require_reduced_form(h) is True
+        assert _reference_gate(h) is True
+    # an all-zero tensor under any key is no content
+    h = r_linear_tt()
+    h.data[(B_OSC_CS.freq, B_OSC_CS.phase)] = {(3, 0.25): np.zeros((4, 4))}
+    assert tc._require_reduced_form(h) is True
+    assert tc._require_reduced_form(F.TensorField.zero(CS, 2)) is False
 
 
 def _oscillating_metric():
@@ -386,6 +574,63 @@ def test_monotonicity_propagation_on_kernel_series():
         series = tc.TubeNormSeries.from_field(h, L, tuple(range(n)))
         rep = tc.monotonicity_classify(series, beta_prime)
         assert rep.clean, (series, beta_prime)
+
+
+# ---------------------------------------------------------------------------
+# random reduced forms
+# ---------------------------------------------------------------------------
+
+
+def _reference_reduced_form(cs, rng, include_r_linear=True, include_growing=True,
+                            coeff_scale=1.0):
+    # random_reduced_form as a chain of + on the filtered spectrum
+    tt_spectrum = cx.build_spectrum(cs, "TTTensor")
+    pool = [m for m in tt_spectrum.modes if any(m.freq)]
+    if not pool:
+        raise InvalidInput("cross section carries no oscillating TT modes")
+    h = F.TensorField.zero(cs, 2)
+    for i in rng.choice(len(pool), size=min(3, len(pool)), replace=False):
+        s = math.sqrt(pool[i].eigenvalue)
+        a_plus, a_minus = rng.uniform(-coeff_scale, coeff_scale, size=2)
+        if not include_growing:
+            a_plus = 0.0
+        h = h + F.from_mode_profile(cs, pool[i], RadialProfile(((a_plus, 0, s), (a_minus, 0, -s))))
+    if include_r_linear:
+        a_tilde = float(rng.uniform(-coeff_scale, coeff_scale))
+        h = h + F.tangential_metric(cs).multiply_profile(RadialProfile.monomial(a_tilde, 1, 0.0))
+        parallel = tt_spectrum.at((0,) * cs.dim)
+        m = int(rng.integers(0, len(parallel)))
+        h = h + F.from_mode_profile(
+            cs, parallel[m],
+            RadialProfile.monomial(float(rng.uniform(-coeff_scale, coeff_scale)), 1, 0.0),
+        )
+    return h
+
+
+def _draw(make, cs, seed, **kw):
+    rng = np.random.default_rng(seed)
+    try:
+        h = make(cs, rng, **kw)
+    except InvalidInput as exc:
+        return str(exc), None
+    terms = [(mk, pk, C.shape, C.tobytes()) for mk, pk, C in h.terms()]
+    return terms, rng.bit_generator.state  # the same draws, bit for bit
+
+
+@pytest.mark.parametrize("cs", [CS, T4, cx.TorusCrossSection(2, (2.0 * math.pi,) * 2, 2)])
+@pytest.mark.parametrize("r_linear", [True, False])
+@pytest.mark.parametrize("growing", [True, False])
+@pytest.mark.parametrize("coeff_scale", [1.0, 1e-3])
+def test_random_reduced_form_is_the_plus_chain(cs, r_linear, growing, coeff_scale):
+    kw = dict(include_r_linear=r_linear, include_growing=growing, coeff_scale=coeff_scale)
+    for seed in range(8):
+        assert _draw(tc.random_reduced_form, cs, seed, **kw) == _draw(
+            _reference_reduced_form, cs, seed, **kw
+        )
+    spectrum = cx.build_spectrum(cs, "TTTensor")
+    filtered = [m for m in spectrum.modes if any(m.freq)]
+    assert len(spectrum.oscillating) == len(filtered)
+    assert all(a is b for a, b in zip(spectrum.oscillating, filtered))
 
 
 # ---------------------------------------------------------------------------
