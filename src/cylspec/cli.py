@@ -5,9 +5,10 @@ A run resolves one JobConfig (INI with named sections, or JSON carrying
 the same schema), executes one task, and writes one result envelope.
 The envelope's ``payload`` block is rendered canonically (sorted keys,
 floats at 17 significant digits), so identical (config, seed) produce
-byte-identical payloads; timing lives outside the payload for that
-reason.  Exit codes: 0 success, 1 internal error, 2 invalid input,
-3 certificate failure.
+byte-identical payloads; timing and the ``environment`` block (Python
+and numpy versions, the threads of the FD batches) live outside the
+payload for that reason.  Exit codes: 0 success, 1 internal error,
+2 invalid input, 3 certificate failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 import time
 from collections.abc import Callable
@@ -27,6 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
+from . import fd_oracle
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
 from .deformation_solver import classify_kernel, solve_reduced_system
@@ -783,6 +786,11 @@ def run_job(cfg: JobConfig) -> dict:
         "payload": payload,
         "certificates": certificates,
         "timing_s": elapsed,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "fd_threads": fd_oracle.fd_threads(),
+        },
     }
 
 

@@ -417,7 +417,7 @@ class KernelDecomposition:
     def gauge_X(self) -> TensorField:
         gauges = (col.generator.scale(c) for col, c in self.parts
                   if col.label in ("scalar_gauge", "coclosed_gauge"))
-        return sum(gauges, TensorField.zero(self.cs, 1))
+        return fields_mod.sum_fields(self.cs, 1, gauges)
 
     @property
     def gauge_Y(self) -> YField:
@@ -427,7 +427,7 @@ class KernelDecomposition:
         )
 
     def reconstruct(self) -> TensorField:
-        return sum((col.field.scale(c) for col, c in self.parts), TensorField.zero(self.cs, 2))
+        return fields_mod.sum_fields(self.cs, 2, (col.field.scale(c) for col, c in self.parts))
 
 
 def match_rate(lam: float, s: float) -> float | None:

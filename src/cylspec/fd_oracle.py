@@ -17,11 +17,17 @@ routine differentiates the Christoffel arrays with the same stencil, so
 the order-epsilon terms of ``nonlinear_ricci(g0 + eps h)`` cancel against
 ``eps * linearized_ricci(h)`` to round-off and the measured remainder is
 genuinely quadratic.
+
+A batch of operators that sweeps second partials along a bounded radial
+axis runs on radial slabs across the CPUs the process may use; every
+value is the same, bit for bit (see ``fd_operators``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -270,74 +276,78 @@ def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) ->
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
+#
+# Every operator below takes a component array c and the grid it was cut
+# from: c holds either all of grid.components or a range of its radial rows
+# (a slab), and the stencils read their spacings from the grid, never from
+# the row count of c.
 
 
-def _op_divergence(f: GridField, cfg: StencilConfig) -> GridField:
-    total = _contracted_partials(f.components, f.grid_ndim, f, cfg)
-    return f.with_components(np.negative(total, out=total), rank=f.rank - 1)
+def _op_divergence(c, grid: GridField, cfg: StencilConfig) -> np.ndarray:
+    total = _contracted_partials(c, grid.grid_ndim, grid, cfg)
+    return np.negative(total, out=total)
 
 
-def _op_sym_grad(f: GridField, cfg: StencilConfig) -> GridField:
-    grad = _gradient(f.components, f, cfg, -2)
-    return f.with_components(grad + np.swapaxes(grad, -1, -2), rank=2)
+def _op_sym_grad(c, grid: GridField, cfg: StencilConfig) -> np.ndarray:
+    grad = _gradient(c, grid, cfg, -2)
+    return grad + np.swapaxes(grad, -1, -2)
 
 
 class _Sweep(NamedTuple):
     """The rough Laplacian of a field, computed once per batch that uses it;
     when the batch names linearized_ricci, also the field's divergence and
-    the two full-size buffers the sweep has finished with."""
+    the two buffers of the field's size the sweep has finished with."""
 
-    rough: GridField
+    rough: np.ndarray
     divergence: np.ndarray | None = None
     spare: tuple = ()
 
 
-def _op_rough_laplacian(f: GridField, cfg: StencilConfig, divergence: bool = False) -> _Sweep:
-    """-sum_a d_a d_a f, one axis at a time.  With divergence set, also
-    -sum_a d_a f[..., a, :], summed in order from row a of each first
-    partial d_a f: the stencil acts entry by entry, so that row equals the
+def _op_rough_laplacian(c, grid: GridField, cfg: StencilConfig, divergence: bool = False) -> _Sweep:
+    """-sum_a d_a d_a c, one axis at a time.  With divergence set, also
+    -sum_a d_a c[..., a, :], summed in order from row a of each first
+    partial d_a c: the stencil acts entry by entry, so that row equals the
     partial of row a bit for bit, and no partial is taken twice."""
-    total = np.empty(f.components.shape)
+    total = np.empty(c.shape)
     term, d1 = np.empty_like(total), np.empty_like(total)
     work = np.empty_like(total) if cfg.order == 4 else None
     div = None
-    for a in range(f.dim + 1):
-        _partial(f.components, a, f, cfg, out=d1, work=work)
+    for a in range(grid.dim + 1):
+        _partial(c, a, grid, cfg, out=d1, work=work)
         if divergence:
-            row = d1[(slice(None),) * f.grid_ndim + (a,)]
+            row = d1[(slice(None),) * grid.grid_ndim + (a,)]
             div = row.copy() if div is None else np.add(div, row, out=div)
-        _partial(d1, a, f, cfg, out=term if a else total, work=work)
+        _partial(d1, a, grid, cfg, out=term if a else total, work=work)
         if a:
             total += term
-    rough = f.with_components(np.negative(total, out=total))
+    rough = np.negative(total, out=total)
     if not divergence:
         return _Sweep(rough)
     return _Sweep(rough, np.negative(div, out=div), (term, d1))
 
 
-def _op_trace_hessian(f: GridField, cfg: StencilConfig, out=None) -> GridField:
-    """[..., i, j] = d_j d_i tr f, into out when given.  The trace is summed
+def _op_trace_hessian(c, grid: GridField, cfg: StencilConfig, out=None) -> np.ndarray:
+    """[..., i, j] = d_j d_i tr c, into out when given.  The trace is summed
     as (h00 + h11) + h22 + ..., the order of np.trace, which starts from
     +0.0: the final + 0.0 gives its +0.0 on a diagonal of negative zeros."""
-    c = f.components
     tr = np.add(c[..., 0, 0], c[..., 1, 1])
-    for i in range(2, f.dim + 1):
+    for i in range(2, grid.dim + 1):
         tr += c[..., i, i]
     tr += 0.0
-    return f.with_components(_gradient(_gradient(tr, f, cfg, -1), f, cfg, -1, out=out), rank=2)
+    return _gradient(_gradient(tr, grid, cfg, -1), grid, cfg, -1, out=out)
 
 
-def _op_linearized_ricci(f: GridField, cfg: StencilConfig, sweep: _Sweep) -> GridField:
+def _op_linearized_ricci(c, grid: GridField, cfg: StencilConfig, sweep: _Sweep) -> np.ndarray:
     """(rough - (grad w + grad w^T) - Hess tr) / 2, with w the sweep's
     divergence.  The gradient and then the Hessian go into one of the
     sweep's spare buffers, the result into the other."""
     out, scratch = sweep.spare
-    grad = _gradient(sweep.divergence, f, cfg, -2, out=scratch)
+    grad = _gradient(sweep.divergence, grid, cfg, -2, out=scratch)
     np.add(grad, np.swapaxes(grad, -1, -2), out=out)
-    np.subtract(sweep.rough.components, out, out=out)
-    out -= _op_trace_hessian(f, cfg, out=scratch).components
+    np.subtract(sweep.rough, out, out=out)
+    out -= _op_trace_hessian(c, grid, cfg, out=scratch)
     out *= 0.5
-    return f.with_components(out)
+    return out
 
 
 def _background_curvature(f: GridField, cfg: StencilConfig):
@@ -352,33 +362,146 @@ def _background_curvature(f: GridField, cfg: StencilConfig):
     return np.einsum("...kikj->...ij", riem), riem
 
 
-def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: GridField) -> GridField:
+def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: np.ndarray) -> np.ndarray:
     ric, riem = _background_curvature(f, cfg)
     if not riem.any():
         # flat background: the coupling vanishes; copy, since a batch may
         # also return the rough Laplacian itself
-        return f.with_components(rough.components.copy())
+        return rough.copy()
     h = f.components
     # the curvature arrays carry length-1 axes; unoptimized einsum is about
     # ten times slower on such broadcast operands
     coupling = np.einsum("...ik,...kj->...ij", ric, h, optimize=True)
     coupling += np.einsum("...jk,...ik->...ij", ric, h, optimize=True)
     coupling -= 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h, optimize=True)
-    coupling += rough.components
-    return f.with_components(coupling)
+    coupling += rough
+    return coupling
 
 
-# operator -> (test of the input rank, function of (f, cfg, sweep)), where
-# sweep is the _Sweep of f, computed once per batch that uses it
+# operator -> (result rank for an input rank, None where the operator does
+# not take that rank; function of (c, grid, cfg, sweep)), where sweep is the
+# _Sweep of c, computed once per batch that uses it.  lichnerowicz is
+# pointwise in the rough Laplacian, so fd_operators runs it on the whole
+# grid once the stencils are done.
 _OPERATORS = {
-    "divergence": (lambda rank: rank >= 1, lambda f, cfg, _: _op_divergence(f, cfg)),
-    "sym_grad": (lambda rank: rank == 1, lambda f, cfg, _: _op_sym_grad(f, cfg)),
-    "rough_laplacian": (lambda rank: True, lambda f, cfg, sweep: sweep.rough),
-    "trace_hessian": (lambda rank: rank == 2, lambda f, cfg, _: _op_trace_hessian(f, cfg)),
-    "linearized_ricci": (lambda rank: rank == 2, _op_linearized_ricci),
-    "lichnerowicz": (lambda rank: rank == 2,
-                     lambda f, cfg, sweep: _op_lichnerowicz(f, cfg, sweep.rough)),
+    "divergence": (lambda rank: rank - 1 if rank >= 1 else None,
+                   lambda c, grid, cfg, _: _op_divergence(c, grid, cfg)),
+    "sym_grad": (lambda rank: 2 if rank == 1 else None,
+                 lambda c, grid, cfg, _: _op_sym_grad(c, grid, cfg)),
+    "rough_laplacian": (lambda rank: rank, lambda c, grid, cfg, sweep: sweep.rough),
+    "trace_hessian": (lambda rank: 2 if rank == 2 else None,
+                      lambda c, grid, cfg, _: _op_trace_hessian(c, grid, cfg)),
+    "linearized_ricci": (lambda rank: 2 if rank == 2 else None, _op_linearized_ricci),
+    "lichnerowicz": (lambda rank: 2 if rank == 2 else None, None),
 }
+# the operators that run the sweep of second partials
+_SWEEP_OPS = {"rough_laplacian", "linearized_ricci"}
+
+
+def _batch(names, c, grid: GridField, cfg: StencilConfig) -> dict:
+    """The named stencil operators of c, as arrays keyed by name."""
+    sweep = (_op_rough_laplacian(c, grid, cfg, "linearized_ricci" in names)
+             if _SWEEP_OPS.intersection(names) else None)
+    return {op: _OPERATORS[op][1](c, grid, cfg, sweep) for op in names}
+
+
+# ---------------------------------------------------------------------------
+# radial slabs
+# ---------------------------------------------------------------------------
+#
+# A batch that sweeps second partials along a bounded radial axis may run
+# on radial slabs.  A slab is a range of inner rows plus H = cfg.order halo
+# rows on each side, clipped at the grid's ends: two composed first
+# derivatives reach no further, so every inner row equals the serial batch
+# bit for bit; the rows a slab computes at a cut are dropped.  A few pool
+# threads take the slabs in turn and write their inner rows straight into
+# outputs the calling thread allocated.
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def fd_threads() -> int:
+    """The CPUs this process may run on: the most threads a batch uses.
+    Limit it with the process's CPU affinity (taskset)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _slab_pool():
+    """The one thread pool of the slabs, made on the first slab batch."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(thread_name_prefix="cylspec-fd")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _slab_plan(names, f: GridField, cfg: StencilConfig) -> tuple:
+    """(threads, slabs) for a batch of stencil operators; (1, 1) is serial.
+
+    Serial on a periodic radial axis and for a batch with no sweep.  Else
+    the most threads, up to fd_threads(), and then the fewest slabs such
+    that every slab has at least 8 H inner rows (halo rework stays at most
+    a quarter of a slab) and the slabs in flight, one per thread, hold no
+    more scratch than the serial batch: with B the sweep's buffers, the
+    outputs plus threads * rows * B stay within n_r * B."""
+    if f.r_periodic or not _SWEEP_OPS.intersection(names):
+        return 1, 1
+    # B: the buffers of c's size the sweep holds, total, term and d1, and at
+    # order 4 the 8 f of _partial
+    H, B = cfg.order, 3 if cfg.order == 2 else 4
+    budget = f.n_r * (B - len(names))
+    for threads in range(fd_threads(), 1, -1):
+        rows = budget // (threads * B) - 2 * H  # the most inner rows per slab
+        if rows >= 8 * H:
+            slabs = -(-f.n_r // rows)
+            if f.n_r // slabs >= 8 * H:
+                return threads, slabs
+    return 1, 1
+
+
+def _fill_slab(names, f: GridField, cfg: StencilConfig, out: dict, lo: int, hi: int):
+    """Run the batch on rows [lo, hi) and their halos; write rows [lo, hi)."""
+    a, b = max(lo - cfg.order, 0), min(hi + cfg.order, f.n_r)
+    got = _batch(names, f.components[a:b], f, cfg)
+    for op in names:
+        out[op][lo:hi] = got[op][lo - a:hi - a]
+
+
+def _slabbed(names, f: GridField, cfg: StencilConfig, threads: int, slabs: int) -> dict:
+    """The batch on the given number of slabs, taken in turn by that many
+    pool threads; every slab has finished before this returns, and the
+    first exception a thread raised is raised here."""
+    out = {op: np.empty((f.n_r, *f.n_x) + (f.dim + 1,) * _OPERATORS[op][0](f.rank))
+           for op in names}
+    cuts = [f.n_r * k // slabs for k in range(slabs + 1)]
+    # one shared iterator over built-in lists: each next() is atomic
+    todo = iter(list(zip(cuts, cuts[1:])))
+
+    def drain():
+        for lo, hi in todo:
+            _fill_slab(names, f, cfg, out, lo, hi)
+
+    futures = [_slab_pool().submit(drain) for _ in range(threads)]
+    for fut in futures:
+        fut.exception()  # waits without raising
+    for fut in futures:
+        fut.result()
+    return out
 
 
 def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> dict:
@@ -389,19 +512,26 @@ def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> d
     rough_laplacian, lichnerowicz and linearized_ricci share one sweep of
     second partials.  linearized_ricci reads the divergence from the
     sweep's first partials and writes its tail into the sweep's spare
-    buffers: it takes 5 (d + 1) partials.  Every value equals the np.roll
-    stencils summed left to right, bit for bit, except that lichnerowicz's
-    copy of the rough Laplacian on a flat background may differ from them
-    in the sign of a zero."""
+    buffers: it takes 5 (d + 1) partials.  A batch with a sweep runs on
+    radial slabs across fd_threads() threads when the grid is large enough
+    (see _slab_plan).  Every value equals the np.roll stencils summed
+    left to right, bit for bit, on slabs or not, except that
+    lichnerowicz's copy of the rough Laplacian on a flat background may
+    differ from them in the sign of a zero."""
     names = tuple(dict.fromkeys(names))
     for op in names:
         if op not in _OPERATORS:
             raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_OPERATORS)}")
-        if not _OPERATORS[op][0](f.rank):
+        if _OPERATORS[op][0](f.rank) is None:
             raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
-    uses_rough = {"rough_laplacian", "linearized_ricci", "lichnerowicz"}.intersection(names)
-    sweep = _op_rough_laplacian(f, cfg, "linearized_ricci" in names) if uses_rough else None
-    return {op: _OPERATORS[op][1](f, cfg, sweep) for op in names}
+    stencil = tuple(dict.fromkeys("rough_laplacian" if op == "lichnerowicz" else op
+                                  for op in names))
+    threads, slabs = _slab_plan(stencil, f, cfg)
+    arrays = (_slabbed(stencil, f, cfg, threads, slabs) if threads > 1
+              else _batch(stencil, f.components, f, cfg))
+    if "lichnerowicz" in names:
+        arrays["lichnerowicz"] = _op_lichnerowicz(f, cfg, arrays["rough_laplacian"])
+    return {op: f.with_components(arrays[op], rank=_OPERATORS[op][0](f.rank)) for op in names}
 
 
 def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:

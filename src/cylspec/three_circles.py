@@ -145,7 +145,11 @@ class ThreeCirclesParams:
     triple: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "triple", tuple(int(t) for t in self.triple))
+        given = tuple(self.triple)
+        triple = tuple(int(t) for t in given)
+        if triple != given:
+            raise InvalidParams(f"triple must hold integer offsets, got {given}")
+        object.__setattr__(self, "triple", triple)
         if len(self.triple) != 3:
             raise InvalidParams("triple must have exactly three offsets")
 
@@ -187,13 +191,20 @@ def _require_reduced_form(h: TensorField) -> bool:
     All coefficient tensors are tested at once.  The first failing term in
     ``h.data`` order is reported; within a term the power and rate come
     first, then the radial and mixed legs, then trace and transversality.
-    All-zero tensors are skipped.
+    All-zero tensors are skipped.  A NaN or infinite entry is reported
+    first, naming its term.
     """
     cs = h.cs
     keys = [(freq, p, lam) for (freq, _), profs in h.data.items() for p, lam in profs]
     if not keys:
         return False
     C = np.array([C for profs in h.data.values() for C in profs.values()], dtype=float)
+    if not np.isfinite(C).all():
+        i = int(np.isfinite(C).all(axis=(1, 2)).argmin())
+        mode_key = [key for key, profs in h.data.items() for _ in profs][i]
+        _, p, rate = keys[i]
+        raise InvalidInput(f"coefficient at mode key {mode_key}, power {p}, "
+                           f"rate {rate:.6g} is not finite")
     # s = sqrt(mu) and the unit normal w^ = omega / |omega|, once per frequency
     normals = {}
     for freq, _, _ in keys:

@@ -9,6 +9,7 @@ import json
 import logging
 import math
 import os
+import platform
 import re
 
 import numpy as np
@@ -214,6 +215,28 @@ def test_run_job_payloads_are_byte_identical():
     assert cli.canonical_json(a["payload"]) == cli.canonical_json(b["payload"])
     assert a["inputs_digest"] == b["inputs_digest"]
     assert a["certificates"][0]["passed"]
+
+
+def test_envelope_records_the_environment_outside_the_payload(tmp_path, monkeypatch):
+    # 128 radial rows at order 2: validate's FD batch runs on slabs at two
+    # threads and serially at one, with the same payload bytes
+    argv = ["validate", "--grid", "128x8", "--order", "2", "--seed", "3"]
+    stored = {}
+    for threads in (2, 1):
+        monkeypatch.setattr(O, "fd_threads", lambda: threads)
+        out = tmp_path / str(threads)
+        assert cli.main(argv + ["--out", str(out)]) in (0, 3)
+        stored[threads] = json.loads((out / "validate-envelope.json").read_text())
+        assert stored[threads]["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "fd_threads": threads,
+        }
+    for block in ("payload", "certificates"):
+        assert cli.canonical_json(stored[2][block]) == cli.canonical_json(stored[1][block])
+    monkeypatch.undo()
+    cfg = cli.resolve_config({"task": {"name": "spectrum"}}, {})
+    assert cli.run_job(cfg)["environment"]["fd_threads"] == O.fd_threads()
 
 
 def test_spectrum_envelope_lists_modes(tmp_path):

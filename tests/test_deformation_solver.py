@@ -333,6 +333,29 @@ def test_warm_kernel_blocks_classify_like_cold_ones(cs, tau):
     _same_terms(warm.reconstruct(), cold.reconstruct())
 
 
+@pytest.mark.parametrize("cs, tau", [(TORUS2, 0.0), (TORUS2, 0.02), (TORUS3, 0.0), (CS, 0.0)])
+def test_reconstruct_and_gauge_X_are_the_plus_chain(cs, tau):
+    """Both sum their parts in one pass: each coefficient equals the one of
+    the + chain over the scaled columns bit for bit."""
+    rng = np.random.default_rng(23)
+    fields = [random_kernel_element(cs, rng, tau=tau) for _ in range(4)]
+    if tau == 0.0 and cs.dim >= 3:  # T^2 carries no oscillating TT mode
+        fields += [tc.random_reduced_form(cs, rng, coeff_scale=c) for c in (1.0, 1e-3)]
+    gauged = 0
+    for h in fields:
+        dec = classify_kernel(h, tau)
+        chain = F.TensorField.zero(cs, 2)
+        gauge = F.TensorField.zero(cs, 1)
+        for col, c in dec.parts:
+            chain = chain + col.field.scale(c)
+            if col.label in ("scalar_gauge", "coclosed_gauge"):
+                gauge = gauge + col.generator.scale(c)
+        _same_terms(dec.reconstruct(), chain)
+        _same_terms(dec.gauge_X, gauge)
+        gauged += not gauge.is_zero()
+    assert gauged
+
+
 def test_zero_frequency_block_is_keyed_on_tau():
     solve_reduced_system(CS, 0.0)
     dropped = {"shear_gauge", "radial_gauge"}

@@ -5,6 +5,10 @@ sign conventions, before the oracle is trusted anywhere else."""
 import functools
 import math
 import operator
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -492,21 +496,161 @@ def test_batch_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
         assert np.array_equal(O._partial(cut, a, f, cfg), roll_partial(cut, a, f, cfg)), a
 
 
-@pytest.mark.parametrize("n_r, lengths, n_x, order", [
-    (64, (1.0, 1.0, 1.0), 8, 4),                 # validate-cli's grid, d = 3
-    (128, (2 * math.pi, 2 * math.pi), 24, 2),    # kernel-roundtrip's grid, d = 2
-], ids=["64x8^3-order4", "128x24^2-order2"])
-def test_workload_grids_equal_the_roll_stencils_bit_for_bit(n_r, lengths, n_x, order):
-    shape = (n_r,) + (n_x,) * len(lengths) + (len(lengths) + 1,) * 2
+# the smallest grids on which a lone sweep op takes the slab path at two
+# threads: 4 slabs of 8 H = 8 order inner rows
+_SLAB_MIN = {2: 64, 4: 128}
+
+
+@pytest.mark.parametrize("n_r, lengths, n_x, order, rank, r_periodic", [
+    (64, (1.0, 1.0, 1.0), 8, 4, 2, False),           # validate-cli's grid, d = 3
+    (128, (2 * math.pi, 2 * math.pi), 24, 2, 2, False),  # kernel-roundtrip's grid, d = 2
+    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 2, False),
+    (_SLAB_MIN[2] - 1, (1.0, 1.3), 8, 2, 2, False),
+    (_SLAB_MIN[4], (1.0, 1.3), 8, 4, 2, False),
+    (_SLAB_MIN[4] - 1, (1.0, 1.3), 8, 4, 2, False),
+    (_SLAB_MIN[2], (1.7,), 9, 2, 2, False),
+    (_SLAB_MIN[4], (1.0, 1.2, 1.4), 8, 4, 2, False),
+    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 0, False),
+    (_SLAB_MIN[4], (1.0, 1.3), 8, 4, 1, False),
+    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 2, True),
+], ids=["64x8^3-order4", "128x24^2-order2", "slab-min-order2", "below-slab-min-order2",
+        "slab-min-order4", "below-slab-min-order4", "d1", "d3", "rank0", "rank1",
+        "r-periodic"])
+def test_workload_grids_equal_the_roll_stencils_bit_for_bit(monkeypatch, n_r, lengths, n_x,
+                                                            order, rank, r_periodic):
+    shape = (n_r,) + (n_x,) * len(lengths) + (len(lengths) + 1,) * rank
     comps = np.random.default_rng(n_r + order).standard_normal(shape)
-    f = O.GridField((0.0, 6.0), n_r, lengths, (n_x,) * len(lengths), 2, comps)
+    f = O.GridField((0.0, 6.0), n_r, lengths, (n_x,) * len(lengths), rank, comps, r_periodic)
     cfg = O.StencilConfig(order=order)
+    # two threads, whatever the host has, so the path taken is fixed
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    slabbed = n_r >= _SLAB_MIN[order] and not r_periodic
+    assert (O._slab_plan(("rough_laplacian",), f, cfg)[0] > 1) == slabbed
     want = roll_operators(f, cfg)
     for op in want:
         assert np.array_equal(O.fd_operator(op, f, cfg).components, want[op]), op
-    three = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
-    for op, got in O.fd_operators(three, f, cfg).items():
-        assert np.array_equal(got.components, want[op]), op
+    batches = [tuple(want)]
+    if rank == 2:
+        batches.append(("lichnerowicz", "rough_laplacian", "linearized_ricci"))
+    for names in batches:
+        got = O.fd_operators(names, f, cfg)
+        for op in names:
+            assert np.array_equal(got[op].components, want[op]), op
+        with monkeypatch.context() as serial:
+            serial.setattr(O, "fd_threads", lambda: 1)
+            once = O.fd_operators(names, f, cfg)
+        for op in names:
+            assert np.array_equal(got[op].components, once[op].components), op
+
+
+# -- the slab threads -------------------------------------------------------
+
+SLAB_TIMEOUT_S = 60
+
+
+def within_timeout(fn):
+    """fn() run on a helper thread, failing the test if it hangs; its
+    exception, if any, is raised here."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed back to the test thread
+            box["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(SLAB_TIMEOUT_S)
+    assert not worker.is_alive(), f"no result within {SLAB_TIMEOUT_S} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def slab_field(seed, n_r=128):
+    comps = np.random.default_rng(seed).standard_normal((n_r, 8, 9, 3, 3))
+    return O.GridField((0.0, 6.0), n_r, (1.0, 1.3), (8, 9), 2, comps)
+
+
+def test_importing_cylspec_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(O.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import threading, cylspec; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=SLAB_TIMEOUT_S, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_an_exception_in_one_slab_reaches_the_caller_with_its_type(monkeypatch):
+    class SlabFailure(Exception):
+        pass
+
+    lock, failed = threading.Lock(), []
+    partial = O._partial
+
+    def fail_once(*args, **kwargs):
+        with lock:
+            first = not failed
+            failed.append(threading.current_thread().name)
+        if first:
+            raise SlabFailure("planted")
+        return partial(*args, **kwargs)
+
+    done = []
+    fill = O._fill_slab
+    monkeypatch.setattr(O, "_fill_slab", lambda *args: fill(*args) or done.append(args[-2:]))
+    f, cfg = slab_field(0), O.StencilConfig(order=2)
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    assert O._slab_plan(("linearized_ricci",), f, cfg) == (2, 4)
+    monkeypatch.setattr(O, "_partial", fail_once)
+    with pytest.raises(SlabFailure, match="planted"):
+        within_timeout(lambda: O.fd_operator("linearized_ricci", f, cfg))
+    assert failed[0].startswith("cylspec-fd")
+    # the other thread took the three other slabs, all done before the raise
+    assert len(done) == 3
+    # the pool survives a failed slab
+    monkeypatch.setattr(O, "_partial", partial)
+    got = within_timeout(lambda: O.fd_operator("linearized_ricci", f, cfg))
+    assert np.array_equal(got.components, roll_operators(f, cfg)["linearized_ricci"])
+
+
+def test_concurrent_batches_equal_the_serial_batch(monkeypatch):
+    """Two callers at once, each on 8 threads (more than a small host has
+    CPUs) taking 16 slabs from one shared list, with the interpreter
+    switching threads as often as it can: a slab taken twice or never
+    would leave rows unequal to the serial batch."""
+    fields = [slab_field(seed, n_r=256) for seed in (1, 2)]
+    cfg = O.StencilConfig(order=2)
+    names = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
+    monkeypatch.setattr(O, "fd_threads", lambda: 1)
+    want = [O.fd_operators(names, f, cfg) for f in fields]
+    monkeypatch.setattr(O, "fd_threads", lambda: 8)
+    assert O._slab_plan(("linearized_ricci",), fields[0], cfg) == (8, 16)
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def run(i):
+        start.wait(SLAB_TIMEOUT_S)
+        for _ in range(3):
+            got[i] = (O.fd_operators(names, fields[i], cfg),
+                      O.fd_operator("linearized_ricci", fields[i], cfg))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,), daemon=True) for i in (0, 1)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(SLAB_TIMEOUT_S)
+            assert not t.is_alive(), f"no result within {SLAB_TIMEOUT_S} s"
+    finally:
+        sys.setswitchinterval(interval)
+    for (batch, single), serial in zip(got, want):
+        for op in names:
+            assert np.array_equal(batch[op].components, serial[op].components), op
+        assert np.array_equal(single.components, serial["linearized_ricci"].components)
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -616,13 +760,14 @@ def test_collapsed_curvature_equals_the_full_grid_bit_for_bit(depends_on, r_peri
     assert np.array_equal(np.broadcast_to(riem, want_riem.shape), want_riem)
 
 
-def test_curvature_memory_stays_near_the_input_size():
+def test_curvature_memory_stays_near_the_input_size(monkeypatch):
     # full-grid curvature of the flat background peaked at 53x (lichnerowicz)
     # and 14x (nonlinear_ricci) the input bytes; collapsed, 5x and 3x.  With
     # np.roll stencils rough_laplacian and linearized_ricci peaked at 5.0x and
     # 5.1x; in place, 4.05x each, and 4.9x for the batch of three results.
     # Reading the divergence from the sweep keeps one extra quarter-size
-    # array alive through it: linearized_ricci 4.3x, the batch of three 5.1x
+    # array alive through it: linearized_ricci 4.3x, the batch of three 5.1x;
+    # 4.3x once lichnerowicz copies the rough Laplacian after the sweep
     comps = np.random.default_rng(0).standard_normal((64, 8, 8, 8, 4, 4))
     f = O.GridField((0.0, 6.0), 64, (1.0, 1.0, 1.0), (8, 8, 8), 2, comps)
     cfg = O.StencilConfig(order=4)
@@ -643,6 +788,22 @@ def test_curvature_memory_stays_near_the_input_size():
     assert peak_ratio(lambda: O.fd_operator("linearized_ricci", f, cfg)) <= 4.5
     three = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
     assert peak_ratio(lambda: O.fd_operators(three, f, cfg)) <= 5.5
+
+    # kernel-roundtrip's grid takes the slab path at two threads: the
+    # outputs plus the slabs in flight peak no higher than the serial batch
+    comps = np.random.default_rng(1).standard_normal((128, 24, 24, 3, 3))
+    f = O.GridField((0.0, 6.0), 128, (2 * math.pi,) * 2, (24, 24), 2, comps)
+    cfg = O.StencilConfig(order=2)
+    peaks = {}
+    for names, stencil in ((("linearized_ricci",),) * 2, (three, three[1:])):
+        monkeypatch.setattr(O, "fd_threads", lambda: 1)
+        serial = peak_ratio(lambda: O.fd_operators(names, f, cfg))
+        monkeypatch.setattr(O, "fd_threads", lambda: 2)
+        assert O._slab_plan(stencil, f, cfg)[0] == 2
+        peaks[names] = peak_ratio(lambda: O.fd_operators(names, f, cfg))
+        assert peaks[names] <= serial <= 4.5, names
+    # tracemalloc sees the pool threads' arrays: one output alone is 1.0x
+    assert peaks[("linearized_ricci",)] > 2.0
 
 
 def test_interior_of_a_grid_without_a_band_is_rejected():

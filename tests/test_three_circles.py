@@ -9,6 +9,7 @@ generator: sqrt(mu_1) L >= 3 and beta' strictly inside both caps.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,17 @@ def test_params_reject_bad_hypotheses():
         tc.ThreeCirclesParams(**{**good, "beta_prime": 0.95}).validate(1.0, False)
 
 
+def test_params_refuse_a_fractional_offset():
+    good = dict(beta=0.9, beta_prime=0.5, L=4.0, triple=(0, 1, 2))
+    # integral floats and numpy integers name the same tubes
+    for triple in ((0.0, 1.0, 2.0), tuple(np.arange(3))):
+        assert tc.ThreeCirclesParams(**{**good, "triple": triple}).triple == (0, 1, 2)
+    # int() used to truncate these to (0, 1, 3) and (0, 1, 2)
+    for triple in ((0, 1.5, 3.9), (0, 1, 2.5)):
+        with pytest.raises(InvalidParams, match="integer offsets"):
+            tc.ThreeCirclesParams(**{**good, "triple": triple})
+
+
 def test_params_rate_cap_only_binds_with_r_linear_content():
     s1 = math.sqrt(4.0 * math.pi**2)
     params = tc.ThreeCirclesParams(beta=5.0, beta_prime=3.3447, L=1.0, triple=(0, 1, 40))
@@ -407,6 +419,25 @@ def test_gate_rate_window_and_zero_tensors():
     h.data[(B_OSC_CS.freq, B_OSC_CS.phase)] = {(3, 0.25): np.zeros((4, 4))}
     assert tc._require_reduced_form(h) is True
     assert tc._require_reduced_form(F.TensorField.zero(CS, 2)) is False
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gate_refuses_non_finite_coefficients(bad):
+    s = math.sqrt(MU1)
+    key = (B_OSC_CS.freq, B_OSC_CS.phase)
+    message = re.escape(f"mode key {key}, power 0, rate {-s:.6g} is not finite")
+    # an all-NaN tensor at a valid oscillating key used to read as reduced
+    h = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -s))
+    h.data[key][(0, -s)] = np.full((4, 4), bad)
+    with pytest.raises(InvalidInput, match=message):
+        tc._require_reduced_form(h)
+    with pytest.raises(InvalidInput, match=message):
+        tc.three_circles_check(h, _valid_params())
+    # one bad entry is enough, after a valid r-linear leg
+    h = r_linear_tt() + F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -s))
+    h.data[key][(0, -s)][2, 3] = bad
+    with pytest.raises(InvalidInput, match=message):
+        tc._require_reduced_form(h)
 
 
 def _oscillating_metric():
