@@ -59,7 +59,6 @@ from .three_circles import (
     ThreeCirclesParams,
     TubeNormSeries,
     monotonicity_classify,
-    perturbed_three_circles_trial,
     project_out_parallel,
     sharpness_probe,
     three_circles_check,
@@ -114,7 +113,6 @@ __all__ = [
     "ThreeCirclesParams",
     "TubeNormSeries",
     "monotonicity_classify",
-    "perturbed_three_circles_trial",
     "project_out_parallel",
     "sharpness_probe",
     "three_circles_check",

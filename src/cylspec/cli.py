@@ -160,6 +160,17 @@ def _mode_key(cs: TorusCrossSection, i: int, freq, phase) -> tuple:
     return freq, phase
 
 
+def _profile_key(i: int, power, rate) -> tuple:
+    """The (power, rate) of term i: a nonnegative integer power and a
+    finite rate."""
+    p, lam = int(power), float(rate)
+    if p != power or p < 0:
+        raise InvalidInput(f"term {i}: power {power!r} is not a nonnegative integer")
+    if not math.isfinite(lam):
+        raise InvalidInput(f"term {i}: rate {lam} is not finite")
+    return p, lam
+
+
 def field_from_dict(data: dict) -> TensorField:
     try:
         cs_block = data["cross_section"]
@@ -169,21 +180,24 @@ def field_from_dict(data: dict) -> TensorField:
             int(cs_block["freq_cutoff"]),
         )
         rank = int(data["rank"])
-        h = TensorField.zero(cs, rank)
+        terms = []
         for i, term in enumerate(data["terms"]):
             coeff = np.asarray(term["coeff"], dtype=float)
             if coeff.shape != (cs.dim + 1,) * rank:
                 raise InvalidInput(
-                    f"coefficient shape {coeff.shape} does not match rank {rank}"
+                    f"term {i}: coefficient shape {coeff.shape} does not match rank {rank}"
                 )
-            h._accumulate(
-                _mode_key(cs, i, term["freq"], term["phase"]),
-                (int(term["power"]), float(term["rate"])),
-                coeff,
-            )
-        return h
+            if not np.isfinite(coeff).all():
+                raise InvalidInput(f"term {i}: coefficient is not finite")
+            mode_key = _mode_key(cs, i, term["freq"], term["phase"])
+            prof_key = _profile_key(i, term["power"], term["rate"])
+            terms.append(TensorField(cs, rank, {mode_key: {prof_key: coeff}}))
+        # repeated keys add up in file order, as the + chain would
+        return fields_mod.sum_fields(cs, rank, terms)
     except KeyError as exc:
         raise InvalidInput(f"field file is missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"field file holds a malformed value: {exc}") from exc
 
 
 def load_field(path: str) -> TensorField:
@@ -484,15 +498,15 @@ def _random_gauge_image(cs: TorusCrossSection, rng, n_modes: int) -> TensorField
     """L_X g0 for a random decaying one-form on oscillating scalar modes:
     solvable at every tau, no parallel radial or harmonic content."""
     scalars = [m for m in build_spectrum(cs, "Scalar").modes if any(m.freq)]
-    X = TensorField.zero(cs, 1)
+    parts = []
     picks = rng.choice(len(scalars), size=min(n_modes, len(scalars)), replace=False)
     for i in picks:
         mode = scalars[i]
         s = math.sqrt(mode.eigenvalue)
         k = RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 0, -s)
         l = RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 0, -0.5 * s)
-        X = X + fields_mod.pair_one_form(cs, mode, k, l)
-    return lie_derivative_metric(X)
+        parts.append(fields_mod.pair_one_form(cs, mode, k, l))
+    return lie_derivative_metric(fields_mod.sum_fields(cs, 1, parts))
 
 
 def _task_solve_div(cfg: JobConfig, rng) -> tuple:

@@ -40,14 +40,6 @@ __all__ = [
 KINDS = ("Scalar", "CoclosedOneForm", "HarmonicOneForm", "TTTensor", "PureTrace")
 _KIND_ORDER = {kind: i for i, kind in enumerate(KINDS)}
 
-_RANK_ALIASES = {
-    "scalar": "Scalar",
-    "coclosed": "CoclosedOneForm",
-    "harmonic": "HarmonicOneForm",
-    "tt": "TTTensor",
-    "trace": "PureTrace",
-}
-
 
 @dataclass(frozen=True)
 class TorusCrossSection:
@@ -145,13 +137,12 @@ class Mode:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All modes of one rank selector, sorted by eigenvalue.
+    """All modes of one kind, sorted by eigenvalue.
 
     ``slices`` maps (freq, phase) to that slice's modes in spectrum order,
     read-only because spectra are memoized and shared; ``at`` reads it.
     """
 
-    cross_section: TorusCrossSection
     modes: tuple
     mu1: float
     slices: MappingProxyType
@@ -216,11 +207,9 @@ def _phases(freq) -> tuple:
     return ("cos",) if not any(freq) else ("cos", "sin")
 
 
-def _kind(rank: str) -> str:
-    kind = _RANK_ALIASES.get(rank, rank)
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
-        raise InvalidParams(f"unknown rank selector {rank!r}")
-    return kind
+        raise InvalidParams(f"unknown mode kind {kind!r}; expected one of {KINDS}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -235,7 +224,7 @@ def modes_at(cs: TorusCrossSection, kind: str, freq: tuple, phase: str) -> tuple
     carries no mode of the kind (sin at frequency zero, a harmonic 1-form
     at a nonzero frequency) gives ().
     """
-    kind = _kind(kind)
+    _check_kind(kind)
     freq = tuple(freq)
     if phase not in _phases(freq):
         return ()
@@ -262,15 +251,13 @@ def modes_at(cs: TorusCrossSection, kind: str, freq: tuple, phase: str) -> tuple
 
 
 @functools.lru_cache(maxsize=64)
-def build_spectrum(cs: TorusCrossSection, rank: str) -> Spectrum:
-    """Enumerate every mode of the requested kind up to the frequency cutoff.
-
-    ``rank`` accepts a kind name from KINDS or one of the short aliases
-    scalar / coclosed / harmonic / tt / trace.  Spectra are immutable (a
-    tuple of modes with read-only polarizations), so results are memoized
-    per (cross section, selector).
+def build_spectrum(cs: TorusCrossSection, kind: str) -> Spectrum:
+    """Enumerate every mode of the kind, a name from KINDS, up to the
+    frequency cutoff.  Spectra are immutable (a tuple of modes with
+    read-only polarizations), so results are memoized per (cross section,
+    kind).
     """
-    kind = _kind(rank)
+    _check_kind(kind)
     freqs = cs.canonical_freqs()
     modes = [
         m for freq in freqs for phase in _phases(freq)
@@ -282,5 +269,5 @@ def build_spectrum(cs: TorusCrossSection, rank: str) -> Spectrum:
         slices.setdefault((m.freq, m.phase), []).append(m)
     mu1 = min(cs.eigenvalue(freq) for freq in freqs if any(freq))
     slices = MappingProxyType({key: tuple(ms) for key, ms in slices.items()})
-    return Spectrum(cs, tuple(modes), mu1, slices)
+    return Spectrum(tuple(modes), mu1, slices)
 

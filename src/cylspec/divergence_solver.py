@@ -185,20 +185,20 @@ class GaugeField:
     def one_form(self) -> TensorField:
         cs = self.cs
         zero = (0,) * cs.dim
-        X = TensorField.zero(cs, 1)
+        parts = []
         for (freq, phase), (k, l) in self.pairs.items():
             mode = modes_at(cs, "Scalar", freq, phase)[0]
-            X = X + fields_mod.pair_one_form(cs, mode, k, l)
+            parts.append(fields_mod.pair_one_form(cs, mode, k, l))
         for (freq, phase, idx), f in self.coclosed.items():
             mode = modes_at(cs, "CoclosedOneForm", freq, phase)[idx]
-            X = X + fields_mod.from_mode_profile(cs, mode, f)
+            parts.append(fields_mod.from_mode_profile(cs, mode, f))
         for idx, f in self.harmonic.items():
             mode = modes_at(cs, "HarmonicOneForm", zero, "cos")[idx]
-            X = X + fields_mod.from_mode_profile(cs, mode, f)
+            parts.append(fields_mod.from_mode_profile(cs, mode, f))
         if not self.radial.is_zero():
             constant = modes_at(cs, "Scalar", zero, "cos")[0]
-            X = X + fields_mod.radial_one_form(cs, constant, self.radial)
-        return X
+            parts.append(fields_mod.radial_one_form(cs, constant, self.radial))
+        return fields_mod.sum_fields(cs, 1, parts)
 
     def is_zero(self) -> bool:
         return not (self.pairs or self.coclosed or self.harmonic) and self.radial.is_zero()
@@ -227,7 +227,7 @@ def lie_derivative_metric(X) -> TensorField:
 def _parallel_radial_row(h: TensorField) -> TensorField:
     """Radial contraction of the parallel part of h: the symmetrized first
     row of every frequency-zero coefficient tensor, as a one-form."""
-    out = TensorField(h.cs, 1)
+    rows = []
     for (freq, phase), profs in h.data.items():
         if any(freq):
             continue
@@ -235,8 +235,8 @@ def _parallel_radial_row(h: TensorField) -> TensorField:
             C = np.asarray(C)
             row = 0.5 * (C[0, :] + C[:, 0])
             if np.any(row != 0.0):
-                out._accumulate((freq, phase), (p, lam), row)
-    return out
+                rows.append(TensorField(h.cs, 1, {(freq, phase): {(p, lam): row}}))
+    return fields_mod.sum_fields(h.cs, 1, rows)
 
 
 def modified_divergence(h: TensorField, tau: float = 0.0) -> TensorField:

@@ -18,9 +18,9 @@ the order-epsilon terms of ``nonlinear_ricci(g0 + eps h)`` cancel against
 ``eps * linearized_ricci(h)`` to round-off and the measured remainder is
 genuinely quadratic.
 
-A batch of operators that sweeps second partials along a bounded radial
-axis runs on radial slabs across the CPUs the process may use; every
-value is the same, bit for bit (see ``fd_operators``).
+A batch of operators that sweeps second partials runs on radial slabs
+across the CPUs the process may use; every value is the same, bit for bit
+(see ``fd_operators``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ INTERIOR_TRIM = 5
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """order is the centered-difference accuracy (2 or 4).  A bounded
+    """order is the centered-difference accuracy (2 or 4).  The bounded
     radial axis gets skewed stencils of reduced order at its ends; every
     reported residual is read on ``GridField.interior()``, past them."""
 
@@ -60,9 +60,8 @@ class GridField:
     """Dense tensor samples on a radial-interval x flat-torus lattice.
 
     components has shape (n_r, *n_x, *(d+1,)*rank).  Tangential axes are
-    periodic with the right endpoint excluded; the radial axis includes
-    both endpoints unless r_periodic is set (then it is treated exactly
-    like a tangential axis, which some adjointness tests rely on).
+    periodic with the right endpoint excluded; the radial axis is bounded
+    and includes both endpoints.
     """
 
     r_range: tuple
@@ -71,7 +70,6 @@ class GridField:
     n_x: tuple
     rank: int
     components: np.ndarray
-    r_periodic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "r_range", tuple(float(v) for v in self.r_range))
@@ -96,7 +94,7 @@ class GridField:
     @property
     def dr(self) -> float:
         a, b = self.r_range
-        return (b - a) / (self.n_r if self.r_periodic else self.n_r - 1)
+        return (b - a) / (self.n_r - 1)
 
     @property
     def dx(self) -> tuple:
@@ -115,17 +113,14 @@ class GridField:
         return 1 + self.dim
 
     def r_nodes(self) -> np.ndarray:
-        a, b = self.r_range
-        if self.r_periodic:
-            return a + self.dr * np.arange(self.n_r)
-        return np.linspace(a, b, self.n_r)
+        return np.linspace(*self.r_range, self.n_r)
 
     def x_nodes(self) -> list:
         return [L / n * np.arange(n) for L, n in zip(self.lengths, self.n_x)]
 
     def with_components(self, components: np.ndarray, rank=None) -> "GridField":
         return GridField(self.r_range, self.n_r, self.lengths, self.n_x,
-                         self.rank if rank is None else rank, components, self.r_periodic)
+                         self.rank if rank is None else rank, components)
 
     def __add__(self, other: "GridField") -> "GridField":
         self._check_compatible(other)
@@ -141,14 +136,12 @@ class GridField:
     def _check_compatible(self, other):
         same = (self.r_range == other.r_range and self.n_r == other.n_r
                 and self.lengths == other.lengths and self.n_x == other.n_x
-                and self.rank == other.rank and self.r_periodic == other.r_periodic)
+                and self.rank == other.rank)
         if not same:
             raise InvalidInput("grid fields live on different grids")
 
     def interior(self) -> np.ndarray:
         """Component view away from the radial boundary layers."""
-        if self.r_periodic:
-            return self.components
         if self.n_r <= 2 * INTERIOR_TRIM:
             raise InvalidInput(f"n_r = {self.n_r} leaves no interior band: INTERIOR_TRIM = "
                                f"{INTERIOR_TRIM} nodes are trimmed at each radial end")
@@ -165,14 +158,12 @@ def l2_norm(f: GridField) -> float:
     # sum out tangential and component axes first
     sq = sq.reshape(f.n_r, -1).sum(axis=1)
     dvol = math.prod(f.dx)
-    if f.r_periodic:
-        return math.sqrt(float(sq.sum()) * f.dr * dvol)
     w = np.full(f.n_r, f.dr)
     w[0] = w[-1] = f.dr / 2
     return math.sqrt(float(w @ sq) * dvol)
 
 
-def sample(field: TensorField, r_range, n_r, n_x, r_periodic: bool = False) -> GridField:
+def sample(field: TensorField, r_range, n_r, n_x) -> GridField:
     """Evaluate a modal field on the lattice.  Exact: no discretization."""
     d = field.cs.dim
     if isinstance(n_x, int):
@@ -186,7 +177,7 @@ def sample(field: TensorField, r_range, n_r, n_x, r_periodic: bool = False) -> G
     # a zero-stride view: the probe only validates the grid and yields nodes
     shape = (int(n_r), *n_x) + (d + 1,) * field.rank
     probe = GridField(tuple(r_range), int(n_r), field.cs.side_lengths, n_x,
-                      field.rank, np.broadcast_to(0.0, shape), r_periodic)
+                      field.rank, np.broadcast_to(0.0, shape))
     mesh = np.stack(np.meshgrid(*probe.x_nodes(), indexing="ij"), axis=-1)
     return probe.with_components(field.evaluate(probe.r_nodes(), mesh))
 
@@ -206,7 +197,7 @@ def _runs(n: int, shifts) -> list:
 
 def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work=None):
     """d/dx_direction of a component array laid out like grid.components,
-    or cut from it to length 1 along periodic axes it is constant on, into
+    or cut from it to length 1 along tangential axes it is constant on, into
     out when given; work, when given, holds 8 * arr at order 4.
 
     The sum is cut along the axis into runs, maximal index ranges on which no
@@ -215,8 +206,8 @@ def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work
     order 4 then subtracts 8 f[i-1] and adds f[i-2]; the division by 2h or
     12h comes last.  As b - a == -a + b exactly, every value equals
     (f[i+1] - f[i-1]) / 2h, or (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h,
-    summed left to right, bit for bit.  A bounded radial axis then gets its
-    edge rows.  Second derivatives compose this routine with itself, the
+    summed left to right, bit for bit.  The radial axis then gets its edge
+    rows.  Second derivatives compose this routine with itself, the
     exact building block of nonlinear_ricci."""
     h = grid.spacings[direction]
     # a strided view (one component of a tensor) is read into one contiguous
@@ -242,7 +233,7 @@ def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work
             o = cut(acc, lo, hi)
             ufunc(o, cut(src, i, i + hi - lo), out=o)
     np.divide(acc, (2 if cfg.order == 2 else 12) * h, out=out)
-    if direction > 0 or grid.r_periodic:
+    if direction > 0:
         return out
     if cfg.order == 4:
         out[1] = (vals[2] - vals[0]) / (2 * h)
@@ -353,10 +344,10 @@ def _op_linearized_ricci(c, grid: GridField, cfg: StencilConfig, sweep: _Sweep) 
 def _background_curvature(f: GridField, cfg: StencilConfig):
     """Ricci and Riemann of the product metric, computed (not assumed)
     from FD Christoffel symbols of the constant identity components.
-    Every periodic axis is collapsed to length 1, so both arrays broadcast
-    against f.components."""
+    Every tangential axis is collapsed to length 1, so both arrays
+    broadcast against f.components."""
     D = f.dim + 1
-    column = (1 if f.r_periodic else f.n_r,) + (1,) * f.dim
+    column = (f.n_r,) + (1,) * f.dim
     gamma = _christoffel(np.broadcast_to(np.eye(D), column + (D, D)), f, cfg)
     riem = _riemann_from_christoffel(gamma, f, cfg)
     return np.einsum("...kikj->...ij", riem), riem
@@ -409,11 +400,11 @@ def _batch(names, c, grid: GridField, cfg: StencilConfig) -> dict:
 # radial slabs
 # ---------------------------------------------------------------------------
 #
-# A batch that sweeps second partials along a bounded radial axis may run
-# on radial slabs.  A slab is a range of inner rows plus H = cfg.order halo
-# rows on each side, clipped at the grid's ends: two composed first
-# derivatives reach no further, so every inner row equals the serial batch
-# bit for bit; the rows a slab computes at a cut are dropped.  A few pool
+# A batch that sweeps second partials may run on radial slabs.  A slab is a
+# range of inner rows plus H = cfg.order halo rows on each side, clipped at
+# the grid's ends: two composed first derivatives reach no further, so every
+# inner row equals the serial batch bit for bit; the rows a slab computes at
+# a cut are dropped.  A few pool
 # threads take the slabs in turn and write their inner rows straight into
 # outputs the calling thread allocated.
 
@@ -453,13 +444,13 @@ if hasattr(os, "register_at_fork"):
 def _slab_plan(names, f: GridField, cfg: StencilConfig) -> tuple:
     """(threads, slabs) for a batch of stencil operators; (1, 1) is serial.
 
-    Serial on a periodic radial axis and for a batch with no sweep.  Else
+    Serial for a batch with no sweep.  Else
     the most threads, up to fd_threads(), and then the fewest slabs such
     that every slab has at least 8 H inner rows (halo rework stays at most
     a quarter of a slab) and the slabs in flight, one per thread, hold no
     more scratch than the serial batch: with B the sweep's buffers, the
     outputs plus threads * rows * B stay within n_r * B."""
-    if f.r_periodic or not _SWEEP_OPS.intersection(names):
+    if not _SWEEP_OPS.intersection(names):
         return 1, 1
     # B: the buffers of c's size the sweep holds, total, term and d1, and at
     # order 4 the 8 f of _partial
@@ -544,13 +535,13 @@ def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> 
 
 
 def _collapse_invariant_axes(g: GridField) -> np.ndarray:
-    """g.components with every periodic axis they are constant along cut to
-    length 1.  Every stencil along such an axis shifts a constant, and a
+    """g.components with every tangential axis they are constant along cut
+    to length 1.  Every stencil along such an axis shifts a constant, and a
     length-1 axis wraps onto itself, so curvature computed from
     the cut array with g's spacings equals the full-grid values bit for bit
     and broadcasts back to them."""
     comps = g.components
-    for axis in range(0 if g.r_periodic else 1, g.grid_ndim):
+    for axis in range(1, g.grid_ndim):
         head = comps[(slice(None),) * axis + (slice(0, 1),)]
         if (comps == head).all():
             comps = head

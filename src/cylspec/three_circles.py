@@ -46,7 +46,6 @@ __all__ = [
     "ThreeCirclesParams",
     "CheckResult",
     "MonotonicityReport",
-    "PerturbationReport",
     "tube_norm",
     "rate_cap",
     "project_out_parallel",
@@ -55,7 +54,6 @@ __all__ = [
     "sharpness_probe",
     "random_reduced_form",
     "random_valid_params",
-    "perturbed_three_circles_trial",
 ]
 
 REL_TOL = 1e-12
@@ -292,19 +290,16 @@ def _evaluate_triple(values, beta_prime: float, L: float) -> CheckResult:
     return CheckResult(slack >= 1.0 - REL_TOL, slack, tuple(values))
 
 
-def three_circles_check(
-    h_bar: TensorField, params: ThreeCirclesParams, enforce: bool = True
-) -> CheckResult:
+def three_circles_check(h_bar: TensorField, params: ThreeCirclesParams) -> CheckResult:
     """Certify the three-circles inequality for one reduced field.
 
     Middle tube against outer tubes: sqrt(V_2) <= e^{-beta' L}(sqrt(V_1)
-    + sqrt(V_3)).  With enforce=True (the default) the hypotheses are
-    validated first and InvalidParams names the failing one; the slack
-    is the ratio right side over left side.
+    + sqrt(V_3)).  The hypotheses are validated first and InvalidParams
+    names the failing one; the slack is the ratio right side over left
+    side.
     """
     has_r_linear = _require_reduced_form(h_bar)
-    if enforce:
-        params.validate(h_bar.cs.smallest_positive_eigenvalue(), has_r_linear)
+    params.validate(h_bar.cs.smallest_positive_eigenvalue(), has_r_linear)
     values = _tube_values(h_bar, params.L, params.triple)
     return _evaluate_triple(values, params.beta_prime, params.L)
 
@@ -316,7 +311,6 @@ def three_circles_check(
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    factor: float
     labels: tuple  # one label per interior offset
     violations: tuple  # interior offsets where neither side dominates
     growth_violations: tuple  # offsets where the upward propagation fails
@@ -358,7 +352,6 @@ def monotonicity_classify(series: TubeNormSeries, beta_prime: float) -> Monotoni
         if V[j] >= F * V[j + 1] - tol and V[j - 1] < F * V[j] - tol:
             decay_bad.append(series.offsets[j])
     return MonotonicityReport(
-        factor=F,
         labels=tuple(labels),
         violations=tuple(violations),
         growth_violations=tuple(growth_bad),
@@ -376,11 +369,11 @@ def random_reduced_form(
     rng,
     include_r_linear: bool = True,
     include_growing: bool = True,
-    coeff_scale: float = 1.0,
 ) -> TensorField:
     """A random reduced kernel element (up to three exponential TT modes, optional
-    r-linear trace and parallel TT legs).  include_growing=False zeroes
-    the e^{+sqrt(mu) r} branches, for callers sampling on long windows."""
+    r-linear trace and parallel TT legs), its coefficients uniform on
+    [-1, 1]; .scale(c) resizes it.  include_growing=False zeroes the
+    e^{+sqrt(mu) r} branches, for callers sampling on long windows."""
     tt_spectrum = build_spectrum(cs, "TTTensor")
     pool = tt_spectrum.oscillating
     if not pool:
@@ -390,14 +383,14 @@ def random_reduced_form(
     for i in picks:
         tt = pool[i]
         s = math.sqrt(tt.eigenvalue)
-        a_plus, a_minus = rng.uniform(-coeff_scale, coeff_scale, size=2)
+        a_plus, a_minus = rng.uniform(-1.0, 1.0, size=2)
         if not include_growing:
             a_plus = 0.0
         parts.append(fields_mod.from_mode_profile(
             cs, tt, RadialProfile(((a_plus, 0, s), (a_minus, 0, -s)))
         ))
     if include_r_linear:
-        a_tilde = float(rng.uniform(-coeff_scale, coeff_scale))
+        a_tilde = float(rng.uniform(-1.0, 1.0))
         parts.append(tangential_metric(cs).multiply_profile(
             RadialProfile.monomial(a_tilde, 1, 0.0)
         ))
@@ -406,7 +399,7 @@ def random_reduced_form(
         parts.append(fields_mod.from_mode_profile(
             cs,
             parallel[m],
-            RadialProfile.monomial(float(rng.uniform(-coeff_scale, coeff_scale)), 1, 0.0),
+            RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 1, 0.0),
         ))
     return fields_mod.sum_fields(cs, 2, parts)
 
@@ -453,63 +446,3 @@ def sharpness_probe(
         if not result.holds:
             failing.append((0, 1, t3))
     return tuple(failing)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    chi: float
-    trials: int
-    passes: int
-    failures: tuple
-
-    @property
-    def pass_rate(self) -> float:
-        return 1.0 if self.trials == 0 else self.passes / self.trials
-
-
-def perturbed_three_circles_trial(
-    cs: TorusCrossSection,
-    chi: float = 1e-3,
-    trials: int = 100,
-    seed: int = 0,
-    coeff_scale: float = 1.0,
-) -> PerturbationReport:
-    """Empirical stability of the inequality under background shifts.
-
-    Each trial draws a reduced field and valid parameters, then adds an
-    independent reduced-shape shift rescaled to sup norm chi over the
-    triple's window (so the shift respects the divergence, trace, and
-    no-parallel-part constraints by construction).  chi = 0 degenerates
-    to the plain certificate.  The seed is part of the report's meaning:
-    trials are pure functions of (seed, parameters).
-    """
-    rng = np.random.default_rng(seed)
-    passes = 0
-    failures = []
-    for trial in range(trials):
-        h = random_reduced_form(cs, rng, coeff_scale=coeff_scale)
-        params = random_valid_params(
-            cs.smallest_positive_eigenvalue(), rng, has_r_linear=True
-        )
-        if chi != 0.0:
-            shift = random_reduced_form(cs, rng, coeff_scale=coeff_scale)
-            lo = params.triple[0] * params.L
-            hi = (params.triple[2] + 1) * params.L
-            sup = _sup_on_tube(shift, lo, hi)
-            if sup > 0.0:
-                h = h + shift.scale(chi / sup)
-        result = three_circles_check(h, params)
-        if result.holds:
-            passes += 1
-        else:
-            failures.append((trial, params, result.slack))
-    return PerturbationReport(chi=chi, trials=trials, passes=passes, failures=tuple(failures))
-
-
-def _sup_on_tube(h: TensorField, lo: float, hi: float) -> float:
-    cs = h.cs
-    axes = [np.linspace(0.0, side, 5, endpoint=False) for side in cs.side_lengths]
-    grids = np.meshgrid(*axes, indexing="ij")
-    xs = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = h.evaluate(np.linspace(lo, hi, 33), xs)
-    return float(np.max(np.abs(vals)))

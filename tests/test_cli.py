@@ -374,6 +374,48 @@ def test_field_dict_rejects_keys_outside_the_mode_set(freq, phase, message):
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"power": 1.5}, r"term 1: power 1.5 is not a nonnegative integer"),
+        ({"power": -1}, r"term 1: power -1 is not a nonnegative integer"),
+        ({"power": "1"}, r"term 1: power '1' is not a nonnegative integer"),
+        ({"power": None}, r"malformed value: int\(\) argument"),
+        ({"power": math.inf}, r"malformed value: cannot convert float infinity"),
+        ({"rate": math.nan}, r"term 1: rate nan is not finite"),
+        ({"rate": -math.inf}, r"term 1: rate -inf is not finite"),
+        ({"coeff": np.full((4, 4), math.nan).tolist()}, r"term 1: coefficient is not finite"),
+        ({"coeff": [[0.0] * 4] * 3 + [[0.0, 0.0, 0.0, math.inf]]},
+         r"term 1: coefficient is not finite"),
+        ({"coeff": "abc"}, r"malformed value: could not convert string to float"),
+        ({"freq": ["a", 0, 0]}, r"malformed value: invalid literal for int\(\)"),
+    ],
+    ids=["power-1.5", "power-negative", "power-string", "power-null", "power-inf", "rate-nan",
+         "rate-minus-inf", "coeff-all-nan", "coeff-one-inf", "coeff-string", "freq-string"],
+)
+def test_field_dict_rejects_bad_profiles_and_coefficients(change, message):
+    data = cli.field_to_dict(reduced_field())
+    data["terms"][1].update(change)
+    with pytest.raises(InvalidInput, match=message):
+        cli.field_from_dict(data)
+
+
+@pytest.mark.parametrize("task", [
+    ["kernel-classify"],
+    ["three-circles", "--L", "1", "--beta", "3", "--beta-prime", "0.1", "--triples", "0,1,2"],
+])
+def test_a_non_integer_power_exits_two(tmp_path, capsys, task):
+    # r B_0, the parallel TT ramp: power 1.5 used to be read as 1 and certified
+    b0 = build_spectrum(CS, "TTTensor").at((0, 0, 0))[0]
+    data = cli.field_to_dict(F.from_mode_profile(CS, b0, RadialProfile.monomial(1.0, 1, 0.0)))
+    data["terms"][0]["power"] = 1.5
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    code = cli.main([task[0], "--mode-file", str(path), *task[1:], "--out", str(tmp_path)])
+    assert code == 2
+    assert "term 0: power 1.5 is not a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, ini, key",
     [
         (["solve-div"], "[task]\ntau = abc\n", "task.tau"),

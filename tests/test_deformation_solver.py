@@ -340,7 +340,7 @@ def test_reconstruct_and_gauge_X_are_the_plus_chain(cs, tau):
     rng = np.random.default_rng(23)
     fields = [random_kernel_element(cs, rng, tau=tau) for _ in range(4)]
     if tau == 0.0 and cs.dim >= 3:  # T^2 carries no oscillating TT mode
-        fields += [tc.random_reduced_form(cs, rng, coeff_scale=c) for c in (1.0, 1e-3)]
+        fields += [tc.random_reduced_form(cs, rng).scale(c) for c in (1.0, 1e-3)]
     gauged = 0
     for h in fields:
         dec = classify_kernel(h, tau)

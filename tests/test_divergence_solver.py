@@ -328,6 +328,35 @@ def test_round_trip_all_sectors_with_tau(seed):
     assert gauge.worst_growth() in ("decaying", "bounded")
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.02])
+def test_one_form_is_the_plus_chain(tau):
+    """one_form sums its parts in one pass: keys and coefficients equal the
+    ones of the + chain bit for bit, also where the harmonic and radial
+    parts share a term at frequency zero."""
+    rng = np.random.default_rng(31)
+    zero = (0,) * CS.dim
+    shared = 0
+    for _ in range(6):
+        h = random_rank2_source(CS, rng, include_parallel_radial=tau > 0.0)
+        gauge = dv.solve_gauge(h, dv.DivergenceConfig(tau=tau))
+        chain = F.TensorField.zero(CS, 1)
+        for (freq, phase), (k, l) in gauge.pairs.items():
+            chain = chain + F.pair_one_form(CS, cx.modes_at(CS, "Scalar", freq, phase)[0], k, l)
+        for (freq, phase, idx), f in gauge.coclosed.items():
+            mode = cx.modes_at(CS, "CoclosedOneForm", freq, phase)[idx]
+            chain = chain + F.from_mode_profile(CS, mode, f)
+        for idx, f in gauge.harmonic.items():
+            mode = cx.modes_at(CS, "HarmonicOneForm", zero, "cos")[idx]
+            chain = chain + F.from_mode_profile(CS, mode, f)
+        if not gauge.radial.is_zero():
+            chain = chain + F.radial_one_form(CS, PHI0, gauge.radial)
+            shared += bool(gauge.harmonic)
+        got, want = list(gauge.one_form.terms()), list(chain.terms())
+        assert [t[:2] for t in got] == [t[:2] for t in want]
+        assert all(x[2].tobytes() == y[2].tobytes() for x, y in zip(got, want))
+    assert shared or tau == 0.0
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_right_inverse_property_over_random_sources(seed):

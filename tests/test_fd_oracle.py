@@ -23,10 +23,10 @@ from cylspec.errors import InvalidInput, MemoryGuard
 from cylspec.mode_ode import RadialProfile
 
 CS = TorusCrossSection(2, (2 * math.pi, 2 * math.pi), 1)
-PHI = next(m for m in build_spectrum(CS, "scalar").modes if m.eigenvalue > 0)
-ETA = next(iter(build_spectrum(CS, "coclosed").modes))
-B_PAR = next(m for m in build_spectrum(CS, "tt").modes if m.eigenvalue == 0)
-TR0 = next(m for m in build_spectrum(CS, "trace").modes if m.eigenvalue == 0)
+PHI = next(m for m in build_spectrum(CS, "Scalar").modes if m.eigenvalue > 0)
+ETA = next(iter(build_spectrum(CS, "CoclosedOneForm").modes))
+B_PAR = next(m for m in build_spectrum(CS, "TTTensor").modes if m.eigenvalue == 0)
+TR0 = next(m for m in build_spectrum(CS, "PureTrace").modes if m.eigenvalue == 0)
 
 
 def smooth_rank2():
@@ -250,9 +250,12 @@ def test_lichnerowicz_skips_the_coupling_only_on_a_flat_background(monkeypatch):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_discrete_adjointness_on_periodic_fields(order):
+    # periodic along the torus and zero on the INTERIOR_TRIM rows at each
+    # radial end, so the skewed edge stencils only ever meet zeros and
+    # summation by parts leaves no boundary term
     n = 24
     base = O.GridField((0.0, 2 * math.pi), n, (2 * math.pi, 2 * math.pi), (n, n),
-                       0, np.zeros((n, n, n)), r_periodic=True)
+                       0, np.zeros((n, n, n)))
     R, X1, X2 = np.meshgrid(base.r_nodes(), *base.x_nodes(), indexing="ij")
     w = np.stack([
         np.sin(R) * np.cos(X1),
@@ -266,6 +269,8 @@ def test_discrete_adjointness_on_periodic_fields(order):
     h[..., 0, 1] = h[..., 1, 0] = np.sin(R) * np.sin(X2)
     h[..., 0, 2] = h[..., 2, 0] = np.cos(X1) * np.sin(X2)
     h[..., 1, 2] = h[..., 2, 1] = np.cos(R) * np.sin(X1)
+    for c in (w, h):
+        c[:O.INTERIOR_TRIM] = c[-O.INTERIOR_TRIM:] = 0.0
     wf = base.with_components(w, rank=1)
     hf = base.with_components(h, rank=2)
     cfg = O.StencilConfig(order=order)
@@ -398,7 +403,7 @@ def roll_d1_bounded(vals, h, order):
 
 def roll_partial(arr, a, grid, cfg, second=False):
     h = grid.spacings[a]
-    if a > 0 or grid.r_periodic:
+    if a > 0:
         d1 = functools.partial(roll_d1_periodic, h=h, axis=a, order=cfg.order)
     else:
         d1 = functools.partial(roll_d1_bounded, h=h, order=cfg.order)
@@ -429,10 +434,9 @@ def roll_operators(f, cfg):
     div = f.with_components(ops["divergence"], rank=1)
     gauge = roll_operators(div, cfg)["sym_grad"]
     ops["linearized_ricci"] = (ops["rough_laplacian"] - gauge - ops["trace_hessian"]) * 0.5
-    # the product metric, cut to length 1 along every periodic axis
-    lead = 0 if f.r_periodic else 1
+    # the product metric, cut to length 1 along every tangential axis
     g0 = np.broadcast_to(np.eye(D), c.shape).copy()
-    g0 = g0[(slice(None),) * lead + (slice(0, 1),) * (f.grid_ndim - lead)]
+    g0 = g0[(slice(None),) + (slice(0, 1),) * f.dim]
     riem = roll_riemann(roll_christoffel(g0, f, cfg), f, cfg)
     ric = np.einsum("...kikj->...ij", riem)
     coupling = (np.einsum("...ik,...kj->...ij", ric, c, optimize=True)
@@ -464,13 +468,12 @@ def roll_cases(draw):
     a batch of operator names (possibly empty or repeated)."""
     dim = draw(st.integers(1, 3))
     rank = draw(st.integers(0, 2))
-    r_periodic = draw(st.booleans())
     n_r = draw(st.integers(8, 12))
     n_x = tuple(draw(st.integers(8, 10)) for _ in range(dim))
     lengths = tuple(draw(st.floats(0.5, 3.0)) for _ in range(dim))
     r_range = (0.0, draw(st.floats(0.5, 3.0)))
     base = O.GridField(r_range, n_r, lengths, n_x, rank,
-                       np.zeros((n_r, *n_x) + (dim + 1,) * rank), r_periodic)
+                       np.zeros((n_r, *n_x) + (dim + 1,) * rank))
     assume(len(set(base.spacings)) == dim + 1)
     seed = draw(st.integers(0, 2**32 - 1))
     f = base.with_components(np.random.default_rng(seed).standard_normal(base.components.shape))
@@ -489,8 +492,8 @@ def test_batch_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
         assert np.array_equal(O.fd_operators((op,), f, cfg)[op].components, want[op]), op
     for op, got in O.fd_operators(names, f, cfg).items():
         assert np.array_equal(got.components, want[op]), (names, op)
-    # a component array cut to length 1 along some periodic axes
-    cut = f.components[tuple(slice(0, 1) if c and (a > 0 or f.r_periodic) else slice(None)
+    # a component array cut to length 1 along some tangential axes
+    cut = f.components[tuple(slice(0, 1) if c and a > 0 else slice(None)
                              for a, c in enumerate(collapse))]
     for a in range(f.grid_ndim):
         assert np.array_equal(O._partial(cut, a, f, cfg), roll_partial(cut, a, f, cfg)), a
@@ -501,30 +504,28 @@ def test_batch_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
 _SLAB_MIN = {2: 64, 4: 128}
 
 
-@pytest.mark.parametrize("n_r, lengths, n_x, order, rank, r_periodic", [
-    (64, (1.0, 1.0, 1.0), 8, 4, 2, False),           # validate-cli's grid, d = 3
-    (128, (2 * math.pi, 2 * math.pi), 24, 2, 2, False),  # kernel-roundtrip's grid, d = 2
-    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 2, False),
-    (_SLAB_MIN[2] - 1, (1.0, 1.3), 8, 2, 2, False),
-    (_SLAB_MIN[4], (1.0, 1.3), 8, 4, 2, False),
-    (_SLAB_MIN[4] - 1, (1.0, 1.3), 8, 4, 2, False),
-    (_SLAB_MIN[2], (1.7,), 9, 2, 2, False),
-    (_SLAB_MIN[4], (1.0, 1.2, 1.4), 8, 4, 2, False),
-    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 0, False),
-    (_SLAB_MIN[4], (1.0, 1.3), 8, 4, 1, False),
-    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 2, True),
+@pytest.mark.parametrize("n_r, lengths, n_x, order, rank", [
+    (64, (1.0, 1.0, 1.0), 8, 4, 2),           # validate-cli's grid, d = 3
+    (128, (2 * math.pi, 2 * math.pi), 24, 2, 2),  # kernel-roundtrip's grid, d = 2
+    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 2),
+    (_SLAB_MIN[2] - 1, (1.0, 1.3), 8, 2, 2),
+    (_SLAB_MIN[4], (1.0, 1.3), 8, 4, 2),
+    (_SLAB_MIN[4] - 1, (1.0, 1.3), 8, 4, 2),
+    (_SLAB_MIN[2], (1.7,), 9, 2, 2),
+    (_SLAB_MIN[4], (1.0, 1.2, 1.4), 8, 4, 2),
+    (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 0),
+    (_SLAB_MIN[4], (1.0, 1.3), 8, 4, 1),
 ], ids=["64x8^3-order4", "128x24^2-order2", "slab-min-order2", "below-slab-min-order2",
-        "slab-min-order4", "below-slab-min-order4", "d1", "d3", "rank0", "rank1",
-        "r-periodic"])
+        "slab-min-order4", "below-slab-min-order4", "d1", "d3", "rank0", "rank1"])
 def test_workload_grids_equal_the_roll_stencils_bit_for_bit(monkeypatch, n_r, lengths, n_x,
-                                                            order, rank, r_periodic):
+                                                            order, rank):
     shape = (n_r,) + (n_x,) * len(lengths) + (len(lengths) + 1,) * rank
     comps = np.random.default_rng(n_r + order).standard_normal(shape)
-    f = O.GridField((0.0, 6.0), n_r, lengths, (n_x,) * len(lengths), rank, comps, r_periodic)
+    f = O.GridField((0.0, 6.0), n_r, lengths, (n_x,) * len(lengths), rank, comps)
     cfg = O.StencilConfig(order=order)
     # two threads, whatever the host has, so the path taken is fixed
     monkeypatch.setattr(O, "fd_threads", lambda: 2)
-    slabbed = n_r >= _SLAB_MIN[order] and not r_periodic
+    slabbed = n_r >= _SLAB_MIN[order]
     assert (O._slab_plan(("rough_laplacian",), f, cfg)[0] > 1) == slabbed
     want = roll_operators(f, cfg)
     for op in want:
@@ -674,7 +675,7 @@ def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
     """linearized_ricci takes 2 (d + 1) partials in the rough Laplacian's
     sweep, d + 1 for the gradient of the divergence read from that sweep
     and 2 (d + 1) for the trace Hessian.  lichnerowicz adds 2 (d + 1) on
-    the product metric, whose periodic axes are cut to length 1."""
+    the product metric, whose tangential axes are cut to length 1."""
     shape = (12,) + (8,) * dim + (dim + 1,) * 2
     f = O.GridField((0.0, 6.0), 12, (1.0,) * dim, (8,) * dim, 2,
                     np.random.default_rng(dim).standard_normal(shape))
@@ -713,12 +714,12 @@ def full_grid_ricci(g, cfg):
     return term1 - term2 + term3 - term4
 
 
-def wavy_metric(depends_on, r_periodic, seed):
+def wavy_metric(depends_on, seed):
     """Identity plus symmetric products of cosines of the grid axes listed
     in depends_on, on a grid whose four spacings all differ."""
     rng = np.random.default_rng(seed)
     base = O.GridField((0.5, 2.0), 12, (1.0, 1.7, 2.3), (8, 9, 10), 2,
-                       np.zeros((12, 8, 9, 10, 4, 4)), r_periodic)
+                       np.zeros((12, 8, 9, 10, 4, 4)))
     mesh = np.meshgrid(base.r_nodes(), *base.x_nodes(), indexing="ij")
     periods = (1.5,) + base.lengths
     g = np.broadcast_to(np.eye(4), base.components.shape).copy()
@@ -734,17 +735,14 @@ def wavy_metric(depends_on, r_periodic, seed):
 
 
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("depends_on, r_periodic, collapsed", [
-    ((0,), False, (12, 1, 1, 1)),           # invariant along every x-axis
-    ((0, 2), False, (12, 1, 9, 1)),         # along some x-axes
-    ((0, 1, 2, 3), False, (12, 8, 9, 10)),  # along none
-    ((1,), True, (1, 8, 1, 1)),             # periodic r collapses too
-    ((0, 3), True, (12, 1, 1, 10)),
-], ids=["all-x", "some-x", "no-x", "periodic-r", "periodic-r-some-x"])
-def test_collapsed_curvature_equals_the_full_grid_bit_for_bit(depends_on, r_periodic,
-                                                              collapsed, order):
+@pytest.mark.parametrize("depends_on, collapsed", [
+    ((0,), (12, 1, 1, 1)),           # invariant along every x-axis
+    ((0, 2), (12, 1, 9, 1)),         # along some x-axes
+    ((0, 1, 2, 3), (12, 8, 9, 10)),  # along none
+], ids=["all-x", "some-x", "no-x"])
+def test_collapsed_curvature_equals_the_full_grid_bit_for_bit(depends_on, collapsed, order):
     cfg = O.StencilConfig(order=order)
-    g = wavy_metric(depends_on, r_periodic, seed=len(depends_on) + 10 * r_periodic)
+    g = wavy_metric(depends_on, seed=len(depends_on))
     assert O._collapse_invariant_axes(g).shape[:4] == collapsed
     got = O.nonlinear_ricci(g, cfg).components
     assert got.shape == g.components.shape

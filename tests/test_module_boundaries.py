@@ -1,11 +1,16 @@
 """Module boundaries inside the package: no private name is imported
-from one cylspec module into another, and no module imports scipy, which
-only the tests need."""
+from one cylspec module into another or read as an attribute outside the
+module that defines it, and no module imports scipy, which only the
+tests need."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cylspec"
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
 def _private_imports(tree):
@@ -15,9 +20,28 @@ def _private_imports(tree):
         if node.level == 0 and (node.module or "").split(".")[0] != "cylspec":
             continue
         for alias in node.names:
-            name = alias.name
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                yield node.lineno, node.module, name
+            if _private(alias.name):
+                yield node.lineno, node.module, alias.name
+
+
+def _defined_names(tree):
+    """Every name the module defines: functions, classes, and the targets
+    of assignments, also attribute targets such as self._cache."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+
+
+def _foreign_private_attributes(tree):
+    """Every obj._name whose _name the module does not define itself."""
+    own = set(_defined_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in own:
+            yield node.lineno, node.attr
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -28,6 +52,30 @@ def test_no_module_imports_a_private_name_from_another():
         for line, module, name in _private_imports(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def test_no_module_reads_a_private_attribute_defined_elsewhere():
+    found = [
+        f"{path.name}:{line}: .{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _foreign_private_attributes(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_check_sees_private_attributes_defined_elsewhere():
+    tree = ast.parse(
+        "class Field:\n"
+        "    def _accumulate(self, key):\n"
+        "        self._cache = key\n"
+        "h._accumulate(k)\n"
+        "h._cache, h.__class__, h.data\n"
+        "out._accumulate_into(k)\n"
+        "np.random._bit_generator\n"
+    )
+    assert sorted(_foreign_private_attributes(tree)) == [
+        (6, "_accumulate_into"), (7, "_bit_generator"),
+    ]
 
 
 def test_the_check_sees_relative_and_absolute_private_imports():
