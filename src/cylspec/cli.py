@@ -70,6 +70,10 @@ MODE_KINDS = ("Scalar", "CoclosedOneForm", "HarmonicOneForm", "TTTensor")
 
 EXPORT_KINDS = ("tube-norm-series", "bound-fit", "remainder-scan")
 
+# a field file's rate within RATE_TOL * max(1, sqrt(mu)) of +-sqrt(mu) is
+# read as exactly +-sqrt(mu); inside the library rates compare with ==
+RATE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # canonical rendering
@@ -160,26 +164,41 @@ def _mode_key(cs: TorusCrossSection, i: int, freq, phase) -> tuple:
     return freq, phase
 
 
-def _profile_key(i: int, power, rate) -> tuple:
+def _profile_key(cs: TorusCrossSection, i: int, freq, power, rate) -> tuple:
     """The (power, rate) of term i: a nonnegative integer power and a
-    finite rate."""
+    finite rate.  A rate within the RATE_TOL window of +-s, s = sqrt(mu)
+    of the term's frequency, is read as exactly +-s (0 at frequency zero),
+    the float every kernel column and solve of the library carries."""
     p, lam = int(power), float(rate)
     if p != power or p < 0:
         raise InvalidInput(f"term {i}: power {power!r} is not a nonnegative integer")
     if not math.isfinite(lam):
         raise InvalidInput(f"term {i}: rate {lam} is not finite")
+    s = math.sqrt(cs.eigenvalue(freq))
+    for anchor in (s, -s):
+        if abs(lam - anchor) <= RATE_TOL * max(1.0, s):
+            return p, anchor
     return p, lam
+
+
+def _file_int(block: dict, key: str, name: str) -> int:
+    """An integer entry of a field file, read with ``_int``; a value it
+    cannot read is an InvalidInput naming the entry."""
+    try:
+        return _int(block[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"field file {name}: {exc}") from exc
 
 
 def field_from_dict(data: dict) -> TensorField:
     try:
         cs_block = data["cross_section"]
         cs = TorusCrossSection(
-            int(cs_block["dim"]),
+            _file_int(cs_block, "dim", "cross_section.dim"),
             tuple(float(s) for s in cs_block["side_lengths"]),
-            int(cs_block["freq_cutoff"]),
+            _file_int(cs_block, "freq_cutoff", "cross_section.freq_cutoff"),
         )
-        rank = int(data["rank"])
+        rank = _file_int(data, "rank", "rank")
         terms = []
         for i, term in enumerate(data["terms"]):
             coeff = np.asarray(term["coeff"], dtype=float)
@@ -190,7 +209,7 @@ def field_from_dict(data: dict) -> TensorField:
             if not np.isfinite(coeff).all():
                 raise InvalidInput(f"term {i}: coefficient is not finite")
             mode_key = _mode_key(cs, i, term["freq"], term["phase"])
-            prof_key = _profile_key(i, term["power"], term["rate"])
+            prof_key = _profile_key(cs, i, mode_key[0], term["power"], term["rate"])
             terms.append(TensorField(cs, rank, {mode_key: {prof_key: coeff}}))
         # repeated keys add up in file order, as the + chain would
         return fields_mod.sum_fields(cs, rank, terms)

@@ -63,12 +63,10 @@ __all__ = [
     "trace_absorption_field",
     "solve_reduced_system",
     "classify_kernel",
-    "match_rate",
     "parallel_space_dimension",
 ]
 
 KERNEL_TOL = 1e-8
-RATE_TOL = 1e-9
 TRACE_TOL = 1e-10
 
 
@@ -288,8 +286,7 @@ class _KernelBlock:
 
     @functools.cached_property
     def _system(self) -> tuple:
-        s = math.sqrt(self.cs.eigenvalue(self.freq))
-        column_blocks = [_coefficient_blocks(col.field, self.freq, s) for col in self.columns]
+        column_blocks = [_coefficient_blocks(col.field, self.freq) for col in self.columns]
         keys = tuple(sorted(set().union(*column_blocks)))
         zero = np.zeros((self.cs.dim + 1, self.cs.dim + 1))
         A = np.stack([_key_vector(blocks, keys, zero) for blocks in column_blocks], axis=1)
@@ -430,27 +427,13 @@ class KernelDecomposition:
         return fields_mod.sum_fields(self.cs, 2, (col.field.scale(c) for col, c in self.parts))
 
 
-def match_rate(lam: float, s: float) -> float | None:
-    """The kernel rate that lam stands for at a frequency with s = sqrt(mu):
-    s or -s when lam lies within RATE_TOL * max(1, s) of it, else None.
-    At frequency zero (s = 0) the only kernel rate is 0."""
-    for anchor in (s, -s):
-        if abs(lam - anchor) <= RATE_TOL * max(1.0, s):
-            return anchor
-    return None
-
-
-def _coefficient_blocks(field: TensorField, freq, s: float) -> dict:
+def _coefficient_blocks(field: TensorField, freq) -> dict:
     """The coefficient tensors of one frequency of a field, keyed by
-    (phase, power, rate) with each rate replaced by its ``match_rate``
-    anchor; a rate that matches none keeps its own value."""
-    blocks: dict = {}
-    for phase in ("cos", "sin"):
-        for (p, lam), C in field.data.get((freq, phase), {}).items():
-            rate = match_rate(lam, s)
-            key = (phase, p, lam if rate is None else rate)
-            blocks[key] = blocks.get(key, 0.0) + C
-    return blocks
+    (phase, power, rate).  Rates are compared exactly: every column's rate
+    is the float sqrt(mu) of its frequency, and a file's rates are read
+    onto it at load time."""
+    return {(phase, p, lam): C for phase in ("cos", "sin")
+            for (p, lam), C in field.data.get((freq, phase), {}).items()}
 
 
 def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
@@ -491,9 +474,8 @@ def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
     cond: dict = {}
     zero_block = np.zeros((cs.dim + 1, cs.dim + 1))
     for freq in sorted({freq for (freq, _phase) in hf.data}):
-        s = math.sqrt(cs.eigenvalue(freq))
         block = _kernel_block(cs, freq, 0.0 if any(freq) else tau)
-        h_blocks = _coefficient_blocks(hf, freq, s)
+        h_blocks = _coefficient_blocks(hf, freq)
         for (phase, p, lam), C in h_blocks.items():
             if (phase, p, lam) not in block.keys and np.max(np.abs(C)) > KERNEL_TOL * scale:
                 raise NotInKernel(

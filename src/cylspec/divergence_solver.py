@@ -42,8 +42,6 @@ from .mode_ode import RadialProfile, solve_damped_mode, solve_mixed_mode, solve_
 RESONANCE_TOL = 1e-6
 DEFAULT_TAU = 0.01
 
-_GROWTH_ORDER = {"decaying": 0, "bounded": 1, "polynomial": 2, "exponential": 3}
-
 
 @dataclass(frozen=True)
 class DivergenceConfig:
@@ -126,21 +124,6 @@ def decompose_one_form(w: TensorField) -> GaugeField:
 # ---------------------------------------------------------------------------
 
 
-def _growth_class(*profiles) -> str:
-    worst = "decaying"
-    for prof in profiles:
-        for _c, p, lam in prof.terms:
-            if lam > 0.0:
-                cls = "exponential"
-            elif lam == 0.0:
-                cls = "polynomial" if p > 0 else "bounded"
-            else:
-                cls = "decaying"
-            if _GROWTH_ORDER[cls] > _GROWTH_ORDER[worst]:
-                worst = cls
-    return worst
-
-
 @dataclass(frozen=True)
 class GaugeField:
     """A one-form expanded over the cross-section spectrum.
@@ -148,12 +131,10 @@ class GaugeField:
     ``pairs`` maps (freq, phase) to (k, l) in k d_N phi + l phi dr;
     ``coclosed`` and ``harmonic`` hold the 1-form-mode coefficients and
     ``radial`` the coefficient of phi0 dr; every component is a
-    ``RadialProfile``.  ``sectors`` and ``growth`` classify every
-    component under namespaced keys such as
-    ("pair", freq, phase) or ("harmonic", i), and are derived from the
-    components: pair and coclosed components lie in the infinite sector,
-    harmonic and radial ones in the finite sector.  ``decompose_one_form``
-    returns one too, holding the per-mode profiles of a given one-form.
+    ``RadialProfile``.  Pair and coclosed components lie in the infinite
+    sector, harmonic and radial ones in the finite sector.
+    ``decompose_one_form`` returns one too, holding the per-mode profiles
+    of a given one-form.
     """
 
     cs: TorusCrossSection
@@ -161,25 +142,6 @@ class GaugeField:
     coclosed: dict = dc_field(default_factory=dict)
     harmonic: dict = dc_field(default_factory=dict)
     radial: RadialProfile = dc_field(default_factory=RadialProfile.zero)
-
-    def _components(self):
-        """(namespaced key, sector, profiles) for every component."""
-        for (freq, phase), (k, l) in self.pairs.items():
-            yield ("pair", freq, phase), "infinite", (k, l)
-        for key, f in self.coclosed.items():
-            yield ("coclosed",) + key, "infinite", (f,)
-        for idx, f in self.harmonic.items():
-            yield ("harmonic", idx), "finite", (f,)
-        if not self.radial.is_zero():
-            yield ("radial",), "finite", (self.radial,)
-
-    @property
-    def sectors(self) -> dict:
-        return {key: sector for key, sector, _ in self._components()}
-
-    @property
-    def growth(self) -> dict:
-        return {key: _growth_class(*profs) for key, _, profs in self._components()}
 
     @property
     def one_form(self) -> TensorField:
@@ -204,11 +166,17 @@ class GaugeField:
         return not (self.pairs or self.coclosed or self.harmonic) and self.radial.is_zero()
 
     def worst_growth(self) -> str:
-        worst = "decaying"
-        for cls in self.growth.values():
-            if _GROWTH_ORDER[cls] > _GROWTH_ORDER[worst]:
-                worst = cls
-        return worst
+        """The fastest growth over every term of every component:
+        "exponential" (a positive rate), "polynomial" (rate 0 and a positive
+        power), "bounded" (rate 0, power 0) or else "decaying"."""
+        profiles = [*(prof for pair in self.pairs.values() for prof in pair),
+                    *self.coclosed.values(), *self.harmonic.values(), self.radial]
+        terms = [(p, lam) for prof in profiles for _c, p, lam in prof.terms]
+        if any(lam > 0.0 for _p, lam in terms):
+            return "exponential"
+        if any(lam == 0.0 and p > 0 for p, lam in terms):
+            return "polynomial"
+        return "bounded" if any(lam == 0.0 for _p, lam in terms) else "decaying"
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
-from .deformation_solver import RATE_TOL, classify_kernel
+from .deformation_solver import classify_kernel
 from .errors import InvalidInput, InvalidParams
 from .fields import TensorField, tangential_metric
 from .mode_ode import RadialProfile
@@ -79,8 +79,8 @@ def tube_norm(h: TensorField, a: float, b: float) -> float:
 def _tube_values(h: TensorField, L: float, offsets) -> tuple:
     """tube_norm(h, t L, (t+1) L) for every offset t, from one tube
     integrand integrated over all tubes at once."""
-    if not L > 0.0:
-        raise InvalidInput("tube needs a < b")
+    if not 0.0 < L < math.inf:
+        raise InvalidInput(f"tube length must be positive and finite, got L = {L!r}")
     t = np.asarray(offsets, dtype=float)
     lo, hi = t * L, (t + 1) * L
     values = fields_mod.tube_integrand(h, h).interval_integrals(lo, hi)
@@ -110,8 +110,8 @@ class TubeNormSeries:
     values: tuple
 
     def __post_init__(self):
-        if not self.L > 0.0:
-            raise InvalidInput("tube length must be positive")
+        if not 0.0 < self.L < math.inf:
+            raise InvalidInput(f"tube length must be positive and finite, got L = {self.L!r}")
         off = _series_offsets(self.offsets)
         values = tuple(float(v) for v in self.values)
         if len(off) != len(values) or not all(0.0 <= v < math.inf for v in values):
@@ -154,8 +154,8 @@ class ThreeCirclesParams:
     def validate(self, mu1: float, has_r_linear: bool = True) -> None:
         t1, t2, t3 = self.triple
         s1 = math.sqrt(mu1)
-        if self.L <= 0.0:
-            raise InvalidParams("tube length must be positive")
+        if not 0.0 < self.L < math.inf:
+            raise InvalidParams(f"tube length must be positive and finite, got L = {self.L!r}")
         if not 0 <= t1 < t2 < t3:
             raise InvalidParams("offsets must satisfy 0 <= t1 < t2 < t3")
         if not 0.0 < self.beta < s1:
@@ -189,6 +189,8 @@ def _require_reduced_form(h: TensorField) -> bool:
     All coefficient tensors are tested at once.  The first failing term in
     ``h.data`` order is reported; within a term the power and rate come
     first, then the radial and mixed legs, then trace and transversality.
+    Rates compare exactly, as in ``classify_kernel``: a term's rate must be
+    the float +-sqrt(mu) of its frequency (0 at frequency zero).
     All-zero tensors are skipped.  A NaN or infinite entry is reported
     first, naming its term.
     """
@@ -223,10 +225,7 @@ def _require_reduced_form(h: TensorField) -> bool:
     live = ~(term_max <= 0.0)
     # max(1, max |C|), skipping NaN as TensorField.max_abs_coeff does
     tol = REL_TOL * float(np.fmax.reduce(term_max, initial=1.0))
-    rate_tol = RATE_TOL * np.maximum(1.0, s)  # the window of match_rate
-    bad_rate = (powers != np.where(parallel, 1, 0)) | ~(
-        (np.abs(rates - s) <= rate_tol) | (np.abs(rates + s) <= rate_tol)
-    )
+    bad_rate = (powers != np.where(parallel, 1, 0)) | ~((rates == s) | (rates == -s))
     bad_edge = np.maximum(A[:, 0, :].max(axis=1), A[:, 1:, 0].max(axis=1)) > tol
     tang = C[:, 1:, 1:]
     bad_tt = ~parallel & (

@@ -18,6 +18,7 @@ import pytest
 from cylspec import cli
 from cylspec import fd_oracle as O
 from cylspec import fields as F
+from cylspec import three_circles as tc
 from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.errors import InvalidInput
 from cylspec.mode_ode import RadialProfile
@@ -301,6 +302,9 @@ def test_main_rejects_beta_prime_above_rate_cap(tmp_path, capsys):
         (0, None, "60", "has no finite value"),
         # r e^{15 r} B is no reduced form; the gate stops it before any tube
         (1, 15.0, "25", "pure e^{+-sqrt(mu) r}"),
+        # a tube length that is not finite is named before any tube
+        (0, None, "nan", "tube length must be positive and finite, got L = nan"),
+        (0, None, "inf", "tube length must be positive and finite, got L = inf"),
     ],
 )
 def test_main_three_circles_rejects_overflowing_fields(tmp_path, capsys, power, rate, L, message):
@@ -413,6 +417,80 @@ def test_a_non_integer_power_exits_two(tmp_path, capsys, task):
     code = cli.main([task[0], "--mode-file", str(path), *task[1:], "--out", str(tmp_path)])
     assert code == 2
     assert "term 0: power 1.5 is not a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("cross_section", "dim"), 3.7),
+    (("cross_section", "freq_cutoff"), 1.9),
+    (("rank",), 2.5),
+], ids=["dim", "freq_cutoff", "rank"])
+def test_field_file_integers_are_not_truncated(tmp_path, capsys, path, value):
+    data = cli.field_to_dict(reduced_field())
+    block = data if len(path) == 1 else data[path[0]]
+    block[path[-1]] = value
+    mode_file = tmp_path / "h.json"
+    mode_file.write_text(json.dumps(data))
+    code = cli.main(["kernel-classify", "--mode-file", str(mode_file), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"field file {'.'.join(path)}: {value!r} is not an integer" in err
+
+
+# ---------------------------------------------------------------------------
+# rates at the file boundary: read onto +-sqrt(mu) within 1e-9 * max(1, sqrt(mu))
+# ---------------------------------------------------------------------------
+
+
+def _run_on_moved_rates(tmp_path, h, rel, argv):
+    """Run the task argv[0] on h, written to a field file with every rate
+    multiplied by 1 + rel (every nonzero rate moves); return the exit code
+    and the envelope's payload as canonical JSON (None if none was written)."""
+    data = cli.field_to_dict(h)
+    for term in data["terms"]:
+        moved = term["rate"] * (1.0 + rel)
+        assert moved != term["rate"] or term["rate"] == 0.0 or rel == 0.0
+        term["rate"] = moved
+    out = tmp_path / str(rel)
+    out.mkdir()
+    (out / "h.json").write_text(json.dumps(data))
+    code = cli.main([argv[0], "--mode-file", str(out / "h.json"), *argv[1:], "--out", str(out)])
+    envelope = out / f"{argv[0]}-envelope.json"
+    payload = json.loads(envelope.read_text())["payload"] if envelope.exists() else None
+    return code, None if payload is None else cli.canonical_json(payload)
+
+
+@pytest.mark.parametrize("task", [
+    ["kernel-classify"],
+    ["three-circles", "--L", "1.0", "--beta", "5.0", "--beta-prime", "0.3",
+     "--triples", "0,1,3;1,2,5"],
+])
+@pytest.mark.parametrize("rel", [1e-15, 1e-12])
+def test_file_rates_moved_by_round_off_give_the_exact_payload(tmp_path, capsys, task, rel):
+    # kernel-classify exits 0 only if its reconstruction residual is below 1e-12
+    h = tc.random_reduced_form(CS, np.random.default_rng(1))
+    exact = _run_on_moved_rates(tmp_path, h, 0.0, task)
+    assert _run_on_moved_rates(tmp_path, h, rel, task) == exact
+    assert exact[0] == 0, capsys.readouterr()
+
+
+@pytest.mark.parametrize("rel", [1e-12, 9.9e-10])
+def test_solve_div_reads_a_file_rate_next_to_minus_sqrt_mu(tmp_path, capsys, rel):
+    phi = next(m for m in build_spectrum(CS, "Scalar").modes if any(m.freq))
+    h = F.rr_tensor(CS, phi, RadialProfile.monomial(1.0, 0, -math.sqrt(phi.eigenvalue)))
+    code, _ = _run_on_moved_rates(tmp_path, h, rel, ["solve-div"])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_kernel_classify_names_a_file_rate_outside_the_window(tmp_path, capsys):
+    # sides 2 pi: mu = 1, so the moved term passes the Ricci residual gate
+    cs = TorusCrossSection(3, (2.0 * math.pi,) * 3, 1)
+    tt = next(m for m in build_spectrum(cs, "TTTensor").modes if any(m.freq))
+    h = F.from_mode_profile(cs, tt, RadialProfile.monomial(1.0, 0, -math.sqrt(tt.eigenvalue)))
+    code, payload = _run_on_moved_rates(tmp_path, h, 1e-8, ["kernel-classify"])
+    err = capsys.readouterr().err
+    assert (code, payload) == (2, None)
+    assert err.startswith(f"NotInKernel: frequency {tt.freq}: {tt.phase} term of power 0 ")
+    assert "matches no kernel column" in err
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cylspec import deformation_solver as ds, fields as F
+from cylspec import cli, deformation_solver as ds, fields as F
 from cylspec import three_circles as tc
 from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.deformation_solver import (
@@ -587,8 +587,13 @@ def test_classify_reads_rates_moved_by_round_off(seed):
     h0 = random_kernel_element(CS, np.random.default_rng(seed), tau=0.0)
     h = _moved_rates(h0, 1e-12)
     assert (h - h0).max_abs_coeff() > 0.1  # the moved terms sit at keys of their own
-    # reconstruct puts every term back at its exact rate
-    field_close(classify_kernel(h, 0.0).reconstruct(), h0, 1e-10)
+    # inside the library rates compare exactly, so the moved terms match no column
+    with pytest.raises(NotInKernel, match="matches no kernel column"):
+        classify_kernel(h, 0.0)
+    # a field file's rates are read onto +-sqrt(mu) once, when it is loaded
+    back = cli.field_from_dict(cli.field_to_dict(h))
+    assert (back - h0).max_abs_coeff() == 0.0
+    field_close(classify_kernel(back, 0.0).reconstruct(), h0, 1e-12)
 
 
 def _pass_the_gates(monkeypatch):
@@ -620,20 +625,27 @@ def test_classify_and_reduced_form_gate_share_the_rate_rule(monkeypatch):
     tt = build_spectrum(cs, "TTTensor").at(freq, phase)[0]
     s = math.sqrt(tt.eigenvalue)
 
-    def moved(rel):
-        return F.from_mode_profile(cs, tt, RadialProfile.monomial(1.0, 0, -s * (1.0 + rel)))
+    def at(rate):
+        return F.from_mode_profile(cs, tt, RadialProfile.monomial(1.0, 0, rate))
 
-    dec = classify_kernel(moved(1e-10), 0.0)
+    dec = classify_kernel(at(-s), 0.0)
     assert dec.exp_modes == {(freq, phase, 0): (0.0, pytest.approx(1.0, abs=1e-12))}
-    assert tc._require_reduced_form(moved(1e-10)) is False
-    assert ds.match_rate(-s * (1.0 + 1e-10), s) == -s
-    assert ds.match_rate(-s * (1.0 + 1e-8), s) is None
+    assert tc._require_reduced_form(at(-s)) is False
 
+    # both compare rates exactly: one ulp off -sqrt(mu) is already a defect
+    ulp = at(float(np.nextafter(-s, 0.0)))
+    params = tc.ThreeCirclesParams(beta=0.5, beta_prime=0.25, L=5.0, triple=(0, 1, 2))
     with pytest.raises(InvalidInput, match="pure e"):
-        tc._require_reduced_form(moved(1e-8))
-    _pass_the_gates(monkeypatch)
+        tc.three_circles_check(ulp, params)
     with pytest.raises(NotInKernel, match="matches no kernel column"):
-        classify_kernel(moved(1e-8), 0.0)
+        classify_kernel(ulp, 0.0)
+    _pass_the_gates(monkeypatch)
+    for rel in (1e-15, 1e-10, 1e-8):
+        moved = at(-s * (1.0 + rel))
+        with pytest.raises(InvalidInput, match="pure e"):
+            tc._require_reduced_form(moved)
+        with pytest.raises(NotInKernel, match="matches no kernel column"):
+            classify_kernel(moved, 0.0)
 
 
 def test_classified_basis_certified_by_fd_oracle():

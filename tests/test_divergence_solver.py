@@ -202,7 +202,8 @@ def test_obstructed_source_needs_tau():
     with pytest.raises(NonInvertibleSector):
         dv.solve_gauge(h, dv.DivergenceConfig(tau=0.0))
     gauge = dv.solve_gauge(h, dv.DivergenceConfig(tau=0.01))
-    assert gauge.sectors[("radial",)] == "finite"
+    assert not gauge.radial.is_zero()  # the finite sector
+    assert not (gauge.pairs or gauge.coclosed or gauge.harmonic)
     res = dv.gauge_residual(h, gauge, 0.01)
     assert res.max_abs_coeff() < 1e-12 * residual_scale(h)
 
@@ -274,30 +275,37 @@ def test_finite_sector_frozen_value_and_ode_oracle():
 
     ivp = scipy.integrate.solve_ivp(rhs, (0.0, 1.0), [0.0, 0.0], rtol=1e-11, atol=1e-13)
     assert u.evaluate(1.0) == pytest.approx(float(ivp.y[0, -1]), abs=1e-8)
-    assert gauge.growth[("radial",)] == "bounded"
+    assert gauge.worst_growth() == "bounded"
 
 
 def test_growth_classifier():
-    assert dv._growth_class(RadialProfile.monomial(1.0, 0, -2.0)) == "decaying"
-    assert dv._growth_class(RadialProfile.constant(3.0)) == "bounded"
-    assert dv._growth_class(RadialProfile.monomial(1.0, 1, 0.0)) == "polynomial"
-    assert dv._growth_class(RadialProfile.monomial(1.0, 0, 0.5)) == "exponential"
+    def growth(*profiles):
+        return dv.GaugeField(CS, {}, harmonic=dict(enumerate(profiles))).worst_growth()
+
+    assert growth() == "decaying"
+    assert growth(RadialProfile.monomial(1.0, 0, -2.0)) == "decaying"
+    assert growth(RadialProfile.constant(3.0)) == "bounded"
+    assert growth(RadialProfile.monomial(1.0, 1, 0.0)) == "polynomial"
+    assert growth(RadialProfile.monomial(1.0, 0, 0.5)) == "exponential"
     # rates are exact, so any positive rate grows
-    assert dv._growth_class(RadialProfile.monomial(1.0, 0, 1e-13)) == "exponential"
-    assert (
-        dv._growth_class(RadialProfile.monomial(1.0, 0, -1.0), RadialProfile.constant(1.0))
-        == "bounded"
-    )
+    assert growth(RadialProfile.monomial(1.0, 0, 1e-13)) == "exponential"
+    assert growth(RadialProfile.monomial(1.0, 0, -1.0), RadialProfile.constant(1.0)) == "bounded"
+    assert growth(RadialProfile(((1.0, 2, -1.0), (1.0, 0, 0.0)))) == "bounded"
 
 
-def test_gauge_field_derives_sectors_and_growth():
+def test_gauge_field_worst_growth_reads_every_component():
     key = (PHI.freq, PHI.phase)
-    k = RadialProfile.monomial(1.0, 0, -2.0)
-    l = RadialProfile.monomial(1.0, 1, 0.0)
-    gauge = dv.GaugeField(CS, {key: (k, l)}, harmonic={1: RadialProfile.constant(3.0)})
-    assert gauge.sectors == {("pair",) + key: "infinite", ("harmonic", 1): "finite"}
-    assert gauge.growth == {("pair",) + key: "polynomial", ("harmonic", 1): "bounded"}
-    assert gauge.worst_growth() == "polynomial"
+    dec = RadialProfile.monomial(1.0, 0, -2.0)
+    ramp = RadialProfile.monomial(1.0, 1, 0.0)
+    everywhere = dv.GaugeField(CS, {key: (dec, dec)}, {key + (0,): dec}, {1: dec}, dec)
+    assert everywhere.worst_growth() == "decaying"
+    for gauge in (
+        dv.GaugeField(CS, {key: (dec, ramp)}, harmonic={1: RadialProfile.constant(3.0)}),
+        dv.GaugeField(CS, {}, coclosed={key + (0,): ramp}),
+        dv.GaugeField(CS, {}, harmonic={1: ramp}),
+        dv.GaugeField(CS, {}, radial=ramp),
+    ):
+        assert gauge.worst_growth() == "polynomial"
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +321,7 @@ def test_round_trip_infinite_sector_tau_zero(seed):
     gauge = dv.solve_gauge(h, dv.DivergenceConfig(tau=0.0))
     res = dv.gauge_residual(h, gauge, 0.0)
     assert res.max_abs_coeff() < 1e-10 * residual_scale(h)
-    assert set(gauge.sectors.values()) <= {"infinite"}
+    assert not gauge.harmonic and gauge.radial.is_zero()  # nothing in the finite sector
     assert gauge.worst_growth() == "decaying"
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import random_kernel_element
 from cylspec import cross_section as cx, fields as F
 from cylspec import three_circles as tc
-from cylspec.deformation_solver import RATE_TOL, classify_kernel, match_rate
+from cylspec.deformation_solver import classify_kernel
 from cylspec.errors import InvalidInput, InvalidParams, NotInKernel
 from cylspec.mode_ode import RadialProfile
 
@@ -120,8 +120,8 @@ def test_series_checks_its_tubes_before_integrating(monkeypatch):
             tc.TubeNormSeries.from_field(h, 1.0, offsets)
     with pytest.raises(InvalidInput, match="integers"):
         tc.TubeNormSeries(L=1.0, offsets=(0.5,), values=(1.0,))
-    for L in (0.0, -1.0, math.nan):
-        with pytest.raises(InvalidInput, match="a < b"):
+    for L in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInput, match=f"positive and finite, got L = {L!r}"):
             tc.TubeNormSeries.from_field(h, L, (0, 1))
 
 
@@ -192,11 +192,16 @@ def test_series_and_check_values_are_the_tube_norms(seed, r_linear, L):
 
 def test_series_and_check_reject_nonpositive_tube_length():
     h = r_linear_tt()
-    with pytest.raises(InvalidInput, match="a < b"):
+    with pytest.raises(InvalidInput, match="tube length must be positive"):
         tc.TubeNormSeries.from_field(h, 0.0, (0, 1))
-    params = tc.ThreeCirclesParams(beta=1.0, beta_prime=0.1, L=-1.0, triple=(0, 1, 2))
-    with pytest.raises(InvalidParams, match="tube length must be positive"):
-        tc.three_circles_check(h, params)
+    # NaN and inf are named too, also on a field without an r-linear leg
+    decaying = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -math.sqrt(MU1)))
+    for field, L in ((h, -1.0), (h, math.nan), (h, math.inf), (decaying, math.inf)):
+        params = tc.ThreeCirclesParams(beta=1.0, beta_prime=0.1, L=L, triple=(0, 1, 2))
+        with pytest.raises(InvalidParams, match=f"positive and finite, got L = {L!r}"):
+            tc.three_circles_check(field, params)
+    with pytest.raises(InvalidInput, match="positive and finite, got L = inf"):
+        tc.TubeNormSeries(L=math.inf, offsets=(0,), values=(1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +291,7 @@ def _reference_gate(h):
                 C = np.asarray(C)
                 if np.max(np.abs(C)) <= 0.0:
                     continue
-                if p != 1 or match_rate(lam, 0.0) is None:
+                if p != 1 or lam != 0.0:
                     raise InvalidInput(
                         "parallel sector must be purely r-linear; classify and "
                         "project the field first"
@@ -304,7 +309,7 @@ def _reference_gate(h):
             C = np.asarray(C)
             if np.max(np.abs(C)) <= 0.0:
                 continue
-            if p != 0 or match_rate(lam, s) is None:
+            if p != 0 or lam not in (s, -s):
                 raise InvalidInput(
                     f"oscillating-mode profiles must be pure e^{{+-sqrt(mu) r}}; "
                     f"found power {p}, rate {lam:.6g} at frequency {freq}"
@@ -329,10 +334,12 @@ DEFECTS = ("power", "rate", "radial", "mixed", "trace", "normal", "zero")
 COEFF_DEFECTS = (1.0, 1e-6, 2e-12, 5e-13)  # the last two straddle REL_TOL * scale
 
 
-def _rate_defects(s):
-    # inside and outside the match_rate window, and on its edge
-    window = RATE_TOL * max(1.0, s)
-    return (1e-10, 1e-8, window, 0.5)
+def _moved_rate(lam, level, sign):
+    """lam moved by one ulp, by 1e-15 relative, by 1e-10 or by 1e-8: every
+    one is a defect, since the gate compares rates exactly."""
+    if level == 0:
+        return float(np.nextafter(lam, sign * math.inf))
+    return lam + sign * (1e-15 * max(1.0, abs(lam)), 1e-10, 1e-8)[level - 1]
 
 
 def _inject(h, defects, rng):
@@ -348,9 +355,7 @@ def _inject(h, defects, rng):
         if kind == "power":
             data[mk][(p + 1, lam)] = C
         elif kind == "rate":
-            s = math.sqrt(cs.eigenvalue(freq))
-            shift = _rate_defects(s)[level] * rng.choice((-1.0, 1.0))
-            data[mk][(p, lam + shift)] = C
+            data[mk][(p, _moved_rate(lam, level, rng.choice((-1.0, 1.0))))] = C
         elif kind == "zero":
             data[mk][(p + 2, lam + 0.375)] = np.zeros_like(C)
         else:
@@ -403,17 +408,19 @@ def test_gate_matches_the_per_term_reference(seed, four_torus, r_linear, scale, 
     assert _gate_outcome(tc._require_reduced_form, h) == _gate_outcome(_reference_gate, h)
 
 
-def test_gate_rate_window_and_zero_tensors():
+def test_gate_exact_rates_and_zero_tensors():
     s = math.sqrt(MU1)
-    for shift, passes in ((1e-10, True), (-1e-10, True), (1e-8, False), (-1e-8, False)):
-        h = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -s + shift))
+    for rate, passes in ((s, True), (-s, True), (np.nextafter(-s, 0.0), False),
+                         (np.nextafter(-s, -math.inf), False), (-s * (1.0 + 1e-15), False),
+                         (-s + 1e-10, False), (-s - 1e-10, False), (-s + 1e-8, False)):
+        h = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, float(rate)))
         assert _gate_outcome(tc._require_reduced_form, h) == _gate_outcome(_reference_gate, h)
         assert (_gate_outcome(tc._require_reduced_form, h)[0] is bool) == passes
-    # the window is closed: at frequency zero its edge RATE_TOL is exact
-    for rate in (RATE_TOL, -RATE_TOL):
+    # at frequency zero only rate 0 is r-linear; +-1e-9 is a defect too
+    for rate, passes in ((0.0, True), (1e-9, False), (-1e-9, False)):
         h = F.from_mode_profile(CS, B_PAR, RadialProfile.monomial(1.0, 1, rate))
-        assert tc._require_reduced_form(h) is True
-        assert _reference_gate(h) is True
+        assert _gate_outcome(tc._require_reduced_form, h) == _gate_outcome(_reference_gate, h)
+        assert (_gate_outcome(tc._require_reduced_form, h)[0] is bool) == passes
     # an all-zero tensor under any key is no content
     h = r_linear_tt()
     h.data[(B_OSC_CS.freq, B_OSC_CS.phase)] = {(3, 0.25): np.zeros((4, 4))}
