@@ -62,8 +62,11 @@ class TorusCrossSection:
             raise InvalidParams(
                 f"need {self.dim} side lengths, got {len(lengths)}"
             )
-        if any(l <= 0 for l in lengths):
-            raise InvalidParams("side lengths must be strictly positive")
+        for i, l in enumerate(lengths):
+            # NaN fails every comparison, so the test is for the good case
+            if not (math.isfinite(l) and l > 0):
+                raise InvalidParams(f"side length {i} must be finite and strictly positive, "
+                                    f"got {l}")
         if self.freq_cutoff < 1 or self.freq_cutoff != int(self.freq_cutoff):
             raise InvalidParams("freq_cutoff must be a positive integer")
         object.__setattr__(self, "side_lengths", lengths)

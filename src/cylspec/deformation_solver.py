@@ -436,6 +436,13 @@ def _coefficient_blocks(field: TensorField, freq) -> dict:
             for (p, lam), C in field.data.get((freq, phase), {}).items()}
 
 
+def _largest_term(field: TensorField) -> str:
+    """The term of field holding its largest coefficient, named as the
+    term match below names one."""
+    (freq, phase), (p, lam), _ = max(field.terms(), key=lambda t: np.max(np.abs(t[2])))
+    return f"frequency {freq}: {phase} term of power {p} and rate {lam:.6g}"
+
+
 def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
     """Resolve a kernel element into its unique coefficient set.
 
@@ -461,14 +468,12 @@ def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
     cs = hf.cs
     check_resonance(tau, (cs.eigenvalue(freq) for freq in cs.canonical_freqs()))
     scale = max(1.0, hf.max_abs_coeff())
-    ric = linearized_ricci(hf).max_abs_coeff()
-    if ric > KERNEL_TOL * scale:
-        raise NotInKernel(f"linearized Ricci residual {ric:.3e} exceeds {KERNEL_TOL:.1e}")
-    div = modified_divergence(hf, tau).max_abs_coeff()
-    if div > KERNEL_TOL * scale:
-        raise NotInKernel(
-            f"tau-modified divergence residual {div:.3e} exceeds {KERNEL_TOL:.1e}"
-        )
+    for name, residual in (("linearized Ricci", linearized_ricci(hf)),
+                           ("tau-modified divergence", modified_divergence(hf, tau))):
+        size = residual.max_abs_coeff()
+        if size > KERNEL_TOL * scale:
+            raise NotInKernel(f"{name} residual {size:.3e} exceeds {KERNEL_TOL:.1e}; "
+                              f"largest at {_largest_term(residual)}")
 
     parts: list = []
     cond: dict = {}

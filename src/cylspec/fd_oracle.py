@@ -18,9 +18,9 @@ the order-epsilon terms of ``nonlinear_ricci(g0 + eps h)`` cancel against
 ``eps * linearized_ricci(h)`` to round-off and the measured remainder is
 genuinely quadratic.
 
-A batch of operators that sweeps second partials runs on radial slabs
-across the CPUs the process may use; every value is the same, bit for bit
-(see ``fd_operators``).
+A batch of stencil operators runs on radial slabs across the CPUs the
+process may use; every value is the same, bit for bit (see
+``fd_operators``).
 """
 
 from __future__ import annotations
@@ -149,7 +149,11 @@ class GridField:
 
 
 def interior_sup(f: GridField) -> float:
-    return float(np.max(np.abs(f.interior())))
+    """max |x| over the interior band, read from its largest and smallest
+    entries without a |x| temporary: a NaN makes both NaN, and -0.0 reads
+    0.0, as in np.max(np.abs(x))."""
+    x = f.interior()
+    return float(max(abs(x.max()), abs(x.min())))
 
 
 def l2_norm(f: GridField) -> float:
@@ -195,62 +199,109 @@ def _runs(n: int, shifts) -> list:
     return [(lo, hi, [(lo + s) % n for s in shifts]) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work=None):
-    """d/dx_direction of a component array laid out like grid.components,
-    or cut from it to length 1 along tangential axes it is constant on, into
-    out when given; work, when given, holds 8 * arr at order 4.
+def _cut(buf, shape) -> np.ndarray:
+    """The leading entries of the flat buffer buf, viewed in the given shape."""
+    return buf[:math.prod(shape)].reshape(shape)
 
-    The sum is cut along the axis into runs, maximal index ranges on which no
-    shift wraps (a length-1 axis wraps onto itself).  f[i+1] - f[i-1] at
-    order 2, or 8 f[i+1] - f[i+2] at order 4, is one subtraction per run;
-    order 4 then subtracts 8 f[i-1] and adds f[i-2]; the division by 2h or
-    12h comes last.  As b - a == -a + b exactly, every value equals
+
+def _partial(arr, direction, grid: GridField, cfg: StencilConfig, out=None, work=None,
+             acc=None, rows=None, start=0):
+    """d/dx_direction of a component array laid out like grid.components,
+    or cut from it to length 1 along tangential axes it is constant on, or
+    to a range of radial rows that starts at global row start.  It gives
+    the global radial rows [lo, hi) = rows (by default every row of arr),
+    into out when given.  work and acc, when given, are flat buffers: work
+    holds 8 * arr at order 4, acc the sum when out is not contiguous.
+
+    A tangential sum is cut along the axis into runs, maximal index ranges
+    on which no shift wraps (a length-1 axis wraps onto itself).  f[i+1] -
+    f[i-1] at order 2, or 8 f[i+1] - f[i+2] at order 4, is one subtraction
+    per run; order 4 then subtracts 8 f[i-1] and adds f[i-2]; the division
+    by 2h or 12h comes last.  As b - a == -a + b exactly, every value equals
     (f[i+1] - f[i-1]) / 2h, or (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h,
-    summed left to right, bit for bit.  The radial axis then gets its edge
-    rows.  Second derivatives compose this routine with itself, the
-    exact building block of nonlinear_ricci."""
+    summed left to right, bit for bit.  The radial partial sums the same
+    terms on the rows at least order/2 from the grid's ends, reading
+    whatever rows of arr they need, and gives the rows nearer the ends
+    their skewed stencils.  Second derivatives compose this routine with
+    itself, the exact building block of nonlinear_ricci."""
     h = grid.spacings[direction]
+    lo, hi = (start, start + len(arr)) if rows is None else rows
+    if direction:
+        arr = arr[lo - start:hi - start]
     # a strided view (one component of a tensor) is read into one contiguous
     # copy: strided reads in every stencil term are about twice as slow
     vals = np.ascontiguousarray(arr)
-    out = np.empty(vals.shape) if out is None else out
-    acc = out if out.flags.c_contiguous else np.empty(vals.shape)
+    shape = (hi - lo,) + vals.shape[1:]
+    out = np.empty(shape) if out is None else out
+    if out.flags.c_contiguous:
+        acc = out
+    else:
+        acc = np.empty(shape) if acc is None else _cut(acc, shape)
+
+    def times_eight(x):
+        return np.multiply(x, 8, out=None if work is None else _cut(work, x.shape))
+
+    if direction == 0:
+        _radial(vals, lo, hi, start, grid, cfg, out, acc, times_eight)
+        return out
     if cfg.order == 2:
         first, rest = ((vals, 1), (vals, -1)), ()
     else:
-        eight = np.multiply(vals, 8, out=work)
+        eight = times_eight(vals)
         first, rest = ((eight, 1), (vals, 2)), ((np.subtract, eight, -1), (np.add, vals, -2))
     (ahead, s), (behind, t) = first
 
-    def cut(x, lo, hi):
-        return x[(slice(None),) * direction + (slice(lo, hi),)]
+    def cut(x, i, j):
+        return x[(slice(None),) * direction + (slice(i, j),)]
 
     n = vals.shape[direction]
-    for lo, hi, (i, j) in _runs(n, (s, t)):
-        np.subtract(cut(ahead, i, i + hi - lo), cut(behind, j, j + hi - lo), out=cut(acc, lo, hi))
+    for i, j, (p, q) in _runs(n, (s, t)):
+        np.subtract(cut(ahead, p, p + j - i), cut(behind, q, q + j - i), out=cut(acc, i, j))
     for ufunc, src, shift in rest:
-        for lo, hi, (i,) in _runs(n, (shift,)):
-            o = cut(acc, lo, hi)
-            ufunc(o, cut(src, i, i + hi - lo), out=o)
+        for i, j, (p,) in _runs(n, (shift,)):
+            o = cut(acc, i, j)
+            ufunc(o, cut(src, p, p + j - i), out=o)
     np.divide(acc, (2 if cfg.order == 2 else 12) * h, out=out)
-    if direction > 0:
-        return out
-    if cfg.order == 4:
-        out[1] = (vals[2] - vals[0]) / (2 * h)
-        out[-2] = (vals[-1] - vals[-3]) / (2 * h)
-    out[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h)
-    out[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2 * h)
     return out
 
 
-def _gradient(arr, grid: GridField, cfg: StencilConfig, axis: int, out=None) -> np.ndarray:
+def _radial(vals, lo, hi, start, grid: GridField, cfg: StencilConfig, out, acc, times_eight):
+    """Rows [lo, hi) of d/dr, into out; vals holds the global rows from start."""
+    h, n, e = grid.dr, grid.n_r, cfg.order // 2
+
+    def f(i, j=None):  # global row i, or rows [i, j), of the source
+        return vals[i - start] if j is None else vals[i - start:j - start]
+
+    a, b = max(lo, e), min(hi, n - e)  # rows with a centered stencil
+    if a < b:
+        o = acc[a - lo:b - lo]
+        if cfg.order == 2:
+            np.subtract(f(a + 1, b + 1), f(a - 1, b - 1), out=o)
+        else:
+            eight = times_eight(f(a - 1, b + 1))
+            np.subtract(eight[2:], f(a + 2, b + 2), out=o)
+            np.subtract(o, eight[:-2], out=o)
+            np.add(o, f(a - 2, b - 2), out=o)
+        np.divide(o, (2 if cfg.order == 2 else 12) * h, out=out[a - lo:b - lo])
+    edges = {0: lambda: (-3 * f(0) + 4 * f(1) - f(2)) / (2 * h),
+             n - 1: lambda: (3 * f(n - 1) - 4 * f(n - 2) + f(n - 3)) / (2 * h)}
+    if cfg.order == 4:
+        edges[1] = lambda: (f(2) - f(0)) / (2 * h)
+        edges[n - 2] = lambda: (f(n - 1) - f(n - 3)) / (2 * h)
+    for row, value in edges.items():
+        if lo <= row < hi:
+            out[row - lo] = value()
+
+
+def _gradient(arr, grid: GridField, cfg: StencilConfig, axis: int, out=None, **window):
     """Every partial of arr, stacked as a new axis at the (negative) position
-    axis of the result (out when given), each written straight into its slot."""
+    axis of the result (out when given), each written straight into its
+    slot; window (work, acc, rows, start) goes to every _partial."""
     cut = arr.ndim + 1 + axis
     if out is None:
         out = np.empty(arr.shape[:cut] + (grid.dim + 1,) + arr.shape[cut:])
     for a in range(grid.dim + 1):
-        _partial(arr, a, grid, cfg, out=np.moveaxis(out, axis, 0)[a])
+        _partial(arr, a, grid, cfg, out=np.moveaxis(out, axis, 0)[a], **window)
     return out
 
 
@@ -265,148 +316,213 @@ def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) ->
 
 
 # ---------------------------------------------------------------------------
-# operators
+# operators on radial slabs
 # ---------------------------------------------------------------------------
 #
-# Every operator below takes a component array c and the grid it was cut
-# from: c holds either all of grid.components or a range of its radial rows
-# (a slab), and the stencils read their spacings from the grid, never from
-# the row count of c.
+# Every batch of stencil operators runs as slabs: ranges [lo, hi) of global
+# radial rows, each computing those rows of every named operator straight
+# into its full-size output.  The radial partial reads whatever rows of its
+# source it needs, so the input c is read in place.  Only intermediates that
+# a later radial partial reads are private and carry a halo: the sweep's
+# first partial d1 and the divergence taken from it (order/2 rows on each
+# side), the trace (order rows) and its gradient (order/2 rows), clipped at
+# the grid's ends.  Every value is then the serial value, bit for bit.
+#
+# The calling thread allocates every buffer (_empty) before any slab
+# starts: the outputs and one scratch set per thread, which that thread
+# reuses for each slab it takes.  Each unit of a slab (the sweep, the
+# divergence, the symmetrized gradient, the trace Hessian) carves its
+# private buffers from the front of the set, in the order _scratch_entries
+# counts them.  One slab on one thread is the serial batch.
 
-
-def _op_divergence(c, grid: GridField, cfg: StencilConfig) -> np.ndarray:
-    total = _contracted_partials(c, grid.grid_ndim, grid, cfg)
-    return np.negative(total, out=total)
-
-
-def _op_sym_grad(c, grid: GridField, cfg: StencilConfig) -> np.ndarray:
-    grad = _gradient(c, grid, cfg, -2)
-    return grad + np.swapaxes(grad, -1, -2)
-
-
-class _Sweep(NamedTuple):
-    """The rough Laplacian of a field, computed once per batch that uses it;
-    when the batch names linearized_ricci, also the field's divergence and
-    the two buffers of the field's size the sweep has finished with."""
-
-    rough: np.ndarray
-    divergence: np.ndarray | None = None
-    spare: tuple = ()
-
-
-def _op_rough_laplacian(c, grid: GridField, cfg: StencilConfig, divergence: bool = False) -> _Sweep:
-    """-sum_a d_a d_a c, one axis at a time.  With divergence set, also
-    -sum_a d_a c[..., a, :], summed in order from row a of each first
-    partial d_a c: the stencil acts entry by entry, so that row equals the
-    partial of row a bit for bit, and no partial is taken twice."""
-    total = np.empty(c.shape)
-    term, d1 = np.empty_like(total), np.empty_like(total)
-    work = np.empty_like(total) if cfg.order == 4 else None
-    div = None
-    for a in range(grid.dim + 1):
-        _partial(c, a, grid, cfg, out=d1, work=work)
-        if divergence:
-            row = d1[(slice(None),) * grid.grid_ndim + (a,)]
-            div = row.copy() if div is None else np.add(div, row, out=div)
-        _partial(d1, a, grid, cfg, out=term if a else total, work=work)
-        if a:
-            total += term
-    rough = np.negative(total, out=total)
-    if not divergence:
-        return _Sweep(rough)
-    return _Sweep(rough, np.negative(div, out=div), (term, d1))
-
-
-def _op_trace_hessian(c, grid: GridField, cfg: StencilConfig, out=None) -> np.ndarray:
-    """[..., i, j] = d_j d_i tr c, into out when given.  The trace is summed
-    as (h00 + h11) + h22 + ..., the order of np.trace, which starts from
-    +0.0: the final + 0.0 gives its +0.0 on a diagonal of negative zeros."""
-    tr = np.add(c[..., 0, 0], c[..., 1, 1])
-    for i in range(2, grid.dim + 1):
-        tr += c[..., i, i]
-    tr += 0.0
-    return _gradient(_gradient(tr, grid, cfg, -1), grid, cfg, -1, out=out)
-
-
-def _op_linearized_ricci(c, grid: GridField, cfg: StencilConfig, sweep: _Sweep) -> np.ndarray:
-    """(rough - (grad w + grad w^T) - Hess tr) / 2, with w the sweep's
-    divergence.  The gradient and then the Hessian go into one of the
-    sweep's spare buffers, the result into the other."""
-    out, scratch = sweep.spare
-    grad = _gradient(sweep.divergence, grid, cfg, -2, out=scratch)
-    np.add(grad, np.swapaxes(grad, -1, -2), out=out)
-    np.subtract(sweep.rough, out, out=out)
-    out -= _op_trace_hessian(c, grid, cfg, out=scratch)
-    out *= 0.5
-    return out
-
-
-def _background_curvature(f: GridField, cfg: StencilConfig):
-    """Ricci and Riemann of the product metric, computed (not assumed)
-    from FD Christoffel symbols of the constant identity components.
-    Every tangential axis is collapsed to length 1, so both arrays
-    broadcast against f.components."""
-    D = f.dim + 1
-    column = (f.n_r,) + (1,) * f.dim
-    gamma = _christoffel(np.broadcast_to(np.eye(D), column + (D, D)), f, cfg)
-    riem = _riemann_from_christoffel(gamma, f, cfg)
-    return np.einsum("...kikj->...ij", riem), riem
-
-
-def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: np.ndarray) -> np.ndarray:
-    ric, riem = _background_curvature(f, cfg)
-    if not riem.any():
-        # flat background: the coupling vanishes; copy, since a batch may
-        # also return the rough Laplacian itself
-        return rough.copy()
-    h = f.components
-    # the curvature arrays carry length-1 axes; unoptimized einsum is about
-    # ten times slower on such broadcast operands
-    coupling = np.einsum("...ik,...kj->...ij", ric, h, optimize=True)
-    coupling += np.einsum("...jk,...ik->...ij", ric, h, optimize=True)
-    coupling -= 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h, optimize=True)
-    coupling += rough
-    return coupling
-
-
-# operator -> (result rank for an input rank, None where the operator does
-# not take that rank; function of (c, grid, cfg, sweep)), where sweep is the
-# _Sweep of c, computed once per batch that uses it.  lichnerowicz is
-# pointwise in the rough Laplacian, so fd_operators runs it on the whole
-# grid once the stencils are done.
-_OPERATORS = {
-    "divergence": (lambda rank: rank - 1 if rank >= 1 else None,
-                   lambda c, grid, cfg, _: _op_divergence(c, grid, cfg)),
-    "sym_grad": (lambda rank: 2 if rank == 1 else None,
-                 lambda c, grid, cfg, _: _op_sym_grad(c, grid, cfg)),
-    "rough_laplacian": (lambda rank: rank, lambda c, grid, cfg, sweep: sweep.rough),
-    "trace_hessian": (lambda rank: 2 if rank == 2 else None,
-                      lambda c, grid, cfg, _: _op_trace_hessian(c, grid, cfg)),
-    "linearized_ricci": (lambda rank: 2 if rank == 2 else None, _op_linearized_ricci),
-    "lichnerowicz": (lambda rank: 2 if rank == 2 else None, None),
+# operator -> result rank for an input rank, None where the operator does
+# not take that rank.  lichnerowicz is pointwise in the rough Laplacian, so
+# fd_operators runs it on the whole grid once the stencils are done.
+_RANKS = {
+    "divergence": lambda rank: rank - 1 if rank >= 1 else None,
+    "sym_grad": lambda rank: 2 if rank == 1 else None,
+    "rough_laplacian": lambda rank: rank,
+    "trace_hessian": lambda rank: 2 if rank == 2 else None,
+    "linearized_ricci": lambda rank: 2 if rank == 2 else None,
+    "lichnerowicz": lambda rank: 2 if rank == 2 else None,
 }
 # the operators that run the sweep of second partials
 _SWEEP_OPS = {"rough_laplacian", "linearized_ricci"}
+# every slab has at least this many rows per stencil order, so the halo
+# rows a slab recomputes stay a small share of its work
+_SLAB_ROWS_PER_ORDER = 4
+# a flat buffer carved into views starts each one on this many float64
+# entries: 64 bytes
+_ALIGN = 8
 
 
-def _batch(names, c, grid: GridField, cfg: StencilConfig) -> dict:
-    """The named stencil operators of c, as arrays keyed by name."""
-    sweep = (_op_rough_laplacian(c, grid, cfg, "linearized_ricci" in names)
-             if _SWEEP_OPS.intersection(names) else None)
-    return {op: _OPERATORS[op][1](c, grid, cfg, sweep) for op in names}
+def _pad(entries: int) -> int:
+    return -(-entries // _ALIGN) * _ALIGN
 
 
-# ---------------------------------------------------------------------------
-# radial slabs
-# ---------------------------------------------------------------------------
-#
-# A batch that sweeps second partials may run on radial slabs.  A slab is a
-# range of inner rows plus H = cfg.order halo rows on each side, clipped at
-# the grid's ends: two composed first derivatives reach no further, so every
-# inner row equals the serial batch bit for bit; the rows a slab computes at
-# a cut are dropped.  A few pool
-# threads take the slabs in turn and write their inner rows straight into
-# outputs the calling thread allocated.
+def _empty(entries: int) -> np.ndarray:
+    """A flat float64 buffer of the given entries starting on a 64-byte
+    boundary, so that the stencils' speed does not follow where the heap
+    placed it.  Every output and scratch set of a batch comes from here,
+    on the calling thread."""
+    raw = np.empty(entries + _ALIGN - 1)
+    skip = -raw.ctypes.data % (8 * _ALIGN) // 8
+    return raw[skip:skip + entries]
+
+
+class _Carve:
+    """Consecutive 64-byte-aligned views cut from the front of a flat buffer."""
+
+    def __init__(self, buf):
+        self.buf, self.used = buf, 0
+
+    def __call__(self, shape) -> np.ndarray:
+        view = _cut(self.buf[self.used:], shape)
+        self.used += _pad(view.size)
+        return view
+
+    def rest(self) -> np.ndarray:
+        return self.buf[self.used:]
+
+
+def _halo(lo: int, hi: int, width: int, n: int) -> tuple:
+    return max(lo - width, 0), min(hi + width, n)
+
+
+def _scratch_entries(names, f: GridField, cfg: StencilConfig, rows: int) -> int:
+    """Entries of the scratch set with which one thread runs slabs of at
+    most rows rows: the most that any unit of _slab carves from it.  Each
+    term counts one carve of a unit, in the unit's order; work, 8 * a
+    source at order 4, takes what is left."""
+    n, D, e = f.n_r, f.dim + 1, cfg.order // 2
+    C = f.components[0].size  # entries of one row of c
+    C1, C2 = C // D, C // D**2  # of one row of a component, of a scalar
+    r1, r2 = min(rows + 2 * e, n), min(rows + 4 * e, n)
+
+    def work(k, per_row):  # for a partial that gives k rows
+        return _pad(min(k + 2, n) * per_row) if cfg.order == 4 else 0
+
+    def trace_hessian():
+        return (_pad(r2 * C2) + _pad(r1 * C1) + _pad(max(r1 * C2, rows * C1))
+                + max(work(r1, C2), work(rows, C1)))
+
+    needs = [0]
+    if "divergence" in names:
+        needs.append(_pad(r1 * C1) + _pad(rows * C1) + work(rows, C1))
+    if "sym_grad" in names:
+        needs.append(_pad(rows * C * D) + _pad(rows * C) + work(rows, C))
+    if "trace_hessian" in names:
+        needs.append(trace_hessian())
+    if _SWEEP_OPS.intersection(names):
+        lin = "linearized_ricci" in names
+        private = ("rough_laplacian" not in names) + (not lin)  # of total, term
+        tail = max(_pad(rows * C1) + work(rows, C1), trace_hessian()) if lin else 0
+        needs.append(_pad(r1 * C) + private * _pad(rows * C) + lin * _pad(r1 * C1)
+                     + max(work(r1, C), tail))
+    return max(needs)
+
+
+def _slab_sweep(names, f: GridField, cfg: StencilConfig, out: dict, scratch, lo, hi):
+    """Rows [lo, hi) of the rough Laplacian -sum_a d_a d_a c, one axis at a
+    time, and with linearized_ricci named, of (rough - (grad w + grad w^T)
+    - Hess tr) / 2.  w = -sum_a d_a c[..., a, :] is summed in order from
+    row a of each first partial d_a c: the stencil acts entry by entry, so
+    that row equals the partial of row a bit for bit, and no partial is
+    taken twice.  The sum and the term go straight into the outputs that
+    the batch names; the gradient of w and then the Hessian go into d1."""
+    c = f.components
+    a1, b1 = _halo(lo, hi, cfg.order // 2, f.n_r)
+    lin = "linearized_ricci" in names
+    carve = _Carve(scratch)
+    d1 = carve((b1 - a1,) + c.shape[1:])
+    shape = (hi - lo,) + c.shape[1:]
+    total = out["rough_laplacian"][lo:hi] if "rough_laplacian" in names else carve(shape)
+    term = out["linearized_ricci"][lo:hi] if lin else carve(shape)
+    div = carve((b1 - a1,) + c.shape[1:-1]) if lin else None
+    work = carve.rest()
+    for a in range(f.dim + 1):
+        _partial(c, a, f, cfg, out=d1, work=work, rows=(a1, b1))
+        if lin:
+            row = d1[(slice(None),) * f.grid_ndim + (a,)]
+            if a:
+                div += row
+            else:
+                np.copyto(div, row)
+        _partial(d1, a, f, cfg, out=term if a else total, work=work, rows=(lo, hi), start=a1)
+        if a:
+            total += term
+    np.negative(total, out=total)
+    if not lin:
+        return
+    np.negative(div, out=div)
+    grad = _cut(d1.reshape(-1), shape)
+    tail = _Carve(work)
+    acc = tail((div[0].size * (hi - lo),))
+    _gradient(div, f, cfg, -2, out=grad, work=tail.rest(), acc=acc, rows=(lo, hi), start=a1)
+    np.add(grad, np.swapaxes(grad, -1, -2), out=term)
+    np.subtract(total, term, out=term)
+    term -= _slab_trace_hessian(f, cfg, grad, work, lo, hi)
+    term *= 0.5
+
+
+def _slab_trace_hessian(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
+    """Rows [lo, hi) of [..., i, j] = d_j d_i tr c, into out.  The trace is
+    summed as (h00 + h11) + h22 + ..., the order of np.trace, which starts
+    from +0.0: the final + 0.0 gives its +0.0 on a diagonal of negative
+    zeros."""
+    c, e = f.components, cfg.order // 2
+    a1, b1 = _halo(lo, hi, e, f.n_r)
+    a2, b2 = _halo(lo, hi, 2 * e, f.n_r)
+    carve = _Carve(scratch)
+    tr = carve((b2 - a2,) + c.shape[1:-2])
+    np.add(c[a2:b2, ..., 0, 0], c[a2:b2, ..., 1, 1], out=tr)
+    for i in range(2, f.dim + 1):
+        tr += c[a2:b2, ..., i, i]
+    tr += 0.0
+    grad = carve((b1 - a1,) + c.shape[1:-1])
+    acc = carve((max(tr[0].size * (b1 - a1), grad[0].size * (hi - lo)),))
+    work = carve.rest()
+    _gradient(tr, f, cfg, -1, out=grad, work=work, acc=acc, rows=(a1, b1), start=a2)
+    return _gradient(grad, f, cfg, -1, out=out, work=work, acc=acc, rows=(lo, hi), start=a1)
+
+
+def _slab_divergence(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
+    """Rows [lo, hi) of -sum_a d_a c[..., a, ...], summed in order.  Each
+    component is first copied, on the rows its partial reads, into one
+    contiguous buffer."""
+    c = f.components
+    a1, b1 = _halo(lo, hi, cfg.order // 2, f.n_r)
+    part = (slice(a1, b1),) + (slice(None),) * f.dim
+    carve = _Carve(scratch)
+    comp = carve(c[part + (0,)].shape)
+    term = carve(out.shape)
+    work = carve.rest()
+    for a in range(f.dim + 1):
+        np.copyto(comp, c[part + (a,)])
+        _partial(comp, a, f, cfg, out=term if a else out, work=work, rows=(lo, hi), start=a1)
+        if a:
+            out += term
+    np.negative(out, out=out)
+
+
+def _slab_sym_grad(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
+    """Rows [lo, hi) of d_i c_j + d_j c_i."""
+    carve = _Carve(scratch)
+    grad = carve(out.shape)
+    acc = carve((out[..., 0].size,))
+    _gradient(f.components, f, cfg, -2, out=grad, work=carve.rest(), acc=acc, rows=(lo, hi))
+    np.add(grad, np.swapaxes(grad, -1, -2), out=out)
+
+
+def _slab(names, f: GridField, cfg: StencilConfig, out: dict, scratch, lo: int, hi: int):
+    """Rows [lo, hi) of every named stencil operator of f, into out."""
+    if _SWEEP_OPS.intersection(names):
+        _slab_sweep(names, f, cfg, out, scratch, lo, hi)
+    for op, unit in (("divergence", _slab_divergence), ("sym_grad", _slab_sym_grad),
+                     ("trace_hessian", _slab_trace_hessian)):
+        if op in names:
+            unit(f, cfg, out[op][lo:hi], scratch, lo, hi)
+
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -444,55 +560,80 @@ if hasattr(os, "register_at_fork"):
 def _slab_plan(names, f: GridField, cfg: StencilConfig) -> tuple:
     """(threads, slabs) for a batch of stencil operators; (1, 1) is serial.
 
-    Serial for a batch with no sweep.  Else
-    the most threads, up to fd_threads(), and then the fewest slabs such
-    that every slab has at least 8 H inner rows (halo rework stays at most
-    a quarter of a slab) and the slabs in flight, one per thread, hold no
-    more scratch than the serial batch: with B the sweep's buffers, the
-    outputs plus threads * rows * B stay within n_r * B."""
-    if not _SWEEP_OPS.intersection(names):
-        return 1, 1
-    # B: the buffers of c's size the sweep holds, total, term and d1, and at
-    # order 4 the 8 f of _partial
-    H, B = cfg.order, 3 if cfg.order == 2 else 4
-    budget = f.n_r * (B - len(names))
-    for threads in range(fd_threads(), 1, -1):
-        rows = budget // (threads * B) - 2 * H  # the most inner rows per slab
-        if rows >= 8 * H:
-            slabs = -(-f.n_r // rows)
-            if f.n_r // slabs >= 8 * H:
+    The most threads, up to fd_threads(), and then the fewest slabs, a
+    multiple of the threads so that each takes as many, such that every
+    slab has at least _SLAB_ROWS_PER_ORDER * order rows and the scratch
+    sets in flight, one per thread, hold no more than the serial batch's
+    one.  The outputs are the same either way."""
+    n = f.n_r
+    most = n // (_SLAB_ROWS_PER_ORDER * cfg.order)  # slabs
+    serial = _scratch_entries(names, f, cfg, n)
+    for threads in range(min(fd_threads(), most), 1, -1):
+        for slabs in range(threads, most + 1, threads):
+            if threads * _scratch_entries(names, f, cfg, -(-n // slabs)) <= serial:
                 return threads, slabs
     return 1, 1
 
 
-def _fill_slab(names, f: GridField, cfg: StencilConfig, out: dict, lo: int, hi: int):
-    """Run the batch on rows [lo, hi) and their halos; write rows [lo, hi)."""
-    a, b = max(lo - cfg.order, 0), min(hi + cfg.order, f.n_r)
-    got = _batch(names, f.components[a:b], f, cfg)
+def _run_slabs(names, f: GridField, cfg: StencilConfig) -> dict:
+    """The named stencil operators of f, by name.  A single thread runs the
+    slabs itself; else that many pool threads take them in turn.  Every
+    slab has finished before this returns, and the first exception a
+    thread raised is raised here."""
+    threads, slabs = _slab_plan(names, f, cfg)
+    out = {}
     for op in names:
-        out[op][lo:hi] = got[op][lo - a:hi - a]
-
-
-def _slabbed(names, f: GridField, cfg: StencilConfig, threads: int, slabs: int) -> dict:
-    """The batch on the given number of slabs, taken in turn by that many
-    pool threads; every slab has finished before this returns, and the
-    first exception a thread raised is raised here."""
-    out = {op: np.empty((f.n_r, *f.n_x) + (f.dim + 1,) * _OPERATORS[op][0](f.rank))
-           for op in names}
+        shape = (f.n_r, *f.n_x) + (f.dim + 1,) * _RANKS[op](f.rank)
+        out[op] = _empty(math.prod(shape)).reshape(shape)
+    size = _scratch_entries(names, f, cfg, -(-f.n_r // slabs))
+    block = _empty(threads * size)
     cuts = [f.n_r * k // slabs for k in range(slabs + 1)]
     # one shared iterator over built-in lists: each next() is atomic
     todo = iter(list(zip(cuts, cuts[1:])))
 
-    def drain():
+    def drain(scratch):
         for lo, hi in todo:
-            _fill_slab(names, f, cfg, out, lo, hi)
+            _slab(names, f, cfg, out, scratch, lo, hi)
 
-    futures = [_slab_pool().submit(drain) for _ in range(threads)]
+    scratches = [block[i * size:(i + 1) * size] for i in range(threads)]
+    if threads == 1:
+        drain(scratches[0])
+        return out
+    futures = [_slab_pool().submit(drain, scratch) for scratch in scratches]
     for fut in futures:
         fut.exception()  # waits without raising
     for fut in futures:
         fut.result()
     return out
+
+
+def _background_curvature(f: GridField, cfg: StencilConfig):
+    """Ricci and Riemann of the product metric, computed (not assumed)
+    from FD Christoffel symbols of the constant identity components.
+    Every tangential axis is collapsed to length 1, so both arrays
+    broadcast against f.components."""
+    D = f.dim + 1
+    column = (f.n_r,) + (1,) * f.dim
+    gamma = _christoffel(np.broadcast_to(np.eye(D), column + (D, D)), f, cfg)
+    riem = _riemann_from_christoffel(gamma, f, cfg)
+    return np.einsum("...kikj->...ij", riem), riem
+
+
+def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: np.ndarray) -> np.ndarray:
+    ric, riem = _background_curvature(f, cfg)
+    out = _empty(rough.size).reshape(rough.shape)
+    if not riem.any():
+        # flat background: the coupling vanishes; copy, since a batch may
+        # also return the rough Laplacian itself
+        np.copyto(out, rough)
+        return out
+    h = f.components
+    # the curvature arrays carry length-1 axes; unoptimized einsum is about
+    # ten times slower on such broadcast operands
+    coupling = np.einsum("...ik,...kj->...ij", ric, h, optimize=True)
+    coupling += np.einsum("...jk,...ik->...ij", ric, h, optimize=True)
+    coupling -= 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h, optimize=True)
+    return np.add(coupling, rough, out=out)
 
 
 def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> dict:
@@ -502,27 +643,25 @@ def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> d
 
     rough_laplacian, lichnerowicz and linearized_ricci share one sweep of
     second partials.  linearized_ricci reads the divergence from the
-    sweep's first partials and writes its tail into the sweep's spare
-    buffers: it takes 5 (d + 1) partials.  A batch with a sweep runs on
-    radial slabs across fd_threads() threads when the grid is large enough
-    (see _slab_plan).  Every value equals the np.roll stencils summed
-    left to right, bit for bit, on slabs or not, except that
-    lichnerowicz's copy of the rough Laplacian on a flat background may
-    differ from them in the sign of a zero."""
+    sweep's first partials and writes its tail into the sweep's buffers:
+    it takes 5 (d + 1) partials.  Every batch runs on radial slabs across
+    fd_threads() threads when the grid is large enough (see _slab_plan).
+    Every value equals the np.roll stencils summed left to right, bit for
+    bit, on slabs or not, except that lichnerowicz's copy of the rough
+    Laplacian on a flat background may differ from them in the sign of a
+    zero.  Every array starts on a 64-byte boundary."""
     names = tuple(dict.fromkeys(names))
     for op in names:
-        if op not in _OPERATORS:
-            raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_OPERATORS)}")
-        if _OPERATORS[op][0](f.rank) is None:
+        if op not in _RANKS:
+            raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_RANKS)}")
+        if _RANKS[op](f.rank) is None:
             raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
     stencil = tuple(dict.fromkeys("rough_laplacian" if op == "lichnerowicz" else op
                                   for op in names))
-    threads, slabs = _slab_plan(stencil, f, cfg)
-    arrays = (_slabbed(stencil, f, cfg, threads, slabs) if threads > 1
-              else _batch(stencil, f.components, f, cfg))
+    arrays = _run_slabs(stencil, f, cfg) if stencil else {}
     if "lichnerowicz" in names:
         arrays["lichnerowicz"] = _op_lichnerowicz(f, cfg, arrays["rough_laplacian"])
-    return {op: f.with_components(arrays[op], rank=_OPERATORS[op][0](f.rank)) for op in names}
+    return {op: f.with_components(arrays[op], rank=_RANKS[op](f.rank)) for op in names}
 
 
 def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:

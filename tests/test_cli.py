@@ -534,6 +534,33 @@ def test_bad_values_exit_two_naming_the_key(tmp_path, capsys, argv, ini, key):
     assert not (tmp_path / f"{argv[0]}-envelope.json").exists()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["spectrum", "--side-lengths", "nan,1,1"], "nan"),
+    (["solve-deform", "--side-lengths", "inf,1,1"], "inf"),
+], ids=["spectrum-nan", "solve-deform-inf"])
+def test_non_finite_side_lengths_exit_two_naming_the_length(tmp_path, capsys, argv, bad):
+    # NaN fails l <= 0 as it fails l > 0: spectrum used to exit 3 on
+    # eigenvalues-nondecreasing, and solve-deform to exit 0
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"invalid input: side length 0 must be finite and strictly positive, got {bad}\n"
+    assert not (tmp_path / f"{argv[0]}-envelope.json").exists()
+
+
+def test_kernel_classify_rejects_a_field_file_with_a_nan_side_length(tmp_path, capsys):
+    # it used to exit 1: "SVD did not converge in Linear Least Squares"
+    data = cli.field_to_dict(tc.random_reduced_form(CS, np.random.default_rng(1)))
+    data["cross_section"]["side_lengths"] = [float("nan"), 1.0, 1.0]
+    (tmp_path / "h.json").write_text(json.dumps(data))
+    code = cli.main(["kernel-classify", "--mode-file", str(tmp_path / "h.json"),
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "invalid input: side length 0 must be finite and strictly positive, got nan\n"
+    assert not (tmp_path / "kernel-classify-envelope.json").exists()
+
+
 T2_ARGS = ["--dim", "2", "--side-lengths", f"{2 * math.pi!r},{2 * math.pi!r}",
            "--freq-cutoff", "2"]  # T^2(2 pi): mu_1 = 1 = 4 (0.5)^2
 

@@ -498,6 +498,33 @@ def test_classify_rejects_non_kernel_field():
         classify_kernel(h, 0.0)
 
 
+def test_residual_gates_name_the_largest_residual_term():
+    # on the unit 3-torus a TT term one part in 1e8 off -sqrt(mu) fails the
+    # Ricci gate, before the term match that would name it
+    cs = TorusCrossSection(3, (1.0,) * 3, 1)
+    tt = next(m for m in build_spectrum(cs, "TTTensor").modes if any(m.freq))
+    rate = -math.sqrt(tt.eigenvalue) * (1 + 1e-8)
+    h = F.from_mode_profile(cs, tt, RadialProfile.monomial(1.0, 0, rate))
+    with pytest.raises(NotInKernel) as err:
+        classify_kernel(h)
+    assert str(err.value).startswith("linearized Ricci residual 3.948e-07 exceeds 1.0e-08; ")
+    assert str(err.value).endswith(
+        f"largest at frequency {tt.freq}: {tt.phase} term of power 0 and rate {rate:.6g}")
+    # a pure gauge field passes the Ricci gate; its divergence residual has
+    # cos and sin terms of powers 0 and 1
+    phi = next(m for m in build_spectrum(cs, "Scalar").modes if any(m.freq))
+    h = lie_derivative_metric(F.radial_one_form(cs, phi, RadialProfile.monomial(1.0, 1, -1.0)))
+    sizes = {(freq, phase, p, lam): np.max(np.abs(C))
+             for (freq, phase), (p, lam), C in modified_divergence(h, 0.0).terms()}
+    assert len(sizes) == 4
+    freq, phase, p, lam = max(sizes, key=sizes.get)
+    with pytest.raises(NotInKernel) as err:
+        classify_kernel(h)
+    assert str(err.value).startswith("tau-modified divergence residual ")
+    assert str(err.value).endswith(
+        f"largest at frequency {freq}: {phase} term of power {p} and rate {lam:.6g}")
+
+
 def test_classify_zero_field():
     dec = classify_kernel(F.TensorField(CS, 2), 0.0)
     assert dec.pure_trace == (0.0, 0.0)

@@ -3,6 +3,7 @@ order, exactness properties, and the adjointness identity that pins the
 sign conventions, before the oracle is trusted anywhere else."""
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -120,8 +121,10 @@ def test_batch_of_no_names_is_empty_and_repeats_are_computed_once(monkeypatch):
     gf = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
     assert O.fd_operators((), gf) == {}
     calls = []
-    rough = O._op_rough_laplacian
-    monkeypatch.setattr(O, "_op_rough_laplacian", lambda *a: calls.append(1) or rough(*a))
+    sweep = O._slab_sweep
+    # one thread: one slab, so one sweep per batch that needs one
+    monkeypatch.setattr(O, "fd_threads", lambda: 1)
+    monkeypatch.setattr(O, "_slab_sweep", lambda *a: calls.append(1) or sweep(*a))
     names = ("linearized_ricci", "rough_laplacian", "lichnerowicz", "rough_laplacian")
     out = O.fd_operators(names, gf)
     assert list(out) == ["linearized_ricci", "rough_laplacian", "lichnerowicz"]
@@ -499,9 +502,47 @@ def test_batch_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
         assert np.array_equal(O._partial(cut, a, f, cfg), roll_partial(cut, a, f, cfg)), a
 
 
+def subsets(ops):
+    """Every non-empty subset of ops, each in the order of ops."""
+    return [s for k in range(1, len(ops) + 1) for s in itertools.combinations(ops, k)]
+
+
+# n_r 8 stays serial at any thread count; at order 2, n_r 48 takes slabs at
+# 2 and 3 threads; at order 4, n_r 64 takes them at 2 threads (3 fall back
+# to 2) and n_r 96 at 3 threads
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_slabs_equal_the_roll_stencils_and_one_thread_bit_for_bit(monkeypatch, dim, rank, order):
+    """Every subset of the operators a rank admits, at 1, 2 and 3 threads:
+    each output equals the np.roll stencils, equals the one-thread batch
+    byte for byte, and starts on a 64-byte boundary."""
+    cfg = O.StencilConfig(order=order)
+    sizes = (8, 48) if order == 2 else (8, 64) + ((96,) if dim == 1 else ())
+    for n_r in sizes:
+        shape = (n_r,) + (8,) * dim + (dim + 1,) * rank
+        comps = np.random.default_rng(n_r + 10 * dim + rank).standard_normal(shape)
+        f = O.GridField((0.0, 6.0), n_r, (1.0, 1.3, 1.7)[:dim], (8,) * dim, rank, comps)
+        want = roll_operators(f, cfg)
+        stencil = tuple(op for op in want if op != "lichnerowicz")
+        once = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(O, "fd_threads", lambda: threads)
+            most = 1 if n_r == 8 else 3 if order == 2 or n_r == 96 else 2
+            assert O._slab_plan(stencil, f, cfg)[0] == min(threads, most)
+            for names in subsets(sorted(want)):
+                got = O.fd_operators(names, f, cfg)
+                for op in names:
+                    comps = got[op].components
+                    assert comps.ctypes.data % 64 == 0, (threads, names, op)
+                    assert np.array_equal(comps, want[op]), (threads, names, op)
+                    assert once.setdefault((names, op), comps.tobytes()) == comps.tobytes(), \
+                        (threads, names, op)
+
+
 # the smallest grids on which a lone sweep op takes the slab path at two
-# threads: 4 slabs of 8 H = 8 order inner rows
-_SLAB_MIN = {2: 64, 4: 128}
+# threads: 4 slabs of 4 order rows
+_SLAB_MIN = {2: 32, 4: 64}
 
 
 @pytest.mark.parametrize("n_r, lengths, n_x, order, rank", [
@@ -599,10 +640,11 @@ def test_an_exception_in_one_slab_reaches_the_caller_with_its_type(monkeypatch):
         return partial(*args, **kwargs)
 
     done = []
-    fill = O._fill_slab
-    monkeypatch.setattr(O, "_fill_slab", lambda *args: fill(*args) or done.append(args[-2:]))
+    slab = O._slab
+    monkeypatch.setattr(O, "_slab", lambda *args: slab(*args) or done.append(args[-2:]))
     f, cfg = slab_field(0), O.StencilConfig(order=2)
     monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    # 2 slabs of 64 rows would hold more scratch than the serial batch
     assert O._slab_plan(("linearized_ricci",), f, cfg) == (2, 4)
     monkeypatch.setattr(O, "_partial", fail_once)
     with pytest.raises(SlabFailure, match="planted"):
@@ -627,6 +669,7 @@ def test_concurrent_batches_equal_the_serial_batch(monkeypatch):
     monkeypatch.setattr(O, "fd_threads", lambda: 1)
     want = [O.fd_operators(names, f, cfg) for f in fields]
     monkeypatch.setattr(O, "fd_threads", lambda: 8)
+    # 8 slabs of 32 rows would hold more scratch than the serial batch
     assert O._slab_plan(("linearized_ricci",), fields[0], cfg) == (8, 16)
     start = threading.Barrier(2)
     got = [None, None]
@@ -652,6 +695,28 @@ def test_concurrent_batches_equal_the_serial_batch(monkeypatch):
         for op in names:
             assert np.array_equal(batch[op].components, serial[op].components), op
         assert np.array_equal(single.components, serial["linearized_ricci"].components)
+
+
+def test_only_the_calling_thread_allocates_the_batch_buffers(monkeypatch):
+    """The outputs and every thread's scratch set come from _empty, called
+    on the thread that called fd_operators, while the pool threads run the
+    slabs."""
+    callers, allocators, slabbers = set(), set(), set()
+    empty, slab = O._empty, O._slab
+    monkeypatch.setattr(O, "_empty", lambda n: allocators.add(threading.get_ident()) or empty(n))
+    monkeypatch.setattr(O, "_slab", lambda *a: slabbers.add(threading.get_ident()) or slab(*a))
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    cfg = O.StencilConfig(order=2)
+    rank2 = slab_field(3)
+    rank1 = rank2.with_components(rank2.components[..., 0].copy(), rank=1)
+    for f, names in ((rank2, ("divergence", "rough_laplacian", "trace_hessian",
+                              "linearized_ricci")),
+                     (rank1, ("sym_grad", "divergence"))):
+        assert O._slab_plan(names, f, cfg)[0] == 2
+        within_timeout(lambda: callers.add(threading.get_ident())
+                       or O.fd_operators(names + ("lichnerowicz",) * (f.rank == 2), f, cfg))
+    assert allocators == callers
+    assert slabbers and not slabbers & callers
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -780,6 +845,7 @@ def test_curvature_memory_stays_near_the_input_size(monkeypatch):
         finally:
             tracemalloc.stop()
 
+    monkeypatch.setattr(O, "fd_threads", lambda: 1)
     assert peak_ratio(lambda: O.fd_operator("lichnerowicz", f, cfg)) <= 8.0
     assert peak_ratio(lambda: O.nonlinear_ricci(flat, cfg)) <= 6.0
     assert peak_ratio(lambda: O.fd_operator("rough_laplacian", f, cfg)) <= 4.5
@@ -787,21 +853,27 @@ def test_curvature_memory_stays_near_the_input_size(monkeypatch):
     three = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
     assert peak_ratio(lambda: O.fd_operators(three, f, cfg)) <= 5.5
 
-    # kernel-roundtrip's grid takes the slab path at two threads: the
-    # outputs plus the slabs in flight peak no higher than the serial batch
+    # validate-cli's grid (above) and kernel-roundtrip's take the slab path
+    # at two threads: the outputs plus one scratch set per thread peak no
+    # higher than the serial batch.  Serial, 64x8^3 at order 4 reads 4.05x,
+    # 4.30x and 4.30x; on 4 slabs, 3.05x, 3.07x and 3.57x
+    def slab_peaks():
+        peaks = {}
+        for names in (("rough_laplacian",), ("linearized_ricci",), three):
+            monkeypatch.setattr(O, "fd_threads", lambda: 1)
+            serial = peak_ratio(lambda: O.fd_operators(names, f, cfg))
+            monkeypatch.setattr(O, "fd_threads", lambda: 2)
+            assert O._slab_plan(names[-2:], f, cfg) == (2, 4)
+            peaks[names] = peak_ratio(lambda: O.fd_operators(names, f, cfg))
+            assert peaks[names] <= serial <= 4.5, names
+        # the scratch sets are traced: one output alone is 1.0x
+        assert peaks[("linearized_ricci",)] > 2.0
+
+    slab_peaks()
     comps = np.random.default_rng(1).standard_normal((128, 24, 24, 3, 3))
     f = O.GridField((0.0, 6.0), 128, (2 * math.pi,) * 2, (24, 24), 2, comps)
     cfg = O.StencilConfig(order=2)
-    peaks = {}
-    for names, stencil in ((("linearized_ricci",),) * 2, (three, three[1:])):
-        monkeypatch.setattr(O, "fd_threads", lambda: 1)
-        serial = peak_ratio(lambda: O.fd_operators(names, f, cfg))
-        monkeypatch.setattr(O, "fd_threads", lambda: 2)
-        assert O._slab_plan(stencil, f, cfg)[0] == 2
-        peaks[names] = peak_ratio(lambda: O.fd_operators(names, f, cfg))
-        assert peaks[names] <= serial <= 4.5, names
-    # tracemalloc sees the pool threads' arrays: one output alone is 1.0x
-    assert peaks[("linearized_ricci",)] > 2.0
+    slab_peaks()
 
 
 def test_interior_of_a_grid_without_a_band_is_rejected():
@@ -809,6 +881,21 @@ def test_interior_of_a_grid_without_a_band_is_rejected():
     with pytest.raises(InvalidInput, match="INTERIOR_TRIM"):
         O.interior_sup(O.sample(smooth_rank2(), (0.0, 6.0), n_r, 8))
     assert O.sample(smooth_rank2(), (0.0, 6.0), n_r + 1, 8).interior().shape[0] == 1
+
+
+@pytest.mark.parametrize("special", [
+    (), (np.nan,), (-0.0,), (0.0, -0.0), (np.inf,), (-np.inf,), (np.inf, -np.inf),
+    (np.nan, np.inf), (-np.inf, np.nan), (-0.0, np.nan),
+], ids=repr)
+def test_interior_sup_equals_the_max_of_abs(special):
+    base = np.random.default_rng(len(special)).standard_normal((16, 8))
+    for fill in (base, np.zeros_like(base), -np.zeros_like(base), -np.abs(base)):
+        comps = fill.copy()
+        # the special values inside the interior band, where the sup is read
+        comps[O.INTERIOR_TRIM, :len(special)] = special
+        f = O.GridField((0.0, 1.0), 16, (1.0,), (8,), 0, comps)
+        want = float(np.max(np.abs(f.interior())))
+        assert repr(O.interior_sup(f)) == repr(want), (fill[0, 0], special)
 
 
 # -- quadratic remainder ----------------------------------------------------
