@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,6 +42,96 @@ MAX_SCALAR_ENTRIES = int(2e8)
 # nodes trimmed from each radial end when reporting interior residuals;
 # wide enough for any composed order-4 stencil to be fully centered
 INTERIOR_TRIM = 5
+
+
+# ---------------------------------------------------------------------------
+# buffers
+# ---------------------------------------------------------------------------
+#
+# Every grid field this module returns, and every batch's scratch, comes
+# from _empty: the batches' outputs, sample, GridField arithmetic,
+# flat_metric_grid and nonlinear_ricci.  A fresh buffer takes minor page
+# faults when it is first written, which makes filling it about three
+# times slower than refilling one that is already mapped, so _empty keeps
+# the buffers it made and hands each out again once no array refers to it.
+
+# a flat buffer carved into views starts each one on this many float64
+# entries: 64 bytes
+_ALIGN = 8
+
+
+def _refcounts(buffers) -> list:
+    return [sys.getrefcount(raw) for raw in buffers]
+
+
+# what _refcounts reads for a buffer that only its list refers to
+_IDLE = _refcounts([np.empty(0)])[0]
+
+
+class _Recycler:
+    """Flat float64 buffers, each handed out again once the reference
+    count of its owning array is down to the recycler's own: a view, and
+    every array derived from one, refers to that owner.  A request takes
+    the smallest idle buffer that holds it, else a fresh one.  Idle
+    buffers are dropped, least recently handed out first, while they hold
+    more bytes than the most seen in use at once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.owned = []  # owning arrays, least recently handed out first
+        self.peak = 0  # the most bytes in use at once
+
+    def take(self, entries: int) -> np.ndarray:
+        with self.lock:
+            idle = [n == _IDLE for n in _refcounts(self.owned)]
+            fits = [(raw.size, i) for i, raw in enumerate(self.owned)
+                    if idle[i] and raw.size - _ALIGN + 1 >= entries]
+            if fits:
+                i = min(fits)[1]
+                raw = self.owned.pop(i)
+                del idle[i]
+            else:
+                raw = np.empty(entries + _ALIGN - 1)
+            busy = raw.nbytes + sum(b.nbytes for b, free in zip(self.owned, idle) if not free)
+            self.peak = max(self.peak, busy)
+            spare = sum(b.nbytes for b, free in zip(self.owned, idle) if free) - self.peak
+            kept = []
+            for b, free in zip(self.owned, idle):
+                if free and spare > 0:
+                    spare -= b.nbytes
+                else:
+                    kept.append(b)
+            self.owned = kept + [raw]
+            skip = -raw.ctypes.data % (8 * _ALIGN) // 8
+            return raw[skip:skip + entries]
+
+
+_recycler = _Recycler()
+
+
+def _empty(entries: int) -> np.ndarray:
+    """A flat float64 buffer of the given entries starting on a 64-byte
+    boundary, so that the stencils' speed does not follow where the heap
+    placed it.  It comes from the calling thread, never from a pool
+    thread of a batch."""
+    return _recycler.take(entries)
+
+
+def _array(shape) -> np.ndarray:
+    return _empty(math.prod(shape)).reshape(shape)
+
+
+def _forget_buffers():
+    """Start with an empty recycler; an array in use keeps its buffer.  A
+    forked child does so too, since a thread it does not have may have
+    held the lock."""
+    global _recycler
+    _recycler = _Recycler()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_buffers)
+
 
 @dataclass(frozen=True)
 class StencilConfig:
@@ -124,14 +215,17 @@ class GridField:
 
     def __add__(self, other: "GridField") -> "GridField":
         self._check_compatible(other)
-        return self.with_components(self.components + other.components)
+        return self.with_components(np.add(self.components, other.components,
+                                           out=_array(self.components.shape)))
 
     def __sub__(self, other: "GridField") -> "GridField":
         self._check_compatible(other)
-        return self.with_components(self.components - other.components)
+        return self.with_components(np.subtract(self.components, other.components,
+                                                out=_array(self.components.shape)))
 
     def scale(self, c: float) -> "GridField":
-        return self.with_components(self.components * float(c))
+        return self.with_components(np.multiply(self.components, float(c),
+                                                out=_array(self.components.shape)))
 
     def _check_compatible(self, other):
         same = (self.r_range == other.r_range and self.n_r == other.n_r
@@ -183,7 +277,7 @@ def sample(field: TensorField, r_range, n_r, n_x) -> GridField:
     probe = GridField(tuple(r_range), int(n_r), field.cs.side_lengths, n_x,
                       field.rank, np.broadcast_to(0.0, shape))
     mesh = np.stack(np.meshgrid(*probe.x_nodes(), indexing="ij"), axis=-1)
-    return probe.with_components(field.evaluate(probe.r_nodes(), mesh))
+    return probe.with_components(field.evaluate(probe.r_nodes(), mesh, out=_array(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +445,10 @@ _SWEEP_OPS = {"rough_laplacian", "linearized_ricci"}
 # every slab has at least this many rows per stencil order, so the halo
 # rows a slab recomputes stay a small share of its work
 _SLAB_ROWS_PER_ORDER = 4
-# a flat buffer carved into views starts each one on this many float64
-# entries: 64 bytes
-_ALIGN = 8
 
 
 def _pad(entries: int) -> int:
     return -(-entries // _ALIGN) * _ALIGN
-
-
-def _empty(entries: int) -> np.ndarray:
-    """A flat float64 buffer of the given entries starting on a 64-byte
-    boundary, so that the stencils' speed does not follow where the heap
-    placed it.  Every output and scratch set of a batch comes from here,
-    on the calling thread."""
-    raw = np.empty(entries + _ALIGN - 1)
-    skip = -raw.ctypes.data % (8 * _ALIGN) // 8
-    return raw[skip:skip + entries]
 
 
 class _Carve:
@@ -581,10 +662,7 @@ def _run_slabs(names, f: GridField, cfg: StencilConfig) -> dict:
     slab has finished before this returns, and the first exception a
     thread raised is raised here."""
     threads, slabs = _slab_plan(names, f, cfg)
-    out = {}
-    for op in names:
-        shape = (f.n_r, *f.n_x) + (f.dim + 1,) * _RANKS[op](f.rank)
-        out[op] = _empty(math.prod(shape)).reshape(shape)
+    out = {op: _array((f.n_r, *f.n_x) + (f.dim + 1,) * _RANKS[op](f.rank)) for op in names}
     size = _scratch_entries(names, f, cfg, -(-f.n_r // slabs))
     block = _empty(threads * size)
     cuts = [f.n_r * k // slabs for k in range(slabs + 1)]
@@ -621,7 +699,7 @@ def _background_curvature(f: GridField, cfg: StencilConfig):
 
 def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: np.ndarray) -> np.ndarray:
     ric, riem = _background_curvature(f, cfg)
-    out = _empty(rough.size).reshape(rough.shape)
+    out = _array(rough.shape)
     if not riem.any():
         # flat background: the coupling vanishes; copy, since a batch may
         # also return the rough Laplacian itself
@@ -729,14 +807,17 @@ def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridF
     term3 = np.einsum("...l,...lij->...ij", tr, gamma)
     term4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
     ric = term1 - term2 + term3 - term4
-    return g.with_components(np.broadcast_to(ric, g.components.shape).copy())
+    out = _array(g.components.shape)
+    np.copyto(out, ric)
+    return g.with_components(out)
 
 
 def flat_metric_grid(template: GridField) -> GridField:
     """Product-metric components on the same lattice as the template."""
     D = template.dim + 1
-    shape = (template.n_r, *template.n_x, D, D)
-    return template.with_components(np.broadcast_to(np.eye(D), shape).copy(), rank=2)
+    out = _array((template.n_r, *template.n_x, D, D))
+    np.copyto(out, np.eye(D))
+    return template.with_components(out, rank=2)
 
 
 # ---------------------------------------------------------------------------

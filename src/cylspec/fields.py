@@ -141,10 +141,11 @@ class TensorField:
                 out._accumulate(mode_key, prof_key, C)
         return out
 
-    def evaluate(self, r, xs) -> np.ndarray:
+    def evaluate(self, r, xs, out=None) -> np.ndarray:
         """Sample on a product grid: r shape (nr,), xs shape (..., d).
 
-        Returns shape (nr, ..., (d+1)^rank tensor axes).
+        Returns shape (nr, ..., (d+1)^rank tensor axes): out, when given,
+        a C-contiguous float64 array of that shape.
 
         The sum separates into two small tables over the M sorted modes: a
         trig table T[s, m] = trig_m(omega_m . x_s) over the points and a
@@ -158,6 +159,10 @@ class TensorField:
             raise InvalidInput("xs last axis must have length dim")
         space_shape = xs.shape[:-1]
         ncomp = (d + 1) ** self.rank
+        shape = r.shape + space_shape + self._shape()
+        if out is not None and (out.shape != shape or out.dtype != np.float64
+                                or not out.flags.c_contiguous):
+            raise InvalidInput(f"out must be a C-contiguous float64 array of shape {shape}")
         keys = sorted(self.data)
 
         # trig table: one column per (freq, phase)
@@ -174,7 +179,10 @@ class TensorField:
             powers, rates, coeffs = _term_table(self.data[key])
             radial[:, m] = (rr**powers * np.exp(rr * rates)) @ coeffs
 
-        return (trig @ radial).reshape(r.shape + space_shape + self._shape())
+        if out is None:
+            return (trig @ radial).reshape(shape)
+        np.matmul(trig, radial, out=out.reshape(r.size, len(trig), ncomp))
+        return out
 
     def __repr__(self):
         nmodes = len(self.data)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -719,6 +720,122 @@ def test_only_the_calling_thread_allocates_the_batch_buffers(monkeypatch):
     assert slabbers and not slabbers & callers
 
 
+# -- recycled buffers -------------------------------------------------------
+
+
+def every_recycled_array(f, cfg):
+    """One of each array the recycler hands out, by name, for a rank-2
+    grid field f sampled from smooth_rank2()."""
+    ops = O.fd_operators(("lichnerowicz", "rough_laplacian", "linearized_ricci", "divergence",
+                          "trace_hessian"), f, cfg)
+    flat = O.flat_metric_grid(f)
+    got = {op: g.components for op, g in ops.items()}
+    got["sum"] = (f + ops["rough_laplacian"]).components
+    got["difference"] = (f - ops["rough_laplacian"]).components
+    got["scale"] = f.scale(0.1).components
+    got["flat"] = flat.components
+    got["ricci"] = O.nonlinear_ricci(flat + f.scale(0.1), cfg).components
+    got["sample"] = O.sample(smooth_rank2(), f.r_range, f.n_r, f.n_x).components
+    return got
+
+
+def recycled_case(n_r=48):
+    return O.sample(smooth_rank2(), (0.5, 4.0), n_r, 8), O.StencilConfig(order=4)
+
+
+def recycled_bytes(case):
+    return {name: a.tobytes() for name, a in every_recycled_array(*case).items()}
+
+
+def test_recycled_arrays_equal_fresh_ones_bit_for_bit_and_are_aligned(monkeypatch):
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    f, cfg = recycled_case()
+    O._forget_buffers()
+    fresh = recycled_bytes((f, cfg))
+    for _ in range(2):
+        got = every_recycled_array(f, cfg)
+        assert {name: a.tobytes() for name, a in got.items()} == fresh
+        assert all(a.ctypes.data % 64 == 0 for a in got.values())
+        for a in got.values():  # the next round's buffers hold junk
+            a.fill(np.nan)
+        del got
+
+
+def test_a_buffer_that_a_live_view_shares_is_never_handed_out(monkeypatch):
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    f, cfg = recycled_case()
+    O._forget_buffers()
+    kept = O.fd_operator("linearized_ricci", f, cfg).components[5:7, ..., 1, 0]
+    want = kept.copy()
+    for _ in range(3):
+        got = every_recycled_array(f, cfg)
+        assert not any(np.shares_memory(kept, a) for a in got.values())
+        del got
+    assert np.array_equal(kept, want)
+    # once no array refers to it, the buffer is handed out again
+    owner = weakref.ref(kept.base)
+    del kept
+    assert O.fd_operator("linearized_ricci", f, cfg).components.base is owner()
+
+
+def test_user_threads_recycling_at_once_get_the_serial_results(monkeypatch):
+    """Three callers (more than a small host has CPUs), each on a batch
+    pool of two threads, with the interpreter switching threads as often
+    as it can: a buffer handed to two callers at once would leave some
+    array unequal to the serial one."""
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    cases = [recycled_case(n_r) for n_r in (48, 56, 64)]
+    want = [recycled_bytes(case) for case in cases]
+    start = threading.Barrier(len(cases))
+    got = [[] for _ in cases]
+
+    def run(i):
+        start.wait(SLAB_TIMEOUT_S)
+        for _ in range(3):
+            got[i].append(recycled_bytes(cases[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cases))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(SLAB_TIMEOUT_S)
+            assert not t.is_alive(), f"no result within {SLAB_TIMEOUT_S} s"
+    finally:
+        sys.setswitchinterval(interval)
+    for rounds, serial in zip(got, want):
+        assert rounds == [serial] * 3
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_warm_recycler_maps_no_new_buffer_for_a_repeated_item(monkeypatch, threads):
+    """sample and the batch of three, each result held through the next
+    item as a caller checking it would: after two items every buffer is
+    one the recycler already has, and its pages are already mapped."""
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(O, "fd_threads", lambda: threads)
+    field, cfg = smooth_rank2(), O.StencilConfig(order=4)
+    names = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
+
+    def item():
+        grid = O.sample(field, (0.5, 4.0), 64, 16)
+        return grid, O.fd_operators(names, grid, cfg)
+
+    O._forget_buffers()
+    kept = item()
+    kept = item()
+    owned = [weakref.ref(raw) for raw in O._recycler.owned]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        kept = item()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    assert sorted(map(id, O._recycler.owned)) == sorted(id(ref()) for ref in owned)
+    # fresh buffers would map every page of four grids per item
+    assert faults < kept[0].components.nbytes / 4096
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_zero_signs_match_the_roll_stencils(order):
     # nodes whose every component is -0.0: np.trace sums such a diagonal to
@@ -837,6 +954,8 @@ def test_curvature_memory_stays_near_the_input_size(monkeypatch):
     flat = O.flat_metric_grid(f)
 
     def peak_ratio(run):
+        # from an empty recycler, so that every buffer run takes is traced
+        O._forget_buffers()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -391,6 +391,21 @@ def test_evaluate_matches_term_sum_in_any_layout(case):
     assert field.evaluate(r, xs).tobytes() == vals.tobytes()
     shuffled = _field_from_terms(cs, rank, [terms[i] for i in order])
     assert shuffled.evaluate(r, xs).tobytes() == vals.tobytes()
+    # written into a given array, the same bytes
+    out = np.full(vals.shape, np.nan)
+    assert field.evaluate(r, xs, out=out) is out
+    assert out.tobytes() == vals.tobytes()
+
+
+def test_evaluate_rejects_an_out_it_cannot_write_whole():
+    w = F.pair_one_form(
+        CS, PHI, RadialProfile.monomial(2.0, 1, -0.3), RadialProfile.monomial(-1.5, 0, 0.2)
+    )
+    r, xs = np.linspace(0.0, 2.0, 4), np.zeros((5, 3))
+    for out in (np.empty((4, 5, 3)), np.empty((4, 5, 4), dtype=np.float32),
+                np.empty((4, 5, 8))[..., ::2]):
+        with pytest.raises(InvalidInput, match=r"out must be .* shape \(4, 5, 4\)"):
+            w.evaluate(r, xs, out=out)
 
 
 def test_field_scaling_and_pruning():
