@@ -45,10 +45,7 @@ from .errors import CertificateFailure, CylspecError, InvalidInput
 from .fd_oracle import (
     StencilConfig,
     fd_operator,
-    fd_operators,
-    flat_metric_grid,
     interior_sup,
-    nonlinear_ricci,
     quadratic_remainder_scan,
     sample,
 )
@@ -501,17 +498,12 @@ def _task_spectrum(cfg: JobConfig, rng) -> tuple:
             }
             for m in spectrum.modes
         ]
-    eigen_sorted = all(
-        all(a["eigenvalue"] <= b["eigenvalue"] + 1e-15 for a, b in zip(ms, ms[1:]))
-        for ms in kinds.values()
-    )
     payload = {
         "mu1": cs.smallest_positive_eigenvalue(),
         "counts": {kind: len(ms) for kind, ms in kinds.items()},
         "kinds": kinds,
     }
-    certs = [_cert("eigenvalues-nondecreasing", 1.0 if eigen_sorted else 0.0, ">=", 1.0)]
-    return payload, certs
+    return payload, []
 
 
 def _random_gauge_image(cs: TorusCrossSection, rng, n_modes: int) -> TensorField:
@@ -634,8 +626,7 @@ def _task_three_circles(cfg: JobConfig, rng) -> tuple:
                 "values": list(res.values),
             }
         )
-        name = "three-circles({},{},{})".format(*triple)
-        certs.append(_cert(name, res.slack, ">=", 1.0))
+        certs.append(_cert("three-circles({},{},{})".format(*triple), res.slack, ">=", 1.0))
     offsets = list(range(0, t_max + 1))
     series = TubeNormSeries.from_field(h, task["L"], offsets)
     payload = {
@@ -667,14 +658,7 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     scale = max(1.0, interior_sup(grid_probe))
     # every grid but the probe is dropped once its value is read, so that
     # no stage holds the grids of an earlier one
-    ops = fd_operators(("lichnerowicz", "rough_laplacian", "linearized_ricci"),
-                       grid_probe, stencil)
-    kernel_ricci = interior_sup(ops.pop("linearized_ricci")) / scale
-    identity = interior_sup(ops.pop("lichnerowicz") - ops.pop("rough_laplacian")) / scale
-    certs.append(_cert("lichnerowicz-rough-identity", identity, "<=", 1e-13))
-
-    flat_ricci = interior_sup(nonlinear_ricci(flat_metric_grid(grid_probe), stencil))
-    certs.append(_cert("flat-ricci-sup", flat_ricci, "<=", 1e-11))
+    kernel_ricci = interior_sup(fd_operator("linearized_ricci", grid_probe, stencil)) / scale
 
     source = _random_gauge_image(cs, rng, n_modes=4)
     gauge = solve_gauge(source, DivergenceConfig(tau=0.0))

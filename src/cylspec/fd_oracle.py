@@ -423,8 +423,8 @@ def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) ->
 # the grid's ends.  Every value is then the serial value, bit for bit.
 #
 # The calling thread allocates every buffer (_empty) before any slab
-# starts: the outputs and one scratch set per thread, which that thread
-# reuses for each slab it takes.  Each unit of a slab (the sweep, the
+# starts: one scratch set per thread, which that thread reuses for each
+# slab it takes, then the outputs.  Each unit of a slab (the sweep, the
 # divergence, the symmetrized gradient, the trace Hessian) carves its
 # private buffers from the front of the set, in the order _scratch_entries
 # counts them.  One slab on one thread is the serial batch.
@@ -662,9 +662,10 @@ def _run_slabs(names, f: GridField, cfg: StencilConfig) -> dict:
     slab has finished before this returns, and the first exception a
     thread raised is raised here."""
     threads, slabs = _slab_plan(names, f, cfg)
-    out = {op: _array((f.n_r, *f.n_x) + (f.dim + 1,) * _RANKS[op](f.rank)) for op in names}
     size = _scratch_entries(names, f, cfg, -(-f.n_r // slabs))
+    # scratch first: it is the larger request, and best fit would give an output its buffer
     block = _empty(threads * size)
+    out = {op: _array((f.n_r, *f.n_x) + (f.dim + 1,) * _RANKS[op](f.rank)) for op in names}
     cuts = [f.n_r * k // slabs for k in range(slabs + 1)]
     # one shared iterator over built-in lists: each next() is atomic
     todo = iter(list(zip(cuts, cuts[1:])))

@@ -366,14 +366,6 @@ def test_main_three_circles_rejects_overflowing_fields(tmp_path, capsys, power, 
     assert message in capsys.readouterr().err
 
 
-def test_main_certificate_failure_exits_three(tmp_path, capsys):
-    cfg = tmp_path / "job.ini"
-    cfg.write_text("[task]\nname = solve-div\nresidual_tol = 1e-20\n")
-    code = cli.main(["solve-div", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 3
-    assert "FAIL gauge-residual" in capsys.readouterr().out
-
-
 def test_main_missing_mode_file_exits_two(tmp_path, capsys):
     code = cli.main(["kernel-classify", "--mode-file", str(tmp_path / "no.json"),
                      "--out", str(tmp_path)])
@@ -584,8 +576,8 @@ def test_bad_values_exit_two_naming_the_key(tmp_path, capsys, argv, ini, key):
     (["solve-deform", "--side-lengths", "inf,1,1"], "inf"),
 ], ids=["spectrum-nan", "solve-deform-inf"])
 def test_non_finite_side_lengths_exit_two_naming_the_length(tmp_path, capsys, argv, bad):
-    # NaN fails l <= 0 as it fails l > 0: spectrum used to exit 3 on
-    # eigenvalues-nondecreasing, and solve-deform to exit 0
+    # NaN fails l <= 0 as it fails l > 0: spectrum used to exit 3 on a
+    # certificate that its NaN eigenvalues failed, and solve-deform to exit 0
     code = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
@@ -682,16 +674,18 @@ def test_validate_writes_report_and_passes(tmp_path):
     )
     assert code == 0
     stored = json.loads(report.read_text())
-    names = [c["name"] for c in stored["checks"]]
-    assert "lichnerowicz-rough-identity" in names and "flat-ricci-sup" in names
+    checks = {c["name"]: c for c in stored["checks"]}
+    # both were zero on every input: FD partials of a constant metric
+    assert "lichnerowicz-rough-identity" not in checks and "flat-ricci-sup" not in checks
+    assert checks["gauge-divergence-fd"]["passed"] and checks["kernel-ricci-fd"]["passed"]
     assert all(c["passed"] for c in stored["checks"])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_validate_item_drops_each_grid_once_its_value_is_read(tmp_path, monkeypatch, threads):
     """The traced peak of one item of validate on 64x8^3, from an empty
-    recycler, is the FD batch with its input and scratch: 19.4 MB on two
-    threads, 22.7 MB on one.  With every stage's grids still live at the
+    recycler, is the FD batch with its input and scratch: 18.2 MB on two
+    threads, 23.3 MB on one.  With every stage's grids still live at the
     divergence stage it read 28.5 and 29.6 MB."""
     monkeypatch.setattr(O, "fd_threads", lambda: threads)
     argv = ["validate", "--grid", "64x8", "--dim", "3", "--seed", "2", "--out", str(tmp_path)]
