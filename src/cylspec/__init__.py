@@ -46,7 +46,6 @@ from .fd_oracle import (
     GridField,
     StencilConfig,
     fd_operator,
-    fd_operators,
     nonlinear_ricci,
     quadratic_remainder_scan,
     sample,
@@ -97,7 +96,6 @@ __all__ = [
     "GridField",
     "StencilConfig",
     "fd_operator",
-    "fd_operators",
     "nonlinear_ricci",
     "quadratic_remainder_scan",
     "sample",

@@ -18,9 +18,10 @@ the order-epsilon terms of ``nonlinear_ricci(g0 + eps h)`` cancel against
 ``eps * linearized_ricci(h)`` to round-off and the measured remainder is
 genuinely quadratic.
 
-A batch of stencil operators runs on radial slabs across the CPUs the
-process may use; every value is the same, bit for bit (see
-``fd_operators``).
+The background is the product metric dr^2 + g_flat, whose Ric and Rm
+vanish, so the Lichnerowicz Laplacian is the rough Laplacian.  Each stencil
+operator runs on radial slabs across the CPUs the process may use; every
+value is the same, bit for bit (see ``fd_operator``).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ INTERIOR_TRIM = 5
 # buffers
 # ---------------------------------------------------------------------------
 #
-# Every grid field this module returns, and every batch's scratch, comes
-# from _empty: the batches' outputs, sample, GridField arithmetic,
+# Every grid field this module returns, and every operator's scratch, comes
+# from _empty: the operators' outputs, sample, GridField arithmetic,
 # flat_metric_grid and nonlinear_ricci.  A fresh buffer takes minor page
 # faults when it is first written, which makes filling it about three
 # times slower than refilling one that is already mapped, so _empty keeps
@@ -113,7 +114,7 @@ def _empty(entries: int) -> np.ndarray:
     """A flat float64 buffer of the given entries starting on a 64-byte
     boundary, so that the stencils' speed does not follow where the heap
     placed it.  It comes from the calling thread, never from a pool
-    thread of a batch."""
+    thread running slabs."""
     return _recycler.take(entries)
 
 
@@ -172,6 +173,10 @@ class GridField:
             raise InvalidInput("need at least 8 samples per direction")
         if len(self.n_x) != len(self.lengths):
             raise InvalidInput("one tangential sample count per side length")
+        if not all(map(math.isfinite, self.r_range)):
+            raise InvalidInput(f"r_range {self.r_range} must be finite")
+        if not all(math.isfinite(h * h) for h in self.spacings):
+            raise InvalidInput(f"a grid spacing squared is not finite: {self.spacings}")
         want = (self.n_r, *self.n_x) + (self.dim + 1,) * self.rank
         if self.components.shape != want:
             raise InvalidInput(f"component array shape {self.components.shape}, expected {want}")
@@ -413,35 +418,22 @@ def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) ->
 # operators on radial slabs
 # ---------------------------------------------------------------------------
 #
-# Every batch of stencil operators runs as slabs: ranges [lo, hi) of global
-# radial rows, each computing those rows of every named operator straight
-# into its full-size output.  The radial partial reads whatever rows of its
-# source it needs, so the input c is read in place.  Only intermediates that
-# a later radial partial reads are private and carry a halo: the sweep's
+# Every stencil operator runs as slabs: ranges [lo, hi) of global radial
+# rows, each computing those rows of the operator straight into its
+# full-size output.  The radial partial reads whatever rows of its source
+# it needs, so the input c is read in place.  Only intermediates that a
+# later radial partial reads are private and carry a halo: the sweep's
 # first partial d1 and the divergence taken from it (order/2 rows on each
 # side), the trace (order rows) and its gradient (order/2 rows), clipped at
 # the grid's ends.  Every value is then the serial value, bit for bit.
 #
 # The calling thread allocates every buffer (_empty) before any slab
 # starts: one scratch set per thread, which that thread reuses for each
-# slab it takes, then the outputs.  Each unit of a slab (the sweep, the
+# slab it takes, then the output.  The operator's unit (the sweep, the
 # divergence, the symmetrized gradient, the trace Hessian) carves its
 # private buffers from the front of the set, in the order _scratch_entries
-# counts them.  One slab on one thread is the serial batch.
+# counts them.  One slab on one thread is the serial run.
 
-# operator -> result rank for an input rank, None where the operator does
-# not take that rank.  lichnerowicz is pointwise in the rough Laplacian, so
-# fd_operators runs it on the whole grid once the stencils are done.
-_RANKS = {
-    "divergence": lambda rank: rank - 1 if rank >= 1 else None,
-    "sym_grad": lambda rank: 2 if rank == 1 else None,
-    "rough_laplacian": lambda rank: rank,
-    "trace_hessian": lambda rank: 2 if rank == 2 else None,
-    "linearized_ricci": lambda rank: 2 if rank == 2 else None,
-    "lichnerowicz": lambda rank: 2 if rank == 2 else None,
-}
-# the operators that run the sweep of second partials
-_SWEEP_OPS = {"rough_laplacian", "linearized_ricci"}
 # every slab has at least this many rows per stencil order, so the halo
 # rows a slab recomputes stay a small share of its work
 _SLAB_ROWS_PER_ORDER = 4
@@ -470,11 +462,11 @@ def _halo(lo: int, hi: int, width: int, n: int) -> tuple:
     return max(lo - width, 0), min(hi + width, n)
 
 
-def _scratch_entries(names, f: GridField, cfg: StencilConfig, rows: int) -> int:
-    """Entries of the scratch set with which one thread runs slabs of at
-    most rows rows: the most that any unit of _slab carves from it.  Each
-    term counts one carve of a unit, in the unit's order; work, 8 * a
-    source at order 4, takes what is left."""
+def _scratch_entries(op: str, f: GridField, cfg: StencilConfig, rows: int) -> int:
+    """Entries of the scratch set with which one thread runs slabs of op of
+    at most rows rows: what the op's unit carves from it.  Each term counts
+    one carve, in the unit's order; work, 8 * a source at order 4, takes
+    what is left."""
     n, D, e = f.n_r, f.dim + 1, cfg.order // 2
     C = f.components[0].size  # entries of one row of c
     C1, C2 = C // D, C // D**2  # of one row of a component, of a scalar
@@ -487,38 +479,33 @@ def _scratch_entries(names, f: GridField, cfg: StencilConfig, rows: int) -> int:
         return (_pad(r2 * C2) + _pad(r1 * C1) + _pad(max(r1 * C2, rows * C1))
                 + max(work(r1, C2), work(rows, C1)))
 
-    needs = [0]
-    if "divergence" in names:
-        needs.append(_pad(r1 * C1) + _pad(rows * C1) + work(rows, C1))
-    if "sym_grad" in names:
-        needs.append(_pad(rows * C * D) + _pad(rows * C) + work(rows, C))
-    if "trace_hessian" in names:
-        needs.append(trace_hessian())
-    if _SWEEP_OPS.intersection(names):
-        lin = "linearized_ricci" in names
-        private = ("rough_laplacian" not in names) + (not lin)  # of total, term
-        tail = max(_pad(rows * C1) + work(rows, C1), trace_hessian()) if lin else 0
-        needs.append(_pad(r1 * C) + private * _pad(rows * C) + lin * _pad(r1 * C1)
-                     + max(work(r1, C), tail))
-    return max(needs)
+    if op == "divergence":
+        return _pad(r1 * C1) + _pad(rows * C1) + work(rows, C1)
+    if op == "sym_grad":
+        return _pad(rows * C * D) + _pad(rows * C) + work(rows, C)
+    if op == "trace_hessian":
+        return trace_hessian()
+    # the sweep: d1, then its private sum or term, then linearized_ricci's divergence
+    sweep = _pad(r1 * C) + _pad(rows * C)
+    if op != "linearized_ricci":
+        return sweep + work(r1, C)
+    tail = max(_pad(rows * C1) + work(rows, C1), trace_hessian())
+    return sweep + _pad(r1 * C1) + max(work(r1, C), tail)
 
 
-def _slab_sweep(names, f: GridField, cfg: StencilConfig, out: dict, scratch, lo, hi):
+def _slab_sweep(f: GridField, cfg: StencilConfig, out, scratch, lo, hi, lin=False):
     """Rows [lo, hi) of the rough Laplacian -sum_a d_a d_a c, one axis at a
-    time, and with linearized_ricci named, of (rough - (grad w + grad w^T)
-    - Hess tr) / 2.  w = -sum_a d_a c[..., a, :] is summed in order from
-    row a of each first partial d_a c: the stencil acts entry by entry, so
-    that row equals the partial of row a bit for bit, and no partial is
-    taken twice.  The sum and the term go straight into the outputs that
-    the batch names; the gradient of w and then the Hessian go into d1."""
+    time, or with lin of linearized_ricci, (rough - (grad w + grad w^T) -
+    Hess tr) / 2, into out.  w = -sum_a d_a c[..., a, :] is summed in order
+    from row a of each first partial d_a c: the stencil acts entry by entry,
+    so that row equals the partial of row a bit for bit, and no partial is
+    taken twice.  The sum, or with lin the term, goes straight into out;
+    the gradient of w and then the Hessian go into d1."""
     c = f.components
     a1, b1 = _halo(lo, hi, cfg.order // 2, f.n_r)
-    lin = "linearized_ricci" in names
     carve = _Carve(scratch)
     d1 = carve((b1 - a1,) + c.shape[1:])
-    shape = (hi - lo,) + c.shape[1:]
-    total = out["rough_laplacian"][lo:hi] if "rough_laplacian" in names else carve(shape)
-    term = out["linearized_ricci"][lo:hi] if lin else carve(shape)
+    total, term = (carve(out.shape), out) if lin else (out, carve(out.shape))
     div = carve((b1 - a1,) + c.shape[1:-1]) if lin else None
     work = carve.rest()
     for a in range(f.dim + 1):
@@ -536,7 +523,7 @@ def _slab_sweep(names, f: GridField, cfg: StencilConfig, out: dict, scratch, lo,
     if not lin:
         return
     np.negative(div, out=div)
-    grad = _cut(d1.reshape(-1), shape)
+    grad = _cut(d1.reshape(-1), out.shape)
     tail = _Carve(work)
     acc = tail((div[0].size * (hi - lo),))
     _gradient(div, f, cfg, -2, out=grad, work=tail.rest(), acc=acc, rows=(lo, hi), start=a1)
@@ -595,14 +582,29 @@ def _slab_sym_grad(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
     np.add(grad, np.swapaxes(grad, -1, -2), out=out)
 
 
-def _slab(names, f: GridField, cfg: StencilConfig, out: dict, scratch, lo: int, hi: int):
-    """Rows [lo, hi) of every named stencil operator of f, into out."""
-    if _SWEEP_OPS.intersection(names):
-        _slab_sweep(names, f, cfg, out, scratch, lo, hi)
-    for op, unit in (("divergence", _slab_divergence), ("sym_grad", _slab_sym_grad),
-                     ("trace_hessian", _slab_trace_hessian)):
-        if op in names:
-            unit(f, cfg, out[op][lo:hi], scratch, lo, hi)
+class _Op(NamedTuple):
+    rank: object  # input rank -> result rank, or None where op does not take it
+    unit: object  # unit(f, cfg, out, scratch, lo, hi): rows [lo, hi) into out
+
+
+def _rank_two(rank: int):
+    return 2 if rank == 2 else None
+
+
+# lichnerowicz runs the rough Laplacian's sweep (see the module docstring)
+_OPS = {
+    "divergence": _Op(lambda rank: rank - 1 if rank >= 1 else None, _slab_divergence),
+    "sym_grad": _Op(lambda rank: 2 if rank == 1 else None, _slab_sym_grad),
+    "rough_laplacian": _Op(lambda rank: rank, _slab_sweep),
+    "trace_hessian": _Op(_rank_two, _slab_trace_hessian),
+    "linearized_ricci": _Op(_rank_two, lambda *args: _slab_sweep(*args, lin=True)),
+    "lichnerowicz": _Op(_rank_two, _slab_sweep),
+}
+
+
+def _slab(op: str, f: GridField, cfg: StencilConfig, out, scratch, lo: int, hi: int):
+    """Rows [lo, hi) of the stencil operator op of f, into out."""
+    _OPS[op].unit(f, cfg, out[lo:hi], scratch, lo, hi)
 
 
 _pool = None
@@ -610,7 +612,7 @@ _pool_lock = threading.Lock()
 
 
 def fd_threads() -> int:
-    """The CPUs this process may run on: the most threads a batch uses.
+    """The CPUs this process may run on: the most threads an operator uses.
     Limit it with the process's CPU affinity (taskset)."""
     try:
         return len(os.sched_getaffinity(0))
@@ -619,7 +621,7 @@ def fd_threads() -> int:
 
 
 def _slab_pool():
-    """The one thread pool of the slabs, made on the first slab batch."""
+    """The one thread pool of the slabs, made on the first slabbed operator."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -638,41 +640,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _slab_plan(names, f: GridField, cfg: StencilConfig) -> tuple:
-    """(threads, slabs) for a batch of stencil operators; (1, 1) is serial.
+def _slab_plan(op: str, f: GridField, cfg: StencilConfig) -> tuple:
+    """(threads, slabs) for one stencil operator; (1, 1) is serial.
 
     The most threads, up to fd_threads(), and then the fewest slabs, a
     multiple of the threads so that each takes as many, such that every
     slab has at least _SLAB_ROWS_PER_ORDER * order rows and the scratch
-    sets in flight, one per thread, hold no more than the serial batch's
-    one.  The outputs are the same either way."""
+    sets in flight, one per thread, hold no more than the serial run's
+    one.  The output is the same either way."""
     n = f.n_r
     most = n // (_SLAB_ROWS_PER_ORDER * cfg.order)  # slabs
-    serial = _scratch_entries(names, f, cfg, n)
+    serial = _scratch_entries(op, f, cfg, n)
     for threads in range(min(fd_threads(), most), 1, -1):
         for slabs in range(threads, most + 1, threads):
-            if threads * _scratch_entries(names, f, cfg, -(-n // slabs)) <= serial:
+            if threads * _scratch_entries(op, f, cfg, -(-n // slabs)) <= serial:
                 return threads, slabs
     return 1, 1
 
 
-def _run_slabs(names, f: GridField, cfg: StencilConfig) -> dict:
-    """The named stencil operators of f, by name.  A single thread runs the
-    slabs itself; else that many pool threads take them in turn.  Every
-    slab has finished before this returns, and the first exception a
-    thread raised is raised here."""
-    threads, slabs = _slab_plan(names, f, cfg)
-    size = _scratch_entries(names, f, cfg, -(-f.n_r // slabs))
-    # scratch first: it is the larger request, and best fit would give an output its buffer
+def _run_slabs(op: str, f: GridField, cfg: StencilConfig) -> np.ndarray:
+    """The stencil operator op of f.  A single thread runs the slabs
+    itself; else that many pool threads take them in turn.  Every slab has
+    finished before this returns, and the first exception a thread raised
+    is raised here."""
+    threads, slabs = _slab_plan(op, f, cfg)
+    size = _scratch_entries(op, f, cfg, -(-f.n_r // slabs))
+    # scratch first: it is the larger request, and best fit would give the output its buffer
     block = _empty(threads * size)
-    out = {op: _array((f.n_r, *f.n_x) + (f.dim + 1,) * _RANKS[op](f.rank)) for op in names}
+    out = _array((f.n_r, *f.n_x) + (f.dim + 1,) * _OPS[op].rank(f.rank))
     cuts = [f.n_r * k // slabs for k in range(slabs + 1)]
     # one shared iterator over built-in lists: each next() is atomic
     todo = iter(list(zip(cuts, cuts[1:])))
 
     def drain(scratch):
         for lo, hi in todo:
-            _slab(names, f, cfg, out, scratch, lo, hi)
+            _slab(op, f, cfg, out, scratch, lo, hi)
 
     scratches = [block[i * size:(i + 1) * size] for i in range(threads)]
     if threads == 1:
@@ -686,65 +688,24 @@ def _run_slabs(names, f: GridField, cfg: StencilConfig) -> dict:
     return out
 
 
-def _background_curvature(f: GridField, cfg: StencilConfig):
-    """Ricci and Riemann of the product metric, computed (not assumed)
-    from FD Christoffel symbols of the constant identity components.
-    Every tangential axis is collapsed to length 1, so both arrays
-    broadcast against f.components."""
-    D = f.dim + 1
-    column = (f.n_r,) + (1,) * f.dim
-    gamma = _christoffel(np.broadcast_to(np.eye(D), column + (D, D)), f, cfg)
-    riem = _riemann_from_christoffel(gamma, f, cfg)
-    return np.einsum("...kikj->...ij", riem), riem
+def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
+    """The stencil operator op of one field.  The name and the field's rank
+    are checked before any stencil runs.
 
-
-def _op_lichnerowicz(f: GridField, cfg: StencilConfig, rough: np.ndarray) -> np.ndarray:
-    ric, riem = _background_curvature(f, cfg)
-    out = _array(rough.shape)
-    if not riem.any():
-        # flat background: the coupling vanishes; copy, since a batch may
-        # also return the rough Laplacian itself
-        np.copyto(out, rough)
-        return out
-    h = f.components
-    # the curvature arrays carry length-1 axes; unoptimized einsum is about
-    # ten times slower on such broadcast operands
-    coupling = np.einsum("...ik,...kj->...ij", ric, h, optimize=True)
-    coupling += np.einsum("...jk,...ik->...ij", ric, h, optimize=True)
-    coupling -= 2.0 * np.einsum("...ikjl,...kl->...ij", riem, h, optimize=True)
-    return np.add(coupling, rough, out=out)
-
-
-def fd_operators(names, f: GridField, cfg: StencilConfig = StencilConfig()) -> dict:
-    """The named operators of one field, keyed by name in the order first
-    named; a repeated name is computed once, and no names give {}.  Every
-    name and the field's rank are checked before any stencil runs.
-
-    rough_laplacian, lichnerowicz and linearized_ricci share one sweep of
+    rough_laplacian, lichnerowicz and linearized_ricci run one sweep of
     second partials.  linearized_ricci reads the divergence from the
     sweep's first partials and writes its tail into the sweep's buffers:
-    it takes 5 (d + 1) partials.  Every batch runs on radial slabs across
-    fd_threads() threads when the grid is large enough (see _slab_plan).
-    Every value equals the np.roll stencils summed left to right, bit for
-    bit, on slabs or not, except that lichnerowicz's copy of the rough
-    Laplacian on a flat background may differ from them in the sign of a
-    zero.  Every array starts on a 64-byte boundary."""
-    names = tuple(dict.fromkeys(names))
-    for op in names:
-        if op not in _RANKS:
-            raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_RANKS)}")
-        if _RANKS[op](f.rank) is None:
-            raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
-    stencil = tuple(dict.fromkeys("rough_laplacian" if op == "lichnerowicz" else op
-                                  for op in names))
-    arrays = _run_slabs(stencil, f, cfg) if stencil else {}
-    if "lichnerowicz" in names:
-        arrays["lichnerowicz"] = _op_lichnerowicz(f, cfg, arrays["rough_laplacian"])
-    return {op: f.with_components(arrays[op], rank=_RANKS[op](f.rank)) for op in names}
-
-
-def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
-    return fd_operators((op,), f, cfg)[op]
+    it takes 5 (d + 1) partials.  Every operator runs on radial slabs
+    across fd_threads() threads when the grid is large enough (see
+    _slab_plan).  Every value equals the np.roll stencils summed left to
+    right, bit for bit, on slabs or not, and the array starts on a 64-byte
+    boundary."""
+    if op not in _OPS:
+        raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_OPS)}")
+    rank = _OPS[op].rank(f.rank)
+    if rank is None:
+        raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
+    return f.with_components(_run_slabs(op, f, cfg), rank=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -773,16 +734,6 @@ def _christoffel(comps: np.ndarray, grid: GridField, cfg: StencilConfig) -> np.n
     # dg[..., l, i, j] = d_l g_{ij}
     low = 0.5 * (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
     return np.einsum("...kl,...lij->...kij", np.linalg.inv(comps), low)
-
-
-def _riemann_from_christoffel(gamma: np.ndarray, g: GridField, cfg: StencilConfig) -> np.ndarray:
-    """R^k_{lij} with component axes ordered (k, l, i, j)."""
-    dgamma = _gradient(gamma, g, cfg, -4)
-    # dgamma[..., a, k, i, j] = d_a Gamma^k_{ij}
-    return (np.einsum("...iklj->...klij", dgamma)
-            - np.einsum("...jkli->...klij", dgamma)
-            + np.einsum("...kim,...mjl->...klij", gamma, gamma)
-            - np.einsum("...kjm,...mil->...klij", gamma, gamma))
 
 
 def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
@@ -840,10 +791,10 @@ def quadratic_remainder_scan(h: GridField, eps_list,
     if h.rank != 2:
         raise InvalidInput("remainder scan needs a rank-2 perturbation")
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise InvalidInput("eps_list must contain positive values")
-    if sorted(eps_list, reverse=True) != eps_list:
-        raise InvalidInput("eps_list must be decreasing")
+    if len(eps_list) < 2 or not all(math.isfinite(e) and e > 0 for e in eps_list):
+        raise InvalidInput(f"eps_list {eps_list} must hold two or more finite positive values")
+    if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
+        raise InvalidInput(f"eps_list {eps_list} must be strictly decreasing")
     g0 = flat_metric_grid(h)
     linear = fd_operator("linearized_ricci", h, cfg)
     remainders = []

@@ -736,6 +736,23 @@ def test_validate_on_a_grid_without_an_interior_band_exits_two(tmp_path, capsys)
     assert "n_r = 10" in err and "INTERIOR_TRIM" in err
 
 
+@pytest.mark.parametrize("ini, message", [
+    ("[task]\nr_max = inf\n", "r_range (0.0, inf) must be finite"),
+    ("[task]\nr_max = 1e300\n", "squared is not finite"),
+    ("[task]\nremainder = true\neps_list = 0.1, nan\n", "eps_list [0.1, nan]"),
+], ids=["r-max-inf", "r-max-1e300", "eps-list-nan"])
+def test_validate_rejects_non_finite_grids_and_eps_lists(tmp_path, capsys, ini, message):
+    # r_max = inf exited 3 on two certificates, r_max = 1e300 exited 1 on an
+    # OverflowError, and a NaN eps exited 1 inside the remainder fit
+    cfg = tmp_path / "job.ini"
+    cfg.write_text(ini)
+    code = cli.main(["validate", "--grid", "48x8", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input: ") and message in err
+    assert not (tmp_path / "validate-envelope.json").exists()
+
+
 def test_validate_on_a_grid_below_eight_samples_exits_two(tmp_path, capsys):
     code = cli.main(["validate", "--grid", "1x12", "--out", str(tmp_path)])
     err = capsys.readouterr().err

@@ -3,7 +3,6 @@ order, exactness properties, and the adjointness identity that pins the
 sign conventions, before the oracle is trusted anywhere else."""
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -62,6 +61,13 @@ def test_grid_field_validation():
         O.GridField((0.0, 6.0), 8, (1.0,), (8,), 0, np.zeros((8, 9)))
     with pytest.raises(InvalidInput):
         O.GridField((6.0, 0.0), 8, (1.0,), (8,), 0, np.zeros((8, 8)))
+    # validate with r_max = inf exited 3 on an infinite spacing, and with
+    # r_max = 1e300 exited 1 on the overflow of its squared spacing
+    with pytest.raises(InvalidInput, match=r"r_range \(0.0, inf\) must be finite"):
+        O.GridField((0.0, math.inf), 8, (1.0,), (8,), 0, np.zeros((8, 8)))
+    for r_range, lengths in (((0.0, 1e300), (1.0,)), ((0.0, 6.0), (np.nan,))):
+        with pytest.raises(InvalidInput, match="squared is not finite"):
+            O.GridField(r_range, 8, lengths, (8,), 0, np.zeros((8, 8)))
 
 
 def test_memory_guard_trips_before_allocating():
@@ -92,48 +98,28 @@ def test_stencil_config_validation():
         O.fd_operator("curl", O.sample(F.metric_field(CS), (0, 6), 8, 8))
 
 
-# -- the operator batch -----------------------------------------------------
+# -- operator names and ranks -----------------------------------------------
 
 
-def test_batch_rejects_an_unknown_name_like_fd_operator():
+def test_an_unknown_operator_is_rejected_naming_every_known_one():
     gf = O.sample(F.metric_field(CS), (0, 6), 8, 8)
-    with pytest.raises(InvalidInput) as single:
+    with pytest.raises(InvalidInput) as err:
         O.fd_operator("curl", gf)
-    with pytest.raises(InvalidInput) as batch:
-        O.fd_operators(("rough_laplacian", "curl"), gf)
-    assert str(batch.value) == str(single.value)
+    assert str(err.value) == ("unknown operator 'curl'; expected one of ('divergence', "
+                              "'sym_grad', 'rough_laplacian', 'trace_hessian', "
+                              "'linearized_ricci', 'lichnerowicz')")
 
 
-def test_batch_checks_every_rank_before_any_stencil_runs(monkeypatch):
+def test_the_rank_is_checked_before_any_stencil_runs(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("a stencil ran before the rank check")
 
     monkeypatch.setattr(O, "_partial", refuse)
     rank2 = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
-    for names in (("rough_laplacian", "sym_grad"), ("divergence", "lichnerowicz", "sym_grad")):
-        with pytest.raises(InvalidInput, match="sym_grad"):
-            O.fd_operators(names, rank2)
     scalar = O.sample(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)), (0, 6), 16, 8)
-    with pytest.raises(InvalidInput, match="divergence"):
-        O.fd_operators(("rough_laplacian", "divergence"), scalar)
-
-
-def test_batch_of_no_names_is_empty_and_repeats_are_computed_once(monkeypatch):
-    gf = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
-    assert O.fd_operators((), gf) == {}
-    calls = []
-    sweep = O._slab_sweep
-    # one thread: one slab, so one sweep per batch that needs one
-    monkeypatch.setattr(O, "fd_threads", lambda: 1)
-    monkeypatch.setattr(O, "_slab_sweep", lambda *a: calls.append(1) or sweep(*a))
-    names = ("linearized_ricci", "rough_laplacian", "lichnerowicz", "rough_laplacian")
-    out = O.fd_operators(names, gf)
-    assert list(out) == ["linearized_ricci", "rough_laplacian", "lichnerowicz"]
-    assert len(calls) == 1
-    for op in out:
-        assert np.array_equal(out[op].components, O.fd_operator(op, gf).components)
-    assert list(O.fd_operators(("divergence",), gf)) == ["divergence"]
-    assert len(calls) == 4  # three single calls above, none for the divergence
+    for op, f in (("sym_grad", rank2), ("divergence", scalar), ("lichnerowicz", scalar)):
+        with pytest.raises(InvalidInput, match=f"{op} does not take a rank-{f.rank} field"):
+            O.fd_operator(op, f)
 
 
 def test_sample_zero_field():
@@ -230,23 +216,6 @@ def test_lichnerowicz_equals_rough_on_flat_background(order):
     lich = O.fd_operator("lichnerowicz", gf, cfg)
     rough = O.fd_operator("rough_laplacian", gf, cfg)
     assert np.max(np.abs(lich.components - rough.components)) == 0.0
-
-
-def test_lichnerowicz_skips_the_coupling_only_on_a_flat_background(monkeypatch):
-    gf = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
-    out = O.fd_operators(("rough_laplacian", "lichnerowicz"), gf)
-    lich, rough = out["lichnerowicz"].components, out["rough_laplacian"].components
-    assert np.array_equal(lich, rough) and not np.shares_memory(lich, rough)
-    # a curved background still runs the contraction
-    riem = np.random.default_rng(2).standard_normal((1,) * gf.grid_ndim + (3,) * 4)
-    ric = np.einsum("...kikj->...ij", riem)
-    monkeypatch.setattr(O, "_background_curvature", lambda f, cfg: (ric, riem))
-    c = gf.components
-    want = (rough + np.einsum("...ik,...kj->...ij", ric, c)
-            + np.einsum("...jk,...ik->...ij", ric, c)
-            - 2.0 * np.einsum("...ikjl,...kl->...ij", riem, c))
-    got = O.fd_operator("lichnerowicz", gf).components
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # -- adjointness pins the sign conventions ----------------------------------
@@ -469,7 +438,7 @@ def roll_riemann(gamma, g, cfg):
 @st.composite
 def roll_cases(draw):
     """A random field on a grid whose spacings all differ, a stencil, and
-    a batch of operator names (possibly empty or repeated)."""
+    the tangential axes along which to cut the field to length 1."""
     dim = draw(st.integers(1, 3))
     rank = draw(st.integers(0, 2))
     n_r = draw(st.integers(8, 12))
@@ -482,30 +451,22 @@ def roll_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     f = base.with_components(np.random.default_rng(seed).standard_normal(base.components.shape))
     cfg = O.StencilConfig(draw(st.sampled_from((2, 4))))
-    names = draw(st.lists(st.sampled_from(sorted(roll_operators(f, cfg))), max_size=4))
     collapse = draw(st.lists(st.booleans(), min_size=dim + 1, max_size=dim + 1))
-    return f, cfg, names, collapse
+    return f, cfg, collapse
 
 
 @given(roll_cases())
 @settings(max_examples=80, deadline=None)
-def test_batch_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
-    f, cfg, names, collapse = case
+def test_operators_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
+    f, cfg, collapse = case
     want = roll_operators(f, cfg)
     for op in want:
-        assert np.array_equal(O.fd_operators((op,), f, cfg)[op].components, want[op]), op
-    for op, got in O.fd_operators(names, f, cfg).items():
-        assert np.array_equal(got.components, want[op]), (names, op)
+        assert np.array_equal(O.fd_operator(op, f, cfg).components, want[op]), op
     # a component array cut to length 1 along some tangential axes
     cut = f.components[tuple(slice(0, 1) if c and a > 0 else slice(None)
                              for a, c in enumerate(collapse))]
     for a in range(f.grid_ndim):
         assert np.array_equal(O._partial(cut, a, f, cfg), roll_partial(cut, a, f, cfg)), a
-
-
-def subsets(ops):
-    """Every non-empty subset of ops, each in the order of ops."""
-    return [s for k in range(1, len(ops) + 1) for s in itertools.combinations(ops, k)]
 
 
 # n_r 8 stays serial at any thread count; at order 2, n_r 48 takes slabs at
@@ -515,9 +476,9 @@ def subsets(ops):
 @pytest.mark.parametrize("rank", [0, 1, 2])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_slabs_equal_the_roll_stencils_and_one_thread_bit_for_bit(monkeypatch, dim, rank, order):
-    """Every subset of the operators a rank admits, at 1, 2 and 3 threads:
-    each output equals the np.roll stencils, equals the one-thread batch
-    byte for byte, and starts on a 64-byte boundary."""
+    """Every operator a rank admits, at 1, 2 and 3 threads: each output
+    equals the np.roll stencils, equals the one-thread output byte for
+    byte, and starts on a 64-byte boundary."""
     cfg = O.StencilConfig(order=order)
     sizes = (8, 48) if order == 2 else (8, 64) + ((96,) if dim == 1 else ())
     for n_r in sizes:
@@ -525,23 +486,19 @@ def test_slabs_equal_the_roll_stencils_and_one_thread_bit_for_bit(monkeypatch, d
         comps = np.random.default_rng(n_r + 10 * dim + rank).standard_normal(shape)
         f = O.GridField((0.0, 6.0), n_r, (1.0, 1.3, 1.7)[:dim], (8,) * dim, rank, comps)
         want = roll_operators(f, cfg)
-        stencil = tuple(op for op in want if op != "lichnerowicz")
         once = {}
         for threads in (1, 2, 3):
             monkeypatch.setattr(O, "fd_threads", lambda: threads)
             most = 1 if n_r == 8 else 3 if order == 2 or n_r == 96 else 2
-            assert O._slab_plan(stencil, f, cfg)[0] == min(threads, most)
-            for names in subsets(sorted(want)):
-                got = O.fd_operators(names, f, cfg)
-                for op in names:
-                    comps = got[op].components
-                    assert comps.ctypes.data % 64 == 0, (threads, names, op)
-                    assert np.array_equal(comps, want[op]), (threads, names, op)
-                    assert once.setdefault((names, op), comps.tobytes()) == comps.tobytes(), \
-                        (threads, names, op)
+            for op in sorted(want):
+                assert O._slab_plan(op, f, cfg)[0] == min(threads, most), (threads, op)
+                comps = O.fd_operator(op, f, cfg).components
+                assert comps.ctypes.data % 64 == 0, (threads, op)
+                assert np.array_equal(comps, want[op]), (threads, op)
+                assert once.setdefault(op, comps.tobytes()) == comps.tobytes(), (threads, op)
 
 
-# the smallest grids on which a lone sweep op takes the slab path at two
+# the smallest grids on which a sweep op takes the slab path at two
 # threads: 4 slabs of 4 order rows
 _SLAB_MIN = {2: 32, 4: 64}
 
@@ -568,22 +525,15 @@ def test_workload_grids_equal_the_roll_stencils_bit_for_bit(monkeypatch, n_r, le
     # two threads, whatever the host has, so the path taken is fixed
     monkeypatch.setattr(O, "fd_threads", lambda: 2)
     slabbed = n_r >= _SLAB_MIN[order]
-    assert (O._slab_plan(("rough_laplacian",), f, cfg)[0] > 1) == slabbed
+    assert (O._slab_plan("rough_laplacian", f, cfg)[0] > 1) == slabbed
     want = roll_operators(f, cfg)
     for op in want:
-        assert np.array_equal(O.fd_operator(op, f, cfg).components, want[op]), op
-    batches = [tuple(want)]
-    if rank == 2:
-        batches.append(("lichnerowicz", "rough_laplacian", "linearized_ricci"))
-    for names in batches:
-        got = O.fd_operators(names, f, cfg)
-        for op in names:
-            assert np.array_equal(got[op].components, want[op]), op
+        got = O.fd_operator(op, f, cfg).components
+        assert np.array_equal(got, want[op]), op
         with monkeypatch.context() as serial:
             serial.setattr(O, "fd_threads", lambda: 1)
-            once = O.fd_operators(names, f, cfg)
-        for op in names:
-            assert np.array_equal(got[op].components, once[op].components), op
+            once = O.fd_operator(op, f, cfg).components
+        assert np.array_equal(got, once), op
 
 
 # -- the slab threads -------------------------------------------------------
@@ -645,8 +595,8 @@ def test_an_exception_in_one_slab_reaches_the_caller_with_its_type(monkeypatch):
     monkeypatch.setattr(O, "_slab", lambda *args: slab(*args) or done.append(args[-2:]))
     f, cfg = slab_field(0), O.StencilConfig(order=2)
     monkeypatch.setattr(O, "fd_threads", lambda: 2)
-    # 2 slabs of 64 rows would hold more scratch than the serial batch
-    assert O._slab_plan(("linearized_ricci",), f, cfg) == (2, 4)
+    # 2 slabs of 64 rows would hold more scratch than the serial run
+    assert O._slab_plan("linearized_ricci", f, cfg) == (2, 4)
     monkeypatch.setattr(O, "_partial", fail_once)
     with pytest.raises(SlabFailure, match="planted"):
         within_timeout(lambda: O.fd_operator("linearized_ricci", f, cfg))
@@ -660,26 +610,29 @@ def test_an_exception_in_one_slab_reaches_the_caller_with_its_type(monkeypatch):
 
 
 def test_concurrent_batches_equal_the_serial_batch(monkeypatch):
-    """Two callers at once, each on 8 threads (more than a small host has
-    CPUs) taking 16 slabs from one shared list, with the interpreter
-    switching threads as often as it can: a slab taken twice or never
-    would leave rows unequal to the serial batch."""
+    """Two callers at once, each running its operators on 8 threads (more
+    than a small host has CPUs) taking 16 slabs from one shared list, with
+    the interpreter switching threads as often as it can: a slab taken
+    twice or never would leave rows unequal to the serial run."""
     fields = [slab_field(seed, n_r=256) for seed in (1, 2)]
     cfg = O.StencilConfig(order=2)
     names = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
+
+    def batch(f):
+        return {op: O.fd_operator(op, f, cfg) for op in names}
+
     monkeypatch.setattr(O, "fd_threads", lambda: 1)
-    want = [O.fd_operators(names, f, cfg) for f in fields]
+    want = [batch(f) for f in fields]
     monkeypatch.setattr(O, "fd_threads", lambda: 8)
-    # 8 slabs of 32 rows would hold more scratch than the serial batch
-    assert O._slab_plan(("linearized_ricci",), fields[0], cfg) == (8, 16)
+    # 8 slabs of 32 rows would hold more scratch than the serial run
+    assert O._slab_plan("linearized_ricci", fields[0], cfg) == (8, 16)
     start = threading.Barrier(2)
     got = [None, None]
 
     def run(i):
         start.wait(SLAB_TIMEOUT_S)
         for _ in range(3):
-            got[i] = (O.fd_operators(names, fields[i], cfg),
-                      O.fd_operator("linearized_ricci", fields[i], cfg))
+            got[i] = batch(fields[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -692,15 +645,14 @@ def test_concurrent_batches_equal_the_serial_batch(monkeypatch):
             assert not t.is_alive(), f"no result within {SLAB_TIMEOUT_S} s"
     finally:
         sys.setswitchinterval(interval)
-    for (batch, single), serial in zip(got, want):
+    for ops, serial in zip(got, want):
         for op in names:
-            assert np.array_equal(batch[op].components, serial[op].components), op
-        assert np.array_equal(single.components, serial["linearized_ricci"].components)
+            assert np.array_equal(ops[op].components, serial[op].components), op
 
 
 def test_only_the_calling_thread_allocates_the_batch_buffers(monkeypatch):
-    """The outputs and every thread's scratch set come from _empty, called
-    on the thread that called fd_operators, while the pool threads run the
+    """The output and every thread's scratch set come from _empty, called
+    on the thread that called fd_operator, while the pool threads run the
     slabs."""
     callers, allocators, slabbers = set(), set(), set()
     empty, slab = O._empty, O._slab
@@ -711,11 +663,12 @@ def test_only_the_calling_thread_allocates_the_batch_buffers(monkeypatch):
     rank2 = slab_field(3)
     rank1 = rank2.with_components(rank2.components[..., 0].copy(), rank=1)
     for f, names in ((rank2, ("divergence", "rough_laplacian", "trace_hessian",
-                              "linearized_ricci")),
+                              "linearized_ricci", "lichnerowicz")),
                      (rank1, ("sym_grad", "divergence"))):
-        assert O._slab_plan(names, f, cfg)[0] == 2
-        within_timeout(lambda: callers.add(threading.get_ident())
-                       or O.fd_operators(names + ("lichnerowicz",) * (f.rank == 2), f, cfg))
+        for op in names:
+            assert O._slab_plan(op, f, cfg)[0] == 2
+            within_timeout(lambda: callers.add(threading.get_ident())
+                           or O.fd_operator(op, f, cfg))
     assert allocators == callers
     assert slabbers and not slabbers & callers
 
@@ -726,8 +679,9 @@ def test_only_the_calling_thread_allocates_the_batch_buffers(monkeypatch):
 def every_recycled_array(f, cfg):
     """One of each array the recycler hands out, by name, for a rank-2
     grid field f sampled from smooth_rank2()."""
-    ops = O.fd_operators(("lichnerowicz", "rough_laplacian", "linearized_ricci", "divergence",
-                          "trace_hessian"), f, cfg)
+    ops = {op: O.fd_operator(op, f, cfg) for op in ("lichnerowicz", "rough_laplacian",
+                                                      "linearized_ricci", "divergence",
+                                                      "trace_hessian")}
     flat = O.flat_metric_grid(f)
     got = {op: g.components for op, g in ops.items()}
     got["sum"] = (f + ops["rough_laplacian"]).components
@@ -811,7 +765,7 @@ def test_user_threads_recycling_at_once_get_the_serial_results(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_warm_recycler_maps_no_new_buffer_for_a_repeated_item(monkeypatch, threads):
-    """sample and the batch of three, each result held through the next
+    """sample and three operators, each result held through the next
     item as a caller checking it would: after two items every buffer is
     one the recycler already has, and its pages are already mapped."""
     resource = pytest.importorskip("resource")
@@ -821,7 +775,7 @@ def test_a_warm_recycler_maps_no_new_buffer_for_a_repeated_item(monkeypatch, thr
 
     def item():
         grid = O.sample(field, (0.5, 4.0), 64, 16)
-        return grid, O.fd_operators(names, grid, cfg)
+        return grid, [O.fd_operator(op, grid, cfg) for op in names]
 
     O._forget_buffers()
     kept = item()
@@ -845,8 +799,8 @@ def test_zero_signs_match_the_roll_stencils(order):
     f = O.GridField((0.0, 6.0), 12, (1.0, 1.7), (8, 9), 2, comps)
     cfg = O.StencilConfig(order=order)
     want = roll_operators(f, cfg)
-    # lichnerowicz returns a copy of the rough Laplacian on a flat background,
-    # without the reference's + 0.0 coupling, so its zeros may differ in sign
+    # lichnerowicz is the rough Laplacian, without the reference's zero
+    # coupling added, so its zeros may differ in sign
     for op in want.keys() - {"lichnerowicz"}:
         got = O.fd_operator(op, f, cfg).components
         assert np.array_equal(np.signbit(got), np.signbit(want[op])), op
@@ -856,8 +810,8 @@ def test_zero_signs_match_the_roll_stencils(order):
 def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
     """linearized_ricci takes 2 (d + 1) partials in the rough Laplacian's
     sweep, d + 1 for the gradient of the divergence read from that sweep
-    and 2 (d + 1) for the trace Hessian.  lichnerowicz adds 2 (d + 1) on
-    the product metric, whose tangential axes are cut to length 1."""
+    and 2 (d + 1) for the trace Hessian.  lichnerowicz takes the rough
+    Laplacian's 2 (d + 1)."""
     shape = (12,) + (8,) * dim + (dim + 1,) * 2
     f = O.GridField((0.0, 6.0), 12, (1.0,) * dim, (8,) * dim, 2,
                     np.random.default_rng(dim).standard_normal(shape))
@@ -866,17 +820,17 @@ def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
     monkeypatch.setattr(O, "_partial", lambda arr, *a, **k: calls.append(arr.shape)
                         or partial(arr, *a, **k))
 
-    def count(names):
+    def count(op):
         calls.clear()
-        O.fd_operators(names, f, O.StencilConfig(order=4))
+        O.fd_operator(op, f, O.StencilConfig(order=4))
         lattice = sum(s[:f.grid_ndim] == shape[:f.grid_ndim] for s in calls)
         return lattice, len(calls) - lattice
 
     D = dim + 1
-    assert count(("linearized_ricci",)) == (5 * D, 0)
-    assert count(("lichnerowicz", "rough_laplacian", "linearized_ricci")) == (5 * D, 2 * D)
-    assert count(("divergence",)) == (D, 0)
-    assert count(("rough_laplacian",)) == (2 * D, 0)
+    assert count("linearized_ricci") == (5 * D, 0)
+    assert count("lichnerowicz") == (2 * D, 0)
+    assert count("divergence") == (D, 0)
+    assert count("rough_laplacian") == (2 * D, 0)
 
 
 # -- collapsed invariant axes -----------------------------------------------
@@ -931,14 +885,6 @@ def test_collapsed_curvature_equals_the_full_grid_bit_for_bit(depends_on, collap
     assert np.array_equal(got, full_grid_ricci(g, cfg))
     assert np.max(np.abs(got)) > 0.1
 
-    g0 = O.flat_metric_grid(g)
-    gamma = roll_christoffel(g0.components, g0, cfg)
-    want_riem = roll_riemann(gamma, g0, cfg)
-    want_ric = np.einsum("...kikj->...ij", want_riem)
-    ric, riem = O._background_curvature(g, cfg)
-    assert np.array_equal(np.broadcast_to(ric, want_ric.shape), want_ric)
-    assert np.array_equal(np.broadcast_to(riem, want_riem.shape), want_riem)
-
 
 def test_curvature_memory_stays_near_the_input_size(monkeypatch):
     # full-grid curvature of the flat background peaked at 53x (lichnerowicz)
@@ -946,8 +892,9 @@ def test_curvature_memory_stays_near_the_input_size(monkeypatch):
     # np.roll stencils rough_laplacian and linearized_ricci peaked at 5.0x and
     # 5.1x; in place, 4.05x each, and 4.9x for the batch of three results.
     # Reading the divergence from the sweep keeps one extra quarter-size
-    # array alive through it: linearized_ricci 4.3x, the batch of three 5.1x;
-    # 4.3x once lichnerowicz copies the rough Laplacian after the sweep
+    # array alive through it: linearized_ricci 4.3x, the batch of three 5.1x.
+    # lichnerowicz, which copied the rough Laplacian after the sweep, read
+    # 4.15x; it is now the rough Laplacian's own sweep, 4.05x
     comps = np.random.default_rng(0).standard_normal((64, 8, 8, 8, 4, 4))
     f = O.GridField((0.0, 6.0), 64, (1.0, 1.0, 1.0), (8, 8, 8), 2, comps)
     cfg = O.StencilConfig(order=4)
@@ -965,28 +912,26 @@ def test_curvature_memory_stays_near_the_input_size(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(O, "fd_threads", lambda: 1)
-    assert peak_ratio(lambda: O.fd_operator("lichnerowicz", f, cfg)) <= 8.0
+    assert peak_ratio(lambda: O.fd_operator("lichnerowicz", f, cfg)) <= 4.5
     assert peak_ratio(lambda: O.nonlinear_ricci(flat, cfg)) <= 6.0
     assert peak_ratio(lambda: O.fd_operator("rough_laplacian", f, cfg)) <= 4.5
     assert peak_ratio(lambda: O.fd_operator("linearized_ricci", f, cfg)) <= 4.5
-    three = ("lichnerowicz", "rough_laplacian", "linearized_ricci")
-    assert peak_ratio(lambda: O.fd_operators(three, f, cfg)) <= 5.5
 
     # validate-cli's grid (above) and kernel-roundtrip's take the slab path
-    # at two threads: the outputs plus one scratch set per thread peak no
-    # higher than the serial batch.  Serial, 64x8^3 at order 4 reads 4.05x,
-    # 4.30x and 4.30x; on 4 slabs, 3.05x, 3.07x and 3.57x
+    # at two threads: the output plus one scratch set per thread peak no
+    # higher than the serial run.  Serial, 64x8^3 at order 4 reads 4.05x
+    # and 4.30x; on 4 slabs, 3.05x and 3.07x
     def slab_peaks():
         peaks = {}
-        for names in (("rough_laplacian",), ("linearized_ricci",), three):
+        for op in ("rough_laplacian", "linearized_ricci"):
             monkeypatch.setattr(O, "fd_threads", lambda: 1)
-            serial = peak_ratio(lambda: O.fd_operators(names, f, cfg))
+            serial = peak_ratio(lambda: O.fd_operator(op, f, cfg))
             monkeypatch.setattr(O, "fd_threads", lambda: 2)
-            assert O._slab_plan(names[-2:], f, cfg) == (2, 4)
-            peaks[names] = peak_ratio(lambda: O.fd_operators(names, f, cfg))
-            assert peaks[names] <= serial <= 4.5, names
+            assert O._slab_plan(op, f, cfg) == (2, 4)
+            peaks[op] = peak_ratio(lambda: O.fd_operator(op, f, cfg))
+            assert peaks[op] <= serial <= 4.5, op
         # the scratch sets are traced: one output alone is 1.0x
-        assert peaks[("linearized_ricci",)] > 2.0
+        assert peaks["linearized_ricci"] > 2.0
 
     slab_peaks()
     comps = np.random.default_rng(1).standard_normal((128, 24, 24, 3, 3))
@@ -1044,8 +989,10 @@ def test_remainder_scan_pure_gauge():
 
 
 def test_remainder_scan_input_checks():
+    # a NaN or infinite eps used to fail inside the fit ("SVD did not
+    # converge"), and one eps or a repeated one fitted a made-up exponent
     gf = O.sample(smooth_rank2(), (0.0, 6.0), 32, 12)
-    with pytest.raises(InvalidInput):
-        O.quadratic_remainder_scan(gf, (1e-2, 1e-1))
-    with pytest.raises(InvalidInput):
-        O.quadratic_remainder_scan(gf, ())
+    for eps_list in ((1e-2, 1e-1), (), (np.nan,), (0.1, np.nan), (np.inf, 0.1), (0.1,),
+                     (0.1, 0.1)):
+        with pytest.raises(InvalidInput, match="eps_list"):
+            O.quadratic_remainder_scan(gf, eps_list)

@@ -165,3 +165,35 @@ def test_the_check_sees_called_passed_and_imported_trig():
     assert sorted(_trig_uses(tree)) == [
         (2, "np.cos"), (3, "np.sin"), (3, "numpy.cos"), (4, "math.sin"),
     ]
+
+
+def _public_names(tree):
+    """The names a package __init__ makes public: every name it imports
+    from its modules and every module-level name it assigns, but __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from (alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if t.id != "__all__")
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    # a function deleted from one list cannot linger in the other
+    import cylspec
+
+    imported = list(_public_names(ast.parse((SRC / "__init__.py").read_text())))
+    assert len(set(cylspec.__all__)) == len(cylspec.__all__)
+    assert sorted(cylspec.__all__) == sorted(imported)
+    for name in cylspec.__all__:
+        assert getattr(cylspec, name) is not None, name
+
+
+def test_the_check_sees_every_imported_and_assigned_name():
+    tree = ast.parse(
+        "__version__ = '0'\n"
+        "from .fd_oracle import GridField, sample as grid_sample\n"
+        "import numpy\n"
+        "from numpy import pi\n"
+        "__all__ = ['GridField']\n"
+    )
+    assert list(_public_names(tree)) == ["__version__", "GridField", "grid_sample"]
