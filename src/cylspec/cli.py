@@ -57,7 +57,6 @@ from .three_circles import (
     TubeNormSeries,
     random_reduced_form,
     three_circles_check,
-    tube_norm,
 )
 
 log = logging.getLogger("cylspec")

@@ -109,7 +109,7 @@ def harmonic_trace_split(h):
     remainder = hf - fields_mod.metric_field(cs).multiply_profile(
         affine.scale(1.0 / (cs.dim + 1))
     )
-    return affine, remainder.prune(0.0)
+    return affine, remainder.prune()
 
 
 def _absorption_profiles(mu: float, c_plus: float, c_minus: float):

@@ -177,6 +177,9 @@ class GridField:
             raise InvalidInput(f"r_range {self.r_range} must be finite")
         if not all(math.isfinite(h * h) for h in self.spacings):
             raise InvalidInput(f"a grid spacing squared is not finite: {self.spacings}")
+        for i, L in enumerate(self.lengths):
+            if not 0.0 < L < math.inf:
+                raise InvalidInput(f"side length {i} must be finite and > 0, got {L!r}")
         want = (self.n_r, *self.n_x) + (self.dim + 1,) * self.rank
         if self.components.shape != want:
             raise InvalidInput(f"component array shape {self.components.shape}, expected {want}")

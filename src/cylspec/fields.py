@@ -48,7 +48,6 @@ __all__ = [
     "linearized_ricci",
     "tube_integrand",
     "tube_inner_product",
-    "tube_norm_sq",
     "project_onto_mode",
 ]
 
@@ -131,13 +130,12 @@ class TensorField:
     def is_zero(self) -> bool:
         return self.max_abs_coeff() == 0.0
 
-    def prune(self, tol: float) -> "TensorField":
-        """Drop terms with max |C| <= tol * (global max).  Explicit only;
+    def prune(self) -> "TensorField":
+        """Drop every term whose largest |C| is not above 0.  Explicit only;
         arithmetic never prunes silently."""
-        cut = tol * self.max_abs_coeff()
         out = TensorField(self.cs, self.rank)
         for mode_key, prof_key, C in self.terms():
-            if np.max(np.abs(C)) > cut:
+            if np.max(np.abs(C)) > 0.0:
                 out._accumulate(mode_key, prof_key, C)
         return out
 
@@ -459,10 +457,6 @@ def tube_inner_product(a: TensorField, b: TensorField, r_lo: float, r_hi: float)
     """Exact integral of <a, b> over the tube (r_lo, r_hi) x N; r_hi may be
     math.inf if the integrand decays."""
     return tube_integrand(a, b).definite_integral(r_lo, r_hi)
-
-
-def tube_norm_sq(a: TensorField, r_lo: float, r_hi: float) -> float:
-    return tube_inner_product(a, a, r_lo, r_hi)
 
 
 def project_onto_mode(field: TensorField, mode: Mode) -> RadialProfile:

@@ -5,7 +5,7 @@ inverted in closed form by ``mode_ode.solve_scalar_mode`` (coclosed
 one-form legs) and ``mode_ode.solve_mixed_mode`` (the coupled scalar pair).
 This module measures how the norm of that inverse blows up on the
 exponentially weighted spaces as the weight rate rho approaches
-sqrt(mu_1): ``weighted_sup_norm`` is the discrete weighted C^k norm, and
+sqrt(mu_1): ``weighted_sup_norm`` is the discrete weighted sup-norm, and
 ``estimate_weighted_bound`` fits the exponent p of
 ||X||_rho / ||source||_rho ~ (sqrt(mu_1) - rho)^(-p).
 """
@@ -21,7 +21,6 @@ from .errors import InvalidInput
 from .mode_ode import RadialProfile, solve_mixed_mode, solve_scalar_mode
 
 __all__ = [
-    "WeightedNormSpec",
     "BoundFit",
     "weighted_sup_norm",
     "estimate_weighted_bound",
@@ -34,41 +33,27 @@ def _ramp(r):
     return x * x * (3.0 - 2.0 * x)
 
 
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Discrete weighted C^k sup-norm on the half cylinder.
+def weighted_sup_norm(profile, rho: float, r_grid: np.ndarray) -> float:
+    """sup over r_grid of w(r) |profile(r)|, w = (1 - ramp) + ramp e^{rho r}.
 
-    The weight e^{rho r} is switched on by a cutoff ramp away from r = 0, so
-    the norm sees plain sup-norm behaviour on the compact piece and the
-    exponential weight on the end.  The Holder seminorm is deliberately
-    omitted; it changes constants, not exponents.
+    The cutoff ramp switches the weight e^{rho r} on away from r = 0, so the
+    norm sees plain sup-norm behaviour on the compact piece and the
+    exponential weight on the end.  On the ramp zone (r <= 2) the weight is
+    evaluated directly; beyond it the rate rho is folded into the profile
+    symbolically, so e^{rho r} * e^{-rho r} never materializes as an
+    overflowing pair of factors.  Derivatives and the Holder seminorm of
+    a weighted C^{k,alpha} norm are left out; they change constants, not
+    exponents.
     """
-
-    order: int
-    rho: float
-    r_grid: np.ndarray
-
-
-def weighted_sup_norm(profile, norm_spec: WeightedNormSpec) -> float:
-    """max over derivative orders 0..k of sup weight * |f^(j)|.
-
-    On the ramp zone (r <= 2) the weight is evaluated directly; beyond it the
-    rate rho is folded into the profile symbolically, so e^{rho r} * e^{-rho r}
-    never materializes as an overflowing pair of factors.
-    """
-    grid = norm_spec.r_grid
-    near = grid[grid <= 2.0]
-    far = grid[grid >= 2.0]
-    w_near = (1.0 - _ramp(near)) + _ramp(near) * np.exp(norm_spec.rho * near)
+    near = r_grid[r_grid <= 2.0]
+    far = r_grid[r_grid >= 2.0]
     best = 0.0
-    current = profile
-    for _ in range(norm_spec.order + 1):
-        if near.size:
-            best = max(best, float(np.max(w_near * np.abs(current.evaluate(near)))))
-        if far.size:
-            shifted = current.mul_monomial(0, norm_spec.rho)
-            best = max(best, float(np.max(np.abs(shifted.evaluate(far)))))
-        current = current.derivative()
+    if near.size:
+        w_near = (1.0 - _ramp(near)) + _ramp(near) * np.exp(rho * near)
+        best = max(best, float(np.max(w_near * np.abs(profile.evaluate(near)))))
+    if far.size:
+        shifted = profile.mul_monomial(0, rho)
+        best = max(best, float(np.max(np.abs(shifted.evaluate(far)))))
     return best
 
 
@@ -86,16 +71,15 @@ def _norm_ratio(mu1: float, rho: float, source_type: str) -> float:
     gap = math.sqrt(mu1) - rho
     r_max = max(12.0, 12.0 / gap)
     grid = np.linspace(0.0, r_max, 4000)
-    spec = WeightedNormSpec(order=0, rho=rho, r_grid=grid)
     src = RadialProfile.monomial(1.0, 0, -rho)
-    src_norm = weighted_sup_norm(src, spec)
+    src_norm = weighted_sup_norm(src, rho, grid)
 
     if source_type == "one_form":
         f = solve_scalar_mode(mu1, src)
-        out_norm = weighted_sup_norm(f, spec)
+        out_norm = weighted_sup_norm(f, rho, grid)
     elif source_type == "pair":
         sol = solve_mixed_mode(mu1, src, RadialProfile.zero())
-        out_norm = max(weighted_sup_norm(sol.k, spec), weighted_sup_norm(sol.l, spec))
+        out_norm = max(weighted_sup_norm(sol.k, rho, grid), weighted_sup_norm(sol.l, rho, grid))
     else:
         raise InvalidInput(f"unknown source_type {source_type!r}")
     return out_norm / src_norm
@@ -108,8 +92,10 @@ def estimate_weighted_bound(mu1: float, rho_samples, source_type: str = "one_for
     single-mode source e^{-rho s} at the bottom eigenvalue; the slope of
     log(ratio) vs -log(sqrt(mu1) - rho) is the measured exponent.  Every
     sample must lie in (0, sqrt(mu1)), which also rejects NaN, and a line
-    needs at least two distinct samples.
+    needs at least two distinct samples.  mu1 must be positive and finite.
     """
+    if not 0.0 < mu1 < math.inf:
+        raise InvalidInput(f"mu1 must be positive and finite, got {mu1!r}")
     rhos = sorted(float(r) for r in rho_samples)
     if not all(0.0 < rho < math.sqrt(mu1) for rho in rhos):
         raise InvalidInput("rho samples must lie in (0, sqrt(mu1))")

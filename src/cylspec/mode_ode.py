@@ -46,14 +46,8 @@ __all__ = [
     "MixedModeSolution",
     "system_matrix",
     "fundamental_matrix_set",
-    "psi0_2x2",
-    "psi_mu_2x2",
-    "phi0_4x4",
-    "phi0_4x4_inverse",
     "v_matrix",
     "v_inverse",
-    "psi_mu_4x4",
-    "psi_mu_4x4_inverse",
     "check_characteristic",
     "solve_scalar_mode",
     "solve_mixed_mode",
@@ -69,21 +63,13 @@ RATE_WINDOW = 1e-10
 _EXACT_ZERO = 0.0
 
 
-def _falling(p: int, j: int) -> int:
-    """Falling factorial p (p-1) ... (p-j+1), with _falling(p, 0) == 1."""
-    out = 1
-    for i in range(j):
-        out *= p - i
-    return out
-
-
 def _antiderivative_terms(c: float, p: int, lam: float) -> list:
     """(coeff, power) pairs of the antiderivative of c r^p e^{lam r} at rate
     lam, integration constant 0: c r^{p+1} / (p + 1) for lam == 0, else
     e^{lam r} sum_j (-1)^j (p)_j c r^{p-j} / lam^{j+1}, (p)_j falling."""
     if lam == 0.0:
         return [(c / (p + 1), p + 1)]
-    return [(c * (-1) ** j * _falling(p, j) / lam ** (j + 1), p - j) for j in range(p + 1)]
+    return [(c * (-1) ** j * math.perm(p, j) / lam ** (j + 1), p - j) for j in range(p + 1)]
 
 
 # Taylor terms of psi_q on |z| <= 1: the tail after n = 18 is below e / 19!,
@@ -259,14 +245,6 @@ class RadialProfile:
         # one contiguous row per interval: every row sums in the same order
         return np.ascontiguousarray((coeffs[:, None] * per_term).T).sum(axis=1)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c, _, _ in self.terms), default=0.0)
-
-    def prune(self, tol: float) -> "RadialProfile":
-        """Drop terms with |coeff| <= tol * max |coeff| (explicit, never automatic)."""
-        cut = tol * self.max_abs_coeff()
-        return RadialProfile(tuple(t for t in self.terms if abs(t[0]) > cut))
-
     def growing_mass(self) -> float:
         """Sum of |coeff| over terms that do not decay as r -> +infinity."""
         return sum(abs(c) for c, p, lam in self.terms if lam > 0.0 or (lam == 0.0 and p > 0))
@@ -349,14 +327,6 @@ class PiecewiseProfile:
             raise InvalidInput("profile has several pieces; no single closed form")
         return self.pieces[0][2]
 
-    def definite_integral(self, a: float, b: float) -> float:
-        total = 0.0
-        for lo, hi, prof in self.pieces:
-            left, right = max(a, lo), min(b, hi)
-            if left < right:
-                total += prof.definite_integral(left, right)
-        return total
-
 
 # ---------------------------------------------------------------------------
 # fundamental matrices
@@ -375,47 +345,6 @@ def system_matrix(mu: float) -> np.ndarray:
             [2.0 * mu, 0.0, 0.0, -1.0],
             [0.0, 0.0, 0.0, 1.0],
             [0.0, mu / 2.0, mu / 2.0, 0.0],
-        ]
-    )
-
-
-def psi0_2x2(r: float) -> np.ndarray:
-    """Fundamental matrix of f'' = 0 in the state (f, f')."""
-    return np.array([[1.0, float(r)], [0.0, 1.0]])
-
-
-def psi_mu_2x2(mu: float, r: float) -> np.ndarray:
-    """Fundamental matrix of f'' = mu f, columns e^{+sr}, e^{-sr} (s = sqrt(mu))."""
-    if mu <= 0:
-        raise InvalidInput("psi_mu_2x2 needs mu > 0")
-    s = math.sqrt(mu)
-    ep, em = math.exp(s * r), math.exp(-s * r)
-    return np.array([[ep, em], [s * ep, -s * em]])
-
-
-def phi0_4x4(r: float) -> np.ndarray:
-    """Polynomial fundamental matrix of the 4x4 system at mu = 0."""
-    r = float(r)
-    return np.array(
-        [
-            [1.0, r, 0.0, -0.5 * r * r],
-            [0.0, 1.0, 0.0, -r],
-            [0.0, 0.0, 1.0, r],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def phi0_4x4_inverse(r: float) -> np.ndarray:
-    """Closed-form inverse of phi0_4x4 (equals phi0 with r -> -r up to the
-    quadratic entry, which keeps its sign)."""
-    r = float(r)
-    return np.array(
-        [
-            [1.0, -r, 0.0, -0.5 * r * r],
-            [0.0, 1.0, 0.0, r],
-            [0.0, 0.0, 1.0, -r],
-            [0.0, 0.0, 0.0, 1.0],
         ]
     )
 
@@ -462,39 +391,57 @@ def _exp_jordan(mu: float, r: float) -> np.ndarray:
     return out
 
 
-def psi_mu_4x4(mu: float, r: float) -> np.ndarray:
-    """Fundamental matrix V exp(J r) of the 4x4 system for mu > 0."""
-    return v_matrix(mu) @ _exp_jordan(mu, float(r))
-
-
-def psi_mu_4x4_inverse(mu: float, r: float) -> np.ndarray:
-    return _exp_jordan(mu, -float(r)) @ v_inverse(mu)
-
-
 @dataclass(frozen=True)
 class FundamentalMatrixSet:
-    """Bundle of the fundamental matrices for one eigenvalue.
+    """The fundamental matrices of both systems at one eigenvalue mu.
 
-    For mu = 0 the 4x4 slots hold the polynomial matrix and its inverse; for
-    mu > 0 they hold V exp(J r).  The 2x2 slots cover the scalar equation.
+    ``scalar`` solves f'' = mu f in the state (f, f'): columns 1 and r at
+    mu = 0, else e^{+sr} and e^{-sr} (s = sqrt(mu)).  ``mixed`` solves the
+    4x4 system: the polynomial matrix at mu = 0, else V exp(J r);
+    ``mixed_inverse`` is its closed-form inverse.
     """
 
     mu: float
 
     def scalar(self, r: float) -> np.ndarray:
-        return psi0_2x2(r) if self.mu == 0 else psi_mu_2x2(self.mu, r)
+        if self.mu == 0:
+            return np.array([[1.0, float(r)], [0.0, 1.0]])
+        s = math.sqrt(self.mu)
+        ep, em = math.exp(s * r), math.exp(-s * r)
+        return np.array([[ep, em], [s * ep, -s * em]])
 
     def mixed(self, r: float) -> np.ndarray:
-        return phi0_4x4(r) if self.mu == 0 else psi_mu_4x4(self.mu, r)
+        r = float(r)
+        if self.mu == 0:
+            return np.array(
+                [
+                    [1.0, r, 0.0, -0.5 * r * r],
+                    [0.0, 1.0, 0.0, -r],
+                    [0.0, 0.0, 1.0, r],
+                    [0.0, 0.0, 0.0, 1.0],
+                ]
+            )
+        return v_matrix(self.mu) @ _exp_jordan(self.mu, r)
 
     def mixed_inverse(self, r: float) -> np.ndarray:
-        return phi0_4x4_inverse(r) if self.mu == 0 else psi_mu_4x4_inverse(self.mu, r)
+        """At mu = 0 this is ``mixed`` at -r except for the quadratic entry,
+        which keeps its sign."""
+        r = float(r)
+        if self.mu == 0:
+            return np.array(
+                [
+                    [1.0, -r, 0.0, -0.5 * r * r],
+                    [0.0, 1.0, 0.0, r],
+                    [0.0, 0.0, 1.0, -r],
+                    [0.0, 0.0, 0.0, 1.0],
+                ]
+            )
+        return _exp_jordan(self.mu, -r) @ v_inverse(self.mu)
 
 
 def fundamental_matrix_set(mu: float) -> FundamentalMatrixSet:
     """Bundle of fundamental matrices for both systems at eigenvalue mu."""
-    if mu < 0:
-        raise InvalidInput("mu must be >= 0 (no oscillatory branch)")
+    _check_mu(mu)
     return FundamentalMatrixSet(mu=float(mu))
 
 
@@ -522,16 +469,15 @@ def check_characteristic(mu: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _as_source(profile, support):
-    if isinstance(profile, (int, float)):
-        profile = RadialProfile.constant(float(profile))
+def _check_source(profile) -> None:
     if not isinstance(profile, RadialProfile):
-        raise InvalidInput("source must be a RadialProfile (or scalar constant)")
-    if support is not None:
-        lo, hi = support
-        if lo != 0.0 or not hi > 0.0 or math.isinf(hi):
-            raise InvalidInput("support window must be [0, hi] with 0 < hi < inf")
-    return profile, support
+        raise InvalidInput("source must be a RadialProfile")
+
+
+def _check_mu(mu: float) -> None:
+    """mu must be a finite eigenvalue >= 0; NaN fails both comparisons."""
+    if not 0.0 <= mu < math.inf:
+        raise InvalidInput(f"mu must be finite and >= 0, got {mu!r}")
 
 
 def _exp_integral(profile: RadialProfile, sigma: float, upper=None) -> RadialProfile:
@@ -566,56 +512,39 @@ def _exp_integral(profile: RadialProfile, sigma: float, upper=None) -> RadialPro
     return RadialProfile([(top, 0, sigma)] + [(-a, q, lam) for a, q, lam in out])
 
 
-def solve_scalar_mode(mu: float, alpha, support=None):
+def solve_scalar_mode(mu: float, alpha) -> PiecewiseProfile:
     """Decaying solution of f'' - mu f = alpha on the half line.
 
-    For mu > 0 this is the convolution with -e^{-sqrt(mu)|r-s|}/(2 sqrt(mu));
-    for mu = 0 it is the double integration with zero data at r = 0 (the
-    canonical complement choice for the finite sector).
-
-    ``support=(lo, hi)`` restricts the source to a window; the result is then
-    piecewise, with a purely decaying (mu > 0) or affine (mu = 0) tail.
-    For mu > 0 a global source needs every rate lam < sqrt(mu), or the
-    upper tail of the convolution diverges; any other rate raises
-    InvalidInput.  At mu = 0 nothing is integrated out to infinity, so any
-    rate is accepted.
-    Returns a PiecewiseProfile.
+    For mu > 0 this is the convolution with -e^{-sqrt(mu)|r-s|}/(2 sqrt(mu)),
+    which needs every source rate lam < sqrt(mu), or the upper tail of the
+    convolution diverges; any other rate raises InvalidInput.  For mu = 0 it
+    is the double integration with zero data at r = 0 (the canonical
+    complement choice for the finite sector); nothing is integrated out to
+    infinity there, so any rate is accepted.
+    Returns a single-piece PiecewiseProfile on [0, inf).
     """
-    alpha, support = _as_source(alpha, support)
-    if mu < 0:
-        raise InvalidInput("mu must be >= 0")
-
+    _check_source(alpha)
+    _check_mu(mu)
     if mu == 0.0:
         # f'' = alpha with zero data at r = 0 is the damped equation at tau = 0
-        body = solve_damped_mode(0.0, alpha)
-        if support is None:
-            return PiecewiseProfile.single(body, lo=0.0)
-        _, hi = support
-        A = alpha.definite_integral(0.0, hi)
-        B = alpha.mul_monomial(1, 0.0).definite_integral(0.0, hi)
-        tail = RadialProfile(((A, 1, 0.0), (-B, 0, 0.0)))
-        return PiecewiseProfile([(0.0, hi, body), (hi, math.inf, tail)])
+        return PiecewiseProfile.single(solve_damped_mode(0.0, alpha), lo=0.0)
 
     s = math.sqrt(mu)
-    if support is None:
-        for _, p, lam in alpha.terms:
-            if lam >= s:
-                raise InvalidInput("global source must decay strictly below rate sqrt(mu)")
-    hi = math.inf if support is None else support[1]
-    body = (_exp_integral(alpha, -s) + _exp_integral(alpha, s, hi)).scale(-1.0 / (2.0 * s))
-    if support is None:
-        return PiecewiseProfile.single(body, lo=0.0)
-    c_decay = alpha.mul_monomial(0, s).definite_integral(0.0, hi)
-    tail = RadialProfile(((-c_decay / (2.0 * s), 0, -s),))
-    return PiecewiseProfile([(0.0, hi, body), (hi, math.inf, tail)])
+    for _, p, lam in alpha.terms:
+        if lam >= s:
+            raise InvalidInput("global source must decay strictly below rate sqrt(mu)")
+    body = (_exp_integral(alpha, -s) + _exp_integral(alpha, s, math.inf)).scale(-1.0 / (2.0 * s))
+    return PiecewiseProfile.single(body, lo=0.0)
 
 
 def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
     """y'' + tau y' = s with y(0) = y'(0) = 0, in closed form.
 
     This is the eigenvalue-zero (finite-sector) equation of the
-    tau-modified gauge problem.
+    tau-modified gauge problem.  A NaN or infinite tau raises InvalidInput.
     """
+    if not math.isfinite(tau):
+        raise InvalidInput(f"tau must be finite, got {tau!r}")
     return _exp_integral(_exp_integral(s, -tau), 0.0)
 
 
@@ -733,9 +662,14 @@ def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
     Jordan block alone, so it contains no growing or secular term by
     construction, not by cancellation.
     """
-    beta, _ = _as_source(beta, support)
-    gamma, support = _as_source(gamma, support)
-    if mu <= 0.0:
+    _check_source(beta)
+    _check_source(gamma)
+    if support is not None:
+        lo, hi = support
+        if lo != 0.0 or not hi > 0.0 or math.isinf(hi):
+            raise InvalidInput("support window must be [0, hi] with 0 < hi < inf")
+    _check_mu(mu)
+    if mu == 0.0:
         # the mu = 0 pair never carries a source in this pipeline (harmonic
         # cross-section data is routed to the finite-dimensional sector)
         raise InvalidInput("solve_mixed_mode needs mu > 0; mu = 0 belongs to the finite sector")
@@ -751,7 +685,6 @@ def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
         x = _mixed_solution_profiles(mu, beta, gamma, math.inf)
         pieces = [PiecewiseProfile.single(prof, lo=0.0) for prof in x]
     else:
-        lo, hi = support
         body = _mixed_solution_profiles(mu, beta, gamma, hi)
         tail = _tail_profiles(mu, beta, gamma, hi)
         pieces = [

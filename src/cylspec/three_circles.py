@@ -73,7 +73,7 @@ def tube_norm(h: TensorField, a: float, b: float) -> float:
     """Squared L2 mass of h over the tube (a, b) x N, in closed form."""
     if not a < b:
         raise InvalidInput("tube needs a < b")
-    return _finite_tube_value(fields_mod.tube_norm_sq(h, a, b), a, b)
+    return _finite_tube_value(fields_mod.tube_inner_product(h, h, a, b), a, b)
 
 
 def _tube_values(h: TensorField, L: float, offsets) -> tuple:
@@ -265,7 +265,7 @@ def project_out_parallel(h: TensorField, tau: float = 0.0) -> TensorField:
     dec = classify_kernel(h, tau)
     reduced = ("trace_linear", "tt_parallel_linear", "tt_exp")
     kept = tuple((col, c) for col, c in dec.parts if col.label in reduced)
-    return replace(dec, parts=kept).reconstruct().prune(0.0)
+    return replace(dec, parts=kept).reconstruct().prune()
 
 
 # ---------------------------------------------------------------------------

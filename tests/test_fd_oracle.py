@@ -70,6 +70,15 @@ def test_grid_field_validation():
             O.GridField(r_range, 8, lengths, (8,), 0, np.zeros((8, 8)))
 
 
+@pytest.mark.parametrize("lengths,index", [((-1.0,), 0), ((0.0,), 0), ((1.0, -2.0), 1)])
+def test_grid_field_rejects_a_side_length_that_is_not_positive(lengths, index):
+    # a negative length flipped the sign of every first partial along its
+    # axis, and a zero length divided by a zero spacing
+    n_x = (8,) * len(lengths)
+    with pytest.raises(InvalidInput, match=f"side length {index} must be finite and > 0"):
+        O.GridField((0.0, 6.0), 8, lengths, n_x, 0, np.zeros((8, *n_x)))
+
+
 def test_memory_guard_trips_before_allocating():
     big = TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
     h = F.metric_field(big)
@@ -146,7 +155,7 @@ def test_sample_matches_direct_evaluation():
 
 def test_sample_l2_matches_tube_norm():
     h = smooth_rank2()
-    want = math.sqrt(F.tube_norm_sq(h, 0.0, 6.0))
+    want = math.sqrt(F.tube_inner_product(h, h, 0.0, 6.0))
     errs = []
     for n_r in (33, 65):
         got = O.l2_norm(O.sample(h, (0.0, 6.0), n_r, 24))

@@ -158,7 +158,7 @@ def test_adjointness_sym_grad_divergence():
 
 def test_tube_norm_frozen_value():
     h = F.from_mode_profile(CS, B_OSC, RadialProfile.monomial(1.0, 0, -1.0))
-    got = F.tube_norm_sq(h, 0.0, 1.0)
+    got = F.tube_inner_product(h, h, 0.0, 1.0)
     assert got == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-13)
 
 
@@ -411,5 +411,9 @@ def test_evaluate_rejects_an_out_it_cannot_write_whole():
 def test_field_scaling_and_pruning():
     h = F.from_mode_profile(CS, B_OSC, RadialProfile.constant(2.0))
     assert h.scale(0.5).max_abs_coeff() == pytest.approx(h.max_abs_coeff() / 2)
-    tiny = h + F.from_mode_profile(CS, B_PAR, RadialProfile.constant(1e-15))
-    assert len(tiny.prune(1e-12).data) == 1
+    small = F.from_mode_profile(CS, B_PAR, RadialProfile.constant(1e-15))
+    tiny = h + small
+    assert len(tiny.prune().data) == 2  # a small term is not a zero term
+    cancelled = tiny - small
+    assert len(cancelled.data) == 2  # arithmetic keeps the zero term
+    assert len(cancelled.prune().data) == 1

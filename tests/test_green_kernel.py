@@ -42,6 +42,7 @@ from cylspec.errors import InvalidInput
 from cylspec.mode_ode import (
     PiecewiseProfile,
     RadialProfile,
+    fundamental_matrix_set,
     solve_mixed_mode,
     solve_scalar_mode,
 )
@@ -211,18 +212,6 @@ def test_quadrature_reproduces_closed_form_type2(mu, brate, crate):
     assert np.max(np.abs(lq - sol.l.evaluate(grid))) < 1e-9
 
 
-def test_windowed_source_through_apply_green():
-    mu = 4 * math.pi**2
-    alpha = RadialProfile.monomial(1.0, 0, -1.0)
-    f = solve_scalar_mode(mu, alpha, support=(0.0, 10.0))
-    # independent quadrature of the kernel over the window
-    for t in (0.5, 5.0, 12.0):
-        ss = np.linspace(0.0, 10.0, 20001)
-        vals = np.array([eval_type1(mu, t, s) for s in ss]) * np.exp(-ss)
-        expected = -np.trapezoid(vals, ss) if hasattr(np, "trapezoid") else -np.trapz(vals, ss)
-        assert f.evaluate(t) == pytest.approx(expected, rel=1e-6, abs=1e-12)
-
-
 def test_round_trip_recovers_one_form_scalar_leg():
     # feed the operator image of a known decaying f back through the solver;
     # the output differs only by a homogeneous decaying piece, removable by
@@ -240,9 +229,8 @@ def test_round_trip_recovers_one_form_scalar_leg():
 
 
 def test_round_trip_recovers_pair():
-    from cylspec.mode_ode import psi_mu_4x4, psi_mu_4x4_inverse, system_matrix
-
     mu = 1.0
+    fm = fundamental_matrix_set(mu)
     k = RadialProfile.monomial(1.0, 0, -2.0)
     l = RadialProfile.monomial(-0.5, 1, -1.5)
     # system sources produced by this (k, l)
@@ -254,11 +242,11 @@ def test_round_trip_recovers_pair():
     delta0 = sol.state(0.0).ravel() - np.array(
         [k.evaluate(0.0), k.derivative().evaluate(0.0), l.evaluate(0.0), l.derivative().evaluate(0.0)]
     )
-    coeffs = psi_mu_4x4_inverse(mu, 0.0) @ delta0
+    coeffs = fm.mixed_inverse(0.0) @ delta0
     assert np.max(np.abs(coeffs[:2])) < 1e-10  # growing block empty
     r = np.linspace(0.0, 10.0, 60)
     for ri in r:
-        correction = psi_mu_4x4(mu, ri) @ np.concatenate([[0.0, 0.0], coeffs[2:]])
+        correction = fm.mixed(ri) @ np.concatenate([[0.0, 0.0], coeffs[2:]])
         got = sol.state(ri).ravel() - correction
         want = np.array(
             [k.evaluate(ri), k.derivative().evaluate(ri), l.evaluate(ri), l.derivative().evaluate(ri)]
@@ -268,22 +256,20 @@ def test_round_trip_recovers_pair():
 
 def test_weighted_norm_ramp_and_tail():
     grid = np.linspace(0.0, 30.0, 3001)
-    spec = gk.WeightedNormSpec(order=0, rho=1.0, r_grid=grid)
     flat = PiecewiseProfile.single(RadialProfile.constant(1.0), lo=0.0)
     # weight is 1 near r=0 and e^{rho r} on the end
-    assert gk.weighted_sup_norm(flat, spec) == pytest.approx(math.exp(30.0), rel=1e-9)
+    assert gk.weighted_sup_norm(flat, 1.0, grid) == pytest.approx(math.exp(30.0), rel=1e-9)
     decaying = PiecewiseProfile.single(RadialProfile.monomial(1.0, 0, -1.0), lo=0.0)
-    assert gk.weighted_sup_norm(decaying, spec) == pytest.approx(1.0, rel=1e-9)
+    assert gk.weighted_sup_norm(decaying, 1.0, grid) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_weighted_norm_no_overflow_at_large_rho():
     grid = np.linspace(0.0, 200.0, 2001)
     rho = 6.2
-    spec = gk.WeightedNormSpec(order=1, rho=rho, r_grid=grid)
+    # e^{rho r} alone overflows past r = 114; folded into the profile's rate
+    # it cancels e^{-rho r} exactly
     prof = PiecewiseProfile.single(RadialProfile.monomial(1.0, 0, -rho), lo=0.0)
-    val = gk.weighted_sup_norm(prof, spec)
-    assert math.isfinite(val)
-    assert val == pytest.approx(rho, rel=1e-6)  # derivative term dominates
+    assert gk.weighted_sup_norm(prof, rho, grid) == 1.0
 
 
 def test_bound_fit_exponents():
@@ -303,6 +289,13 @@ def test_bound_fit_rejects_bad_rho():
     for rhos in ([0.5, 1.5], [], [0.5, math.nan, 0.9], [math.nan], [0.5], [0.5, 0.5]):
         with pytest.raises(InvalidInput):
             gk.estimate_weighted_bound(1.0, rhos)
+
+
+def test_bound_fit_rejects_a_bad_eigenvalue_by_name():
+    # -1.0 used to reach math.sqrt and raise a bare ValueError
+    for mu1 in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(InvalidInput, match=f"mu1 must be positive and finite, got {mu1!r}"):
+            gk.estimate_weighted_bound(mu1, [0.5, 0.9])
 
 
 def test_small_rho_ratio_matches_direct_computation():

@@ -296,11 +296,12 @@ def test_solutions_carry_only_source_and_homogeneous_rates(problem):
     mu, tau, hi, (a, b, c) = problem
     s = math.sqrt(mu)
     source_rates = {lam for src in (a, b, c) for _, _, lam in src.terms}
+    assert _rates(m.solve_scalar_mode(mu, a)) <= source_rates | {s, -s}
+    assert _rates(m.solve_scalar_mode(0.0, c)) <= source_rates | {0.0}
     for support in (None, (0.0, hi)):
         sol = m.solve_mixed_mode(mu, a, b, support)
-        for prof in (m.solve_scalar_mode(mu, a, support), sol.k, sol.kp, sol.l, sol.lp):
+        for prof in (sol.k, sol.kp, sol.l, sol.lp):
             assert _rates(prof) <= source_rates | {s, -s}
-        assert _rates(m.solve_scalar_mode(0.0, c, support)) <= source_rates | {0.0}
     assert _rates(m.solve_damped_mode(tau, c)) <= source_rates | {0.0, -tau}
 
 
@@ -325,6 +326,22 @@ def test_near_resonant_source_raises(eps):
         m.solve_mixed_mode(4.0, src, m.RadialProfile.zero())
     with pytest.raises(ResonantRate):
         m.solve_mixed_mode(4.0, m.RadialProfile.zero(), src, support=(0.0, 3.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_eigenvalue_or_damping_is_rejected_by_name(bad):
+    # NaN used to pass every mu < 0 test and return NaN profiles; inf
+    # reached the resonance window and raised ResonantRate "within inf"
+    src = m.RadialProfile.monomial(1.0, 0, -1.0)
+    zero = m.RadialProfile.zero()
+    for call in (lambda: m.solve_scalar_mode(bad, src),
+                 lambda: m.solve_mixed_mode(bad, src, zero),
+                 lambda: m.solve_mixed_mode(bad, src, zero, support=(0.0, 3.0)),
+                 lambda: m.fundamental_matrix_set(bad)):
+        with pytest.raises(InvalidInput, match=f"mu must be finite and >= 0, got {bad!r}"):
+            call()
+    with pytest.raises(InvalidInput, match=f"tau must be finite, got {bad!r}"):
+        m.solve_damped_mode(bad, src)
 
 
 def test_near_resonant_damped_solves_raise():

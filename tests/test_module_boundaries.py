@@ -197,3 +197,41 @@ def test_the_check_sees_every_imported_and_assigned_name():
         "__all__ = ['GridField']\n"
     )
     assert list(_public_names(tree)) == ["__version__", "GridField", "grid_sample"]
+
+
+def _unread_imports(tree):
+    """Every name an import statement binds that no expression of the
+    module reads; ``from __future__`` binds nothing."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # __init__ imports its names to make them public, not to read them
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unread_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_check_sees_unread_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from . import fields as fields_mod\n"
+        "from .three_circles import tube_norm, three_circles_check\n"
+        "def f(x: np.ndarray):\n"
+        "    return fields_mod.trace(x), tube_norm(x, 0, 1)\n"
+    )
+    assert _unread_imports(tree) == [(2, "os"), (5, "three_circles_check")]

@@ -147,27 +147,18 @@ def test_growing_mass_flags_nondecaying_terms():
     assert RadialProfile.monomial(4.0, 0, -0.1).growing_mass() == 0.0
 
 
-def test_prune_is_relative_and_explicit():
-    p = RadialProfile([(1.0, 0, -1.0), (1e-14, 1, -1.0)])
-    assert len(p.terms) == 2  # nothing dropped silently
-    assert p.prune(1e-12).terms == ((1.0, 0, -1.0),)
-
-
 def test_piecewise_contiguity_enforced():
     inner = RadialProfile.constant(1.0)
     with pytest.raises(InvalidInput):
         PiecewiseProfile([(0.0, 1.0, inner), (2.0, 3.0, inner)])
 
 
-def test_piecewise_evaluation_and_integral():
+def test_piecewise_evaluation():
     left = RadialProfile.constant(2.0)
     right = RadialProfile.monomial(1.0, 0, -1.0)
     p = PiecewiseProfile([(0.0, 1.0, left), (1.0, math.inf, right)])
     assert p.evaluate(0.5) == pytest.approx(2.0)
     assert p.evaluate(2.0) == pytest.approx(math.exp(-2.0))
-    # integral splits at the breakpoint
-    expected = 2.0 * 1.0 + (math.exp(-1.0) - math.exp(-3.0))
-    assert p.definite_integral(0.0, 3.0) == pytest.approx(expected, rel=1e-12)
     # scalar in, scalar-shaped out
     assert np.shape(p.evaluate(0.25)) == ()
 
