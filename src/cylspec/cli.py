@@ -207,9 +207,9 @@ def field_from_dict(data: dict) -> TensorField:
                 raise InvalidInput(f"term {i}: coefficient is not finite")
             mode_key = _mode_key(cs, i, term["freq"], term["phase"])
             prof_key = _profile_key(cs, i, mode_key[0], term["power"], term["rate"])
-            terms.append(TensorField(cs, rank, {mode_key: {prof_key: coeff}}))
+            terms.append((mode_key, prof_key, coeff))
         # repeated keys add up in file order, as the + chain would
-        return fields_mod.sum_fields(cs, rank, terms)
+        return TensorField(cs, rank, terms)
     except KeyError as exc:
         raise InvalidInput(f"field file is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -533,7 +533,7 @@ def _task_solve_div(cfg: JobConfig, rng) -> tuple:
     scale = max(1.0, h.max_abs_coeff())
     payload = {
         "tau": task["tau"],
-        "source_terms": sum(len(profs) for profs in h.data.values()),
+        "source_terms": h.n_terms,
         "pair_sectors": len(gauge.pairs),
         "coclosed_sectors": len(gauge.coclosed),
         "harmonic_sectors": len(gauge.harmonic),

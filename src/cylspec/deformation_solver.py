@@ -100,7 +100,9 @@ def harmonic_trace_split(h):
     cs = hf.cs
     zero_key = ((0,) * cs.dim, "cos")
     terms = []
-    for (p, lam), C in t.data.get(zero_key, {}).items():
+    for key, (p, lam), C in t.terms():
+        if key != zero_key:
+            continue
         if lam == 0.0 and p <= 1:
             terms.append((float(C), p, lam))
         elif abs(float(C)) > TRACE_TOL * scale:
@@ -286,7 +288,8 @@ class _KernelBlock:
 
     @functools.cached_property
     def _system(self) -> tuple:
-        column_blocks = [_coefficient_blocks(col.field, self.freq) for col in self.columns]
+        column_blocks = [_coefficient_blocks(col.field).get(self.freq, {})
+                         for col in self.columns]
         keys = tuple(sorted(set().union(*column_blocks)))
         zero = np.zeros((self.cs.dim + 1, self.cs.dim + 1))
         A = np.stack([_key_vector(blocks, keys, zero) for blocks in column_blocks], axis=1)
@@ -296,12 +299,6 @@ class _KernelBlock:
     keys = property(lambda self: self._system[0])
     matrix = property(lambda self: self._system[1])
     cond = property(lambda self: self._system[2])
-
-
-def _freeze(field: TensorField) -> None:
-    for per_mode in field.data.values():
-        for C in per_mode.values():
-            C.setflags(write=False)
 
 
 def _key_vector(blocks: dict, keys, zero: np.ndarray) -> np.ndarray:
@@ -315,9 +312,9 @@ def _kernel_block(cs: TorusCrossSection, freq: tuple, tau: float) -> _KernelBloc
     frequency zero; callers pass 0.0 for every other frequency."""
     columns = tuple(_frequency_basis(cs, freq) if any(freq) else _zero_frequency_basis(cs, tau))
     for col in columns:
-        _freeze(col.field)
+        col.field.freeze()
         if col.generator is not None:
-            _freeze(col.generator)
+            col.generator.freeze()
     return _KernelBlock(cs, freq, columns)
 
 
@@ -427,13 +424,15 @@ class KernelDecomposition:
         return fields_mod.sum_fields(self.cs, 2, (col.field.scale(c) for col, c in self.parts))
 
 
-def _coefficient_blocks(field: TensorField, freq) -> dict:
-    """The coefficient tensors of one frequency of a field, keyed by
-    (phase, power, rate).  Rates are compared exactly: every column's rate
-    is the float sqrt(mu) of its frequency, and a file's rates are read
-    onto it at load time."""
-    return {(phase, p, lam): C for phase in ("cos", "sin")
-            for (p, lam), C in field.data.get((freq, phase), {}).items()}
+def _coefficient_blocks(field: TensorField) -> dict:
+    """The coefficient tensors of a field by frequency, each keyed by
+    (phase, power, rate) in sorted order.  Rates are compared exactly:
+    every column's rate is the float sqrt(mu) of its frequency, and a
+    file's rates are read onto it at load time."""
+    out: dict = {}
+    for (freq, phase), (p, lam), C in field.terms():
+        out.setdefault(freq, {})[(phase, p, lam)] = C
+    return out
 
 
 def _largest_term(field: TensorField) -> str:
@@ -478,9 +477,8 @@ def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
     parts: list = []
     cond: dict = {}
     zero_block = np.zeros((cs.dim + 1, cs.dim + 1))
-    for freq in sorted({freq for (freq, _phase) in hf.data}):
+    for freq, h_blocks in _coefficient_blocks(hf).items():
         block = _kernel_block(cs, freq, 0.0 if any(freq) else tau)
-        h_blocks = _coefficient_blocks(hf, freq)
         for (phase, p, lam), C in h_blocks.items():
             if (phase, p, lam) not in block.keys and np.max(np.abs(C)) > KERNEL_TOL * scale:
                 raise NotInKernel(

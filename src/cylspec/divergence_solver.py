@@ -80,7 +80,7 @@ def decompose_one_form(w: TensorField) -> GaugeField:
         if coeff != 0.0:
             store.append((coeff, p, lam))
 
-    for (freq, phase), profs in w.data.items():
+    for (freq, phase), powers, rates, coeffs in w.blocks():
         amp = float(modes_at(cs, "Scalar", freq, phase)[0].polarization)
         if any(freq):
             l_store = pair_terms.setdefault((freq, phase), ([], []))[1]
@@ -98,8 +98,8 @@ def decompose_one_form(w: TensorField) -> GaugeField:
             l_store, k_store = radial_terms, None
             legs = [(harmonic_terms.setdefault(i, []), eta.polarization / amp)
                     for i, eta in enumerate(modes_at(cs, "HarmonicOneForm", freq, phase))]
-        for (p, lam), C in profs.items():
-            tang = np.asarray(C[1:], dtype=float)
+        for p, lam, C in zip(powers, rates, coeffs):
+            tang = C[1:]
             push(l_store, float(C[0]) / amp, p, lam)
             if k_store is not None:
                 push(k_store, grad_sign * float(tang @ what) / (amp * wnorm), p, lam)
@@ -196,15 +196,13 @@ def _parallel_radial_row(h: TensorField) -> TensorField:
     """Radial contraction of the parallel part of h: the symmetrized first
     row of every frequency-zero coefficient tensor, as a one-form."""
     rows = []
-    for (freq, phase), profs in h.data.items():
+    for (freq, phase), (p, lam), C in h.terms():
         if any(freq):
             continue
-        for (p, lam), C in profs.items():
-            C = np.asarray(C)
-            row = 0.5 * (C[0, :] + C[:, 0])
-            if np.any(row != 0.0):
-                rows.append(TensorField(h.cs, 1, {(freq, phase): {(p, lam): row}}))
-    return fields_mod.sum_fields(h.cs, 1, rows)
+        row = 0.5 * (C[0, :] + C[:, 0])
+        if np.any(row != 0.0):
+            rows.append(((freq, phase), (p, lam), row))
+    return TensorField(h.cs, 1, rows)
 
 
 def modified_divergence(h: TensorField, tau: float = 0.0) -> TensorField:
@@ -238,7 +236,7 @@ def solve_gauge(source: TensorField, cfg: DivergenceConfig = DivergenceConfig())
     cs = source.cs
     tau = cfg.tau
     if tau > 0.0:
-        check_resonance(tau, (cs.eigenvalue(freq) for freq, _phase in source.data))
+        check_resonance(tau, (cs.eigenvalue(freq) for freq, _phase in source.keys()))
     elif not _parallel_radial_row(source).is_zero():
         raise NonInvertibleSector(
             "source meets the parallel radial span whose preimages r dr and "

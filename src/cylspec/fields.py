@@ -1,8 +1,8 @@
 """Separated tensor fields on the cylinder and their exact calculus.
 
-A field of rank m is stored as a finite sum
+A field of rank m is a finite sum of terms
 
-    sum over (k, phase)  sum over (p, lam)   C * r^p * e^{lam r} * trig(omega . x)
+    C * r^p * e^{lam r} * trig(omega_k . x),      trig = cos or sin (the phase),
 
 with one constant coefficient tensor C of shape (d+1,)*m per term; index 0 is
 the radial direction, indices 1..d are the torus directions.  Derivatives,
@@ -10,6 +10,16 @@ traces, and symmetrizations act termwise and stay inside the class, so all
 operator identities downstream are checked exactly (to round-off) instead of
 to discretization error.  That is the point of this layer: the finite
 difference oracle provides the independent route, this one the closed form.
+
+A field is one term table sorted on the key (k, phase, p, lam), no key twice:
+a (n, d+3) float block of keys (k_1..k_d, phase 0 cos / 1 sin, p, lam; the
+integers are exact) and a (n, (d+1)^m) block of flattened coefficients.  An
+operator that puts several terms on one key (a sum, a profile product, the
+parts of a derivative) lists them in visit order, sorts stably and sums each
+key's terms left to right, so every coefficient equals the term-by-term
+chain's bit for bit, signed zeros included.  Arithmetic keeps zero terms;
+``prune`` drops them.  Other modules read fields through ``terms()``,
+``blocks()`` and ``keys()``.
 
 Sign conventions (fixed once, used everywhere):
   divergence      (delta T)_i...  = - sum_a  d_a T_{a i ...}
@@ -21,6 +31,8 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .cross_section import Mode, TorusCrossSection
@@ -28,70 +40,102 @@ from .errors import InvalidInput
 from .mode_ode import RadialProfile
 
 __all__ = [
-    "TensorField",
-    "sum_fields",
-    "constant_tensor_field",
-    "from_mode_profile",
-    "scalar_field",
-    "pair_one_form",
-    "radial_one_form",
-    "mixed_pair_tensor",
-    "rr_tensor",
-    "metric_field",
-    "tangential_metric",
-    "gradient",
-    "divergence",
-    "sym_grad",
-    "trace",
-    "hessian",
-    "rough_laplacian",
-    "linearized_ricci",
-    "tube_integrand",
-    "tube_inner_product",
+    "TensorField", "sum_fields", "constant_tensor_field", "from_mode_profile", "scalar_field",
+    "pair_one_form", "radial_one_form", "mixed_pair_tensor", "rr_tensor", "metric_field",
+    "tangential_metric", "gradient", "divergence", "sym_grad", "trace", "hessian",
+    "rough_laplacian", "linearized_ricci", "tube_integrand", "tube_inner_product",
     "project_onto_mode",
 ]
 
-# tangential derivative flips the trig branch; the sign rides along
-_D_TRIG = {"cos": ("sin", -1.0), "sin": ("cos", +1.0)}
+# phase codes sort like the names; a tangential derivative takes code c to
+# 1 - c with the sign 2 c - 1 (d cos = -sin, d sin = +cos)
+_PHASES = ("cos", "sin")
+_PHASE_CODE = {"cos": 0, "sin": 1}
 
 
 class TensorField:
-    """Finite modal sum of tensor terms; see the module docstring.
+    """Finite modal sum of tensor terms, one sorted term table; see the
+    module docstring.  Fields are values: nothing writes into a table."""
 
-    ``data`` maps (freq, phase) to a dict mapping (power, rate) to the
-    coefficient tensor.  Mutating helpers are private; the public surface
-    treats fields as values.
-    """
+    __slots__ = ("cs", "rank", "_keys", "coeffs", "_runs", "_data")
 
-    __slots__ = ("cs", "rank", "data")
-
-    def __init__(self, cs: TorusCrossSection, rank: int, data=None):
-        self.cs = cs
-        self.rank = int(rank)
-        self.data = data if data is not None else {}
-
-    # -- construction helpers ----------------------------------------------
+    def __init__(self, cs: TorusCrossSection, rank: int, terms=()):
+        """The sum of the ((freq, phase), (power, rate), C) terms; terms on
+        one key add up in the order given."""
+        rank, d = int(rank), cs.dim
+        keys, coeffs = [], []
+        for (freq, phase), (p, lam), C in terms:
+            C = np.asarray(C, dtype=float)
+            if C.shape != (d + 1,) * rank or len(freq) != d or phase not in _PHASE_CODE:
+                raise InvalidInput(f"term {(freq, phase)}, {(p, lam)} does not fit a rank-"
+                                   f"{rank} field on a {d}-torus")
+            keys.append((*freq, _PHASE_CODE[phase], int(p), float(lam) + 0.0))
+            coeffs.append(C.ravel())
+        self.cs, self.rank, self._runs = cs, rank, None
+        self._keys, self.coeffs = _canonical(
+            np.array(keys, dtype=float).reshape(len(keys), d + 3),
+            np.array(coeffs, dtype=float).reshape(len(keys), (d + 1) ** rank))
 
     @classmethod
     def zero(cls, cs: TorusCrossSection, rank: int) -> "TensorField":
         return cls(cs, rank)
 
-    def _shape(self):
-        return (self.cs.dim + 1,) * self.rank
+    def freeze(self) -> "TensorField":
+        """Make the table read-only (memoized fields); returns the field."""
+        self._keys.setflags(write=False)
+        self.coeffs.setflags(write=False)
+        return self
 
-    def _accumulate(self, mode_key, prof_key, coeff):
-        p, lam = prof_key
-        prof_key = (int(p), float(lam) + 0.0)
-        per_mode = self.data.setdefault(mode_key, {})
-        if prof_key in per_mode:
-            per_mode[prof_key] = per_mode[prof_key] + coeff
-        else:
-            per_mode[prof_key] = np.array(coeff, dtype=float)
+    # -- readers ------------------------------------------------------------
+
+    @property
+    def n_terms(self) -> int:
+        return len(self._keys)
+
+    def _key_runs(self):
+        """The sorted (freq, phase) keys and the row where each starts, the
+        row count appended; built once."""
+        if self._runs is None:
+            keys, starts, last = [], [], None
+            for i, head in enumerate(self._keys[:, :-2].astype(np.int64).tolist()):
+                if head != last:
+                    keys.append((tuple(head[:-1]), _PHASES[head[-1]]))
+                    starts.append(i)
+                    last = head
+            self._runs = keys, starts + [self.n_terms]
+        return self._runs
+
+    def keys(self) -> list:
+        """The (freq, phase) keys that carry terms, sorted."""
+        return list(self._key_runs()[0])
+
+    def blocks(self):
+        """(key, powers, rates, coeffs) for each key in sorted order: its
+        terms' powers (a list of ints), rates (a list of floats) and
+        coefficients (an array of shape (n, (d+1,)*rank))."""
+        keys, bounds = self._key_runs()
+        powers, rates = self._keys[:, -2].astype(np.int64).tolist(), self._keys[:, -1].tolist()
+        coeffs = self.coeffs.reshape((self.n_terms,) + (self.cs.dim + 1,) * self.rank)
+        for key, lo, hi in zip(keys, bounds, bounds[1:]):
+            yield key, powers[lo:hi], rates[lo:hi], coeffs[lo:hi]
 
     def terms(self):
-        for mode_key in sorted(self.data):
-            for prof_key in sorted(self.data[mode_key]):
-                yield mode_key, prof_key, self.data[mode_key][prof_key]
+        """(key, (power, rate), C) per term in table order, C a view."""
+        shape = (self.cs.dim + 1,) * self.rank
+        for key, ps, rs, coeffs in self.blocks():
+            for pk, C in zip(zip(ps, rs), coeffs.reshape(len(ps), -1)):
+                yield key, pk, C.reshape(shape)
+
+    @property
+    def data(self) -> dict:
+        """{(freq, phase): {(power, rate): C}}, built on the first read; for
+        callers outside the library, such as perfbench's term counts."""
+        try:
+            return self._data
+        except AttributeError:
+            self._data = {key: dict(zip(zip(ps, rs), coeffs))
+                          for key, ps, rs, coeffs in self.blocks()}
+            return self._data
 
     # -- algebra ------------------------------------------------------------
 
@@ -105,27 +149,24 @@ class TensorField:
         return self.scale(-1.0)
 
     def scale(self, a: float) -> "TensorField":
-        out = TensorField(self.cs, self.rank)
-        for mode_key, prof_key, C in self.terms():
-            out._accumulate(mode_key, prof_key, a * C)
-        return out
+        return _table(self.cs, self.rank, self._keys, a * self.coeffs)
 
     def multiply_profile(self, profile: RadialProfile) -> "TensorField":
-        """Multiply every term by a radial profile (exact term products)."""
-        out = TensorField(self.cs, self.rank)
-        for mode_key, (p, lam), C in self.terms():
-            for c2, p2, lam2 in profile.terms:
-                out._accumulate(mode_key, (p + p2, lam + lam2), c2 * C)
-        return out
+        """Multiply every term by a radial profile (exact term products):
+        term i times profile term j is row (i, j); powers and rates add."""
+        d, m = self.cs.dim, len(profile.terms)
+        shift = np.array([(0,) * (d + 1) + t[1:] + t[:1] for t in profile.terms],
+                         dtype=float).reshape(m, d + 4)
+        keys = (self._keys[:, None] + shift[:, :-1]).reshape(-1, d + 3)
+        return _table(self.cs, self.rank, *_canonical(
+            keys, (self.coeffs[:, None] * shift[:, -1:]).reshape(len(keys), self.coeffs.shape[1])))
 
     # -- queries ------------------------------------------------------------
 
     def max_abs_coeff(self) -> float:
-        out = 0.0
-        for _, _, C in self.terms():
-            if C.size:
-                out = max(out, float(np.max(np.abs(C))))
-        return out
+        """The largest |C| entry, 0.0 for no terms; a term holding a NaN is
+        skipped whole."""
+        return float(np.fmax.reduce(np.abs(self.coeffs).max(axis=1), initial=0.0))
 
     def is_zero(self) -> bool:
         return self.max_abs_coeff() == 0.0
@@ -133,11 +174,8 @@ class TensorField:
     def prune(self) -> "TensorField":
         """Drop every term whose largest |C| is not above 0.  Explicit only;
         arithmetic never prunes silently."""
-        out = TensorField(self.cs, self.rank)
-        for mode_key, prof_key, C in self.terms():
-            if np.max(np.abs(C)) > 0.0:
-                out._accumulate(mode_key, prof_key, C)
-        return out
+        keep = np.abs(self.coeffs).max(axis=1) > 0.0
+        return _table(self.cs, self.rank, self._keys[keep], self.coeffs[keep])
 
     def evaluate(self, r, xs, out=None) -> np.ndarray:
         """Sample on a product grid: r shape (nr,), xs shape (..., d).
@@ -145,10 +183,11 @@ class TensorField:
         Returns shape (nr, ..., (d+1)^rank tensor axes): out, when given,
         a C-contiguous float64 array of that shape.
 
-        The sum separates into two small tables over the M sorted modes: a
+        The sum separates into two small tables over the M sorted keys: a
         trig table T[s, m] = trig_m(omega_m . x_s) over the points and a
-        radial table R[r, m, c] = sum over the mode's profile terms of
-        r^p e^{lam r} C_c.  One batched GEMM T @ R writes the result.
+        radial table R[r, m, c] = sum over the key's terms of
+        r^p e^{lam r} C_c, one GEMM per key.  One batched GEMM T @ R
+        writes the result.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         xs = np.asarray(xs, dtype=float)
@@ -157,25 +196,25 @@ class TensorField:
             raise InvalidInput("xs last axis must have length dim")
         space_shape = xs.shape[:-1]
         ncomp = (d + 1) ** self.rank
-        shape = r.shape + space_shape + self._shape()
+        shape = r.shape + space_shape + (d + 1,) * self.rank
         if out is not None and (out.shape != shape or out.dtype != np.float64
                                 or not out.flags.c_contiguous):
             raise InvalidInput(f"out must be a C-contiguous float64 array of shape {shape}")
-        keys = sorted(self.data)
+        keys, bounds = self._key_runs()
+        heads = self._keys[bounds[:-1]]
 
         # trig table: one column per (freq, phase)
-        omegas = np.array([self.cs.omega(freq) for freq, _ in keys]).reshape(-1, d)
-        trig = xs.reshape(-1, d) @ omegas.T
-        is_cos = np.array([phase == "cos" for _, phase in keys], dtype=bool)
+        trig = xs.reshape(-1, d) @ self.cs.omega(heads[:, :-3]).T
+        is_cos = heads[:, -3] == 0
         trig[:, is_cos] = np.cos(trig[:, is_cos])
         trig[:, ~is_cos] = np.sin(trig[:, ~is_cos])
 
-        # radial table: profile values times coefficients, summed per mode
+        # radial table: profile values times coefficients, summed per key
         rr = r.reshape(-1, 1)
         radial = np.empty((r.size, len(keys), ncomp))
-        for m, key in enumerate(keys):
-            powers, rates, coeffs = _term_table(self.data[key])
-            radial[:, m] = (rr**powers * np.exp(rr * rates)) @ coeffs
+        for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            powers, rates = self._keys[lo:hi, -2:].T
+            radial[:, m] = (rr**powers * np.exp(rr * rates)) @ self.coeffs[lo:hi]
 
         if out is None:
             return (trig @ radial).reshape(shape)
@@ -183,22 +222,70 @@ class TensorField:
         return out
 
     def __repr__(self):
-        nmodes = len(self.data)
-        nterms = sum(len(v) for v in self.data.values())
-        return f"TensorField(rank={self.rank}, modes={nmodes}, terms={nterms})"
+        return f"TensorField(rank={self.rank}, modes={len(self.keys())}, terms={self.n_terms})"
+
+
+def _table(cs, rank, keys, coeffs) -> TensorField:
+    """The field on a table that is already sorted with unique keys."""
+    out = object.__new__(TensorField)
+    out.cs, out.rank, out._keys, out.coeffs, out._runs = cs, rank, keys, coeffs, None
+    return out
+
+
+def _canonical(keys, values, rows=None):
+    """Sort the keys, listed in visit order, stably (first column first)
+    and sum each run's rows of values left to right; key i goes with
+    values[rows[i]] (values[i] by default).  Returns the run keys and sums.
+    Up to 16 keys the sort runs in Python, cheaper than numpy calls there;
+    both ways give the same bits."""
+    if len(keys) <= 16:
+        values = values if rows is None else values.take(rows, axis=0)
+        if len(keys) < 2:
+            return keys, values
+        table = keys.tolist()
+        order = sorted(range(len(table)), key=table.__getitem__)
+        first, later = order[:1], []
+        for i in order[1:]:
+            if table[i] == table[first[-1]]:
+                later.append((len(first) - 1, i))
+            else:
+                first.append(i)
+        sums = values.take(first, axis=0)
+        for run, i in later:
+            sums[run] += values[i]
+        return keys.take(first, axis=0), sums
+    rows = np.arange(len(keys)) if rows is None else rows
+    # integer columns sort by radix as int16 where they fit, several times faster
+    ints = keys[:, :-1]
+    narrow = ints.astype(np.int16)
+    order = np.lexsort((keys[:, -1], *(narrow if (narrow == ints).all() else ints).T[::-1]))
+    keys, rows = keys[order], rows[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    (keys[1:] != keys[:-1]).any(axis=1, out=new[1:])
+    starts = new.nonzero()[0]
+    sums = values[rows[starts]]
+    counts = np.diff(starts, append=len(order))
+    for depth in range(1, counts.max()):  # every run's next row, one depth at a time
+        live = (counts > depth).nonzero()[0]
+        sums[live] += values[rows[starts[live] + depth]]
+    return keys[starts], sums
 
 
 def sum_fields(cs: TorusCrossSection, rank: int, fields) -> TensorField:
     """The sum of the fields in one pass.  Each coefficient is summed left
     to right, so it equals the one of the chain f_1 + f_2 + ... bit for
-    bit, without copying every partial sum."""
-    out = TensorField(cs, rank)
+    bit, without building every partial sum."""
+    parts = []
     for fld in fields:
         if fld.rank != rank or fld.cs is not cs and fld.cs != cs:
             raise InvalidInput("can only add fields of equal rank on the same cross section")
-        for mode_key, prof_key, C in fld.terms():
-            out._accumulate(mode_key, prof_key, C)
-    return out
+        if fld.n_terms:
+            parts.append(fld)
+    if not parts:
+        return TensorField(cs, rank)
+    return _table(cs, rank, *_canonical(np.concatenate([f._keys for f in parts]),
+                                        np.concatenate([f.coeffs for f in parts])))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +293,17 @@ def sum_fields(cs: TorusCrossSection, rank: int, fields) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
+def _on_key(cs: TorusCrossSection, rank: int, key, profile: RadialProfile, C) -> TensorField:
+    """The field profile(r) * C * trig(omega . x) on one (freq, phase) key."""
+    rows = np.array([(*key[0], _PHASE_CODE[key[1]], p, lam, c) for c, p, lam in profile.terms],
+                    dtype=float).reshape(len(profile.terms), cs.dim + 4)
+    return _table(cs, rank, rows[:, :-1], rows[:, -1:] * C.reshape(1, -1))
+
+
 def constant_tensor_field(cs: TorusCrossSection, tensor) -> TensorField:
     """r- and x-independent field with the given (d+1)-index coefficients."""
-    tensor = np.asarray(tensor, dtype=float)
-    out = TensorField(cs, tensor.ndim)
-    key = (tuple([0] * cs.dim), "cos")
-    out._accumulate(key, (0, 0.0), tensor)
-    return out
+    tensor = np.array(tensor, dtype=float)
+    return _table(cs, tensor.ndim, np.zeros((1, cs.dim + 3)), tensor.reshape(1, -1))
 
 
 def metric_field(cs: TorusCrossSection) -> TensorField:
@@ -244,10 +335,7 @@ def from_mode_profile(cs: TorusCrossSection, mode: Mode, profile: RadialProfile)
     C0 = _embed_tangential(cs, mode.polarization) if mode.rank else np.array(
         float(mode.polarization)
     )
-    out = TensorField(cs, C0.ndim)
-    for c, p, lam in profile.terms:
-        out._accumulate((mode.freq, mode.phase), (p, lam), c * C0)
-    return out
+    return _on_key(cs, C0.ndim, (mode.freq, mode.phase), profile, C0)
 
 
 def scalar_field(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> TensorField:
@@ -260,13 +348,9 @@ def radial_one_form(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -
     """profile(r) * phi * dr for a scalar mode phi."""
     if mode.rank != 0:
         raise InvalidInput("radial_one_form needs a scalar mode")
-    d = cs.dim
-    out = TensorField(cs, 1)
-    C = np.zeros(d + 1)
+    C = np.zeros(cs.dim + 1)
     C[0] = float(mode.polarization)
-    for c, p, lam in profile.terms:
-        out._accumulate((mode.freq, mode.phase), (p, lam), c * C)
-    return out
+    return _on_key(cs, 1, (mode.freq, mode.phase), profile, C)
 
 
 def pair_one_form(
@@ -280,16 +364,17 @@ def pair_one_form(
     """
     if mode.rank != 0:
         raise InvalidInput("pair_one_form needs a scalar mode")
-    out = radial_one_form(cs, mode, l_prof)
     omega = np.asarray(mode.omega)
-    if np.any(omega != 0.0):
-        flip, sign = _D_TRIG[mode.phase]
-        amp = float(mode.polarization)
-        C = np.zeros(cs.dim + 1)
-        C[1:] = sign * omega * amp
-        for c, p, lam in k_prof.terms:
-            out._accumulate((mode.freq, flip), (p, lam), c * C)
-    return out
+    if not np.any(omega != 0.0):
+        return radial_one_form(cs, mode, l_prof)
+    code = _PHASE_CODE[mode.phase]
+    C = np.zeros(cs.dim + 1)
+    C[1:] = (2.0 * code - 1.0) * omega * float(mode.polarization)
+    legs = (radial_one_form(cs, mode, l_prof),
+            _on_key(cs, 1, (mode.freq, _PHASES[1 - code]), k_prof, C))[::1 - 2 * code]
+    # two keys, the cos one first: the tables stack in order
+    return _table(cs, 1, np.concatenate([leg._keys for leg in legs]),
+                  np.concatenate([leg.coeffs for leg in legs]))
 
 
 def mixed_pair_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> TensorField:
@@ -300,10 +385,7 @@ def mixed_pair_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile)
     C = np.zeros((d + 1, d + 1))
     C[0, 1:] = mode.polarization
     C[1:, 0] = mode.polarization
-    out = TensorField(cs, 2)
-    for c, p, lam in profile.terms:
-        out._accumulate((mode.freq, mode.phase), (p, lam), c * C)
-    return out
+    return _on_key(cs, 2, (mode.freq, mode.phase), profile, C)
 
 
 def rr_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> TensorField:
@@ -313,10 +395,7 @@ def rr_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> Tens
     d = cs.dim
     C = np.zeros((d + 1, d + 1))
     C[0, 0] = float(mode.polarization)
-    out = TensorField(cs, 2)
-    for c, p, lam in profile.terms:
-        out._accumulate((mode.freq, mode.phase), (p, lam), c * C)
-    return out
+    return _on_key(cs, 2, (mode.freq, mode.phase), profile, C)
 
 
 # ---------------------------------------------------------------------------
@@ -324,42 +403,59 @@ def rr_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> Tens
 # ---------------------------------------------------------------------------
 
 
+def _gradient_rows(field: TensorField, diagonal: bool):
+    """The gradient's table: keys and rows, summed per key.
+
+    Each term (p, lam) gives up to three parts, in this order: lam C at
+    (p, lam) and p C at (p - 1, lam) in the radial slot, and sign omega_j C
+    at (p, lam) on the flipped phase in slot j (0 where omega_j is 0); a
+    part whose factor is 0 (lam, p or omega) is not listed.  With
+    ``diagonal`` a row keeps only the entries where the new index equals
+    the field's first one (that index first), the entries a trace reads.
+    """
+    n, d = field.n_terms, field.cs.dim
+    C, K = field.coeffs, field._keys
+    omega = field.cs.omega(K[:, :-3])
+    C = C.reshape(n, d + 1, C.shape[1] // (d + 1)) if diagonal else C
+    lead, tang = (C[:, 0], C[:, 1:]) if diagonal else (C, C[:, None, :])
+    G = np.zeros((n, 3, d + 1, lead.shape[1]))
+    np.multiply(K[:, -1:], lead, out=G[:, 0, 0])
+    np.multiply(K[:, -2:-1], lead, out=G[:, 1, 0])
+    np.multiply(((2.0 * K[:, -3:-2] - 1.0) * omega)[:, :, None], tang, out=G[:, 2, 1:])
+    G[:, 2, 1:][omega == 0.0] = 0.0
+    live = np.empty((n, 3), dtype=bool)
+    live[:, 0] = K[:, -1] != 0.0
+    live[:, 1] = K[:, -2] > 0.0
+    (omega != 0.0).any(axis=1, out=live[:, 2])
+    keys = K.repeat(3, axis=0).reshape(n, 3, d + 3)
+    keys[:, 1, -2] -= 1.0
+    keys[:, 2, -3] = 1.0 - keys[:, 2, -3]
+    live = live.ravel()
+    return _canonical(keys.reshape(3 * n, d + 3)[live],
+                      G.reshape(3 * n, G.shape[2] * G.shape[3]), live.nonzero()[0])
+
+
 def gradient(field: TensorField) -> TensorField:
     """Coordinate gradient; the new index comes first (slot 0 radial)."""
-    cs = field.cs
-    out = TensorField(cs, field.rank + 1)
-    shape = (cs.dim + 1,) * (field.rank + 1)
-    for (freq, phase), (p, lam), C in field.terms():
-        # radial derivative: lam * C at (p, lam) plus p * C at (p-1, lam)
-        if lam != 0.0:
-            G = np.zeros(shape)
-            G[0] = lam * C
-            out._accumulate((freq, phase), (p, lam), G)
-        if p > 0:
-            G = np.zeros(shape)
-            G[0] = p * C
-            out._accumulate((freq, phase), (p - 1, lam), G)
-        # tangential derivatives flip the trig branch
-        omega = field.cs.omega(freq)
-        if np.any(omega != 0.0):
-            flip, sign = _D_TRIG[phase]
-            G = np.zeros(shape)
-            for j in range(cs.dim):
-                if omega[j] != 0.0:
-                    G[j + 1] = sign * omega[j] * C
-            out._accumulate((freq, flip), (p, lam), G)
-    return out
+    return _table(field.cs, field.rank + 1, *_gradient_rows(field, diagonal=False))
+
+
+def _termwise(field: TensorField, rank: int, coeffs) -> TensorField:
+    """The field with the same keys and new coefficient rows."""
+    return _table(field.cs, rank, field._keys,
+                  coeffs.reshape(field.n_terms, (field.cs.dim + 1) ** rank))
 
 
 def divergence(field: TensorField) -> TensorField:
-    """(delta T)_{i...} = - sum_a d_a T_{a i ...} (first index contracted)."""
+    """(delta T)_{i...} = - sum_a d_a T_{a i ...} (first index contracted),
+    from the gradient's diagonal rows alone, summed over the diagonal as
+    np.trace sums it."""
     if field.rank < 1:
         raise InvalidInput("divergence needs rank >= 1")
-    g = gradient(field)
-    out = TensorField(field.cs, field.rank - 1)
-    for mode_key, prof_key, C in g.terms():
-        out._accumulate(mode_key, prof_key, -np.trace(C, axis1=0, axis2=1))
-    return out
+    keys, rows = _gradient_rows(field, diagonal=True)
+    d1 = field.cs.dim + 1
+    return _table(field.cs, field.rank - 1, keys,
+                  -rows.reshape(len(keys), d1, rows.shape[1] // d1).sum(axis=1))
 
 
 def sym_grad(one_form: TensorField) -> TensorField:
@@ -369,19 +465,17 @@ def sym_grad(one_form: TensorField) -> TensorField:
     if one_form.rank != 1:
         raise InvalidInput("sym_grad needs a 1-form")
     g = gradient(one_form)
-    out = TensorField(one_form.cs, 2)
-    for mode_key, prof_key, C in g.terms():
-        out._accumulate(mode_key, prof_key, C + C.T)
-    return out
+    d1 = g.cs.dim + 1
+    C = g.coeffs.reshape(g.n_terms, d1, d1)
+    return _termwise(g, 2, C + C.transpose(0, 2, 1))
 
 
 def trace(field: TensorField) -> TensorField:
     if field.rank != 2:
         raise InvalidInput("trace needs rank 2")
-    out = TensorField(field.cs, 0)
-    for mode_key, prof_key, C in field.terms():
-        out._accumulate(mode_key, prof_key, np.trace(C))
-    return out
+    d1 = field.cs.dim + 1
+    C = field.coeffs.reshape(field.n_terms, d1, d1)
+    return _termwise(field, 0, C.trace(axis1=1, axis2=2))
 
 
 def hessian(f: TensorField) -> TensorField:
@@ -392,11 +486,7 @@ def hessian(f: TensorField) -> TensorField:
 
 def rough_laplacian(field: TensorField) -> TensorField:
     """Nonnegative rough Laplacian - sum_a d_a d_a, any rank."""
-    g2 = gradient(gradient(field))
-    out = TensorField(field.cs, field.rank)
-    for mode_key, prof_key, C in g2.terms():
-        out._accumulate(mode_key, prof_key, -np.trace(C, axis1=0, axis2=1))
-    return out
+    return divergence(gradient(field))
 
 
 def linearized_ricci(h: TensorField) -> TensorField:
@@ -406,8 +496,23 @@ def linearized_ricci(h: TensorField) -> TensorField:
     oracle checks exactly that expansion."""
     if h.rank != 2:
         raise InvalidInput("linearized_ricci needs a rank-2 field")
-    full = rough_laplacian(h) - sym_grad(divergence(h)) - hessian(trace(h))
-    return full.scale(0.5)
+    cs, d1 = h.cs, h.cs.dim + 1
+    # a gradient's keys follow from the keys alone and each of its columns
+    # sums on its own, so h and tr h take one gradient, div h and d(tr h)
+    # take one, and the rough Laplacian, S(div h) and H(tr h) share one
+    # table: (lap - sym) - hess runs row by row, with the bits of the sums
+    keys, rows = _gradient_rows(_table(cs, 2, h._keys, np.hstack([h.coeffs, trace(h).coeffs])),
+                                diagonal=False)
+    rows = rows.reshape(len(keys), d1, d1 * d1 + 1)
+    g = _table(cs, 3, keys, rows[:, :, :-1].reshape(len(keys), d1 ** 3))
+    div_h = -g.coeffs.reshape(len(keys), d1, d1, d1).trace(axis1=1, axis2=2)
+    lap = divergence(g)
+    keys, rows = _gradient_rows(_table(cs, 1, keys, np.hstack([div_h, rows[:, :, -1]])),
+                                diagonal=False)
+    rows = rows.reshape(len(keys), d1, 2, d1)
+    sym, hess = rows[:, :, 0] + rows[:, :, 0].transpose(0, 2, 1), rows[:, :, 1]
+    return _termwise(lap, 2, 0.5 * ((lap.coeffs - sym.reshape(lap.coeffs.shape))
+                                    - hess.reshape(lap.coeffs.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,37 +524,29 @@ def _trig_factor(cs: TorusCrossSection, freq) -> float:
     return cs.volume if not any(freq) else cs.volume / 2.0
 
 
-def _term_table(profiles):
-    """One mode's (power, rate) -> C entries as sorted arrays: powers (n,),
-    rates (n,) and the flattened coefficients (n, (d+1)^rank)."""
-    items = sorted(profiles.items())
-    powers = np.array([p for (p, _), _ in items])
-    rates = np.array([lam for (_, lam), _ in items])
-    coeffs = np.array([np.ravel(C) for _, C in items])
-    return powers, rates, coeffs
-
-
 def tube_integrand(a: TensorField, b: TensorField) -> RadialProfile:
     """The cross-section inner product r -> <a(r, .), b(r, .)>_{L2(N)}.
 
     Fourier orthogonality pairs only equal (freq, phase) keys.  On each
-    shared key one (n_a x n_b) table holds the coefficient dots, and entry
-    (i, j) lands on r^{p_i + p_j} e^{(lam_i + lam_j) r}; all keys merge into
-    one profile.  Keys and terms are visited in sorted order, so the merged
-    coefficients do not depend on the per-process hash seed.  For a tube
-    norm (a is b) each key's table is built once.
+    shared key one (n_a x n_b) GEMM gives the coefficient dots, and entry
+    (i, j) lands on r^{p_i + p_j} e^{(lam_i + lam_j) r}.  The profile's
+    constructor sums equal (power, rate) in key order, row-major within a
+    key, so the coefficients do not depend on the per-process hash seed.
     """
     if a.rank != b.rank:
         raise InvalidInput("tube inner product needs equal ranks")
+    keys_b, bounds_b = b._key_runs()
+    rows_b = dict(zip(keys_b, zip(bounds_b, bounds_b[1:])))
+    keys_a, bounds_a = (keys_b, bounds_b) if a is b else a._key_runs()
+    pk_a = a._keys[:, -2:].tolist()
+    pk_b = pk_a if a is b else b._keys[:, -2:].tolist()
     terms = []
-    for mode_key in sorted(a.data.keys() & b.data.keys()):
-        pa, la, ca = _term_table(a.data[mode_key])
-        pb, lb, cb = (pa, la, ca) if a is b else _term_table(b.data[mode_key])
-        dots = _trig_factor(a.cs, mode_key[0]) * (ca @ cb.T)
-        powers = pa[:, None] + pb[None, :]
-        rates = la[:, None] + lb[None, :]
-        terms.extend(zip(dots.ravel().tolist(), powers.ravel().tolist(),
-                         rates.ravel().tolist()))
+    for key, lo, hi in zip(keys_a, bounds_a, bounds_a[1:]):
+        if key in rows_b:
+            lo_b, hi_b = rows_b[key]
+            dots = _trig_factor(a.cs, key[0]) * (a.coeffs[lo:hi] @ b.coeffs[lo_b:hi_b].T)
+            terms += [(c, pa + pb, la + lb) for c, ((pa, la), (pb, lb))
+                      in zip(dots.ravel().tolist(), product(pk_a[lo:hi], pk_b[lo_b:hi_b]))]
     return RadialProfile(terms)
 
 
@@ -474,8 +571,7 @@ def project_onto_mode(field: TensorField, mode: Mode) -> RadialProfile:
         else np.array(float(mode.polarization))
     )
     factor = _trig_factor(field.cs, mode.freq)
-    terms = []
-    for (p, lam), C in field.data.get((mode.freq, mode.phase), {}).items():
-        coeff = float(np.sum(C * pol)) * factor
-        terms.append((coeff, p, lam))
-    return RadialProfile(tuple(terms))
+    return RadialProfile(tuple(
+        (float(np.sum(C * pol)) * factor, p, lam)
+        for key, (p, lam), C in field.terms() if key == (mode.freq, mode.phase)
+    ))

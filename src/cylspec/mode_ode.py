@@ -109,10 +109,11 @@ def _psi(z, qmax: int) -> list:
 class RadialProfile:
     """Finite sum of ``c * r**p * exp(lam * r)`` terms.
 
-    Terms are stored merged on the key ``(p, lam)``.  Separated-mode
-    solutions only ever need powers 0 and 1; intermediate arithmetic
-    (tube-norm integrands, variation-of-parameters temporaries) may push the
-    power higher, which is fine.
+    Terms are stored merged on the key ``(p, lam)``, sorted, with no exact
+    zero.  Separated-mode solutions only ever need powers 0 and 1;
+    intermediate arithmetic (tube-norm integrands, variation-of-parameters
+    temporaries) may push the power higher, which is fine.  Arithmetic on
+    such canonical terms builds its result canonical, skipping the checks.
     """
 
     __slots__ = ("terms",)
@@ -131,6 +132,12 @@ class RadialProfile:
             if c != _EXACT_ZERO
         )
 
+    @classmethod
+    def _of(cls, terms: tuple) -> "RadialProfile":
+        out = object.__new__(cls)  # terms already canonical
+        out.terms = terms
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -148,7 +155,23 @@ class RadialProfile:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        return RadialProfile(self.terms + other.terms)
+        # a sorted merge; a key in both is a + b, dropped when exactly 0
+        a, b, out, i, j = self.terms, other.terms, [], 0, 0
+        while i < len(a) and j < len(b):
+            ka, kb = a[i][1:], b[j][1:]
+            if ka < kb:
+                out.append(a[i])
+                i += 1
+            elif kb < ka:
+                out.append(b[j])
+                j += 1
+            elif ka == kb:
+                c = a[i][0] + b[j][0]
+                out += [(c, *ka)] if c != _EXACT_ZERO else []
+                i, j = i + 1, j + 1
+            else:  # a NaN rate has no order: the constructor merges
+                return RadialProfile(a + b)
+        return RadialProfile._of((*out, *a[i:], *b[j:]))
 
     def __sub__(self, other: "RadialProfile") -> "RadialProfile":
         return self + other.scale(-1.0)
@@ -157,11 +180,15 @@ class RadialProfile:
         return self.scale(-1.0)
 
     def scale(self, a: float) -> "RadialProfile":
-        return RadialProfile(tuple((c * a, p, lam) for c, p, lam in self.terms))
+        scaled = ((float(c * a), p, lam) for c, p, lam in self.terms)
+        return RadialProfile._of(tuple(t for t in scaled if t[0] != _EXACT_ZERO))
 
     def mul_monomial(self, power: int = 0, rate: float = 0.0) -> "RadialProfile":
-        """Multiply by r**power * exp(rate * r)."""
-        return RadialProfile(tuple((c, p + power, lam + rate) for c, p, lam in self.terms))
+        """Multiply by r**power * exp(rate * r); the constructor checks and
+        merges when shifted rates round onto one float or power is not int."""
+        terms = tuple((c, p + power, float(lam + rate) + 0.0) for c, p, lam in self.terms)
+        canonical = isinstance(power, int) and all(s[1:] < t[1:] for s, t in zip(terms, terms[1:]))
+        return RadialProfile._of(terms) if canonical and power >= 0 else RadialProfile(terms)
 
     def multiply(self, other: "RadialProfile") -> "RadialProfile":
         out = []
@@ -351,7 +378,8 @@ def system_matrix(mu: float) -> np.ndarray:
 
 def v_matrix(mu: float) -> np.ndarray:
     """Columns: eigenvector and Jordan partner at +sqrt(mu), then at -sqrt(mu)."""
-    if mu <= 0:
+    _check_mu(mu)
+    if mu == 0:
         raise InvalidInput("v_matrix needs mu > 0")
     s = math.sqrt(mu)
     return np.array(
@@ -366,7 +394,8 @@ def v_matrix(mu: float) -> np.ndarray:
 
 def v_inverse(mu: float) -> np.ndarray:
     """Exact inverse of v_matrix (entries verified against V @ V^-1 = I)."""
-    if mu <= 0:
+    _check_mu(mu)
+    if mu == 0:
         raise InvalidInput("v_inverse needs mu > 0")
     s = math.sqrt(mu)
     return np.array(
@@ -450,7 +479,9 @@ def check_characteristic(mu: float) -> dict:
 
     Returns a dict mapping each root to ``{"algebraic": a, "geometric": g}``
     plus a ``"ranks"`` entry with rank(A - root I) for each root.
+    A NaN, infinite or negative mu raises InvalidInput.
     """
+    _check_mu(mu)
     A = system_matrix(mu)
     out: dict = {"roots": {}, "ranks": {}}
     roots = [0.0] if mu == 0 else [math.sqrt(mu), -math.sqrt(mu)]

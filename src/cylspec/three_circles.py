@@ -29,6 +29,7 @@ up (growing side) or down (decaying side) the tube sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -181,13 +182,24 @@ class ThreeCirclesParams:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
+def _rate_and_normal(cs: TorusCrossSection, freq: tuple) -> tuple:
+    """s = sqrt(mu) = |omega| (as np.linalg.norm takes it) and the unit
+    normal omega / |omega| (zeros at frequency zero); memoized, read-only."""
+    w = cs.omega(freq)
+    s = math.sqrt(float(w @ w))
+    what = w / s if s else w
+    what.setflags(write=False)
+    return s, what
+
+
 def _require_reduced_form(h: TensorField) -> bool:
     """Gate: h must be a reduced kernel element (r-linear trace and
     parallel TT legs plus exponential TT modes, nothing else).  Returns
     whether an r-linear leg is present.
 
     All coefficient tensors are tested at once.  The first failing term in
-    ``h.data`` order is reported; within a term the power and rate come
+    ``h.terms()`` order is reported; within a term the power and rate come
     first, then the radial and mixed legs, then trace and transversality.
     Rates compare exactly, as in ``classify_kernel``: a term's rate must be
     the float +-sqrt(mu) of its frequency (0 at frequency zero).
@@ -195,30 +207,21 @@ def _require_reduced_form(h: TensorField) -> bool:
     first, naming its term.
     """
     cs = h.cs
-    keys = [(freq, p, lam) for (freq, _), profs in h.data.items() for p, lam in profs]
-    if not keys:
+    blocks = list(h.blocks())
+    if not blocks:
         return False
-    C = np.array([C for profs in h.data.values() for C in profs.values()], dtype=float)
+    C = np.concatenate([coeffs for *_, coeffs in blocks])
     if not np.isfinite(C).all():
         i = int(np.isfinite(C).all(axis=(1, 2)).argmin())
-        mode_key = [key for key, profs in h.data.items() for _ in profs][i]
-        _, p, rate = keys[i]
+        mode_key, (p, rate), _ = list(h.terms())[i]
         raise InvalidInput(f"coefficient at mode key {mode_key}, power {p}, "
                            f"rate {rate:.6g} is not finite")
-    # s = sqrt(mu) and the unit normal w^ = omega / |omega|, once per frequency
-    normals = {}
-    for freq, _, _ in keys:
-        if freq not in normals:
-            if any(freq):
-                w = cs.omega(freq)
-                normals[freq] = (math.sqrt(cs.eigenvalue(freq)), w / np.linalg.norm(w))
-            else:
-                normals[freq] = (0.0, np.zeros(cs.dim))
-    parallel = np.array([not any(freq) for freq, _, _ in keys])
-    s = np.array([normals[freq][0] for freq, _, _ in keys])
-    what = np.array([normals[freq][1] for freq, _, _ in keys])
-    powers = np.array([p for _, p, _ in keys])
-    rates = np.array([lam for _, _, lam in keys])
+    # per key: parallel or not, s = sqrt(mu) and the unit normal w^
+    counts = [len(powers) for _, powers, _, _ in blocks]
+    per_key = [(not any(freq), *_rate_and_normal(cs, freq)) for (freq, _), *_ in blocks]
+    parallel, s, what = (np.array(col).repeat(counts, axis=0) for col in zip(*per_key))
+    powers = np.array([p for _, powers, _, _ in blocks for p in powers])
+    rates = np.array([lam for _, _, rates, _ in blocks for lam in rates])
 
     A = np.abs(C)
     term_max = A.max(axis=(1, 2))
@@ -235,7 +238,7 @@ def _require_reduced_form(h: TensorField) -> bool:
     bad = live & (bad_rate | bad_edge | bad_tt)
     if bad.any():
         i = int(bad.argmax())
-        freq, p, rate = keys[i]
+        (freq, _), (p, rate), _ = list(h.terms())[i]
         if parallel[i] and bad_rate[i]:
             raise InvalidInput(
                 "parallel sector must be purely r-linear; classify and "

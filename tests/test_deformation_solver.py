@@ -88,7 +88,7 @@ def test_trace_split_affine_plus_single_mode():
     profiles_close(affine, RadialProfile.monomial(3.0, 1, 0.0))
     field_close(remainder, osc)
     t = F.trace(remainder)
-    assert list(t.data.keys()) == [(mode.freq, "cos")]
+    assert t.keys() == [(mode.freq, "cos")]
 
 
 @pytest.mark.parametrize("entry", [harmonic_trace_split, classify_kernel])
@@ -133,7 +133,8 @@ def test_absorption_single_mode_blocks():
 
     # radial block (r/2) e^{-r} phi
     rr = RadialProfile(
-        tuple((C[0, 0] / amp, p, lam) for (p, lam), C in L.data[(mode.freq, "cos")].items())
+        tuple((C[0, 0] / amp, p, lam) for key, (p, lam), C in L.terms()
+              if key == (mode.freq, "cos"))
     )
     profiles_close(rr, RadialProfile.monomial(0.5, 1, -1.0))
 
@@ -582,7 +583,7 @@ def test_classify_reports_fit_conditioning():
     rng = np.random.default_rng(53)
     h = random_kernel_element(CS, rng, tau=0.0)
     dec = classify_kernel(h, 0.0)
-    present = {freq for (freq, _phase) in h.data if any(freq)}
+    present = {freq for (freq, _phase) in h.keys() if any(freq)}
     assert set(dec.condition_numbers) == present
     for value in dec.condition_numbers.values():
         assert np.isfinite(value) and value < 1e8
@@ -603,10 +604,8 @@ def test_classify_conditioning_does_not_depend_on_a_window():
 
 
 def _moved_rates(h, rel):
-    out = F.TensorField(h.cs, 2)
-    for key, (p, lam), C in h.terms():
-        out._accumulate(key, (p, lam * (1.0 + rel)), C)
-    return out
+    return F.TensorField(h.cs, 2, [(key, (p, lam * (1.0 + rel)), C)
+                                   for key, (p, lam), C in h.terms()])
 
 
 @pytest.mark.parametrize("seed", [3, 17])

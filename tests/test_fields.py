@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylspec import cross_section as cx, fields as F
@@ -100,13 +100,14 @@ def test_lie_derivative_component_formulas():
     grad_phi = F.gradient(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)))
     hess_phi = F.hessian(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)))
     # build d_N phi (x) dr + dr (x) d_N phi directly from the gradient field
-    pair_mix = F.TensorField(CS, 2)
+    mixed = []
     for mode_key, prof_key, C in grad_phi.terms():
         M = np.zeros((CS.dim + 1, CS.dim + 1))
         M[0, :] = C
         M[:, 0] += C
         M[0, 0] = 0.0
-        pair_mix._accumulate(mode_key, prof_key, M)
+        mixed.append((mode_key, prof_key, M))
+    pair_mix = F.TensorField(CS, 2, mixed)
     kl = k.derivative() + l
     expected = expected + pair_mix.multiply_profile(kl) + hess_phi.multiply_profile(k.scale(2.0))
     assert field_close(lie, expected, tol=1e-12)
@@ -217,7 +218,15 @@ def _tube_pairs(draw):
     return rank, a_terms, b_terms, r_lo, r_hi, order
 
 
+# a subnormal tube value: the two routes round it one subnormal ulp apart,
+# which the relative tolerance alone does not cover
+_SUBNORMAL_TUBE = [((0, 0, 0), "cos", 1, -0.5), np.array(float.fromhex("0x1.26c8905426646p-523"))]
+# one ulp of the smallest normal double, the spacing of the subnormals
+_SUBNORMAL_ULP = math.ulp(sys.float_info.min)
+
+
 @given(_tube_pairs())
+@example((0, [_SUBNORMAL_TUBE], [_SUBNORMAL_TUBE], 1.0, math.inf, [0]))
 @settings(max_examples=80, deadline=None)
 def test_tube_integrand_matches_pairwise_integrals(case):
     rank, a_terms, b_terms, r_lo, r_hi, order = case
@@ -225,7 +234,7 @@ def test_tube_integrand_matches_pairwise_integrals(case):
     b = _field_from_terms(CS, rank, b_terms)
     want, scale = _pairwise_tube_reference(a, b, r_lo, r_hi)
     got = F.tube_inner_product(a, b, r_lo, r_hi)
-    assert abs(got - want) <= 1e-12 * scale
+    assert abs(got - want) <= 1e-12 * scale + _SUBNORMAL_ULP
     # the integrand itself, pointwise, against the pair sum
     integrand = F.tube_integrand(a, b)
     for r in (r_lo, r_lo + 0.37):
@@ -256,14 +265,12 @@ from cylspec import cross_section as cx, fields as F
 cs = cx.TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
 k0, k1, k2 = ((0, 0, 1), "cos"), ((0, 1, 0), "cos"), ((1, 0, 0), "cos")
 # one contribution per key (the trig factor 1/2 times b = 2 is exactly 1)
-a = F.TensorField(cs, 0, {k2: {(0, 0.0): np.array(1.0)}, k1: {(0, 0.0): np.array(-1e16)},
-                          k0: {(0, 0.0): np.array(1e16)}})
-b = F.TensorField(cs, 0, {k: {(0, 0.0): np.array(2.0)} for k in (k2, k1, k0)})
+a = F.TensorField(cs, 0, [(k2, (0, 0.0), 1.0), (k1, (0, 0.0), -1e16), (k0, (0, 0.0), 1e16)])
+b = F.TensorField(cs, 0, [(k, (0, 0.0), 2.0) for k in (k2, k1, k0)])
 by_key = dict(((p, lam), c) for c, p, lam in F.tube_integrand(a, b).terms)
 # three contributions inside one key, from rates (-1, 1), (0, 0), (1, -1)
-a = F.TensorField(cs, 0, {k0: {(0, 1.0): np.array(1.0), (0, 0.0): np.array(-1e16),
-                               (0, -1.0): np.array(1e16)}})
-b = F.TensorField(cs, 0, {k0: {(0, lam): np.array(2.0) for lam in (1.0, 0.0, -1.0)}})
+a = F.TensorField(cs, 0, [(k0, (0, 1.0), 1.0), (k0, (0, 0.0), -1e16), (k0, (0, -1.0), 1e16)])
+b = F.TensorField(cs, 0, [(k0, (0, lam), 2.0) for lam in (1.0, 0.0, -1.0)])
 by_term = dict(((p, lam), c) for c, p, lam in F.tube_integrand(a, b).terms)
 print(by_key.get((0, 0.0)), by_term.get((0, 0.0)))
 """
@@ -370,7 +377,7 @@ def _sampled_fields(draw):
 def _field_from_terms(cs, rank, terms):
     out = F.TensorField.zero(cs, rank)
     for (freq, phase, p, lam), C in terms:
-        out = out + F.TensorField(cs, rank, {(freq, phase): {(p, lam): C}})
+        out = out + F.TensorField(cs, rank, [((freq, phase), (p, lam), C)])
     return out
 
 
@@ -413,7 +420,7 @@ def test_field_scaling_and_pruning():
     assert h.scale(0.5).max_abs_coeff() == pytest.approx(h.max_abs_coeff() / 2)
     small = F.from_mode_profile(CS, B_PAR, RadialProfile.constant(1e-15))
     tiny = h + small
-    assert len(tiny.prune().data) == 2  # a small term is not a zero term
+    assert len(tiny.prune().keys()) == 2  # a small term is not a zero term
     cancelled = tiny - small
-    assert len(cancelled.data) == 2  # arithmetic keeps the zero term
-    assert len(cancelled.prune().data) == 1
+    assert len(cancelled.keys()) == 2  # arithmetic keeps the zero term
+    assert len(cancelled.prune().keys()) == 1

@@ -344,6 +344,22 @@ def test_a_non_finite_eigenvalue_or_damping_is_rejected_by_name(bad):
         m.solve_damped_mode(bad, src)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_the_matrix_helpers_reject_a_bad_eigenvalue_by_name(bad):
+    # v_matrix(nan) returned NaN rows, v_inverse(inf) inf rows, and
+    # check_characteristic(-1.0) raised a bare ValueError
+    for call in (m.v_matrix, m.v_inverse, m.check_characteristic):
+        with pytest.raises(InvalidInput, match=f"mu must be finite and >= 0, got {bad!r}"):
+            call(bad)
+
+
+def test_the_matrix_helpers_at_mu_zero():
+    for call in (m.v_matrix, m.v_inverse):
+        with pytest.raises(InvalidInput, match="needs mu > 0"):
+            call(0.0)
+    assert m.check_characteristic(0.0)["roots"] == {0.0: {"algebraic": 4, "geometric": 2}}
+
+
 def test_near_resonant_damped_solves_raise():
     with pytest.raises(ResonantRate):
         m.solve_damped_mode(1e-11, m.RadialProfile.constant(1.0))

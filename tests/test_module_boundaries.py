@@ -235,3 +235,43 @@ def test_the_check_sees_unread_imports():
         "    return fields_mod.trace(x), tube_norm(x, 0, 1)\n"
     )
     assert _unread_imports(tree) == [(2, "os"), (5, "three_circles_check")]
+
+
+# TensorField's term table: fields alone lays it out and reads it; the other
+# modules go through terms(), blocks() and keys(), and the nested-dict
+# ``data`` view (memoized in ``_data``) is for callers outside the library
+_TABLE = {"_keys", "coeffs", "data", "_data"}
+
+
+def _table_reads(tree):
+    """Every .coeffs, ._keys, .data or ._data (but a buffer's .ctypes.data)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _TABLE
+                and not (isinstance(node.value, ast.Attribute) and node.value.attr == "ctypes")):
+            yield node.lineno, node.attr
+
+
+def test_only_fields_reads_the_term_table():
+    from cylspec.fields import TensorField
+
+    assert set(TensorField.__slots__) - {"cs", "rank", "_runs"} <= _TABLE
+    found = [
+        f"{path.name}:{line}: .{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fields.py"
+        for line, name in _table_reads(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_table_reads(ast.parse((SRC / "fields.py").read_text())))
+
+
+def test_the_check_sees_table_reads():
+    tree = ast.parse(
+        "C = h.coeffs\n"
+        "k = h._keys[0]\n"
+        "for key in h.data:\n"
+        "    pass\n"
+        "skip = raw.ctypes.data\n"
+        "h.terms(), h.blocks()\n"
+    )
+    assert sorted(_table_reads(tree)) == [(1, "coeffs"), (2, "_keys"), (3, "data")]

@@ -170,3 +170,31 @@ def test_piece_on_rejects_straddling():
     assert p.piece_on(1.2, 1.8).terms == ((2.0, 0, 0.0),)
     with pytest.raises(InvalidInput):
         p.piece_on(0.5, 1.5)
+
+
+# colliding keys, cancelling coefficients and rates one ulp apart
+_canonical_terms = st.lists(
+    st.tuples(st.sampled_from([1.0, -1.0, 0.5, 1e16, -1e16, 3.0, 1e-300, -0.0]),
+              st.integers(0, 2),
+              st.sampled_from([-1.0, -0.5, 0.0, 0.5, math.nextafter(-0.5, 0.0), -1e-300])),
+    max_size=8,
+)
+
+
+@given(_canonical_terms, _canonical_terms, st.sampled_from([2.0, -1.0, 0.0, 1e-310, 1e300]),
+       st.integers(0, 2), st.sampled_from([0.0, 0.5, -0.5, 1e-17, -1.0]))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_builds_what_the_constructor_builds(ta, tb, a, power, rate):
+    # scale, +, -, negation and mul_monomial skip the constructor's checks
+    # and sort on canonical terms; the terms must be the constructor's
+    # merge of the same term lists, bit for bit
+    p, q = RadialProfile(ta), RadialProfile(tb)
+    assert (p + q).terms == RadialProfile(p.terms + q.terms).terms
+    assert p.scale(a).terms == RadialProfile(tuple((c * a, k, lam) for c, k, lam in p.terms)).terms
+    assert (p - q).terms == RadialProfile(p.terms + (-q).terms).terms
+    assert (-p).terms == RadialProfile(tuple((-c, k, lam) for c, k, lam in p.terms)).terms
+    shifted = RadialProfile(tuple((c, k + power, lam + rate) for c, k, lam in p.terms))
+    assert p.mul_monomial(power, rate).terms == shifted.terms
+    for r in (p + q, p.scale(a), p - q, p.mul_monomial(power, rate)):
+        assert all(isinstance(c, float) and c != 0.0 for c, _, _ in r.terms)
+        assert [t[1:] for t in r.terms] == sorted({t[1:] for t in r.terms})

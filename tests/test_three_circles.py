@@ -372,13 +372,14 @@ def _inject(h, defects, rng):
                 u = cx.tangent_complement(cs.omega(freq))[0]
                 C[1:, 1:] += eps * (np.outer(what, u) + np.outer(u, what))
             data[mk][(p, lam)] = C
-    if rng.integers(2):  # the first failing term depends on the key order
+    if rng.integers(2):  # terms go in in any order; the field sorts them
         mks = list(data)
         data = {mks[i]: data[mks[i]] for i in rng.permutation(len(mks))}
         for mk, profs in data.items():
             pks = list(profs)
             data[mk] = {pks[i]: profs[pks[i]] for i in rng.permutation(len(pks))}
-    return F.TensorField(cs, 2, data)
+    return F.TensorField(cs, 2, [(mk, pk, C) for mk, profs in data.items()
+                                 for pk, C in profs.items()])
 
 
 def _gate_outcome(gate, h):
@@ -422,8 +423,8 @@ def test_gate_exact_rates_and_zero_tensors():
         assert _gate_outcome(tc._require_reduced_form, h) == _gate_outcome(_reference_gate, h)
         assert (_gate_outcome(tc._require_reduced_form, h)[0] is bool) == passes
     # an all-zero tensor under any key is no content
-    h = r_linear_tt()
-    h.data[(B_OSC_CS.freq, B_OSC_CS.phase)] = {(3, 0.25): np.zeros((4, 4))}
+    h = r_linear_tt() + F.TensorField(
+        CS, 2, [((B_OSC_CS.freq, B_OSC_CS.phase), (3, 0.25), np.zeros((4, 4)))])
     assert tc._require_reduced_form(h) is True
     assert tc._require_reduced_form(F.TensorField.zero(CS, 2)) is False
 
@@ -434,15 +435,16 @@ def test_gate_refuses_non_finite_coefficients(bad):
     key = (B_OSC_CS.freq, B_OSC_CS.phase)
     message = re.escape(f"mode key {key}, power 0, rate {-s:.6g} is not finite")
     # an all-NaN tensor at a valid oscillating key used to read as reduced
-    h = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -s))
-    h.data[key][(0, -s)] = np.full((4, 4), bad)
+    h = F.TensorField(CS, 2, [(key, (0, -s), np.full((4, 4), bad))])
     with pytest.raises(InvalidInput, match=message):
         tc._require_reduced_form(h)
     with pytest.raises(InvalidInput, match=message):
         tc.three_circles_check(h, _valid_params())
     # one bad entry is enough, after a valid r-linear leg
-    h = r_linear_tt() + F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -s))
-    h.data[key][(0, -s)][2, 3] = bad
+    (_, _, C), = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -s)).terms()
+    C = C.copy()
+    C[2, 3] = bad
+    h = r_linear_tt() + F.TensorField(CS, 2, [(key, (0, -s), C)])
     with pytest.raises(InvalidInput, match=message):
         tc._require_reduced_form(h)
 
@@ -450,11 +452,9 @@ def test_gate_refuses_non_finite_coefficients(bad):
 def _oscillating_metric():
     phi = next(m for m in cx.build_spectrum(CS, "Scalar").modes if any(m.freq))
     g_tan = F.tangential_metric(CS)
-    out = F.TensorField.zero(CS, 2)
     s = math.sqrt(phi.eigenvalue)
-    for _, _, C in g_tan.terms():
-        out._accumulate((phi.freq, phi.phase), (0, -s), C * float(phi.polarization))
-    return out
+    return F.TensorField(CS, 2, [((phi.freq, phi.phase), (0, -s), C * float(phi.polarization))
+                                 for _, _, C in g_tan.terms()])
 
 
 def _valid_params():
