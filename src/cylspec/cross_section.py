@@ -19,6 +19,7 @@ Fourier pairing factor are fixed there once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -84,18 +85,18 @@ class TorusCrossSection:
         w = self.omega(freq)
         return float(w @ w)
 
-    def canonical_freqs(self):
-        """All frequency vectors in the canonical half-space, |k_j| <= cutoff."""
+    def canonical_freqs(self) -> tuple:
+        """All frequency vectors in the canonical half-space, |k_j| <= cutoff,
+        sorted; built once per cross section."""
+        return self._canonical_freqs
+
+    @functools.cached_property
+    def _canonical_freqs(self) -> tuple:
+        # product runs in lexicographic order; keep k = 0 and every k whose
+        # first nonzero entry is positive
         c = self.freq_cutoff
-        grids = np.meshgrid(*[np.arange(-c, c + 1)] * self.dim, indexing="ij")
-        ks = np.stack([g.ravel() for g in grids], axis=-1)
-        out = []
-        for k in ks:
-            nz = k[k != 0]
-            if nz.size == 0 or nz[0] > 0:
-                out.append(tuple(int(v) for v in k))
-        out.sort()
-        return out
+        ks = itertools.product(range(-c, c + 1), repeat=self.dim)
+        return tuple(k for k in ks if next((v > 0 for v in k if v), True))
 
     def smallest_positive_eigenvalue(self) -> float:
         """mu_1, the min of |omega|^2 over nonzero canonical frequencies,

@@ -249,9 +249,9 @@ def solve_gauge(source: TensorField, cfg: DivergenceConfig = DivergenceConfig())
     pairs: dict = {}
     for (freq, phase), (b, c) in parts.pairs.items():
         sol = solve_mixed_mode(cs.eigenvalue(freq), b.scale(-1.0), c.scale(-0.5))
-        pairs[(freq, phase)] = (sol.k.single_profile(), sol.l.single_profile())
+        pairs[(freq, phase)] = (sol.k, sol.l)
     coclosed = {
-        key: solve_scalar_mode(cs.eigenvalue(key[0]), a.scale(-1.0)).single_profile()
+        key: solve_scalar_mode(cs.eigenvalue(key[0]), a.scale(-1.0))
         for key, a in parts.coclosed.items()
     }
     harmonic = {idx: solve_damped_mode(tau, a.scale(-1.0)) for idx, a in parts.harmonic.items()}

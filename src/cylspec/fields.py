@@ -403,25 +403,21 @@ def rr_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> Tens
 # ---------------------------------------------------------------------------
 
 
-def _gradient_rows(field: TensorField, diagonal: bool):
+def _gradient_rows(field: TensorField):
     """The gradient's table: keys and rows, summed per key.
 
     Each term (p, lam) gives up to three parts, in this order: lam C at
     (p, lam) and p C at (p - 1, lam) in the radial slot, and sign omega_j C
     at (p, lam) on the flipped phase in slot j (0 where omega_j is 0); a
-    part whose factor is 0 (lam, p or omega) is not listed.  With
-    ``diagonal`` a row keeps only the entries where the new index equals
-    the field's first one (that index first), the entries a trace reads.
+    part whose factor is 0 (lam, p or omega) is not listed.
     """
     n, d = field.n_terms, field.cs.dim
     C, K = field.coeffs, field._keys
     omega = field.cs.omega(K[:, :-3])
-    C = C.reshape(n, d + 1, C.shape[1] // (d + 1)) if diagonal else C
-    lead, tang = (C[:, 0], C[:, 1:]) if diagonal else (C, C[:, None, :])
-    G = np.zeros((n, 3, d + 1, lead.shape[1]))
-    np.multiply(K[:, -1:], lead, out=G[:, 0, 0])
-    np.multiply(K[:, -2:-1], lead, out=G[:, 1, 0])
-    np.multiply(((2.0 * K[:, -3:-2] - 1.0) * omega)[:, :, None], tang, out=G[:, 2, 1:])
+    G = np.zeros((n, 3, d + 1, C.shape[1]))
+    np.multiply(K[:, -1:], C, out=G[:, 0, 0])
+    np.multiply(K[:, -2:-1], C, out=G[:, 1, 0])
+    np.multiply(((2.0 * K[:, -3:-2] - 1.0) * omega)[:, :, None], C[:, None, :], out=G[:, 2, 1:])
     G[:, 2, 1:][omega == 0.0] = 0.0
     live = np.empty((n, 3), dtype=bool)
     live[:, 0] = K[:, -1] != 0.0
@@ -437,7 +433,7 @@ def _gradient_rows(field: TensorField, diagonal: bool):
 
 def gradient(field: TensorField) -> TensorField:
     """Coordinate gradient; the new index comes first (slot 0 radial)."""
-    return _table(field.cs, field.rank + 1, *_gradient_rows(field, diagonal=False))
+    return _table(field.cs, field.rank + 1, *_gradient_rows(field))
 
 
 def _termwise(field: TensorField, rank: int, coeffs) -> TensorField:
@@ -447,15 +443,14 @@ def _termwise(field: TensorField, rank: int, coeffs) -> TensorField:
 
 
 def divergence(field: TensorField) -> TensorField:
-    """(delta T)_{i...} = - sum_a d_a T_{a i ...} (first index contracted),
-    from the gradient's diagonal rows alone, summed over the diagonal as
-    np.trace sums it."""
+    """(delta T)_{i...} = - sum_a d_a T_{a i ...}: minus the trace of the
+    gradient over its new index and the field's first one."""
     if field.rank < 1:
         raise InvalidInput("divergence needs rank >= 1")
-    keys, rows = _gradient_rows(field, diagonal=True)
+    keys, rows = _gradient_rows(field)
     d1 = field.cs.dim + 1
-    return _table(field.cs, field.rank - 1, keys,
-                  -rows.reshape(len(keys), d1, rows.shape[1] // d1).sum(axis=1))
+    C = rows.reshape(len(keys), d1, d1, d1 ** (field.rank - 1))
+    return _table(field.cs, field.rank - 1, keys, -C.trace(axis1=1, axis2=2))
 
 
 def sym_grad(one_form: TensorField) -> TensorField:
@@ -501,14 +496,12 @@ def linearized_ricci(h: TensorField) -> TensorField:
     # sums on its own, so h and tr h take one gradient, div h and d(tr h)
     # take one, and the rough Laplacian, S(div h) and H(tr h) share one
     # table: (lap - sym) - hess runs row by row, with the bits of the sums
-    keys, rows = _gradient_rows(_table(cs, 2, h._keys, np.hstack([h.coeffs, trace(h).coeffs])),
-                                diagonal=False)
+    keys, rows = _gradient_rows(_table(cs, 2, h._keys, np.hstack([h.coeffs, trace(h).coeffs])))
     rows = rows.reshape(len(keys), d1, d1 * d1 + 1)
     g = _table(cs, 3, keys, rows[:, :, :-1].reshape(len(keys), d1 ** 3))
     div_h = -g.coeffs.reshape(len(keys), d1, d1, d1).trace(axis1=1, axis2=2)
     lap = divergence(g)
-    keys, rows = _gradient_rows(_table(cs, 1, keys, np.hstack([div_h, rows[:, :, -1]])),
-                                diagonal=False)
+    keys, rows = _gradient_rows(_table(cs, 1, keys, np.hstack([div_h, rows[:, :, -1]])))
     rows = rows.reshape(len(keys), d1, 2, d1)
     sym, hess = rows[:, :, 0] + rows[:, :, 0].transpose(0, 2, 1), rows[:, :, 1]
     return _termwise(lap, 2, 0.5 * ((lap.coeffs - sym.reshape(lap.coeffs.shape))

@@ -18,6 +18,10 @@ Three constant-coefficient systems appear:
 
 Solves select decay at both ends of the line (integral split at the origin),
 which is what kills secular growth beyond a compactly supported source.
+The scalar and damped solves return a RadialProfile; the mixed solve a
+``MixedModeSolution`` of ``mu``, ``k`` and ``l`` (k' and l' are their
+derivatives), RadialProfiles unless the source is windowed,
+``support=(0, hi)``, which makes them PiecewiseProfiles.
 
 Every solve runs through one integrator, ``_exp_integral``, which keeps each
 term's rate, so a solution carries exactly (``==``) the source rates and the
@@ -33,7 +37,7 @@ infinity take the antiderivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,8 +303,8 @@ class RadialProfile:
 class PiecewiseProfile:
     """Radial profile defined piecewise on contiguous intervals.
 
-    Solutions of windowed-source problems live here: one closed-form piece
-    inside the source window, another (purely decaying) beyond it.
+    The windowed mixed solve returns its k and l as these: one closed-form
+    piece inside the source window, another (purely decaying) beyond it.
     """
 
     __slots__ = ("pieces",)
@@ -311,10 +315,6 @@ class PiecewiseProfile:
             if not math.isclose(hi1, lo2, rel_tol=0.0, abs_tol=1e-12):
                 raise InvalidInput("piecewise profile intervals must be contiguous")
         self.pieces = tuple(pieces)
-
-    @classmethod
-    def single(cls, profile: RadialProfile, lo=-math.inf, hi=math.inf) -> "PiecewiseProfile":
-        return cls([(lo, hi, profile)])
 
     def evaluate(self, r) -> np.ndarray:
         r_in = np.asarray(r, dtype=float)
@@ -336,23 +336,12 @@ class PiecewiseProfile:
     def derivative(self) -> "PiecewiseProfile":
         return PiecewiseProfile([(lo, hi, p.derivative()) for lo, hi, p in self.pieces])
 
-    def mul_monomial(self, power: int = 0, rate: float = 0.0) -> "PiecewiseProfile":
-        return PiecewiseProfile(
-            [(lo, hi, p.mul_monomial(power, rate)) for lo, hi, p in self.pieces]
-        )
-
     def piece_on(self, lo: float, hi: float) -> RadialProfile:
         """The closed-form piece covering [lo, hi]; raises if it straddles a breakpoint."""
         for plo, phi, prof in self.pieces:
             if plo - 1e-12 <= lo and hi <= phi + 1e-12:
                 return prof
         raise InvalidInput(f"[{lo}, {hi}] straddles a profile breakpoint")
-
-    def single_profile(self) -> RadialProfile:
-        """The unique closed-form piece; raises when the profile is windowed."""
-        if len(self.pieces) != 1:
-            raise InvalidInput("profile has several pieces; no single closed form")
-        return self.pieces[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +532,7 @@ def _exp_integral(profile: RadialProfile, sigma: float, upper=None) -> RadialPro
     return RadialProfile([(top, 0, sigma)] + [(-a, q, lam) for a, q, lam in out])
 
 
-def solve_scalar_mode(mu: float, alpha) -> PiecewiseProfile:
+def solve_scalar_mode(mu: float, alpha) -> RadialProfile:
     """Decaying solution of f'' - mu f = alpha on the half line.
 
     For mu > 0 this is the convolution with -e^{-sqrt(mu)|r-s|}/(2 sqrt(mu)),
@@ -552,20 +541,18 @@ def solve_scalar_mode(mu: float, alpha) -> PiecewiseProfile:
     is the double integration with zero data at r = 0 (the canonical
     complement choice for the finite sector); nothing is integrated out to
     infinity there, so any rate is accepted.
-    Returns a single-piece PiecewiseProfile on [0, inf).
     """
     _check_source(alpha)
     _check_mu(mu)
     if mu == 0.0:
         # f'' = alpha with zero data at r = 0 is the damped equation at tau = 0
-        return PiecewiseProfile.single(solve_damped_mode(0.0, alpha), lo=0.0)
+        return solve_damped_mode(0.0, alpha)
 
     s = math.sqrt(mu)
     for _, p, lam in alpha.terms:
         if lam >= s:
             raise InvalidInput("global source must decay strictly below rate sqrt(mu)")
-    body = (_exp_integral(alpha, -s) + _exp_integral(alpha, s, math.inf)).scale(-1.0 / (2.0 * s))
-    return PiecewiseProfile.single(body, lo=0.0)
+    return (_exp_integral(alpha, -s) + _exp_integral(alpha, s, math.inf)).scale(-1.0 / (2.0 * s))
 
 
 def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
@@ -579,19 +566,18 @@ def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
     return _exp_integral(_exp_integral(s, -tau), 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixedModeSolution:
     """Solution of the coupled mixed-pair system for one eigenvalue.
 
-    ``k`` multiplies the tangential-gradient leg, ``l`` the radial leg.
-    ``state(r)`` evaluates the full (k, k', l, l') vector.
+    ``k`` multiplies the tangential-gradient leg, ``l`` the radial leg:
+    RadialProfiles for a global source, PiecewiseProfiles for a windowed
+    one.  ``state(r)`` evaluates the full (k, k', l, l') vector.
     """
 
     mu: float
-    k: PiecewiseProfile
-    l: PiecewiseProfile
-    kp: PiecewiseProfile = field(repr=False, default=None)
-    lp: PiecewiseProfile = field(repr=False, default=None)
+    k: RadialProfile | PiecewiseProfile
+    l: RadialProfile | PiecewiseProfile
 
     def __iter__(self):
         # supports unpacking as (k, l)
@@ -599,17 +585,17 @@ class MixedModeSolution:
 
     def state(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        return np.stack(
-            [self.k.evaluate(r), self.kp.evaluate(r), self.l.evaluate(r), self.lp.evaluate(r)]
-        )
+        return np.stack([prof.evaluate(r) for prof in
+                         (self.k, self.k.derivative(), self.l, self.l.derivative())])
 
     def residual(self, beta, gamma, r) -> float:
         """Max-norm residual of the two second-order equations on a grid."""
         r = np.asarray(r, dtype=float)
-        kpp = self.kp.derivative().evaluate(r)
-        lpp = self.lp.derivative().evaluate(r)
-        res1 = kpp - 2.0 * self.mu * self.k.evaluate(r) + self.lp.evaluate(r) - beta.evaluate(r)
-        res2 = lpp - 0.5 * self.mu * (self.kp.evaluate(r) + self.l.evaluate(r)) - gamma.evaluate(r)
+        kp, lp = self.k.derivative(), self.l.derivative()
+        res1 = (kp.derivative().evaluate(r) - 2.0 * self.mu * self.k.evaluate(r)
+                + lp.evaluate(r) - beta.evaluate(r))
+        res2 = (lp.derivative().evaluate(r) - 0.5 * self.mu * (kp.evaluate(r) + self.l.evaluate(r))
+                - gamma.evaluate(r))
         return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))
 
 
@@ -628,74 +614,59 @@ def _vop_block(q_tilde_1, q_tilde_2, sigma, upper=None):
     return y1, y2
 
 
-def _mixed_solution_profiles(mu, beta, gamma, upper):
-    """State profiles (closed form) of x' = A x + (0, beta, 0, gamma).
+def _mixed_profiles(mu, beta, gamma, hi):
+    """k and l, rows 0 and 2 of the state, for x' = A x + (0, beta, 0, gamma)
+    with the source on [0, hi] (hi = inf for a global source).
 
-    ``upper`` is the upper integration limit for the growing-block part:
-    math.inf for globally decaying sources, the window end for compactly
-    supported ones.  Decay at both ends fixes the split: decaying-block
-    coefficients integrate up from 0, growing-block coefficients integrate
-    down from ``upper``.
+    In the basis V, decay at both ends fixes the split: decaying-block
+    coefficients integrate up from 0, growing-block coefficients down from
+    ``hi``.  For a finite ``hi`` the profiles are piecewise, and beyond the
+    window only the decaying block survives: its coefficients
+    c = int_0^hi e^{-J_- s} (qt2, qt3) ds build the tail directly, so no
+    growing basis term ever enters the tail piece.
     """
     s = math.sqrt(mu)
     V = v_matrix(mu)
     Vinv = v_inverse(mu)
-
     # components of V^-1 q with q = (0, beta, 0, gamma)
-    qt = [
-        beta.scale(Vinv[i, 1]) + gamma.scale(Vinv[i, 3])
-        for i in range(4)
-    ]
-
+    qt = [beta.scale(Vinv[i, 1]) + gamma.scale(Vinv[i, 3]) for i in range(4)]
     y1m, y2m = _vop_block(qt[2], qt[3], -s)
-    y1p, y2p = _vop_block(qt[0], qt[1], +s, upper=upper)
-    return [
+    y1p, y2p = _vop_block(qt[0], qt[1], +s, upper=hi)
+    body = [
         y1m.scale(V[i, 2]) + y2m.scale(V[i, 3]) - (y1p.scale(V[i, 0]) + y2p.scale(V[i, 1]))
-        for i in range(4)
+        for i in (0, 2)
     ]
-
-
-def _tail_profiles(mu, beta, gamma, hi):
-    """Beyond a source window only the decaying block survives; build it
-    directly so no growing basis term ever enters the tail piece."""
-    s = math.sqrt(mu)
-    V = v_matrix(mu)
-    Vinv = v_inverse(mu)
-    qt2 = beta.scale(Vinv[2, 1]) + gamma.scale(Vinv[2, 3])
-    qt3 = beta.scale(Vinv[3, 1]) + gamma.scale(Vinv[3, 3])
-    # coefficients c = int_0^hi e^{-J_- s} (qt2, qt3) ds, J_- the decaying block
+    if hi == math.inf:
+        return body
     c2 = (
-        qt2.mul_monomial(0, s).definite_integral(0.0, hi)
-        - qt3.mul_monomial(1, s).definite_integral(0.0, hi)
+        qt[2].mul_monomial(0, s).definite_integral(0.0, hi)
+        - qt[3].mul_monomial(1, s).definite_integral(0.0, hi)
     )
-    c3 = qt3.mul_monomial(0, s).definite_integral(0.0, hi)
-    x = []
-    for i in range(4):
-        # x_i(r) = e^{-s r} [ (c2 + r c3) V[i,2] + c3 V[i,3] ]
-        x.append(
-            RadialProfile(
-                (
-                    (c2 * V[i, 2] + c3 * V[i, 3], 0, -s),
-                    (c3 * V[i, 2], 1, -s),
-                )
-            )
-        )
-    return x
+    c3 = qt[3].mul_monomial(0, s).definite_integral(0.0, hi)
+    # x_i(r) = e^{-s r} [ (c2 + r c3) V[i,2] + c3 V[i,3] ]
+    tail = [
+        RadialProfile(((c2 * V[i, 2] + c3 * V[i, 3], 0, -s), (c3 * V[i, 2], 1, -s)))
+        for i in (0, 2)
+    ]
+    return [PiecewiseProfile([(0.0, hi, b), (hi, math.inf, t)]) for b, t in zip(body, tail)]
 
 
 def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
     """Decaying solution of the 4x4 system with source (0, beta, 0, gamma).
 
     Globally supported sources must have every rate strictly below sqrt(mu)
-    (and above -infinity; sub-exponential growth is rejected).  With
-    ``support=(lo, hi)`` the source is windowed and the returned profiles are
-    piecewise; the tail piece beyond ``hi`` is assembled from the decaying
-    Jordan block alone, so it contains no growing or secular term by
+    (and above -infinity; sub-exponential growth is rejected); k and l are
+    then RadialProfiles.  With ``support=(0, hi)`` the source is windowed and
+    k and l are piecewise; the tail piece beyond ``hi`` is assembled from the
+    decaying Jordan block alone, so it contains no growing or secular term by
     construction, not by cancellation.
     """
     _check_source(beta)
     _check_source(gamma)
+    hi = math.inf
     if support is not None:
+        if not (isinstance(support, (tuple, list)) and len(support) == 2):
+            raise InvalidInput(f"support window must be a pair (0, hi), got {support!r}")
         lo, hi = support
         if lo != 0.0 or not hi > 0.0 or math.isinf(hi):
             raise InvalidInput("support window must be [0, hi] with 0 < hi < inf")
@@ -705,22 +676,7 @@ def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
         # cross-section data is routed to the finite-dimensional sector)
         raise InvalidInput("solve_mixed_mode needs mu > 0; mu = 0 belongs to the finite sector")
 
-    s = math.sqrt(mu)
-    if support is None:
-        for prof in (beta, gamma):
-            for _, p, lam in prof.terms:
-                if lam >= s:
-                    raise InvalidInput(
-                        "global mixed source must decay strictly below rate sqrt(mu)"
-                    )
-        x = _mixed_solution_profiles(mu, beta, gamma, math.inf)
-        pieces = [PiecewiseProfile.single(prof, lo=0.0) for prof in x]
-    else:
-        body = _mixed_solution_profiles(mu, beta, gamma, hi)
-        tail = _tail_profiles(mu, beta, gamma, hi)
-        pieces = [
-            PiecewiseProfile([(0.0, hi, b), (hi, math.inf, t)])
-            for b, t in zip(body, tail)
-        ]
-
-    return MixedModeSolution(mu=mu, k=pieces[0], l=pieces[2], kp=pieces[1], lp=pieces[3])
+    if support is None and any(lam >= math.sqrt(mu) for _, _, lam in beta.terms + gamma.terms):
+        raise InvalidInput("global mixed source must decay strictly below rate sqrt(mu)")
+    k, l = _mixed_profiles(mu, beta, gamma, hi)
+    return MixedModeSolution(mu=mu, k=k, l=l)

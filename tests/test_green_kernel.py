@@ -40,7 +40,6 @@ import scipy.integrate
 from cylspec import green_kernel as gk
 from cylspec.errors import InvalidInput
 from cylspec.mode_ode import (
-    PiecewiseProfile,
     RadialProfile,
     fundamental_matrix_set,
     solve_mixed_mode,
@@ -256,10 +255,10 @@ def test_round_trip_recovers_pair():
 
 def test_weighted_norm_ramp_and_tail():
     grid = np.linspace(0.0, 30.0, 3001)
-    flat = PiecewiseProfile.single(RadialProfile.constant(1.0), lo=0.0)
+    flat = RadialProfile.constant(1.0)
     # weight is 1 near r=0 and e^{rho r} on the end
     assert gk.weighted_sup_norm(flat, 1.0, grid) == pytest.approx(math.exp(30.0), rel=1e-9)
-    decaying = PiecewiseProfile.single(RadialProfile.monomial(1.0, 0, -1.0), lo=0.0)
+    decaying = RadialProfile.monomial(1.0, 0, -1.0)
     assert gk.weighted_sup_norm(decaying, 1.0, grid) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -268,7 +267,7 @@ def test_weighted_norm_no_overflow_at_large_rho():
     rho = 6.2
     # e^{rho r} alone overflows past r = 114; folded into the profile's rate
     # it cancels e^{-rho r} exactly
-    prof = PiecewiseProfile.single(RadialProfile.monomial(1.0, 0, -rho), lo=0.0)
+    prof = RadialProfile.monomial(1.0, 0, -rho)
     assert gk.weighted_sup_norm(prof, rho, grid) == 1.0
 
 

@@ -127,8 +127,7 @@ def test_scalar_solve_residual(mu, rate):
     alpha = m.RadialProfile.monomial(1.7, 1, rate)
     f = m.solve_scalar_mode(mu, alpha)
     r = np.linspace(0.0, 10.0, 400)
-    prof = f.pieces[0][2]
-    res = prof.derivative().derivative().evaluate(r) - mu * prof.evaluate(r) - alpha.evaluate(r)
+    res = f.derivative().derivative().evaluate(r) - mu * f.evaluate(r) - alpha.evaluate(r)
     assert np.max(np.abs(res)) < 1e-8
 
 
@@ -208,6 +207,17 @@ def test_mixed_solve_rejects_supercritical_growth():
         m.solve_mixed_mode(0.0, m.RadialProfile.constant(1.0), m.RadialProfile.zero())
 
 
+
+@pytest.mark.parametrize(
+    "support", [(0.0,), (0.0, 5.0, 6.0), 5.0, (1.0, 5.0), (0.0, 0.0), (0.0, math.inf)]
+)
+def test_a_malformed_support_window_is_rejected(support):
+    # a window that is not a pair used to raise a bare ValueError or TypeError
+    with pytest.raises(InvalidInput, match="support window must be"):
+        m.solve_mixed_mode(
+            1.0, m.RadialProfile.constant(1.0), m.RadialProfile.zero(), support=support
+        )
+
 def test_windowed_solve_tail_constants_frozen():
     # beta = 1 on [0, 10], mu = 1: the decaying-block coefficients are
     #   c2 = 1.5 e^{10} - 1/4,   c3 = -(e^{10} - 1)/8
@@ -231,7 +241,7 @@ def test_windowed_solve_no_growing_terms_beyond_support():
             m.RadialProfile.constant(-0.8),
             support=(0.0, 10.0),
         )
-        for prof in (sol.k, sol.kp, sol.l, sol.lp):
+        for prof in (sol.k, sol.k.derivative(), sol.l, sol.l.derivative()):
             tail = prof.piece_on(11.0, 60.0)
             assert tail.growing_mass() == 0.0
             for _, p, lam in tail.terms:
@@ -242,7 +252,7 @@ def test_windowed_solve_continuous_at_breakpoint():
     sol = m.solve_mixed_mode(
         2.0, m.RadialProfile.constant(1.0), m.RadialProfile.constant(0.5), support=(0.0, 6.0)
     )
-    for prof in (sol.k, sol.kp, sol.l, sol.lp):
+    for prof in (sol.k, sol.k.derivative(), sol.l, sol.l.derivative()):
         left = prof.pieces[0][2].evaluate(6.0)
         right = prof.pieces[1][2].evaluate(6.0)
         assert abs(left - right) < 1e-9 * max(1.0, abs(left))
@@ -255,6 +265,119 @@ def test_windowed_solve_interior_residual():
     sol = m.solve_mixed_mode(mu, b, g, support=(0.0, 10.0))
     assert sol.residual(b, g, np.linspace(0.01, 9.99, 300)) < 1e-8
 
+
+# ---------------------------------------------------------------------------
+# pinned bits and return types
+# ---------------------------------------------------------------------------
+
+# (mu, beta terms, gamma terms, profiles): the profiles are k and l of the
+# global solve, then the body and tail pieces of k and of l on
+# support=(0, 5); each term is (coeff.hex(), power, rate), frozen from the
+# solver so that a refactor of the assembly keeps every bit
+_MIXED_BITS = [
+    (4.0, [(0.7, 1, -0.5)], [(-1.1, 0, -1.0)], (
+        (
+            ("0x1.0c536fe1a8c54p-3", 0, -2.0), ("-0x1.f49f49f49f4a0p-4", 0, -1.0),
+            ("-0x1.b2f7010433c28p-9", 0, -0.5), ("0x1.693e93e93e93fp-3", 1, -2.0),
+            ("-0x1.64ce9ed57275dp-4", 1, -0.5),
+        ),
+        (
+            ("-0x1.9518a6dfc3519p-1", 0, -2.0), ("0x1.b60b60b60b60cp-1", 0, -1.0),
+            ("0x1.0242a89a7ebbcp-3", 0, -0.5), ("-0x1.693e93e93e93fp-2", 1, -2.0),
+            ("-0x1.97c790f3f086cp-5", 1, -0.5),
+        ),
+        (
+            ("0x1.0c536fe1a8c54p-3", 0, -2.0), ("-0x1.f49f49f49f4a0p-4", 0, -1.0),
+            ("-0x1.b2f7010433c28p-9", 0, -0.5), ("-0x1.7d85aacac6e20p-19", 0, 2.0),
+            ("0x1.693e93e93e93fp-3", 1, -2.0), ("-0x1.64ce9ed57275dp-4", 1, -0.5),
+            ("0x1.81aa5e32f3d0ap-21", 1, 2.0),
+        ),
+        (
+            ("-0x1.48e48eb9478c5p+11", 0, -2.0), ("0x1.b4cd722882361p+8", 1, -2.0),
+        ),
+        (
+            ("-0x1.9518a6dfc3519p-1", 0, -2.0), ("0x1.b60b60b60b60cp-1", 0, -1.0),
+            ("0x1.0242a89a7ebbcp-3", 0, -0.5), ("-0x1.0712c70ef1282p-17", 0, 2.0),
+            ("-0x1.693e93e93e93fp-2", 1, -2.0), ("-0x1.97c790f3f086cp-5", 1, -0.5),
+            ("0x1.81aa5e32f3d0ap-20", 1, 2.0),
+        ),
+        (
+            ("0x1.edfc12a35e446p+11", 0, -2.0), ("-0x1.b4cd722882361p+9", 1, -2.0),
+        ),
+    )),
+    (2.25, [(0.3, 0, 0.0), (-1.2, 1, -0.1)], [(-0.8, 0, 0.0)], (
+        (
+            ("0x1.17313b595e82cp-3", 0, -1.5), ("0x1.bfd03bb55d500p-13", 0, -0.1),
+            ("-0x1.1111111111112p-4", 0, 0.0), ("-0x1.9e3e7630879b0p-7", 1, -1.5),
+            ("0x1.110fac687d634p-2", 1, -0.1),
+        ),
+        (
+            ("-0x1.551e22dcf4571p-3", 0, -1.5), ("-0x1.186e166402fc4p-2", 0, -0.1),
+            ("0x1.6c16c16c16c16p-1", 0, 0.0), ("0x1.36aed8a465b44p-6", 1, -1.5),
+            ("0x1.b8d0fac687d70p-6", 1, -0.1),
+        ),
+        (
+            ("0x1.17313b595e82cp-3", 0, -1.5), ("0x1.bfd03bb55d500p-13", 0, -0.1),
+            ("-0x1.1111111111112p-4", 0, 0.0), ("0x1.5406357d8dae0p-12", 0, 1.5),
+            ("-0x1.9e3e7630879b0p-7", 1, -1.5), ("0x1.110fac687d634p-2", 1, -0.1),
+            ("-0x1.ddca2dbe4f1aap-14", 1, 1.5),
+        ),
+        (
+            ("0x1.c66e6bb9566f0p+11", 0, -1.5), ("-0x1.358a8f844733ep+9", 1, -1.5),
+        ),
+        (
+            ("-0x1.551e22dcf4571p-3", 0, -1.5), ("-0x1.186e166402fc4p-2", 0, -0.1),
+            ("0x1.6c16c16c16c16p-1", 0, 0.0), ("0x1.b230794587ec8p-11", 0, 1.5),
+            ("0x1.36aed8a465b44p-6", 1, -1.5), ("0x1.b8d0fac687d70p-6", 1, -0.1),
+            ("-0x1.6657a24ebb540p-13", 1, 1.5),
+        ),
+        (
+            ("-0x1.c17db5f2cc3fap+11", 0, -1.5), ("0x1.d04fd7466acddp+9", 1, -1.5),
+        ),
+    )),
+]
+
+# (mu, alpha terms, f) for the scalar solve
+_SCALAR_BITS = [
+    (1.0, [(1.7, 1, -0.4)], (
+        ("-0x1.2e38e38e38e39p+1", 0, -1.0), ("0x1.ed6c8da447fb6p+0", 0, -0.4),
+        ("-0x1.030c30c30c30cp+1", 1, -0.4),
+    )),
+    (0.0, [(1.0, 0, 0.0), (0.5, 1, -0.3)], (
+        ("0x1.284bda12f684cp+5", 0, -0.3), ("-0x1.284bda12f684cp+5", 0, 0.0),
+        ("0x1.638e38e38e38fp+2", 1, -0.3), ("0x1.638e38e38e38ep+2", 1, 0.0),
+        ("0x1.0000000000000p-1", 2, 0.0),
+    )),
+    (9.0, [(2.0, 0, -1.0), (-0.25, 1, 2.0)], (
+        ("0x1.58bf258bf258cp-3", 0, -3.0), ("-0x1.0000000000000p-2", 0, -1.0),
+        ("0x1.47ae147ae147ap-5", 0, 2.0), ("0x1.9999999999999p-5", 1, 2.0),
+    )),
+]
+
+
+def _hex_terms(prof):
+    return tuple((c.hex(), p, lam) for c, p, lam in prof.terms)
+
+
+@pytest.mark.parametrize("mu,beta,gamma,bits", _MIXED_BITS)
+def test_mixed_solves_keep_their_bits_and_types(mu, beta, gamma, bits):
+    beta, gamma = m.RadialProfile(beta), m.RadialProfile(gamma)
+    glob = m.solve_mixed_mode(mu, beta, gamma)
+    win = m.solve_mixed_mode(mu, beta, gamma, support=(0, 5))
+    assert type(glob.k) is type(glob.l) is m.RadialProfile
+    assert type(win.k) is type(win.l) is m.PiecewiseProfile
+    got = [glob.k, glob.l]
+    for prof in (win.k, win.l):
+        assert [(lo, hi) for lo, hi, _ in prof.pieces] == [(0.0, 5.0), (5.0, math.inf)]
+        got += [piece for _, _, piece in prof.pieces]
+    assert [_hex_terms(prof) for prof in got] == list(bits)
+
+
+@pytest.mark.parametrize("mu,alpha,bits", _SCALAR_BITS)
+def test_scalar_solves_keep_their_bits_and_type(mu, alpha, bits):
+    f = m.solve_scalar_mode(mu, m.RadialProfile(alpha))
+    assert type(f) is m.RadialProfile
+    assert _hex_terms(f) == bits
 
 # ---------------------------------------------------------------------------
 # exact rates and the near-resonance window
@@ -300,7 +423,7 @@ def test_solutions_carry_only_source_and_homogeneous_rates(problem):
     assert _rates(m.solve_scalar_mode(0.0, c)) <= source_rates | {0.0}
     for support in (None, (0.0, hi)):
         sol = m.solve_mixed_mode(mu, a, b, support)
-        for prof in (sol.k, sol.kp, sol.l, sol.lp):
+        for prof in (sol.k, sol.k.derivative(), sol.l, sol.l.derivative()):
             assert _rates(prof) <= source_rates | {s, -s}
     assert _rates(m.solve_damped_mode(tau, c)) <= source_rates | {0.0, -tau}
 
@@ -312,7 +435,7 @@ def test_a_tiny_source_rate_is_kept_exactly():
     k_sol, l_sol = m.solve_mixed_mode(4.0, src, zero), m.solve_mixed_mode(4.0, zero, src)
     assert -1e-20 in _rates(k_sol.k) and -1e-20 in _rates(l_sol.l)
     for sol in (k_sol, l_sol):
-        for prof in (sol.k, sol.kp, sol.l, sol.lp):
+        for prof in (sol.k, sol.k.derivative(), sol.l, sol.l.derivative()):
             assert 0.0 not in _rates(prof)
 
 

@@ -275,3 +275,46 @@ def test_the_check_sees_table_reads():
         "h.terms(), h.blocks()\n"
     )
     assert sorted(_table_reads(tree)) == [(1, "coeffs"), (2, "_keys"), (3, "data")]
+
+
+# The radial solves return the profiles their callers read: a global solve
+# gives RadialProfiles, and only mode_ode builds or takes apart the windowed
+# solve's PiecewiseProfiles
+_PIECEWISE = {"PiecewiseProfile", "pieces", "single_profile"}
+
+
+def _piecewise_uses(tree):
+    """Every PiecewiseProfile, named, imported or read as an attribute, and
+    every .pieces or .single_profile."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "PiecewiseProfile":
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in _PIECEWISE:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, a.name) for a in node.names if a.name == "PiecewiseProfile")
+
+
+def test_only_mode_ode_handles_piecewise_profiles():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "mode_ode.py"
+        for line, name in _piecewise_uses(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_piecewise_uses(ast.parse((SRC / "mode_ode.py").read_text())))
+
+
+def test_the_check_sees_piecewise_profiles():
+    tree = ast.parse(
+        "from .mode_ode import PiecewiseProfile, RadialProfile\n"
+        "k = sol.k.single_profile()\n"
+        "for lo, hi, prof in sol.l.pieces:\n"
+        "    pass\n"
+        "isinstance(f, mode_ode.PiecewiseProfile)\n"
+        "tail = f.piece_on(5.0, 9.0), pieces, f.terms, RadialProfile\n"
+    )
+    assert sorted(_piecewise_uses(tree)) == [
+        (1, "PiecewiseProfile"), (2, "single_profile"), (3, "pieces"), (5, "PiecewiseProfile"),
+    ]
