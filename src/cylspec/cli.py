@@ -136,29 +136,16 @@ def field_to_dict(h: TensorField) -> dict:
 
 
 def _mode_key(cs: TorusCrossSection, i: int, freq, phase) -> tuple:
-    """The (freq, phase) of term i, checked against the cross section's
-    mode set: dim integer entries, canonical half-space, |k_j| <=
-    freq_cutoff, and phase cos or sin (cos only at frequency zero)."""
-    given = tuple(freq)
-    freq = tuple(int(k) for k in given)
-    where = f"term {i}: frequency {list(given)}"
-    if freq != given:
-        raise InvalidInput(f"{where} needs integer entries")
-    if len(freq) != cs.dim:
-        raise InvalidInput(f"{where} needs {cs.dim} entries")
-    nonzero = [k for k in freq if k != 0]
-    if nonzero and nonzero[0] < 0:
-        raise InvalidInput(
-            f"{where} is outside the canonical half-space (first nonzero entry "
-            "must be positive)"
-        )
-    if any(abs(k) > cs.freq_cutoff for k in freq):
-        raise InvalidInput(f"{where} exceeds freq_cutoff {cs.freq_cutoff}")
-    if phase not in ("cos", "sin"):
-        raise InvalidInput(f"{where}: phase must be cos or sin, got {phase!r}")
-    if phase == "sin" and not nonzero:
-        raise InvalidInput(f"{where}: frequency zero carries no sin phase")
-    return freq, phase
+    """The (freq, phase) of term i: a mode key of the cross section
+    (``TorusCrossSection.mode_key``) with every |k_j| <= freq_cutoff."""
+    try:
+        key = cs.mode_key(freq, phase)
+    except InvalidInput as exc:
+        raise InvalidInput(f"term {i}: {exc}") from exc
+    if any(abs(k) > cs.freq_cutoff for k in key[0]):
+        raise InvalidInput(f"term {i}: frequency {list(freq)} exceeds freq_cutoff "
+                           f"{cs.freq_cutoff}")
+    return key
 
 
 def _profile_key(cs: TorusCrossSection, i: int, freq, power, rate) -> tuple:

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidInput, InvalidParams
 
 __all__ = [
     "TorusCrossSection",
@@ -84,6 +84,31 @@ class TorusCrossSection:
     def eigenvalue(self, freq) -> float:
         w = self.omega(freq)
         return float(w @ w)
+
+    def mode_key(self, freq, phase: str) -> tuple:
+        """The (freq, phase) key of a mode of this torus, freq as ints:
+        ``dim`` integer entries, the first nonzero one positive, and phase
+        cos or sin, only cos at frequency zero.  Any other key raises
+        InvalidInput naming the frequency; a frequency above the cutoff is
+        a mode key too."""
+        given = tuple(freq)
+        freq = tuple(int(k) for k in given)
+        where = f"frequency {list(given)}"
+        if freq != given:
+            raise InvalidInput(f"{where} needs integer entries")
+        if len(freq) != self.dim:
+            raise InvalidInput(f"{where} needs {self.dim} entries")
+        nonzero = [k for k in freq if k != 0]
+        if nonzero and nonzero[0] < 0:
+            raise InvalidInput(
+                f"{where} is outside the canonical half-space (first nonzero entry "
+                "must be positive)"
+            )
+        if phase not in ("cos", "sin"):
+            raise InvalidInput(f"{where}: phase must be cos or sin, got {phase!r}")
+        if phase == "sin" and not nonzero:
+            raise InvalidInput(f"{where}: frequency zero carries no sin phase")
+        return freq, phase
 
     def canonical_freqs(self) -> tuple:
         """All frequency vectors in the canonical half-space, |k_j| <= cutoff,

@@ -10,7 +10,8 @@ Structure of the kernel over a flat torus cross section, per positive
 scalar eigenvalue mu with s = sqrt(mu):
 
 * four gauge directions L_X g0 from the homogeneous mixed-pair system
-  (columns of the fundamental matrix: e^{+-s r} times a Jordan ramp),
+  (``mode_ode.pair_columns``: e^{+-s r} times an eigenvector, and times its
+  Jordan partner plus r times the eigenvector),
 * two gauge directions L_{e^{+-s r} eta} g0 per coclosed 1-form mode,
 * two transverse-traceless directions e^{+-s r} B per TT mode,
 
@@ -53,7 +54,7 @@ from .divergence_solver import (
 )
 from .errors import InvalidInput, NotInKernel
 from .fields import TensorField, linearized_ricci, tangential_metric
-from .mode_ode import RadialProfile, v_matrix
+from .mode_ode import RadialProfile, pair_columns
 
 __all__ = [
     "KernelBasisElement",
@@ -114,32 +115,16 @@ def harmonic_trace_split(h):
     return affine, remainder.prune()
 
 
-def _absorption_profiles(mu: float, c_plus: float, c_minus: float):
-    """Closed-form (k, l) whose Lie derivative has trace
-    (c+ e^{s r} + c- e^{-s r}) phi and vanishing divergence."""
-    s = math.sqrt(mu)
-    k_terms, l_terms = [], []
-    for c, sign in ((c_plus, +1.0), (c_minus, -1.0)):
-        if c == 0.0:
-            continue
-        rate = sign * s
-        # k = -(c/2mu)(1 + sign (s/2) r) e^{sign s r}
-        k_terms.append((-c / (2.0 * mu), 0, rate))
-        k_terms.append((-c * sign / (4.0 * s), 1, rate))
-        # l = -(c/4)(r - sign / s) e^{sign s r}
-        l_terms.append((c * sign / (4.0 * s), 0, rate))
-        l_terms.append((-c / 4.0, 1, rate))
-    return RadialProfile(tuple(k_terms)), RadialProfile(tuple(l_terms))
-
-
 def trace_absorption_field(cs: TorusCrossSection, coefficients: dict) -> GaugeField:
     """Gauge field X whose Lie derivative absorbs an oscillating trace.
 
     ``coefficients`` maps (freq, phase) of a positive-eigenvalue scalar
     mode phi to (c+, c-); the result satisfies, in closed form,
     tr(L_X g0) = sum (c+ e^{s r} + c- e^{-s r}) phi  and  delta(L_X g0) = 0.
-    Frequency-zero keys are rejected: an affine trace is not absorbable
-    and must be split off first.
+    Its (k, l) at phi weight the four homogeneous solutions of
+    ``mode_ode.pair_columns`` by (-c+/(2mu), -c+/(4s), c-/(2mu), -c-/(4s)),
+    s = sqrt(mu).  Frequency-zero keys are rejected: an affine trace is not
+    absorbable and must be split off first.
     """
     pairs: dict = {}
     for (freq, phase), (c_plus, c_minus) in coefficients.items():
@@ -150,7 +135,12 @@ def trace_absorption_field(cs: TorusCrossSection, coefficients: dict) -> GaugeFi
             )
         if c_plus == 0.0 and c_minus == 0.0:
             continue
-        k, l = _absorption_profiles(mu, float(c_plus), float(c_minus))
+        c_plus, c_minus, s = float(c_plus), float(c_minus), math.sqrt(mu)
+        weights = (-c_plus / (2.0 * mu), -c_plus / (4.0 * s),
+                   c_minus / (2.0 * mu), -c_minus / (4.0 * s))
+        k = l = RadialProfile.zero()
+        for (col_k, col_l), w in zip(pair_columns(mu), weights):
+            k, l = k + col_k.scale(w), l + col_l.scale(w)
         pairs[(tuple(freq), phase)] = (k, l)
     return GaugeField(cs, pairs)
 
@@ -176,25 +166,6 @@ class KernelBasisElement:
     generator: TensorField | None = None
 
 
-def _homogeneous_pair_profiles(mu: float):
-    """The four (k, l) solutions of the homogeneous mixed-pair system,
-    read off the columns of the fundamental matrix V e^{J r}."""
-    s = math.sqrt(mu)
-    V = v_matrix(mu)
-    out = []
-    for base, rate in ((0, s), (2, -s)):
-        k0, l0 = V[0, base], V[2, base]
-        k1, l1 = V[0, base + 1], V[2, base + 1]
-        out.append((RadialProfile(((k0, 0, rate),)), RadialProfile(((l0, 0, rate),))))
-        out.append(
-            (
-                RadialProfile(((k1, 0, rate), (k0, 1, rate))),
-                RadialProfile(((l1, 0, rate), (l0, 1, rate))),
-            )
-        )
-    return out
-
-
 def _gauge_element(label, one_form, parallel, meta):
     return KernelBasisElement(
         label=label,
@@ -211,7 +182,7 @@ def _frequency_basis(cs: TorusCrossSection, freq) -> list:
     mode and two exponential TT tensors per TT mode.
 
     ``meta`` holds (freq, phase, j) for a pair gauge, where j indexes
-    ``_homogeneous_pair_profiles``, and (freq, phase, index, branch) for
+    ``mode_ode.pair_columns``, and (freq, phase, index, branch) for
     the others, with branch "plus" or "minus" for e^{+-sqrt(mu) r}.
     """
     mu = cs.eigenvalue(freq)
@@ -222,7 +193,7 @@ def _frequency_basis(cs: TorusCrossSection, freq) -> list:
     out = []
     for phase in ("cos", "sin"):
         phi = modes_at(cs, "Scalar", freq, phase)[0]
-        for j, (k, l) in enumerate(_homogeneous_pair_profiles(mu)):
+        for j, (k, l) in enumerate(pair_columns(mu)):
             X = fields_mod.pair_one_form(cs, phi, k, l)
             out.append(_gauge_element("scalar_gauge", X, False, (freq, phase, j)))
         for idx, eta in enumerate(modes_at(cs, "CoclosedOneForm", freq, phase)):

@@ -61,12 +61,14 @@ class TensorField:
 
     def __init__(self, cs: TorusCrossSection, rank: int, terms=()):
         """The sum of the ((freq, phase), (power, rate), C) terms; terms on
-        one key add up in the order given."""
+        one key add up in the order given.  Each (freq, phase) must name a
+        mode (``TorusCrossSection.mode_key``)."""
         rank, d = int(rank), cs.dim
         keys, coeffs = [], []
         for (freq, phase), (p, lam), C in terms:
+            freq, phase = cs.mode_key(freq, phase)
             C = np.asarray(C, dtype=float)
-            if C.shape != (d + 1,) * rank or len(freq) != d or phase not in _PHASE_CODE:
+            if C.shape != (d + 1,) * rank:
                 raise InvalidInput(f"term {(freq, phase)}, {(p, lam)} does not fit a rank-"
                                    f"{rank} field on a {d}-torus")
             keys.append((*freq, _PHASE_CODE[phase], int(p), float(lam) + 0.0))

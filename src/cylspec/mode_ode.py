@@ -37,6 +37,7 @@ infinity take the antiderivative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "fundamental_matrix_set",
     "v_matrix",
     "v_inverse",
+    "pair_columns",
     "check_characteristic",
     "solve_scalar_mode",
     "solve_mixed_mode",
@@ -409,6 +411,20 @@ def _exp_jordan(mu: float, r: float) -> np.ndarray:
     return out
 
 
+def pair_columns(mu: float) -> tuple:
+    """The four homogeneous (k, l) solutions of the mixed pair system, rows
+    0 and 2 of the columns of V e^{J r}: the eigenvector e^{sr} v and its
+    Jordan partner e^{sr} (w + r v) at +s = +sqrt(mu), then both at -s."""
+    s = math.sqrt(mu)
+    V = v_matrix(mu)
+    out = []
+    for base, rate in ((0, s), (2, -s)):
+        v, w = V[(0, 2), base], V[(0, 2), base + 1]
+        out.append(tuple(RadialProfile(((vi, 0, rate),)) for vi in v))
+        out.append(tuple(RadialProfile(((wi, 0, rate), (vi, 1, rate))) for vi, wi in zip(v, w)))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FundamentalMatrixSet:
     """The fundamental matrices of both systems at one eigenvalue mu.
@@ -622,8 +638,8 @@ def _mixed_profiles(mu, beta, gamma, hi):
     coefficients integrate up from 0, growing-block coefficients down from
     ``hi``.  For a finite ``hi`` the profiles are piecewise, and beyond the
     window only the decaying block survives: its coefficients
-    c = int_0^hi e^{-J_- s} (qt2, qt3) ds build the tail directly, so no
-    growing basis term ever enters the tail piece.
+    c = int_0^hi e^{-J_- s} (qt2, qt3) ds weight columns 2 and 3 of
+    ``pair_columns``, so no growing basis term ever enters the tail piece.
     """
     s = math.sqrt(mu)
     V = v_matrix(mu)
@@ -643,11 +659,8 @@ def _mixed_profiles(mu, beta, gamma, hi):
         - qt[3].mul_monomial(1, s).definite_integral(0.0, hi)
     )
     c3 = qt[3].mul_monomial(0, s).definite_integral(0.0, hi)
-    # x_i(r) = e^{-s r} [ (c2 + r c3) V[i,2] + c3 V[i,3] ]
-    tail = [
-        RadialProfile(((c2 * V[i, 2] + c3 * V[i, 3], 0, -s), (c3 * V[i, 2], 1, -s)))
-        for i in (0, 2)
-    ]
+    _, _, col2, col3 = pair_columns(mu)
+    tail = [a.scale(c2) + b.scale(c3) for a, b in zip(col2, col3)]
     return [PiecewiseProfile([(0.0, hi, b), (hi, math.inf, t)]) for b, t in zip(body, tail)]
 
 
@@ -668,8 +681,9 @@ def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
         if not (isinstance(support, (tuple, list)) and len(support) == 2):
             raise InvalidInput(f"support window must be a pair (0, hi), got {support!r}")
         lo, hi = support
-        if lo != 0.0 or not hi > 0.0 or math.isinf(hi):
-            raise InvalidInput("support window must be [0, hi] with 0 < hi < inf")
+        if lo != 0.0 or not (isinstance(hi, numbers.Real) and 0.0 < hi < math.inf):
+            raise InvalidInput(
+                f"support window must be [0, hi] with 0 < hi < inf, got {support!r}")
     _check_mu(mu)
     if mu == 0.0:
         # the mu = 0 pair never carries a source in this pipeline (harmonic

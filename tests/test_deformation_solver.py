@@ -22,7 +22,6 @@ from cylspec.deformation_solver import (
     parallel_space_dimension,
     solve_reduced_system,
     trace_absorption_field,
-    _absorption_profiles,
 )
 from cylspec.divergence_solver import (
     DivergenceConfig,
@@ -116,7 +115,8 @@ def test_trace_split_rejects_non_harmonic_trace():
 def test_absorption_profiles_frozen_closed_form():
     # decaying branch at mu = 1, unit coefficient:
     #   k = -(1/2)(1 - r/2) e^{-r},  l = -(1/4)(r + 1) e^{-r}
-    k, l = _absorption_profiles(1.0, 0.0, 1.0)
+    X = trace_absorption_field(CIRCLE, {((1,), "cos"): (0.0, 1.0)})
+    [(k, l)] = X.pairs.values()
     profiles_close(k, RadialProfile(((-0.5, 0, -1.0), (0.25, 1, -1.0))))
     profiles_close(l, RadialProfile(((-0.25, 0, -1.0), (-0.25, 1, -1.0))))
 

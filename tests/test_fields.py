@@ -172,6 +172,31 @@ def test_tube_inner_product_cross_mode_orthogonality():
     assert F.tube_inner_product(a, b, 0.0, 2.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        # on T^2(1, 1) a sin term at frequency zero evaluated to 0 but had tube
+        # norm 1 over [0, 1], and cos terms at (-1, 0) and (1, 0) sampled alike
+        # but paired to 0 and did not cancel in a difference
+        (((0, 0), "sin"), r"frequency \[0, 0\]: frequency zero carries no sin phase"),
+        (((-1, 0), "cos"), r"frequency \[-1, 0\] is outside the canonical half-space"),
+        (((1,), "cos"), r"frequency \[1\] needs 2 entries"),
+        (((1.5, 0), "cos"), r"frequency \[1.5, 0\] needs integer entries"),
+        (((1, 0), "tan"), r"phase must be cos or sin, got 'tan'"),
+    ],
+)
+def test_a_field_term_must_name_a_mode(key, message):
+    cs = cx.TorusCrossSection(2, (1.0, 1.0), 1)
+    with pytest.raises(InvalidInput, match=message):
+        F.TensorField(cs, 0, [(key, (0, 0.0), 1.0)])
+
+
+def test_a_mode_key_above_the_cutoff_is_a_field_term():
+    cs = cx.TorusCrossSection(2, (1.0, 1.0), 1)
+    h = F.TensorField(cs, 0, [(((3, -2), "sin"), (0, 0.0), 1.0), (((0, 0), "cos"), (0, 0.0), 2.0)])
+    assert h.keys() == [((0, 0), "cos"), ((3, -2), "sin")]
+
+
 def _pairwise_tube_reference(a, b, r_lo, r_hi):
     """The former tube_inner_product: one profile and one definite integral
     per pair of terms.  Returns the total and the sum of the pair
@@ -344,12 +369,14 @@ def _sampled_fields(draw):
     rank = draw(st.sampled_from((0, 1, 2)))
     sides = tuple(draw(st.sampled_from((1.0, 2.0, 2 * math.pi))) for _ in range(d))
     cs = cx.TorusCrossSection(d, sides, 2)
+    # (freq, phase) names a mode: canonical half-space, no sin at frequency zero
+    modes = [(k, phase) for k in cs.canonical_freqs() for phase in ("cos", "sin")
+             if any(k) or phase == "cos"]
     key = st.tuples(
-        st.tuples(*[st.integers(-2, 2)] * d),
-        st.sampled_from(("cos", "sin")),
+        st.sampled_from(modes),
         st.integers(0, 2),
         st.floats(-2.0, 1.0, allow_nan=False).map(lambda v: round(v, 3)),
-    )
+    ).map(lambda t: (*t[0], *t[1:]))
     keys = draw(st.lists(key, max_size=8, unique=True))
     coeff = st.floats(-3.0, 3.0, allow_nan=False)
     terms = [

@@ -191,9 +191,10 @@ def _cross_sections(draw):
 
 @st.composite
 def _terms_of(draw, cs, rank, max_size=40):
-    freqs = [tuple(draw(st.lists(st.integers(-1, 2), min_size=cs.dim, max_size=cs.dim)))
-             for _ in range(draw(st.integers(1, 3)))]
-    key = st.tuples(st.sampled_from(freqs), st.sampled_from(("cos", "sin")))
+    # keys that name a mode: canonical frequencies, no sin at frequency zero
+    freqs = draw(st.lists(st.sampled_from(cs.canonical_freqs()), min_size=1, max_size=3))
+    key = st.sampled_from([(k, phase) for k in freqs for phase in ("cos", "sin")
+                           if any(k) or phase == "cos"])
     prof = st.tuples(st.integers(0, 2), st.sampled_from(_RATES))
     n = (cs.dim + 1) ** rank
     entries = st.lists(_VALUES, min_size=n, max_size=n).map(

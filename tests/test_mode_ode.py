@@ -73,6 +73,29 @@ def test_fundamental_matrix_inverse_identity(mu):
         assert err < 1e-12
 
 
+@pytest.mark.parametrize("mu", (0.5, 1.0, 4.0, 4.0 * math.pi**2))
+def test_pair_columns_are_the_columns_of_the_fundamental_matrix(mu):
+    # (k, k', l, l') of column j is column j of V e^{J r}
+    columns = m.pair_columns(mu)
+    assert len(columns) == 4
+    fm = m.fundamental_matrix_set(mu)
+    for r in np.linspace(-3.0, 3.0, 25):
+        P = fm.mixed(r)
+        for j, (k, l) in enumerate(columns):
+            state = [float(f.evaluate(r)) for f in (k, k.derivative(), l, l.derivative())]
+            assert np.max(np.abs(state - P[:, j])) <= 1e-13 * np.max(np.abs(P[:, j])), (r, j)
+
+
+@pytest.mark.parametrize("mu", (0.5, 1.0, 4.0, 4.0 * math.pi**2))
+def test_pair_columns_solve_the_homogeneous_system(mu):
+    zero, r = m.RadialProfile.zero(), np.linspace(-3.0, 3.0, 61)
+    for k, l in m.pair_columns(mu):
+        sol = m.MixedModeSolution(mu, k, l)
+        # the equations' largest term is mu k or a second derivative
+        scale = (1.0 + mu) * np.max(np.abs(sol.state(r)))
+        assert sol.residual(zero, zero, r) <= 1e-12 * scale
+
+
 def test_scalar_fundamental_matrix_solves_ode():
     for mu in MUS:
         fm = m.fundamental_matrix_set(mu)
@@ -209,10 +232,13 @@ def test_mixed_solve_rejects_supercritical_growth():
 
 
 @pytest.mark.parametrize(
-    "support", [(0.0,), (0.0, 5.0, 6.0), 5.0, (1.0, 5.0), (0.0, 0.0), (0.0, math.inf)]
+    "support",
+    [(0.0,), (0.0, 5.0, 6.0), 5.0, (1.0, 5.0), (0.0, 0.0), (0.0, math.inf), (0.0, "5"),
+     (0.0, None)],
 )
 def test_a_malformed_support_window_is_rejected(support):
-    # a window that is not a pair used to raise a bare ValueError or TypeError
+    # a window that is not a pair, or whose end is not a number, used to
+    # raise a bare ValueError or TypeError
     with pytest.raises(InvalidInput, match="support window must be"):
         m.solve_mixed_mode(
             1.0, m.RadialProfile.constant(1.0), m.RadialProfile.zero(), support=support

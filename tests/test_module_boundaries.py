@@ -318,3 +318,42 @@ def test_the_check_sees_piecewise_profiles():
     assert sorted(_piecewise_uses(tree)) == [
         (1, "PiecewiseProfile"), (2, "single_profile"), (3, "pieces"), (5, "PiecewiseProfile"),
     ]
+
+
+# Only mode_ode knows the mixed pair system's state layout and Jordan basis;
+# the other modules read its homogeneous solutions through pair_columns
+_JORDAN_BASIS = {"v_matrix", "v_inverse"}
+
+
+def _jordan_basis_uses(tree):
+    """Every v_matrix or v_inverse, named, imported or read as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _JORDAN_BASIS:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in _JORDAN_BASIS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, a.name) for a in node.names if a.name in _JORDAN_BASIS)
+
+
+def test_only_mode_ode_reads_the_jordan_basis():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "mode_ode.py"
+        for line, name in _jordan_basis_uses(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_jordan_basis_uses(ast.parse((SRC / "mode_ode.py").read_text())))
+
+
+def test_the_check_sees_the_jordan_basis():
+    tree = ast.parse(
+        "from .mode_ode import pair_columns, v_matrix\n"
+        "V = v_matrix(mu)\n"
+        "Vinv = mode_ode.v_inverse(mu)\n"
+        "cols, v_matrix_rows = pair_columns(mu), fm.mixed(r)\n"
+    )
+    assert sorted(_jordan_basis_uses(tree)) == [
+        (1, "v_matrix"), (2, "v_matrix"), (3, "v_inverse"),
+    ]
