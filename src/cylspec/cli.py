@@ -137,7 +137,10 @@ def field_to_dict(h: TensorField) -> dict:
 
 def _mode_key(cs: TorusCrossSection, i: int, freq, phase) -> tuple:
     """The (freq, phase) of term i: a mode key of the cross section
-    (``TorusCrossSection.mode_key``) with every |k_j| <= freq_cutoff."""
+    (``TorusCrossSection.mode_key``) with every |k_j| <= freq_cutoff.  An
+    entry that int() cannot read is a malformed value of the file."""
+    for k in freq:
+        int(k)
     try:
         key = cs.mode_key(freq, phase)
     except InvalidInput as exc:

@@ -91,9 +91,15 @@ class TorusCrossSection:
         cos or sin, only cos at frequency zero.  Any other key raises
         InvalidInput naming the frequency; a frequency above the cutoff is
         a mode key too."""
-        given = tuple(freq)
-        freq = tuple(int(k) for k in given)
+        try:
+            given = tuple(freq)
+        except TypeError:
+            raise InvalidInput(f"frequency {freq!r} needs {self.dim} integer entries") from None
         where = f"frequency {list(given)}"
+        try:
+            freq = tuple(int(k) for k in given)
+        except (TypeError, ValueError, OverflowError):  # 'a', None, nan, inf
+            freq = None
         if freq != given:
             raise InvalidInput(f"{where} needs integer entries")
         if len(freq) != self.dim:

@@ -9,13 +9,16 @@ ingredient is pointwise evaluation of modal fields (``sample``).
 Conventions are the same as in ``fields``: component index 0 is the
 radial direction, the rough Laplacian is minus the sum of second
 partials, and the divergence contracts the derivative index with a minus
-sign.  ``linearized_ricci`` is normalized as the derivative of
-``nonlinear_ricci`` at the product metric.  To make that hold exactly at
-the discrete level (not just up to truncation error), second derivatives
-are always composed first-derivative stencils; the nonlinear Ricci
-routine differentiates the Christoffel arrays with the same stencil, so
-the order-epsilon terms of ``nonlinear_ricci(g0 + eps h)`` cancel against
-``eps * linearized_ricci(h)`` to round-off and the measured remainder is
+sign.  ``linearized_ricci`` is the derivative of ``nonlinear_ricci`` at
+the product metric, in the Bianchi form (rough + S(v)) / 2, where
+S(v)_ij = d_i v_j + d_j v_i and v = -beta(h), v_j = sum_a d_a h_aj -
+d_j tr h / 2 (Besse, *Einstein Manifolds*, 1987, 1.K).  To make that hold
+exactly at the discrete level (not just up to truncation error), second
+derivatives are always composed first-derivative stencils, and stencils
+on different axes commute; the nonlinear Ricci routine differentiates
+the Christoffel arrays with the same stencil, so the order-epsilon terms
+of ``nonlinear_ricci(g0 + eps h)`` cancel against ``eps *
+linearized_ricci(h)`` to round-off and the measured remainder is
 genuinely quadratic.
 
 The background is the product metric dr^2 + g_flat, whose Ric and Rm
@@ -250,12 +253,16 @@ class GridField:
         return self.components[INTERIOR_TRIM:-INTERIOR_TRIM]
 
 
-def interior_sup(f: GridField) -> float:
-    """max |x| over the interior band, read from its largest and smallest
-    entries without a |x| temporary: a NaN makes both NaN, and -0.0 reads
-    0.0, as in np.max(np.abs(x))."""
-    x = f.interior()
+def _sup(x: np.ndarray) -> float:
+    """max |x|, read from the largest and smallest entries without a |x|
+    temporary: a NaN makes both NaN, and -0.0 reads 0.0, as in
+    np.max(np.abs(x))."""
     return float(max(abs(x.max()), abs(x.min())))
+
+
+def interior_sup(f: GridField) -> float:
+    """max |x| over the interior band."""
+    return _sup(f.interior())
 
 
 def l2_norm(f: GridField) -> float:
@@ -398,22 +405,38 @@ def _radial(vals, lo, hi, start, grid: GridField, cfg: StencilConfig, out, acc, 
 def _gradient(arr, grid: GridField, cfg: StencilConfig, axis: int, out=None, **window):
     """Every partial of arr, stacked as a new axis at the (negative) position
     axis of the result (out when given), each written straight into its
-    slot; window (work, acc, rows, start) goes to every _partial."""
+    slot; window (work, acc, rows, start) goes to every _partial.  Without
+    out, the result and the partials' work and acc come from _empty."""
     cut = arr.ndim + 1 + axis
     if out is None:
-        out = np.empty(arr.shape[:cut] + (grid.dim + 1,) + arr.shape[cut:])
+        out = _array(arr.shape[:cut] + (grid.dim + 1,) + arr.shape[cut:])
+        window = {"work": _work(arr.size, cfg), "acc": _empty(arr.size)}
     for a in range(grid.dim + 1):
         _partial(arr, a, grid, cfg, out=np.moveaxis(out, axis, 0)[a], **window)
     return out
 
 
+def _work(entries: int, cfg: StencilConfig):
+    """The work buffer of partials of a source of at most the given entries:
+    8 * the source at order 4, none at order 2."""
+    return _empty(entries) if cfg.order == 4 else None
+
+
 def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) -> np.ndarray:
     """sum_a d_a arr[..., a, ...], with a running over the given axis, in
-    order; each component goes to _partial as a view, not a copy."""
-    total = _partial(arr[(slice(None),) * axis + (0,)], 0, grid, cfg)
-    term = np.empty_like(total)
-    for a in range(1, grid.dim + 1):
-        total += _partial(arr[(slice(None),) * axis + (a,)], a, grid, cfg, out=term)
+    order.  Each component is first copied into one contiguous buffer; every
+    buffer comes from _empty."""
+    def component(a):
+        return arr[(slice(None),) * axis + (a,)]
+
+    comp = _array(component(0).shape)
+    total, term = _array(comp.shape), _array(comp.shape)
+    work = _work(comp.size, cfg)
+    for a in range(grid.dim + 1):
+        np.copyto(comp, component(a))
+        _partial(comp, a, grid, cfg, out=term if a else total, work=work)
+        if a:
+            total += term
     return total
 
 
@@ -426,9 +449,10 @@ def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) ->
 # full-size output.  The radial partial reads whatever rows of its source
 # it needs, so the input c is read in place.  Only intermediates that a
 # later radial partial reads are private and carry a halo: the sweep's
-# first partial d1 and the divergence taken from it (order/2 rows on each
-# side), the trace (order rows) and its gradient (order/2 rows), clipped at
-# the grid's ends.  Every value is then the serial value, bit for bit.
+# first partial d1 and linearized_ricci's v taken from it (order/2 rows on
+# each side), trace_hessian's trace (order rows) and its gradient (order/2
+# rows), clipped at the grid's ends.  Every value is then the serial value,
+# bit for bit.
 #
 # The calling thread allocates every buffer (_empty) before any slab
 # starts: one scratch set per thread, which that thread reuses for each
@@ -478,61 +502,74 @@ def _scratch_entries(op: str, f: GridField, cfg: StencilConfig, rows: int) -> in
     def work(k, per_row):  # for a partial that gives k rows
         return _pad(min(k + 2, n) * per_row) if cfg.order == 4 else 0
 
-    def trace_hessian():
-        return (_pad(r2 * C2) + _pad(r1 * C1) + _pad(max(r1 * C2, rows * C1))
-                + max(work(r1, C2), work(rows, C1)))
-
     if op == "divergence":
         return _pad(r1 * C1) + _pad(rows * C1) + work(rows, C1)
     if op == "sym_grad":
         return _pad(rows * C * D) + _pad(rows * C) + work(rows, C)
     if op == "trace_hessian":
-        return trace_hessian()
-    # the sweep: d1, then its private sum or term, then linearized_ricci's divergence
+        return (_pad(r2 * C2) + _pad(r1 * C1) + _pad(max(r1 * C2, rows * C1))
+                + max(work(r1, C2), work(rows, C1)))
+    # the sweep: d1, then its private sum or term, then linearized_ricci's v
     sweep = _pad(r1 * C) + _pad(rows * C)
     if op != "linearized_ricci":
         return sweep + work(r1, C)
-    tail = max(_pad(rows * C1) + work(rows, C1), trace_hessian())
-    return sweep + _pad(r1 * C1) + max(work(r1, C), tail)
+    # the rest holds the sweep's work, the half trace partial between two
+    # partials, then the gradient of v's acc and work
+    tail = _pad(rows * C1) + work(rows, C1)
+    return sweep + _pad(r1 * C1) + max(work(r1, C), _pad(r1 * C2), tail)
+
+
+def _half_trace_partial(d1, out):
+    """((d1[..., 0, 0] + d1[..., 1, 1]) + ...) / 2 into out: half of d_a tr c
+    from the first partial d1 = d_a c, summed in order."""
+    np.add(d1[..., 0, 0], d1[..., 1, 1], out=out)
+    for i in range(2, d1.shape[-1]):
+        out += d1[..., i, i]
+    out *= 0.5
+    return out
 
 
 def _slab_sweep(f: GridField, cfg: StencilConfig, out, scratch, lo, hi, lin=False):
     """Rows [lo, hi) of the rough Laplacian -sum_a d_a d_a c, one axis at a
-    time, or with lin of linearized_ricci, (rough - (grad w + grad w^T) -
-    Hess tr) / 2, into out.  w = -sum_a d_a c[..., a, :] is summed in order
-    from row a of each first partial d_a c: the stencil acts entry by entry,
-    so that row equals the partial of row a bit for bit, and no partial is
-    taken twice.  The sum, or with lin the term, goes straight into out;
-    the gradient of w and then the Hessian go into d1."""
+    time, or with lin of linearized_ricci in Bianchi form, (rough + S(v)) / 2
+    with S(v)_ij = d_i v_j + d_j v_i and v_j = sum_a d_a c_aj - d_j tr c / 2
+    = -beta(c)_j, into out.
+
+    v is read from the first partials d1 = d_a c alone, so no partial is
+    taken twice and the trace is never formed: the stencil acts entry by
+    entry, so row a of d1 is the partial of row a of c, and its diagonal
+    sums to d_a tr c, bit for bit.  At step a, v = row a (a = 0) or v +=
+    row a; then v[..., a] -= ((d_a c_00 + d_a c_11) + ...) * 0.5.  The sum,
+    or with lin the term, goes straight into out; the gradient of v goes
+    into d1, and S(v) is added to the rough Laplacian last."""
     c = f.components
     a1, b1 = _halo(lo, hi, cfg.order // 2, f.n_r)
     carve = _Carve(scratch)
     d1 = carve((b1 - a1,) + c.shape[1:])
     total, term = (carve(out.shape), out) if lin else (out, carve(out.shape))
-    div = carve((b1 - a1,) + c.shape[1:-1]) if lin else None
+    v = carve((b1 - a1,) + c.shape[1:-1]) if lin else None
     work = carve.rest()
     for a in range(f.dim + 1):
         _partial(c, a, f, cfg, out=d1, work=work, rows=(a1, b1))
         if lin:
             row = d1[(slice(None),) * f.grid_ndim + (a,)]
             if a:
-                div += row
+                v += row
             else:
-                np.copyto(div, row)
+                np.copyto(v, row)
+            v[..., a] -= _half_trace_partial(d1, _cut(work, d1.shape[:-2]))
         _partial(d1, a, f, cfg, out=term if a else total, work=work, rows=(lo, hi), start=a1)
         if a:
             total += term
     np.negative(total, out=total)
     if not lin:
         return
-    np.negative(div, out=div)
     grad = _cut(d1.reshape(-1), out.shape)
     tail = _Carve(work)
-    acc = tail((div[0].size * (hi - lo),))
-    _gradient(div, f, cfg, -2, out=grad, work=tail.rest(), acc=acc, rows=(lo, hi), start=a1)
+    acc = tail((v[0].size * (hi - lo),))
+    _gradient(v, f, cfg, -2, out=grad, work=tail.rest(), acc=acc, rows=(lo, hi), start=a1)
     np.add(grad, np.swapaxes(grad, -1, -2), out=term)
-    np.subtract(total, term, out=term)
-    term -= _slab_trace_hessian(f, cfg, grad, work, lo, hi)
+    term += total
     term *= 0.5
 
 
@@ -696,10 +733,11 @@ def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> 
     are checked before any stencil runs.
 
     rough_laplacian, lichnerowicz and linearized_ricci run one sweep of
-    second partials.  linearized_ricci reads the divergence from the
-    sweep's first partials and writes its tail into the sweep's buffers:
-    it takes 5 (d + 1) partials.  Every operator runs on radial slabs
-    across fd_threads() threads when the grid is large enough (see
+    second partials.  linearized_ricci, in Bianchi form (rough + S(v)) / 2
+    with v = -beta(h), reads v from the sweep's first partials, needs no
+    trace and no trace Hessian, and writes its tail into the sweep's
+    buffers: it takes 3 (d + 1) partials.  Every operator runs on radial
+    slabs across fd_threads() threads when the grid is large enough (see
     _slab_plan).  Every value equals the np.roll stencils summed left to
     right, bit for bit, on slabs or not, and the array starts on a 64-byte
     boundary."""
@@ -735,19 +773,23 @@ def _christoffel(comps: np.ndarray, grid: GridField, cfg: StencilConfig) -> np.n
     components laid out like grid.components or collapsed from them."""
     dg = _gradient(comps, grid, cfg, -3)
     # dg[..., l, i, j] = d_l g_{ij}
-    low = 0.5 * (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg)
-    return np.einsum("...kl,...lij->...kij", np.linalg.inv(comps), low)
+    low = _array(dg.shape)
+    np.add(np.einsum("...ilj->...lij", dg), np.einsum("...jli->...lij", dg), out=low)
+    low -= dg
+    low *= 0.5
+    return np.einsum("...kl,...lij->...kij", np.linalg.inv(comps), low, out=dg)
 
 
 def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
     """Full Ricci tensor of a perturbed metric via FD Christoffel symbols.
     The input checks run on the collapsed components: their nodes are the
-    full grid's nodes, so the verdict is the same."""
+    full grid's nodes, so the verdict is the same.  Every grid-sized
+    intermediate comes from _empty."""
     if g.rank != 2:
         raise InvalidInput("nonlinear_ricci needs a rank-2 metric field")
     comps = _collapse_invariant_axes(g)
-    scale = float(np.max(np.abs(comps)))
-    if float(np.max(np.abs(comps - np.swapaxes(comps, -1, -2)))) > 1e-12 * max(scale, 1.0):
+    asym = np.subtract(comps, np.swapaxes(comps, -1, -2), out=_array(comps.shape))
+    if _sup(asym) > 1e-12 * max(_sup(comps), 1.0):
         raise InvalidInput("metric components are not symmetric")
     try:
         np.linalg.cholesky(comps)
@@ -755,13 +797,13 @@ def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridF
         raise InvalidInput("metric is not positive definite at every node") from None
     gamma = _christoffel(comps, g, cfg)
     # Ric_{ij} = d_k Gamma^k_{ij} - d_i Gamma^k_{kj} + Gamma^k_{kl} Gamma^l_{ij}
-    #           - Gamma^k_{il} Gamma^l_{kj}
-    term1 = _contracted_partials(gamma, g.grid_ndim, g, cfg)
-    tr = np.einsum("...kkj->...j", gamma)
-    term2 = _gradient(tr, g, cfg, -2)
-    term3 = np.einsum("...l,...lij->...ij", tr, gamma)
-    term4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
-    ric = term1 - term2 + term3 - term4
+    #           - Gamma^k_{il} Gamma^l_{kj}, summed left to right
+    ric = _contracted_partials(gamma, g.grid_ndim, g, cfg)
+    tr = np.einsum("...kkj->...j", gamma, out=_array(gamma.shape[:-2]))
+    term = _gradient(tr, g, cfg, -2)
+    ric -= term
+    ric += np.einsum("...l,...lij->...ij", tr, gamma, out=term)
+    ric -= np.einsum("...kil,...lkj->...ij", gamma, gamma, out=term)
     out = _array(g.components.shape)
     np.copyto(out, ric)
     return g.with_components(out)

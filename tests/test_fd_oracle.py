@@ -413,9 +413,13 @@ def roll_operators(f, cfg):
     tr = np.trace(c, axis1=-2, axis2=-1)
     ops["trace_hessian"] = np.stack([np.stack([part(part(tr, i), j) for j in range(D)], axis=-1)
                                      for i in range(D)], axis=-2)
-    div = f.with_components(ops["divergence"], rank=1)
-    gauge = roll_operators(div, cfg)["sym_grad"]
-    ops["linearized_ricci"] = (ops["rough_laplacian"] - gauge - ops["trace_hessian"]) * 0.5
+    # Bianchi form: v = -beta(c), summed in the order _slab_sweep documents
+    for a in range(D):
+        d1 = part(c, a)
+        v = d1[..., a, :].copy() if a == 0 else v + d1[..., a, :]
+        v[..., a] -= in_order([d1[..., i, i] for i in range(D)]) * 0.5
+    gauge = roll_operators(f.with_components(v, rank=1), cfg)["sym_grad"]
+    ops["linearized_ricci"] = (ops["rough_laplacian"] + gauge) * 0.5
     # the product metric, cut to length 1 along every tangential axis
     g0 = np.broadcast_to(np.eye(D), c.shape).copy()
     g0 = g0[(slice(None),) + (slice(0, 1),) * f.dim]
@@ -818,9 +822,9 @@ def test_zero_signs_match_the_roll_stencils(order):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
     """linearized_ricci takes 2 (d + 1) partials in the rough Laplacian's
-    sweep, d + 1 for the gradient of the divergence read from that sweep
-    and 2 (d + 1) for the trace Hessian.  lichnerowicz takes the rough
-    Laplacian's 2 (d + 1)."""
+    sweep and d + 1 for the gradient of v = -beta(h), read from that
+    sweep's first partials: no trace Hessian.  lichnerowicz takes the
+    rough Laplacian's 2 (d + 1)."""
     shape = (12,) + (8,) * dim + (dim + 1,) * 2
     f = O.GridField((0.0, 6.0), 12, (1.0,) * dim, (8,) * dim, 2,
                     np.random.default_rng(dim).standard_normal(shape))
@@ -836,10 +840,65 @@ def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
         return lattice, len(calls) - lattice
 
     D = dim + 1
-    assert count("linearized_ricci") == (5 * D, 0)
+    assert count("linearized_ricci") == (3 * D, 0)
+    assert count("trace_hessian") == (2 * D, 0)
     assert count("lichnerowicz") == (2 * D, 0)
     assert count("divergence") == (D, 0)
     assert count("rough_laplacian") == (2 * D, 0)
+
+
+# -- the Bianchi form of linearized_ricci ------------------------------------
+
+
+def roll_trace_form(f, cfg):
+    """linearized_ricci as (rough - S(w) - Hess tr) / 2, w = -sum_a d_a c_a,
+    with the np.roll stencils: the form before the Bianchi one."""
+    ops = roll_operators(f, cfg)
+    gauge = roll_operators(f.with_components(ops["divergence"], rank=1), cfg)["sym_grad"]
+    return (ops["rough_laplacian"] - gauge - ops["trace_hessian"]) * 0.5
+
+
+# stencils on different axes commute in exact arithmetic, so the two forms
+# differ by round-off in second partials of size up to ~ max|h| / h_min^2;
+# 300 random cases read at most 7.8 units of eps * max|h| / h_min^2
+TRACE_FORM_ROUNDOFF = 64
+
+
+@given(roll_cases())
+@settings(max_examples=60, deadline=None)
+def test_the_bianchi_form_equals_the_trace_form_to_round_off(case):
+    f, cfg, _ = case
+    assume(f.rank == 2)
+    got = O.fd_operator("linearized_ricci", f, cfg).components
+    bound = (TRACE_FORM_ROUNDOFF * np.finfo(float).eps * np.max(np.abs(f.components))
+             / min(f.spacings) ** 2)
+    assert np.max(np.abs(got - roll_trace_form(f, cfg))) <= bound
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linearized_ricci_of_a_symmetric_field_is_exactly_symmetric(monkeypatch, dim, order,
+                                                                    threads):
+    monkeypatch.setattr(O, "fd_threads", lambda: threads)
+    shape = (64,) + (8,) * dim + (dim + 1,) * 2
+    comps = np.random.default_rng(dim + order).standard_normal(shape)
+    comps += np.swapaxes(comps, -1, -2)
+    f = O.GridField((0.0, 6.0), 64, (1.0, 1.3, 1.7)[:dim], (8,) * dim, 2, comps)
+    cfg = O.StencilConfig(order=order)
+    got = O.fd_operator("linearized_ricci", f, cfg).components
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
+    # the trace form's d_j d_i tr takes its partials in the other order
+    old = roll_trace_form(f, cfg)
+    assert not np.array_equal(old, np.swapaxes(old, -1, -2))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_dropping_the_trace_term_of_beta_fails_the_modal_check(monkeypatch, order):
+    monkeypatch.setattr(O, "_half_trace_partial", lambda d1, out: out.fill(0.0) or out)
+    with pytest.raises(AssertionError):
+        test_operator_converges_at_stencil_order(
+            "linearized_ricci", smooth_rank2, F.linearized_ricci, order)
 
 
 # -- collapsed invariant axes -----------------------------------------------

@@ -183,6 +183,12 @@ def test_tube_inner_product_cross_mode_orthogonality():
         (((1,), "cos"), r"frequency \[1\] needs 2 entries"),
         (((1.5, 0), "cos"), r"frequency \[1.5, 0\] needs integer entries"),
         (((1, 0), "tan"), r"phase must be cos or sin, got 'tan'"),
+        # entries int() cannot read raised a bare ValueError or TypeError
+        ((("a", 0), "cos"), r"frequency \['a', 0\] needs integer entries"),
+        (((math.nan, 0), "cos"), r"frequency \[nan, 0\] needs integer entries"),
+        (((math.inf, 0), "cos"), r"frequency \[inf, 0\] needs integer entries"),
+        (((None, 0), "cos"), r"frequency \[None, 0\] needs integer entries"),
+        ((1, "cos"), r"frequency 1 needs 2 integer entries"),
     ],
 )
 def test_a_field_term_must_name_a_mode(key, message):

@@ -357,3 +357,85 @@ def test_the_check_sees_the_jordan_basis():
     assert sorted(_jordan_basis_uses(tree)) == [
         (1, "v_matrix"), (2, "v_matrix"), (3, "v_inverse"),
     ]
+
+
+# The grid oracle checks the modal layer, so it shares nothing with it but
+# pointwise evaluation: fd_oracle imports only TensorField from fields, and
+# of a field it reads only .evaluate, .cs and .rank (in sample)
+_FIELD_READS = {"evaluate", "cs", "rank"}
+
+
+def _annotation_nodes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield from ast.walk(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield from ast.walk(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            yield from ast.walk(node.annotation)
+
+
+def _field_parameters(tree):
+    """(function, name) of every parameter annotated TensorField."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                ann = arg.annotation
+                if ((isinstance(ann, ast.Name) and ann.id == "TensorField")
+                        or (isinstance(ann, ast.Constant) and ann.value == "TensorField")):
+                    yield node, arg.arg
+
+
+def _oracle_field_reads(tree):
+    """Every name imported from fields but TensorField, fields imported
+    whole, TensorField used outside an annotation, and every use of a
+    TensorField parameter but a read of .evaluate, .cs or .rank."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if (node.level and module == "fields") or module == "cylspec.fields":
+                yield from ((node.lineno, f"import {a.name}") for a in node.names
+                            if a.name != "TensorField")
+            elif (node.level and not module) or module == "cylspec":
+                yield from ((node.lineno, "import fields") for a in node.names
+                            if a.name == "fields")
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, f"import {a.name}") for a in node.names
+                        if a.name == "cylspec.fields")
+    annotations = {id(n) for n in _annotation_nodes(tree)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "TensorField"
+                and isinstance(node.ctx, ast.Load) and id(node) not in annotations):
+            yield node.lineno, "TensorField"
+    owner = {id(n.value): n for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    for func, name in _field_parameters(tree):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+                attr = owner.get(id(node))
+                if attr is None or attr.attr not in _FIELD_READS:
+                    yield node.lineno, name if attr is None else f".{attr.attr}"
+
+
+def test_the_oracle_reads_modal_fields_only_through_sample():
+    tree = ast.parse((SRC / "fd_oracle.py").read_text())
+    assert [func.name for func, _ in _field_parameters(tree)] == ["sample"]
+    assert list(_oracle_field_reads(tree)) == []
+
+
+def test_the_check_sees_modal_reads_in_the_oracle():
+    tree = ast.parse(
+        "from .fields import TensorField, linearized_ricci\n"
+        "from . import fields\n"
+        "def sample(field: TensorField, r, x):\n"
+        "    d, values = field.cs.dim, field.evaluate(r, x)\n"
+        "    for key, block in field.blocks():\n"
+        "        pass\n"
+        "    return linearized_ricci(field), field.rank, TensorField.keys(field)\n"
+        "def grid(f: 'TensorField') -> TensorField:\n"
+        "    return f.cs, f.terms\n"
+    )
+    assert sorted(_oracle_field_reads(tree)) == [
+        (1, "import linearized_ricci"), (2, "import fields"), (5, ".blocks"),
+        (7, "TensorField"), (7, "field"), (7, "field"), (9, ".terms"),
+    ]
