@@ -499,15 +499,15 @@ def _random_gauge_image(cs: TorusCrossSection, rng, n_modes: int) -> TensorField
     """L_X g0 for a random decaying one-form on oscillating scalar modes:
     solvable at every tau, no parallel radial or harmonic content."""
     scalars = [m for m in build_spectrum(cs, "Scalar").modes if any(m.freq)]
-    parts = []
+    w = fields_mod.FieldBuilder(cs, 1)
     picks = rng.choice(len(scalars), size=min(n_modes, len(scalars)), replace=False)
     for i in picks:
         mode = scalars[i]
         s = math.sqrt(mode.eigenvalue)
         k = RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 0, -s)
         l = RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 0, -0.5 * s)
-        parts.append(fields_mod.pair_one_form(cs, mode, k, l))
-    return lie_derivative_metric(fields_mod.sum_fields(cs, 1, parts))
+        w.pair(mode, k, l)
+    return lie_derivative_metric(w.field())
 
 
 def _task_solve_div(cfg: JobConfig, rng) -> tuple:

@@ -147,20 +147,14 @@ class GaugeField:
     def one_form(self) -> TensorField:
         cs = self.cs
         zero = (0,) * cs.dim
-        parts = []
+        w = fields_mod.FieldBuilder(cs, 1)
         for (freq, phase), (k, l) in self.pairs.items():
-            mode = modes_at(cs, "Scalar", freq, phase)[0]
-            parts.append(fields_mod.pair_one_form(cs, mode, k, l))
+            w.pair(modes_at(cs, "Scalar", freq, phase)[0], k, l)
         for (freq, phase, idx), f in self.coclosed.items():
-            mode = modes_at(cs, "CoclosedOneForm", freq, phase)[idx]
-            parts.append(fields_mod.from_mode_profile(cs, mode, f))
+            w.mode(modes_at(cs, "CoclosedOneForm", freq, phase)[idx], f)
         for idx, f in self.harmonic.items():
-            mode = modes_at(cs, "HarmonicOneForm", zero, "cos")[idx]
-            parts.append(fields_mod.from_mode_profile(cs, mode, f))
-        if not self.radial.is_zero():
-            constant = modes_at(cs, "Scalar", zero, "cos")[0]
-            parts.append(fields_mod.radial_one_form(cs, constant, self.radial))
-        return fields_mod.sum_fields(cs, 1, parts)
+            w.mode(modes_at(cs, "HarmonicOneForm", zero, "cos")[idx], f)
+        return w.radial(modes_at(cs, "Scalar", zero, "cos")[0], self.radial).field()
 
     def is_zero(self) -> bool:
         return not (self.pairs or self.coclosed or self.harmonic) and self.radial.is_zero()

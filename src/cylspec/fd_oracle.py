@@ -594,10 +594,19 @@ def _slab_trace_hessian(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
     return _gradient(grad, f, cfg, -1, out=out, work=work, acc=acc, rows=(lo, hi), start=a1)
 
 
+def _as_items(x: np.ndarray, axes: int) -> np.ndarray:
+    """x, C-contiguous, with its axes after the first ``axes`` read as one
+    np.void item per entry of those first axes."""
+    flat = x.reshape(x.shape[:axes] + (-1,))
+    return flat.view(np.dtype((np.void, flat.shape[-1] * x.itemsize)))[..., 0]
+
+
 def _slab_divergence(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
     """Rows [lo, hi) of -sum_a d_a c[..., a, ...], summed in order.  Each
     component is first copied, on the rows its partial reads, into one
-    contiguous buffer."""
+    contiguous buffer.  At rank >= 2 a node's component row spans the
+    trailing rank - 1 axes and is copied as one np.void item, a pure copy
+    several times cheaper than entry by entry."""
     c = f.components
     a1, b1 = _halo(lo, hi, cfg.order // 2, f.n_r)
     part = (slice(a1, b1),) + (slice(None),) * f.dim
@@ -605,8 +614,11 @@ def _slab_divergence(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
     comp = carve(c[part + (0,)].shape)
     term = carve(out.shape)
     work = carve.rest()
+    src, dst = c, comp
+    if f.rank >= 2 and c.flags.c_contiguous:
+        src, dst = _as_items(c, f.dim + 2), _as_items(comp, f.dim + 1)
     for a in range(f.dim + 1):
-        np.copyto(comp, c[part + (a,)])
+        np.copyto(dst, src[part + (a,)])
         _partial(comp, a, f, cfg, out=term if a else out, work=work, rows=(lo, hi), start=a1)
         if a:
             out += term

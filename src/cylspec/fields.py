@@ -19,7 +19,12 @@ parts of a derivative) lists them in visit order, sorts stably and sums each
 key's terms left to right, so every coefficient equals the term-by-term
 chain's bit for bit, signed zeros included.  Arithmetic keeps zero terms;
 ``prune`` drops them.  Other modules read fields through ``terms()``,
-``blocks()`` and ``keys()``.
+``blocks()``, ``columns()`` and ``keys()``.
+
+A field of several parts (modes, pairs, radial legs, constants) is built
+with one ``FieldBuilder``: each appender lists one part's rows, and
+``field()`` merges them all at once, with the bits of ``sum_fields`` of
+the one-part fields.
 
 Sign conventions (fixed once, used everywhere):
   divergence      (delta T)_i...  = - sum_a  d_a T_{a i ...}
@@ -31,7 +36,9 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +47,11 @@ from .errors import InvalidInput
 from .mode_ode import RadialProfile
 
 __all__ = [
-    "TensorField", "sum_fields", "constant_tensor_field", "from_mode_profile", "scalar_field",
-    "pair_one_form", "radial_one_form", "mixed_pair_tensor", "rr_tensor", "metric_field",
-    "tangential_metric", "gradient", "divergence", "sym_grad", "trace", "hessian",
-    "rough_laplacian", "linearized_ricci", "tube_integrand", "tube_inner_product",
-    "project_onto_mode",
+    "TensorField", "TermColumns", "FieldBuilder", "sum_fields", "constant_tensor_field",
+    "from_mode_profile", "scalar_field", "pair_one_form", "radial_one_form", "mixed_pair_tensor",
+    "rr_tensor", "metric_field", "tangential_metric", "gradient", "divergence", "sym_grad",
+    "trace", "hessian", "rough_laplacian", "linearized_ricci", "tube_integrand",
+    "tube_inner_product", "project_onto_mode",
 ]
 
 # phase codes sort like the names; a tangential derivative takes code c to
@@ -96,7 +103,7 @@ class TensorField:
 
     def _key_runs(self):
         """The sorted (freq, phase) keys and the row where each starts, the
-        row count appended; built once."""
+        row count appended, as tuples; built once."""
         if self._runs is None:
             keys, starts, last = [], [], None
             for i, head in enumerate(self._keys[:, :-2].astype(np.int64).tolist()):
@@ -104,21 +111,27 @@ class TensorField:
                     keys.append((tuple(head[:-1]), _PHASES[head[-1]]))
                     starts.append(i)
                     last = head
-            self._runs = keys, starts + [self.n_terms]
+            self._runs = tuple(keys), (*starts, self.n_terms)
         return self._runs
 
     def keys(self) -> list:
         """The (freq, phase) keys that carry terms, sorted."""
         return list(self._key_runs()[0])
 
+    def columns(self) -> "TermColumns":
+        """The table by column (``TermColumns``); rates and coefficients
+        are views of the table, as in ``blocks()``."""
+        keys, starts = self._key_runs()
+        return TermColumns(keys, starts, self._keys[:, -2].astype(np.int64), self._keys[:, -1],
+                           self.coeffs.reshape((self.n_terms,) + (self.cs.dim + 1,) * self.rank))
+
     def blocks(self):
         """(key, powers, rates, coeffs) for each key in sorted order: its
         terms' powers (a list of ints), rates (a list of floats) and
         coefficients (an array of shape (n, (d+1,)*rank))."""
-        keys, bounds = self._key_runs()
-        powers, rates = self._keys[:, -2].astype(np.int64).tolist(), self._keys[:, -1].tolist()
-        coeffs = self.coeffs.reshape((self.n_terms,) + (self.cs.dim + 1,) * self.rank)
-        for key, lo, hi in zip(keys, bounds, bounds[1:]):
+        keys, starts, powers, rates, coeffs = self.columns()
+        powers, rates = powers.tolist(), rates.tolist()
+        for key, lo, hi in zip(keys, starts, starts[1:]):
             yield key, powers[lo:hi], rates[lo:hi], coeffs[lo:hi]
 
     def terms(self):
@@ -203,7 +216,7 @@ class TensorField:
                                 or not out.flags.c_contiguous):
             raise InvalidInput(f"out must be a C-contiguous float64 array of shape {shape}")
         keys, bounds = self._key_runs()
-        heads = self._keys[bounds[:-1]]
+        heads = self._keys[list(bounds[:-1])]
 
         # trig table: one column per (freq, phase)
         trig = xs.reshape(-1, d) @ self.cs.omega(heads[:, :-3]).T
@@ -225,6 +238,23 @@ class TensorField:
 
     def __repr__(self):
         return f"TensorField(rank={self.rank}, modes={len(self.keys())}, terms={self.n_terms})"
+
+
+class TermColumns(NamedTuple):
+    """A field's term table by column (``TensorField.columns()``): the
+    sorted (freq, phase) keys, the row where each starts (the row count
+    appended), each term's power (int array) and rate (float array), and
+    the coefficient block of shape (n, (d+1,)*rank)."""
+
+    keys: tuple
+    starts: tuple
+    powers: np.ndarray
+    rates: np.ndarray
+    coefficients: np.ndarray
+
+    def key_of(self, row: int):
+        """The (freq, phase) key of a row."""
+        return self.keys[bisect_right(self.starts, row) - 1]
 
 
 def _table(cs, rank, keys, coeffs) -> TensorField:
@@ -295,11 +325,86 @@ def sum_fields(cs: TorusCrossSection, rank: int, fields) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def _on_key(cs: TorusCrossSection, rank: int, key, profile: RadialProfile, C) -> TensorField:
-    """The field profile(r) * C * trig(omega . x) on one (freq, phase) key."""
-    rows = np.array([(*key[0], _PHASE_CODE[key[1]], p, lam, c) for c, p, lam in profile.terms],
-                    dtype=float).reshape(len(profile.terms), cs.dim + 4)
-    return _table(cs, rank, rows[:, :-1], rows[:, -1:] * C.reshape(1, -1))
+class FieldBuilder:
+    """One field of rank ``rank`` built from parts, merged once.
+
+    Each appender lists the rows of one part, one per term of its profile:
+    the key (freq, phase, p, lam) and the coefficient c C of the part's
+    tensor C.  ``field()`` merges every row with one sort: a key's rows add
+    left to right in the order the parts were appended, so the field equals
+    ``sum_fields`` of the one-part fields bit for bit, signed zeros
+    included.  Every key comes from a ``Mode`` or is frequency zero, so no
+    key is checked again.  The appenders return the builder.
+    """
+
+    __slots__ = ("cs", "rank", "_rows", "_tensors")
+
+    def __init__(self, cs: TorusCrossSection, rank: int):
+        self.cs, self.rank = cs, int(rank)
+        self._rows, self._tensors = [], []  # (freq, phase, p, lam, c) flat; C per row
+
+    def _part(self, freq, code: int, profile: RadialProfile, C) -> "FieldBuilder":
+        for c, p, lam in profile.terms:
+            self._rows.extend((*freq, code, p, lam, c))
+            self._tensors.append(C)
+        return self
+
+    def mode(self, mode: Mode, profile: RadialProfile) -> "FieldBuilder":
+        """profile(r) * mode, the mode's tensor indices placed tangentially."""
+        if mode.rank != self.rank:
+            raise InvalidInput(f"a rank-{mode.rank} mode is no part of a rank-{self.rank} field")
+        pol = mode.polarization
+        C = _embed_tangential(self.cs, pol) if mode.rank else float(pol)
+        return self._part(mode.freq, _PHASE_CODE[mode.phase], profile, C)
+
+    def radial(self, mode: Mode, profile: RadialProfile) -> "FieldBuilder":
+        """profile(r) * phi * dr (x) ... (x) dr for a scalar mode phi: the
+        radial slot in every index."""
+        if mode.rank != 0:
+            raise InvalidInput("a radial part needs a scalar mode")
+        C = np.zeros((self.cs.dim + 1,) * self.rank)
+        C[(0,) * self.rank] = float(mode.polarization)
+        return self._part(mode.freq, _PHASE_CODE[mode.phase], profile, C)
+
+    def pair(self, mode: Mode, k_prof: RadialProfile, l_prof: RadialProfile) -> "FieldBuilder":
+        """k(r) * d_N phi + l(r) * phi * dr for a scalar mode phi.
+
+        The tangential-gradient leg flips the trig branch, so the k part
+        lives on the opposite phase of the mode; at freq 0 the gradient
+        vanishes and only the radial leg is listed."""
+        if self.rank != 1:
+            raise InvalidInput("a pair part needs a one-form field")
+        self.radial(mode, l_prof)
+        omega = np.asarray(mode.omega)
+        if np.any(omega != 0.0):
+            code = _PHASE_CODE[mode.phase]
+            C = np.zeros(self.cs.dim + 1)
+            C[1:] = (2.0 * code - 1.0) * omega * float(mode.polarization)
+            self._part(mode.freq, 1 - code, k_prof, C)
+        return self
+
+    def mixed(self, mode: Mode, profile: RadialProfile) -> "FieldBuilder":
+        """profile(r) * (eta (x) dr + dr (x) eta) for a 1-form mode eta."""
+        if mode.rank != 1 or self.rank != 2:
+            raise InvalidInput("a mixed part needs a 1-form mode and a rank-2 field")
+        C = np.zeros((self.cs.dim + 1,) * 2)
+        C[0, 1:] = C[1:, 0] = mode.polarization
+        return self._part(mode.freq, _PHASE_CODE[mode.phase], profile, C)
+
+    def constant(self, tensor, profile: RadialProfile) -> "FieldBuilder":
+        """profile(r) * tensor at frequency zero."""
+        C = np.asarray(tensor, dtype=float)
+        if C.shape != (self.cs.dim + 1,) * self.rank:
+            raise InvalidInput(f"a constant part of a rank-{self.rank} field needs shape "
+                               f"{(self.cs.dim + 1,) * self.rank}, got {C.shape}")
+        return self._part((0,) * self.cs.dim, 0, profile, C)
+
+    def field(self) -> TensorField:
+        n, d = len(self._tensors), self.cs.dim
+        rows = np.array(self._rows, dtype=float).reshape(n, d + 4)
+        tensors = np.array(self._tensors, dtype=float).reshape(n, (d + 1) ** self.rank)
+        coeffs = rows[:, -1:] * tensors
+        return _table(self.cs, self.rank, *_canonical(rows[:, :-1], coeffs))
 
 
 def constant_tensor_field(cs: TorusCrossSection, tensor) -> TensorField:
@@ -334,70 +439,44 @@ def from_mode_profile(cs: TorusCrossSection, mode: Mode, profile: RadialProfile)
     Covers scalar modes (rank 0), coclosed / harmonic 1-forms and TT or
     pure-trace tensors; radial legs are built with the dedicated helpers.
     """
-    C0 = _embed_tangential(cs, mode.polarization) if mode.rank else np.array(
-        float(mode.polarization)
-    )
-    return _on_key(cs, C0.ndim, (mode.freq, mode.phase), profile, C0)
+    return FieldBuilder(cs, mode.rank).mode(mode, profile).field()
 
 
 def scalar_field(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> TensorField:
     if mode.rank != 0:
         raise InvalidInput("scalar_field needs a scalar mode")
-    return from_mode_profile(cs, mode, profile)
+    return FieldBuilder(cs, 0).mode(mode, profile).field()
 
 
 def radial_one_form(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> TensorField:
     """profile(r) * phi * dr for a scalar mode phi."""
     if mode.rank != 0:
         raise InvalidInput("radial_one_form needs a scalar mode")
-    C = np.zeros(cs.dim + 1)
-    C[0] = float(mode.polarization)
-    return _on_key(cs, 1, (mode.freq, mode.phase), profile, C)
+    return FieldBuilder(cs, 1).radial(mode, profile).field()
 
 
 def pair_one_form(
     cs: TorusCrossSection, mode: Mode, k_prof: RadialProfile, l_prof: RadialProfile
 ) -> TensorField:
-    """k(r) * d_N phi + l(r) * phi * dr for a scalar mode phi.
-
-    The tangential-gradient leg flips the trig branch, so the k part lives on
-    the opposite phase of the mode; at freq 0 the gradient vanishes and only
-    the radial leg survives.
-    """
+    """k(r) * d_N phi + l(r) * phi * dr for a scalar mode phi
+    (``FieldBuilder.pair``)."""
     if mode.rank != 0:
         raise InvalidInput("pair_one_form needs a scalar mode")
-    omega = np.asarray(mode.omega)
-    if not np.any(omega != 0.0):
-        return radial_one_form(cs, mode, l_prof)
-    code = _PHASE_CODE[mode.phase]
-    C = np.zeros(cs.dim + 1)
-    C[1:] = (2.0 * code - 1.0) * omega * float(mode.polarization)
-    legs = (radial_one_form(cs, mode, l_prof),
-            _on_key(cs, 1, (mode.freq, _PHASES[1 - code]), k_prof, C))[::1 - 2 * code]
-    # two keys, the cos one first: the tables stack in order
-    return _table(cs, 1, np.concatenate([leg._keys for leg in legs]),
-                  np.concatenate([leg.coeffs for leg in legs]))
+    return FieldBuilder(cs, 1).pair(mode, k_prof, l_prof).field()
 
 
 def mixed_pair_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> TensorField:
     """profile(r) * (eta (x) dr + dr (x) eta) for a 1-form mode eta."""
     if mode.rank != 1:
         raise InvalidInput("mixed_pair_tensor needs a 1-form mode")
-    d = cs.dim
-    C = np.zeros((d + 1, d + 1))
-    C[0, 1:] = mode.polarization
-    C[1:, 0] = mode.polarization
-    return _on_key(cs, 2, (mode.freq, mode.phase), profile, C)
+    return FieldBuilder(cs, 2).mixed(mode, profile).field()
 
 
 def rr_tensor(cs: TorusCrossSection, mode: Mode, profile: RadialProfile) -> TensorField:
     """profile(r) * phi * dr (x) dr for a scalar mode phi."""
     if mode.rank != 0:
         raise InvalidInput("rr_tensor needs a scalar mode")
-    d = cs.dim
-    C = np.zeros((d + 1, d + 1))
-    C[0, 0] = float(mode.polarization)
-    return _on_key(cs, 2, (mode.freq, mode.phase), profile, C)
+    return FieldBuilder(cs, 2).radial(mode, profile).field()
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +603,11 @@ def tube_integrand(a: TensorField, b: TensorField) -> RadialProfile:
 
     Fourier orthogonality pairs only equal (freq, phase) keys.  On each
     shared key one (n_a x n_b) GEMM gives the coefficient dots, and entry
-    (i, j) lands on r^{p_i + p_j} e^{(lam_i + lam_j) r}.  The profile's
-    constructor sums equal (power, rate) in key order, row-major within a
-    key, so the coefficients do not depend on the per-process hash seed.
+    (i, j) lands on r^{p_i + p_j} e^{(lam_i + lam_j) r}.  The dots are
+    summed per (power, rate) in visit order (key order, row-major within a
+    key), as the profile's constructor would sum them, so the coefficients
+    do not depend on the per-process hash seed and the constructor checks
+    one term per distinct (power, rate).
     """
     if a.rank != b.rank:
         raise InvalidInput("tube inner product needs equal ranks")
@@ -535,14 +616,16 @@ def tube_integrand(a: TensorField, b: TensorField) -> RadialProfile:
     keys_a, bounds_a = (keys_b, bounds_b) if a is b else a._key_runs()
     pk_a = a._keys[:, -2:].tolist()
     pk_b = pk_a if a is b else b._keys[:, -2:].tolist()
-    terms = []
+    sums = {}
     for key, lo, hi in zip(keys_a, bounds_a, bounds_a[1:]):
         if key in rows_b:
             lo_b, hi_b = rows_b[key]
             dots = _trig_factor(a.cs, key[0]) * (a.coeffs[lo:hi] @ b.coeffs[lo_b:hi_b].T)
-            terms += [(c, pa + pb, la + lb) for c, ((pa, la), (pb, lb))
-                      in zip(dots.ravel().tolist(), product(pk_a[lo:hi], pk_b[lo_b:hi_b]))]
-    return RadialProfile(terms)
+            for c, ((pa, la), (pb, lb)) in zip(dots.ravel().tolist(),
+                                               product(pk_a[lo:hi], pk_b[lo_b:hi_b])):
+                pk = (pa + pb, la + lb)
+                sums[pk] = sums[pk] + c if pk in sums else c
+    return RadialProfile([(c, p, lam) for (p, lam), c in sums.items()])
 
 
 def tube_inner_product(a: TensorField, b: TensorField, r_lo: float, r_hi: float) -> float:

@@ -39,7 +39,7 @@ from . import fields as fields_mod
 from .cross_section import TorusCrossSection, build_spectrum
 from .deformation_solver import classify_kernel
 from .errors import InvalidInput, InvalidParams
-from .fields import TensorField, tangential_metric
+from .fields import TensorField
 from .mode_ode import RadialProfile
 
 __all__ = [
@@ -204,24 +204,25 @@ def _require_reduced_form(h: TensorField) -> bool:
     Rates compare exactly, as in ``classify_kernel``: a term's rate must be
     the float +-sqrt(mu) of its frequency (0 at frequency zero).
     All-zero tensors are skipped.  A NaN or infinite entry is reported
-    first, naming its term.
+    first, naming its term.  The arrays are the field's ``columns()``.
     """
-    cs = h.cs
-    blocks = list(h.blocks())
-    if not blocks:
+    cols = h.columns()
+    C = cols.coefficients
+    if not len(C):
         return False
-    C = np.concatenate([coeffs for *_, coeffs in blocks])
+
+    def term(i):
+        return cols.key_of(i), int(cols.powers[i]), float(cols.rates[i])
+
     if not np.isfinite(C).all():
-        i = int(np.isfinite(C).all(axis=(1, 2)).argmin())
-        mode_key, (p, rate), _ = list(h.terms())[i]
+        mode_key, p, rate = term(int(np.isfinite(C).all(axis=(1, 2)).argmin()))
         raise InvalidInput(f"coefficient at mode key {mode_key}, power {p}, "
                            f"rate {rate:.6g} is not finite")
     # per key: parallel or not, s = sqrt(mu) and the unit normal w^
-    counts = [len(powers) for _, powers, _, _ in blocks]
-    per_key = [(not any(freq), *_rate_and_normal(cs, freq)) for (freq, _), *_ in blocks]
+    per_key = [(not any(freq), *_rate_and_normal(h.cs, freq)) for freq, _ in cols.keys]
+    counts = np.diff(cols.starts)
     parallel, s, what = (np.array(col).repeat(counts, axis=0) for col in zip(*per_key))
-    powers = np.array([p for _, powers, _, _ in blocks for p in powers])
-    rates = np.array([lam for _, _, rates, _ in blocks for lam in rates])
+    powers, rates = cols.powers, cols.rates
 
     A = np.abs(C)
     term_max = A.max(axis=(1, 2))
@@ -238,7 +239,7 @@ def _require_reduced_form(h: TensorField) -> bool:
     bad = live & (bad_rate | bad_edge | bad_tt)
     if bad.any():
         i = int(bad.argmax())
-        (freq, _), (p, rate), _ = list(h.terms())[i]
+        (freq, _), p, rate = term(i)
         if parallel[i] and bad_rate[i]:
             raise InvalidInput(
                 "parallel sector must be purely r-linear; classify and "
@@ -329,9 +330,17 @@ def monotonicity_classify(series: TubeNormSeries, beta_prime: float) -> Monotoni
     At each interior offset one neighbour must dominate by e^{2 beta' L};
     the label records which side.  Domination by the right neighbour must
     propagate rightward, domination over the right neighbour must
-    propagate leftward; indices breaking either law are reported.
+    propagate leftward; indices breaking either law are reported.  beta'
+    must be positive and finite with e^{2 beta' L} finite, as
+    ``ThreeCirclesParams`` requires; anything else raises ``InvalidInput``.
     """
-    F = math.exp(2.0 * beta_prime * series.L)
+    try:
+        F = math.exp(2.0 * beta_prime * series.L)
+    except OverflowError:
+        F = math.inf
+    if not (beta_prime > 0.0 and F < math.inf):
+        raise InvalidInput(f"beta' = {beta_prime!r} must be positive and finite with "
+                           f"e^(2 beta' L) finite at L = {series.L!r}")
     V = series.values
     tol = REL_TOL * max([1.0, *V])
     labels = []
@@ -380,7 +389,7 @@ def random_reduced_form(
     pool = tt_spectrum.oscillating
     if not pool:
         raise InvalidInput("cross section carries no oscillating TT modes")
-    parts = []
+    h = fields_mod.FieldBuilder(cs, 2)
     picks = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
     for i in picks:
         tt = pool[i]
@@ -388,22 +397,15 @@ def random_reduced_form(
         a_plus, a_minus = rng.uniform(-1.0, 1.0, size=2)
         if not include_growing:
             a_plus = 0.0
-        parts.append(fields_mod.from_mode_profile(
-            cs, tt, RadialProfile(((a_plus, 0, s), (a_minus, 0, -s)))
-        ))
+        h.mode(tt, RadialProfile(((a_plus, 0, s), (a_minus, 0, -s))))
     if include_r_linear:
         a_tilde = float(rng.uniform(-1.0, 1.0))
-        parts.append(tangential_metric(cs).multiply_profile(
-            RadialProfile.monomial(a_tilde, 1, 0.0)
-        ))
+        g_tan = np.diag([0.0] + [1.0] * cs.dim)  # the torus metric g_N
+        h.constant(g_tan, RadialProfile.monomial(a_tilde, 1, 0.0))
         parallel = tt_spectrum.at((0,) * cs.dim)
         m = int(rng.integers(0, len(parallel)))
-        parts.append(fields_mod.from_mode_profile(
-            cs,
-            parallel[m],
-            RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 1, 0.0),
-        ))
-    return fields_mod.sum_fields(cs, 2, parts)
+        h.mode(parallel[m], RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 1, 0.0))
+    return h.field()
 
 
 def random_valid_params(

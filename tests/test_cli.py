@@ -800,3 +800,26 @@ def test_export_bound_fit_and_remainder_columns(tmp_path):
     assert rem_csv.read_text().splitlines()[0] == "epsilon,remainder_norm"
     with pytest.raises(InvalidInput, match="no tube-norm series"):
         cli.export_plot_data(envelope, "tube-norm-series", str(tmp_path / "x.csv"))
+
+
+@pytest.mark.parametrize("cs", [CS, TorusCrossSection(2, (2.0 * math.pi,) * 2, 2)])
+@pytest.mark.parametrize("n_modes", [1, 6, 50])
+def test_random_gauge_image_is_the_sum_of_its_pairs_bit_for_bit(cs, n_modes):
+    # the source of solve-div without a mode file: one pair one-form per
+    # picked mode, summed, drawing from the rng in the same order
+    from cylspec.divergence_solver import lie_derivative_metric
+
+    scalars = [m for m in build_spectrum(cs, "Scalar").modes if any(m.freq)]
+    for seed in range(4):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = cli._random_gauge_image(cs, rng, n_modes)
+        parts = []
+        for i in ref_rng.choice(len(scalars), size=min(n_modes, len(scalars)), replace=False):
+            s = math.sqrt(scalars[i].eigenvalue)
+            k = RadialProfile.monomial(float(ref_rng.uniform(-1.0, 1.0)), 0, -s)
+            l = RadialProfile.monomial(float(ref_rng.uniform(-1.0, 1.0)), 0, -0.5 * s)
+            parts.append(F.pair_one_form(cs, scalars[i], k, l))
+        want = lie_derivative_metric(F.sum_fields(cs, 1, parts))
+        assert [(k, pk, C.tobytes()) for k, pk, C in got.terms()] == [
+            (k, pk, C.tobytes()) for k, pk, C in want.terms()]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -187,6 +187,36 @@ def test_decompose_reassemble_round_trip(seed):
     assert field_close(dv.decompose_one_form(w).one_form, w, tol=1e-12)
 
 
+def _one_form_by_parts(X):
+    # GaugeField.one_form as the sum of one field per component, in the
+    # carrier's order: pairs, coclosed, harmonic, radial
+    cs, zero = X.cs, (0,) * X.cs.dim
+    parts = [F.pair_one_form(cs, cx.modes_at(cs, "Scalar", freq, phase)[0], k, l)
+             for (freq, phase), (k, l) in X.pairs.items()]
+    parts += [F.from_mode_profile(cs, cx.modes_at(cs, "CoclosedOneForm", freq, phase)[idx], f)
+              for (freq, phase, idx), f in X.coclosed.items()]
+    parts += [F.from_mode_profile(cs, cx.modes_at(cs, "HarmonicOneForm", zero, "cos")[idx], f)
+              for idx, f in X.harmonic.items()]
+    if not X.radial.is_zero():
+        parts.append(F.radial_one_form(cs, cx.modes_at(cs, "Scalar", zero, "cos")[0], X.radial))
+    return F.sum_fields(cs, 1, parts)
+
+
+def _same_table(a, b):
+    assert [(k, pk, C.tobytes()) for k, pk, C in a.terms()] == [
+        (k, pk, C.tobytes()) for k, pk, C in b.terms()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_form_is_the_sum_of_its_components_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    cs = cx.TorusCrossSection(3, (1.0, 1.3, 1.7), 2)
+    for X in (dv.decompose_one_form(random_one_form(cs, rng, n_terms=8)),
+              dv.solve_gauge(random_rank2_source(cs, rng, n_terms=8)),
+              dv.solve_gauge(random_rank2_source(cs, rng), dv.DivergenceConfig(tau=0.3))):
+        _same_table(X.one_form, _one_form_by_parts(X))
+
+
 def test_decompose_rejects_rank2():
     with pytest.raises(InvalidInput):
         dv.decompose_one_form(F.metric_field(CS))

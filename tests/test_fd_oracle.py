@@ -482,6 +482,22 @@ def test_operators_and_stencils_equal_the_roll_stencils_bit_for_bit(case):
         assert np.array_equal(O._partial(cut, a, f, cfg), roll_partial(cut, a, f, cfg)), a
 
 
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_divergence_copies_whole_component_rows_bit_for_bit(rank, order):
+    # at rank >= 2 a C-contiguous field's component rows are copied as one
+    # np.void item each; a Fortran-ordered array of the same values takes
+    # the entry-by-entry copy
+    base = O.GridField((0.0, 6.0), 16, (1.0, 1.3), (8, 10), rank,
+                       np.zeros((16, 8, 10) + (3,) * rank))
+    values = np.random.default_rng(rank).standard_normal(base.components.shape)
+    cfg = O.StencilConfig(order)
+    want = roll_operators(base.with_components(values), cfg)["divergence"]
+    for c in (values, np.asfortranarray(values)):
+        assert np.array_equal(O.fd_operator("divergence", base.with_components(c), cfg).components,
+                              want)
+
+
 # n_r 8 stays serial at any thread count; at order 2, n_r 48 takes slabs at
 # 2 and 3 threads; at order 4, n_r 64 takes them at 2 threads (3 fall back
 # to 2) and n_r 96 at 3 threads

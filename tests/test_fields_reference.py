@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylspec import cross_section as cx, fields as F
+from cylspec.errors import InvalidInput
 from cylspec.mode_ode import RadialProfile
 
 # tangential derivative flips the trig branch; the sign rides along
@@ -311,3 +312,127 @@ def test_the_python_and_numpy_sorts_merge_alike(n_terms):
     same_bytes(F.gradient(h), ref_gradient(cs, 1, ref(h)))
     parts = (h.scale(1e16), h, h.scale(-1e16))  # one key table, three rows a key
     same_bytes(F.sum_fields(cs, 1, parts), ref_sum(*map(ref, parts)))
+
+
+# ---------------------------------------------------------------------------
+# FieldBuilder: one merge of many parts equals the sum of the one-part fields
+# ---------------------------------------------------------------------------
+
+# profile terms on few (power, rate) keys, so parts collide, with zero and
+# cancelling coefficients (the profile drops them) and extremes whose sums
+# depend on their order
+_PROFILE = st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16, 1e-300]),
+                              st.integers(0, 1), st.sampled_from((-0.5, 0.0))), max_size=3)
+
+
+@st.composite
+def _builds(draw):
+    """A cross section, a rank and a list of parts: (appender, args), each
+    with the one-part field the public builders give for it."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    cs = cx.TorusCrossSection(d, tuple(draw(st.sampled_from((1.0, 1.3))) for _ in range(d)), 1)
+    rank = draw(st.sampled_from((0, 1, 2)))
+    kinds = {0: ("Scalar",), 1: ("CoclosedOneForm", "HarmonicOneForm"),
+             2: ("TTTensor", "PureTrace")}[rank]
+    # few modes, so parts repeat keys
+    pool = {k: cx.build_spectrum(cs, k).modes[:2] for k in ("Scalar", "CoclosedOneForm") + kinds}
+    scalars, one_forms = pool["Scalar"], pool["CoclosedOneForm"]
+    ways = [("mode", kind) for kind in kinds if pool[kind]] + [("radial", None), ("constant", None)]
+    ways += [("pair", None)] if rank == 1 else [("mixed", None)] if rank == 2 and one_forms else []
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        way, kind = draw(st.sampled_from(ways))
+        prof = RadialProfile(draw(_PROFILE))
+        if way == "mode":
+            m = draw(st.sampled_from(pool[kind]))
+            parts.append(((way, m, prof), F.from_mode_profile(cs, m, prof)))
+        elif way == "radial":
+            m = draw(st.sampled_from(scalars))
+            one = {0: F.scalar_field, 1: F.radial_one_form, 2: F.rr_tensor}[rank]
+            parts.append(((way, m, prof), one(cs, m, prof)))
+        elif way == "pair":
+            m = draw(st.sampled_from(scalars))
+            l_prof = RadialProfile(draw(_PROFILE))
+            parts.append(((way, m, prof, l_prof), F.pair_one_form(cs, m, prof, l_prof)))
+        elif way == "mixed":
+            m = draw(st.sampled_from(one_forms))
+            parts.append(((way, m, prof), F.mixed_pair_tensor(cs, m, prof)))
+        else:
+            C = np.array(draw(st.lists(_VALUES, min_size=(d + 1) ** rank,
+                                       max_size=(d + 1) ** rank))).reshape((d + 1,) * rank)
+            parts.append(((way, C, prof),
+                          F.constant_tensor_field(cs, C).multiply_profile(prof)))
+    return cs, rank, parts
+
+
+@given(_builds())
+@settings(max_examples=150, deadline=None)
+def test_the_builder_equals_the_sum_of_one_part_fields(case):
+    cs, rank, parts = case
+    builder = F.FieldBuilder(cs, rank)
+    for (way, *args), _ in parts:
+        assert getattr(builder, way)(*args) is builder
+    got = builder.field()
+    want = F.sum_fields(cs, rank, [one for _, one in parts])
+    same_bytes(got, ref(want))
+    assert got.columns().keys == want.columns().keys
+    assert np.array_equal(np.signbit(got.columns().coefficients),
+                          np.signbit(want.columns().coefficients))
+    # and each one-part field is its terms, c C on the part's key
+    for (way, *args), one in parts:
+        if way == "constant":
+            C, prof = args
+            terms = [((((0,) * cs.dim), "cos"), (p, lam), c * C) for c, p, lam in prof.terms]
+            same_bytes(one, _singletons(cs, rank, terms))
+
+
+def test_the_builder_adds_a_keys_rows_in_part_order():
+    # (1e16 - 1e16) + 1 is 1, but (1 - 1e16) + 1e16 is 0
+    cs = cx.TorusCrossSection(2, (1.0, 1.3), 1)
+    builder, parts = F.FieldBuilder(cs, 1), []
+    for c in (1e16, -1e16, 1.0):
+        prof = RadialProfile.monomial(c, 1, -0.5)
+        builder.constant(np.ones(3), prof)
+        parts.append(F.constant_tensor_field(cs, np.ones(3)).multiply_profile(prof))
+    got = builder.field()
+    same_bytes(got, ref(F.sum_fields(cs, 1, parts)))
+    assert got.columns().coefficients.tolist() == [[1.0, 1.0, 1.0]]
+
+
+def test_the_builder_checks_its_parts():
+    cs = cx.TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
+    phi, eta, tt = (cx.build_spectrum(cs, k).modes[1]
+                    for k in ("Scalar", "CoclosedOneForm", "TTTensor"))
+    one = RadialProfile.constant(1.0)
+    for build, message in [
+        (lambda: F.FieldBuilder(cs, 2).mode(phi, one), "rank-0 mode is no part of a rank-2"),
+        (lambda: F.FieldBuilder(cs, 1).radial(eta, one), "radial part needs a scalar mode"),
+        (lambda: F.FieldBuilder(cs, 2).pair(phi, one, one), "pair part needs a one-form field"),
+        (lambda: F.FieldBuilder(cs, 2).mixed(tt, one), "mixed part needs a 1-form mode"),
+        (lambda: F.FieldBuilder(cs, 1).mixed(eta, one), "mixed part needs a 1-form mode"),
+        (lambda: F.FieldBuilder(cs, 1).constant(np.eye(4), one), r"needs shape \(4,\)"),
+    ]:
+        with pytest.raises(InvalidInput, match=message):
+            build()
+    empty = F.FieldBuilder(cs, 2).mode(tt, RadialProfile.zero()).field()
+    zero = F.TensorField.zero(cs, 2)
+    assert empty.n_terms == 0 and empty.columns().coefficients.shape == (0, 4, 4)
+    same_bytes(empty, ref(zero))
+
+
+@given(_fields())
+@settings(max_examples=60, deadline=None)
+def test_columns_agree_with_blocks(case):
+    cs, rank, (terms,) = case
+    h = F.TensorField(cs, rank, terms)
+    cols = h.columns()
+    blocks = list(h.blocks())
+    assert list(cols.keys) == h.keys() == [key for key, *_ in blocks]
+    assert cols.starts[-1] == h.n_terms == len(cols.powers) == len(cols.rates)
+    assert cols.coefficients.shape == (h.n_terms,) + (cs.dim + 1,) * rank
+    for i, (key, powers, rates, coeffs) in enumerate(blocks):
+        lo, hi = cols.starts[i], cols.starts[i + 1]
+        assert all(cols.key_of(row) == key for row in range(lo, hi))
+        assert cols.powers[lo:hi].tolist() == powers
+        assert cols.rates[lo:hi].tobytes() == np.array(rates).tobytes()
+        assert cols.coefficients[lo:hi].tobytes() == coeffs.tobytes()

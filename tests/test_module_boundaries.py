@@ -238,7 +238,7 @@ def test_the_check_sees_unread_imports():
 
 
 # TensorField's term table: fields alone lays it out and reads it; the other
-# modules go through terms(), blocks() and keys(), and the nested-dict
+# modules go through terms(), blocks(), columns() and keys(), and the nested-dict
 # ``data`` view (memoized in ``_data``) is for callers outside the library
 _TABLE = {"_keys", "coeffs", "data", "_data"}
 
@@ -272,9 +272,60 @@ def test_the_check_sees_table_reads():
         "for key in h.data:\n"
         "    pass\n"
         "skip = raw.ctypes.data\n"
-        "h.terms(), h.blocks()\n"
+        "h.terms(), h.blocks(), h.columns(), h.keys()\n"
+        "p, C = h.columns().powers, h.columns().coefficients\n"
     )
     assert sorted(_table_reads(tree)) == [(1, "coeffs"), (2, "_keys"), (3, "data")]
+
+
+# A field of several parts is built with one fields.FieldBuilder, merged
+# once: no function outside fields builds single-mode fields and sums them
+_SINGLE_MODE = {"from_mode_profile", "pair_one_form", "radial_one_form", "mixed_pair_tensor",
+                "rr_tensor", "scalar_field", "multiply_profile"}
+
+
+def _part_by_part_builds(tree):
+    """(line, name) of every function that calls both a single-mode
+    builder and sum_fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = set()
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    called.add(func.id if isinstance(func, ast.Name)
+                               else func.attr if isinstance(func, ast.Attribute) else None)
+            if "sum_fields" in called and called & _SINGLE_MODE:
+                yield node.lineno, node.name
+
+
+def test_multi_part_fields_are_built_with_one_builder():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fields.py"
+        for line, name in _part_by_part_builds(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_check_sees_part_by_part_builds():
+    tree = ast.parse(
+        "def reduced(cs, modes, prof):\n"
+        "    parts = [fields.from_mode_profile(cs, m, prof) for m in modes]\n"
+        "    return fields.sum_fields(cs, 2, parts)\n"
+        "def ramp(cs, g):\n"
+        "    return sum_fields(cs, 2, [g.multiply_profile(prof), g])\n"
+        "def built(cs, modes, prof):\n"
+        "    b = fields.FieldBuilder(cs, 2)\n"
+        "    return [b.mode(m, prof) for m in modes], b.field()\n"
+        "def summed(cs, fields_):\n"
+        "    return sum_fields(cs, 2, fields_), rr_tensor\n"
+        "class Gauge:\n"
+        "    def one_form(self):\n"
+        "        return sum_fields(self.cs, 1, [pair_one_form(self.cs, m, k, l)])\n"
+    )
+    assert sorted(_part_by_part_builds(tree)) == [(1, "reduced"), (4, "ramp"), (12, "one_form")]
 
 
 # The radial solves return the profiles their callers read: a global solve

@@ -599,6 +599,19 @@ def test_monotonicity_flags_flat_series():
     assert rep.violations == (1, 2)
 
 
+@pytest.mark.parametrize("beta_prime", [math.nan, -1.0, 0.0, -0.0, math.inf, 400.0])
+def test_monotonicity_refuses_a_beta_prime_the_check_does_not_allow(beta_prime):
+    # on the unit T^3, beta' = NaN labelled every interior offset a
+    # violation and beta' = -1 (a factor e^{-2} < 1) reported the series
+    # clean; at 400, e^{2 beta' L} overflows
+    h = F.from_mode_profile(CS, B_OSC_CS, RadialProfile.monomial(1.0, 0, -math.sqrt(MU1)))
+    series = tc.TubeNormSeries.from_field(h, 1.0, range(5))
+    with pytest.raises(InvalidInput, match=r"beta' = .* must be positive and finite"):
+        tc.monotonicity_classify(series, beta_prime)
+    # e^{2 beta' L} = e^{708} is finite: the check runs, and no step is that steep
+    assert tc.monotonicity_classify(series, 354.0).violations == (1, 2, 3)
+
+
 def test_monotonicity_propagation_on_kernel_series():
     rng = np.random.default_rng(19)
     s1 = math.sqrt(MU1)
