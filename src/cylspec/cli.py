@@ -633,6 +633,15 @@ def _task_three_circles(cfg: JobConfig, rng) -> tuple:
     return payload, certs
 
 
+def _stage(label: str, grid: str, fn, *args):
+    """fn(*args), logging one debug line: the label, the grid and the time
+    in ms."""
+    started = time.perf_counter()
+    value = fn(*args)
+    log.debug("%s: grid %s: %.3f ms", label, grid, 1e3 * (time.perf_counter() - started))
+    return value
+
+
 def _task_validate(cfg: JobConfig, rng) -> tuple:
     cs = cfg.build_cross_section()
     task = cfg.task
@@ -640,19 +649,26 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     stencil = StencilConfig(order=task["order"])
     r_range = (0.0, task["r_max"])
     certs = []
+    grid = "x".join(map(str, [n_r] + [n_x] * cs.dim))
+    order = f"order {stencil.order}"
 
     probe = random_reduced_form(cs, rng, include_growing=False)
-    grid_probe = sample(probe, r_range, n_r, n_x)
+    grid_probe = _stage("sample", grid, sample, probe, r_range, n_r, n_x)
     fd_tol = 10.0 * grid_probe.max_spacing**2
     scale = max(1.0, interior_sup(grid_probe))
     # every grid but the probe is dropped once its value is read, so that
     # no stage holds the grids of an earlier one
-    kernel_ricci = interior_sup(fd_operator("linearized_ricci", grid_probe, stencil)) / scale
+    kernel_ricci = interior_sup(_stage(f"fd_operator linearized_ricci, {order}", grid,
+                                       fd_operator, "linearized_ricci", grid_probe, stencil))
+    kernel_ricci /= scale
 
     source = _random_gauge_image(cs, rng, n_modes=4)
     gauge = solve_gauge(source, DivergenceConfig(tau=0.0))
     mismatch = lie_derivative_metric(gauge.one_form) - source
-    fd_div = interior_sup(fd_operator("divergence", sample(mismatch, r_range, n_r, n_x), stencil))
+    mismatch_grid = _stage("sample", grid, sample, mismatch, r_range, n_r, n_x)
+    fd_div = interior_sup(_stage(f"fd_operator divergence, {order}", grid, fd_operator,
+                                 "divergence", mismatch_grid, stencil))
+    del mismatch_grid
     certs.append(_cert("gauge-divergence-fd", fd_div / max(1.0, source.max_abs_coeff()), "<=",
                        fd_tol))
 
@@ -667,7 +683,8 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     if task["remainder"]:
         # a probe above unit size is scaled down to it, so eps measures the
         # relative size of the perturbation and stays in the quadratic regime
-        scan = quadratic_remainder_scan(grid_probe.scale(1.0 / scale), task["eps_list"], stencil)
+        scan = _stage(f"quadratic_remainder_scan, {order}", grid, quadratic_remainder_scan,
+                      grid_probe.scale(1.0 / scale), task["eps_list"], stencil)
         payload["remainder_scan"] = {
             "epsilons": list(scan.epsilons),
             "remainders": list(scan.remainders),

@@ -655,6 +655,38 @@ def test_config_log_level_applies_unless_a_flag_overrides_it(tmp_path, caplog):
         logging.getLogger("cylspec").setLevel(logging.NOTSET)
 
 
+def test_validate_at_debug_level_prints_one_line_per_stage(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["validate", "--grid", "24x8", "--order", "2", "--remainder", "--log-level", "debug",
+            "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "cylspec.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, timeout=300)
+    assert done.returncode in (0, 3), done.stderr
+    lines = [re.sub(r": \d+\.\d{3} ms$", ": _ ms", line)
+             for line in done.stderr.splitlines() if line.startswith("DEBUG:")]
+    stage = "DEBUG:cylspec:{}: grid 24x8x8x8: _ ms".format
+    assert lines == [stage("sample"), stage("fd_operator linearized_ricci, order 2"),
+                     stage("sample"), stage("fd_operator divergence, order 2"),
+                     stage("quadratic_remainder_scan, order 2")]
+
+
+def test_debug_logging_leaves_the_envelope_unchanged():
+    """Every envelope byte but the wall time is the same with the stage
+    lines logged and without them."""
+    cfg = cli.resolve_config({"task": {"name": "validate", "grid": "24x8"}}, {"remainder": True})
+    logger = logging.getLogger("cylspec")
+    envelopes = []
+    try:
+        for level in (logging.DEBUG, logging.WARNING):
+            logger.setLevel(level)
+            envelope = cli.run_job(cfg)
+            del envelope["timing_s"]
+            envelopes.append(cli.canonical_json(envelope))
+    finally:
+        logger.setLevel(logging.NOTSET)
+    assert envelopes[0] == envelopes[1]
+
+
 def test_output_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "fromenv"))
     code = cli.main(["spectrum"])

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -399,27 +400,45 @@ def in_order(terms):
 
 def roll_operators(f, cfg):
     """Every operator the field's rank admits, by name."""
+    return {op: roll_operator(op, f, cfg) for op, admits in ROLL_RANKS.items()
+            if admits(f.rank)}
+
+
+ROLL_RANKS = {
+    "rough_laplacian": lambda rank: True,
+    "divergence": lambda rank: rank >= 1,
+    "sym_grad": lambda rank: rank == 1,
+    "trace_hessian": lambda rank: rank == 2,
+    "linearized_ricci": lambda rank: rank == 2,
+    "lichnerowicz": lambda rank: rank == 2,
+}
+
+
+def roll_operator(op, f, cfg):
+    """The operator op of f, computing nothing that op does not use."""
     D, c = f.dim + 1, f.components
     part = functools.partial(roll_partial, grid=f, cfg=cfg)
-    ops = {"rough_laplacian": -in_order([part(c, a, second=True) for a in range(D)])}
-    if f.rank >= 1:
-        ops["divergence"] = -in_order([part(np.take(c, a, axis=f.grid_ndim), a)
-                                       for a in range(D)])
-    if f.rank == 1:
+    if op == "rough_laplacian":
+        return -in_order([part(c, a, second=True) for a in range(D)])
+    if op == "divergence":
+        return -in_order([part(np.take(c, a, axis=f.grid_ndim), a) for a in range(D)])
+    if op == "sym_grad":
         grad = np.stack([part(c, i) for i in range(D)], axis=f.grid_ndim)
-        ops["sym_grad"] = grad + np.swapaxes(grad, -1, -2)
-    if f.rank != 2:
-        return ops
-    tr = np.trace(c, axis1=-2, axis2=-1)
-    ops["trace_hessian"] = np.stack([np.stack([part(part(tr, i), j) for j in range(D)], axis=-1)
-                                     for i in range(D)], axis=-2)
-    # Bianchi form: v = -beta(c), summed in the order _slab_sweep documents
-    for a in range(D):
-        d1 = part(c, a)
-        v = d1[..., a, :].copy() if a == 0 else v + d1[..., a, :]
-        v[..., a] -= in_order([d1[..., i, i] for i in range(D)]) * 0.5
-    gauge = roll_operators(f.with_components(v, rank=1), cfg)["sym_grad"]
-    ops["linearized_ricci"] = (ops["rough_laplacian"] + gauge) * 0.5
+        return grad + np.swapaxes(grad, -1, -2)
+    if op == "trace_hessian":
+        tr = np.trace(c, axis1=-2, axis2=-1)
+        return np.stack([np.stack([part(part(tr, i), j) for j in range(D)], axis=-1)
+                         for i in range(D)], axis=-2)
+    rough = roll_operator("rough_laplacian", f, cfg)
+    if op == "linearized_ricci":
+        # Bianchi form: v = -beta(c), summed in the order _slab_sweep documents
+        for a in range(D):
+            d1 = part(c, a)
+            v = d1[..., a, :].copy() if a == 0 else v + d1[..., a, :]
+            v[..., a] -= in_order([d1[..., i, i] for i in range(D)]) * 0.5
+        gauge = roll_operator("sym_grad", f.with_components(v, rank=1), cfg)
+        return (rough + gauge) * 0.5
+    assert op == "lichnerowicz", op
     # the product metric, cut to length 1 along every tangential axis
     g0 = np.broadcast_to(np.eye(D), c.shape).copy()
     g0 = g0[(slice(None),) + (slice(0, 1),) * f.dim]
@@ -428,8 +447,7 @@ def roll_operators(f, cfg):
     coupling = (np.einsum("...ik,...kj->...ij", ric, c, optimize=True)
                 + np.einsum("...jk,...ik->...ij", ric, c, optimize=True)
                 - 2.0 * np.einsum("...ikjl,...kl->...ij", riem, c, optimize=True))
-    ops["lichnerowicz"] = ops["rough_laplacian"] + coupling
-    return ops
+    return rough + coupling
 
 
 def roll_christoffel(comps, g, cfg):
@@ -543,8 +561,11 @@ _SLAB_MIN = {2: 32, 4: 64}
     (_SLAB_MIN[4], (1.0, 1.2, 1.4), 8, 4, 2),
     (_SLAB_MIN[2], (1.0, 1.3), 8, 2, 0),
     (_SLAB_MIN[4], (1.0, 1.3), 8, 4, 1),
+    (_SLAB_MIN[2], (1.0, 1.3), 25, 2, 2),
+    (_SLAB_MIN[4], (1.0, 1.3), 24, 4, 2),
 ], ids=["64x8^3-order4", "128x24^2-order2", "slab-min-order2", "below-slab-min-order2",
-        "slab-min-order4", "below-slab-min-order4", "d1", "d3", "rank0", "rank1"])
+        "slab-min-order4", "below-slab-min-order4", "d1", "d3", "rank0", "rank1",
+        "n_x25-order2", "n_x24-order4"])
 def test_workload_grids_equal_the_roll_stencils_bit_for_bit(monkeypatch, n_r, lengths, n_x,
                                                             order, rank):
     shape = (n_r,) + (n_x,) * len(lengths) + (len(lengths) + 1,) * rank
@@ -563,6 +584,172 @@ def test_workload_grids_equal_the_roll_stencils_bit_for_bit(monkeypatch, n_r, le
             serial.setattr(O, "fd_threads", lambda: 1)
             once = O.fd_operator(op, f, cfg).components
         assert np.array_equal(got, once), op
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_partials_on_windows_and_strided_outputs_equal_the_roll_stencils(order):
+    """_partial called straight, against roll_partial bit for bit: row
+    windows read from a later start, a non-contiguous out with and without
+    an acc buffer, and sources cut to length 1 along a tangential axis, so
+    that a one-row window has outer size A = 1 along every axis."""
+    n_r, n_x = 16, (9, 8)
+    c = np.random.default_rng(order).standard_normal((n_r, *n_x, 3, 3))
+    f = O.GridField((0.0, 6.0), n_r, (1.0, 1.3), n_x, 2, c)
+    cfg = O.StencilConfig(order=order)
+    sources = (c, c[:, :1], c[:, :, :1], c[:, :1, :1])
+    for src in sources:
+        for a in range(f.grid_ndim):
+            want = roll_partial(src, a, f, cfg)
+            for lo, hi in ((0, n_r), (0, 3), (5, 9), (13, 16), (7, 8), (0, 1), (15, 16)):
+                start, end = max(lo - 3, 0), min(hi + 3, n_r)
+                window = dict(rows=(lo, hi), start=start)
+                got = O._partial(src[start:end], a, f, cfg, **window)
+                assert np.array_equal(got, want[lo:hi]), (src.shape, a, lo, hi)
+                for acc in (None, np.empty(src[0].size * (hi - lo))):
+                    out = np.full(want[lo:hi].shape + (2,), np.nan)[..., 1]
+                    O._partial(src[start:end], a, f, cfg, out=out, acc=acc, **window)
+                    assert np.array_equal(out, want[lo:hi]), (src.shape, a, lo, hi)
+
+
+class CountingNumpy:
+    """numpy, with every ufunc call recorded as (name, shape of out)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if not isinstance(value, np.ufunc):
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, kwargs["out"].shape))
+            return value(*args, **kwargs)
+
+        return counted
+
+
+def test_an_order_two_tangential_partial_is_one_flat_shift(monkeypatch):
+    """Along every tangential axis, also of a one-row window and of a
+    source cut to length 1: one bulk subtraction of two flat slices, one on
+    each of the two wrap nodes' (A, B) views, and one division."""
+    n_r, n_x = 12, (9, 8)
+    c = np.random.default_rng(0).standard_normal((n_r, *n_x, 3, 3))
+    f = O.GridField((0.0, 6.0), n_r, (1.0, 1.3), n_x, 2, c)
+    cfg = O.StencilConfig(order=2)
+    numpy = CountingNumpy()
+    monkeypatch.setattr(O, "np", numpy)
+    for src in (c, c[:, :1], c[:, :, :1]):
+        for a in (1, 2):
+            for lo, hi in ((0, n_r), (4, 5)):
+                numpy.calls.clear()
+                got = O._partial(src[lo:hi], a, f, cfg, rows=(lo, hi), start=lo)
+                n, B = src.shape[a], math.prod(src.shape[a + 1:])
+                A = got.size // (n * B)
+                wrap = ("subtract", (A, B))
+                assert numpy.calls == [("subtract", (max(got.size - 2 * B, 0),)), wrap, wrap,
+                                       ("divide", got.shape)], (src.shape, a, lo)
+
+
+def with_runtime_warnings(fn):
+    """fn() and the set of RuntimeWarning messages it gave, on any thread."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    return value, {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+
+
+def fp_events(messages):
+    """RuntimeWarning messages without the ufunc that met the event."""
+    return {m.partition(" encountered in ")[0] for m in messages}
+
+
+def plant_non_finite(comps, grid_ndim, rows, seed):
+    """comps with +inf, -inf and NaN planted on entries at the wrap nodes
+    (i = 0 and n - 1) of every tangential axis and on the given radial rows."""
+    comps = comps.copy()
+    rng = np.random.default_rng(seed)
+    places = [(axis, i) for axis in range(1, grid_ndim) for i in (0, comps.shape[axis] - 1)]
+    places += [(0, row) for row in rows]
+    for axis, i in places:
+        for _ in range(6):
+            index = [int(rng.integers(n)) for n in comps.shape]
+            index[axis] = i
+            comps[tuple(index)] = rng.choice([np.inf, -np.inf, np.nan])
+    return comps
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_non_finite_values_give_the_roll_stencils_values_and_warnings(monkeypatch, order):
+    """No other test feeds a non-finite field to the stencils.  With ±inf
+    and NaN on wrap nodes and on the rows at every slab cut, at two
+    threads, each operator and each partial equals the np.roll stencils
+    (NaN where they give NaN) and gives the same RuntimeWarning messages.
+    At order 4 the messages may name another ufunc: the stencils form 8
+    f[i+1] - f[i+2] where np.roll forms -f[i+2] + 8 f[i+1], the same value,
+    so an inf - inf there meets "subtract" where np.roll meets "add"; the
+    floating-point events are the same."""
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    same = (lambda messages: messages) if order == 2 else fp_events
+    cfg = O.StencilConfig(order=order)
+    n_r, n_x = _SLAB_MIN[order], (8, 9)
+    base = O.GridField((0.0, 6.0), n_r, (1.0, 1.3), n_x, 2, np.zeros((n_r, *n_x, 3, 3)))
+    plans = {O._slab_plan(op, base, cfg)[1] for op, admits in ROLL_RANKS.items() if admits(2)}
+    cuts = {n_r * k // slabs for slabs in plans for k in range(1, slabs)}
+    assert cuts, "the grid takes no slabs"
+    rows = sorted(cuts | {cut - 1 for cut in cuts})
+    rng = np.random.default_rng(order)
+    for seed in range(3):
+        planted = plant_non_finite(rng.standard_normal(base.components.shape), base.grid_ndim,
+                                   rows, seed)
+        rank2 = base.with_components(planted)
+        rank1 = rank2.with_components(rank2.components[..., 1].copy(), rank=1)
+        for f in (rank2, rank1):
+            for op, admits in ROLL_RANKS.items():
+                if not admits(f.rank):
+                    continue
+                # on the flat background the coupling vanishes; the
+                # reference adds it as 0 * h, NaN where h is infinite
+                ref = "rough_laplacian" if op == "lichnerowicz" else op
+                want = with_runtime_warnings(lambda: roll_operator(ref, f, cfg))
+                got = with_runtime_warnings(lambda: O.fd_operator(op, f, cfg).components)
+                assert np.array_equal(got[0], want[0], equal_nan=True), (seed, f.rank, op)
+                assert same(got[1]) == same(want[1]), (seed, f.rank, op)
+            for a in range(f.grid_ndim):
+                want = with_runtime_warnings(lambda: roll_partial(f.components, a, f, cfg))
+                got = with_runtime_warnings(lambda: O._partial(f.components, a, f, cfg))
+                assert np.array_equal(got[0], want[0], equal_nan=True), (seed, f.rank, a)
+                assert same(got[1]) == same(want[1]), (seed, f.rank, a)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_an_overwritten_wrap_value_raises_no_flag(order):
+    """inf at (i = 0, outer row a + 1) and (i = n - 2, row a) meet in no
+    stencil, but the order-2 flat subtraction takes inf - inf on the wrap
+    node (i = n - 1, row a) before overwriting it: neither a warning nor,
+    under np.errstate(all="raise"), an error may follow.  A true inf - inf,
+    at i = n - 1 from its wrapped neighbour, warns and raises as np.roll
+    does."""
+    comps = np.random.default_rng(1).standard_normal((8, 8, 9))
+    f = O.GridField((0.0, 6.0), 8, (1.0, 1.3), (8, 9), 0, comps)
+    cfg = O.StencilConfig(order=order)
+    # outer rows (4, 0) and (4, 1) along axis 2, rows 4 and 5 along axis 1
+    comps[4, 1, 0] = comps[4, 0, 7] = comps[5, 0, 3] = comps[4, 6, 3] = np.inf
+    for a in (1, 2):
+        assert with_runtime_warnings(lambda: roll_partial(comps, a, f, cfg))[1] == set()
+        got = with_runtime_warnings(lambda: O._partial(comps, a, f, cfg))
+        assert got[1] == set(), a
+        assert np.array_equal(got[0], roll_partial(comps, a, f, cfg)), a
+        with np.errstate(all="raise"):
+            O._partial(comps, a, f, cfg)
+    comps[4, 1, 7] = np.inf  # with (4, 1, 0): the stencil at i = 8 reads both
+    want = with_runtime_warnings(lambda: roll_partial(comps, 2, f, cfg))
+    assert want[1]
+    got = with_runtime_warnings(lambda: O._partial(comps, 2, f, cfg))
+    assert got[1] == want[1]
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        O._partial(comps, 2, f, cfg)
 
 
 # -- the slab threads -------------------------------------------------------
