@@ -52,6 +52,7 @@ from .fd_oracle import (
 from .fields import TensorField
 from .green_kernel import estimate_weighted_bound
 from .mode_ode import RadialProfile
+from .stages import stage
 from .three_circles import (
     ThreeCirclesParams,
     TubeNormSeries,
@@ -518,8 +519,10 @@ def _task_solve_div(cfg: JobConfig, rng) -> tuple:
         cs = h.cs
     else:
         h = _random_gauge_image(cs, rng, task["n_modes"])
-    gauge = solve_gauge(h, DivergenceConfig(tau=task["tau"]))
-    residual = gauge_residual(h, gauge, task["tau"]).max_abs_coeff()
+    tau = task["tau"]
+    gauge = solve_gauge(h, DivergenceConfig(tau=tau))
+    one_form = stage("one-form", lambda: gauge.one_form)
+    residual = stage("residual", lambda: gauge_residual(h, one_form, tau).max_abs_coeff())
     scale = max(1.0, h.max_abs_coeff())
     payload = {
         "tau": task["tau"],
@@ -633,15 +636,6 @@ def _task_three_circles(cfg: JobConfig, rng) -> tuple:
     return payload, certs
 
 
-def _stage(label: str, grid: str, fn, *args):
-    """fn(*args), logging one debug line: the label, the grid and the time
-    in ms."""
-    started = time.perf_counter()
-    value = fn(*args)
-    log.debug("%s: grid %s: %.3f ms", label, grid, 1e3 * (time.perf_counter() - started))
-    return value
-
-
 def _task_validate(cfg: JobConfig, rng) -> tuple:
     cs = cfg.build_cross_section()
     task = cfg.task
@@ -649,25 +643,25 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     stencil = StencilConfig(order=task["order"])
     r_range = (0.0, task["r_max"])
     certs = []
-    grid = "x".join(map(str, [n_r] + [n_x] * cs.dim))
+    grid = "grid " + "x".join(map(str, [n_r] + [n_x] * cs.dim))
     order = f"order {stencil.order}"
 
     probe = random_reduced_form(cs, rng, include_growing=False)
-    grid_probe = _stage("sample", grid, sample, probe, r_range, n_r, n_x)
+    grid_probe = stage(f"sample: {grid}", sample, probe, r_range, n_r, n_x)
     fd_tol = 10.0 * grid_probe.max_spacing**2
     scale = max(1.0, interior_sup(grid_probe))
     # every grid but the probe is dropped once its value is read, so that
     # no stage holds the grids of an earlier one
-    kernel_ricci = interior_sup(_stage(f"fd_operator linearized_ricci, {order}", grid,
-                                       fd_operator, "linearized_ricci", grid_probe, stencil))
+    kernel_ricci = interior_sup(stage(f"fd_operator linearized_ricci, {order}: {grid}",
+                                      fd_operator, "linearized_ricci", grid_probe, stencil))
     kernel_ricci /= scale
 
     source = _random_gauge_image(cs, rng, n_modes=4)
     gauge = solve_gauge(source, DivergenceConfig(tau=0.0))
     mismatch = lie_derivative_metric(gauge.one_form) - source
-    mismatch_grid = _stage("sample", grid, sample, mismatch, r_range, n_r, n_x)
-    fd_div = interior_sup(_stage(f"fd_operator divergence, {order}", grid, fd_operator,
-                                 "divergence", mismatch_grid, stencil))
+    mismatch_grid = stage(f"sample: {grid}", sample, mismatch, r_range, n_r, n_x)
+    fd_div = interior_sup(stage(f"fd_operator divergence, {order}: {grid}", fd_operator,
+                                "divergence", mismatch_grid, stencil))
     del mismatch_grid
     certs.append(_cert("gauge-divergence-fd", fd_div / max(1.0, source.max_abs_coeff()), "<=",
                        fd_tol))
@@ -683,8 +677,8 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     if task["remainder"]:
         # a probe above unit size is scaled down to it, so eps measures the
         # relative size of the perturbation and stays in the quadratic regime
-        scan = _stage(f"quadratic_remainder_scan, {order}", grid, quadratic_remainder_scan,
-                      grid_probe.scale(1.0 / scale), task["eps_list"], stencil)
+        scan = stage(f"quadratic_remainder_scan, {order}: {grid}", quadratic_remainder_scan,
+                     grid_probe.scale(1.0 / scale), task["eps_list"], stencil)
         payload["remainder_scan"] = {
             "epsilons": list(scan.epsilons),
             "remainders": list(scan.remainders),

@@ -37,6 +37,7 @@ a 64 x 8^3 grid (see ``_partial``).
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import sys
@@ -754,9 +755,9 @@ def _slab_plan(op: str, f: GridField, cfg: StencilConfig) -> tuple:
 
 def _run_slabs(op: str, f: GridField, cfg: StencilConfig) -> np.ndarray:
     """The stencil operator op of f.  A single thread runs the slabs
-    itself; else that many pool threads take them in turn.  Every slab has
-    finished before this returns, and the first exception a thread raised
-    is raised here."""
+    itself; else that many pool threads take them in turn, each under the
+    caller's numpy error state.  Every slab has finished before this
+    returns, and the first exception a thread raised is raised here."""
     threads, slabs = _slab_plan(op, f, cfg)
     size = _scratch_entries(op, f, cfg, -(-f.n_r // slabs))
     # scratch first: it is the larger request, and best fit would give the output its buffer
@@ -774,7 +775,10 @@ def _run_slabs(op: str, f: GridField, cfg: StencilConfig) -> np.ndarray:
     if threads == 1:
         drain(scratches[0])
         return out
-    futures = [_slab_pool().submit(drain, scratch) for scratch in scratches]
+    # each thread runs in a copy of the caller's context, which carries its
+    # np.errstate; one copy per submit, as no two threads may enter one
+    futures = [_slab_pool().submit(contextvars.copy_context().run, drain, scratch)
+               for scratch in scratches]
     for fut in futures:
         fut.exception()  # waits without raising
     for fut in futures:

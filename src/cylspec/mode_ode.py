@@ -23,10 +23,16 @@ The scalar and damped solves return a RadialProfile; the mixed solve a
 derivatives), RadialProfiles unless the source is windowed,
 ``support=(0, hi)``, which makes them PiecewiseProfiles.
 
-Every solve runs through one integrator, ``_exp_integral``, which keeps each
-term's rate, so a solution carries exactly (``==``) the source rates and the
-homogeneous rates (+-sqrt(mu), or 0 and -tau) and no others.  A source rate
-within RATE_WINDOW of a homogeneous rate, but not on it, raises ResonantRate.
+``solve_batch`` solves one system for many modes at once: the sources come
+as a ``ProfileTable`` (every mode's terms as columns), and each step is one
+pass over a dense grid of (power, mode, rate) coefficients, on which the
+RadialProfile merges of the per-mode chain become adds in the same order.
+The per-mode solves call it with one mode.  Every solve runs through one
+integrator, ``_exp_integral``, which keeps each term's rate, so a solution
+carries exactly (``==``) the source rates and the homogeneous rates
+(+-sqrt(mu), or 0 and -tau) and no others, with the chain's bits.  A source
+rate within RATE_WINDOW of a homogeneous rate, but not on it, raises
+ResonantRate.
 
 Integrals over finite intervals [lo, hi], lo >= 0, have one closed form in
 the confluent kernels psi_q(z) = int_0^1 t^q e^{z t} dt (``_psi``), a sum of
@@ -36,9 +42,11 @@ infinity take the antiderivative.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +57,7 @@ __all__ = [
     "PiecewiseProfile",
     "FundamentalMatrixSet",
     "MixedModeSolution",
+    "ProfileTable",
     "system_matrix",
     "fundamental_matrix_set",
     "v_matrix",
@@ -58,6 +67,7 @@ __all__ = [
     "solve_scalar_mode",
     "solve_mixed_mode",
     "solve_damped_mode",
+    "solve_batch",
 ]
 
 # A rate lam with 0 < |lam - sigma| <= RATE_WINDOW * max(1, |sigma|) against
@@ -501,7 +511,7 @@ def check_characteristic(mu: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# closed-form solves
+# closed-form solves, batched over modes
 # ---------------------------------------------------------------------------
 
 
@@ -516,36 +526,349 @@ def _check_mu(mu: float) -> None:
         raise InvalidInput(f"mu must be finite and >= 0, got {mu!r}")
 
 
-def _exp_integral(profile: RadialProfile, sigma: float, upper=None) -> RadialProfile:
-    """e^{sigma r} int e^{-sigma t} profile(t) dt as a profile in r, over
-    [0, r] when ``upper`` is None and over [r, upper] otherwise (upper may
-    be inf).
+class ProfileTable(NamedTuple):
+    """The RadialProfiles of several modes as one term table: row i is
+    coeff[i] r^power[i] e^{rate[i] r} of mode ``mode[i]``, rows sorted on
+    (mode, power, rate), no key twice, no exact zero."""
 
-    Term by term with d = lam - sigma, each term keeps its rate lam and
-    takes the closed-form antiderivative's coefficients, with divisors
-    d^{j+1} (d == 0: the secular r^{p+1} / (p + 1)); the integration
-    constant sits at rate sigma.  A nonzero d inside RATE_WINDOW (relative
-    to max(1, |sigma|)) would divide by a near-zero gap and cancel, so it
-    raises ResonantRate.  At a finite ``upper`` the constant is the
-    antiderivative at the shifted rates d, evaluated there.
+    mode: np.ndarray
+    power: np.ndarray
+    rate: np.ndarray
+    coeff: np.ndarray
+
+    @classmethod
+    def of(cls, profiles) -> "ProfileTable":
+        """The table of a sequence of RadialProfiles, the i-th as mode i."""
+        rows = [(m, p, lam, c) for m, prof in enumerate(profiles) for c, p, lam in prof.terms]
+        mode, power, rate, coeff = zip(*rows) if rows else ((), (), (), ())
+        return cls(np.array(mode, dtype=np.int64), np.array(power, dtype=np.int64),
+                   np.array(rate, dtype=float), np.array(coeff, dtype=float))
+
+    def scale(self, a) -> "ProfileTable":
+        """Coefficients times a (a number, or one per row), exact zeros
+        dropped, as ``RadialProfile.scale``."""
+        coeff = self.coeff * a
+        keep = coeff != 0.0
+        return ProfileTable(self.mode[keep], self.power[keep], self.rate[keep], coeff[keep])
+
+    def profiles(self, n_modes: int) -> list:
+        """The RadialProfile of each mode 0 .. n_modes - 1."""
+        cuts = self.mode.searchsorted(np.arange(n_modes + 1)).tolist()
+        terms = list(zip(self.coeff.tolist(), self.power.tolist(), self.rate.tolist()))
+        return [RadialProfile._of(tuple(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@functools.cache
+def _falling_table(top: int) -> np.ndarray:
+    """(-1)^j (p)_j = (-1)^j p! / (p - j)! as floats, for p, j < top."""
+    out = np.array([[float((-1) ** j * math.perm(p, j)) for j in range(top)]
+                    for p in range(top)])
+    out.setflags(write=False)  # shared by every caller
+    return out
+
+
+def _grid(homogeneous, sources, top: int):
+    """``lam`` (n, R), each mode's source and homogeneous rates once, sorted,
+    padded with inf; each source as a (top, n, R) array of the coefficient
+    of r^p e^{lam r} at [p, mode, column]; the columns the sources use; the
+    column of each homogeneous rate."""
+    n = len(homogeneous)
+    mode = np.concatenate([t.mode for t in sources]
+                          + [np.arange(n).repeat(homogeneous.shape[1])])
+    rate = np.concatenate([t.rate for t in sources] + [homogeneous.ravel() + 0.0])
+    order = np.lexsort((rate, mode))
+    ms, rs = mode[order], rate[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    new[1:] = (rs[1:] != rs[:-1]) | (ms[1:] != ms[:-1])
+    uid = new.cumsum() - 1
+    rank = uid - uid[ms.searchsorted(np.arange(n))][ms]
+    lam = np.full((n, int(rank.max(initial=0)) + 1), np.inf)
+    lam[ms, rank] = rs
+    col = np.empty(len(order), dtype=np.int64)
+    col[order] = rank
+    grids, uses, at = [], np.zeros(lam.shape, dtype=bool), 0
+    for t in sources:
+        c = col[at:at + len(t.mode)]
+        g = np.zeros((top,) + lam.shape)
+        g[t.power, t.mode, c] = t.coeff
+        uses[t.mode, c] = True
+        grids.append(g)
+        at += len(t.mode)
+    return lam, grids, uses, col[at:].reshape(n, -1)
+
+
+class _Sigma(NamedTuple):
+    """An integral's data that depends on sigma and the rates lam alone, by
+    column (block, rate): d = lam - sigma, sigma's own column, the
+    near-resonant columns, the runs of one d in a block, the limits, and
+    d^k, k = 1 .. len(pw), on the columns that may hold a term (Python
+    powers, as in ``_antiderivative_terms``)."""
+
+    d: np.ndarray
+    at: np.ndarray
+    window: np.ndarray
+    new: np.ndarray
+    group: np.ndarray  # run of each column, tiled once per row of pw
+    block: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    finite: bool  # some block integrates to a finite upper limit
+    sign: np.ndarray
+    pw: np.ndarray
+
+
+def _sigma(lam, sigma, upper, at, cand, top: int) -> _Sigma:
+    B, R = lam.shape
+    d = (lam - sigma[:, None]).ravel()
+    at = np.arange(B) * R + at
+    gap = np.abs(d)
+    gap[at] = np.inf
+    new = np.empty(B * R, dtype=bool)
+    new[1:] = d[1:] != d[:-1]
+    new[::R] = True
+    cand = cand.ravel().copy()
+    cand[at] = False
+    cols = cand.nonzero()[0]
+    pw = np.ones((top, B * R))
+    pw[:, cols] = [[x ** k for x in d[cols].tolist()] for k in range(1, top + 1)]
+    lower = np.isnan(upper)
+    group = np.tile(new.cumsum() - 1, top)
+    return _Sigma(d, at, gap <= (RATE_WINDOW * np.maximum(1.0, np.abs(sigma))).repeat(R), new,
+                  group, new.nonzero()[0] // R, upper, lower, bool(np.isfinite(upper).any()),
+                  np.where(lower, 1.0, -1.0).repeat(R), pw)
+
+
+def _exp_integral(S, g: _Sigma):
+    """e^{sigma r} int e^{-sigma x} f(x) dx for the profile f of every block
+    b, f = sum S[p, b, r] r^p e^{lam[b, r] r}: over [0, r] where upper[b] is
+    NaN, over [r, upper[b]] otherwise (inf allowed).  Returns the result and
+    the mask of the near-resonant terms (None if none).
+
+    With d = lam - sigma, each term keeps its rate and takes the
+    antiderivative's coefficients c (-1)^j (p)_j / d^{j+1} at powers p - j,
+    summed per power in the order of p (d == 0: c / (p + 1) at power p + 1).
+    The constant at sigma is the antiderivative at the shifted rates d, its
+    terms of one (power, d) summed first, at 0 (negated) or at upper (0 at
+    inf), summed in sorted order as RadialProfile sums.  A term with
+    0 < |d| <= RATE_WINDOW max(1, |sigma|) is near-resonant.  Only sigma's
+    own column holds powers above len(g.pw); the last row of S is 0.
     """
-    window = RATE_WINDOW * max(1.0, abs(sigma))
-    shifted, out = [], []
-    for c, p, lam in profile.terms:
-        d = lam - sigma
-        if 0.0 < abs(d) <= window:
-            raise ResonantRate(
-                f"source rate {lam!r} lies within {abs(d):.3g} of the homogeneous "
-                f"rate {sigma + 0.0!r}"
-            )
-        parts = _antiderivative_terms(c, p, d)
-        shifted.extend((a, q, d) for a, q in parts)
-        out.extend((a, q, lam) for a, q in parts)
-    F = RadialProfile(shifted)
-    if upper is None:
-        return RadialProfile(out + [(-F.value_at_zero(), 0, sigma)])
-    top = F.limit_at_plus_infinity() if upper == math.inf else float(F.evaluate(upper))
-    return RadialProfile([(top, 0, sigma)] + [(-a, q, lam) for a, q, lam in out])
+    Q, B, R = S.shape
+    S = S.reshape(Q, B * R)
+    near = (S != 0.0) & g.window
+    top = Q - 1  # the last row is 0: the secular terms move up one power
+    sf, pw, at = _falling_table(Q), g.pw, g.at
+    k = min(top, len(pw))
+    # out[q] sums the parts c (-1)^j (p)_j / d^{j+1} of p = q + j, j ascending
+    out = np.zeros((Q, B * R))
+    out[:top] = S[:top] / pw[0]  # j = 0, (-1)^0 (p)_0 = 1
+    for j in range(1, k):
+        out[:top - j] += S[j:top] * sf[j:top, j, None] / pw[j]
+    out[1:, at] = S[:-1, at] / np.arange(1.0, Q)[:, None]
+    # the power-0 terms of the antiderivative (j = p), summed per run of one
+    # d in the order of p, then per block in the order of d
+    parts = S[:k] * sf.diagonal()[:k, None] / pw[:k]
+    parts[:, at] = 0.0
+    runs = np.bincount(g.group[:parts.size], parts.ravel(), minlength=len(g.block))
+    const = np.where(g.lower, -np.bincount(g.block, runs, minlength=B), 0.0)
+    if g.finite:
+        const = np.where(np.isfinite(g.upper), _at_upper(S[:top], g, sf), const)
+    out *= g.sign
+    out[0, at] = const
+    return out.reshape(Q, B, R), near.reshape(Q, B, R) if near.any() else None
+
+
+def _at_upper(S, g: _Sigma, sf):
+    """The antiderivative at the shifted rates d evaluated at ``upper``: its
+    parts listed term by term (p, then lam, then j), merged on (power, d),
+    and c upper^q e^{d upper} summed per block in sorted (q, d) order."""
+    top, N = S.shape
+    p, j = np.arange(top)[:, None, None], np.arange(top)
+    sec = np.zeros(N, dtype=bool)
+    sec[g.at] = True
+    parts = np.zeros((top, N, top))  # [p, column, j]
+    for k in range(min(top, len(g.pw))):
+        parts[k:, :, k] = S[k:] * sf[k:top, k, None] / g.pw[k]
+    parts[:, :, 0] = np.where(sec, S / (p[..., 0] + 1.0), parts[:, :, 0])
+    parts = np.where(sec[:, None] & (j > 0) | (j > p), 0.0, parts)
+    q = np.where(sec[:, None], p + 1, np.maximum(p - j, 0))
+    G = len(g.block)
+    F = np.bincount((q * G + g.group[:N, None]).ravel(), parts.ravel(), minlength=(top + 1) * G)
+    at = g.upper[g.block]
+    ups = np.array([at ** e for e in range(top + 1)]).ravel()
+    terms = np.where(F != 0.0, F * ups * np.tile(np.exp(g.d[g.new] * at), top + 1), 0.0)
+    return np.bincount(np.tile(g.block, top + 1), terms, minlength=len(g.upper))
+
+
+def _resonances(near, lam, sigma, step) -> list:
+    """(mode, step, ResonantRate) for the first near-resonant term, in term
+    order, of each block; ``step(block)`` gives (mode, step)."""
+    found = []
+    if near is None:
+        return found
+    for b in near.any(axis=(0, 2)).nonzero()[0].tolist():
+        r = int(np.argmax(near[:, b].ravel())) % lam.shape[1]
+        lam_, sig = float(lam[b, r]), float(sigma[b])
+        found.append((*step(b), ResonantRate(
+            f"source rate {lam_!r} lies within {abs(lam_ - sig):.3g} of the homogeneous "
+            f"rate {sig + 0.0!r}")))
+    return found
+
+
+def _growing(s, what, *sources) -> list:
+    """(mode, 0, InvalidInput) for each mode with a source rate >= s."""
+    bad = {m for t in sources for m in t.mode[t.rate >= s[t.mode]].tolist()}
+    return [(m, 0, InvalidInput(f"{what} must decay strictly below rate sqrt(mu)"))
+            for m in sorted(bad)]
+
+
+def _profiles(X, lam) -> list:
+    """The RadialProfile of each mode of a grid X[p, mode, column] on rates
+    lam[mode, column]."""
+    m, q, r = X.transpose(1, 0, 2).nonzero()
+    cuts = m.searchsorted(np.arange(X.shape[1] + 1)).tolist()
+    terms = list(zip(X[q, m, r].tolist(), q.tolist(), lam[m, r].tolist()))
+    return [RadialProfile._of(tuple(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _blocks(x, y):
+    """Per-mode arrays, or grids [p, mode, column], interleaved onto blocks
+    2m (x) and 2m + 1 (y)."""
+    out = np.empty(x.shape[:-1] + (2,) + x.shape[-1:] if x.ndim > 1 else (len(x), 2))
+    if x.ndim == 1:
+        out[:, 0], out[:, 1] = x, y
+        return out.ravel()
+    out[:, :, 0], out[:, :, 1] = x, y
+    return out.reshape(x.shape[0], -1, x.shape[2])
+
+
+def _scalar(mu, alpha: ProfileTable):
+    """f'' - mu f = alpha, mu > 0: block 2m over [0, r] at -s, block 2m+1
+    over [r, inf] at +s, summed and scaled by -1 / (2 s)."""
+    s = np.sqrt(mu)
+    top = int(alpha.power.max(initial=0)) + 1
+    lam, (a,), uses, at = _grid(np.column_stack([-s, s]), [alpha], top + 1)
+    errors = _growing(s, "global source", alpha)
+    sigma, lam2 = _blocks(-s, s), lam.repeat(2, axis=0)
+    y, near = _exp_integral(_blocks(a, a), _sigma(lam2, sigma, _blocks(s * np.nan, s * np.inf),
+                                                  at.ravel(), uses.repeat(2, axis=0), top))
+    errors += _resonances(near, lam2, sigma, lambda b: (b >> 1, 1 + (b & 1)))
+    y = y.reshape(len(y), len(s), 2, -1)
+    return (_profiles((y[:, :, 0] + y[:, :, 1]) * (-1.0 / (2.0 * s))[:, None], lam),), errors
+
+
+def _damped(tau, src: ProfileTable):
+    """y'' + tau y' = s with y(0) = y'(0) = 0: [0, r] at -tau, then at 0."""
+    zero, top = 0.0 * tau, int(src.power.max(initial=0)) + 1
+    lam, (y,), uses, at = _grid(np.column_stack([-tau, zero]), [src], top + 2)
+    errors, upper = [], tau * np.nan
+    for step, sigma in enumerate((-tau, zero), 1):
+        y, near = _exp_integral(y, _sigma(lam, sigma, upper, at[:, step - 1], uses, top))
+        errors += _resonances(near, lam, sigma, lambda b, at=step: (b, at))
+        uses[np.arange(len(tau)), at[:, 0]] = True  # the constant at -tau
+        top += 1
+    return (_profiles(y, lam),), errors
+
+
+def _mixed(mu, beta: ProfileTable, gamma: ProfileTable, hi):
+    """The 4x4 pair system in the basis V (``v_matrix``): block 2m is the
+    growing Jordan block at +s, integrated down from hi (inf for a global
+    source), block 2m+1 the decaying one at -s, integrated up from 0.  Each
+    chain y2' = sigma y2 + qt2, y1' = sigma y1 + y2 + qt1 is two integrals
+    (y1 of qt1 - y2 on [r, hi]); k and l are rows 0 and 2 of V y.  A finite
+    hi's tail lies in the decaying columns of ``pair_columns``, weighted by
+    int_0^hi e^{-J_- x} (qt2, qt3) dx, mode by mode."""
+    s = np.sqrt(mu)
+    n, top = len(s), int(max(beta.power.max(initial=0), gamma.power.max(initial=0))) + 1
+    lam, (b, g), uses, at = _grid(np.column_stack([s, -s]), [beta, gamma], top + 2)
+    errors = _growing(s, "global mixed source", beta, gamma) if hi == math.inf else []
+    # columns 1 and 3 of V^-1 and rows 0 and 2 of V, as v_inverse and v_matrix build them
+    a3, a4 = (3.0 / (8.0 * s))[:, None], (-1.0 / (4.0 * s))[:, None]
+    qt0 = b * a3 + g * 0.0
+    qt = (qt0, b * 0.125 + g * a4, qt0, b * -0.125 + g * a4)
+    V = np.empty((4, 1, n, 2, 1))  # V[c, 0, m, k, 0]: column c of row 2k of V at mode m
+    V[:, 0, :, 0, 0] = ((1.0,), (0.0,), (-1.0,), (0.0,))
+    V[(0, 2), 0, :, 1, 0] = s
+    V[(1, 3), 0, :, 1, 0] = ((-3.0,), (3.0,))
+    sigma, lam2 = _blocks(s, -s), lam.repeat(2, axis=0)
+    geo = _sigma(lam2, sigma, _blocks(s * 0.0 + hi, s * np.nan), at.ravel(),
+                 uses.repeat(2, axis=0), top)
+    step = lambda blk, first: (blk >> 1, (3, 1)[blk & 1] + first)  # noqa: E731
+    y2, near = _exp_integral(_blocks(qt[1], qt[3]), geo)
+    errors += _resonances(near, lam2, sigma, lambda blk: step(blk, 0))
+    y2 = y2.reshape(top + 2, n, 2, -1)
+    y1, near = _exp_integral(_blocks(qt[0] - y2[:, :, 0], qt[2] + y2[:, :, 1]), geo)
+    errors += _resonances(near, lam2, sigma, lambda blk: step(blk, 1))
+    if errors:
+        return None, errors
+    y1 = y1.reshape(top + 2, n, 2, -1)
+    # k and l on blocks 2m and 2m + 1: (y1m V[i,2] + y2m V[i,3]) - (y1p V[i,0] + y2p V[i,1])
+    y1, y2 = y1[:, :, :, None], y2[:, :, :, None]
+    body = ((y1[:, :, 1] * V[2] + y2[:, :, 1] * V[3])
+            - (y1[:, :, 0] * V[0] + y2[:, :, 0] * V[1])).reshape(top + 2, 2 * n, -1)
+    if hi == math.inf:
+        return (_profiles(body, lam2),), []
+    # the tail: c2 column 2 + c3 column 3 of pair_columns, c = int_0^hi e^{-J_- x} qt dx
+    tails = []
+    for m, (q2, q3) in enumerate(zip(_profiles(qt[2], lam), _profiles(qt[3], lam))):
+        sm = float(s[m])
+        c2 = (q2.mul_monomial(0, sm).definite_integral(0.0, hi)
+              - q3.mul_monomial(1, sm).definite_integral(0.0, hi))
+        c3 = q3.mul_monomial(0, sm).definite_integral(0.0, hi)
+        _, _, col2, col3 = pair_columns(float(mu[m]))
+        tails += [a.scale(c2) + b.scale(c3) for a, b in zip(col2, col3)]
+    return (_profiles(body, lam2), tails), []
+
+
+def _window(support) -> float:
+    """hi of a support window (0, hi), 0 < hi < inf; inf for None."""
+    if support is None:
+        return math.inf
+    if not (isinstance(support, (tuple, list)) and len(support) == 2):
+        raise InvalidInput(f"support window must be a pair (0, hi), got {support!r}")
+    lo, hi = support
+    if lo != 0.0 or not (isinstance(hi, numbers.Real) and 0.0 < hi < math.inf):
+        raise InvalidInput(f"support window must be [0, hi] with 0 < hi < inf, got {support!r}")
+    return hi
+
+
+def solve_batch(system: str, params, *sources: ProfileTable, support=None, label=None) -> list:
+    """The closed-form solves of one system for every mode of its source
+    tables at once: "scalar" (f'' - mu f = alpha, mu > 0), "damped"
+    (y'' + tau y' = s, y(0) = y'(0) = 0) or "mixed" (the pair system,
+    sources beta and gamma); ``params`` holds each mode's mu or tau.
+    Returns each mode's RadialProfile, or for "mixed" its (k, l) pair,
+    PiecewiseProfiles under ``support=(0, hi)``.  Of the failures, the one a
+    mode-by-mode solve meets first is raised, prefixed by ``label(mode)``.
+    """
+    params = np.asarray(params, dtype=float).reshape(-1)
+    n = len(params)
+    hi = _window(support)
+    damped = system == "damped"
+    if not (np.isfinite(params) & (damped | (params > 0.0))).all():
+        for x in params.tolist():
+            if damped and not math.isfinite(x):
+                raise InvalidInput(f"tau must be finite, got {x!r}")
+            if not damped:
+                _check_mu(x)
+                if x == 0.0:
+                    raise InvalidInput(f"the {system} system needs mu > 0; mu = 0 belongs to "
+                                       "the finite sector")
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        tables, errors = {"scalar": _scalar, "damped": _damped, "mixed": _mixed}[system](
+            params, *sources, *([hi] if system == "mixed" else []))
+    if errors:
+        mode, _, err = min(errors, key=lambda e: e[:2])
+        raise err if label is None else type(err)(f"{label(mode)}: {err}")
+    if system != "mixed":
+        return tables[0]
+    body = tables[0]
+    if hi == math.inf:
+        return list(zip(body[0::2], body[1::2]))
+    pieces = [PiecewiseProfile([(0.0, hi, b), (hi, math.inf, t)])
+              for b, t in zip(body, tables[1])]
+    return list(zip(pieces[0::2], pieces[1::2]))
 
 
 def solve_scalar_mode(mu: float, alpha) -> RadialProfile:
@@ -563,12 +886,7 @@ def solve_scalar_mode(mu: float, alpha) -> RadialProfile:
     if mu == 0.0:
         # f'' = alpha with zero data at r = 0 is the damped equation at tau = 0
         return solve_damped_mode(0.0, alpha)
-
-    s = math.sqrt(mu)
-    for _, p, lam in alpha.terms:
-        if lam >= s:
-            raise InvalidInput("global source must decay strictly below rate sqrt(mu)")
-    return (_exp_integral(alpha, -s) + _exp_integral(alpha, s, math.inf)).scale(-1.0 / (2.0 * s))
+    return solve_batch("scalar", [mu], ProfileTable.of([alpha]))[0]
 
 
 def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
@@ -579,7 +897,7 @@ def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
     """
     if not math.isfinite(tau):
         raise InvalidInput(f"tau must be finite, got {tau!r}")
-    return _exp_integral(_exp_integral(s, -tau), 0.0)
+    return solve_batch("damped", [tau], ProfileTable.of([s]))[0]
 
 
 @dataclass(frozen=True)
@@ -615,55 +933,6 @@ class MixedModeSolution:
         return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))
 
 
-def _vop_block(q_tilde_1, q_tilde_2, sigma, upper=None):
-    """Closed-form variation-of-parameters integral for one Jordan block.
-
-    Computes ``int e^{sigma (t - s)} [q1(s) + (t - s) q2(s)] ds`` and
-    ``int e^{sigma (t - s)} q2(s) ds``, over [0, t] when ``upper`` is None
-    and over [t, upper] otherwise, returning the pair (y1, y2) as profiles
-    in t.  The block's equations y2' = sigma y2 + q2 and
-    y1' = sigma y1 + y2 + q1 chain: y1 integrates q1 + y2 over [0, t], or
-    q1 - y2 over [t, upper] (that y2 carries the opposite sign).
-    """
-    y2 = _exp_integral(q_tilde_2, sigma, upper)
-    y1 = _exp_integral(q_tilde_1 + y2 if upper is None else q_tilde_1 - y2, sigma, upper)
-    return y1, y2
-
-
-def _mixed_profiles(mu, beta, gamma, hi):
-    """k and l, rows 0 and 2 of the state, for x' = A x + (0, beta, 0, gamma)
-    with the source on [0, hi] (hi = inf for a global source).
-
-    In the basis V, decay at both ends fixes the split: decaying-block
-    coefficients integrate up from 0, growing-block coefficients down from
-    ``hi``.  For a finite ``hi`` the profiles are piecewise, and beyond the
-    window only the decaying block survives: its coefficients
-    c = int_0^hi e^{-J_- s} (qt2, qt3) ds weight columns 2 and 3 of
-    ``pair_columns``, so no growing basis term ever enters the tail piece.
-    """
-    s = math.sqrt(mu)
-    V = v_matrix(mu)
-    Vinv = v_inverse(mu)
-    # components of V^-1 q with q = (0, beta, 0, gamma)
-    qt = [beta.scale(Vinv[i, 1]) + gamma.scale(Vinv[i, 3]) for i in range(4)]
-    y1m, y2m = _vop_block(qt[2], qt[3], -s)
-    y1p, y2p = _vop_block(qt[0], qt[1], +s, upper=hi)
-    body = [
-        y1m.scale(V[i, 2]) + y2m.scale(V[i, 3]) - (y1p.scale(V[i, 0]) + y2p.scale(V[i, 1]))
-        for i in (0, 2)
-    ]
-    if hi == math.inf:
-        return body
-    c2 = (
-        qt[2].mul_monomial(0, s).definite_integral(0.0, hi)
-        - qt[3].mul_monomial(1, s).definite_integral(0.0, hi)
-    )
-    c3 = qt[3].mul_monomial(0, s).definite_integral(0.0, hi)
-    _, _, col2, col3 = pair_columns(mu)
-    tail = [a.scale(c2) + b.scale(c3) for a, b in zip(col2, col3)]
-    return [PiecewiseProfile([(0.0, hi, b), (hi, math.inf, t)]) for b, t in zip(body, tail)]
-
-
 def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
     """Decaying solution of the 4x4 system with source (0, beta, 0, gamma).
 
@@ -676,21 +945,12 @@ def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
     """
     _check_source(beta)
     _check_source(gamma)
-    hi = math.inf
-    if support is not None:
-        if not (isinstance(support, (tuple, list)) and len(support) == 2):
-            raise InvalidInput(f"support window must be a pair (0, hi), got {support!r}")
-        lo, hi = support
-        if lo != 0.0 or not (isinstance(hi, numbers.Real) and 0.0 < hi < math.inf):
-            raise InvalidInput(
-                f"support window must be [0, hi] with 0 < hi < inf, got {support!r}")
+    _window(support)
     _check_mu(mu)
     if mu == 0.0:
         # the mu = 0 pair never carries a source in this pipeline (harmonic
         # cross-section data is routed to the finite-dimensional sector)
         raise InvalidInput("solve_mixed_mode needs mu > 0; mu = 0 belongs to the finite sector")
-
-    if support is None and any(lam >= math.sqrt(mu) for _, _, lam in beta.terms + gamma.terms):
-        raise InvalidInput("global mixed source must decay strictly below rate sqrt(mu)")
-    k, l = _mixed_profiles(mu, beta, gamma, hi)
+    (k, l), = solve_batch("mixed", [mu], ProfileTable.of([beta]), ProfileTable.of([gamma]),
+                          support=support)
     return MixedModeSolution(mu=mu, k=k, l=l)

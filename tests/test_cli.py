@@ -665,7 +665,11 @@ def test_validate_at_debug_level_prints_one_line_per_stage(tmp_path):
     lines = [re.sub(r": \d+\.\d{3} ms$", ": _ ms", line)
              for line in done.stderr.splitlines() if line.startswith("DEBUG:")]
     stage = "DEBUG:cylspec:{}: grid 24x8x8x8: _ ms".format
+    solve = "DEBUG:cylspec:{}: _ ms".format  # solve_gauge's own stages
     assert lines == [stage("sample"), stage("fd_operator linearized_ricci, order 2"),
+                     solve("modified divergence"), solve("source tables, 24 terms"),
+                     solve("batched solves, modes per sector: pair 4, coclosed 4, harmonic 0, "
+                           "radial 0"),
                      stage("sample"), stage("fd_operator divergence, order 2"),
                      stage("quadratic_remainder_scan, order 2")]
 
@@ -685,6 +689,57 @@ def test_debug_logging_leaves_the_envelope_unchanged():
     finally:
         logger.setLevel(logging.NOTSET)
     assert envelopes[0] == envelopes[1]
+
+
+def test_solve_div_at_debug_level_prints_one_line_per_stage(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["solve-div", "--seed", "1", "--log-level", "debug", "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "cylspec.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = [re.sub(r": \d+\.\d{3} ms$", ": _ ms", line)
+             for line in done.stderr.splitlines() if line.startswith("DEBUG:")]
+    assert lines == ["DEBUG:cylspec:" + stage + ": _ ms" for stage in (
+        "modified divergence", "source tables, 34 terms",
+        "batched solves, modes per sector: pair 6, coclosed 5, harmonic 0, radial 0",
+        "one-form", "residual")]
+
+
+def test_importing_the_library_leaves_logging_unimported():
+    """stages.stage reads ``logging`` only once something has imported it,
+    so the library alone does not pay for it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, cylspec; print('logging' in sys.modules)"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=300)
+    assert done.stdout.strip() == "False", done.stderr
+
+
+def test_debug_logging_leaves_the_solve_div_envelope_unchanged():
+    cfg = cli.resolve_config({"task": {"name": "solve-div", "tau": 0.3}}, {})
+    logger = logging.getLogger("cylspec")
+    envelopes = []
+    try:
+        for level in (logging.DEBUG, logging.WARNING):
+            logger.setLevel(level)
+            envelope = cli.run_job(cfg)
+            del envelope["timing_s"]
+            envelopes.append(cli.canonical_json(envelope))
+    finally:
+        logger.setLevel(logging.NOTSET)
+    assert envelopes[0] == envelopes[1]
+
+
+def test_solve_div_names_the_mode_it_fails_on(tmp_path, capsys):
+    phi = modes_at(CS, "Scalar", (1, 0, 0), "cos")[0]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(cli.field_to_dict(
+        F.rr_tensor(CS, phi, RadialProfile.monomial(1.0, 0, 7.0)))))
+    code = cli.main(["solve-div", "--tau", "0", "--mode-file", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid input: pair sector, mode ((1, 0, 0), 'cos'): global mixed source must decay "
+        "strictly below rate sqrt(mu)\n")
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):

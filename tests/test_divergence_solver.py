@@ -7,6 +7,7 @@ tests never compare X against a reference gauge, only residuals.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import random_one_form, random_rank2_source
 from cylspec import cross_section as cx, fields as F
 from cylspec import divergence_solver as dv
-from cylspec.errors import InvalidInput, NonInvertibleSector, ResonantTau
+from cylspec.errors import InvalidInput, NonInvertibleSector, ResonantRate, ResonantTau
 from cylspec.fd_oracle import fd_operator, interior_sup, sample
 from cylspec.mode_ode import RadialProfile
 
@@ -261,6 +262,37 @@ def test_random_sources_on_a_circle_solve_at_tau_zero(seed):
                             include_parallel_radial=False)
     gauge = dv.solve_gauge(h, dv.DivergenceConfig(tau=0.0))
     assert dv.gauge_residual(h, gauge, 0.0).max_abs_coeff() < 1e-10 * residual_scale(h)
+
+
+def test_a_growing_pair_mode_is_named_with_its_sector():
+    # e^{7 r} at mu = 4 pi^2 grows faster than the decaying root admits
+    h = F.rr_tensor(CS, PHI, RadialProfile.monomial(1.0, 0, 7.0))
+    with pytest.raises(InvalidInput, match=re.escape(
+            "pair sector, mode ((1, 0, 0), 'cos'): global mixed source must decay strictly "
+            "below rate sqrt(mu)")):
+        dv.solve_gauge(h, dv.DivergenceConfig(tau=0.0))
+
+
+@pytest.mark.parametrize("sector, build", [
+    ("harmonic sector, mode ((0, 0, 0), 'cos', 1)",
+     lambda f: F.mixed_pair_tensor(CS, HARMONIC[1], f)),
+    ("radial sector, mode ((0, 0, 0), 'cos')", lambda f: F.rr_tensor(CS, PHI0, f)),
+])
+def test_a_near_resonant_damped_mode_is_named_with_its_sector(sector, build):
+    # a rate 1e-12 above -tau: the damped solve would divide by that gap
+    h = build(RadialProfile.monomial(1.0, 0, -0.3 + 1e-12))
+    with pytest.raises(ResonantRate, match=re.escape(
+            f"{sector}: source rate -0.299999999999 lies within 1e-12 of the homogeneous "
+            "rate -0.3")):
+        dv.solve_gauge(h, dv.DivergenceConfig(tau=0.3))
+
+
+def test_the_first_failing_sector_raises_in_sector_order():
+    # a growing pair mode and a near-resonant harmonic one: pairs solve first
+    h = (F.mixed_pair_tensor(CS, HARMONIC[1], RadialProfile.monomial(1.0, 0, -0.3 + 1e-12))
+         + F.rr_tensor(CS, PHI, RadialProfile.monomial(1.0, 0, 7.0)))
+    with pytest.raises(InvalidInput, match=r"^pair sector"):
+        dv.solve_gauge(h, dv.DivergenceConfig(tau=0.3))
 
 
 def test_resonant_tau_rejected():

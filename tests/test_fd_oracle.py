@@ -825,6 +825,31 @@ def test_an_exception_in_one_slab_reaches_the_caller_with_its_type(monkeypatch):
     assert np.array_equal(got.components, roll_operators(f, cfg)["linearized_ricci"])
 
 
+def test_slab_threads_run_under_the_callers_error_state(monkeypatch):
+    """Two infinities one node apart along the last axis give inf - inf in
+    the order-2 stencil.  Under np.errstate(all="raise") that raises on the
+    slab threads (plan (2, 4)) as it does serially (plan (1, 1)); under
+    "ignore" neither plan warns; the values are the serial ones bit for bit."""
+    comps = np.random.default_rng(3).standard_normal((64, 8, 9, 3, 3))
+    comps[40, 2, 3, 1, 2] = comps[40, 2, 5, 1, 2] = np.inf
+    f = O.GridField((0.0, 6.0), 64, (1.0, 1.3), (8, 9), 2, comps)
+    cfg = O.StencilConfig(order=2)
+    outputs = []
+    for threads, plan in ((1, (1, 1)), (2, (2, 4))):
+        monkeypatch.setattr(O, "fd_threads", lambda: threads)
+        assert O._slab_plan("rough_laplacian", f, cfg) == plan
+        # called on this thread: a helper thread would start in a fresh context
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            O.fd_operator("rough_laplacian", f, cfg)
+        with np.errstate(all="ignore"):
+            got, caught = with_runtime_warnings(lambda: O.fd_operator("rough_laplacian", f, cfg))
+        assert caught == set(), plan
+        outputs.append(got.components.tobytes())
+    assert outputs[0] == outputs[1]
+    _, caught = with_runtime_warnings(lambda: O.fd_operator("rough_laplacian", f, cfg))
+    assert caught == {"invalid value encountered in subtract"}
+
+
 def test_concurrent_batches_equal_the_serial_batch(monkeypatch):
     """Two callers at once, each running its operators on 8 threads (more
     than a small host has CPUs) taking 16 slabs from one shared list, with
