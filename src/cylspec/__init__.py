@@ -17,7 +17,6 @@ from .deformation_solver import (
     KernelBasisElement,
     KernelDecomposition,
     classify_kernel,
-    harmonic_trace_split,
     parallel_space_dimension,
     solve_reduced_system,
     trace_absorption_field,
@@ -73,7 +72,6 @@ __all__ = [
     "KernelBasisElement",
     "KernelDecomposition",
     "classify_kernel",
-    "harmonic_trace_split",
     "parallel_space_dimension",
     "solve_reduced_system",
     "trace_absorption_field",

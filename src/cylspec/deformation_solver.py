@@ -60,7 +60,6 @@ __all__ = [
     "KernelBasisElement",
     "KernelDecomposition",
     "linearized_ricci",
-    "harmonic_trace_split",
     "trace_absorption_field",
     "solve_reduced_system",
     "classify_kernel",
@@ -68,51 +67,11 @@ __all__ = [
 ]
 
 KERNEL_TOL = 1e-8
-TRACE_TOL = 1e-10
-
-
-def _rank2(h) -> TensorField:
-    if not isinstance(h, TensorField) or h.rank != 2:
-        raise InvalidInput("expected a rank-2 tensor field")
-    return h
 
 
 # ---------------------------------------------------------------------------
-# harmonic trace handling
+# trace absorption
 # ---------------------------------------------------------------------------
-
-
-def harmonic_trace_split(h):
-    """Split the trace of h into its affine part and the oscillating rest.
-
-    Returns (affine, remainder): affine is the frequency-zero profile
-    c0 + c0~ r of tr h, and remainder is h minus affine/(dim+1) times the
-    metric, so tr(remainder) expands purely in positive-eigenvalue modes.
-    Rejects fields whose trace is not harmonic on the cylinder.
-    """
-    hf = _rank2(h)
-    t = fields_mod.trace(hf)
-    scale = max(1.0, t.max_abs_coeff())
-    lap = fields_mod.rough_laplacian(t)
-    if lap.max_abs_coeff() > TRACE_TOL * scale:
-        raise InvalidInput(
-            f"trace is not harmonic: Laplacian residual {lap.max_abs_coeff():.3e}"
-        )
-    cs = hf.cs
-    zero_key = ((0,) * cs.dim, "cos")
-    terms = []
-    for key, (p, lam), C in t.terms():
-        if key != zero_key:
-            continue
-        if lam == 0.0 and p <= 1:
-            terms.append((float(C), p, lam))
-        elif abs(float(C)) > TRACE_TOL * scale:
-            raise InvalidInput("frequency-zero trace part is not affine")
-    affine = RadialProfile(tuple(terms))
-    remainder = hf - fields_mod.metric_field(cs).multiply_profile(
-        affine.scale(1.0 / (cs.dim + 1))
-    )
-    return affine, remainder.prune()
 
 
 def trace_absorption_field(cs: TorusCrossSection, coefficients: dict) -> GaugeField:
@@ -434,12 +393,13 @@ def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
     classification against it, and all are read-only afterwards; a call
     builds only h's right-hand side per frequency.
     """
-    hf = _rank2(h)
-    cs = hf.cs
+    if not isinstance(h, TensorField) or h.rank != 2:
+        raise InvalidInput("expected a rank-2 tensor field")
+    cs = h.cs
     check_resonance(tau, (cs.eigenvalue(freq) for freq in cs.canonical_freqs()))
-    scale = max(1.0, hf.max_abs_coeff())
-    for name, residual in (("linearized Ricci", linearized_ricci(hf)),
-                           ("tau-modified divergence", modified_divergence(hf, tau))):
+    scale = max(1.0, h.max_abs_coeff())
+    for name, residual in (("linearized Ricci", linearized_ricci(h)),
+                           ("tau-modified divergence", modified_divergence(h, tau))):
         size = residual.max_abs_coeff()
         if size > KERNEL_TOL * scale:
             raise NotInKernel(f"{name} residual {size:.3e} exceeds {KERNEL_TOL:.1e}; "
@@ -448,7 +408,7 @@ def classify_kernel(h, tau: float = 0.0) -> KernelDecomposition:
     parts: list = []
     cond: dict = {}
     zero_block = np.zeros((cs.dim + 1, cs.dim + 1))
-    for freq, h_blocks in _coefficient_blocks(hf).items():
+    for freq, h_blocks in _coefficient_blocks(h).items():
         block = _kernel_block(cs, freq, 0.0 if any(freq) else tau)
         for (phase, p, lam), C in h_blocks.items():
             if (phase, p, lam) not in block.keys and np.max(np.abs(C)) > KERNEL_TOL * scale:

@@ -274,17 +274,6 @@ def interior_sup(f: GridField) -> float:
     return _sup(f.interior())
 
 
-def l2_norm(f: GridField) -> float:
-    """Trapezoid in r, exact uniform sum over the periodic directions."""
-    sq = f.components ** 2
-    # sum out tangential and component axes first
-    sq = sq.reshape(f.n_r, -1).sum(axis=1)
-    dvol = math.prod(f.dx)
-    w = np.full(f.n_r, f.dr)
-    w[0] = w[-1] = f.dr / 2
-    return math.sqrt(float(w @ sq) * dvol)
-
-
 def sample(field: TensorField, r_range, n_r, n_x) -> GridField:
     """Evaluate a modal field on the lattice.  Exact: no discretization."""
     d = field.cs.dim
@@ -828,14 +817,24 @@ def _collapse_invariant_axes(g: GridField) -> np.ndarray:
 
 def _christoffel(comps: np.ndarray, grid: GridField, cfg: StencilConfig) -> np.ndarray:
     """Gamma^k_{ij} with component axes ordered (k, i, j), from metric
-    components laid out like grid.components or collapsed from them."""
+    components laid out like grid.components or collapsed from them.  A
+    node's symbols read only that node's partials, so the lowered symbols
+    are formed and raised a block of radial rows at a time, each block
+    written over its own partials: the partials and one block of the
+    lowered symbols, at most the metric's size, are all that is alive."""
     dg = _gradient(comps, grid, cfg, -3)
     # dg[..., l, i, j] = d_l g_{ij}
-    low = _array(dg.shape)
-    np.add(np.einsum("...ilj->...lij", dg), np.einsum("...jli->...lij", dg), out=low)
-    low -= dg
-    low *= 0.5
-    return np.einsum("...kl,...lij->...kij", np.linalg.inv(comps), low, out=dg)
+    inv = np.linalg.inv(comps)
+    rows = max(1, len(dg) // (grid.dim + 1))
+    low = _array((rows,) + dg.shape[1:])
+    for a in range(0, len(dg), rows):
+        part = dg[a:a + rows]
+        block = low[:len(part)]
+        np.add(np.einsum("...ilj->...lij", part), np.einsum("...jli->...lij", part), out=block)
+        block -= part
+        block *= 0.5
+        np.einsum("...kl,...lij->...kij", inv[a:a + rows], block, out=part)
+    return dg
 
 
 def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
@@ -846,8 +845,8 @@ def nonlinear_ricci(g: GridField, cfg: StencilConfig = StencilConfig()) -> GridF
     if g.rank != 2:
         raise InvalidInput("nonlinear_ricci needs a rank-2 metric field")
     comps = _collapse_invariant_axes(g)
-    asym = np.subtract(comps, np.swapaxes(comps, -1, -2), out=_array(comps.shape))
-    if _sup(asym) > 1e-12 * max(_sup(comps), 1.0):
+    asym = _sup(np.subtract(comps, np.swapaxes(comps, -1, -2), out=_array(comps.shape)))
+    if asym > 1e-12 * max(_sup(comps), 1.0):
         raise InvalidInput("metric components are not symmetric")
     try:
         np.linalg.cholesky(comps)

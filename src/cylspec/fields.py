@@ -51,7 +51,7 @@ __all__ = [
     "from_mode_profile", "scalar_field", "pair_one_form", "radial_one_form", "mixed_pair_tensor",
     "rr_tensor", "metric_field", "tangential_metric", "gradient", "divergence", "sym_grad",
     "trace", "hessian", "rough_laplacian", "linearized_ricci", "tube_integrand",
-    "tube_inner_product", "project_onto_mode",
+    "tube_inner_product",
 ]
 
 # phase codes sort like the names; a tangential derivative takes code c to
@@ -632,24 +632,3 @@ def tube_inner_product(a: TensorField, b: TensorField, r_lo: float, r_hi: float)
     """Exact integral of <a, b> over the tube (r_lo, r_hi) x N; r_hi may be
     math.inf if the integrand decays."""
     return tube_integrand(a, b).definite_integral(r_lo, r_hi)
-
-
-def project_onto_mode(field: TensorField, mode: Mode) -> RadialProfile:
-    """Radial profile of the field along one normalized cross-section mode.
-
-    Returns r -> <field(r, .), mode>_{L2(N)}; for a field built as
-    profile * mode this recovers the profile exactly.  The mode's tensor
-    indices are taken tangentially (matching from_mode_profile).
-    """
-    if field.rank != mode.rank:
-        raise InvalidInput("projection needs matching ranks")
-    pol = (
-        _embed_tangential(field.cs, mode.polarization)
-        if mode.rank
-        else np.array(float(mode.polarization))
-    )
-    factor = _trig_factor(field.cs, mode.freq)
-    return RadialProfile(tuple(
-        (float(np.sum(C * pol)) * factor, p, lam)
-        for key, (p, lam), C in field.terms() if key == (mode.freq, mode.phase)
-    ))

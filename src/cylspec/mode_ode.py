@@ -34,10 +34,10 @@ carries exactly (``==``) the source rates and the homogeneous rates
 rate within RATE_WINDOW of a homogeneous rate, but not on it, raises
 ResonantRate.
 
-Integrals over finite intervals [lo, hi], lo >= 0, have one closed form in
-the confluent kernels psi_q(z) = int_0^1 t^q e^{z t} dt (``_psi``), a sum of
-nonnegative terms for every rate, zero included; only integrals out to
-infinity take the antiderivative.
+Integrals over intervals [lo, hi], lo >= 0, have one closed form in the
+confluent kernels psi_q(z) = int_0^1 t^q e^{z t} dt (``_psi``), a sum of
+nonnegative terms for every rate, zero included, and its limit at hi = inf;
+the solves' one antiderivative is the parts table of ``_exp_integral``.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ RATE_WINDOW = 1e-10
 # Coefficients whose magnitude is exactly zero are dropped on construction;
 # everything else is kept (pruning with a tolerance is always explicit).
 _EXACT_ZERO = 0.0
-
-
-def _antiderivative_terms(c: float, p: int, lam: float) -> list:
-    """(coeff, power) pairs of the antiderivative of c r^p e^{lam r} at rate
-    lam, integration constant 0: c r^{p+1} / (p + 1) for lam == 0, else
-    e^{lam r} sum_j (-1)^j (p)_j c r^{p-j} / lam^{j+1}, (p)_j falling."""
-    if lam == 0.0:
-        return [(c / (p + 1), p + 1)]
-    return [(c * (-1) ** j * math.perm(p, j) / lam ** (j + 1), p - j) for j in range(p + 1)]
 
 
 # Taylor terms of psi_q on |z| <= 1: the tail after n = 18 is below e / 19!,
@@ -222,13 +213,6 @@ class RadialProfile:
                 out.append((c * p, p - 1, lam))
         return RadialProfile(tuple(out))
 
-    def antiderivative(self) -> "RadialProfile":
-        """Termwise antiderivative (integration constant 0), in the closed
-        form of ``_antiderivative_terms``."""
-        return RadialProfile(tuple(
-            (a, q, lam) for c, p, lam in self.terms for a, q in _antiderivative_terms(c, p, lam)
-        ))
-
     # -- queries ------------------------------------------------------------
 
     def evaluate(self, r) -> np.ndarray:
@@ -245,52 +229,47 @@ class RadialProfile:
     def value_at_zero(self) -> float:
         return float(sum(c for c, p, lam in self.terms if p == 0))
 
-    def limit_at_plus_infinity(self) -> float:
-        """0 if every term decays; raises if any term grows or is constant."""
-        for c, p, lam in self.terms:
-            if lam > 0.0 or (lam == 0.0 and (p > 0 or c != 0.0)):
-                raise InvalidInput("profile does not decay at +infinity")
-        return 0.0
-
     def definite_integral(self, a: float, b: float) -> float:
-        """Integral over [a, b]; b may be math.inf if the tail decays."""
-        if b == math.inf:
-            F = self.antiderivative()
-            return F.limit_at_plus_infinity() - float(F.evaluate(a))
+        """Integral over [a, b]; b may be math.inf if every term decays."""
         return float(self.interval_integrals([a], [b])[0])
 
     def interval_integrals(self, lo, hi) -> np.ndarray:
-        """Integrals over the finite intervals [lo[i], hi[i]], lo[i] >= 0.
+        """Integrals over the intervals [lo[i], hi[i]], lo[i] >= 0; hi[i] may
+        be math.inf if every term decays (rate < 0), else InvalidInput.
 
         With h = hi - lo and r = lo + h t, each term integrates to
         int_lo^hi r^p e^{lam r} dr
             = e^{lam lo} sum_q C(p, q) lo^{p-q} h^{q+1} psi_q(lam h),
-        psi_q(z) = int_0^1 t^q e^{z t} dt (``_psi``).  For lo >= 0 every
-        summand is nonnegative, so nothing cancels: not on short intervals,
-        not at small |lam|, and lam == 0 is no special case.  Each step is
-        elementwise in the interval and the term sum runs per interval, so
-        an interval's value does not depend on which others come with it.
+        psi_q(z) = int_0^1 t^q e^{z t} dt (``_psi``), and h^{q+1} psi_q(lam h)
+        tends to q! / (-lam)^{q+1} as h -> inf.  For lo >= 0 every summand is
+        nonnegative, so nothing cancels: not on short intervals, not at small
+        |lam|, and lam == 0 is no special case.  Each step is elementwise in
+        the interval and the term sum runs per interval, so an interval's
+        value does not depend on which others come with it.
         """
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.array(lo, dtype=float, ndmin=1)
+        hi = np.array(hi, dtype=float, ndmin=1)
         if not self.terms:
             return np.zeros(lo.shape)
         coeffs, powers, rates = (np.array(col) for col in zip(*self.terms))
+        infinite = hi.max(initial=0.0) == math.inf
+        if infinite and not all(lam < 0.0 for _, _, lam in self.terms):
+            raise InvalidInput("profile does not decay at +infinity")  # a NaN rate too
         h = hi - lo
         p = powers[:, None]
         binom = np.ones(p.shape)  # C(p, q), exact in floats
         per_term = np.zeros((len(coeffs), len(lo)))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             for q, psi_q in enumerate(_psi(rates[:, None] * h, self.max_power)):
-                per_term += binom * lo ** np.maximum(p - q, 0) * h ** (q + 1) * psi_q
+                hq = h ** (q + 1)
+                if infinite:
+                    hq = np.where(hi == math.inf, float(math.factorial(q)), hq)
+                    psi_q = np.where(hi == math.inf, (-rates[:, None]) ** -(q + 1.0), psi_q)
+                per_term += binom * lo ** np.maximum(p - q, 0) * hq * psi_q
                 binom = binom * (p - q) / (q + 1)
             per_term *= np.exp(rates[:, None] * lo)
         # one contiguous row per interval: every row sums in the same order
         return np.ascontiguousarray((coeffs[:, None] * per_term).T).sum(axis=1)
-
-    def growing_mass(self) -> float:
-        """Sum of |coeff| over terms that do not decay as r -> +infinity."""
-        return sum(abs(c) for c, p, lam in self.terms if lam > 0.0 or (lam == 0.0 and p > 0))
 
     @property
     def max_power(self) -> int:
@@ -348,13 +327,6 @@ class PiecewiseProfile:
     def derivative(self) -> "PiecewiseProfile":
         return PiecewiseProfile([(lo, hi, p.derivative()) for lo, hi, p in self.pieces])
 
-    def piece_on(self, lo: float, hi: float) -> RadialProfile:
-        """The closed-form piece covering [lo, hi]; raises if it straddles a breakpoint."""
-        for plo, phi, prof in self.pieces:
-            if plo - 1e-12 <= lo and hi <= phi + 1e-12:
-                return prof
-        raise InvalidInput(f"[{lo}, {hi}] straddles a profile breakpoint")
-
 
 # ---------------------------------------------------------------------------
 # fundamental matrices
@@ -377,36 +349,37 @@ def system_matrix(mu: float) -> np.ndarray:
     )
 
 
-def v_matrix(mu: float) -> np.ndarray:
-    """Columns: eigenvector and Jordan partner at +sqrt(mu), then at -sqrt(mu)."""
+def _jordan_basis(mu, s) -> tuple:
+    """V and V^-1 as 4x4 nested lists of entries at mu and s = sqrt(mu),
+    both Python floats or both arrays (one entry per mode).  V's columns are
+    the eigenvector and Jordan partner at +s, then at -s; V^-1 is exact
+    (verified against V @ V^-1 = I)."""
+    a, b, c, t, w = 3.0 / (8.0 * s), 1.0 / (8.0 * s), -1.0 / (4.0 * s), s / 4.0, -2.0 * s
+    return ([[1.0, 0.0, -1.0, 0.0],
+             [s, 1.0, s, -1.0],
+             [s, -3.0, s, 3.0],
+             [mu, w, -mu, w]],
+            [[0.5, a, b, 0.0],
+             [t, 1.0 / 8.0, -1.0 / 8.0, c],
+             [-0.5, a, b, 0.0],
+             [t, -1.0 / 8.0, 1.0 / 8.0, c]])
+
+
+def _jordan_basis_at(mu: float) -> tuple:
     _check_mu(mu)
     if mu == 0:
-        raise InvalidInput("v_matrix needs mu > 0")
-    s = math.sqrt(mu)
-    return np.array(
-        [
-            [1.0, 0.0, -1.0, 0.0],
-            [s, 1.0, s, -1.0],
-            [s, -3.0, s, 3.0],
-            [mu, -2.0 * s, -mu, -2.0 * s],
-        ]
-    )
+        raise InvalidInput("the Jordan basis needs mu > 0")
+    return _jordan_basis(mu, math.sqrt(mu))
+
+
+def v_matrix(mu: float) -> np.ndarray:
+    """Columns: eigenvector and Jordan partner at +sqrt(mu), then at -sqrt(mu)."""
+    return np.array(_jordan_basis_at(mu)[0])
 
 
 def v_inverse(mu: float) -> np.ndarray:
-    """Exact inverse of v_matrix (entries verified against V @ V^-1 = I)."""
-    _check_mu(mu)
-    if mu == 0:
-        raise InvalidInput("v_inverse needs mu > 0")
-    s = math.sqrt(mu)
-    return np.array(
-        [
-            [0.5, 3.0 / (8.0 * s), 1.0 / (8.0 * s), 0.0],
-            [s / 4.0, 1.0 / 8.0, -1.0 / 8.0, -1.0 / (4.0 * s)],
-            [-0.5, 3.0 / (8.0 * s), 1.0 / (8.0 * s), 0.0],
-            [s / 4.0, -1.0 / 8.0, 1.0 / 8.0, -1.0 / (4.0 * s)],
-        ]
-    )
+    """Exact inverse of v_matrix."""
+    return np.array(_jordan_basis_at(mu)[1])
 
 
 def _exp_jordan(mu: float, r: float) -> np.ndarray:
@@ -425,11 +398,11 @@ def pair_columns(mu: float) -> tuple:
     """The four homogeneous (k, l) solutions of the mixed pair system, rows
     0 and 2 of the columns of V e^{J r}: the eigenvector e^{sr} v and its
     Jordan partner e^{sr} (w + r v) at +s = +sqrt(mu), then both at -s."""
+    V, _ = _jordan_basis_at(mu)
     s = math.sqrt(mu)
-    V = v_matrix(mu)
     out = []
     for base, rate in ((0, s), (2, -s)):
-        v, w = V[(0, 2), base], V[(0, 2), base + 1]
+        v, w = (V[0][base], V[2][base]), (V[0][base + 1], V[2][base + 1])
         out.append(tuple(RadialProfile(((vi, 0, rate),)) for vi in v))
         out.append(tuple(RadialProfile(((wi, 0, rate), (vi, 1, rate))) for vi, wi in zip(v, w)))
     return tuple(out)
@@ -603,7 +576,7 @@ class _Sigma(NamedTuple):
     column (block, rate): d = lam - sigma, sigma's own column, the
     near-resonant columns, the runs of one d in a block, the limits, and
     d^k, k = 1 .. len(pw), on the columns that may hold a term (Python
-    powers, as in ``_antiderivative_terms``)."""
+    float powers)."""
 
     d: np.ndarray
     at: np.ndarray
@@ -645,54 +618,50 @@ def _exp_integral(S, g: _Sigma):
     NaN, over [r, upper[b]] otherwise (inf allowed).  Returns the result and
     the mask of the near-resonant terms (None if none).
 
-    With d = lam - sigma, each term keeps its rate and takes the
-    antiderivative's coefficients c (-1)^j (p)_j / d^{j+1} at powers p - j,
-    summed per power in the order of p (d == 0: c / (p + 1) at power p + 1).
-    The constant at sigma is the antiderivative at the shifted rates d, its
-    terms of one (power, d) summed first, at 0 (negated) or at upper (0 at
-    inf), summed in sorted order as RadialProfile sums.  A term with
-    0 < |d| <= RATE_WINDOW max(1, |sigma|) is near-resonant.  Only sigma's
-    own column holds powers above len(g.pw); the last row of S is 0.
+    With d = lam - sigma, each term keeps its rate, and the antiderivative
+    of c r^p e^{d r} is one table parts[p, column, j]: c (-1)^j (p)_j /
+    d^{j+1} at power p - j (d == 0: c / (p + 1) at power p + 1), summed
+    along j into the profile.  The constant at sigma is the antiderivative
+    at 0 (its j = p parts, negated) or at upper (``_at_upper``; 0 at inf),
+    its terms of one (power, d) summed first, then in sorted order, as
+    RadialProfile sums.  A term with 0 < |d| <= RATE_WINDOW max(1, |sigma|)
+    is near-resonant.  Only sigma's own column holds powers above
+    len(g.pw); the last row of S is 0.
     """
     Q, B, R = S.shape
     S = S.reshape(Q, B * R)
     near = (S != 0.0) & g.window
     top = Q - 1  # the last row is 0: the secular terms move up one power
-    sf, pw, at = _falling_table(Q), g.pw, g.at
-    k = min(top, len(pw))
-    # out[q] sums the parts c (-1)^j (p)_j / d^{j+1} of p = q + j, j ascending
-    out = np.zeros((Q, B * R))
-    out[:top] = S[:top] / pw[0]  # j = 0, (-1)^0 (p)_0 = 1
-    for j in range(1, k):
-        out[:top - j] += S[j:top] * sf[j:top, j, None] / pw[j]
-    out[1:, at] = S[:-1, at] / np.arange(1.0, Q)[:, None]
-    # the power-0 terms of the antiderivative (j = p), summed per run of one
-    # d in the order of p, then per block in the order of d
-    parts = S[:k] * sf.diagonal()[:k, None] / pw[:k]
+    sf, at = _falling_table(Q), g.at
+    k = min(top, len(g.pw))
+    parts = np.zeros((top, B * R, k))
+    for j in range(k):
+        np.divide(S[j:top] * sf[j:top, j, None], g.pw[j], out=parts[j:, :, j])
     parts[:, at] = 0.0
-    runs = np.bincount(g.group[:parts.size], parts.ravel(), minlength=len(g.block))
+    # the power-0 parts (j = p), summed per run of one d in the order of p,
+    # then per block in the order of d
+    at_zero = parts.diagonal(axis1=0, axis2=2).T
+    runs = np.bincount(g.group[:at_zero.size], at_zero.ravel(), minlength=len(g.block))
     const = np.where(g.lower, -np.bincount(g.block, runs, minlength=B), 0.0)
+    parts[:, at, 0] = secular = S[:top, at] / np.arange(1.0, Q)[:, None]
+    out = np.zeros((Q, B * R))
+    for j in range(k):
+        out[:top - j] += parts[j:, :, j]
+    out[1:, at] = secular
     if g.finite:
-        const = np.where(np.isfinite(g.upper), _at_upper(S[:top], g, sf), const)
+        const = np.where(np.isfinite(g.upper), _at_upper(parts, g), const)
     out *= g.sign
     out[0, at] = const
     return out.reshape(Q, B, R), near.reshape(Q, B, R) if near.any() else None
 
 
-def _at_upper(S, g: _Sigma, sf):
-    """The antiderivative at the shifted rates d evaluated at ``upper``: its
-    parts listed term by term (p, then lam, then j), merged on (power, d),
-    and c upper^q e^{d upper} summed per block in sorted (q, d) order."""
-    top, N = S.shape
-    p, j = np.arange(top)[:, None, None], np.arange(top)
-    sec = np.zeros(N, dtype=bool)
-    sec[g.at] = True
-    parts = np.zeros((top, N, top))  # [p, column, j]
-    for k in range(min(top, len(g.pw))):
-        parts[k:, :, k] = S[k:] * sf[k:top, k, None] / g.pw[k]
-    parts[:, :, 0] = np.where(sec, S / (p[..., 0] + 1.0), parts[:, :, 0])
-    parts = np.where(sec[:, None] & (j > 0) | (j > p), 0.0, parts)
-    q = np.where(sec[:, None], p + 1, np.maximum(p - j, 0))
+def _at_upper(parts, g: _Sigma):
+    """The antiderivative at the shifted rates d evaluated at ``upper``: the
+    parts in table order (p, then lam, then j), merged on (power, d), and
+    c upper^q e^{d upper} summed per block in sorted (q, d) order."""
+    top, N, k = parts.shape
+    q = np.maximum(np.arange(top)[:, None, None] - np.arange(k), 0).repeat(N, axis=1)
+    q[:, g.at, 0] = np.arange(1, top + 1)[:, None]  # sigma's own column, at p + 1
     G = len(g.block)
     F = np.bincount((q * G + g.group[:N, None]).ravel(), parts.ravel(), minlength=(top + 1) * G)
     at = g.upper[g.block]
@@ -727,9 +696,7 @@ def _profiles(X, lam) -> list:
     """The RadialProfile of each mode of a grid X[p, mode, column] on rates
     lam[mode, column]."""
     m, q, r = X.transpose(1, 0, 2).nonzero()
-    cuts = m.searchsorted(np.arange(X.shape[1] + 1)).tolist()
-    terms = list(zip(X[q, m, r].tolist(), q.tolist(), lam[m, r].tolist()))
-    return [RadialProfile._of(tuple(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+    return ProfileTable(m, q, lam[m, r], X[q, m, r]).profiles(X.shape[1])
 
 
 def _blocks(x, y):
@@ -772,7 +739,7 @@ def _damped(tau, src: ProfileTable):
 
 
 def _mixed(mu, beta: ProfileTable, gamma: ProfileTable, hi):
-    """The 4x4 pair system in the basis V (``v_matrix``): block 2m is the
+    """The 4x4 pair system in the basis V (``_jordan_basis``): block 2m is the
     growing Jordan block at +s, integrated down from hi (inf for a global
     source), block 2m+1 the decaying one at -s, integrated up from 0.  Each
     chain y2' = sigma y2 + qt2, y1' = sigma y1 + y2 + qt1 is two integrals
@@ -783,14 +750,8 @@ def _mixed(mu, beta: ProfileTable, gamma: ProfileTable, hi):
     n, top = len(s), int(max(beta.power.max(initial=0), gamma.power.max(initial=0))) + 1
     lam, (b, g), uses, at = _grid(np.column_stack([s, -s]), [beta, gamma], top + 2)
     errors = _growing(s, "global mixed source", beta, gamma) if hi == math.inf else []
-    # columns 1 and 3 of V^-1 and rows 0 and 2 of V, as v_inverse and v_matrix build them
-    a3, a4 = (3.0 / (8.0 * s))[:, None], (-1.0 / (4.0 * s))[:, None]
-    qt0 = b * a3 + g * 0.0
-    qt = (qt0, b * 0.125 + g * a4, qt0, b * -0.125 + g * a4)
-    V = np.empty((4, 1, n, 2, 1))  # V[c, 0, m, k, 0]: column c of row 2k of V at mode m
-    V[:, 0, :, 0, 0] = ((1.0,), (0.0,), (-1.0,), (0.0,))
-    V[(0, 2), 0, :, 1, 0] = s
-    V[(1, 3), 0, :, 1, 0] = ((-3.0,), (3.0,))
+    V, Vinv = _jordan_basis(mu[:, None], s[:, None])
+    qt = [b * row[1] + g * row[3] for row in Vinv]
     sigma, lam2 = _blocks(s, -s), lam.repeat(2, axis=0)
     geo = _sigma(lam2, sigma, _blocks(s * 0.0 + hi, s * np.nan), at.ravel(),
                  uses.repeat(2, axis=0), top)
@@ -803,10 +764,9 @@ def _mixed(mu, beta: ProfileTable, gamma: ProfileTable, hi):
     if errors:
         return None, errors
     y1 = y1.reshape(top + 2, n, 2, -1)
-    # k and l on blocks 2m and 2m + 1: (y1m V[i,2] + y2m V[i,3]) - (y1p V[i,0] + y2p V[i,1])
-    y1, y2 = y1[:, :, :, None], y2[:, :, :, None]
-    body = ((y1[:, :, 1] * V[2] + y2[:, :, 1] * V[3])
-            - (y1[:, :, 0] * V[0] + y2[:, :, 0] * V[1])).reshape(top + 2, 2 * n, -1)
+    # k and l, rows 0 and 2 of V y, on blocks 2m and 2m + 1
+    body = _blocks(*((y1[:, :, 1] * row[2] + y2[:, :, 1] * row[3])
+                     - (y1[:, :, 0] * row[0] + y2[:, :, 0] * row[1]) for row in (V[0], V[2])))
     if hi == math.inf:
         return (_profiles(body, lam2),), []
     # the tail: c2 column 2 + c3 column 3 of pair_columns, c = int_0^hi e^{-J_- x} qt dx
@@ -833,6 +793,10 @@ def _window(support) -> float:
     return hi
 
 
+# each system's batched solve and its number of source tables
+_SYSTEMS = {"scalar": (_scalar, 1), "damped": (_damped, 1), "mixed": (_mixed, 2)}
+
+
 def solve_batch(system: str, params, *sources: ProfileTable, support=None, label=None) -> list:
     """The closed-form solves of one system for every mode of its source
     tables at once: "scalar" (f'' - mu f = alpha, mu > 0), "damped"
@@ -841,9 +805,19 @@ def solve_batch(system: str, params, *sources: ProfileTable, support=None, label
     Returns each mode's RadialProfile, or for "mixed" its (k, l) pair,
     PiecewiseProfiles under ``support=(0, hi)``.  Of the failures, the one a
     mode-by-mode solve meets first is raised, prefixed by ``label(mode)``.
+    An unknown system, a wrong number of source tables or a row naming no
+    mode of ``params`` raises InvalidInput.
     """
+    solve, n_sources = _SYSTEMS.get(system, (None, -1))
+    if len(sources) != n_sources:
+        raise InvalidInput(f"solve_batch takes 'scalar' or 'damped' and one source table, or "
+                           f"'mixed' and two; got {system!r} and {len(sources)}")
     params = np.asarray(params, dtype=float).reshape(-1)
     n = len(params)
+    for t in sources:  # rows are sorted on mode
+        if len(t.mode) and not 0 <= t.mode[0] <= t.mode[-1] < n:
+            raise InvalidInput(f"source rows name modes {t.mode[0]} .. {t.mode[-1]}, "
+                               f"but there are {n} parameters")
     hi = _window(support)
     damped = system == "damped"
     if not (np.isfinite(params) & (damped | (params > 0.0))).all():
@@ -856,19 +830,17 @@ def solve_batch(system: str, params, *sources: ProfileTable, support=None, label
                     raise InvalidInput(f"the {system} system needs mu > 0; mu = 0 belongs to "
                                        "the finite sector")
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        tables, errors = {"scalar": _scalar, "damped": _damped, "mixed": _mixed}[system](
-            params, *sources, *([hi] if system == "mixed" else []))
+        tables, errors = solve(params, *sources, *([hi] if system == "mixed" else []))
     if errors:
         mode, _, err = min(errors, key=lambda e: e[:2])
         raise err if label is None else type(err)(f"{label(mode)}: {err}")
-    if system != "mixed":
-        return tables[0]
     body = tables[0]
-    if hi == math.inf:
-        return list(zip(body[0::2], body[1::2]))
-    pieces = [PiecewiseProfile([(0.0, hi, b), (hi, math.inf, t)])
-              for b, t in zip(body, tables[1])]
-    return list(zip(pieces[0::2], pieces[1::2]))
+    if system != "mixed":
+        return body
+    if hi < math.inf:
+        body = [PiecewiseProfile([(0.0, hi, b), (hi, math.inf, t)])
+                for b, t in zip(body, tables[1])]
+    return list(zip(body[0::2], body[1::2]))
 
 
 def solve_scalar_mode(mu: float, alpha) -> RadialProfile:
@@ -882,7 +854,6 @@ def solve_scalar_mode(mu: float, alpha) -> RadialProfile:
     infinity there, so any rate is accepted.
     """
     _check_source(alpha)
-    _check_mu(mu)
     if mu == 0.0:
         # f'' = alpha with zero data at r = 0 is the damped equation at tau = 0
         return solve_damped_mode(0.0, alpha)
@@ -895,8 +866,6 @@ def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
     This is the eigenvalue-zero (finite-sector) equation of the
     tau-modified gauge problem.  A NaN or infinite tau raises InvalidInput.
     """
-    if not math.isfinite(tau):
-        raise InvalidInput(f"tau must be finite, got {tau!r}")
     return solve_batch("damped", [tau], ProfileTable.of([s]))[0]
 
 
@@ -941,16 +910,12 @@ def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
     then RadialProfiles.  With ``support=(0, hi)`` the source is windowed and
     k and l are piecewise; the tail piece beyond ``hi`` is assembled from the
     decaying Jordan block alone, so it contains no growing or secular term by
-    construction, not by cancellation.
+    construction, not by cancellation.  mu = 0 is refused: that pair never
+    carries a source in this pipeline (harmonic cross-section data is routed
+    to the finite-dimensional sector).
     """
     _check_source(beta)
     _check_source(gamma)
-    _window(support)
-    _check_mu(mu)
-    if mu == 0.0:
-        # the mu = 0 pair never carries a source in this pipeline (harmonic
-        # cross-section data is routed to the finite-dimensional sector)
-        raise InvalidInput("solve_mixed_mode needs mu > 0; mu = 0 belongs to the finite sector")
     (k, l), = solve_batch("mixed", [mu], ProfileTable.of([beta]), ProfileTable.of([gamma]),
                           support=support)
     return MixedModeSolution(mu=mu, k=k, l=l)

@@ -28,6 +28,23 @@ from cylspec.mode_ode import PiecewiseProfile, ProfileTable, RadialProfile
 # ---------------------------------------------------------------------------
 
 
+def _antiderivative_terms(c: float, p: int, lam: float) -> list:
+    """(coeff, power) pairs of the antiderivative of c r^p e^{lam r} at rate
+    lam, integration constant 0: c r^{p+1} / (p + 1) for lam == 0, else
+    e^{lam r} sum_j (-1)^j (p)_j c r^{p-j} / lam^{j+1}, (p)_j falling."""
+    if lam == 0.0:
+        return [(c / (p + 1), p + 1)]
+    return [(c * (-1) ** j * math.perm(p, j) / lam ** (j + 1), p - j) for j in range(p + 1)]
+
+
+def _limit_at_plus_infinity(profile) -> float:
+    """0 if every term decays; raises if any term grows or is constant."""
+    for c, p, lam in profile.terms:
+        if lam > 0.0 or (lam == 0.0 and (p > 0 or c != 0.0)):
+            raise InvalidInput("profile does not decay at +infinity")
+    return 0.0
+
+
 def _exp_integral(profile, sigma, upper=None):
     window = m.RATE_WINDOW * max(1.0, abs(sigma))
     shifted, out = [], []
@@ -38,13 +55,13 @@ def _exp_integral(profile, sigma, upper=None):
                 f"source rate {lam!r} lies within {abs(d):.3g} of the homogeneous "
                 f"rate {sigma + 0.0!r}"
             )
-        parts = m._antiderivative_terms(c, p, d)
+        parts = _antiderivative_terms(c, p, d)
         shifted.extend((a, q, d) for a, q in parts)
         out.extend((a, q, lam) for a, q in parts)
     F_ = RadialProfile(shifted)
     if upper is None:
         return RadialProfile(out + [(-F_.value_at_zero(), 0, sigma)])
-    top = F_.limit_at_plus_infinity() if upper == math.inf else float(F_.evaluate(upper))
+    top = _limit_at_plus_infinity(F_) if upper == math.inf else float(F_.evaluate(upper))
     return RadialProfile([(top, 0, sigma)] + [(-a, q, lam) for a, q, lam in out])
 
 
@@ -324,6 +341,26 @@ def test_the_scalar_and_mixed_systems_need_a_positive_eigenvalue():
             m.solve_batch(system, [0.0], *sources)
     with pytest.raises(InvalidInput, match="tau must be finite, got nan"):
         m.solve_batch("damped", [math.nan], table)
+
+
+_ONE = ProfileTable.of([RadialProfile.monomial(1.0, 0, -2.0)])
+# row 0 names mode 1 of a one-mode batch
+_PAST = ProfileTable(np.array([1]), np.array([0]), np.array([-2.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("system, sources, match", [
+    ("bogus", (_ONE,), "solve_batch takes 'scalar' or 'damped'"),  # was KeyError
+    ("scalar", (_ONE, _ONE), r"got 'scalar' and 2$"),  # was TypeError
+    ("mixed", (_ONE,), r"got 'mixed' and 1$"),  # was TypeError
+    ("damped", (), r"got 'damped' and 0$"),
+    ("scalar", (_PAST,), "source rows name modes 1 .. 1, but there are 1 parameters"),
+    ("mixed", (_ONE, _PAST), "source rows name modes 1 .. 1"),  # was IndexError
+    ("damped", (ProfileTable(*(np.array([x]) for x in (-1, 0, -2.0, 1.0))),), "modes -1 .. -1"),
+], ids=["unknown-system", "scalar-two-tables", "mixed-one-table", "damped-no-table",
+        "scalar-mode-past-params", "mixed-mode-past-params", "negative-mode"])
+def test_a_malformed_batch_call_raises_invalid_input(system, sources, match):
+    with pytest.raises(InvalidInput, match=match):
+        m.solve_batch(system, [1.0], *sources)
 
 
 def test_the_profile_table_round_trips_profiles():

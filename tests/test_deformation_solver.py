@@ -18,7 +18,6 @@ from cylspec import three_circles as tc
 from cylspec.cross_section import TorusCrossSection, build_spectrum, modes_at
 from cylspec.deformation_solver import (
     classify_kernel,
-    harmonic_trace_split,
     parallel_space_dimension,
     solve_reduced_system,
     trace_absorption_field,
@@ -56,55 +55,12 @@ def profiles_close(p, q, tol=1e-12):
     assert np.max(np.abs(pv - qv)) <= tol * scale
 
 
-# ---------------------------------------------------------------------------
-# harmonic trace split
-# ---------------------------------------------------------------------------
-
-
-def test_trace_split_constant_trace():
-    h = F.metric_field(CS).multiply_profile(RadialProfile.constant(5.0 / 4.0))
-    affine, remainder = harmonic_trace_split(h)
-    profiles_close(affine, RadialProfile.constant(5.0))
-    assert remainder.max_abs_coeff() <= 1e-15
-
-
-def test_trace_split_affine_plus_single_mode():
-    # trace 3r + e^{-2 pi r} cos(2 pi x) on the unit circle: the affine leg
-    # comes off the metric, the oscillating leg sits in one mu = 4 pi^2 mode
-    mode = next(
-        m for m in build_spectrum(UNIT_CIRCLE, "Scalar").modes
-        if any(m.freq) and m.phase == "cos"
-    )
-    assert mode.eigenvalue == pytest.approx(4.0 * math.pi**2, rel=1e-15)
-    amp = math.sqrt(2.0)
-    osc = F.rr_tensor(
-        UNIT_CIRCLE, mode, RadialProfile.monomial(1.0 / amp, 0, -2.0 * math.pi)
-    )
-    h = F.metric_field(UNIT_CIRCLE).multiply_profile(
-        RadialProfile.monomial(1.5, 1, 0.0)
-    ) + osc
-    affine, remainder = harmonic_trace_split(h)
-    profiles_close(affine, RadialProfile.monomial(3.0, 1, 0.0))
-    field_close(remainder, osc)
-    t = F.trace(remainder)
-    assert t.keys() == [(mode.freq, "cos")]
-
-
-@pytest.mark.parametrize("entry", [harmonic_trace_split, classify_kernel])
+@pytest.mark.parametrize("entry", [classify_kernel])
 def test_kernel_entry_points_take_only_rank_two_fields(entry):
     w = F.radial_one_form(CS, build_spectrum(CS, "Scalar").modes[0], RadialProfile.constant(1.0))
     for h in (w, F.trace(F.metric_field(CS)), "h"):
         with pytest.raises(InvalidInput, match="rank-2 tensor field"):
             entry(h)
-
-
-def test_trace_split_rejects_non_harmonic_trace():
-    ramp = F.rr_tensor(CS, PHI, RadialProfile.monomial(1.0, 1, 0.0))
-    with pytest.raises(InvalidInput):
-        harmonic_trace_split(ramp)
-    wrong_rate = F.rr_tensor(CS, PHI, RadialProfile.monomial(1.0, 0, -1.0))
-    with pytest.raises(InvalidInput):
-        harmonic_trace_split(wrong_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -326,11 +326,15 @@ def test_projection_roundtrip():
     prof = RadialProfile([(1.5, 0, -0.5), (-2.0, 1, -1.0)])
     h = F.from_mode_profile(CS, B_OSC, prof)
     h = h + F.from_mode_profile(CS, B_PAR, RadialProfile.constant(3.0))
-    back = F.project_onto_mode(h, B_OSC)
+    # pairing with a normalized mode's unit field reads its profile back
+    def project(mode):
+        return F.tube_integrand(h, F.from_mode_profile(CS, mode, RadialProfile.constant(1.0)))
+
+    back = project(B_OSC)
     r = np.linspace(0, 5, 50)
     assert np.max(np.abs(back.evaluate(r) - prof.evaluate(r))) < 1e-12
     # and the parallel part projects out separately
-    back0 = F.project_onto_mode(h, B_PAR)
+    back0 = project(B_PAR)
     assert np.max(np.abs(back0.evaluate(r) - 3.0)) < 1e-12
 
 

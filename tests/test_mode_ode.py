@@ -268,8 +268,9 @@ def test_windowed_solve_no_growing_terms_beyond_support():
             support=(0.0, 10.0),
         )
         for prof in (sol.k, sol.k.derivative(), sol.l, sol.l.derivative()):
-            tail = prof.piece_on(11.0, 60.0)
-            assert tail.growing_mass() == 0.0
+            _, (lo, hi, tail) = prof.pieces
+            assert (lo, hi) == (10.0, math.inf) and tail.terms
+            # every term decays at the one rate -sqrt(mu): none grows or is secular
             for _, p, lam in tail.terms:
                 assert lam == -math.sqrt(mu) and p in (0, 1)
 

@@ -410,6 +410,74 @@ def test_the_check_sees_the_jordan_basis():
     ]
 
 
+# The radial antiderivative c (-1)^j (p)_j / d^{j+1} is stated once: the
+# parts table of mode_ode._exp_integral, built from _falling_table.  No other
+# function reads math.perm, and RadialProfile has no antiderivative of its own
+def _perm_uses(tree, where=None):
+    """(innermost enclosing function, line) of every perm read as an
+    attribute or imported from math."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "perm":
+            yield where, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            yield from ((where, node.lineno) for a in node.names if a.name == "perm")
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _perm_uses(node, inner)
+
+
+def _antiderivatives(tree):
+    """Every antiderivative defined on RadialProfile: in its class body, or
+    assigned to an attribute anywhere."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "RadialProfile":
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                else:  # the names an assignment in the class body stores
+                    names = [n.id for n in ast.walk(item)
+                             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+                yield from ((item.lineno, n) for n in names if n == "antiderivative")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr == "antiderivative"):
+            yield node.lineno, node.attr
+
+
+def test_the_antiderivative_is_stated_once():
+    found = [
+        f"{path.name}:{line}: math.perm in {where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where, line in _perm_uses(ast.parse(path.read_text()))
+        if (path.name, where) != ("mode_ode.py", "_falling_table")
+    ] + [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _antiderivatives(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_perm_uses(ast.parse((SRC / "mode_ode.py").read_text())))
+
+
+def test_the_check_sees_perm_and_antiderivatives():
+    tree = ast.parse(
+        "import math\n"
+        "from math import comb, perm\n"
+        "def _falling_table(top):\n"
+        "    return math.perm(top, 2)\n"
+        "class RadialProfile:\n"
+        "    def antiderivative(self):\n"
+        "        return [math.perm(p, j) for p, j in self.pairs]\n"
+        "    integral = antiderivative\n"
+        "    antiderivative = None\n"
+        "RadialProfile.antiderivative = integral\n"
+        "x = permutations, self.perms, comb(3, 2), F.antiderivative()\n"
+    )
+    assert list(_perm_uses(tree)) == [
+        (None, 2), ("_falling_table", 4), ("antiderivative", 7),
+    ]
+    assert sorted(_antiderivatives(tree)) == [(6, "antiderivative"), (9, "antiderivative"),
+                                              (10, "antiderivative")]
+
+
 # The grid oracle checks the modal layer, so it shares nothing with it but
 # pointwise evaluation: fd_oracle imports only TensorField from fields, and
 # of a field it reads only .evaluate, .cs and .rank (in sample)

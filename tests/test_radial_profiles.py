@@ -48,16 +48,6 @@ def test_derivative_closed_form():
     assert np.max(np.abs(d.evaluate(r) - expected)) < 1e-12
 
 
-@given(terms_strategy)
-@settings(max_examples=50, deadline=None)
-def test_antiderivative_inverts_derivative(terms):
-    p = RadialProfile(terms)
-    back = p.antiderivative().derivative()
-    r = np.linspace(0.0, 5.0, 40)
-    scale = max(1.0, np.max(np.abs(p.evaluate(r))))
-    assert np.max(np.abs(back.evaluate(r) - p.evaluate(r))) < 1e-8 * scale
-
-
 @given(terms_strategy, terms_strategy)
 @settings(max_examples=50, deadline=None)
 def test_sum_and_product_evaluate_pointwise(t1, t2):
@@ -103,6 +93,17 @@ def _exact_interval_integral(p, lam, lo, hi):
         return F(hi) - F(lo)
 
 
+def _exact_tail_integral(p, lam, lo):
+    """int_lo^inf r^p e^{lam r} dr, lam < 0, in 160-digit decimals:
+    e^{lam lo} sum_q C(p, q) lo^{p-q} q! / (-lam)^{q+1}, every summand >= 0."""
+    with localcontext() as ctx:
+        ctx.prec = 160
+        lam, lo = Decimal(lam), Decimal(lo)
+        return (lam * lo).exp() * sum(math.comb(p, q) * (lo ** (p - q) if q < p else 1)
+                                      * math.factorial(q) / (-lam) ** (q + 1)
+                                      for q in range(p + 1))
+
+
 def test_interval_integrals_match_a_decimal_reference():
     # tiny rates, lam = 0 and |lam| up to 30, on intervals from 1e-4 to 20
     # long and pairs with |lam| h on either side of 1
@@ -115,9 +116,12 @@ def test_interval_integrals_match_a_decimal_reference():
             pairs += [(lo, f / abs(lam)) for lo in (0.0, 3.7) for f in (1 - 1e-6, 1.0, 1 + 1e-6)]
         # a value past the double range has no float to compare with
         pairs = [(lo, h) for lo, h in pairs if lam * (lo + h) <= 700.0]
+        if lam < 0.0:  # and out to infinity
+            pairs += [(lo, math.inf) for lo in (0.0, 0.5, 3.7, 20.0)]
         lo = np.array([lo for lo, _ in pairs])
         hi = lo + np.array([h for _, h in pairs])
-        refs = [[_exact_interval_integral(p, lam, a, b) for a, b in zip(lo, hi)]
+        refs = [[_exact_interval_integral(p, lam, a, b) if b < math.inf
+                 else _exact_tail_integral(p, lam, a) for a, b in zip(lo, hi)]
                 for p in range(5)]
         # each power alone, then all five in one profile (every term positive)
         cases = [(RadialProfile.monomial(1.0, p, lam), refs[p]) for p in range(5)]
@@ -139,12 +143,15 @@ def test_integral_to_infinity_requires_decay():
         RadialProfile.constant(1.0).definite_integral(0.0, math.inf)
     with pytest.raises(InvalidInput):
         RadialProfile.monomial(1.0, 0, 0.3).definite_integral(0.0, math.inf)
-
-
-def test_growing_mass_flags_nondecaying_terms():
-    p = RadialProfile([(1e-3, 0, 2.0), (5.0, 0, -1.0), (2.0, 1, 0.0)])
-    assert p.growing_mass() == pytest.approx(1e-3 + 2.0)
-    assert RadialProfile.monomial(4.0, 0, -0.1).growing_mass() == 0.0
+    with pytest.raises(InvalidInput, match="does not decay"):
+        RadialProfile([(1.0, 0, -1.0), (2.0, 1, math.nan)]).definite_integral(0.0, math.inf)
+    # finite and infinite intervals in one call: each as it is alone
+    lo, hi = [0.0, 1.0, 2.5, 0.5], [math.inf, 3.0, math.inf, 0.5]
+    got = decaying.interval_integrals(lo, hi)
+    assert got.tolist() == [decaying.definite_integral(a, b) for a, b in zip(lo, hi)]
+    assert got[3] == 0.0
+    with pytest.raises(InvalidInput, match="does not decay"):
+        RadialProfile.constant(1.0).interval_integrals(lo, hi)
 
 
 def test_piecewise_contiguity_enforced():
@@ -161,15 +168,6 @@ def test_piecewise_evaluation():
     assert p.evaluate(2.0) == pytest.approx(math.exp(-2.0))
     # scalar in, scalar-shaped out
     assert np.shape(p.evaluate(0.25)) == ()
-
-
-def test_piece_on_rejects_straddling():
-    p = PiecewiseProfile(
-        [(0.0, 1.0, RadialProfile.constant(1.0)), (1.0, 2.0, RadialProfile.constant(2.0))]
-    )
-    assert p.piece_on(1.2, 1.8).terms == ((2.0, 0, 0.0),)
-    with pytest.raises(InvalidInput):
-        p.piece_on(0.5, 1.5)
 
 
 # colliding keys, cancelling coefficients and rates one ulp apart
