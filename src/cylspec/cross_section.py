@@ -35,6 +35,7 @@ __all__ = [
     "KINDS",
     "build_spectrum",
     "modes_at",
+    "omega_unit",
     "tangent_complement",
 ]
 
@@ -191,6 +192,18 @@ class Spectrum:
     def oscillating(self) -> tuple:
         """The modes at nonzero frequency, in spectrum order."""
         return tuple(m for m in self.modes if any(m.freq))
+
+
+@functools.lru_cache(maxsize=4096)
+def omega_unit(cs: TorusCrossSection, freq: tuple) -> tuple:
+    """s = |omega| = sqrt(mu), with the bits of np.linalg.norm, and the unit
+    normal omega / s (zeros at frequency zero) of one frequency; memoized,
+    so the normal is read-only."""
+    w = cs.omega(freq)
+    s = math.sqrt(float(w @ w))
+    unit = w / s if s else w
+    unit.setflags(write=False)
+    return s, unit
 
 
 def tangent_complement(omega: np.ndarray) -> list:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields as fields_mod
-from .cross_section import TorusCrossSection, modes_at
+from .cross_section import TorusCrossSection, modes_at, omega_unit
 from .errors import InvalidInput, NonInvertibleSector, ResonantTau
 from .fields import TensorField
 from .mode_ode import ProfileTable, RadialProfile, solve_batch
@@ -124,9 +124,8 @@ def _key_legs(cs: TorusCrossSection, freq: tuple, phase: str) -> tuple:
     units.setflags(write=False)  # shared by every caller
     if not any(freq):
         return amp, 0.0, None, None, units
-    omega = cs.omega(freq)
-    wnorm = float(np.linalg.norm(omega))
-    return amp, cs.eigenvalue(freq), omega / wnorm, amp * wnorm, units.reshape(-1, cs.dim)
+    s, w_hat = omega_unit(cs, freq)
+    return amp, cs.eigenvalue(freq), w_hat, amp * s, units.reshape(-1, cs.dim)
 
 
 def _key_table(cs: TorusCrossSection, keys: tuple) -> tuple:

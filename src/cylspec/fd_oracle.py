@@ -481,17 +481,16 @@ def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) ->
 # full-size output.  The radial partial reads whatever rows of its source
 # it needs, so the input c is read in place.  Only intermediates that a
 # later radial partial reads are private and carry a halo: the sweep's
-# first partial d1 and linearized_ricci's v taken from it (order/2 rows on
-# each side), trace_hessian's trace (order rows) and its gradient (order/2
-# rows), clipped at the grid's ends.  Every value is then the serial value,
-# bit for bit.
+# first partial d1 and linearized_ricci's v taken from it, order/2 rows on
+# each side, clipped at the grid's ends.  Every value is then the serial
+# value, bit for bit.
 #
 # The calling thread allocates every buffer (_empty) before any slab
 # starts: one scratch set per thread, which that thread reuses for each
 # slab it takes, then the output.  The operator's unit (the sweep, the
-# divergence, the symmetrized gradient, the trace Hessian) carves its
-# private buffers from the front of the set, in the order _scratch_entries
-# counts them.  One slab on one thread is the serial run.
+# divergence, the symmetrized gradient) carves its private buffers from the
+# front of the set, in the order _scratch_entries counts them.  One slab on
+# one thread is the serial run.
 
 # every slab has at least this many rows per stencil order, so the halo
 # rows a slab recomputes stay a small share of its work
@@ -529,7 +528,7 @@ def _scratch_entries(op: str, f: GridField, cfg: StencilConfig, rows: int) -> in
     n, D, e = f.n_r, f.dim + 1, cfg.order // 2
     C = f.components[0].size  # entries of one row of c
     C1, C2 = C // D, C // D**2  # of one row of a component, of a scalar
-    r1, r2 = min(rows + 2 * e, n), min(rows + 4 * e, n)
+    r1 = min(rows + 2 * e, n)
 
     def work(k, per_row):  # for a partial that gives k rows
         return _pad(min(k + 2, n) * per_row) if cfg.order == 4 else 0
@@ -538,9 +537,6 @@ def _scratch_entries(op: str, f: GridField, cfg: StencilConfig, rows: int) -> in
         return _pad(r1 * C1) + _pad(rows * C1) + work(rows, C1)
     if op == "sym_grad":
         return _pad(rows * C * D) + _pad(rows * C) + work(rows, C)
-    if op == "trace_hessian":
-        return (_pad(r2 * C2) + _pad(r1 * C1) + _pad(max(r1 * C2, rows * C1))
-                + max(work(r1, C2), work(rows, C1)))
     # the sweep: d1, then its private sum or term, then linearized_ricci's v
     sweep = _pad(r1 * C) + _pad(rows * C)
     if op != "linearized_ricci":
@@ -605,27 +601,6 @@ def _slab_sweep(f: GridField, cfg: StencilConfig, out, scratch, lo, hi, lin=Fals
     term *= 0.5
 
 
-def _slab_trace_hessian(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
-    """Rows [lo, hi) of [..., i, j] = d_j d_i tr c, into out.  The trace is
-    summed as (h00 + h11) + h22 + ..., the order of np.trace, which starts
-    from +0.0: the final + 0.0 gives its +0.0 on a diagonal of negative
-    zeros."""
-    c, e = f.components, cfg.order // 2
-    a1, b1 = _halo(lo, hi, e, f.n_r)
-    a2, b2 = _halo(lo, hi, 2 * e, f.n_r)
-    carve = _Carve(scratch)
-    tr = carve((b2 - a2,) + c.shape[1:-2])
-    np.add(c[a2:b2, ..., 0, 0], c[a2:b2, ..., 1, 1], out=tr)
-    for i in range(2, f.dim + 1):
-        tr += c[a2:b2, ..., i, i]
-    tr += 0.0
-    grad = carve((b1 - a1,) + c.shape[1:-1])
-    acc = carve((max(tr[0].size * (b1 - a1), grad[0].size * (hi - lo)),))
-    work = carve.rest()
-    _gradient(tr, f, cfg, -1, out=grad, work=work, acc=acc, rows=(a1, b1), start=a2)
-    return _gradient(grad, f, cfg, -1, out=out, work=work, acc=acc, rows=(lo, hi), start=a1)
-
-
 def _as_items(x: np.ndarray, axes: int) -> np.ndarray:
     """x, C-contiguous, with its axes after the first ``axes`` read as one
     np.void item per entry of those first axes."""
@@ -680,7 +655,6 @@ _OPS = {
     "divergence": _Op(lambda rank: rank - 1 if rank >= 1 else None, _slab_divergence),
     "sym_grad": _Op(lambda rank: 2 if rank == 1 else None, _slab_sym_grad),
     "rough_laplacian": _Op(lambda rank: rank, _slab_sweep),
-    "trace_hessian": _Op(_rank_two, _slab_trace_hessian),
     "linearized_ricci": _Op(_rank_two, lambda *args: _slab_sweep(*args, lin=True)),
     "lichnerowicz": _Op(_rank_two, _slab_sweep),
 }

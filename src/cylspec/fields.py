@@ -30,7 +30,7 @@ Sign conventions (fixed once, used everywhere):
   divergence      (delta T)_i...  = - sum_a  d_a T_{a i ...}
   sym_grad        (S w)_{ij}      =   d_i w_j + d_j w_i
   rough_laplacian (L T)           = - sum_a  d_a d_a T          (nonneg. spectrum)
-  hessian         (H f)_{ij}      =   d_i d_j f
+  Hessian         (H f)_{ij}      =   d_i d_j f
   linearized_ricci(h)             =   L h - S(delta h) - H(tr h)
 """
 
@@ -50,7 +50,7 @@ __all__ = [
     "TensorField", "TermColumns", "FieldBuilder", "sum_fields", "constant_tensor_field",
     "from_mode_profile", "scalar_field", "pair_one_form", "radial_one_form", "mixed_pair_tensor",
     "rr_tensor", "metric_field", "tangential_metric", "gradient", "divergence", "sym_grad",
-    "trace", "hessian", "rough_laplacian", "linearized_ricci", "tube_integrand",
+    "trace", "rough_laplacian", "linearized_ricci", "tube_integrand",
     "tube_inner_product",
 ]
 
@@ -552,12 +552,6 @@ def trace(field: TensorField) -> TensorField:
     d1 = field.cs.dim + 1
     C = field.coeffs.reshape(field.n_terms, d1, d1)
     return _termwise(field, 0, C.trace(axis1=1, axis2=2))
-
-
-def hessian(f: TensorField) -> TensorField:
-    if f.rank != 0:
-        raise InvalidInput("hessian needs a scalar field")
-    return gradient(gradient(f))
 
 
 def rough_laplacian(field: TensorField) -> TensorField:

@@ -19,7 +19,7 @@ Three constant-coefficient systems appear:
 Solves select decay at both ends of the line (integral split at the origin),
 which is what kills secular growth beyond a compactly supported source.
 The scalar and damped solves return a RadialProfile; the mixed solve a
-``MixedModeSolution`` of ``mu``, ``k`` and ``l`` (k' and l' are their
+``MixedModeSolution``, the pair ``k`` and ``l`` (k' and l' are their
 derivatives), RadialProfiles unless the source is windowed,
 ``support=(0, hi)``, which makes them PiecewiseProfiles.
 
@@ -119,8 +119,9 @@ class RadialProfile:
     Terms are stored merged on the key ``(p, lam)``, sorted, with no exact
     zero.  Separated-mode solutions only ever need powers 0 and 1;
     intermediate arithmetic (tube-norm integrands, variation-of-parameters
-    temporaries) may push the power higher, which is fine.  Arithmetic on
-    such canonical terms builds its result canonical, skipping the checks.
+    temporaries) may push the power higher, which is fine.  Every merge of
+    terms runs through the constructor; only ``scale``, whose terms keep
+    their keys, builds its result canonical without it.
     """
 
     __slots__ = ("terms",)
@@ -162,23 +163,7 @@ class RadialProfile:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        # a sorted merge; a key in both is a + b, dropped when exactly 0
-        a, b, out, i, j = self.terms, other.terms, [], 0, 0
-        while i < len(a) and j < len(b):
-            ka, kb = a[i][1:], b[j][1:]
-            if ka < kb:
-                out.append(a[i])
-                i += 1
-            elif kb < ka:
-                out.append(b[j])
-                j += 1
-            elif ka == kb:
-                c = a[i][0] + b[j][0]
-                out += [(c, *ka)] if c != _EXACT_ZERO else []
-                i, j = i + 1, j + 1
-            else:  # a NaN rate has no order: the constructor merges
-                return RadialProfile(a + b)
-        return RadialProfile._of((*out, *a[i:], *b[j:]))
+        return RadialProfile(self.terms + other.terms)
 
     def __sub__(self, other: "RadialProfile") -> "RadialProfile":
         return self + other.scale(-1.0)
@@ -191,11 +176,8 @@ class RadialProfile:
         return RadialProfile._of(tuple(t for t in scaled if t[0] != _EXACT_ZERO))
 
     def mul_monomial(self, power: int = 0, rate: float = 0.0) -> "RadialProfile":
-        """Multiply by r**power * exp(rate * r); the constructor checks and
-        merges when shifted rates round onto one float or power is not int."""
-        terms = tuple((c, p + power, float(lam + rate) + 0.0) for c, p, lam in self.terms)
-        canonical = isinstance(power, int) and all(s[1:] < t[1:] for s, t in zip(terms, terms[1:]))
-        return RadialProfile._of(terms) if canonical and power >= 0 else RadialProfile(terms)
+        """Multiply by r**power * exp(rate * r)."""
+        return RadialProfile((c, p + power, lam + rate) for c, p, lam in self.terms)
 
     def multiply(self, other: "RadialProfile") -> "RadialProfile":
         out = []
@@ -222,12 +204,6 @@ class RadialProfile:
             with np.errstate(over="ignore", under="ignore"):
                 out = out + c * r**p * np.exp(lam * r)
         return out
-
-    def __call__(self, r):
-        return self.evaluate(r)
-
-    def value_at_zero(self) -> float:
-        return float(sum(c for c, p, lam in self.terms if p == 0))
 
     def definite_integral(self, a: float, b: float) -> float:
         """Integral over [a, b]; b may be math.inf if every term decays."""
@@ -256,6 +232,8 @@ class RadialProfile:
         if infinite and not all(lam < 0.0 for _, _, lam in self.terms):
             raise InvalidInput("profile does not decay at +infinity")  # a NaN rate too
         h = hi - lo
+        if infinite:
+            at_inf = hi == math.inf
         p = powers[:, None]
         binom = np.ones(p.shape)  # C(p, q), exact in floats
         per_term = np.zeros((len(coeffs), len(lo)))
@@ -263,8 +241,8 @@ class RadialProfile:
             for q, psi_q in enumerate(_psi(rates[:, None] * h, self.max_power)):
                 hq = h ** (q + 1)
                 if infinite:
-                    hq = np.where(hi == math.inf, float(math.factorial(q)), hq)
-                    psi_q = np.where(hi == math.inf, (-rates[:, None]) ** -(q + 1.0), psi_q)
+                    hq = np.where(at_inf, float(math.factorial(q)), hq)
+                    psi_q = np.where(at_inf, (-rates[:, None]) ** -(q + 1.0), psi_q)
                 per_term += binom * lo ** np.maximum(p - q, 0) * hq * psi_q
                 binom = binom * (p - q) / (q + 1)
             per_term *= np.exp(rates[:, None] * lo)
@@ -320,9 +298,6 @@ class PiecewiseProfile:
             if np.any(mask):
                 out[mask] = prof.evaluate(r[mask])
         return out.reshape(r_in.shape)
-
-    def __call__(self, r):
-        return self.evaluate(r)
 
     def derivative(self) -> "PiecewiseProfile":
         return PiecewiseProfile([(lo, hi, p.derivative()) for lo, hi, p in self.pieces])
@@ -869,37 +844,16 @@ def solve_damped_mode(tau: float, s: RadialProfile) -> RadialProfile:
     return solve_batch("damped", [tau], ProfileTable.of([s]))[0]
 
 
-@dataclass(frozen=True)
-class MixedModeSolution:
+class MixedModeSolution(NamedTuple):
     """Solution of the coupled mixed-pair system for one eigenvalue.
 
     ``k`` multiplies the tangential-gradient leg, ``l`` the radial leg:
     RadialProfiles for a global source, PiecewiseProfiles for a windowed
-    one.  ``state(r)`` evaluates the full (k, k', l, l') vector.
+    one.  It unpacks as (k, l).
     """
 
-    mu: float
     k: RadialProfile | PiecewiseProfile
     l: RadialProfile | PiecewiseProfile
-
-    def __iter__(self):
-        # supports unpacking as (k, l)
-        return iter((self.k, self.l))
-
-    def state(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.stack([prof.evaluate(r) for prof in
-                         (self.k, self.k.derivative(), self.l, self.l.derivative())])
-
-    def residual(self, beta, gamma, r) -> float:
-        """Max-norm residual of the two second-order equations on a grid."""
-        r = np.asarray(r, dtype=float)
-        kp, lp = self.k.derivative(), self.l.derivative()
-        res1 = (kp.derivative().evaluate(r) - 2.0 * self.mu * self.k.evaluate(r)
-                + lp.evaluate(r) - beta.evaluate(r))
-        res2 = (lp.derivative().evaluate(r) - 0.5 * self.mu * (kp.evaluate(r) + self.l.evaluate(r))
-                - gamma.evaluate(r))
-        return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))
 
 
 def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
@@ -918,4 +872,4 @@ def solve_mixed_mode(mu: float, beta, gamma, support=None) -> MixedModeSolution:
     _check_source(gamma)
     (k, l), = solve_batch("mixed", [mu], ProfileTable.of([beta]), ProfileTable.of([gamma]),
                           support=support)
-    return MixedModeSolution(mu=mu, k=k, l=l)
+    return MixedModeSolution(k, l)

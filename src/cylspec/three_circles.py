@@ -29,14 +29,13 @@ up (growing side) or down (decaying side) the tube sequence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fields as fields_mod
-from .cross_section import TorusCrossSection, build_spectrum
+from .cross_section import TorusCrossSection, build_spectrum, omega_unit
 from .deformation_solver import classify_kernel
 from .errors import InvalidInput, InvalidParams
 from .fields import TensorField
@@ -182,17 +181,6 @@ class ThreeCirclesParams:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
-def _rate_and_normal(cs: TorusCrossSection, freq: tuple) -> tuple:
-    """s = sqrt(mu) = |omega| (as np.linalg.norm takes it) and the unit
-    normal omega / |omega| (zeros at frequency zero); memoized, read-only."""
-    w = cs.omega(freq)
-    s = math.sqrt(float(w @ w))
-    what = w / s if s else w
-    what.setflags(write=False)
-    return s, what
-
-
 def _require_reduced_form(h: TensorField) -> bool:
     """Gate: h must be a reduced kernel element (r-linear trace and
     parallel TT legs plus exponential TT modes, nothing else).  Returns
@@ -219,7 +207,7 @@ def _require_reduced_form(h: TensorField) -> bool:
         raise InvalidInput(f"coefficient at mode key {mode_key}, power {p}, "
                            f"rate {rate:.6g} is not finite")
     # per key: parallel or not, s = sqrt(mu) and the unit normal w^
-    per_key = [(not any(freq), *_rate_and_normal(h.cs, freq)) for freq, _ in cols.keys]
+    per_key = [(not any(freq), *omega_unit(h.cs, freq)) for freq, _ in cols.keys]
     counts = np.diff(cols.starts)
     parallel, s, what = (np.array(col).repeat(counts, axis=0) for col in zip(*per_key))
     powers, rates = cols.powers, cols.rates

@@ -1,4 +1,5 @@
-"""Shared random-field builders used across the solver test suites."""
+"""Shared random-field builders and mixed-pair checks used across the
+solver test suites."""
 
 import numpy as np
 
@@ -16,6 +17,26 @@ def random_profile(rng, rate_lo=-2.0, rate_hi=-0.3, max_terms=2, max_power=1, sc
         lam = float(rng.uniform(rate_lo, rate_hi))
         terms.append((c, p, lam))
     return RadialProfile(tuple(terms))
+
+
+def mixed_state(k, l, r) -> np.ndarray:
+    """The full (k, k', l, l') state vector of a mixed pair on r."""
+    r = np.asarray(r, dtype=float)
+    return np.stack([prof.evaluate(r) for prof in
+                     (k, k.derivative(), l, l.derivative())])
+
+
+def mixed_residual(mu, k, l, beta, gamma, r) -> float:
+    """Max-norm residual of the mixed pair system's two second-order
+    equations, k'' = 2 mu k - l' + beta and l'' = (mu/2)(k' + l) + gamma,
+    on a grid."""
+    r = np.asarray(r, dtype=float)
+    kp, lp = k.derivative(), l.derivative()
+    res1 = (kp.derivative().evaluate(r) - 2.0 * mu * k.evaluate(r)
+            + lp.evaluate(r) - beta.evaluate(r))
+    res2 = (lp.derivative().evaluate(r) - 0.5 * mu * (kp.evaluate(r) + l.evaluate(r))
+            - gamma.evaluate(r))
+    return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))
 
 
 def _mode_pools(cs):

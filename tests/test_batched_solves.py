@@ -45,6 +45,10 @@ def _limit_at_plus_infinity(profile) -> float:
     return 0.0
 
 
+def _value_at_zero(profile) -> float:
+    return float(sum(c for c, p, lam in profile.terms if p == 0))
+
+
 def _exp_integral(profile, sigma, upper=None):
     window = m.RATE_WINDOW * max(1.0, abs(sigma))
     shifted, out = [], []
@@ -60,7 +64,7 @@ def _exp_integral(profile, sigma, upper=None):
         out.extend((a, q, lam) for a, q in parts)
     F_ = RadialProfile(shifted)
     if upper is None:
-        return RadialProfile(out + [(-F_.value_at_zero(), 0, sigma)])
+        return RadialProfile(out + [(-_value_at_zero(F_), 0, sigma)])
     top = _limit_at_plus_infinity(F_) if upper == math.inf else float(F_.evaluate(upper))
     return RadialProfile([(top, 0, sigma)] + [(-a, q, lam) for a, q, lam in out])
 

@@ -128,7 +128,7 @@ def test_orthonormality_symbolic(rank):
     mode_fields = [_field(m) for m in sp.modes]
 
     def pairing(a, b):
-        return F.tube_integrand(a, b).value_at_zero()
+        return F.tube_integrand(a, b).evaluate(0.0)
 
     for i, a in enumerate(mode_fields):
         assert pairing(a, a) == pytest.approx(1.0, abs=1e-12)
@@ -165,7 +165,7 @@ def test_pointwise_operators_examples():
     m100 = next(m for m in sp.modes if m.freq == (1, 0, 0) and m.phase == "cos")
     lap = F.rough_laplacian(_field(m100))
     # the mode is L2-normalized, so its pairing with its Laplacian is the eigenvalue
-    assert F.tube_integrand(lap, _field(m100)).value_at_zero() == pytest.approx(4 * math.pi**2)
+    assert F.tube_integrand(lap, _field(m100)).evaluate(0.0) == pytest.approx(4 * math.pi**2)
     with pytest.raises(InvalidInput):  # scalars have no divergence
         F.divergence(_field(m100))
 

@@ -49,8 +49,8 @@ def field_close(a, b, tol=1e-12):
 
 def profiles_close(p, q, tol=1e-12):
     rs = np.linspace(0.0, 4.0, 17)
-    pv = np.array([p(r) for r in rs])
-    qv = np.array([q(r) for r in rs])
+    pv = np.array([p.evaluate(r) for r in rs])
+    qv = np.array([q.evaluate(r) for r in rs])
     scale = max(1.0, np.max(np.abs(qv)))
     assert np.max(np.abs(pv - qv)) <= tol * scale
 

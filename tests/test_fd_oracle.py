@@ -116,8 +116,8 @@ def test_an_unknown_operator_is_rejected_naming_every_known_one():
     with pytest.raises(InvalidInput) as err:
         O.fd_operator("curl", gf)
     assert str(err.value) == ("unknown operator 'curl'; expected one of ('divergence', "
-                              "'sym_grad', 'rough_laplacian', 'trace_hessian', "
-                              "'linearized_ricci', 'lichnerowicz')")
+                              "'sym_grad', 'rough_laplacian', 'linearized_ricci', "
+                              "'lichnerowicz')")
 
 
 def test_the_rank_is_checked_before_any_stencil_runs(monkeypatch):
@@ -194,7 +194,6 @@ _CASES = [
     ("divergence", smooth_rank2, F.divergence),
     ("sym_grad", smooth_one_form, F.sym_grad),
     ("rough_laplacian", smooth_rank2, F.rough_laplacian),
-    ("trace_hessian", smooth_rank2, lambda f: F.hessian(F.trace(f))),
     ("linearized_ricci", smooth_rank2, F.linearized_ricci),
 ]
 
@@ -219,7 +218,7 @@ def test_operator_converges_at_stencil_order(op, make, sym_op, order):
 
 def test_rank_mismatch_rejected():
     gf = O.sample(smooth_one_form(), (0.0, 6.0), 16, 8)
-    for op in ("trace_hessian", "linearized_ricci", "lichnerowicz"):
+    for op in ("linearized_ricci", "lichnerowicz"):
         with pytest.raises(InvalidInput):
             O.fd_operator(op, gf)
     scalar = O.sample(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)), (0, 6), 16, 8)
@@ -416,7 +415,6 @@ ROLL_RANKS = {
     "rough_laplacian": lambda rank: True,
     "divergence": lambda rank: rank >= 1,
     "sym_grad": lambda rank: rank == 1,
-    "trace_hessian": lambda rank: rank == 2,
     "linearized_ricci": lambda rank: rank == 2,
     "lichnerowicz": lambda rank: rank == 2,
 }
@@ -433,10 +431,6 @@ def roll_operator(op, f, cfg):
     if op == "sym_grad":
         grad = np.stack([part(c, i) for i in range(D)], axis=f.grid_ndim)
         return grad + np.swapaxes(grad, -1, -2)
-    if op == "trace_hessian":
-        tr = np.trace(c, axis1=-2, axis2=-1)
-        return np.stack([np.stack([part(part(tr, i), j) for j in range(D)], axis=-1)
-                         for i in range(D)], axis=-2)
     rough = roll_operator("rough_laplacian", f, cfg)
     if op == "linearized_ricci":
         # Bianchi form: v = -beta(c), summed in the order _slab_sweep documents
@@ -911,8 +905,8 @@ def test_only_the_calling_thread_allocates_the_batch_buffers(monkeypatch):
     cfg = O.StencilConfig(order=2)
     rank2 = slab_field(3)
     rank1 = rank2.with_components(rank2.components[..., 0].copy(), rank=1)
-    for f, names in ((rank2, ("divergence", "rough_laplacian", "trace_hessian",
-                              "linearized_ricci", "lichnerowicz")),
+    for f, names in ((rank2, ("divergence", "rough_laplacian", "linearized_ricci",
+                              "lichnerowicz")),
                      (rank1, ("sym_grad", "divergence"))):
         for op in names:
             assert O._slab_plan(op, f, cfg)[0] == 2
@@ -929,8 +923,7 @@ def every_recycled_array(f, cfg):
     """One of each array the recycler hands out, by name, for a rank-2
     grid field f sampled from smooth_rank2()."""
     ops = {op: O.fd_operator(op, f, cfg) for op in ("lichnerowicz", "rough_laplacian",
-                                                      "linearized_ricci", "divergence",
-                                                      "trace_hessian")}
+                                                      "linearized_ricci", "divergence")}
     flat = O.flat_metric_grid(f)
     got = {op: g.components for op, g in ops.items()}
     got["sum"] = (f + ops["rough_laplacian"]).components
@@ -1077,7 +1070,6 @@ def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
 
     D = dim + 1
     assert count("linearized_ricci") == (3 * D, 0)
-    assert count("trace_hessian") == (2 * D, 0)
     assert count("lichnerowicz") == (2 * D, 0)
     assert count("divergence") == (D, 0)
     assert count("rough_laplacian") == (2 * D, 0)
@@ -1088,10 +1080,16 @@ def test_operators_take_a_fixed_number_of_partials(monkeypatch, dim):
 
 def roll_trace_form(f, cfg):
     """linearized_ricci as (rough - S(w) - Hess tr) / 2, w = -sum_a d_a c_a,
-    with the np.roll stencils: the form before the Bianchi one."""
+    with the np.roll stencils: the form before the Bianchi one.  Its trace
+    Hessian [..., i, j] is d_j d_i tr c."""
+    D = f.dim + 1
+    part = functools.partial(roll_partial, grid=f, cfg=cfg)
     ops = roll_operators(f, cfg)
     gauge = roll_operators(f.with_components(ops["divergence"], rank=1), cfg)["sym_grad"]
-    return (ops["rough_laplacian"] - gauge - ops["trace_hessian"]) * 0.5
+    tr = np.trace(f.components, axis1=-2, axis2=-1)
+    hess = np.stack([np.stack([part(part(tr, i), j) for j in range(D)], axis=-1)
+                     for i in range(D)], axis=-2)
+    return (ops["rough_laplacian"] - gauge - hess) * 0.5
 
 
 # stencils on different axes commute in exact arithmetic, so the two forms

@@ -98,7 +98,7 @@ def test_lie_derivative_component_formulas():
 
     expected = F.rr_tensor(CS, PHI, l.derivative().scale(2.0))
     grad_phi = F.gradient(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)))
-    hess_phi = F.hessian(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)))
+    hess_phi = F.gradient(F.gradient(F.scalar_field(CS, PHI, RadialProfile.constant(1.0))))
     # build d_N phi (x) dr + dr (x) d_N phi directly from the gradient field
     mixed = []
     for mode_key, prof_key, C in grad_phi.terms():

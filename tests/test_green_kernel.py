@@ -37,6 +37,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import mixed_state
 from cylspec import green_kernel as gk
 from cylspec.errors import InvalidInput
 from cylspec.mode_ode import (
@@ -238,7 +239,7 @@ def test_round_trip_recovers_pair():
     sol = solve_mixed_mode(mu, beta, gamma)
     # difference solves the homogeneous system; both sides decay, so its
     # expansion over the fundamental system has no growing component
-    delta0 = sol.state(0.0).ravel() - np.array(
+    delta0 = mixed_state(sol.k, sol.l, 0.0).ravel() - np.array(
         [k.evaluate(0.0), k.derivative().evaluate(0.0), l.evaluate(0.0), l.derivative().evaluate(0.0)]
     )
     coeffs = fm.mixed_inverse(0.0) @ delta0
@@ -246,7 +247,7 @@ def test_round_trip_recovers_pair():
     r = np.linspace(0.0, 10.0, 60)
     for ri in r:
         correction = fm.mixed(ri) @ np.concatenate([[0.0, 0.0], coeffs[2:]])
-        got = sol.state(ri).ravel() - correction
+        got = mixed_state(sol.k, sol.l, ri).ravel() - correction
         want = np.array(
             [k.evaluate(ri), k.derivative().evaluate(ri), l.evaluate(ri), l.derivative().evaluate(ri)]
         )

@@ -478,6 +478,58 @@ def test_the_check_sees_perm_and_antiderivatives():
                                               (10, "antiderivative")]
 
 
+# Profile terms are merged in one place, the RadialProfile constructor.
+# RadialProfile._of takes terms as they come, so only the two callers whose
+# terms are canonical by construction call it: scale, which keeps every
+# key, and ProfileTable.profiles, which cuts a sorted table
+_OF_CALLERS = {"RadialProfile.scale", "ProfileTable.profiles"}
+
+
+def _of_reads(tree, where=None):
+    """(enclosing class or function path, line) of every ._of read."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_of"
+                and isinstance(node.ctx, ast.Load)):
+            yield where, node.lineno
+        inner = where
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{where}.{node.name}" if where else node.name
+        yield from _of_reads(node, inner)
+
+
+def test_only_scale_and_profile_tables_skip_the_merge():
+    found = [
+        f"{path.name}:{line}: ._of in {where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where, line in _of_reads(ast.parse(path.read_text()))
+        if path.name != "mode_ode.py" or where not in _OF_CALLERS
+    ]
+    assert found == []
+    assert list(_of_reads(ast.parse((SRC / "mode_ode.py").read_text())))
+
+
+def test_the_check_sees_unmerged_profile_builds():
+    tree = ast.parse(
+        "class RadialProfile:\n"
+        "    def scale(self, a):\n"
+        "        return RadialProfile._of(terms)\n"
+        "    def __add__(self, other):\n"
+        "        return self._of(self.terms + other.terms)\n"
+        "class ProfileTable:\n"
+        "    def profiles(self, n):\n"
+        "        make = RadialProfile._of\n"
+        "        return [make(t) for t in rows]\n"
+        "def merge(a, b):\n"
+        "    def inner():\n"
+        "        return RadialProfile._of(a + b)\n"
+        "    return inner, of(a), a._of_terms, RadialProfile(a)\n"
+    )
+    assert list(_of_reads(tree)) == [
+        ("RadialProfile.scale", 3), ("RadialProfile.__add__", 5),
+        ("ProfileTable.profiles", 8), ("merge.inner", 12),
+    ]
+
+
 # The grid oracle checks the modal layer, so it shares nothing with it but
 # pointwise evaluation: fd_oracle imports only TensorField from fields, and
 # of a field it reads only .evaluate, .cs and .rank (in sample)

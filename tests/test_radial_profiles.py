@@ -183,9 +183,10 @@ _canonical_terms = st.lists(
        st.integers(0, 2), st.sampled_from([0.0, 0.5, -0.5, 1e-17, -1.0]))
 @settings(max_examples=200, deadline=None)
 def test_arithmetic_builds_what_the_constructor_builds(ta, tb, a, power, rate):
-    # scale, +, -, negation and mul_monomial skip the constructor's checks
-    # and sort on canonical terms; the terms must be the constructor's
-    # merge of the same term lists, bit for bit
+    # scale and negation skip the constructor's checks and keep the sorted
+    # canonical terms; +, - and mul_monomial merge through the constructor;
+    # the terms must be the constructor's merge of the same term lists, bit
+    # for bit
     p, q = RadialProfile(ta), RadialProfile(tb)
     assert (p + q).terms == RadialProfile(p.terms + q.terms).terms
     assert p.scale(a).terms == RadialProfile(tuple((c * a, k, lam) for c, k, lam in p.terms)).terms
