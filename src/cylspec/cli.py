@@ -44,8 +44,8 @@ from .divergence_solver import (
 from .errors import CertificateFailure, CylspecError, InvalidInput
 from .fd_oracle import (
     StencilConfig,
-    fd_operator,
     interior_sup,
+    operator_interior_sup,
     quadratic_remainder_scan,
     sample,
 )
@@ -650,18 +650,18 @@ def _task_validate(cfg: JobConfig, rng) -> tuple:
     grid_probe = stage(f"sample: {grid}", sample, probe, r_range, n_r, n_x)
     fd_tol = 10.0 * grid_probe.max_spacing**2
     scale = max(1.0, interior_sup(grid_probe))
-    # every grid but the probe is dropped once its value is read, so that
-    # no stage holds the grids of an earlier one
-    kernel_ricci = interior_sup(stage(f"fd_operator linearized_ricci, {order}: {grid}",
-                                      fd_operator, "linearized_ricci", grid_probe, stencil))
+    # each FD certificate is read on the interior band with no operator
+    # grid, and the mismatch grid is dropped once its value is read
+    kernel_ricci = stage(f"fd_operator linearized_ricci, {order}: {grid}",
+                         operator_interior_sup, "linearized_ricci", grid_probe, stencil)
     kernel_ricci /= scale
 
     source = _random_gauge_image(cs, rng, n_modes=4)
     gauge = solve_gauge(source, DivergenceConfig(tau=0.0))
     mismatch = lie_derivative_metric(gauge.one_form) - source
     mismatch_grid = stage(f"sample: {grid}", sample, mismatch, r_range, n_r, n_x)
-    fd_div = interior_sup(stage(f"fd_operator divergence, {order}: {grid}", fd_operator,
-                                "divergence", mismatch_grid, stencil))
+    fd_div = stage(f"fd_operator divergence, {order}: {grid}", operator_interior_sup,
+                   "divergence", mismatch_grid, stencil)
     del mismatch_grid
     certs.append(_cert("gauge-divergence-fd", fd_div / max(1.0, source.max_abs_coeff()), "<=",
                        fd_tol))

@@ -24,7 +24,9 @@ genuinely quadratic.
 The background is the product metric dr^2 + g_flat, whose Ric and Rm
 vanish, so the Lichnerowicz Laplacian is the rough Laplacian.  Each stencil
 operator runs on radial slabs across the CPUs the process may use; every
-value is the same, bit for bit (see ``fd_operator``).
+value is the same, bit for bit (see ``fd_operator``).  A certificate reads
+``operator_interior_sup``: the operator's slabs on the interior band alone,
+each reduced by its own thread, with no output grid.
 
 A tangential first partial at order 2 reads its C-contiguous source as one
 flat vector: f[i+1] - f[i-1] on every node is one subtraction of two flat
@@ -256,10 +258,15 @@ class GridField:
 
     def interior(self) -> np.ndarray:
         """Component view away from the radial boundary layers."""
-        if self.n_r <= 2 * INTERIOR_TRIM:
-            raise InvalidInput(f"n_r = {self.n_r} leaves no interior band: INTERIOR_TRIM = "
-                               f"{INTERIOR_TRIM} nodes are trimmed at each radial end")
-        return self.components[INTERIOR_TRIM:-INTERIOR_TRIM]
+        return self.components[_band(self.n_r)]
+
+
+def _band(n_r: int) -> slice:
+    """The interior band's radial rows, INTERIOR_TRIM in from each end."""
+    if n_r <= 2 * INTERIOR_TRIM:
+        raise InvalidInput(f"n_r = {n_r} leaves no interior band: INTERIOR_TRIM = "
+                           f"{INTERIOR_TRIM} nodes are trimmed at each radial end")
+    return slice(INTERIOR_TRIM, n_r - INTERIOR_TRIM)
 
 
 def _sup(x: np.ndarray) -> float:
@@ -481,16 +488,24 @@ def _contracted_partials(arr, axis: int, grid: GridField, cfg: StencilConfig) ->
 # full-size output.  The radial partial reads whatever rows of its source
 # it needs, so the input c is read in place.  Only intermediates that a
 # later radial partial reads are private and carry a halo: the sweep's
-# first partial d1 and linearized_ricci's v taken from it, order/2 rows on
-# each side, clipped at the grid's ends.  Every value is then the serial
-# value, bit for bit.
+# first partial d1, linearized_ricci's v taken from it and the
+# divergence's radial component, order/2 rows on each side, clipped at the
+# grid's ends.  Every value is then the serial value, bit for bit.
 #
 # The calling thread allocates every buffer (_empty) before any slab
 # starts: one scratch set per thread, which that thread reuses for each
 # slab it takes, then the output.  The operator's unit (the sweep, the
 # divergence, the symmetrized gradient) carves its private buffers from the
-# front of the set, in the order _scratch_entries counts them.  One slab on
-# one thread is the serial run.
+# front of the set, in the order _scratch_entries counts them; the
+# divergence's set is unpadded row-blocks of its output, exactly linear in
+# slab rows, so it runs one slab per thread.  One slab on one thread is the
+# serial run.
+#
+# The band sink of operator_interior_sup cuts only the interior rows, into
+# as many slabs, on as many threads, with the same scratch sets, as the
+# whole grid's plan (a plan of the band alone may give fewer threads), and
+# gives each thread its own slab buffer in place of the output: the thread
+# reduces each slab it computes there.
 
 # every slab has at least this many rows per stencil order, so the halo
 # rows a slab recomputes stay a small share of its work
@@ -524,7 +539,13 @@ def _scratch_entries(op: str, f: GridField, cfg: StencilConfig, rows: int) -> in
     """Entries of the scratch set with which one thread runs slabs of op of
     at most rows rows: what the op's unit carves from it.  Each term counts
     one carve, in the unit's order; work, 8 * a source at order 4, takes
-    what is left."""
+    what is left.
+
+    The divergence's set is exactly linear in rows, 1 + order/2 row-blocks
+    of its output, so one slab per thread holds no more than the serial
+    run.  Its radial step, a copy of rows + order halo rows and work of
+    rows + 2 at order 4, fits them on a slab of at least 2 rows at order 2
+    and 6 at order 4, or on the whole grid."""
     n, D, e = f.n_r, f.dim + 1, cfg.order // 2
     C = f.components[0].size  # entries of one row of c
     C1, C2 = C // D, C // D**2  # of one row of a component, of a scalar
@@ -534,7 +555,7 @@ def _scratch_entries(op: str, f: GridField, cfg: StencilConfig, rows: int) -> in
         return _pad(min(k + 2, n) * per_row) if cfg.order == 4 else 0
 
     if op == "divergence":
-        return _pad(r1 * C1) + _pad(rows * C1) + work(rows, C1)
+        return (1 + e) * rows * C1
     if op == "sym_grad":
         return _pad(rows * C * D) + _pad(rows * C) + work(rows, C)
     # the sweep: d1, then its private sum or term, then linearized_ricci's v
@@ -611,22 +632,27 @@ def _as_items(x: np.ndarray, axes: int) -> np.ndarray:
 def _slab_divergence(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
     """Rows [lo, hi) of -sum_a d_a c[..., a, ...], summed in order.  Each
     component is first copied, on the rows its partial reads, into one
-    contiguous buffer.  At rank >= 2 a node's component row spans the
+    contiguous buffer: the radial one with its halo, a tangential one on
+    [lo, hi) alone.  At rank >= 2 a node's component row spans the
     trailing rank - 1 axes and is copied as one np.void item, a pure copy
-    several times cheaper than entry by entry."""
+    several times cheaper than entry by entry.
+
+    The scratch is row-blocks the size of out, unpadded: a tangential
+    component's copy, its term, and at order 4 its work.  The radial
+    component's halo copy and its work, which run first and write into
+    out, fill the same room from the front (see _scratch_entries)."""
     c = f.components
     a1, b1 = _halo(lo, hi, cfg.order // 2, f.n_r)
-    part = (slice(a1, b1),) + (slice(None),) * f.dim
-    carve = _Carve(scratch)
-    comp = carve(c[part + (0,)].shape)
-    term = carve(out.shape)
-    work = carve.rest()
-    src, dst = c, comp
-    if f.rank >= 2 and c.flags.c_contiguous:
-        src, dst = _as_items(c, f.dim + 2), _as_items(comp, f.dim + 1)
+    items = f.rank >= 2 and c.flags.c_contiguous
+    src = _as_items(c, f.dim + 2) if items else c
+    term = _cut(scratch[out.size:], out.shape)
     for a in range(f.dim + 1):
-        np.copyto(dst, src[part + (a,)])
-        _partial(comp, a, f, cfg, out=term if a else out, work=work, rows=(lo, hi), start=a1)
+        start, end = (a1, b1) if a == 0 else (lo, hi)
+        comp = _cut(scratch, (end - start,) + out.shape[1:])
+        np.copyto(_as_items(comp, f.dim + 1) if items else comp,
+                  src[(slice(start, end),) + (slice(None),) * f.dim + (a,)])
+        work = scratch[comp.size if a == 0 else 2 * out.size:]
+        _partial(comp, a, f, cfg, out=term if a else out, work=work, rows=(lo, hi), start=start)
         if a:
             out += term
     np.negative(out, out=out)
@@ -661,8 +687,9 @@ _OPS = {
 
 
 def _slab(op: str, f: GridField, cfg: StencilConfig, out, scratch, lo: int, hi: int):
-    """Rows [lo, hi) of the stencil operator op of f, into out."""
-    _OPS[op].unit(f, cfg, out[lo:hi], scratch, lo, hi)
+    """Rows [lo, hi) of the stencil operator op of f, into out, which holds
+    just those rows."""
+    _OPS[op].unit(f, cfg, out, scratch, lo, hi)
 
 
 _pool = None
@@ -716,37 +743,62 @@ def _slab_plan(op: str, f: GridField, cfg: StencilConfig) -> tuple:
     return 1, 1
 
 
-def _run_slabs(op: str, f: GridField, cfg: StencilConfig) -> np.ndarray:
-    """The stencil operator op of f.  A single thread runs the slabs
+def _run_slabs(op: str, f: GridField, cfg: StencilConfig, rows=None, sink=None):
+    """The stencil operator op of f; or, given a sink, the list of sink(x)
+    over the slabs x of its global radial rows [lo, hi) = rows, each slab
+    computed into its thread's own buffer, so no output grid is made.  The
+    rows are cut into as many slabs, on as many threads, with as large a
+    scratch set, as the whole grid's plan.  A single thread runs the slabs
     itself; else that many pool threads take them in turn, each under the
     caller's numpy error state.  Every slab has finished before this
     returns, and the first exception a thread raised is raised here."""
     threads, slabs = _slab_plan(op, f, cfg)
-    size = _scratch_entries(op, f, cfg, -(-f.n_r // slabs))
-    # scratch first: it is the larger request, and best fit would give the output its buffer
+    size = _pad(_scratch_entries(op, f, cfg, -(-f.n_r // slabs)))
+    shape = (f.n_r, *f.n_x) + (f.dim + 1,) * _OPS[op].rank(f.rank)
+    lo, hi = rows or (0, f.n_r)
+    # scratch first: it is the larger request, and best fit would give the
+    # output, or the threads' own slab buffers, its buffer
     block = _empty(threads * size)
-    out = _array((f.n_r, *f.n_x) + (f.dim + 1,) * _OPS[op].rank(f.rank))
-    cuts = [f.n_r * k // slabs for k in range(slabs + 1)]
+    if sink is None:
+        out = _array(shape)
+    else:
+        own = _pad(-(-(hi - lo) // slabs) * math.prod(shape[1:]))
+        mine = _empty(threads * own)
+    cuts = [lo + (hi - lo) * k // slabs for k in range(slabs + 1)]
+    values = [None] * slabs
     # one shared iterator over built-in lists: each next() is atomic
-    todo = iter(list(zip(cuts, cuts[1:])))
+    todo = iter(list(enumerate(zip(cuts, cuts[1:]))))
 
-    def drain(scratch):
-        for lo, hi in todo:
-            _slab(op, f, cfg, out, scratch, lo, hi)
+    def drain(i):
+        scratch = block[i * size:(i + 1) * size]
+        for k, (a, b) in todo:
+            part = out[a:b] if sink is None else _cut(mine[i * own:], (b - a,) + shape[1:])
+            _slab(op, f, cfg, part, scratch, a, b)
+            if sink is not None:
+                values[k] = sink(part)
 
-    scratches = [block[i * size:(i + 1) * size] for i in range(threads)]
     if threads == 1:
-        drain(scratches[0])
-        return out
-    # each thread runs in a copy of the caller's context, which carries its
-    # np.errstate; one copy per submit, as no two threads may enter one
-    futures = [_slab_pool().submit(contextvars.copy_context().run, drain, scratch)
-               for scratch in scratches]
-    for fut in futures:
-        fut.exception()  # waits without raising
-    for fut in futures:
-        fut.result()
-    return out
+        drain(0)
+    else:
+        # each thread runs in a copy of the caller's context, which carries
+        # its np.errstate; one copy per submit, as no two threads may enter one
+        futures = [_slab_pool().submit(contextvars.copy_context().run, drain, i)
+                   for i in range(threads)]
+        for fut in futures:
+            fut.exception()  # waits without raising
+        for fut in futures:
+            fut.result()
+    return out if sink is None else values
+
+
+def _result_rank(op: str, f: GridField) -> int:
+    """The rank of op's result on f, checked before any stencil runs."""
+    if op not in _OPS:
+        raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_OPS)}")
+    rank = _OPS[op].rank(f.rank)
+    if rank is None:
+        raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
+    return rank
 
 
 def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> GridField:
@@ -762,12 +814,19 @@ def fd_operator(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> 
     _slab_plan).  Every value equals the np.roll stencils summed left to
     right, bit for bit, on slabs or not, and the array starts on a 64-byte
     boundary."""
-    if op not in _OPS:
-        raise InvalidInput(f"unknown operator {op!r}; expected one of {tuple(_OPS)}")
-    rank = _OPS[op].rank(f.rank)
-    if rank is None:
-        raise InvalidInput(f"{op} does not take a rank-{f.rank} field")
+    rank = _result_rank(op, f)
     return f.with_components(_run_slabs(op, f, cfg), rank=rank)
+
+
+def operator_interior_sup(op: str, f: GridField, cfg: StencilConfig = StencilConfig()) -> float:
+    """interior_sup(fd_operator(op, f, cfg)), bit for bit, with the same
+    InvalidInput on the same checks before any stencil runs.  Only the
+    interior band's rows are computed, each slab into its thread's own
+    buffer and reduced there; the slabs' maxima are combined by np.max,
+    which passes a NaN on as _sup does.  No output grid is made."""
+    _result_rank(op, f)
+    band = _band(f.n_r)
+    return float(np.max(_run_slabs(op, f, cfg, rows=(band.start, band.stop), sink=_sup)))
 
 
 # ---------------------------------------------------------------------------

@@ -594,9 +594,9 @@ def _exp_integral(S, g: _Sigma):
     the mask of the near-resonant terms (None if none).
 
     With d = lam - sigma, each term keeps its rate, and the antiderivative
-    of c r^p e^{d r} is one table parts[p, column, j]: c (-1)^j (p)_j /
+    of c r^p e^{d r} is one table parts[j, p, column]: c (-1)^j (p)_j /
     d^{j+1} at power p - j (d == 0: c / (p + 1) at power p + 1), summed
-    along j into the profile.  The constant at sigma is the antiderivative
+    along j into the profile, each j a contiguous block.  The constant at sigma is the antiderivative
     at 0 (its j = p parts, negated) or at upper (``_at_upper``; 0 at inf),
     its terms of one (power, d) summed first, then in sorted order, as
     RadialProfile sums.  A term with 0 < |d| <= RATE_WINDOW max(1, |sigma|)
@@ -609,19 +609,19 @@ def _exp_integral(S, g: _Sigma):
     top = Q - 1  # the last row is 0: the secular terms move up one power
     sf, at = _falling_table(Q), g.at
     k = min(top, len(g.pw))
-    parts = np.zeros((top, B * R, k))
+    parts = np.zeros((k, top, B * R))
     for j in range(k):
-        np.divide(S[j:top] * sf[j:top, j, None], g.pw[j], out=parts[j:, :, j])
-    parts[:, at] = 0.0
+        np.divide(S[j:top] * sf[j:top, j, None], g.pw[j], out=parts[j, j:])
+    parts[:, :, at] = 0.0
     # the power-0 parts (j = p), summed per run of one d in the order of p,
     # then per block in the order of d
-    at_zero = parts.diagonal(axis1=0, axis2=2).T
+    at_zero = parts.diagonal(axis1=0, axis2=1).T
     runs = np.bincount(g.group[:at_zero.size], at_zero.ravel(), minlength=len(g.block))
     const = np.where(g.lower, -np.bincount(g.block, runs, minlength=B), 0.0)
-    parts[:, at, 0] = secular = S[:top, at] / np.arange(1.0, Q)[:, None]
+    parts[0][:, at] = secular = S[:top, at] / np.arange(1.0, Q)[:, None]
     out = np.zeros((Q, B * R))
     for j in range(k):
-        out[:top - j] += parts[j:, :, j]
+        out[:top - j] += parts[j, j:]
     out[1:, at] = secular
     if g.finite:
         const = np.where(np.isfinite(g.upper), _at_upper(parts, g), const)
@@ -632,8 +632,9 @@ def _exp_integral(S, g: _Sigma):
 
 def _at_upper(parts, g: _Sigma):
     """The antiderivative at the shifted rates d evaluated at ``upper``: the
-    parts in table order (p, then lam, then j), merged on (power, d), and
-    c upper^q e^{d upper} summed per block in sorted (q, d) order."""
+    parts, read in the order (p, then lam, then j), merged on (power, d),
+    and c upper^q e^{d upper} summed per block in sorted (q, d) order."""
+    parts = parts.transpose(1, 2, 0)
     top, N, k = parts.shape
     q = np.maximum(np.arange(top)[:, None, None] - np.arange(k), 0).repeat(N, axis=1)
     q[:, g.at, 0] = np.arange(1, top + 1)[:, None]  # sigma's own column, at p + 1

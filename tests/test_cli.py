@@ -771,9 +771,10 @@ def test_validate_writes_report_and_passes(tmp_path):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_validate_item_drops_each_grid_once_its_value_is_read(tmp_path, monkeypatch, threads):
     """The traced peak of one item of validate on 64x8^3, from an empty
-    recycler, is the FD batch with its input and scratch: 18.2 MB on two
-    threads, 23.3 MB on one.  With every stage's grids still live at the
-    divergence stage it read 28.5 and 29.6 MB."""
+    recycler, is the FD batch with its input and scratch: 17.7 MB on two
+    threads, 22.5 MB on one, with the certificates read on the band (17.9
+    and 23.3 MB with full output grids).  With every stage's grids still
+    live at the divergence stage it read 28.5 and 29.6 MB."""
     monkeypatch.setattr(O, "fd_threads", lambda: threads)
     argv = ["validate", "--grid", "64x8", "--dim", "3", "--seed", "2", "--out", str(tmp_path)]
     assert cli.main(argv) == 0  # the modal caches fill outside the measurement

@@ -1271,6 +1271,179 @@ def test_interior_sup_equals_the_max_of_abs(special):
         assert repr(O.interior_sup(f)) == repr(want), (fill[0, 0], special)
 
 
+# -- FD certificates read on the interior band -------------------------------
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def band_fields(order, rng):
+    """Rank 0 to 2 fields at d = 1 to 3 on grids that stay serial, take
+    slabs at 2 and 3 threads, or leave a one-row band."""
+    sizes = (11, 16, 48) if order == 2 else (11, 64)
+    for dim in (1, 2, 3):
+        for n_r in sizes + ((96,) if dim == 1 and order == 4 else ()):
+            for rank in (0, 1, 2):
+                shape = (n_r,) + (8,) * dim + (dim + 1,) * rank
+                yield O.GridField((0.0, 6.0), n_r, (1.0, 1.3, 1.7)[:dim], (8,) * dim, rank,
+                                  rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_operator_interior_sup_equals_the_full_grid_read_bit_for_bit(monkeypatch, order):
+    cfg = O.StencilConfig(order=order)
+    for f in band_fields(order, np.random.default_rng(order)):
+        for op, admits in ROLL_RANKS.items():
+            if not admits(f.rank):
+                continue
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(O, "fd_threads", lambda: threads)
+                want = O.interior_sup(O.fd_operator(op, f, cfg))
+                got = O.operator_interior_sup(op, f, cfg)
+                assert bits(got) == bits(want), (f.components.shape, op, threads)
+
+
+def test_the_band_takes_the_whole_grids_plan(monkeypatch):
+    """On 54 rows alone linearized_ricci would stay serial (3 slabs of 16
+    rows at most, and no multiple of 2 fits); the band is cut with the
+    whole grid's plan, 4 slabs on 2 pool threads, each into its thread's
+    own buffer, and no output grid is made."""
+    comps = np.random.default_rng(5).standard_normal((64, 8, 8, 8, 4, 4))
+    f = O.GridField((0.0, 6.0), 64, (1.0, 1.0, 1.0), (8, 8, 8), 2, comps)
+    cfg = O.StencilConfig(order=4)
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    assert O._slab_plan("linearized_ricci", f, cfg) == (2, 4)
+    slabs, slab = [], O._slab
+    monkeypatch.setattr(O, "_slab", lambda *a: slabs.append(
+        (threading.current_thread().name, a[-2:])) or slab(*a))
+    monkeypatch.setattr(O, "_array", lambda shape: pytest.fail(f"an output grid {shape}"))
+    O.operator_interior_sup("linearized_ricci", f, cfg)
+    lo, hi = O.INTERIOR_TRIM, 64 - O.INTERIOR_TRIM
+    assert sorted(rows for _, rows in slabs) == [(lo, 18), (18, 32), (32, 45), (45, hi)]
+    assert all(name.startswith("cylspec-fd") for name, _ in slabs)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_special_values_at_slab_cuts_and_band_edges_read_as_on_the_full_grid(monkeypatch,
+                                                                              order):
+    """NaN, ±inf and -0.0 on the rows at every slab cut of the whole grid
+    and of the band, and on rows INTERIOR_TRIM ± 1 at both ends: the band's
+    slab maxima combine as _sup reads the full interior, NaN and -0.0
+    included, at 1, 2 and 3 threads."""
+    cfg = O.StencilConfig(order=order)
+    n_r, trim = 64, O.INTERIOR_TRIM
+    base = O.GridField((0.0, 6.0), n_r, (1.0, 1.3), (8, 9), 2, np.zeros((n_r, 8, 9, 3, 3)))
+    plans = {O._slab_plan(op, base, cfg)[1] for op in ROLL_RANKS}
+    band = n_r - 2 * trim
+    cuts = {k * n_r // s for s in plans for k in range(1, s)}
+    cuts |= {trim + k * band // s for s in plans for k in range(1, s)}
+    rows = sorted(cuts | {c - 1 for c in cuts} | {trim - 1, trim, trim + 1}
+                  | {n_r - trim - 2, n_r - trim - 1, n_r - trim})
+    rng = np.random.default_rng(order)
+    for seed in range(4):
+        comps = rng.standard_normal(base.components.shape) if seed else np.zeros_like(
+            base.components)
+        for row in rows:
+            index = tuple(int(rng.integers(n)) for n in comps.shape[1:])
+            # seed 0 plants signed zeros alone, seed 1 no NaN
+            pool = [-0.0] if seed == 0 else [np.inf, -np.inf, -0.0] + [np.nan] * (seed > 1)
+            comps[(row,) + index] = rng.choice(pool)
+        rank2 = base.with_components(comps)
+        rank1 = rank2.with_components(comps[..., 1].copy(), rank=1)
+        for f in (rank2, rank1):
+            for op, admits in ROLL_RANKS.items():
+                if not admits(f.rank):
+                    continue
+                for threads in (1, 2, 3):
+                    monkeypatch.setattr(O, "fd_threads", lambda: threads)
+                    with np.errstate(all="ignore"):
+                        want = O.interior_sup(O.fd_operator(op, f, cfg))
+                        got = O.operator_interior_sup(op, f, cfg)
+                    assert bits(got) == bits(want), (seed, f.rank, op, threads)
+
+
+def test_operator_interior_sup_checks_its_input_before_any_stencil_runs(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a stencil ran before the input checks")
+
+    def message(fn, *args):
+        with pytest.raises(InvalidInput) as err:
+            fn(*args)
+        return str(err.value)
+
+    rank2 = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
+    scalar = O.sample(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)), (0, 6), 16, 8)
+    thin = O.sample(smooth_rank2(), (0.0, 6.0), 2 * O.INTERIOR_TRIM, 8)
+    thin_scalar = O.sample(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)), (0, 6),
+                           2 * O.INTERIOR_TRIM, 8)
+    cases = [("curl", rank2), ("sym_grad", rank2), ("divergence", scalar),
+             ("lichnerowicz", thin_scalar)]
+    want = [message(O.fd_operator, op, f) for op, f in cases]
+    want.append(message(thin.interior))
+    monkeypatch.setattr(O, "_partial", refuse)
+    got = [message(O.operator_interior_sup, op, f) for op, f in cases]
+    got.append(message(O.operator_interior_sup, "linearized_ricci", thin))
+    assert got == want
+    assert "INTERIOR_TRIM" in got[-1]
+
+
+@pytest.mark.parametrize("n_r, lengths, n_x, order, rank, plan", [
+    (128, (2 * math.pi,) * 2, 24, 2, 2, (2, 2)),  # gauge-fd's grid
+    (64, (1.0,) * 3, 8, 4, 2, (2, 2)),            # validate-cli's grid
+    (64, (1.0,) * 3, 8, 4, 1, (2, 2)),
+    # two slabs of ceil(n_r / 2) rows would hold one row more than n_r
+    (97, (1.0, 1.3), 9, 2, 3, (2, 4)),
+    (61, (1.7,), 9, 4, 1, (1, 1)),
+])
+def test_the_divergence_takes_one_slab_per_thread(monkeypatch, n_r, lengths, n_x, order, rank,
+                                                  plan):
+    """Its scratch set is exactly linear in slab rows, so one slab per
+    thread holds no more than the serial run, on any row and node count."""
+    f = O.GridField((0.0, 6.0), n_r, lengths, (n_x,) * len(lengths), rank,
+                    np.broadcast_to(0.0, (n_r,) + (n_x,) * len(lengths)
+                                    + (len(lengths) + 1,) * rank))
+    cfg = O.StencilConfig(order=order)
+    serial = O._scratch_entries("divergence", f, cfg, n_r)
+    for threads in range(2, 9):
+        assert threads * O._scratch_entries("divergence", f, cfg, n_r // threads) <= serial
+    monkeypatch.setattr(O, "fd_threads", lambda: 2)
+    assert O._slab_plan("divergence", f, cfg) == plan
+    # the sweep ops keep their plans
+    if rank == 2 and plan == (2, 2):
+        assert O._slab_plan("linearized_ricci", f, cfg) == (2, 4)
+
+
+def test_the_band_path_peaks_below_the_full_grid_on_validates_field(monkeypatch):
+    """Under tracemalloc, from an empty recycler, on validate's 64 x 8^3
+    probe at order 4: the band path holds no output grid.  Measured, as
+    multiples of the input bytes (full grid -> band): linearized_ricci
+    4.30 -> 4.14 on one thread and 3.07 -> 2.50 on two, the divergence
+    1.05 -> 1.01 on either; pinned at the band's value plus 10%."""
+    comps = np.random.default_rng(0).standard_normal((64, 8, 8, 8, 4, 4))
+    f = O.GridField((0.0, 6.0), 64, (1.0, 1.0, 1.0), (8, 8, 8), 2, comps)
+    cfg = O.StencilConfig(order=4)
+
+    def peak_ratio(run):
+        O._forget_buffers()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            return (tracemalloc.get_traced_memory()[1] - before) / comps.nbytes
+        finally:
+            tracemalloc.stop()
+
+    pins = {(1, "linearized_ricci"): 4.56, (2, "linearized_ricci"): 2.76,
+            (1, "divergence"): 1.11, (2, "divergence"): 1.11}
+    for (threads, op), pin in pins.items():
+        monkeypatch.setattr(O, "fd_threads", lambda: threads)
+        full = peak_ratio(lambda: O.interior_sup(O.fd_operator(op, f, cfg)))
+        band = peak_ratio(lambda: O.operator_interior_sup(op, f, cfg))
+        assert band < full, (threads, op)
+        assert band <= pin, (threads, op)
+
+
 # -- quadratic remainder ----------------------------------------------------
 
 

@@ -610,3 +610,53 @@ def test_the_check_sees_modal_reads_in_the_oracle():
         (1, "import linearized_ricci"), (2, "import fields"), (5, ".blocks"),
         (7, "TensorField"), (7, "field"), (7, "field"), (9, ".terms"),
     ]
+
+
+# An FD certificate is read one way: fd_oracle.operator_interior_sup, on the
+# interior band, without an output grid.  No module reads interior_sup of an
+# fd_operator result, called in its argument, passed there to a wrapper such
+# as stages.stage, or bound to a name that the argument is
+def _mentions(node, name):
+    return any((isinstance(n, ast.Name) and n.id == name)
+               or (isinstance(n, ast.Attribute) and n.attr == name) for n in ast.walk(node))
+
+
+def _full_grid_certificates(tree):
+    """(line, name) of every interior_sup read of an fd_operator result."""
+    bound = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+             and _mentions(n.value, "fd_operator") for t in n.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and _mentions(node.func, "interior_sup")):
+            continue
+        arg = node.args[0]
+        if _mentions(arg, "fd_operator"):
+            yield node.lineno, "fd_operator"
+        elif isinstance(arg, ast.Name) and arg.id in bound:
+            yield node.lineno, arg.id
+
+
+def test_no_module_reads_a_certificate_from_a_full_operator_grid():
+    found = [
+        f"{path.name}:{line}: interior_sup of {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _full_grid_certificates(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_check_sees_certificates_read_from_full_operator_grids():
+    tree = ast.parse(
+        "r1 = interior_sup(fd_operator('divergence', g, cfg))\n"
+        "r2 = O.interior_sup(O.fd_operator('linearized_ricci', g))\n"
+        "def run(g):\n"
+        "    r3 = interior_sup(stage('label', fd_operator, 'divergence', g, cfg))\n"
+        "    ricci = fd_operator('linearized_ricci', g)\n"
+        "    r4 = interior_sup(ricci)\n"
+        "    r5 = interior_sup(ric - ricci.scale(eps))\n"
+        "    r6 = operator_interior_sup('divergence', g, cfg)\n"
+        "    return interior_sup(g), stage('label', operator_interior_sup, 'divergence', g)\n"
+    )
+    assert sorted(_full_grid_certificates(tree)) == [
+        (1, "fd_operator"), (2, "fd_operator"), (4, "fd_operator"), (6, "ricci"),
+    ]
