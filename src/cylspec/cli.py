@@ -608,7 +608,7 @@ def _task_three_circles(cfg: JobConfig, rng) -> tuple:
             L=task["L"],
             triple=tuple(triple),
         )
-        res = three_circles_check(h, params)
+        res = stage("three-circles({},{},{})".format(*triple), three_circles_check, h, params)
         t_max = max(t_max, triple[2])
         results.append(
             {
@@ -620,7 +620,8 @@ def _task_three_circles(cfg: JobConfig, rng) -> tuple:
         )
         certs.append(_cert("three-circles({},{},{})".format(*triple), res.slack, ">=", 1.0))
     offsets = list(range(0, t_max + 1))
-    series = TubeNormSeries.from_field(h, task["L"], offsets)
+    series = stage(f"tube-norm series, offsets 0-{t_max}", TubeNormSeries.from_field, h,
+                   task["L"], offsets)
     payload = {
         "L": task["L"],
         "beta": task["beta"],

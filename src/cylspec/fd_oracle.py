@@ -556,8 +556,6 @@ def _scratch_entries(op: str, f: GridField, cfg: StencilConfig, rows: int) -> in
 
     if op == "divergence":
         return (1 + e) * rows * C1
-    if op == "sym_grad":
-        return _pad(rows * C * D) + _pad(rows * C) + work(rows, C)
     # the sweep: d1, then its private sum or term, then linearized_ricci's v
     sweep = _pad(r1 * C) + _pad(rows * C)
     if op != "linearized_ricci":
@@ -658,15 +656,6 @@ def _slab_divergence(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
     np.negative(out, out=out)
 
 
-def _slab_sym_grad(f: GridField, cfg: StencilConfig, out, scratch, lo, hi):
-    """Rows [lo, hi) of d_i c_j + d_j c_i."""
-    carve = _Carve(scratch)
-    grad = carve(out.shape)
-    acc = carve((out[..., 0].size,))
-    _gradient(f.components, f, cfg, -2, out=grad, work=carve.rest(), acc=acc, rows=(lo, hi))
-    np.add(grad, np.swapaxes(grad, -1, -2), out=out)
-
-
 class _Op(NamedTuple):
     rank: object  # input rank -> result rank, or None where op does not take it
     unit: object  # unit(f, cfg, out, scratch, lo, hi): rows [lo, hi) into out
@@ -679,7 +668,6 @@ def _rank_two(rank: int):
 # lichnerowicz runs the rough Laplacian's sweep (see the module docstring)
 _OPS = {
     "divergence": _Op(lambda rank: rank - 1 if rank >= 1 else None, _slab_divergence),
-    "sym_grad": _Op(lambda rank: 2 if rank == 1 else None, _slab_sym_grad),
     "rough_laplacian": _Op(lambda rank: rank, _slab_sweep),
     "linearized_ricci": _Op(_rank_two, lambda *args: _slab_sweep(*args, lin=True)),
     "lichnerowicz": _Op(_rank_two, _slab_sweep),

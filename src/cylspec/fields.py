@@ -37,7 +37,7 @@ Sign conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple
 
 import numpy as np
@@ -328,26 +328,35 @@ def sum_fields(cs: TorusCrossSection, rank: int, fields) -> TensorField:
 class FieldBuilder:
     """One field of rank ``rank`` built from parts, merged once.
 
-    Each appender lists the rows of one part, one per term of its profile:
-    the key (freq, phase, p, lam) and the coefficient c C of the part's
-    tensor C.  ``field()`` merges every row with one sort: a key's rows add
-    left to right in the order the parts were appended, so the field equals
-    ``sum_fields`` of the one-part fields bit for bit, signed zeros
-    included.  Every key comes from a ``Mode`` or is frequency zero, so no
-    key is checked again.  The appenders return the builder.
+    A row is a key (freq, phase code, p, lam), a coefficient c and a tensor
+    C padded to shape (d+1,)*rank, and adds c C at its key.  ``rows`` lists
+    a block of rows at once; every other appender lists one part's rows
+    through it, one per term of the part's profile.  ``field()`` merges
+    every row with one sort: a key's rows add left to right in the order
+    they were listed, so the field equals ``sum_fields`` of the one-part
+    fields bit for bit, signed zeros included.  Every key comes from a
+    ``Mode`` or is frequency zero, so no key is checked again.  The
+    appenders return the builder.
     """
 
-    __slots__ = ("cs", "rank", "_rows", "_tensors")
+    __slots__ = ("cs", "rank", "_keys", "_coeffs", "_tensors")
 
     def __init__(self, cs: TorusCrossSection, rank: int):
         self.cs, self.rank = cs, int(rank)
-        self._rows, self._tensors = [], []  # (freq, phase, p, lam, c) flat; C per row
+        self._keys, self._coeffs, self._tensors = [], [], []  # keys flat; c and C per row
+
+    def rows(self, keys, coeffs, tensors) -> "FieldBuilder":
+        """List a block of rows: keys[i], a (freq..., phase code, p, lam)
+        sequence with phase code 0 for cos and 1 for sin, gets coeffs[i]
+        times tensors[i], padded to (d+1,)*rank or flattened."""
+        self._keys.extend(chain.from_iterable(keys))
+        self._coeffs.extend(coeffs)
+        self._tensors.extend(tensors)
+        return self
 
     def _part(self, freq, code: int, profile: RadialProfile, C) -> "FieldBuilder":
-        for c, p, lam in profile.terms:
-            self._rows.extend((*freq, code, p, lam, c))
-            self._tensors.append(C)
-        return self
+        head, terms = (*freq, code), profile.terms
+        return self.rows([head + t[1:] for t in terms], [t[0] for t in terms], (C,) * len(terms))
 
     def mode(self, mode: Mode, profile: RadialProfile) -> "FieldBuilder":
         """profile(r) * mode, the mode's tensor indices placed tangentially."""
@@ -400,11 +409,11 @@ class FieldBuilder:
         return self._part((0,) * self.cs.dim, 0, profile, C)
 
     def field(self) -> TensorField:
-        n, d = len(self._tensors), self.cs.dim
-        rows = np.array(self._rows, dtype=float).reshape(n, d + 4)
+        n, d = len(self._coeffs), self.cs.dim
+        keys = np.array(self._keys, dtype=float).reshape(n, d + 3)
         tensors = np.array(self._tensors, dtype=float).reshape(n, (d + 1) ** self.rank)
-        coeffs = rows[:, -1:] * tensors
-        return _table(self.cs, self.rank, *_canonical(rows[:, :-1], coeffs))
+        coeffs = np.array(self._coeffs, dtype=float)[:, None] * tensors
+        return _table(self.cs, self.rank, *_canonical(keys, coeffs))
 
 
 def constant_tensor_field(cs: TorusCrossSection, tensor) -> TensorField:

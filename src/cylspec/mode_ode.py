@@ -93,23 +93,24 @@ def _psi(z, qmax: int) -> list:
     for |z| <= 1, the Taylor series sum_n z^n / (n! (qmax + n + 1)) for
     psi_qmax, then downward by psi_{q-1} = (e^z - z psi_q) / q.  Where
     every |z| <= 1 entry is 0 both are skipped: there psi_q = 1 / (q + 1),
-    which is what they give bit for bit.
+    which is what they give bit for bit.  It divides by z = 0 and overflows
+    on the branches it discards: the caller ignores every floating-point
+    error while it runs.
     """
     near = np.abs(z) <= 1.0
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        ez = np.exp(z)
-        psi = [np.expm1(z) / z]
-        for q in range(1, qmax + 1):
-            psi.append((ez - q * psi[-1]) / z)
-        if not (near & (z != 0.0)).any():
-            return [np.where(near, 1.0 / (q + 1), v) for q, v in enumerate(psi)]
-        top = 0.0
-        for n in range(_PSI_TERMS - 1, -1, -1):
-            top = 1.0 / (math.factorial(n) * (qmax + n + 1)) + z * top
-        psi[qmax] = np.where(near, top, psi[qmax])
-        for q in range(qmax, 0, -1):
-            top = (ez - z * top) / q
-            psi[q - 1] = np.where(near, top, psi[q - 1])
+    ez = np.exp(z)
+    psi = [np.expm1(z) / z]
+    for q in range(1, qmax + 1):
+        psi.append((ez - q * psi[-1]) / z)
+    if not (near & (z != 0.0)).any():
+        return [np.where(near, 1.0 / (q + 1), v) for q, v in enumerate(psi)]
+    top = 0.0
+    for n in range(_PSI_TERMS - 1, -1, -1):
+        top = 1.0 / (math.factorial(n) * (qmax + n + 1)) + z * top
+    psi[qmax] = np.where(near, top, psi[qmax])
+    for q in range(qmax, 0, -1):
+        top = (ez - z * top) / q
+        psi[q - 1] = np.where(near, top, psi[q - 1])
     return psi
 
 
@@ -228,24 +229,35 @@ class RadialProfile:
         if not self.terms:
             return np.zeros(lo.shape)
         coeffs, powers, rates = (np.array(col) for col in zip(*self.terms))
-        infinite = hi.max(initial=0.0) == math.inf
+        at_inf = hi == math.inf
+        infinite = at_inf.any()
         if infinite and not all(lam < 0.0 for _, _, lam in self.terms):
             raise InvalidInput("profile does not decay at +infinity")  # a NaN rate too
-        h = hi - lo
-        if infinite:
-            at_inf = hi == math.inf
-        p = powers[:, None]
-        binom = np.ones(p.shape)  # C(p, q), exact in floats
-        per_term = np.zeros((len(coeffs), len(lo)))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for q, psi_q in enumerate(_psi(rates[:, None] * h, self.max_power)):
-                hq = h ** (q + 1)
-                if infinite:
-                    hq = np.where(at_inf, float(math.factorial(q)), hq)
-                    psi_q = np.where(at_inf, (-rates[:, None]) ** -(q + 1.0), psi_q)
-                per_term += binom * lo ** np.maximum(p - q, 0) * hq * psi_q
+        p, lam, qs = powers[:, None], rates[:, None], range(self.max_power + 1)
+
+        def power_sum(lo, factors):
+            # sum_q C(p, q) lo^{p-q} h^{q+1} psi_q(lam h), factors (h^{q+1}, psi_q)
+            total = np.zeros((len(coeffs), len(lo)))
+            binom = np.ones(p.shape)  # C(p, q), exact in floats
+            for q, (hq, psi_q) in zip(qs, factors):
+                total += binom * lo ** np.maximum(p - q, 0) * hq * psi_q
                 binom = binom * (p - q) / (q + 1)
-            per_term *= np.exp(rates[:, None] * lo)
+            return total
+
+        def finite(lo, h):
+            return power_sum(lo, ((h ** (q + 1), psi_q)
+                                  for q, psi_q in zip(qs, _psi(lam * h, self.max_power))))
+
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            if infinite:  # the limits q! / (-lam)^{q+1}; no kernel runs on an infinite h
+                per_term = np.empty((len(coeffs), len(lo)))
+                per_term[:, at_inf] = power_sum(lo[at_inf], (
+                    (float(math.factorial(q)), (-lam) ** -(q + 1.0)) for q in qs))
+                if not at_inf.all():
+                    per_term[:, ~at_inf] = finite(lo[~at_inf], hi[~at_inf] - lo[~at_inf])
+            else:
+                per_term = finite(lo, hi - lo)
+            per_term *= np.exp(lam * lo)
         # one contiguous row per interval: every row sums in the same order
         return np.ascontiguousarray((coeffs[:, None] * per_term).T).sum(axis=1)
 

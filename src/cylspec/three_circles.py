@@ -29,6 +29,7 @@ up (growing side) or down (decaying side) the tube sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -363,6 +364,28 @@ def monotonicity_classify(series: TubeNormSeries, beta_prime: float) -> Monotoni
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _tt_pool(cs: TorusCrossSection) -> tuple:
+    """The rows random_reduced_form draws from: for each oscillating TT
+    mode in spectrum order, then for each parallel one, its (freq...,
+    phase code) head, s = sqrt(mu) and its polarization padded to
+    (d+1, d+1); and the torus metric g_N, padded alike.  Read-only."""
+
+    def table(modes):
+        out = []
+        for m in modes:
+            C = np.zeros((cs.dim + 1, cs.dim + 1))
+            C[1:, 1:] = m.polarization
+            C.setflags(write=False)
+            out.append(((*m.freq, 0 if m.phase == "cos" else 1), math.sqrt(m.eigenvalue), C))
+        return tuple(out)
+
+    spectrum = build_spectrum(cs, "TTTensor")
+    g_tan = np.diag([0.0] + [1.0] * cs.dim)
+    g_tan.setflags(write=False)
+    return table(spectrum.oscillating), table(spectrum.at((0,) * cs.dim)), g_tan
+
+
 def random_reduced_form(
     cs: TorusCrossSection,
     rng,
@@ -372,28 +395,34 @@ def random_reduced_form(
     """A random reduced kernel element (up to three exponential TT modes, optional
     r-linear trace and parallel TT legs), its coefficients uniform on
     [-1, 1]; .scale(c) resizes it.  include_growing=False zeroes the
-    e^{+sqrt(mu) r} branches, for callers sampling on long windows."""
-    tt_spectrum = build_spectrum(cs, "TTTensor")
-    pool = tt_spectrum.oscillating
-    if not pool:
+    e^{+sqrt(mu) r} branches, for callers sampling on long windows.
+
+    The rows are read from the cross section's memoized TT pool and listed
+    in one ``FieldBuilder.rows`` call, in the order of the profiles'
+    terms (e^{-s r} before e^{+s r}); a zero coefficient lists no row."""
+    oscillating, parallel, g_tan = _tt_pool(cs)
+    if not oscillating:
         raise InvalidInput("cross section carries no oscillating TT modes")
-    h = fields_mod.FieldBuilder(cs, 2)
-    picks = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
-    for i in picks:
-        tt = pool[i]
-        s = math.sqrt(tt.eigenvalue)
-        a_plus, a_minus = rng.uniform(-1.0, 1.0, size=2)
-        if not include_growing:
-            a_plus = 0.0
-        h.mode(tt, RadialProfile(((a_plus, 0, s), (a_minus, 0, -s))))
+    picks = rng.choice(len(oscillating), size=min(3, len(oscillating)), replace=False).tolist()
+    keys, coeffs, tensors = [], [], []
+
+    def row(head, p, lam, c, C):
+        if c != 0.0:
+            keys.append((*head, p, lam))
+            coeffs.append(c)
+            tensors.append(C)
+
+    # every pick's (a_+, a_-) from one uniform call: the doubles, in order, of a
+    # size-2 call per pick
+    for i, (a_plus, a_minus) in zip(picks, rng.uniform(-1.0, 1.0, size=(len(picks), 2)).tolist()):
+        head, s, C = oscillating[i]
+        row(head, 0, -s, a_minus, C)
+        row(head, 0, s, a_plus if include_growing else 0.0, C)
     if include_r_linear:
-        a_tilde = float(rng.uniform(-1.0, 1.0))
-        g_tan = np.diag([0.0] + [1.0] * cs.dim)  # the torus metric g_N
-        h.constant(g_tan, RadialProfile.monomial(a_tilde, 1, 0.0))
-        parallel = tt_spectrum.at((0,) * cs.dim)
-        m = int(rng.integers(0, len(parallel)))
-        h.mode(parallel[m], RadialProfile.monomial(float(rng.uniform(-1.0, 1.0)), 1, 0.0))
-    return h.field()
+        row((0,) * (cs.dim + 1), 1, 0.0, float(rng.uniform(-1.0, 1.0)), g_tan)
+        head, _, C = parallel[int(rng.integers(0, len(parallel)))]
+        row(head, 1, 0.0, float(rng.uniform(-1.0, 1.0)), C)
+    return fields_mod.FieldBuilder(cs, 2).rows(keys, coeffs, tensors).field()
 
 
 def random_valid_params(

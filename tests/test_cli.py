@@ -674,6 +674,37 @@ def test_validate_at_debug_level_prints_one_line_per_stage(tmp_path):
                      stage("quadratic_remainder_scan, order 2")]
 
 
+def test_three_circles_at_debug_level_prints_one_line_per_stage(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["three-circles", "--mode-file", write_field(tmp_path / "h.json"), "--L", "1.0",
+            "--beta", "5.0", "--beta-prime", "0.3", "--triples", "0,1,3;1,2,5",
+            "--log-level", "debug", "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "cylspec.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = [re.sub(r": \d+\.\d{3} ms$", ": _ ms", line)
+             for line in done.stderr.splitlines() if line.startswith("DEBUG:")]
+    assert lines == ["DEBUG:cylspec:" + stage + ": _ ms" for stage in (
+        "three-circles(0,1,3)", "three-circles(1,2,5)", "tube-norm series, offsets 0-5")]
+
+
+def test_debug_logging_leaves_the_three_circles_envelope_unchanged(tmp_path):
+    cfg = cli.resolve_config({"task": {
+        "name": "three-circles", "mode_file": write_field(tmp_path / "h.json"), "L": 1.0,
+        "beta": 5.0, "beta_prime": 0.3, "triples": "0,1,3;1,2,5"}}, {})
+    logger = logging.getLogger("cylspec")
+    envelopes = []
+    try:
+        for level in (logging.DEBUG, logging.WARNING):
+            logger.setLevel(level)
+            envelope = cli.run_job(cfg)
+            del envelope["timing_s"]
+            envelopes.append(cli.canonical_json(envelope))
+    finally:
+        logger.setLevel(logging.NOTSET)
+    assert envelopes[0] == envelopes[1]
+
+
 def test_debug_logging_leaves_the_envelope_unchanged():
     """Every envelope byte but the wall time is the same with the stage
     lines logged and without them."""

@@ -116,8 +116,7 @@ def test_an_unknown_operator_is_rejected_naming_every_known_one():
     with pytest.raises(InvalidInput) as err:
         O.fd_operator("curl", gf)
     assert str(err.value) == ("unknown operator 'curl'; expected one of ('divergence', "
-                              "'sym_grad', 'rough_laplacian', 'linearized_ricci', "
-                              "'lichnerowicz')")
+                              "'rough_laplacian', 'linearized_ricci', 'lichnerowicz')")
 
 
 def test_the_rank_is_checked_before_any_stencil_runs(monkeypatch):
@@ -125,11 +124,10 @@ def test_the_rank_is_checked_before_any_stencil_runs(monkeypatch):
         raise AssertionError("a stencil ran before the rank check")
 
     monkeypatch.setattr(O, "_partial", refuse)
-    rank2 = O.sample(smooth_rank2(), (0.0, 6.0), 16, 8)
     scalar = O.sample(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)), (0, 6), 16, 8)
-    for op, f in (("sym_grad", rank2), ("divergence", scalar), ("lichnerowicz", scalar)):
-        with pytest.raises(InvalidInput, match=f"{op} does not take a rank-{f.rank} field"):
-            O.fd_operator(op, f)
+    for op in ("linearized_ricci", "divergence", "lichnerowicz"):
+        with pytest.raises(InvalidInput, match=f"{op} does not take a rank-0 field"):
+            O.fd_operator(op, scalar)
 
 
 def test_sample_zero_field():
@@ -192,7 +190,6 @@ def test_rough_laplacian_of_decaying_parallel_tt():
 
 _CASES = [
     ("divergence", smooth_rank2, F.divergence),
-    ("sym_grad", smooth_one_form, F.sym_grad),
     ("rough_laplacian", smooth_rank2, F.rough_laplacian),
     ("linearized_ricci", smooth_rank2, F.linearized_ricci),
 ]
@@ -265,9 +262,9 @@ def test_discrete_adjointness_on_periodic_fields(order):
     hf = base.with_components(h, rank=2)
     cfg = O.StencilConfig(order=order)
     div_h = O.fd_operator("divergence", hf, cfg)
-    sym_w = O.fd_operator("sym_grad", wf, cfg)
+    sym_w = roll_operator("sym_grad", wf, cfg)  # S(w) with the same stencils
     lhs = float(np.sum(div_h.components * w))
-    rhs = 0.5 * float(np.sum(h * sym_w.components))
+    rhs = 0.5 * float(np.sum(h * sym_w))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -414,14 +411,15 @@ def roll_operators(f, cfg):
 ROLL_RANKS = {
     "rough_laplacian": lambda rank: True,
     "divergence": lambda rank: rank >= 1,
-    "sym_grad": lambda rank: rank == 1,
     "linearized_ricci": lambda rank: rank == 2,
     "lichnerowicz": lambda rank: rank == 2,
 }
 
 
 def roll_operator(op, f, cfg):
-    """The operator op of f, computing nothing that op does not use."""
+    """The operator op of f, computing nothing that op does not use; also
+    "sym_grad", S(w)_ij = d_i w_j + d_j w_i of a one-form, which the oracle
+    lists no more but linearized_ricci's gauge term is made of."""
     D, c = f.dim + 1, f.components
     part = functools.partial(roll_partial, grid=f, cfg=cfg)
     if op == "rough_laplacian":
@@ -907,7 +905,7 @@ def test_only_the_calling_thread_allocates_the_batch_buffers(monkeypatch):
     rank1 = rank2.with_components(rank2.components[..., 0].copy(), rank=1)
     for f, names in ((rank2, ("divergence", "rough_laplacian", "linearized_ricci",
                               "lichnerowicz")),
-                     (rank1, ("sym_grad", "divergence"))):
+                     (rank1, ("divergence",))):
         for op in names:
             assert O._slab_plan(op, f, cfg)[0] == 2
             within_timeout(lambda: callers.add(threading.get_ident())
@@ -1085,7 +1083,7 @@ def roll_trace_form(f, cfg):
     D = f.dim + 1
     part = functools.partial(roll_partial, grid=f, cfg=cfg)
     ops = roll_operators(f, cfg)
-    gauge = roll_operators(f.with_components(ops["divergence"], rank=1), cfg)["sym_grad"]
+    gauge = roll_operator("sym_grad", f.with_components(ops["divergence"], rank=1), cfg)
     tr = np.trace(f.components, axis1=-2, axis2=-1)
     hess = np.stack([np.stack([part(part(tr, i), j) for j in range(D)], axis=-1)
                      for i in range(D)], axis=-2)
@@ -1377,7 +1375,7 @@ def test_operator_interior_sup_checks_its_input_before_any_stencil_runs(monkeypa
     thin = O.sample(smooth_rank2(), (0.0, 6.0), 2 * O.INTERIOR_TRIM, 8)
     thin_scalar = O.sample(F.scalar_field(CS, PHI, RadialProfile.constant(1.0)), (0, 6),
                            2 * O.INTERIOR_TRIM, 8)
-    cases = [("curl", rank2), ("sym_grad", rank2), ("divergence", scalar),
+    cases = [("curl", rank2), ("linearized_ricci", scalar), ("divergence", scalar),
              ("lichnerowicz", thin_scalar)]
     want = [message(O.fd_operator, op, f) for op, f in cases]
     want.append(message(thin.interior))

@@ -399,6 +399,28 @@ def test_the_builder_adds_a_keys_rows_in_part_order():
     assert got.columns().coefficients.tolist() == [[1.0, 1.0, 1.0]]
 
 
+def test_a_block_of_rows_is_the_parts_it_lists():
+    # rows listed as a block and part by part add in listing order alike
+    cs = cx.TorusCrossSection(2, (1.0, 1.3), 1)
+    eta = cx.build_spectrum(cs, "CoclosedOneForm").modes[1]
+    C = np.zeros(3)
+    C[1:] = eta.polarization
+    head = (*eta.freq, 0 if eta.phase == "cos" else 1)
+    ones = np.ones(3)
+    want = (F.FieldBuilder(cs, 1).constant(ones, RadialProfile.monomial(1e16, 1, -0.5))
+            .mode(eta, RadialProfile(((2.0, 0, -1.0), (-3.0, 1, 0.5))))
+            .constant(ones, RadialProfile.monomial(-1e16, 1, -0.5))
+            .constant(ones, RadialProfile.monomial(1.0, 1, -0.5)).field())
+    builder = F.FieldBuilder(cs, 1)
+    assert builder.rows([(0, 0, 0, 1, -0.5), (*head, 0, -1.0), (*head, 1, 0.5)],
+                        [1e16, 2.0, -3.0], [ones, C, C]) is builder
+    got = builder.constant(ones, RadialProfile.monomial(-1e16, 1, -0.5)).rows(
+        np.array([[0, 0, 0, 1, -0.5]]), np.array([1.0]), np.ones((1, 3))).field()
+    same_bytes(got, ref(want))
+    assert got.columns().coefficients[0].tolist() == [1.0, 1.0, 1.0]
+    assert F.FieldBuilder(cs, 2).rows([], [], []).field().n_terms == 0
+
+
 def test_the_builder_checks_its_parts():
     cs = cx.TorusCrossSection(3, (1.0, 1.0, 1.0), 1)
     phi, eta, tt = (cx.build_spectrum(cs, k).modes[1]

@@ -660,3 +660,55 @@ def test_the_check_sees_certificates_read_from_full_operator_grids():
     assert sorted(_full_grid_certificates(tree)) == [
         (1, "fd_operator"), (2, "fd_operator"), (4, "fd_operator"), (6, "ricci"),
     ]
+
+
+# Every operator the FD oracle lists runs where a result depends on it: its
+# name is the first argument of an fd_operator or operator_interior_sup call
+# (direct, or handed to a wrapper such as stages.stage) in the package, in
+# perfbench/ or in tests/test_acceptance.py, so no stencil is kept for the
+# unit tests alone
+_OPERATOR_RUNNERS = {"fd_operator", "operator_interior_sup"}
+
+
+def _named(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _operators_run(tree):
+    """The string operator name of every fd_operator or
+    operator_interior_sup call, or of a call that passes one of them on
+    with the name after it."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        args = node.args
+        if _named(node.func) in _OPERATOR_RUNNERS:
+            at = 0
+        else:
+            at = next((i + 1 for i, a in enumerate(args) if _named(a) in _OPERATOR_RUNNERS), None)
+        if (at is not None and at < len(args) and isinstance(args[at], ast.Constant)
+                and isinstance(args[at].value, str)):
+            yield node.lineno, args[at].value
+
+
+def test_every_fd_operator_runs_outside_the_unit_tests():
+    from cylspec import fd_oracle
+
+    root = SRC.parents[1]
+    paths = [*sorted(SRC.glob("*.py")), *sorted((root / "perfbench").glob("*.py")),
+             root / "tests" / "test_acceptance.py"]
+    run = {op for path in paths for _, op in _operators_run(ast.parse(path.read_text()))}
+    assert sorted(set(fd_oracle._OPS) - run) == []
+
+
+def test_the_check_sees_operators_run():
+    tree = ast.parse(
+        "a = fd_operator('divergence', g, cfg)\n"
+        "b = O.operator_interior_sup('linearized_ricci', g)\n"
+        "c = stage(f'label', operator_interior_sup, 'lichnerowicz', g, cfg)\n"
+        "d = fd.fd_operator(op, g), roll_operator('sym_grad', w, cfg)\n"
+        "e = stage('rough_laplacian', fd_operator)\n"
+    )
+    assert sorted(_operators_run(tree)) == [
+        (1, "divergence"), (2, "linearized_ricci"), (3, "lichnerowicz"),
+    ]
